@@ -12,8 +12,8 @@ and per-instance cycle vectors, and pin the performance contract:
 development machine; the floor leaves headroom for noisy CI runners).
 
 Run ``python benchmarks/bench_runtime_fleet.py --smoke`` for a fast
-functional pass (equivalence, determinism and pool sharding on a small
-fleet, no timing statistics) — the mode CI uses.
+functional pass (equivalence and determinism on a small fleet, no
+timing statistics) — the mode CI uses.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def test_fleet_scaling_rows(benchmark):
 
 
 def _smoke() -> int:
-    """Fast functional pass: equivalence, determinism, pool sharding."""
+    """Fast functional pass: engine equivalence and determinism."""
     streams = make_fleet_testbench(64, cells=CONTRACT_CELLS)
     legacy = _fleet("legacy").run(streams)
     compiled = _fleet("compiled").run(streams)
@@ -121,9 +121,6 @@ def _smoke() -> int:
     again = _fleet("compiled").run(make_fleet_testbench(64, cells=CONTRACT_CELLS))
     _assert_results_identical(compiled, again)
     print("smoke determinism: identical results under the fixed fleet seed")
-    pooled = _fleet("compiled").run(streams, workers=2)
-    _assert_results_identical(compiled, pooled)
-    print("smoke pool: workers=2 == sequential")
     return 0
 
 

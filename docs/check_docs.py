@@ -11,7 +11,8 @@ it is internally consistent with the code:
 3. every ``repro-qss`` subcommand and every long option of the argument
    parser is documented in ``docs/cli.md`` (introspected from
    ``repro.cli.build_parser`` — adding a flag without documenting it
-   fails CI).
+   fails CI), and every long option a subcommand's flag table lists is
+   one its parser still has (removing a flag but not its row fails CI).
 
 Exits non-zero with a summary of every violation.
 """
@@ -29,6 +30,12 @@ DOCS = REPO / "docs"
 LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 #: Repo paths quoted in the paper-map tables, e.g. ```src/repro/...py```.
 PATH_MENTION = re.compile(r"`((?:src|tests|benchmarks|docs|examples)/[^`\s]+)`")
+#: One subcommand's part of cli.md: its ``## `name` `` heading up to the
+#: next ``## `` heading.
+CLI_SECTION = re.compile(r"^## `([a-z0-9-]+)`(.*?)(?=^## |\Z)", re.M | re.S)
+#: The first cell of a table row, where the flag tables name their flags.
+FIRST_CELL = re.compile(r"^\|([^|\n]*)\|", re.M)
+LONG_OPTION = re.compile(r"--[a-z][a-z0-9-]*")
 
 
 def check_links(errors: list) -> int:
@@ -71,20 +78,31 @@ def check_cli_reference(errors: list) -> int:
         for action in parser._actions  # noqa: SLF001 - argparse introspection
         if action.dest == "command"
     )
+    sections = dict(CLI_SECTION.findall(text))
     checked = 0
     for name, sub in subparsers.choices.items():
         checked += 1
         if f"## `{name}`" not in text:
             errors.append(f"cli.md: undocumented subcommand -> {name}")
             continue
+        options = set()
         for action in sub._actions:  # noqa: SLF001
             for option in action.option_strings:
+                options.add(option)
                 if not option.startswith("--") or option == "--help":
                     continue
                 checked += 1
                 if option not in text:
                     errors.append(
                         f"cli.md: undocumented option of {name!r} -> {option}"
+                    )
+        for cell in FIRST_CELL.findall(sections.get(name, "")):
+            for option in LONG_OPTION.findall(cell):
+                checked += 1
+                if option not in options:
+                    errors.append(
+                        f"cli.md: the {name!r} flag table lists {option}, "
+                        f"which its parser does not have"
                     )
     return checked
 

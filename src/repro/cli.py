@@ -351,16 +351,8 @@ def _validate_serve_args(
         parser.error("argument --instances: must be positive")
     if args.events <= 0 and not args.listen:
         parser.error("argument --events: must be positive")
-    if args.workers <= 0:
-        parser.error("argument --workers: must be positive")
     if args.shards is not None and args.shards <= 0:
         parser.error("argument --shards: must be positive")
-    if args.workers > 1 and service_mode:
-        parser.error(
-            "argument --workers: shards the one-shot batch run over a "
-            "process pool; use --shards (and --backend process) for the "
-            "always-on service"
-        )
     if args.inbox_limit is not None and args.inbox_limit <= 0:
         parser.error("argument --inbox-limit: must be positive")
     if args.inbox_limit is not None and not service_mode:
@@ -413,6 +405,7 @@ async def _serve_service(
     args: argparse.Namespace, net, assignment, streams, timing
 ) -> int:
     import asyncio as aio
+    import contextlib
     import time as time_mod
 
     from .service import (
@@ -421,6 +414,7 @@ async def _serve_service(
         FleetSupervisor,
         IngestServer,
         InjectBatch,
+        ShardFailed,
         TelemetryWriter,
         events_to_injects,
     )
@@ -516,15 +510,13 @@ async def _serve_service(
     finally:
         if sampler_task is not None:
             sampler_task.cancel()
-            try:
-                await sampler_task
-            except aio.CancelledError:
-                pass
+            # a failed shard ends the sampler too; stop() raises its error
+            await aio.gather(sampler_task, return_exceptions=True)
         if telemetry is not None:
-            await sample()
-        result = await supervisor.stop(drain=True)
-        if telemetry is not None:
+            with contextlib.suppress(ShardFailed):  # stop() raises it
+                await sample()
             telemetry.close()
+        result = await supervisor.stop(drain=True)
     print(result.describe())
     print(
         f"served {result.stats.events_processed} events across "
@@ -551,11 +543,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if service_mode:
         import asyncio
 
-        return asyncio.run(
-            _serve_service(args, net, assignment, streams, timing)
-        )
+        from .service import ShardFailed
+
+        try:
+            return asyncio.run(
+                _serve_service(args, net, assignment, streams, timing)
+            )
+        except ShardFailed as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
     fleet = FleetSimulator(net, assignment, engine=args.engine, timing=timing)
-    result = fleet.run(streams, workers=args.workers)
+    result = fleet.run(streams)
     print(result.describe())
     print(
         f"served {result.stats.events_processed} events across "
@@ -862,13 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(untimed, default), 'fixed:N' (every transition costs N "
         "ticks) or 'uniform:LOW-HIGH' (per-transition costs drawn "
         "reproducibly from [LOW, HIGH] with the fleet seed)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard the one-shot batch run over a process pool; "
-        "1 runs in-process (service mode uses --shards instead)",
     )
     p_serve.add_argument(
         "--partition",

@@ -12,19 +12,17 @@ the full Python event loop per instance; this module steps all of them
   ``(N, P)`` int64 marking matrix (one row per instance, one column per
   compiled place id), the batched enabledness/dispatch machinery and
   the per-instance accounting arrays.  It is driven round by round
-  through :meth:`FleetEngine.dispatch` — one event per listed instance
-  — so the same kernel serves both a one-shot batch run over complete
-  streams and the always-on shard actors of :mod:`repro.service`,
-  which feed it incrementally from their inboxes.  Instances can be
-  added, exported and imported at runtime (the supervisor's
-  work-stealing rebalancer migrates live instances between shards).
+  through :meth:`FleetEngine.dispatch_ids` — one pre-interned event per
+  listed instance — so the same kernel serves both a one-shot batch
+  run over complete streams and the always-on shards of
+  :mod:`repro.service`, which feed it incrementally from their inboxes
+  and register instances as their first events arrive.
 
 * :class:`FleetSimulator` is the stream **orchestration**: it sorts the
-  per-instance streams, feeds them to one kernel round by round
-  (``run``), loops the string-keyed reactive simulator per instance
-  (``engine="legacy"``, the benchmark baseline) and shards the fleet
-  over a ``multiprocessing`` pool (``run(streams, workers=N)``,
-  contiguous instance chunks merged in order, byte-identical results).
+  per-instance streams and feeds them to one kernel round by round
+  (``run``), or loops the string-keyed reactive simulator per instance
+  (``engine="legacy"``, the benchmark baseline).  Scaling across
+  processes is the service's job (process-backed shards).
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
@@ -261,9 +259,10 @@ class FleetEngine:
     The engine owns *state* (the marking matrix, per-instance cycle and
     event counters, aggregate accounting) and *mechanism* (batched
     dispatch with memoized cascades); it knows nothing about streams,
-    sockets or actors.  Drive it with :meth:`dispatch` — one event per
-    listed instance row per call — and read the outcome with
-    :meth:`result` or :meth:`stats_snapshot` at any point.
+    sockets or actors.  Drive it with :meth:`dispatch_ids` — one event
+    per listed instance row per call, interned by :meth:`prepare_events`
+    or at the service's ingest boundary — and read the outcome with
+    :meth:`result` at any point.
 
     Parameters
     ----------
@@ -494,81 +493,17 @@ class FleetEngine:
         self._n += count
         return rows
 
-    def export_instance(self, row: int) -> Tuple[List[int], int, int, int]:
-        """Snapshot one instance's migratable state
-        (marking, cycles, events, delay ticks).
-
-        Aggregate accounting (firings, activations, cycle totals) stays
-        with the exporting kernel — the supervisor sums it across shards
-        anyway, so migration never loses or double-counts work.
-        """
-        if self._memo_active:
-            marking = self._state_mark[self._state_of_row[row]]
-        else:
-            marking = self._markings[row]
-        return (
-            [int(v) for v in marking],
-            int(self._cycles[row]),
-            int(self._events[row]),
-            int(self._ticks[row]),
-        )
-
-    def remove_instance(self, row: int) -> int:
-        """Drop one instance (after :meth:`export_instance` for migration).
-
-        The last row is swapped into the vacated slot; returns the old
-        index of that moved row so callers can fix their key maps.
-        Aggregate accounting keeps the removed instance's *past*
-        contribution — its future work accrues wherever it is imported,
-        so fleet-wide sums still count every charge exactly once.
-        """
-        last = self._n - 1
-        if row != last:
-            self._markings[row] = self._markings[last]
-            self._cycles[row] = self._cycles[last]
-            self._ticks[row] = self._ticks[last]
-            self._events[row] = self._events[last]
-            self._state_of_row[row] = self._state_of_row[last]
-        self._n = last
-        return last
-
-    def import_instance(self, state: Sequence) -> int:
-        """Restore a migrated instance; returns its new row index.
-
-        Accepts both the current 4-tuple snapshot and the pre-timing
-        3-tuple (``ticks`` defaults to 0), so mixed-version shards can
-        still exchange instances mid-rollout.
-        """
-        marking, cycles, events = state[0], state[1], state[2]
-        ticks = state[3] if len(state) > 3 else 0
-        row = int(self.add_instances(1)[0])
-        vector = np.array(list(marking), dtype=np.int64)
-        self._markings[row] = vector
-        self._cycles[row] = cycles
-        self._ticks[row] = ticks
-        self._events[row] = events
-        if self._memo_active:
-            self._state_of_row[row] = self._intern_state(vector)
-        return row
-
     # ------------------------------------------------------------------
     # Dispatch: one event per listed instance row
     # ------------------------------------------------------------------
-    def dispatch(self, rows: Sequence[int], events: Sequence[Event]) -> None:
-        """Serve one *round*: ``events[j]`` is dispatched to instance
-        ``rows[j]``.  Rows must be unique within a call (an instance's
-        events are ordered; feed them in consecutive rounds)."""
-        count = len(events)
-        if count == 0:
-            return
-        row_arr = np.asarray(rows, dtype=np.int64)
-        src_ids, sig_ids = self.prepare_events(events)
-        self.dispatch_ids(row_arr, src_ids, sig_ids)
-
     def dispatch_ids(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
     ) -> None:
-        """:meth:`dispatch` for pre-interned events (see :meth:`prepare_events`)."""
+        """Serve one *round*: event ``j`` (source ``src_ids[j]``, choice
+        signature ``sig_ids[j]``, see :meth:`prepare_events`) is
+        dispatched to instance ``rows[j]``.  Rows must be unique within a
+        call (an instance's events are ordered; feed them in consecutive
+        rounds)."""
         if len(src_ids) == 0:
             return
         if self._memo_active and (
@@ -990,18 +925,10 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(
-        self, streams: Sequence[Sequence[Event]], workers: int = 1
-    ) -> FleetResult:
-        """Execute one event stream per instance and return the fleet result.
-
-        ``workers > 1`` shards the instances over a multiprocessing pool
-        (identical results, merged in instance order).
-        """
+    def run(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
+        """Execute one event stream per instance and return the fleet result."""
         started = time.perf_counter()
-        if workers > 1 and len(streams) > 1:
-            result = self._run_pool(streams, workers)
-        elif self.engine == ENGINE_LEGACY:
+        if self.engine == ENGINE_LEGACY:
             result = self._run_legacy(streams)
         else:
             result = self._run_batched(streams)
@@ -1069,84 +996,6 @@ class FleetSimulator:
                 rows, src_matrix[rows, round_k], sig_matrix[rows, round_k]
             )
         return kernel.result(engine=self.engine)
-
-    # ------------------------------------------------------------------
-    # Process-pool sharding
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self, streams: Sequence[Sequence[Event]], workers: int
-    ) -> FleetResult:
-        import multiprocessing
-
-        from ..petrinet.serialization import net_to_json
-
-        effective = min(workers, len(streams))
-        bounds = np.linspace(0, len(streams), effective + 1, dtype=int)
-        chunks = [
-            list(streams[bounds[w] : bounds[w + 1]]) for w in range(effective)
-        ]
-        net_json = net_to_json(self.net)
-        payload = [
-            (
-                net_json,
-                dict(self.assignment.modules),
-                self.cost,
-                self.max_firings_per_event,
-                self.engine,
-                self.on_budget,
-                self.timing,
-                chunk,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        with multiprocessing.Pool(len(payload)) as pool:
-            parts = pool.map(_run_fleet_chunk, payload)
-        aggregate = ExecutionStats()
-        for part in parts:
-            aggregate.merge(part.stats)
-        return FleetResult(
-            stats=aggregate,
-            instance_cycles=np.concatenate(
-                [part.instance_cycles for part in parts]
-            ),
-            instance_events=np.concatenate(
-                [part.instance_events for part in parts]
-            ),
-            engine=self.engine,
-            instance_ticks=(
-                np.concatenate([part.instance_ticks for part in parts])
-                if self.timing is not None
-                else None
-            ),
-        )
-
-
-def _run_fleet_chunk(
-    payload: Tuple[
-        str,
-        Dict[str, str],
-        CostModel,
-        int,
-        str,
-        str,
-        Optional[TimingModel],
-        List[Sequence[Event]],
-    ]
-) -> FleetResult:  # pragma: no cover - executed inside pool workers
-    from ..petrinet.serialization import net_from_json
-
-    net_json, modules, cost, max_firings, engine, on_budget, timing, streams = payload
-    simulator = FleetSimulator(
-        net_from_json(net_json),
-        ModuleAssignment(modules=modules),
-        cost,
-        max_firings_per_event=max_firings,
-        engine=engine,
-        on_budget=on_budget,
-        timing=timing,
-    )
-    return simulator.run(streams)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,13 @@ kernel:
   zero-copy representations: :class:`InjectBatchPacked` (pre-interned
   int64 id columns) and the binary frame codec the process-backed
   shards speak over their pipes.
-- :mod:`~repro.service.shard` — the shard actor: a bounded inbox
-  draining into one kernel in vectorized batches.
-- :mod:`~repro.service.supervisor` — hash-sharded routing, async or
-  process shard backends, snapshots, work stealing, drain-and-stop.
-- :mod:`~repro.service.ingest` — the LDJSON socket server and the
-  socket/in-process clients.
+- :mod:`~repro.service.shard` — the shard: one kernel behind one ordered
+  inbox, served by the drain loop both backends share (coalesced
+  vectorized injects, controls as barriers, typed failure).
+- :mod:`~repro.service.supervisor` — hash-sharded routing over async or
+  process shards, snapshots, reload, drain-and-stop.
+- :mod:`~repro.service.ingest` — the LDJSON socket server and its
+  client.
 - :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
 
 ``repro-qss serve --shards/--listen/--duration/--telemetry`` is the
@@ -21,7 +22,7 @@ CLI front end; ``tests/test_service_differential.py`` pins service
 results equal to the one-shot batch path.
 """
 
-from .ingest import IngestServer, LocalClient, ServiceClient, events_to_injects
+from .ingest import IngestServer, ServiceClient, events_to_injects
 from .messages import (
     FRAME_CONTROL,
     FRAME_PACKED,
@@ -45,7 +46,7 @@ from .messages import (
     encode_frame_result,
     encode_message,
 )
-from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore
+from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore, ShardFailed
 from .supervisor import SERVICE_BACKENDS, FleetSupervisor, validate_backend
 from .telemetry import TELEMETRY_SCHEMA, TelemetryWriter, validate_telemetry_record
 
@@ -78,9 +79,9 @@ __all__ = [
     "validate_backend",
     "ShardActor",
     "ShardCore",
+    "ShardFailed",
     "IngestServer",
     "ServiceClient",
-    "LocalClient",
     "events_to_injects",
     "TelemetryWriter",
     "validate_telemetry_record",

@@ -1,4 +1,4 @@
-"""Event ingest: the LDJSON socket server and the service clients.
+"""Event ingest: the LDJSON socket server and its client.
 
 :class:`IngestServer` exposes a running
 :class:`~repro.service.supervisor.FleetSupervisor` over TCP, one wire
@@ -7,15 +7,15 @@ Injects propagate the shard actors' backpressure naturally: the
 connection handler ``await``s the supervisor, so while shard inboxes
 are full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
-latency, never to unbounded server memory.  Malformed lines are
-answered with a ``not-ok`` :class:`~repro.service.messages.Ack`
-carrying the parse error; the connection stays up.
+latency, never to unbounded server memory.  Malformed lines, and
+control requests that reach a failed shard, are answered with a
+``not-ok`` :class:`~repro.service.messages.Ack` carrying the error;
+the connection stays up.
 
-Two client flavours share one API surface (inject / snapshot / reload
-/ shutdown): :class:`ServiceClient` speaks the codec over a socket
-(what external producers use, and what the socket tests drive), and
-:class:`LocalClient` calls the supervisor directly in-process (what the
-CLI and most tests use — same types, no serialization).
+:class:`ServiceClient` speaks the codec over a socket (inject /
+snapshot / reload / shutdown): what external producers use, and what
+the socket tests drive.  In-process callers use the supervisor
+directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from .messages import (
     Ack,
     InjectBatch,
-    InjectBatchPacked,
     InjectEvent,
     ProtocolError,
     Reload,
@@ -37,6 +36,7 @@ from .messages import (
     decode_message,
     encode_message,
 )
+from .shard import ShardFailed
 from .supervisor import FleetSupervisor
 
 #: Per-line stream buffer limit, both directions.  asyncio's 64 KiB
@@ -100,37 +100,16 @@ class IngestServer:
                 except ProtocolError as error:
                     await self._reply(writer, Ack(ok=False, error=str(error)))
                     continue
-                if isinstance(message, (InjectEvent, InjectBatch)):
-                    # awaiting under backpressure pauses this reader —
-                    # that is the flow control
-                    await self.supervisor.inject(message)
-                elif isinstance(message, SnapshotRequest):
-                    reply = await self.supervisor.snapshot()
-                    await self._reply(
-                        writer,
-                        dataclasses.replace(
-                            reply, request_id=message.request_id
-                        ),
+                try:
+                    reply = await self._serve(message)
+                except ShardFailed as error:
+                    reply = Ack(
+                        request_id=getattr(message, "request_id", 0),
+                        ok=False,
+                        error=str(error),
                     )
-                elif isinstance(message, Reload):
-                    await self.supervisor.reload(
-                        reset_stats=message.reset_stats
-                    )
-                    await self._reply(writer, Ack())
-                elif isinstance(message, Shutdown):
-                    self.shutdown_drain = message.drain
-                    self.shutdown_requested.set()
-                    await self._reply(
-                        writer, Ack(request_id=message.request_id)
-                    )
-                else:
-                    await self._reply(
-                        writer,
-                        Ack(
-                            ok=False,
-                            error=f"unexpected message type {message.TYPE!r}",
-                        ),
-                    )
+                if reply is not None:
+                    await self._reply(writer, reply)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         except ValueError:
@@ -143,6 +122,25 @@ class IngestServer:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
+
+    async def _serve(self, message) -> Optional[object]:
+        """Act on one decoded message; returns the reply to send, if any."""
+        if isinstance(message, (InjectEvent, InjectBatch)):
+            # awaiting under backpressure pauses this reader — that is
+            # the flow control
+            await self.supervisor.inject(message)
+            return None
+        if isinstance(message, SnapshotRequest):
+            reply = await self.supervisor.snapshot()
+            return dataclasses.replace(reply, request_id=message.request_id)
+        if isinstance(message, Reload):
+            await self.supervisor.reload(reset_stats=message.reset_stats)
+            return Ack()
+        if isinstance(message, Shutdown):
+            self.shutdown_drain = message.drain
+            self.shutdown_requested.set()
+            return Ack(request_id=message.request_id)
+        return Ack(ok=False, error=f"unexpected message type {message.TYPE!r}")
 
     @staticmethod
     async def _reply(writer: asyncio.StreamWriter, message) -> None:
@@ -232,51 +230,6 @@ class ServiceClient:
             await self._send(Shutdown(drain=drain, request_id=request_id))
             reply = await self._recv()
         return reply
-
-
-class LocalClient:
-    """In-process client: the same surface, straight to the supervisor."""
-
-    def __init__(self, supervisor: FleetSupervisor) -> None:
-        self.supervisor = supervisor
-
-    async def inject(
-        self,
-        instance: int,
-        source: str,
-        time: float = 0.0,
-        choices: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        await self.supervisor.inject(
-            InjectEvent(
-                instance=instance,
-                source=source,
-                time=time,
-                choices=dict(choices or {}),
-            )
-        )
-
-    async def inject_batch(self, events: Sequence[InjectEvent]) -> None:
-        await self.supervisor.inject(InjectBatch(events=tuple(events)))
-
-    def pack(self, events: Sequence[InjectEvent]) -> InjectBatchPacked:
-        """Intern events into a packed batch once, reusable across injects.
-
-        The zero-copy fast lane: callers that replay the same workload
-        (benchmarks, load generators) pack outside their timed loop and
-        hand the id columns straight to :meth:`inject_packed`.
-        """
-        return self.supervisor.pack(events)
-
-    async def inject_packed(self, batch: InjectBatchPacked) -> None:
-        """Inject a pre-packed batch (see :meth:`pack`)."""
-        await self.supervisor.inject(batch)
-
-    async def snapshot(self) -> SnapshotReply:
-        return await self.supervisor.snapshot()
-
-    async def reload(self, reset_stats: bool = True) -> None:
-        await self.supervisor.reload(reset_stats=reset_stats)
 
 
 def events_to_injects(

@@ -1,8 +1,8 @@
 """Typed messages and the versioned JSON wire codec of the fleet service.
 
-Every interaction with the service — socket ingest, the in-process
-client, the parent↔worker pipes of the process-backed shards — speaks
-the same protocol: frozen dataclass messages serialized as one JSON
+Every interaction with the service — socket ingest, in-process callers,
+the parent↔worker pipes of the process-backed shards — speaks the same
+protocol: frozen dataclass messages serialized as one JSON
 object per line, each carrying the :data:`WIRE_SCHEMA` version tag and
 a ``type`` discriminator.  The codec is total in both directions
 (``decode_message(encode_message(m)) == m``) and *strict*: unknown
@@ -27,9 +27,9 @@ Two *internal* representations ride alongside the public JSON codec:
 * The **binary frame codec** (:func:`encode_frame` /
   :func:`decode_frame`) — what the process-backed shards speak over
   their pipes: length-prefixed raw ndarray buffers for packed inject
-  batches, with control messages falling back to the JSON wire codec
-  inside a ``control`` frame and the final shard result travelling as
-  one pickle frame at shutdown.
+  batches, with control requests falling back to the JSON wire codec
+  inside a ``control`` frame and every reply travelling back as one
+  pickle frame.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ FRAME_SCHEMA = "repro-qss.frame/1"
 #: One-byte frame discriminators.
 FRAME_CONTROL = 0x00  # JSON wire-codec line (the fallback for controls)
 FRAME_PACKED = 0x01  # packed inject batch: raw int64 ndarray sections
-FRAME_RESULT = 0x02  # pickled terminal payload (the shard's final result)
+FRAME_RESULT = 0x02  # pickled reply (stats, ack, failure or final result)
 
 _FRAME_MAGIC = b"RQF1"
 _U32 = struct.Struct("<I")
@@ -315,7 +315,7 @@ def encode_frame_control(message: Message) -> bytes:
 
 
 def encode_frame_result(payload: Any) -> bytes:
-    """Wrap the shard's terminal payload (keys + FleetResult) in a frame."""
+    """Wrap one pickled shard reply (up to the final keys + FleetResult)."""
     return _FRAME_MAGIC + bytes([FRAME_RESULT]) + pickle.dumps(payload)
 
 

@@ -1,52 +1,56 @@
-"""The shard actor: one always-on asyncio task around one FleetEngine.
+"""The shard: one kernel behind one ordered inbox, on either backend.
 
-A shard owns a subset of the fleet's instances and serves their events
-from a **bounded inbox** (`asyncio.Queue(maxsize=inbox_limit)`):
+A shard owns a subset of the fleet's instances.  Its inbox carries two
+kinds of item, in arrival order: :class:`InjectBatchPacked` batches
+(interned once at the supervisor's ingest boundary) and control
+requests (:class:`~repro.service.messages.SnapshotRequest`,
+:class:`~repro.service.messages.Reload`,
+:class:`~repro.service.messages.Shutdown`) paired with the token their
+reply goes to.
+
+:meth:`ShardCore.drain` serves one drain of that inbox and is shared by
+both backends: the asyncio :class:`ShardActor` hands it everything its
+inbox holds, the ``multiprocessing`` worker of
+:mod:`repro.service.supervisor` everything queued on its pipe.
+Consecutive packed batches coalesce into one vectorized
+:meth:`ShardCore.serve_packed` — the deeper the backlog, the cheaper
+each event — and every control is a **barrier**: the injects ahead of
+it are served before it is answered, none behind it are, and replies
+leave in inbox order.  A snapshot observes exactly the events enqueued
+before it.
+
+If serving raises, the shard *fails*: it keeps the error as a
+:class:`ShardFailed` naming the shard, answers every pending and later
+request with it and drops later injects, so no request to a failed
+shard hangs.
+
+The actor's inbox is bounded (``asyncio.Queue(maxsize=inbox_limit)``):
 producers ``await put(...)`` and suspend while the shard is saturated,
 which is the service's backpressure — socket readers stop reading, TCP
 windows fill, and the client slows down instead of the server growing
 an unbounded buffer.  ``try_put`` is the non-blocking variant for
 callers that prefer an explicit overflow signal.
-
-The actor loop drains the inbox in batches (everything immediately
-available after the first blocking ``get``) and serves each batch
-through the vectorized kernel: injects are grouped by per-instance
-occurrence index — round *k* carries the *k*-th queued event of every
-instance in the batch — which preserves per-instance event order while
-dispatching whole rounds as single numpy operations.  Control messages
-(:class:`~repro.service.messages.SnapshotRequest`,
-:class:`~repro.service.messages.Reload`,
-:class:`~repro.service.messages.Shutdown`) ride the same inbox, so
-they observe every event enqueued before them.
-
-:class:`ShardCore` is the event-loop-free heart of the actor (instance
-registry + vectorized serving + migration); the ``multiprocessing``
-worker of :mod:`repro.service.supervisor` drives the same core
-synchronously from its pipe, so both shard backends serve events
-identically by construction.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..runtime.events import Event
 from ..runtime.fleet import FleetEngine, FleetResult
 from .messages import (
-    InjectBatch,
+    Ack,
     InjectBatchPacked,
-    InjectEvent,
     Reload,
     ShardStats,
     Shutdown,
     SnapshotRequest,
 )
 
-#: Default inbox capacity (messages, where one InjectBatch counts once).
+#: Default inbox capacity (messages, where one packed batch counts once).
 DEFAULT_INBOX_LIMIT = 1024
 
 #: Instance keys in ``[0, _DENSE_KEY_LIMIT)`` resolve to rows through a
@@ -54,8 +58,22 @@ DEFAULT_INBOX_LIMIT = 1024
 #: range — negative or astronomically sparse — fall back to the dict.
 _DENSE_KEY_LIMIT = 1 << 24
 
-_ControlItem = Tuple[Union[SnapshotRequest, Reload, Shutdown], "asyncio.Future"]
-_InboxItem = Union[InjectEvent, InjectBatch, InjectBatchPacked, _ControlItem]
+Control = Union[SnapshotRequest, Reload, Shutdown]
+#: A packed inject batch, or a control paired with its reply token.
+InboxItem = Union[InjectBatchPacked, Tuple[Control, Any]]
+
+
+class ShardFailed(RuntimeError):
+    """A shard stopped serving: names the shard, carries the original error."""
+
+    def __init__(self, shard: int, error: BaseException) -> None:
+        super().__init__(shard, error)
+        self.shard = shard
+        self.error = error
+        self.__cause__ = error
+
+    def __str__(self) -> str:
+        return f"shard {self.shard} failed: {type(self.error).__name__}: {self.error}"
 
 
 class ShardCore:
@@ -67,10 +85,12 @@ class ShardCore:
         self._rows: Dict[int, int] = {}  # instance key -> engine row
         self._keys: List[int] = []  # engine row -> instance key
         #: dense accelerator mirroring ``_rows`` for in-range keys; -1
-        #: marks unregistered.  Kept in sync by registration + migration.
+        #: marks unregistered.  Kept in sync by registration.
         self._dense_rows = np.full(1024, -1, dtype=np.int64)
         self._started = time.monotonic()
         self.events_served = 0
+        #: set once serving raised; answers every later request
+        self.failure: Optional[ShardFailed] = None
 
     # ------------------------------------------------------------------
     # Registry plumbing (dict authoritative, dense gather accelerator)
@@ -84,10 +104,6 @@ class ShardCore:
                 grown[: len(self._dense_rows)] = self._dense_rows
                 self._dense_rows = grown
             self._dense_rows[key] = row
-
-    def _dense_del(self, key: int) -> None:
-        if 0 <= key < len(self._dense_rows):
-            self._dense_rows[key] = -1
 
     def _register(self, keys: Sequence[int]) -> None:
         """Register fresh instance keys (callers pre-filter known ones)."""
@@ -157,37 +173,49 @@ class ShardCore:
         self.events_served += count
         return count
 
-    def serve_injects(self, injects: Sequence[InjectEvent]) -> int:
-        """Serve a batch of injects, vectorized, in per-instance order."""
-        if not injects:
-            return 0
-        engine = self.engine
-        rows_of = self._rows
-        fresh = [m.instance for m in injects if m.instance not in rows_of]
-        if fresh:
-            # preserve first-seen order, drop duplicates within the batch
-            self._register(list(dict.fromkeys(fresh)))
-        # round k = the k-th queued event of each instance in the batch:
-        # per-instance order is preserved, rounds dispatch vectorized
-        occurrence: Dict[int, int] = {}
-        rounds: List[Tuple[List[int], List[Event]]] = []
-        for m in injects:
-            k = occurrence.get(m.instance, 0)
-            occurrence[m.instance] = k + 1
-            if k == len(rounds):
-                rounds.append(([], []))
-            rows, events = rounds[k]
-            rows.append(rows_of[m.instance])
-            events.append(
-                Event(time=m.time, source=m.source, choices=m.choices)
-            )
-        for rows, events in rounds:
-            engine.dispatch(rows, events)
-        self.events_served += len(injects)
-        return len(injects)
+    def drain(
+        self, items: Sequence[InboxItem], answer: Callable[[Any, Any], None]
+    ) -> bool:
+        """Serve one inbox drain in order; ``True`` once a Shutdown is answered.
 
-    def reload(self, reset_stats: bool = True) -> None:
-        self.engine.reset_state(reset_stats=reset_stats)
+        Each run of consecutive packed batches is served as one
+        :meth:`serve_packed`.  Each control is a barrier: it is answered
+        with ``answer(token, reply)`` after every inject ahead of it,
+        where ``reply`` is the control's result or this shard's
+        :class:`ShardFailed`.  ``Shutdown(drain=False)`` drops the
+        injects queued since the previous barrier.
+        """
+        start = 0  # first item of the current run of packed batches
+        for position, item in enumerate(items):
+            if isinstance(item, InjectBatchPacked):
+                continue
+            message, token = item
+            if not isinstance(message, Shutdown) or message.drain:
+                self._serve_run(items[start:position])
+            start = position + 1
+            answer(token, self._reply(message, queue_depth=len(items) - start))
+            if isinstance(message, Shutdown):
+                return True
+        self._serve_run(items[start:])
+        return False
+
+    def _serve_run(self, batches: Sequence[InjectBatchPacked]) -> None:
+        if not batches or self.failure is not None:
+            return
+        try:
+            self.serve_packed(InjectBatchPacked.concat(batches))
+        except Exception as error:  # noqa: BLE001 - any serving error fails the shard
+            self.failure = ShardFailed(self.shard_id, error)
+
+    def _reply(self, message: Control, queue_depth: int) -> Any:
+        if self.failure is not None:
+            return self.failure
+        if isinstance(message, SnapshotRequest):
+            return self.stats(queue_depth)
+        if isinstance(message, Reload):
+            self.engine.reset_state(reset_stats=message.reset_stats)
+            return Ack()
+        return self.result()
 
     # ------------------------------------------------------------------
     # Introspection and results
@@ -212,47 +240,9 @@ class ShardCore:
         """The shard's instance keys (row order) and its FleetResult."""
         return list(self._keys), self.engine.result()
 
-    # ------------------------------------------------------------------
-    # Migration (supervisor-mediated work stealing)
-    # ------------------------------------------------------------------
-    @property
-    def instance_keys(self) -> List[int]:
-        return list(self._keys)
-
-    def export_instance(self, key: int) -> Tuple[List[int], int, int]:
-        """Remove ``key`` from this shard, returning its migratable state.
-
-        Only safe once no in-flight events target ``key`` (the
-        supervisor drains the inbox before migrating).
-        """
-        row = self._rows.pop(key)
-        self._dense_del(key)
-        state = self.engine.export_instance(row)
-        moved_from = self.engine.remove_instance(row)
-        moved_key = self._keys[moved_from]
-        self._keys[row] = moved_key
-        self._keys.pop()
-        if moved_key != key:
-            self._rows[moved_key] = row
-            self._dense_set(moved_key, row)
-        return state
-
-    def import_instance(
-        self, key: int, state: Tuple[Sequence[int], int, int]
-    ) -> None:
-        """Adopt a migrated instance exported from another shard."""
-        if key in self._rows:
-            raise ValueError(
-                f"instance {key} already lives on shard {self.shard_id}"
-            )
-        row = self.engine.import_instance(state)
-        self._rows[key] = row
-        self._keys.append(key)
-        self._dense_set(key, row)
-
 
 class ShardActor:
-    """One shard of the fleet: a bounded inbox draining into one core."""
+    """The asyncio shard backend: a bounded inbox drained into one core."""
 
     def __init__(
         self,
@@ -262,125 +252,57 @@ class ShardActor:
     ) -> None:
         self.core = ShardCore(shard_id, engine)
         self.shard_id = shard_id
-        self.inbox: "asyncio.Queue[_InboxItem]" = asyncio.Queue(
+        self.inbox: "asyncio.Queue[InboxItem]" = asyncio.Queue(
             maxsize=inbox_limit
         )
-        self._stopped = False
+        self._task: Optional["asyncio.Task"] = None
+
+    async def start(self) -> None:
+        self._task = asyncio.create_task(self.run())
+
+    async def join(self) -> None:
+        await self._task
 
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    async def put(self, message: _InboxItem) -> None:
+    async def put(self, item: InboxItem) -> None:
         """Enqueue; suspends the caller while the inbox is full."""
-        await self.inbox.put(message)
+        await self.inbox.put(item)
 
-    def try_put(self, message: _InboxItem) -> bool:
+    def try_put(self, item: InboxItem) -> bool:
         """Non-blocking enqueue; ``False`` signals overflow (backpressure)."""
         try:
-            self.inbox.put_nowait(message)
+            self.inbox.put_nowait(item)
         except asyncio.QueueFull:
             return False
         return True
+
+    async def request(self, control: Control) -> Any:
+        """Enqueue a control behind every queued inject; await its reply."""
+        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
+        await self.put((control, future))
+        return await future
 
     # ------------------------------------------------------------------
     # The actor loop
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        """Serve the inbox until a :class:`Shutdown` message arrives."""
-        while not self._stopped:
-            first = await self.inbox.get()
-            batch: List[_InboxItem] = [first]
-            while True:
-                try:
-                    batch.append(self.inbox.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                self._serve_batch(batch)
-            finally:
-                for _ in batch:
-                    self.inbox.task_done()
+        """Serve the inbox until a :class:`Shutdown` is answered."""
+        inbox = self.inbox
+        stopped = False
+        while not stopped:
+            items = [await inbox.get()]
+            while not inbox.empty():
+                items.append(inbox.get_nowait())
+            stopped = self.core.drain(items, settle)
 
-    def _serve_batch(self, batch: Sequence[_InboxItem]) -> None:
-        """Serve one inbox drain: adaptive coalescing.
 
-        Every packed batch drained in this pass coalesces into ONE
-        concatenated vectorized dispatch instead of many small ones —
-        the deeper the backlog, the larger (and cheaper per event) the
-        round.  Plain injects keep their slow path; a run of one kind
-        flushes before the other kind serves so per-instance order
-        holds even when the two representations interleave.
-        """
-        injects: List[InjectEvent] = []
-        packed: List[InjectBatchPacked] = []
-        controls: List[_ControlItem] = []
-        shutdown: Optional[_ControlItem] = None
-
-        def flush_injects() -> None:
-            if injects:
-                self.core.serve_injects(injects)
-                injects.clear()
-
-        def flush_packed() -> None:
-            if packed:
-                self.core.serve_packed(InjectBatchPacked.concat(packed))
-                packed.clear()
-
-        for item in batch:
-            if isinstance(item, InjectBatchPacked):
-                flush_injects()
-                packed.append(item)
-            elif isinstance(item, InjectEvent):
-                flush_packed()
-                injects.append(item)
-            elif isinstance(item, InjectBatch):
-                flush_packed()
-                injects.extend(item.events)
-            else:
-                message = item[0]
-                if isinstance(message, Shutdown):
-                    shutdown = item
-                    if not message.drain:
-                        injects = []
-                        packed = []
-                        break
-                else:
-                    controls.append(item)
-        flush_injects()
-        flush_packed()
-        for message, future in controls:
-            if isinstance(message, SnapshotRequest):
-                self._resolve(future, self.stats())
-            elif isinstance(message, Reload):
-                self.core.reload(reset_stats=message.reset_stats)
-                self._resolve(future, True)
-        if shutdown is not None:
-            self._stopped = True
-            self._resolve(shutdown[1], self.core.result())
-
-    @staticmethod
-    def _resolve(future: "asyncio.Future", value: object) -> None:
-        if not future.done():
-            future.set_result(value)
-
-    # ------------------------------------------------------------------
-    # Delegation
-    # ------------------------------------------------------------------
-    @property
-    def events_served(self) -> int:
-        return self.core.events_served
-
-    @property
-    def instance_keys(self) -> List[int]:
-        return self.core.instance_keys
-
-    def stats(self) -> ShardStats:
-        return self.core.stats(queue_depth=self.inbox.qsize())
-
-    def export_instance(self, key: int) -> Tuple[List[int], int, int]:
-        return self.core.export_instance(key)
-
-    def import_instance(
-        self, key: int, state: Tuple[Sequence[int], int, int]
-    ) -> None:
-        self.core.import_instance(key, state)
+def settle(future: "asyncio.Future", reply: Any) -> None:
+    """Resolve a reply future; a :class:`ShardFailed` reply raises there."""
+    if future.done():
+        return
+    if isinstance(reply, ShardFailed):
+        future.set_exception(reply)
+    else:
+        future.set_result(reply)

@@ -1,40 +1,34 @@
-"""The fleet supervisor: hash-sharded routing over always-on shard actors.
+"""The fleet supervisor: hash-sharded routing over shards of either backend.
 
-The supervisor owns N shards — each a :class:`~repro.service.shard`
-actor around its own :class:`~repro.runtime.fleet.FleetEngine` — and
-routes every instance key to one shard with a deterministic
-multiplicative hash (plus an override map maintained by migration), so
-one instance's events always land on one kernel in order.  Two shard
-backends share the same :class:`~repro.service.shard.ShardCore`:
+The supervisor owns N shards — each a :class:`~repro.service.shard.ShardCore`
+around its own :class:`~repro.runtime.fleet.FleetEngine` — and routes
+every instance key to one shard with a deterministic multiplicative
+hash, so one instance's events always land on one kernel in order.
+Both shard backends offer the same coroutines — ``start()``,
+``put(batch)``, ``request(control)`` and ``join()`` — and serve through
+the same :meth:`~repro.service.shard.ShardCore.drain`, so only
+:meth:`FleetSupervisor.start` knows which one runs:
 
 ``async``
-    Every shard is an asyncio task on the supervisor's event loop.
-    The default: in-process, zero serialization, supports work
-    stealing, and the backend the differential suite pins against the
-    one-shot batch path.
+    Every shard is a :class:`~repro.service.shard.ShardActor` task on
+    the supervisor's event loop: in-process, zero serialization, and
+    sharing the supervisor's signature table.  The default; with
+    several shards it is the in-process reference the differential
+    suites pin routing and merge against.
 
 ``process``
-    Every shard is a ``multiprocessing`` worker process; requests
-    travel its pipe as wire-codec lines
-    (:mod:`repro.service.messages`), replies resolve FIFO futures.
-    Buys real parallelism on multi-core machines at serialization
-    cost.
-
-**Work stealing** (async backend): :meth:`FleetSupervisor.rebalance`
-— called periodically when ``rebalance_interval`` is set — compares
-shard inbox depths and migrates instances from the hottest shard to
-the coldest one.  Migration is supervisor-mediated and loses nothing:
-routing pauses under the supervisor lock, the hot inbox drains
-(``join()``), the instances' marking/cycle/event state moves via
-export/import, and the override map redirects future events.  Fleet
-totals still count every charge exactly once because aggregate
-accounting stays where it accrued while per-instance state travels.
+    Every shard is a ``multiprocessing`` worker fed over a pipe in
+    binary frames (:mod:`repro.service.messages`); replies resolve
+    FIFO futures.  The way to scale across cores.
 
 :meth:`FleetSupervisor.stop` with ``drain=True`` serves every queued
 event, then merges the per-shard results into one
 :class:`~repro.runtime.fleet.FleetResult` ordered by instance key —
 byte-identical to a one-shot :class:`~repro.runtime.fleet.FleetSimulator`
 run over the same streams (pinned by ``tests/test_service_differential.py``).
+A failed shard answers every request with its
+:class:`~repro.service.shard.ShardFailed`; ``stop()`` joins every shard
+before raising it.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,15 +49,11 @@ from ..runtime.reactive import ModuleAssignment, validate_budget_policy
 from ..runtime.rtos import ExecutionStats
 from ..runtime.stochastic import TimingModel
 from .messages import (
-    FRAME_CONTROL,
     FRAME_PACKED,
-    FRAME_RESULT,
-    Ack,
     InjectBatch,
     InjectBatchPacked,
     InjectEvent,
     Reload,
-    ShardStats,
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
@@ -72,7 +62,14 @@ from .messages import (
     encode_frame_packed,
     encode_frame_result,
 )
-from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore
+from .shard import (
+    DEFAULT_INBOX_LIMIT,
+    Control,
+    ShardActor,
+    ShardCore,
+    ShardFailed,
+    settle,
+)
 
 #: Supported shard backends.
 SERVICE_BACKENDS = ("async", "process")
@@ -103,15 +100,11 @@ class FleetSupervisor:
         shards: int = 1,
         backend: str = "async",
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
-        rebalance_interval: Optional[float] = None,
-        rebalance_threshold: int = 64,
         timing: Optional[TimingModel] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")
         self.backend = validate_backend(backend)
-        if rebalance_interval is not None and self.backend != "async":
-            raise ValueError("work stealing requires the async backend")
         self.net = net
         self.assignment = assignment
         self.cost = cost_model or CostModel()
@@ -120,8 +113,6 @@ class FleetSupervisor:
         self.timing = timing
         self.shards = shards
         self.inbox_limit = inbox_limit
-        self.rebalance_interval = rebalance_interval
-        self.rebalance_threshold = rebalance_threshold
         # the ingest-boundary intern tables: every event is turned into
         # integer ids exactly once, here; async shard engines share the
         # signature table directly, process shards replay definition
@@ -130,13 +121,7 @@ class FleetSupervisor:
             net if isinstance(net, CompiledNet) else compile_net(net)
         )
         self.signatures = SignatureTable(self.compiled)
-        self._route_override: Dict[int, int] = {}
-        self._route_lock: Optional[asyncio.Lock] = None
-        self._actors: List[ShardActor] = []
-        self._tasks: List["asyncio.Task"] = []
-        self._handles: List["_ProcessShardHandle"] = []
-        self._rebalance_task: Optional["asyncio.Task"] = None
-        self.migrations = 0
+        self._shards: List[Union[ShardActor, "_ProcessShardHandle"]] = []
         self._started_at = 0.0
         self._running = False
 
@@ -144,10 +129,7 @@ class FleetSupervisor:
     # Routing
     # ------------------------------------------------------------------
     def shard_of(self, instance: int) -> int:
-        """Deterministic instance→shard routing (override map first)."""
-        override = self._route_override.get(instance)
-        if override is not None:
-            return override
+        """Deterministic instance→shard routing."""
         return ((instance * _HASH_MULTIPLIER) & 0xFFFFFFFF) % self.shards
 
     # ------------------------------------------------------------------
@@ -156,26 +138,24 @@ class FleetSupervisor:
     async def start(self) -> None:
         if self._running:
             raise RuntimeError("supervisor is already running")
-        self._route_lock = asyncio.Lock()
         self._started_at = time.perf_counter()
         if self.backend == "async":
-            for shard_id in range(self.shards):
-                engine = FleetEngine(
-                    self.compiled,
-                    self.assignment,
-                    cost_model=self.cost,
-                    max_firings_per_event=self.max_firings_per_event,
-                    on_budget=self.on_budget,
-                    timing=self.timing,
-                    signatures=self.signatures,
+            self._shards = [
+                ShardActor(
+                    shard_id,
+                    FleetEngine(
+                        self.compiled,
+                        self.assignment,
+                        cost_model=self.cost,
+                        max_firings_per_event=self.max_firings_per_event,
+                        on_budget=self.on_budget,
+                        timing=self.timing,
+                        signatures=self.signatures,
+                    ),
+                    inbox_limit=self.inbox_limit,
                 )
-                actor = ShardActor(shard_id, engine, inbox_limit=self.inbox_limit)
-                self._actors.append(actor)
-                self._tasks.append(asyncio.create_task(actor.run()))
-            if self.rebalance_interval is not None:
-                self._rebalance_task = asyncio.create_task(
-                    self._rebalance_loop()
-                )
+                for shard_id in range(self.shards)
+            ]
         else:
             from ..petrinet.serialization import net_to_json
 
@@ -185,8 +165,8 @@ class FleetSupervisor:
                 else self.net
             )
             net_json = net_to_json(named)
-            for shard_id in range(self.shards):
-                handle = _ProcessShardHandle(
+            self._shards = [
+                _ProcessShardHandle(
                     shard_id,
                     net_json,
                     dict(self.assignment.modules),
@@ -196,40 +176,24 @@ class FleetSupervisor:
                     self.timing,
                     signatures=self.signatures,
                 )
-                await handle.start()
-                self._handles.append(handle)
+                for shard_id in range(self.shards)
+            ]
+        for shard in self._shards:
+            await shard.start()
         self._running = True
 
     async def stop(self, drain: bool = True) -> FleetResult:
-        """Stop every shard and merge their results by instance key."""
-        if not self._running:
-            raise RuntimeError("supervisor is not running")
-        if self._rebalance_task is not None:
-            self._rebalance_task.cancel()
-            try:
-                await self._rebalance_task
-            except asyncio.CancelledError:
-                pass
-        parts: List[Tuple[List[int], FleetResult]] = []
-        if self.backend == "async":
-            futures = []
-            for actor in self._actors:
-                future: "asyncio.Future" = asyncio.get_running_loop().create_future()
-                await actor.put((Shutdown(drain=drain), future))
-                futures.append(future)
-            parts = list(await asyncio.gather(*futures))
-            await asyncio.gather(*self._tasks)
-        else:
-            parts = list(
-                await asyncio.gather(
-                    *(handle.shutdown(drain) for handle in self._handles)
-                )
-            )
-            for handle in self._handles:
-                await handle.join()
+        """Stop every shard and merge their results by instance key.
+
+        Every shard is joined before a failed shard's
+        :class:`ShardFailed` is raised.
+        """
+        replies = await self._ask_all(Shutdown(drain=drain))
+        for shard in self._shards:
+            await shard.join()
         self._running = False
         elapsed = time.perf_counter() - self._started_at
-        return _merge_results(parts, elapsed)
+        return _merge_results(_raise_failure(replies), elapsed)
 
     # ------------------------------------------------------------------
     # Ingest-boundary packing
@@ -279,19 +243,7 @@ class FleetSupervisor:
         # int64 products wrap mod 2^64; & 0xFFFFFFFF recovers the exact
         # low 32 bits, so this matches the scalar Python-int hash
         with np.errstate(over="ignore"):
-            shard_ids = (
-                (instances * _HASH_MULTIPLIER) & 0xFFFFFFFF
-            ) % self.shards
-        if self._route_override:
-            override_keys = np.fromiter(
-                self._route_override, dtype=np.int64,
-                count=len(self._route_override),
-            )
-            for position in np.flatnonzero(np.isin(instances, override_keys)):
-                shard_ids[position] = self._route_override[
-                    int(instances[position])
-                ]
-        return shard_ids
+            return ((instances * _HASH_MULTIPLIER) & 0xFFFFFFFF) % self.shards
 
     # ------------------------------------------------------------------
     # Requests
@@ -305,38 +257,23 @@ class FleetSupervisor:
         here — strings are interned once, then the per-shard split is a
         handful of ndarray gathers and the shards never intern again.
         """
-        lock = self._require_running()
-        async with lock:
-            if isinstance(message, InjectEvent):
-                packed = self.pack((message,))
-            elif isinstance(message, InjectBatch):
-                packed = self.pack(message.events)
-            else:
-                packed = message
-            if self.shards == 1:
-                await self._put(0, packed)
-                return
-            shard_ids = self._shards_of(packed.instances)
-            for shard_id in np.unique(shard_ids).tolist():
-                await self._put(shard_id, packed.take(shard_ids == shard_id))
+        self._require_running()
+        if isinstance(message, InjectEvent):
+            packed = self.pack((message,))
+        elif isinstance(message, InjectBatch):
+            packed = self.pack(message.events)
+        else:
+            packed = message
+        if self.shards == 1:
+            await self._shards[0].put(packed)
+            return
+        shard_ids = self._shards_of(packed.instances)
+        for shard_id in np.unique(shard_ids).tolist():
+            await self._shards[shard_id].put(packed.take(shard_ids == shard_id))
 
     async def snapshot(self) -> SnapshotReply:
         """Aggregate + per-shard statistics (observes prior injects)."""
-        self._require_running()
-        if self.backend == "async":
-            loop = asyncio.get_running_loop()
-            futures = []
-            for actor in self._actors:
-                future: "asyncio.Future" = loop.create_future()
-                await actor.put((SnapshotRequest(), future))
-                futures.append(future)
-            stats: List[ShardStats] = list(await asyncio.gather(*futures))
-        else:
-            stats = list(
-                await asyncio.gather(
-                    *(handle.snapshot() for handle in self._handles)
-                )
-            )
+        stats = _raise_failure(await self._ask_all(SnapshotRequest()))
         return SnapshotReply(
             request_id=0,
             instances=sum(s.instances for s in stats),
@@ -348,93 +285,30 @@ class FleetSupervisor:
 
     async def reload(self, reset_stats: bool = True) -> None:
         """Reset every shard's instances to the initial marking."""
-        self._require_running()
-        if self.backend == "async":
-            loop = asyncio.get_running_loop()
-            futures = []
-            for actor in self._actors:
-                future: "asyncio.Future" = loop.create_future()
-                await actor.put((Reload(reset_stats=reset_stats), future))
-                futures.append(future)
-            await asyncio.gather(*futures)
-        else:
-            await asyncio.gather(
-                *(
-                    handle.reload(reset_stats=reset_stats)
-                    for handle in self._handles
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Work stealing
-    # ------------------------------------------------------------------
-    async def rebalance(
-        self,
-        source: Optional[int] = None,
-        target: Optional[int] = None,
-        count: Optional[int] = None,
-    ) -> int:
-        """Migrate instances from the hottest shard to the coldest one.
-
-        Without arguments, picks the deepest/shallowest inboxes and acts
-        only when the depth gap exceeds ``rebalance_threshold``;
-        explicit ``source``/``target``/``count`` force a migration (the
-        deterministic path the tests drive).  Returns the number of
-        instances moved.
-        """
-        self._require_running()
-        if self.backend != "async":
-            raise RuntimeError("work stealing requires the async backend")
-        if self.shards < 2:
-            return 0
-        lock = self._route_lock
-        async with lock:
-            if source is None or target is None:
-                depths = [actor.inbox.qsize() for actor in self._actors]
-                source = int(np.argmax(depths))
-                target = int(np.argmin(depths))
-                if (
-                    source == target
-                    or depths[source] - depths[target]
-                    < self.rebalance_threshold
-                ):
-                    return 0
-            hot = self._actors[source]
-            cold = self._actors[target]
-            # no new events can route while we hold the lock; wait until
-            # the hot shard has served everything already queued so the
-            # exported state is complete
-            await hot.inbox.join()
-            keys = hot.instance_keys
-            if count is None:
-                count = max(1, len(keys) // 4)
-            moved = keys[-count:] if count else []
-            for key in moved:
-                cold.import_instance(key, hot.export_instance(key))
-                self._route_override[key] = target
-            self.migrations += len(moved)
-            return len(moved)
-
-    async def _rebalance_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.rebalance_interval)
-            await self.rebalance()
+        _raise_failure(await self._ask_all(Reload(reset_stats=reset_stats)))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _require_running(self) -> asyncio.Lock:
+    def _require_running(self) -> None:
         if not self._running:
             raise RuntimeError("supervisor is not running")
-        return self._route_lock
 
-    async def _put(
-        self, shard_id: int, message: Union[InjectEvent, InjectBatch]
-    ) -> None:
-        if self.backend == "async":
-            await self._actors[shard_id].put(message)
-        else:
-            await self._handles[shard_id].send(message)
+    async def _ask_all(self, control: Control) -> List[Any]:
+        """Every shard's reply to ``control``, failures included."""
+        self._require_running()
+        return await asyncio.gather(
+            *(shard.request(control) for shard in self._shards),
+            return_exceptions=True,
+        )
+
+
+def _raise_failure(replies: List[Any]) -> List[Any]:
+    """The replies, unless one is a failure: then the first is raised."""
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+    return replies
 
 
 def _merge_results(
@@ -480,16 +354,17 @@ def _merge_results(
 # Process backend
 # ----------------------------------------------------------------------
 class _ProcessShardHandle:
-    """Parent-side endpoint of one worker-process shard.
+    """The process shard backend: parent-side endpoint of one worker.
 
     Everything on the pipe is a binary frame (:mod:`repro.service.messages`):
     packed inject batches travel as length-prefixed raw int64 buffers,
-    control requests as JSON wire lines inside control frames, and the
-    terminal ``(keys, FleetResult)`` as one pickle frame.  Replies
-    resolve a FIFO of pending futures (the pipe preserves order, so no
-    request ids are needed).  Blocking pipe operations run in worker
-    threads (``asyncio.to_thread``) so the event loop never stalls on a
-    full pipe buffer.
+    control requests as JSON wire lines inside control frames, and every
+    reply as one pickle frame.  Replies resolve a FIFO of pending
+    futures (the pipe preserves order, so no request ids are needed).
+    When the worker exits, every request still pending — and every
+    later one — fails with :class:`ShardFailed`.  Blocking pipe
+    operations run in worker threads (``asyncio.to_thread``) so the
+    event loop never stalls on a full pipe buffer.
 
     The handle also keeps its worker's :class:`SignatureTable` replica
     consistent: ``_sigs_synced`` is the high-water mark of signature
@@ -516,6 +391,7 @@ class _ProcessShardHandle:
         self._process: Optional["object"] = None
         self._conn = None
         self._pending: Deque["asyncio.Future"] = deque()
+        self._failure: Optional[ShardFailed] = None
         self._send_lock: Optional[asyncio.Lock] = None
         self._reader: Optional["asyncio.Task"] = None
 
@@ -541,52 +417,38 @@ class _ProcessShardHandle:
                 data = await asyncio.to_thread(self._conn.recv_bytes)
             except (EOFError, OSError):
                 break
-            kind, reply = decode_frame(data)
-            if self._pending:
-                future = self._pending.popleft()
-                if not future.done():
-                    future.set_result(reply)
-            if kind == FRAME_RESULT:  # the final (keys, FleetResult)
-                break
+            settle(self._pending.popleft(), decode_frame(data)[1])
+        # the worker is gone: nothing pending can be answered any more
+        self._failure = ShardFailed(
+            self.shard_id, EOFError("shard worker process exited")
+        )
+        while self._pending:
+            settle(self._pending.popleft(), self._failure)
 
-    async def _request(self, message) -> "asyncio.Future":
-        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
+    async def put(self, batch: InjectBatchPacked) -> None:
         async with self._send_lock:
-            self._pending.append(future)
-            await asyncio.to_thread(
-                self._conn.send_bytes, encode_frame_control(message)
-            )
-        return future
-
-    async def send(
-        self, message: Union[InjectEvent, InjectBatch, InjectBatchPacked]
-    ) -> None:
-        async with self._send_lock:
-            if isinstance(message, InjectBatchPacked):
-                base = self._sigs_synced
-                defs = self._signatures.definitions(base)
-                data = encode_frame_packed(message, sig_base=base, sig_defs=defs)
-                self._sigs_synced = base + len(defs)
-            else:
-                data = encode_frame_control(message)
+            base = self._sigs_synced
+            defs = self._signatures.definitions(base)
+            data = encode_frame_packed(batch, sig_base=base, sig_defs=defs)
+            self._sigs_synced = base + len(defs)
             await asyncio.to_thread(self._conn.send_bytes, data)
 
-    async def snapshot(self) -> ShardStats:
-        return await (await self._request(SnapshotRequest()))
-
-    async def reload(self, reset_stats: bool = True) -> None:
-        await (await self._request(Reload(reset_stats=reset_stats)))
-
-    async def shutdown(self, drain: bool) -> Tuple[List[int], FleetResult]:
-        return await (await self._request(Shutdown(drain=drain)))
+    async def request(self, control: Control) -> Any:
+        """Send a control behind every inject sent so far; await its reply."""
+        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
+        async with self._send_lock:
+            if self._failure is not None:
+                raise self._failure
+            self._pending.append(future)
+            await asyncio.to_thread(
+                self._conn.send_bytes, encode_frame_control(control)
+            )
+        return await future
 
     async def join(self) -> None:
-        if self._reader is not None:
-            await self._reader
-        if self._process is not None:
-            await asyncio.to_thread(self._process.join, 10)
-        if self._conn is not None:
-            self._conn.close()
+        await self._reader
+        await asyncio.to_thread(self._process.join, 10)
+        self._conn.close()
 
 
 def _shard_worker(
@@ -599,14 +461,14 @@ def _shard_worker(
     on_budget: str,
     timing: Optional[TimingModel],
 ) -> None:  # pragma: no cover - runs inside the worker process
-    """Synchronous shard loop: drain the pipe into a ShardCore.
+    """The worker process: pipe frames into :meth:`ShardCore.drain`.
 
     The worker keeps a :class:`SignatureTable` replica of the
     supervisor's intern table — packed frames carry the definitions of
     any signatures interned since the last frame, replayed here in id
     order so a signature id means the same resolution on both sides of
-    the pipe.  Like the async actor, every packed batch drained in one
-    pass coalesces into a single vectorized dispatch.
+    the pipe.  Every frame queued on the pipe makes one drain, exactly
+    as the async actor drains its inbox.
     """
     from ..petrinet.compiled import compile_net as _compile
     from ..petrinet.serialization import net_from_json
@@ -640,61 +502,25 @@ def _shard_worker(
                     f"{assigned}, expected {sig_base + offset}"
                 )
 
-    while True:
+    def answer(_token: None, reply: Any) -> None:
+        conn.send_bytes(encode_frame_result(reply))
+
+    stopped = False
+    while not stopped:
         try:
-            frames = [decode_frame(conn.recv_bytes())]
+            frames = [conn.recv_bytes()]
         except EOFError:
             break
         while conn.poll():
-            frames.append(decode_frame(conn.recv_bytes()))
-        injects: List[InjectEvent] = []
-        packed: List[InjectBatchPacked] = []
-
-        def flush_injects() -> None:
-            if injects:
-                core.serve_injects(injects)
-                injects.clear()
-
-        def flush_packed() -> None:
-            if packed:
-                core.serve_packed(InjectBatchPacked.concat(packed))
-                packed.clear()
-
-        def flush() -> None:
-            flush_injects()
-            flush_packed()
-
-        done = False
-        for kind, payload in frames:
+            frames.append(conn.recv_bytes())
+        items = []
+        for data in frames:
+            kind, payload = decode_frame(data)
             if kind == FRAME_PACKED:
                 batch, sig_base, sig_defs = payload
                 sync_signatures(sig_base, sig_defs)
-                flush_injects()
-                packed.append(batch)
-                continue
-            message = payload
-            if isinstance(message, InjectEvent):
-                flush_packed()
-                injects.append(message)
-            elif isinstance(message, InjectBatch):
-                flush_packed()
-                injects.extend(message.events)
-            elif isinstance(message, SnapshotRequest):
-                flush()
-                conn.send_bytes(
-                    encode_frame_control(core.stats(queue_depth=0))
-                )
-            elif isinstance(message, Reload):
-                flush()
-                core.reload(reset_stats=message.reset_stats)
-                conn.send_bytes(encode_frame_control(Ack()))
-            elif isinstance(message, Shutdown):
-                if message.drain:
-                    flush()
-                conn.send_bytes(encode_frame_result(core.result()))
-                done = True
-                break
-        if done:
-            break
-        flush()
+                items.append(batch)
+            else:
+                items.append((payload, None))
+        stopped = core.drain(items, answer)
     conn.close()

@@ -134,7 +134,7 @@ class TestServe:
         ]
         assert pick(compiled_out) == pick(legacy_out)
 
-    def test_serve_single_partition_and_workers(self, capsys):
+    def test_serve_single_partition(self, capsys):
         assert (
             main(
                 [
@@ -145,8 +145,6 @@ class TestServe:
                     "2",
                     "--partition",
                     "single",
-                    "--workers",
-                    "2",
                 ]
             )
             == 0
@@ -193,6 +191,51 @@ class TestServeService:
             == 0
         )
         assert "process backend" in capsys.readouterr().out
+
+    def test_failed_process_shard_exits_1_instead_of_hanging(self, tmp_path):
+        """A bad event over the socket fails its shard; the run still ends."""
+        import asyncio
+        import os
+        import re
+        import subprocess
+        import sys
+
+        from repro.service import ServiceClient
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        command = [
+            sys.executable, "-m", "repro.cli", "serve", "--instances", "0",
+            "--listen", "127.0.0.1:0", "--duration", "30", "--shards", "2",
+            "--backend", "process", "--telemetry", str(tmp_path / "t.jsonl"),
+            "--telemetry-interval", "0.05",
+        ]
+        proc = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            host, port = re.search(
+                r"listening on ([0-9.]+):([0-9]+)", banner
+            ).groups()
+
+            async def drive():
+                client = await ServiceClient.connect(host, int(port))
+                # a known transition that is not a source: the shard fails
+                await client.inject(0, "t_parse_header")
+                ack = await client.reload()
+                await client.shutdown()
+                await client.close()
+                return ack
+
+            ack = asyncio.run(asyncio.wait_for(drive(), timeout=30))
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert not ack.ok and "shard 0 failed" in ack.error
+        assert proc.returncode == 1
+        assert "error: shard 0 failed: NotEnabledError" in err
 
     def test_service_telemetry_file(self, tmp_path, capsys):
         from repro.service import validate_telemetry_record
@@ -270,9 +313,7 @@ class TestServeValidation:
             (["--instances", "0"], "--instances: must be positive"),
             (["--instances", "-3"], "--instances: must be positive"),
             (["--events", "0"], "--events: must be positive"),
-            (["--workers", "0"], "--workers: must be positive"),
             (["--shards", "0"], "--shards: must be positive"),
-            (["--workers", "2", "--shards", "2"], "use --shards"),
             (["--duration", "5"], "only meaningful with --listen"),
             (
                 ["--listen", "127.0.0.1:0", "--duration", "0"],

@@ -31,7 +31,7 @@ from repro.service import (
     FleetSupervisor,
     IngestServer,
     InjectBatch,
-    InjectEvent,
+    InjectBatchPacked,
     ShardActor,
     Shutdown,
     SnapshotReply,
@@ -66,17 +66,22 @@ class TestInboxOverload:
             engine = FleetEngine(ATM, ASSIGNMENT)
             actor = ShardActor(0, engine, inbox_limit=2)
             runner = asyncio.create_task(actor.run())
+            tick = engine.cnet.transition_index["t_tick"]
             total = 400
             refused = 0
             for i in range(total):
-                event = InjectEvent(instance=i % 8, source="t_tick")
-                while not actor.try_put(event):
+                batch = InjectBatchPacked(
+                    instances=np.array([i % 8], dtype=np.int64),
+                    sources=np.array([tick], dtype=np.int64),
+                    signatures=np.zeros(1, dtype=np.int64),
+                )
+                while not actor.try_put(batch):
                     refused += 1
                     assert actor.inbox.qsize() <= 2  # bounded, always
                     await asyncio.sleep(0)  # yield so the actor drains
-            future = asyncio.get_running_loop().create_future()
-            await actor.put((Shutdown(drain=True), future))
-            keys, result = await asyncio.wait_for(future, timeout=5)
+            keys, result = await asyncio.wait_for(
+                actor.request(Shutdown(drain=True)), timeout=5
+            )
             await runner
             return refused, sorted(keys), result
 

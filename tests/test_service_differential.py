@@ -5,9 +5,9 @@ orchestration, and layered the always-on service on the same kernel.
 These tests pin the acceptance criterion: for identical seeds and
 streams, every path — the one-shot batch run (memoized or direct
 kernel), a single-shard service, a multi-shard service, the
-process-backed service, the socket ingest, and runs interrupted by
-work-stealing migration — produces byte-identical `FleetResult`
-contents (aggregate stats dict, per-instance cycle and event vectors).
+process-backed service and the socket ingest — produces
+byte-identical `FleetResult` contents (aggregate stats dict,
+per-instance cycle and event vectors).
 
 The one-shot path itself is pinned against the *pre-refactor*
 semantics by `tests/test_runtime_compiled_differential.py`, which
@@ -27,7 +27,6 @@ import pytest
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.petrinet.corpus import CORPUS_FAMILIES
 from repro.runtime import FleetSimulator, ModuleAssignment, synthetic_streams
-from repro.runtime.fleet import FleetEngine
 from repro.service import (
     FleetSupervisor,
     IngestServer,
@@ -57,7 +56,7 @@ def assert_results_identical(expected, actual):
     assert np.array_equal(expected.instance_events, actual.instance_events)
 
 
-def run_service(net, assignment, streams, shards=1, backend="async", steal=None):
+def run_service(net, assignment, streams, shards=1, backend="async"):
     """Feed the streams through a supervisor, return the drained result."""
 
     async def go():
@@ -66,15 +65,7 @@ def run_service(net, assignment, streams, shards=1, backend="async", steal=None)
         )
         await supervisor.start()
         injects = events_to_injects(streams)
-        half = len(injects) // 2
-        for lo in range(0, half, 97):
-            await supervisor.inject(
-                InjectBatch(events=tuple(injects[lo : min(lo + 97, half)]))
-            )
-        if steal is not None:
-            moved = await supervisor.rebalance(**steal)
-            assert moved > 0
-        for lo in range(half, len(injects), 97):
+        for lo in range(0, len(injects), 97):
             await supervisor.inject(
                 InjectBatch(events=tuple(injects[lo : lo + 97]))
             )
@@ -110,18 +101,6 @@ class TestServiceEqualsBatch:
         net, assignment, streams = corpus_case()
         expected = FleetSimulator(net, assignment).run(streams)
         actual = run_service(net, assignment, streams, shards=2)
-        assert_results_identical(expected, actual)
-
-    def test_work_stealing_preserves_equality(self):
-        net, assignment, streams = atm_case()
-        expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(
-            net,
-            assignment,
-            streams,
-            shards=2,
-            steal={"source": 0, "target": 1, "count": 4},
-        )
         assert_results_identical(expected, actual)
 
     def test_socket_ingest_equals_one_shot(self):
@@ -204,33 +183,3 @@ class TestKernelPaths:
         for inject in events_to_injects(streams):
             await supervisor.inject(inject)
         return await supervisor.stop(drain=True)
-
-
-class TestInstanceMigration:
-    """export/import moves exactly the per-instance state, nothing else."""
-
-    def test_export_import_round_trip(self):
-        net, assignment, streams = atm_case(instances=4, cells=3)
-        simulator = FleetSimulator(net, assignment)
-        simulator.run(streams)
-        kernel = simulator.kernel
-        state = kernel.export_instance(2)
-        other = FleetEngine(kernel.cnet, assignment)
-        row = other.import_instance(state)
-        assert other.instance_cycles()[row] == state[1]
-        assert other.instance_events()[row] == state[2]
-        marking, _, _, ticks = state
-        assert other.export_instance(row)[0] == marking
-        # pre-timing 3-tuple snapshots still import (ticks default to 0)
-        legacy_row = other.import_instance(state[:3])
-        assert other.export_instance(legacy_row)[3] == 0
-        assert ticks == 0  # untimed run charges no delay
-
-    def test_remove_instance_swaps_last_row(self):
-        net, assignment, _ = atm_case(instances=1, cells=1)
-        engine = FleetEngine(net, assignment, instances=3)
-        engine._cycles[:3] = [10, 20, 30]
-        moved_from = engine.remove_instance(0)
-        assert moved_from == 2
-        assert engine.instances == 2
-        assert engine.instance_cycles().tolist() == [30, 20]

