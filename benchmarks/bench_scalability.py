@@ -314,21 +314,6 @@ class TestFrontierEngine:
             f"floor: {speedups}"
         )
 
-    def test_frontier_qss_verdicts_identical(self):
-        """Frontier QSS pipeline agrees with compiled on the largest net.
-
-        Cycles may be different interleavings, but verdicts, counts and
-        cycle lengths are pinned equal.
-        """
-        net = independent_choices_net(LARGEST_CHOICES)
-        compiled_report = analyse(net, engine="compiled")
-        frontier_report = analyse(net, engine="frontier")
-        assert frontier_report.schedulable == compiled_report.schedulable
-        assert frontier_report.reduction_count == compiled_report.reduction_count
-        assert [len(v.cycle or []) for v in frontier_report.verdicts] == [
-            len(v.cycle or []) for v in compiled_report.verdicts
-        ]
-
 
 # ----------------------------------------------------------------------
 # Out-of-core (memory-budgeted) exploration contract
@@ -580,15 +565,6 @@ def _smoke() -> int:
         )
     history = append_history("reachability", entry)
     print(f"smoke reachability: history appended -> {history}")
-    net = independent_choices_net(LARGEST_CHOICES)
-    compiled_report = analyse(net, engine="compiled")
-    frontier_report = analyse(net, engine="frontier")
-    assert frontier_report.schedulable == compiled_report.schedulable
-    assert frontier_report.reduction_count == compiled_report.reduction_count
-    print(
-        f"smoke qss: {frontier_report.reduction_count} reductions, "
-        f"schedulable={frontier_report.schedulable} — engines agree"
-    )
     return 0
 
 

@@ -12,7 +12,9 @@ it is internally consistent with the code:
    parser is documented in ``docs/cli.md`` (introspected from
    ``repro.cli.build_parser`` — adding a flag without documenting it
    fails CI), and every long option a subcommand's flag table lists is
-   one its parser still has (removing a flag but not its row fails CI).
+   one its parser still has (removing a flag but not its row fails CI);
+   a row written ``--flag {a,b,…}`` must list exactly the parser's
+   ``choices`` for that flag, in order.
 
 Exits non-zero with a summary of every violation.
 """
@@ -36,6 +38,8 @@ CLI_SECTION = re.compile(r"^## `([a-z0-9-]+)`(.*?)(?=^## |\Z)", re.M | re.S)
 #: The first cell of a table row, where the flag tables name their flags.
 FIRST_CELL = re.compile(r"^\|([^|\n]*)\|", re.M)
 LONG_OPTION = re.compile(r"--[a-z][a-z0-9-]*")
+#: A flag-table cell spelling out the flag's choices: ``--flag {a,b,c}``.
+FLAG_CHOICES = re.compile(r"(--[a-z][a-z0-9-]*) \{([^}]*)\}")
 
 
 def check_links(errors: list) -> int:
@@ -86,9 +90,11 @@ def check_cli_reference(errors: list) -> int:
             errors.append(f"cli.md: undocumented subcommand -> {name}")
             continue
         options = set()
+        choices = {}
         for action in sub._actions:  # noqa: SLF001
             for option in action.option_strings:
                 options.add(option)
+                choices[option] = list(action.choices or ())
                 if not option.startswith("--") or option == "--help":
                     continue
                 checked += 1
@@ -103,6 +109,14 @@ def check_cli_reference(errors: list) -> int:
                     errors.append(
                         f"cli.md: the {name!r} flag table lists {option}, "
                         f"which its parser does not have"
+                    )
+            for option, listed in FLAG_CHOICES.findall(cell):
+                checked += 1
+                if option in options and listed.split(",") != choices[option]:
+                    errors.append(
+                        f"cli.md: the {name!r} flag table lists {option} "
+                        f"{{{listed}}}, its parser takes "
+                        f"{{{','.join(choices[option])}}}"
                     )
     return checked
 

@@ -27,15 +27,15 @@ analysis reports a negative result (e.g. the net is not schedulable) and
 Analysis subcommands accept ``--engine`` (default ``compiled``):
 ``compiled`` runs on the integer-indexed
 :class:`~repro.petrinet.compiled.CompiledNet` core and ``legacy`` on
-the original dict-based token game.  The state-space subcommands
-(``analyse``, ``synthesize``, ``gallery``, ``corpus``) additionally
-accept ``frontier`` — the batched vectorized exploration engine of
-:mod:`repro.petrinet.frontier` — and the execution subcommand
-(``atm-table1``) accepts ``native`` — the synthesized C compiled to a
-shared library (:mod:`repro.codegen.native`), falling back to
-``compiled`` with a warning when no C compiler is available.  All
-engines produce identical verdicts; the flag exists so each path can
-be exercised (and timed) from the shell.
+the original dict-based token game.  The state-space sweep
+(``corpus``) additionally accepts ``frontier`` — the batched vectorized
+exploration engine of :mod:`repro.petrinet.frontier` — and the
+execution subcommand (``atm-table1``) accepts ``native`` — the
+synthesized C compiled to a shared library
+(:mod:`repro.codegen.native`), falling back to ``compiled`` with a
+warning when no C compiler is available.  All engines produce
+identical verdicts; the flag exists so each path can be exercised
+(and timed) from the shell.
 """
 
 from __future__ import annotations
@@ -111,14 +111,35 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _analyse(net, engine: str, fail_fast: bool = False):
+    """``analyse`` for a subcommand: ``None`` once a rejection is reported.
+
+    A net the analysis rejects (e.g. one that is not free-choice) prints
+    ``error: …`` to stderr instead of a traceback; the caller exits 1.
+    """
+    try:
+        return analyse(net, engine=engine, fail_fast=fail_fast)
+    except PetriNetError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
+def _synthesized(args: argparse.Namespace):
+    """The program synthesized from ``args.net``, or ``None`` once the
+    reason there is none (rejected or unschedulable net) is on stderr."""
+    report = _analyse(_load(args.net), args.engine)
+    if report is None:
+        return None
+    if not report.schedulable or report.schedule is None:
+        print(report.explain(), file=sys.stderr)
+        return None
+    return synthesize(report.schedule)
+
+
 def cmd_analyse(args: argparse.Namespace) -> int:
-    net = _load(args.net)
-    report = analyse(
-        net,
-        engine=args.engine,
-        fail_fast=args.fail_fast,
-        workers=args.workers,
-    )
+    report = _analyse(_load(args.net), args.engine, fail_fast=args.fail_fast)
+    if report is None:
+        return 1
     print(report.explain())
     if report.schedulable and report.schedule is not None:
         if args.show_schedule:
@@ -129,12 +150,9 @@ def cmd_analyse(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    net = _load(args.net)
-    report = analyse(net, engine=args.engine)
-    if not report.schedulable or report.schedule is None:
-        print(report.explain(), file=sys.stderr)
+    program = _synthesized(args)
+    if program is None:
         return 1
-    program = synthesize(report.schedule)
     emission = emit_c(
         program, EmitOptions(standalone_loop=args.standalone_loop)
     )
@@ -148,12 +166,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
-    net = _load(args.net)
-    report = analyse(net, engine=args.engine)
-    if not report.schedulable or report.schedule is None:
-        print(report.explain(), file=sys.stderr)
+    program = _synthesized(args)
+    if program is None:
         return 1
-    program = synthesize(report.schedule)
     if args.driver:
         if args.standalone_loop:
             print(
@@ -197,10 +212,8 @@ def cmd_gallery(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        try:
-            report = analyse(net, engine=args.engine)
-        except PetriNetError as error:
-            print(f"error: {error}", file=sys.stderr)
+        report = _analyse(net, args.engine)
+        if report is None:
             return 1
         print(report.explain())
         return 0 if report.schedulable else 1
@@ -685,14 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop at the first unschedulable T-reduction "
         "(the report shows the partial verdicts)",
     )
-    p_analyse.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process pool size for the per-reduction checks; "
-        "1 runs sequentially in-process",
-    )
-    _add_engine_flag(p_analyse, SEARCH_ENGINES)
+    _add_engine_flag(p_analyse)
     p_analyse.set_defaults(func=cmd_analyse)
 
     p_synth = sub.add_parser("synthesize", help="generate the C implementation")
@@ -703,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wrap each task in while(1) (the paper's listing style)",
     )
-    _add_engine_flag(p_synth, SEARCH_ENGINES)
+    _add_engine_flag(p_synth)
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_emit = sub.add_parser(
@@ -724,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the generated native driver (the self-contained "
         "translation unit the native execution tier compiles)",
     )
-    _add_engine_flag(p_emit, SEARCH_ENGINES)
+    _add_engine_flag(p_emit)
     p_emit.set_defaults(func=cmd_emit)
 
     p_dot = sub.add_parser("dot", help="export the net as Graphviz DOT")
@@ -741,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the QSS analysis on the figure instead of dumping it",
     )
-    _add_engine_flag(p_gallery, SEARCH_ENGINES)
+    _add_engine_flag(p_gallery)
     p_gallery.set_defaults(func=cmd_gallery)
 
     p_corpus = sub.add_parser(

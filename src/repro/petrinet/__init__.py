@@ -91,12 +91,7 @@ from .invariants import (
     t_invariants,
     uncovered_transitions,
 )
-from .frontier import (
-    MAX_CYCLE_STATES,
-    FrontierExploration,
-    explore_frontier,
-    frontier_firing_order,
-)
+from .frontier import FrontierExploration, explore_frontier
 from .marking import Marking
 from .outofcore import (
     SpillStats,
@@ -193,8 +188,6 @@ __all__ = [
     # frontier engine
     "FrontierExploration",
     "explore_frontier",
-    "frontier_firing_order",
-    "MAX_CYCLE_STATES",
     # out-of-core budgeted exploration
     "SpillStats",
     "VisitedStore",

@@ -48,10 +48,10 @@ ENGINE_LEGACY = "legacy"
 ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY)
 
 #: Third engine offered by the state-space searches (reachability,
-#: coverability, the QSS cycle search): whole BFS frontiers as
-#: ``(N, P)`` numpy matrices instead of one marking at a time.  See
-#: :mod:`repro.petrinet.frontier`.  Analyses that are not searches
-#: (simulators, the runtime) only accept :data:`ENGINES`.
+#: coverability): whole BFS frontiers as ``(N, P)`` numpy matrices
+#: instead of one marking at a time.  See :mod:`repro.petrinet.frontier`.
+#: Everything else — simulators, the runtime and the QSS pipeline, whose
+#: cycle search is a memoized DFS — only accepts :data:`ENGINES`.
 ENGINE_FRONTIER = "frontier"
 SEARCH_ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY, ENGINE_FRONTIER)
 

@@ -603,7 +603,7 @@ def analyse_spec(
         if analyse == "runtime":
             _runtime_sweep(spec, record, engine)
         elif record.free_choice:
-            report = qss_analyse(net, engine=engine)
+            report = qss_analyse(net, engine=_without_frontier(engine))
             record.schedulable = report.schedulable
             record.allocations = report.allocation_count
             record.reductions = report.reduction_count
@@ -614,6 +614,16 @@ def analyse_spec(
         record.error = f"{type(exc).__name__}: {exc}"
     record.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return record
+
+
+def _without_frontier(engine: str) -> str:
+    """The engine of a stage that is not a state-space search.
+
+    The QSS pipeline and the fleet offer only ``compiled`` and
+    ``legacy``; the frontier engine has nothing to add there and maps to
+    the compiled core, so a frontier corpus run matches a compiled one.
+    """
+    return ENGINE_COMPILED if engine == ENGINE_FRONTIER else engine
 
 
 def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
@@ -630,9 +640,7 @@ def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
     streams = synthetic_streams(
         net, FLEET_SWEEP_INSTANCES, FLEET_SWEEP_EVENTS, seed=spec.seed
     )
-    # the fleet is a token-game executor, not a search: the frontier
-    # engine has nothing to add there and maps to the compiled core
-    fleet_engine = ENGINE_COMPILED if engine == ENGINE_FRONTIER else engine
+    fleet_engine = _without_frontier(engine)
     target: Any = net if fleet_engine == ENGINE_LEGACY else _cached_compiled(spec)
     fleet = FleetSimulator(
         target,
@@ -704,7 +712,8 @@ def run_corpus(
     back in spec order either way.  ``analyse`` selects the pipeline per
     net: the full property pipeline (``"properties"``, default) or the
     QSS schedulability sweep (``"qss"``).  ``engine`` is any of the
-    search engines (``compiled``/``legacy``/``frontier``).
+    search engines (``compiled``/``legacy``/``frontier``); the QSS and
+    runtime stages run ``frontier`` as ``compiled``.
     ``memory_budget`` / ``spill_dir`` (frontier only) bound exploration
     RAM per net by spilling to disk; each worker spills into its own
     private temp directory unless ``spill_dir`` pins one.

@@ -40,18 +40,9 @@ engine's BFS — same node numbering, same edge list, same
 suite (:mod:`tests.test_frontier_differential`) a bit-for-bit equality
 check rather than a graph-isomorphism test.
 
-The second half of the module (:func:`frontier_firing_order`) applies
-the same frontier idea to the QSS cycle search: a level-synchronous BFS
-over ``(marking, remaining firing counts)`` states on the masked
-incidence submatrix of one T-reduction.  Because every firing decrements
-the total remaining count by one, the level number *is* the number of
-firings, states from different levels can never collide, and the whole
-search deduplicates with one :func:`numpy.unique` per level.  The state
-space of wide conflict-free nets can still explode combinatorially, so
-the search carries a state budget and reports "undecided" instead of
-thrashing — callers then fall back to the sequential DFS
-(:func:`repro.petrinet.simulation.search_firing_order`), which shares
-none of the BFS's memory behaviour.
+The QSS cycle search is not offered here: its per-reduction state
+spaces are small and deep, where the memoized sequential DFS
+(:func:`repro.petrinet.simulation.search_firing_order`) wins.
 """
 
 from __future__ import annotations
@@ -68,10 +59,6 @@ from .compiled import ENGINE_FRONTIER, CompiledNet, MarkingTuple  # noqa: F401
 #: Seed of the fixed hash mix; one constant so every process (pool
 #: workers included) explores identically.
 _MIX_SEED = 0x9E3779B97F4A7C15
-
-#: Default state budget of :func:`frontier_firing_order`; beyond it the
-#: search reports "undecided" and the caller falls back to the DFS.
-MAX_CYCLE_STATES = 50_000
 
 #: Narrow-frontier bailout: when this many *consecutive* BFS levels
 #: carry fewer than :data:`_NARROW_WIDTH` markings each, the per-level
@@ -516,117 +503,3 @@ def _explore_exact(
         complete=complete,
         target_index=target_index,
     )
-
-
-# ----------------------------------------------------------------------
-# Frontier cycle search (the QSS schedulability simulation)
-# ----------------------------------------------------------------------
-def frontier_firing_order(
-    pre: np.ndarray,
-    incidence: np.ndarray,
-    start: Sequence[int],
-    counts: Sequence[int],
-    max_states: int = MAX_CYCLE_STATES,
-) -> Tuple[Optional[List[int]], bool]:
-    """Level-synchronous search for an executable ordering of ``counts``.
-
-    ``pre``/``incidence`` are the ``(K, P)`` preset and incidence rows
-    of the K transitions with positive counts (for a T-reduction: the
-    masked submatrix over its surviving transitions and places), and
-    ``counts`` the required firing count per row.  Each BFS level fires
-    one more transition, so level ``L`` holds exactly the distinct
-    ``(marking, remaining)`` states reachable in ``L`` firings — states
-    of different levels can never be equal, and one :func:`numpy.unique`
-    per level (over a contiguous-bytes view of the concatenated state)
-    is the entire dedup.
-
-    Returns ``(order, decided)``: ``order`` is a list of row indices
-    into ``pre`` realizing the counts (``None`` when no executable
-    ordering exists), ``decided`` is False when the ``max_states``
-    budget was exhausted first — the caller must then fall back to the
-    sequential DFS, whose verdict is always exact.
-    """
-    pre = np.asarray(pre, dtype=np.int64)
-    incidence = np.asarray(incidence, dtype=np.int64)
-    counts_vector = np.asarray(tuple(counts), dtype=np.int64)
-    total = int(counts_vector.sum())
-    if total == 0:
-        return [], True
-    n_transitions, n_places = pre.shape
-    state_bytes = np.dtype((np.void, 8 * (n_places + n_transitions)))
-
-    markings = np.asarray(tuple(start), dtype=np.int64)[np.newaxis, :]
-    remaining = counts_vector[np.newaxis, :]
-    # per-level parent bookkeeping for path reconstruction: parent[i] is
-    # the row index (in the previous level) of state i's predecessor,
-    # fired[i] the transition row that produced it
-    parent_levels: List[np.ndarray] = []
-    fired_levels: List[np.ndarray] = []
-    states_seen = 1
-
-    for _ in range(total):
-        enabled = (markings[:, np.newaxis, :] >= pre[np.newaxis, :, :]).all(
-            axis=2
-        ) & (remaining > 0)
-        src, trans = np.nonzero(enabled)
-        if src.size == 0:
-            return None, True
-        if states_seen + src.size > max_states:
-            # bail BEFORE materializing the successor arrays: the pair
-            # count bounds the level's states, and the budget exists
-            # precisely to stop runaway allocations (conservative —
-            # dedup might have fit — but the DFS fallback is exact)
-            return None, False
-        succ_m = markings[src] + incidence[trans]
-        succ_r = remaining[src].copy()
-        succ_r[np.arange(src.size), trans] -= 1
-        state = np.ascontiguousarray(
-            np.concatenate([succ_m, succ_r], axis=1)
-        )
-        keys = state.view(state_bytes).ravel()
-        _, first = np.unique(keys, return_index=True)
-        first.sort()  # keep states in first-occurrence (row-major) order
-        states_seen += first.size
-        markings = succ_m[first]
-        remaining = succ_r[first]
-        parent_levels.append(src[first])
-        fired_levels.append(trans[first])
-
-    # after `total` firings every surviving state has zero remaining
-    # counts; reconstruct the path of the first one
-    order: List[int] = []
-    state_row = 0
-    for level in range(total - 1, -1, -1):
-        order.append(int(fired_levels[level][state_row]))
-        state_row = int(parent_levels[level][state_row])
-    order.reverse()
-    return order, True
-
-
-def named_firing_order(
-    pre: np.ndarray,
-    incidence: np.ndarray,
-    start: Sequence[int],
-    names: Sequence[str],
-    firing_counts,
-    max_states: int = MAX_CYCLE_STATES,
-) -> Tuple[Optional[List[str]], bool]:
-    """:func:`frontier_firing_order` in the caller's transition-name domain.
-
-    ``names`` lists the counted transitions in the same order as the
-    rows of ``pre``/``incidence``; ``firing_counts`` maps each name to
-    its positive count.  Shared by the whole-net search
-    (:func:`repro.petrinet.simulation.find_firing_sequence`) and the
-    masked per-reduction search
-    (:meth:`repro.qss.compiled_reduction.CompiledReduction.find_firing_sequence`),
-    which differ only in how they slice the matrices.  Returns
-    ``(sequence_or_None, decided)`` with the same fallback protocol as
-    the row-index form.
-    """
-    counts = [int(firing_counts[name]) for name in names]
-    order, decided = frontier_firing_order(
-        pre, incidence, start, counts, max_states
-    )
-    if not decided or order is None:
-        return None, decided
-    return [names[k] for k in order], True

@@ -27,19 +27,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .compiled import (
     ENGINE_COMPILED,
-    ENGINE_FRONTIER,
     ENGINE_LEGACY,
-    SEARCH_ENGINES,
     CompiledNet,
     MarkingTuple,
     compile_net,
     validate_engine,
 )
-from .frontier import named_firing_order
 from .exceptions import NotEnabledError
 from .marking import Marking
 from .net import PetriNet
@@ -243,28 +238,15 @@ def find_firing_sequence(
     tuples and integer transition ids); candidates are tried in the
     order of ``firing_counts``, so both engines return the same
     sequence.  Passing a :class:`CompiledNet` skips the compilation.
-
-    ``engine="frontier"`` searches with the level-synchronous batched
-    BFS of :func:`repro.petrinet.frontier.frontier_firing_order`
-    instead of the sequential DFS.  It finds an ordering exactly when
-    the DFS does (both searches are complete), so feasibility verdicts
-    agree across all engines; the *sequence* returned may be a
-    different — equally valid — interleaving of the same counts.  When
-    the BFS exhausts its state budget the search falls back to the DFS,
-    so the verdict is always exact.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     if isinstance(net, CompiledNet):
         if engine == ENGINE_LEGACY:
             raise ValueError(
                 "engine='legacy' needs a PetriNet; pass net.decompile() to "
                 "run the dict-based search on a compiled net"
             )
-        if engine == ENGINE_FRONTIER:
-            return _find_firing_sequence_frontier(net, firing_counts, marking)
         return _find_firing_sequence_compiled(net, firing_counts, marking)
-    if engine == ENGINE_FRONTIER:
-        return _find_firing_sequence_frontier(net.compile(), firing_counts, marking)
     if engine == ENGINE_COMPILED:
         return _find_firing_sequence_compiled(net.compile(), firing_counts, marking)
 
@@ -299,35 +281,6 @@ def _find_firing_sequence_compiled(
         return None
     names = compiled.transitions
     return [names[t] for t in sequence]
-
-
-def _find_firing_sequence_frontier(
-    compiled: CompiledNet,
-    firing_counts: Mapping[str, int],
-    marking: Optional[Marking],
-) -> Optional[List[str]]:
-    """Batched BFS over ``(marking, remaining counts)`` states.
-
-    Selects the preset/incidence rows of the counted transitions (in
-    ``firing_counts`` order) and runs the frontier search on that
-    submatrix; an exhausted state budget falls back to the compiled
-    DFS, which decides exactly.
-    """
-    start = (
-        compiled.marking_to_tuple(marking)
-        if marking is not None
-        else compiled.initial
-    )
-    names = [name for name, count in firing_counts.items() if count > 0]
-    if not names:
-        return []
-    t_ids = np.array([compiled.transition_id(n) for n in names], dtype=np.int64)
-    sequence, decided = named_firing_order(
-        compiled.pre[t_ids], compiled.incidence[t_ids], start, names, firing_counts
-    )
-    if not decided:
-        return _find_firing_sequence_compiled(compiled, firing_counts, marking)
-    return sequence
 
 
 def find_finite_complete_cycle(

@@ -31,7 +31,6 @@ from .reduction import (
 from .schedulability import (
     MAX_CYCLE_SCALE,
     ReductionVerdict,
-    check_all_reductions,
     check_compiled_reduction,
     check_reduction,
     covering_counts,
@@ -64,7 +63,6 @@ __all__ = [
     "ReductionVerdict",
     "check_reduction",
     "check_compiled_reduction",
-    "check_all_reductions",
     "covering_counts",
     "MAX_CYCLE_SCALE",
     "FiniteCompleteCycle",

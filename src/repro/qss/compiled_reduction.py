@@ -14,10 +14,10 @@ ids.
 * :class:`QSSContext` holds the compiled parent plus the structural id
   arrays (producers/consumers per place, presets/postsets per
   transition, choice alternatives) shared by every reduction.
-* :meth:`QSSContext.reduce` runs the Reduction Algorithm directly on the
-  masks — the same rules, cascades and orderings as ``reduce_net``, so
-  the surviving node sets, removal orders and dedup signatures are
-  identical — without constructing any intermediate net.
+* :meth:`QSSContext.reduce_masks` runs the Reduction Algorithm directly
+  on the masks — the same rules, cascades and orderings as
+  ``reduce_net``, so the surviving node sets, removal orders and dedup
+  signatures are identical — without constructing any intermediate net.
 * :class:`CompiledReduction` exposes the per-reduction enabledness /
   successor functions as filtered views of the parent's scalar tables
   (zero per-reduction ``exec`` compiles), T-invariants via an int64
@@ -48,25 +48,14 @@ from typing import (
 import numpy as np
 
 from ..petrinet import CompiledNet, Marking, PetriNet, compile_net
-from ..petrinet.compiled import (
-    ENGINE_COMPILED,
-    ENGINE_FRONTIER,
-    SEARCH_ENGINES,
-    MarkingTuple,
-    validate_engine,
-)
+from ..petrinet.compiled import MarkingTuple
 from ..petrinet.exceptions import NotFreeChoiceError
-from ..petrinet.frontier import named_firing_order
 from ..petrinet.invariants import fast_minimal_semiflows
 from ..petrinet.simulation import search_firing_order
 from ..petrinet.structure import is_free_choice
 from .allocation import TAllocation
 
 NetLike = Union[PetriNet, CompiledNet]
-
-#: Sentinel returned by the frontier cycle search when its state budget
-#: ran out before a verdict; the caller then falls back to the DFS.
-_UNDECIDED = object()
 
 
 class QSSContext:
@@ -217,52 +206,19 @@ class QSSContext:
         for combination, excluded in self.iter_raw_allocations():
             yield self.make_allocation(combination), excluded
 
-    def excluded_ids(self, allocation: TAllocation) -> Tuple[int, ...]:
-        """Excluded transition ids of an externally supplied allocation."""
-        place_index = self.compiled.place_index
-        transition_index = self.compiled.transition_index
-        excluded: List[int] = []
-        for place, chosen in allocation.as_dict.items():
-            p_id = place_index[place]
-            chosen_id = transition_index[chosen]
-            excluded.extend(
-                t_id for t_id in self.place_consumers[p_id] if t_id != chosen_id
-            )
-        return tuple(excluded)
-
     # ------------------------------------------------------------------
     # The Reduction Algorithm on masks
     # ------------------------------------------------------------------
-    def reduce(
-        self,
-        allocation: TAllocation,
-        excluded: Optional[Sequence[int]] = None,
-    ) -> "CompiledReduction":
-        """Run the Reduction Algorithm for one allocation, on masks only.
+    def reduce_masks(
+        self, excluded: Sequence[int]
+    ) -> Tuple[bytes, bytes, Tuple[int, ...], Tuple[int, ...]]:
+        """The Reduction Algorithm on masks: excluded ids in, masks out.
 
         Mirrors :func:`repro.qss.reduction.reduce_net` rule for rule
         (conditions b.i/b.ii, c.i/c.ii and the final fixpoint sweep) in
         the same cascade order, so the surviving masks, the removal
         orders and the dedup signature are exactly the legacy ones — but
         the only state touched is two bytearrays over the parent ids.
-        """
-        if excluded is None:
-            excluded = self.excluded_ids(allocation)
-        t_mask, p_mask, removed_t, removed_p = self.reduce_masks(excluded)
-        return CompiledReduction(
-            context=self,
-            allocation=allocation,
-            transition_mask=t_mask,
-            place_mask=p_mask,
-            removed_transition_ids=removed_t,
-            removed_place_ids=removed_p,
-        )
-
-    def reduce_masks(
-        self, excluded: Sequence[int]
-    ) -> Tuple[bytes, bytes, Tuple[int, ...], Tuple[int, ...]]:
-        """The raw Reduction Algorithm: excluded ids in, masks out.
-
         Returns ``(transition_mask, place_mask, removed_transition_ids,
         removed_place_ids)`` without constructing any wrapper object —
         the form the streaming dedup loop consumes, since duplicate
@@ -640,32 +596,15 @@ class CompiledReduction:
         return invariants  # type: ignore[return-value]
 
     def find_firing_sequence(
-        self,
-        firing_counts: Mapping[str, int],
-        start: MarkingTuple,
-        engine: str = ENGINE_COMPILED,
+        self, firing_counts: Mapping[str, int], start: MarkingTuple
     ) -> Optional[List[str]]:
         """Executable ordering of ``firing_counts`` under masked semantics.
 
-        Same memoized DFS (and candidate order) as the legacy engines,
-        running on parent marking tuples filtered through the masks.
-
-        ``engine="frontier"`` instead runs the level-synchronous batched
-        BFS of :func:`repro.petrinet.frontier.frontier_firing_order` on
-        the reduction's masked incidence submatrix — the preset and
-        incidence rows of the counted transitions restricted to the
-        surviving place columns, so arcs to removed places are ignored
-        exactly as the masked scalar tables ignore them.  Feasibility
-        agrees with the DFS on every input (both searches are complete;
-        a blown state budget falls back to the DFS), but the returned
-        interleaving may differ.  ``"compiled"`` and ``"legacy"`` both
-        run the DFS — the masked tables *are* the compiled form.
+        The memoized DFS of the legacy engine
+        (:func:`~repro.petrinet.simulation.search_firing_order`, same
+        candidate order), running on parent marking tuples filtered
+        through the masks, so it returns the legacy cycle exactly.
         """
-        validate_engine(engine, SEARCH_ENGINES)
-        if engine == ENGINE_FRONTIER:
-            sequence = self._find_firing_sequence_frontier(firing_counts, start)
-            if sequence is not _UNDECIDED:
-                return sequence  # type: ignore[return-value]
         transition_index = self.context.compiled.transition_index
         remaining: Dict[int, int] = {}
         for name, count in firing_counts.items():
@@ -694,36 +633,11 @@ class CompiledReduction:
         names = self.context.compiled.transitions
         return [names[t] for t in sequence]
 
-    def _find_firing_sequence_frontier(self, firing_counts, start):
-        """Masked-submatrix frontier search; ``_UNDECIDED`` on a blown budget."""
-        compiled = self.context.compiled
-        names = [name for name, count in firing_counts.items() if count > 0]
-        if not names:
-            return []
-        t_ids = np.array(
-            [compiled.transition_index[n] for n in names], dtype=np.int64
-        )
-        p_ids = np.array(self.place_ids, dtype=np.int64)
-        selector = np.ix_(t_ids, p_ids)
-        sequence, decided = named_firing_order(
-            compiled.pre[selector],
-            compiled.incidence[selector],
-            np.asarray(start, dtype=np.int64)[p_ids],
-            names,
-            firing_counts,
-        )
-        if not decided:
-            return _UNDECIDED
-        return sequence
-
     def find_finite_complete_cycle(
-        self,
-        firing_counts: Mapping[str, int],
-        start: MarkingTuple,
-        engine: str = ENGINE_COMPILED,
+        self, firing_counts: Mapping[str, int], start: MarkingTuple
     ) -> Optional[List[str]]:
         """A firing sequence realizing the counts and returning to ``start``."""
-        sequence = self.find_firing_sequence(firing_counts, start, engine=engine)
+        sequence = self.find_firing_sequence(firing_counts, start)
         if sequence is None:
             return None
         transition_index = self.context.compiled.transition_index

@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 from ..petrinet import (
     ENGINE_COMPILED,
     ENGINE_LEGACY,
-    SEARCH_ENGINES,
     CompiledNet,
     PetriNet,
     validate_engine,
@@ -261,11 +260,9 @@ def enumerate_reductions(
         and materializes a :class:`TReduction` only once per *distinct*
         reduction; ``"legacy"`` rebuilds a subnet per allocation, as the
         original algorithm did.  Both return identical reductions in
-        identical order (``"frontier"`` enumerates exactly like
-        ``"compiled"`` — the engines only differ downstream, in the
-        per-reduction cycle search).
+        identical order.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     if engine != ENGINE_LEGACY:
         from .compiled_reduction import iter_compiled_reductions
 
@@ -298,11 +295,10 @@ def enumerate_reductions(
 def count_distinct_reductions(net: PetriNet, engine: str = ENGINE_COMPILED) -> int:
     """Number of distinct T-reductions (the size of a valid schedule).
 
-    With the default compiled engine (or the frontier engine, which
-    enumerates identically) the count streams over reduction masks
-    without building a single subnet.
+    With the default compiled engine the count streams over reduction
+    masks without building a single subnet.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     if engine != ENGINE_LEGACY:
         from .compiled_reduction import iter_compiled_reductions
 

@@ -19,12 +19,11 @@ fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..petrinet import (
     ENGINE_COMPILED,
     ENGINE_LEGACY,
-    SEARCH_ENGINES,
     Marking,
     PetriNet,
     combine_invariants,
@@ -213,14 +212,11 @@ def check_reduction(
     simulation of condition (3) runs on the reduction's cached
     :class:`~repro.petrinet.compiled.CompiledNet` view — compiled once
     per reduction and reused across the ``MAX_CYCLE_SCALE`` attempts and
-    across repeated checks during the allocation enumeration.
-    ``engine="frontier"`` runs the cycle search as a batched BFS over
-    ``(marking, remaining counts)`` frontiers on the same compiled view;
-    verdicts agree with the other engines (the searches are equally
-    complete), though the cycle found may be a different valid
-    interleaving.
+    across repeated checks during the allocation enumeration;
+    ``engine="legacy"`` runs it on the reduced :class:`PetriNet`.  Both
+    run the same memoized DFS and find the same cycle.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     reduced = reduction.net
     start = marking if marking is not None else reduced.initial_marking
     target = reduced if engine == ENGINE_LEGACY else reduction.compiled
@@ -237,9 +233,7 @@ def check_reduction(
 
 
 def check_compiled_reduction(
-    reduction: CompiledReduction,
-    marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
+    reduction: CompiledReduction, marking: Optional[Marking] = None
 ) -> ReductionVerdict:
     """Check Definition 3.5 for one mask-based T-reduction.
 
@@ -251,11 +245,6 @@ def check_compiled_reduction(
     and no per-reduction compilation exist at any point.  Produces
     verdicts (including cycles and diagnostics) identical to the legacy
     check for the same reduction.
-
-    ``engine`` selects the condition (3) cycle search: the sequential
-    DFS (``"compiled"``, default) or the batched frontier BFS on the
-    reduction's masked incidence submatrix (``"frontier"``); verdicts
-    are identical either way.
     """
     start = (
         reduction.restrict_marking(marking)
@@ -269,19 +258,7 @@ def check_compiled_reduction(
         invariants=reduction.t_invariants(),
         source_places=reduction.source_places(),
         find_cycle=lambda scaled: reduction.find_finite_complete_cycle(
-            scaled, start, engine=engine
+            scaled, start
         ),
     )
 
-
-def check_all_reductions(
-    net: PetriNet,
-    reductions: Sequence[TReduction],
-    marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
-) -> List[ReductionVerdict]:
-    """Check every reduction; the net is schedulable iff all verdicts are."""
-    return [
-        check_reduction(net, reduction, marking, engine=engine)
-        for reduction in reductions
-    ]

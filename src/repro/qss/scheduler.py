@@ -22,21 +22,20 @@ memory".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from ..petrinet import (
     ENGINE_COMPILED,
     ENGINE_LEGACY,
-    SEARCH_ENGINES,
     Marking,
     PetriNet,
     validate_engine,
 )
 from ..petrinet.exceptions import NotFreeChoiceError, NotSchedulableError
 from ..petrinet.structure import is_free_choice
-from .allocation import TAllocation, count_allocations
-from .compiled_reduction import QSSContext, iter_compiled_reductions
-from .reduction import TReduction, enumerate_reductions, reduce_net
+from .allocation import count_allocations
+from .compiled_reduction import iter_compiled_reductions
+from .reduction import TReduction, enumerate_reductions
 from .schedulability import (
     ReductionVerdict,
     check_compiled_reduction,
@@ -76,9 +75,9 @@ class SchedulabilityReport:
     #: T-reduction instead of checking (or, under the streaming
     #: pipeline, enumerating) everything; ``verdicts`` then holds only
     #: the partial results and ``reduction_count`` counts only the
-    #: reductions examined.  Every engine and worker configuration sets
-    #: this identically: any fail-fast stop reports ``complete=False``,
-    #: even if the failing reduction happened to be the final one.
+    #: reductions examined.  Both engines set this identically: any
+    #: fail-fast stop reports ``complete=False``, even if the failing
+    #: reduction happened to be the final one.
     complete: bool = True
 
     @property
@@ -101,115 +100,12 @@ class SchedulabilityReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Multiprocessing pool over reductions
-# ----------------------------------------------------------------------
-#: Per-worker state, built once per pool process by the initializer (the
-#: per-worker cache pattern of :mod:`repro.petrinet.corpus`): the net,
-#: the marking and — for the compiled engine — the shared
-#: :class:`QSSContext`, so every reduction checked by a worker reuses
-#: one compilation and one semiflow memo.
-_QSS_WORKER: Dict[str, Any] = {}
-
-#: Fields shipped back from pool workers; everything in a
-#: :class:`ReductionVerdict` except the (unpicklable, parent-side)
-#: reduction object itself.
-_VERDICT_FIELDS = (
-    "schedulable",
-    "consistent",
-    "sources_covered",
-    "cycle",
-    "uncovered_transitions",
-    "uncovered_sources",
-    "source_places",
-    "deadlocked",
-    "invariants",
-)
-
-
-def _init_qss_worker(
-    net: PetriNet, marking_tokens: Optional[Dict[str, int]], engine: str
-) -> None:  # pragma: no cover - runs inside pool processes
-    _QSS_WORKER["net"] = net
-    _QSS_WORKER["marking"] = (
-        Marking(marking_tokens) if marking_tokens is not None else None
-    )
-    _QSS_WORKER["engine"] = engine
-    _QSS_WORKER["context"] = QSSContext(net) if engine != ENGINE_LEGACY else None
-
-
-def _check_allocation_worker(
-    choices: Tuple[Tuple[str, str], ...]
-) -> Tuple[Tuple[Tuple[str, str], ...], Dict[str, Any]]:  # pragma: no cover
-    """Pool task: re-derive the reduction for one allocation and check it."""
-    allocation = TAllocation(choices=choices)
-    marking = _QSS_WORKER["marking"]
-    engine = _QSS_WORKER["engine"]
-    if engine != ENGINE_LEGACY:
-        reduction = _QSS_WORKER["context"].reduce(allocation)
-        verdict = check_compiled_reduction(reduction, marking, engine=engine)
-    else:
-        reduction = reduce_net(_QSS_WORKER["net"], allocation)
-        verdict = check_reduction(
-            _QSS_WORKER["net"], reduction, marking, engine=ENGINE_LEGACY
-        )
-    return choices, {name: getattr(verdict, name) for name in _VERDICT_FIELDS}
-
-
-def _verdict_from_fields(reduction, fields: Dict[str, Any]) -> ReductionVerdict:
-    return ReductionVerdict(reduction=reduction, **fields)
-
-
-def _check_reductions_parallel(
-    net: PetriNet,
-    reductions: Sequence[Any],
-    marking: Optional[Marking],
-    engine: str,
-    fail_fast: bool,
-    workers: int,
-) -> Tuple[List[ReductionVerdict], bool]:
-    """Fan the per-reduction checks out over a process pool.
-
-    Workers receive only the allocation choice tuples (the net travels
-    once, through the pool initializer) and return picklable verdict
-    fields; the parent re-attaches its own reduction objects, so the
-    report is indistinguishable from a sequential run.  Results are
-    consumed in reduction order, which makes the ``fail_fast`` partial
-    verdict list deterministic regardless of pool scheduling.
-    """
-    import multiprocessing
-
-    marking_tokens = dict(marking.tokens) if marking is not None else None
-    pool_size = min(workers, len(reductions))
-    payload = [reduction.allocation.choices for reduction in reductions]
-    chunksize = 1 if fail_fast else max(1, len(payload) // (pool_size * 4))
-    verdicts: List[ReductionVerdict] = []
-    complete = True
-    with multiprocessing.Pool(
-        pool_size,
-        initializer=_init_qss_worker,
-        initargs=(net, marking_tokens, engine),
-    ) as pool:
-        for _, fields in pool.imap(
-            _check_allocation_worker, payload, chunksize=chunksize
-        ):
-            verdicts.append(
-                _verdict_from_fields(reductions[len(verdicts)], fields)
-            )
-            if fail_fast and not verdicts[-1].schedulable:
-                complete = False
-                pool.terminate()
-                break
-    return verdicts, complete
-
-
 def analyse(
     net: PetriNet,
     marking: Optional[Marking] = None,
     require_free_choice: bool = True,
     engine: str = ENGINE_COMPILED,
     fail_fast: bool = False,
-    workers: int = 1,
 ) -> SchedulabilityReport:
     """Run the complete QSS analysis and build the valid schedule if any.
 
@@ -217,12 +113,8 @@ def analyse(
     streams mask-based T-reductions over one compiled parent net —
     zero per-allocation net rebuilds or recompiles — while ``"legacy"``
     rebuilds and checks a Python subnet per allocation, as the original
-    implementation did.  Both produce identical verdicts and cycles.
-    ``"frontier"`` uses the same streaming mask pipeline but runs each
-    reduction's cycle search as a batched BFS over its masked incidence
-    submatrix (:mod:`repro.petrinet.frontier`); verdicts, counts and
-    cycle lengths are identical to the other engines, though the cycles
-    themselves may be different valid interleavings.
+    implementation did, and serves as the compiled pipeline's oracle.
+    Both produce identical verdicts and cycles.
 
     Parameters
     ----------
@@ -232,77 +124,34 @@ def analyse(
         one.  The report then carries the partial verdicts computed so
         far, ``complete=False`` and ``reduction_count`` equal to the
         number of reductions examined.
-    workers:
-        When > 1, fan the per-reduction schedulability checks out over a
-        :mod:`multiprocessing` pool of that size (reductions are
-        enumerated and deduplicated in the parent first; each worker
-        re-derives its reductions from the compact allocation choices
-        and keeps a per-process compiled context, the per-worker cache
-        pattern of :mod:`repro.petrinet.corpus`).  Results are
-        identical to a sequential run.
 
     Raises
     ------
     NotFreeChoiceError
         If ``require_free_choice`` is True and the net is not free-choice.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     if require_free_choice and not is_free_choice(net):
         raise NotFreeChoiceError(
             f"net {net.name!r} is not a Free-Choice Petri Net; the QSS "
             "algorithm is only defined (and complete) for FCPNs"
         )
-    complete = True
-    if engine != ENGINE_LEGACY:
-        context = QSSContext(net)
-        if workers > 1:
-            reductions: List[Any] = list(
-                iter_compiled_reductions(
-                    net, context=context, require_free_choice=False
-                )
-            )
-            if len(reductions) > 1:
-                verdicts, complete = _check_reductions_parallel(
-                    net, reductions, marking, engine, fail_fast, workers
-                )
-            else:
-                # a pool cannot help with <= 1 reduction; run the same
-                # sequential loop (including fail_fast semantics)
-                verdicts = []
-                for reduction in reductions:
-                    verdict = check_compiled_reduction(
-                        reduction, marking, engine=engine
-                    )
-                    verdicts.append(verdict)
-                    if fail_fast and not verdict.schedulable:
-                        complete = False
-                        break
-        else:
-            verdicts = []
-            for reduction in iter_compiled_reductions(
-                net, context=context, require_free_choice=False
-            ):
-                verdict = check_compiled_reduction(reduction, marking, engine=engine)
-                verdicts.append(verdict)
-                if fail_fast and not verdict.schedulable:
-                    complete = False
-                    break
+    reductions: Iterable
+    if engine == ENGINE_LEGACY:
+        reductions = enumerate_reductions(net, engine=ENGINE_LEGACY)
     else:
-        legacy_reductions = enumerate_reductions(
-            net, deduplicate=True, engine=ENGINE_LEGACY
-        )
-        if workers > 1 and len(legacy_reductions) > 1:
-            verdicts, complete = _check_reductions_parallel(
-                net, legacy_reductions, marking, engine, fail_fast, workers
-            )
+        reductions = iter_compiled_reductions(net, require_free_choice=False)
+    verdicts: List[ReductionVerdict] = []
+    complete = True
+    for reduction in reductions:
+        if engine == ENGINE_LEGACY:
+            verdict = check_reduction(net, reduction, marking, engine=engine)
         else:
-            verdicts = []
-            for reduction in legacy_reductions:
-                verdict = check_reduction(net, reduction, marking, engine=engine)
-                verdicts.append(verdict)
-                if fail_fast and not verdict.schedulable:
-                    complete = False
-                    break
+            verdict = check_compiled_reduction(reduction, marking)
+        verdicts.append(verdict)
+        if fail_fast and not verdict.schedulable:
+            complete = False
+            break
     schedulable = all(v.schedulable for v in verdicts)
     report = SchedulabilityReport(
         net=net,
@@ -332,7 +181,6 @@ def is_schedulable(
     marking: Optional[Marking] = None,
     engine: str = ENGINE_COMPILED,
     fail_fast: bool = True,
-    workers: int = 1,
 ) -> bool:
     """True iff the FCPN is quasi-statically schedulable (Definition 3.2).
 
@@ -342,16 +190,11 @@ def is_schedulable(
     streaming pipeline stops enumerating right there.  Pass
     ``fail_fast=False`` to force the exhaustive check.
     """
-    return analyse(
-        net, marking, engine=engine, fail_fast=fail_fast, workers=workers
-    ).schedulable
+    return analyse(net, marking, engine=engine, fail_fast=fail_fast).schedulable
 
 
 def compute_valid_schedule(
-    net: PetriNet,
-    marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
-    workers: int = 1,
+    net: PetriNet, marking: Optional[Marking] = None, engine: str = ENGINE_COMPILED
 ) -> ValidSchedule:
     """Compute a valid schedule, raising when the net is not schedulable.
 
@@ -361,7 +204,7 @@ def compute_valid_schedule(
         With the full diagnostic report in the message when the net has
         no valid schedule.
     """
-    report = analyse(net, marking, engine=engine, workers=workers)
+    report = analyse(net, marking, engine=engine)
     if not report.schedulable or report.schedule is None:
         raise NotSchedulableError(report.explain())
     return report.schedule
@@ -380,20 +223,16 @@ class QuasiStaticScheduler:
         net: PetriNet,
         marking: Optional[Marking] = None,
         engine: str = ENGINE_COMPILED,
-        workers: int = 1,
     ) -> None:
         self.net = net
         self.marking = marking
-        self.engine = validate_engine(engine, SEARCH_ENGINES)
-        self.workers = workers
+        self.engine = validate_engine(engine)
         self._report: Optional[SchedulabilityReport] = None
 
     @property
     def report(self) -> SchedulabilityReport:
         if self._report is None:
-            self._report = analyse(
-                self.net, self.marking, engine=self.engine, workers=self.workers
-            )
+            self._report = analyse(self.net, self.marking, engine=self.engine)
         return self._report
 
     def is_schedulable(self) -> bool:

@@ -21,8 +21,11 @@ before it.
 
 If serving raises, the shard *fails*: it keeps the error as a
 :class:`ShardFailed` naming the shard, answers every pending and later
-request with it and drops later injects, so no request to a failed
-shard hangs.
+request with it and drops later injects.  A shard that answered its
+:class:`~repro.service.messages.Shutdown` does the same with a "shard
+stopped" :class:`ShardFailed` — for the controls queued behind the
+Shutdown and for every later request — so no request to a failed or
+stopped shard hangs.
 
 The actor's inbox is bounded (``asyncio.Queue(maxsize=inbox_limit)``):
 producers ``await put(...)`` and suspend while the shard is saturated,
@@ -89,8 +92,10 @@ class ShardCore:
         self._dense_rows = np.full(1024, -1, dtype=np.int64)
         self._started = time.monotonic()
         self.events_served = 0
-        #: set once serving raised; answers every later request
+        #: set once serving raised or a Shutdown was answered; answers
+        #: every later request
         self.failure: Optional[ShardFailed] = None
+        self.stopped = False
 
     # ------------------------------------------------------------------
     # Registry plumbing (dict authoritative, dense gather accelerator)
@@ -183,7 +188,9 @@ class ShardCore:
         with ``answer(token, reply)`` after every inject ahead of it,
         where ``reply`` is the control's result or this shard's
         :class:`ShardFailed`.  ``Shutdown(drain=False)`` drops the
-        injects queued since the previous barrier.
+        injects queued since the previous barrier.  Behind a Shutdown,
+        in this drain or a later one, injects are dropped and controls
+        are answered with a :class:`ShardFailed` naming the shard.
         """
         start = 0  # first item of the current run of packed batches
         for position, item in enumerate(items):
@@ -195,9 +202,12 @@ class ShardCore:
             start = position + 1
             answer(token, self._reply(message, queue_depth=len(items) - start))
             if isinstance(message, Shutdown):
-                return True
+                self.stopped = True
+                self.failure = self.failure or ShardFailed(
+                    self.shard_id, RuntimeError("shard stopped")
+                )
         self._serve_run(items[start:])
-        return False
+        return self.stopped
 
     def _serve_run(self, batches: Sequence[InjectBatchPacked]) -> None:
         if not batches or self.failure is not None:
@@ -263,12 +273,20 @@ class ShardActor:
     async def join(self) -> None:
         await self._task
 
+    def _finished(self) -> bool:
+        """True once the actor loop has exited: nothing drains the inbox."""
+        return self._task is not None and self._task.done()
+
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
     async def put(self, item: InboxItem) -> None:
-        """Enqueue; suspends the caller while the inbox is full."""
-        await self.inbox.put(item)
+        """Enqueue; suspends the caller while the inbox is full.
+
+        A stopped actor drains no more, so the item is dropped instead.
+        """
+        if not self._finished():
+            await self.inbox.put(item)
 
     def try_put(self, item: InboxItem) -> bool:
         """Non-blocking enqueue; ``False`` signals overflow (backpressure)."""
@@ -282,6 +300,10 @@ class ShardActor:
         """Enqueue a control behind every queued inject; await its reply."""
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         await self.put((control, future))
+        if self._finished():
+            # the loop exited before reaching the control: answer it
+            # here, as the stopped core answers everything
+            self.core.drain([(control, future)], settle)
         return await future
 
     # ------------------------------------------------------------------

@@ -28,7 +28,8 @@ byte-identical to a one-shot :class:`~repro.runtime.fleet.FleetSimulator`
 run over the same streams (pinned by ``tests/test_service_differential.py``).
 A failed shard answers every request with its
 :class:`~repro.service.shard.ShardFailed`; ``stop()`` joins every shard
-before raising it.
+before raising it.  A request that races ``stop()`` gets a
+:class:`~repro.service.shard.ShardFailed` too, on either backend.
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ class _ProcessShardHandle:
     reply as one pickle frame.  Replies resolve a FIFO of pending
     futures (the pipe preserves order, so no request ids are needed).
     When the worker exits, every request still pending — and every
-    later one — fails with :class:`ShardFailed`.  Blocking pipe
+    later one — fails with :class:`ShardFailed`, and later injects are
+    dropped; a pipe the worker already closed is no error.  Blocking pipe
     operations run in worker threads (``asyncio.to_thread``) so the
     event loop never stalls on a full pipe buffer.
 
@@ -431,7 +433,7 @@ class _ProcessShardHandle:
             defs = self._signatures.definitions(base)
             data = encode_frame_packed(batch, sig_base=base, sig_defs=defs)
             self._sigs_synced = base + len(defs)
-            await asyncio.to_thread(self._conn.send_bytes, data)
+            await self._send(data)
 
     async def request(self, control: Control) -> Any:
         """Send a control behind every inject sent so far; await its reply."""
@@ -440,10 +442,15 @@ class _ProcessShardHandle:
             if self._failure is not None:
                 raise self._failure
             self._pending.append(future)
-            await asyncio.to_thread(
-                self._conn.send_bytes, encode_frame_control(control)
-            )
+            await self._send(encode_frame_control(control))
         return await future
+
+    async def _send(self, data: bytes) -> None:
+        """Write one frame; a worker that has exited drops it."""
+        try:
+            await asyncio.to_thread(self._conn.send_bytes, data)
+        except OSError:
+            pass  # the read loop fails every pending future on EOF
 
     async def join(self) -> None:
         await self._reader

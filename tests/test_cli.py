@@ -7,7 +7,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.gallery import figure3a_schedulable, figure7_unschedulable
+from repro.gallery import (
+    figure1b_not_free_choice,
+    figure3a_schedulable,
+    figure7_unschedulable,
+)
 from repro.petrinet import save_net
 from repro.petrinet.corpus import (
     CORPUS_SCHEMA,
@@ -55,13 +59,21 @@ class TestInfoAndAnalyse:
         assert "fail-fast stop" in out
         assert "NOT quasi-statically schedulable" in out
 
-    def test_analyse_workers_flag(self, fig3a_file, capsys):
-        assert main(["analyse", fig3a_file, "--workers", "2"]) == 0
-        assert "schedulable" in capsys.readouterr().out
-
     def test_missing_file_is_error(self):
         with pytest.raises(SystemExit):
             main(["info", "/nonexistent/net.json"])
+
+    @pytest.mark.parametrize("command", ["analyse", "synthesize", "emit"])
+    def test_not_free_choice_net_is_a_clean_error(self, command, tmp_path, capsys):
+        """A net the analysis rejects exits 1 with ``error: …``, as
+        ``gallery figure1b --analyse`` does, instead of a traceback."""
+        path = tmp_path / "fig1b.json"
+        save_net(figure1b_not_free_choice(), path)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "not a Free-Choice Petri Net" in captured.err
+        assert captured.out == ""
 
 
 class TestSynthesizeAndDot:

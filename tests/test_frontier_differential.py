@@ -12,11 +12,13 @@ corpus family:
   identical (bounded-prefix fast path on bounded nets, clean deferral
   to Karp–Miller on unbounded or oversized ones);
 * deadlock, liveness and reachability queries agree;
-* QSS schedulability reports agree on verdicts, counts and cycle
-  lengths, and every frontier cycle is a genuine finite complete cycle
-  (the interleaving may differ from the DFS's — both are valid);
+* a frontier corpus run reports exactly the compiled QSS analysis (the
+  QSS stage runs ``frontier`` as ``compiled``), and every cycle it
+  reports is a genuine finite complete cycle;
 * the exact fallback explorer (the collision path) produces the same
-  exploration as the hashed fast path.
+  exploration as the hashed fast path;
+* the QSS entry points, which offer only the compiled pipeline and its
+  legacy oracle, reject ``engine="frontier"``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.gallery import paper_figures
 from repro.petrinet import (
     CompiledNet,
@@ -34,22 +37,33 @@ from repro.petrinet import (
     compile_net,
     coverability_analysis,
     find_deadlocks,
+    find_finite_complete_cycle,
     find_firing_sequence,
     is_finite_complete_cycle,
     is_live,
     is_reachable,
     place_bounds,
+    save_net,
 )
-from repro.petrinet.corpus import CORPUS_FAMILIES
+from repro.petrinet.corpus import CORPUS_FAMILIES, NetSpec, analyse_spec
 from repro.petrinet.frontier import (
     _explore_exact,
     _HashDisagreement,
     explore_frontier,
-    frontier_firing_order,
 )
 from repro.petrinet.generators import pipeline_net, producer_consumer_ring
 from repro.petrinet.structure import is_free_choice
-from repro.qss import analyse
+from repro.qss import (
+    QuasiStaticScheduler,
+    analyse,
+    check_compiled_reduction,
+    check_reduction,
+    compute_valid_schedule,
+    count_distinct_reductions,
+    enumerate_reductions,
+    is_schedulable,
+    iter_compiled_reductions,
+)
 
 SEEDS_PER_FAMILY = 10
 GRAPH_CAP = 300
@@ -95,6 +109,89 @@ def _adversarial_arc_order_net() -> PetriNet:
     return net
 
 
+def _compiled_reduction(net: PetriNet):
+    return next(iter_compiled_reductions(net))
+
+
+#: Every QSS entry point driven with ``frontier``, as ``call(net, path)``
+#: (``path`` holds the net as JSON), with the error it must raise.
+QSS_FRONTIER_CALLS = {
+    "analyse": (
+        lambda net, _: analyse(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "is_schedulable": (
+        lambda net, _: is_schedulable(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "compute_valid_schedule": (
+        lambda net, _: compute_valid_schedule(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "QuasiStaticScheduler": (
+        lambda net, _: QuasiStaticScheduler(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "check_reduction": (
+        lambda net, _: check_reduction(
+            net, enumerate_reductions(net)[0], engine="frontier"
+        ),
+        ValueError,
+        "unknown engine",
+    ),
+    "enumerate_reductions": (
+        lambda net, _: enumerate_reductions(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "count_distinct_reductions": (
+        lambda net, _: count_distinct_reductions(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "find_firing_sequence": (
+        lambda net, _: find_firing_sequence(net, {}, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "find_finite_complete_cycle": (
+        lambda net, _: find_finite_complete_cycle(net, {}, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "check_compiled_reduction": (
+        lambda net, _: check_compiled_reduction(
+            _compiled_reduction(net), engine="frontier"
+        ),
+        TypeError,
+        "engine",
+    ),
+    "CompiledReduction.find_firing_sequence": (
+        lambda net, _: _compiled_reduction(net).find_firing_sequence(
+            {}, _compiled_reduction(net).initial, engine="frontier"
+        ),
+        TypeError,
+        "engine",
+    ),
+    "CompiledReduction.find_finite_complete_cycle": (
+        lambda net, _: _compiled_reduction(net).find_finite_complete_cycle(
+            {}, _compiled_reduction(net).initial, engine="frontier"
+        ),
+        TypeError,
+        "engine",
+    ),
+    "cli-analyse": (
+        lambda _, path: main(["analyse", path, "--engine", "frontier"]),
+        SystemExit,
+        "^2$",  # argparse's usage-error exit code
+    ),
+}
+
+
 def assert_graphs_identical(frontier: ReachabilityGraph, other: ReachabilityGraph):
     assert frontier.markings == other.markings
     assert frontier.edges == other.edges
@@ -112,37 +209,35 @@ def assert_coverability_identical(net, max_nodes=COVERABILITY_CAP):
     return frontier_result
 
 
-def assert_qss_reports_agree(net):
-    compiled_report = analyse(net, engine="compiled")
-    frontier_report = analyse(net, engine="frontier")
-    assert frontier_report.schedulable == compiled_report.schedulable
-    assert frontier_report.allocation_count == compiled_report.allocation_count
-    assert frontier_report.reduction_count == compiled_report.reduction_count
-    assert frontier_report.complete == compiled_report.complete
-    for frontier_verdict, compiled_verdict in zip(
-        frontier_report.verdicts, compiled_report.verdicts
-    ):
-        assert frontier_verdict.schedulable == compiled_verdict.schedulable
-        assert frontier_verdict.consistent == compiled_verdict.consistent
-        assert frontier_verdict.sources_covered == compiled_verdict.sources_covered
-        assert frontier_verdict.deadlocked == compiled_verdict.deadlocked
-        assert frontier_verdict.invariants == compiled_verdict.invariants
-        assert (
-            frontier_verdict.reduction.signature()
-            == compiled_verdict.reduction.signature()
-        )
-        if compiled_verdict.cycle is None:
-            assert frontier_verdict.cycle is None
-        else:
-            # the frontier BFS may order the same counts differently:
-            # lengths match and the cycle must really execute and close
-            assert frontier_verdict.cycle is not None
-            assert len(frontier_verdict.cycle) == len(compiled_verdict.cycle)
-            assert sorted(frontier_verdict.cycle) == sorted(compiled_verdict.cycle)
-            assert is_finite_complete_cycle(
-                frontier_verdict.reduction.net, frontier_verdict.cycle
-            )
-    return frontier_report
+def assert_qss_reports_agree(spec: NetSpec):
+    """A frontier corpus run reports exactly the compiled QSS analysis.
+
+    The corpus keeps the frontier engine for its state-space passes and
+    runs the QSS stage on the compiled pipeline, so the frontier record
+    equals the compiled one and holds the compiled report's verdict,
+    counts and cycle lengths; every cycle must really execute and close.
+    """
+    frontier = analyse_spec(spec, engine="frontier", analyse="qss")
+    compiled = analyse_spec(spec, engine="compiled", analyse="qss")
+    assert frontier.error is None
+    assert {**frontier.to_dict(), "elapsed_ms": 0.0} == {
+        **compiled.to_dict(),
+        "elapsed_ms": 0.0,
+    }
+    net = spec.build()
+    if not is_free_choice(net):
+        assert frontier.schedulable is None
+        return
+    report = analyse(net)
+    assert frontier.schedulable == report.schedulable
+    assert frontier.allocations == report.allocation_count
+    assert frontier.reductions == report.reduction_count
+    assert frontier.cycle_lengths == [
+        len(v.cycle) for v in report.verdicts if v.cycle is not None
+    ]
+    for verdict in report.verdicts:
+        if verdict.cycle is not None:
+            assert is_finite_complete_cycle(verdict.reduction.net, verdict.cycle)
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +273,9 @@ class TestGallery:
 
     @pytest.mark.parametrize("figure", GALLERY)
     def test_qss_reports_agree(self, figure):
-        net = paper_figures()[figure]()
-        if is_free_choice(net):
-            assert_qss_reports_agree(net)
+        assert_qss_reports_agree(
+            NetSpec(family="gallery", seed=0, params=(("figure", figure),))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +299,7 @@ class TestCorpusFamilies:
 
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
     def test_qss_reports_agree(self, family, seed):
-        net = _family_net(family, seed)
-        if is_free_choice(net):
-            assert_qss_reports_agree(net)
+        assert_qss_reports_agree(CORPUS_FAMILIES[family].spec(seed))
 
     @pytest.mark.parametrize("family", sorted(CORPUS_FAMILIES))
     def test_reachability_queries_agree(self, family):
@@ -236,8 +329,11 @@ class TestEdgeCases:
         )
         assert_graphs_identical(frontier, legacy)
         assert_coverability_identical(net)
+        # the QSS pipeline on the same net: compiled equals its oracle
         assert is_free_choice(net)
-        assert_qss_reports_agree(net)
+        assert [v.cycle for v in analyse(net).verdicts] == [
+            v.cycle for v in analyse(net, engine="legacy").verdicts
+        ]
 
     @pytest.mark.parametrize("cap", [1, 2, 7, 17, 50, 100])
     def test_truncation_cutoff_identical(self, cap):
@@ -316,26 +412,6 @@ class TestEdgeCases:
         reference = build_reachability_graph(net, max_markings=200, engine="compiled")
         assert_graphs_identical(graph, reference)
 
-    def test_frontier_firing_order_feasibility_matches_dfs(self):
-        """find_firing_sequence verdicts agree between frontier and
-        compiled on realizable and unrealizable count vectors."""
-        net = producer_consumer_ring(2, 2)
-        compiled = compile_net(net)
-        counts = {t: 1 for t in net.transition_names}
-        frontier_seq = find_firing_sequence(compiled, counts, engine="frontier")
-        compiled_seq = find_firing_sequence(compiled, counts, engine="compiled")
-        assert (frontier_seq is None) == (compiled_seq is None)
-        if frontier_seq is not None:
-            assert sorted(frontier_seq) == sorted(compiled_seq)
-        # an unrealizable vector: fire only a transition whose preset is
-        # empty of tokens
-        impossible = {net.transition_names[-1]: 50}
-        assert find_firing_sequence(
-            compiled, impossible, engine="frontier"
-        ) == find_firing_sequence(compiled, impossible, engine="compiled") or (
-            find_firing_sequence(compiled, impossible, engine="frontier") is None
-        ) == (find_firing_sequence(compiled, impossible, engine="compiled") is None)
-
     def test_narrow_deep_state_space_stays_fast_and_identical(self):
         """A one-marking-per-level chain must bail out of per-level
         batching (the narrow-frontier detector) and still produce the
@@ -364,28 +440,17 @@ class TestEdgeCases:
         assert early.target_index == 50
         assert early.complete is False
 
-    def test_reduction_cycle_search_rejects_unknown_engine(self):
-        from repro.qss import QSSContext, iter_compiled_reductions
-
+    @pytest.mark.parametrize("entry_point", sorted(QSS_FRONTIER_CALLS))
+    def test_qss_entry_points_reject_frontier(self, entry_point, tmp_path):
+        """The QSS pipeline runs compiled or legacy only: ``frontier`` is
+        an unknown engine to every entry point, and the cycle searches
+        of the mask pipeline take no engine at all."""
+        call, error, match = QSS_FRONTIER_CALLS[entry_point]
         net = _adversarial_arc_order_net()
-        reduction = next(iter_compiled_reductions(net, context=QSSContext(net)))
-        with pytest.raises(ValueError, match="unknown engine"):
-            reduction.find_firing_sequence({}, reduction.initial, engine="warp")
-
-    def test_frontier_firing_order_budget_reports_undecided(self):
-        """A tiny state budget must report undecided, never a wrong verdict."""
-        net = producer_consumer_ring(4, 2)
-        compiled = compile_net(net)
-        t_ids = np.arange(len(compiled.transitions))
-        counts = [4] * len(compiled.transitions)
-        order, decided = frontier_firing_order(
-            compiled.pre[t_ids],
-            compiled.incidence[t_ids],
-            np.array(compiled.initial),
-            counts,
-            max_states=3,
-        )
-        assert not decided and order is None
+        path = tmp_path / "net.json"
+        save_net(net, str(path))
+        with pytest.raises(error, match=match):
+            call(net, str(path))
 
 
 # ----------------------------------------------------------------------

@@ -180,18 +180,3 @@ class TestArcOrderParity:
             "TAllocation(choice->t_a)",
             "TAllocation(choice->t_b)",
         ]
-
-
-class TestParallelDifferential:
-    """The worker pool returns verdicts identical to the sequential run."""
-
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
-    def test_pool_matches_sequential(self, engine):
-        net = CORPUS_FAMILIES["independent_choices"].spec(2).build()
-        sequential = analyse(net, engine=engine)
-        parallel = analyse(net, engine=engine, workers=2)
-        assert parallel.schedulable == sequential.schedulable
-        assert parallel.reduction_count == sequential.reduction_count
-        assert [_verdict_facts(v) for v in parallel.verdicts] == [
-            _verdict_facts(v) for v in sequential.verdicts
-        ]

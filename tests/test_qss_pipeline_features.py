@@ -7,8 +7,7 @@ Covers the PR's satellite guarantees:
 * ``TAllocation.as_dict`` is memoized, not rebuilt per lookup;
 * ``analyse(fail_fast=True)`` stops at the first failing T-reduction and
   ``is_schedulable`` uses it by default;
-* the ``workers=`` pool and the streaming mask pipeline behave like the
-  sequential/legacy paths;
+* the streaming mask pipeline behaves like the legacy path;
 * the corpus schedulability sweep mode (``analyse="qss"``) fills the new
   columns and round-trips through JSON/CSV.
 """
@@ -140,19 +139,14 @@ class TestFailFast:
     def test_fail_fast_complete_flag_uniform_across_engines(self):
         """Any fail-fast stop reports complete=False, in every configuration."""
         net = unschedulable_merge_net()
-        for kwargs in (
-            {"engine": "compiled"},
-            {"engine": "legacy"},
-            {"engine": "compiled", "workers": 2},
-            {"engine": "legacy", "workers": 2},
-        ):
-            report = analyse(net, fail_fast=True, **kwargs)
+        for engine in ("compiled", "legacy"):
+            report = analyse(net, fail_fast=True, engine=engine)
             assert not report.schedulable
-            assert not report.complete, kwargs
+            assert not report.complete, engine
 
-    def test_fail_fast_with_workers_on_single_reduction_net(self):
-        """workers>1 must not bypass fail_fast when only one reduction
-        exists (the pool fallback path)."""
+    def test_fail_fast_on_single_reduction_net(self):
+        """A fail-fast stop at the only reduction still reports
+        complete=False."""
         from repro.petrinet import NetBuilder
 
         # a token-free cycle: one T-reduction, consistent but deadlocked
@@ -168,29 +162,11 @@ class TestFailFast:
             .arc("p2", "a")
             .build()
         )
-        for kwargs in (
-            {"engine": "compiled", "workers": 2},
-            {"engine": "legacy", "workers": 2},
-            {"engine": "compiled"},
-        ):
-            report = analyse(net, fail_fast=True, **kwargs)
+        for engine in ("compiled", "legacy"):
+            report = analyse(net, fail_fast=True, engine=engine)
             assert not report.schedulable
-            assert not report.complete, kwargs
+            assert not report.complete, engine
             assert len(report.verdicts) == 1
-
-
-class TestWorkersPool:
-    def test_workers_produce_valid_schedule(self):
-        net = nested_choices_net(4)
-        report = analyse(net, workers=2)
-        assert report.schedulable
-        assert report.schedule is not None and report.schedule.verify()
-
-    def test_workers_fail_fast(self):
-        report = analyse(unschedulable_merge_net(), fail_fast=True, workers=2)
-        assert not report.schedulable
-        assert not report.complete
-        assert 1 <= len(report.verdicts) <= 2
 
 
 class TestCompiledReductionSurface:

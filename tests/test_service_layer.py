@@ -15,6 +15,7 @@ malformed lines without dying.  Also carries the satellite pins for
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -544,6 +545,126 @@ class TestFailedShard:
         assert snapshot_ack.request_id == 7
         assert "shard 0 failed: NotEnabledError" in snapshot_ack.error
         assert isinstance(reload_ack, Ack) and not reload_ack.ok
+
+
+class TestStoppedShard:
+    """A shard that answered its Shutdown fails every later request with
+    a ShardFailed naming it: controls queued behind the Shutdown,
+    requests after join() and requests racing stop().  None hangs."""
+
+    def test_drain_fails_controls_behind_shutdown(self):
+        _, engine, batches = barrier_case()
+        core = ShardCore(5, engine)
+        replies = []
+
+        def answer(token, reply):
+            replies.append((token, reply))
+
+        items = [
+            batches["A"],
+            (Shutdown(), "stop"),
+            batches["B"],
+            (SnapshotRequest(), "snapshot"),
+        ]
+        assert core.drain(items, answer)
+        assert core.drain([(Reload(), "reload")], answer)
+        assert [token for token, _ in replies] == ["stop", "snapshot", "reload"]
+        _, result = replies[0][1]
+        assert result.stats.events_processed == 6  # B, behind it, is dropped
+        for _, reply in replies[1:]:
+            assert isinstance(reply, ShardFailed) and reply.shard == 5
+            assert str(reply) == "shard 5 failed: RuntimeError: shard stopped"
+        assert engine.events_total == 6
+
+    def test_actor_answers_a_snapshot_queued_behind_shutdown(self):
+        async def go():
+            actor = ShardActor(3, FleetEngine(ATM, ASSIGNMENT))
+            loop = asyncio.get_running_loop()
+            stop, snapshot = loop.create_future(), loop.create_future()
+            actor.inbox.put_nowait((Shutdown(), stop))
+            actor.inbox.put_nowait((SnapshotRequest(), snapshot))
+            await actor.start()
+            return await asyncio.wait_for(
+                asyncio.gather(stop, snapshot, return_exceptions=True), timeout=5
+            )
+
+        (keys, _), failure = asyncio.run(go())
+        assert keys == []
+        assert isinstance(failure, ShardFailed) and failure.shard == 3
+
+    @pytest.mark.parametrize("backend", ["async", "process"])
+    def test_request_after_stop_fails(self, backend):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2, backend=backend)
+            await supervisor.start()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            for shard in supervisor._shards:
+                with pytest.raises(ShardFailed) as caught:
+                    await asyncio.wait_for(
+                        shard.request(SnapshotRequest()), timeout=10
+                    )
+                assert caught.value.shard == shard.shard_id
+                # injects to a stopped shard are dropped, not an error
+                await asyncio.wait_for(
+                    shard.put(packed_ticks(FleetEngine(ATM, ASSIGNMENT), [0])),
+                    timeout=10,
+                )
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("backend", ["async", "process"])
+    def test_snapshot_racing_stop_fails(self, backend):
+        async def go():
+            unretrieved = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: unretrieved.append(context))
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2, backend=backend)
+            await supervisor.start()
+            await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
+            # stop() enqueues its Shutdown first, the snapshot lands behind it
+            stopping = asyncio.ensure_future(supervisor.stop())
+            snapshot = asyncio.ensure_future(supervisor.snapshot())
+            result, failure = await asyncio.wait_for(
+                asyncio.gather(stopping, snapshot, return_exceptions=True),
+                timeout=10,
+            )
+            del stopping, snapshot
+            gc.collect()
+            await asyncio.sleep(0)
+            return result, failure, unretrieved
+
+        result, failure, unretrieved = asyncio.run(go())
+        assert result.stats.events_processed == 1
+        assert isinstance(failure, ShardFailed) and failure.shard in (0, 1)
+        assert unretrieved == []
+
+    def test_ingest_answers_a_stopped_shard_with_not_ok_ack(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            # the shard stops while the supervisor still runs, as it
+            # does while stop() is in flight
+            shard = supervisor._shards[0]
+            await asyncio.wait_for(shard.request(Shutdown()), timeout=10)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                encode_message(SnapshotRequest(request_id=9)).encode() + b"\n"
+            )
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            with pytest.raises(ShardFailed):
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return decode_message(line.strip())
+
+        ack = asyncio.run(go())
+        assert isinstance(ack, Ack) and not ack.ok
+        assert ack.request_id == 9
+        assert ack.error == "shard 0 failed: RuntimeError: shard stopped"
 
 
 class TestSupervisorRouting:
