@@ -35,18 +35,24 @@ once — its firing counts, cycle charges, activations, queue crossings
 and end state become a *cascade* row.  Serving an event is then one
 table gather plus vectorized delta application, which is what lets a
 single core sustain hundreds of thousands of events per second
-(``benchmarks/bench_serve.py`` holds the contract).  Nets whose state
-or cascade population keeps growing flush the tables and eventually
-fall back to the direct batched loop, so memory stays bounded and the
-results stay *identical*: memoized, direct and legacy execution are
-pinned equal by `tests/test_runtime_compiled_differential.py` and
+(``benchmarks/bench_serve.py`` holds the contract).
+
+One batched method, :meth:`FleetEngine._compute_cascade`, runs events
+to quiescence.  The memo calls it once per round on the round's unseen
+keys; the direct path calls it on every event of the round, from the
+instances' own markings.  That is the path of ``memo=False``, and of
+a kernel whose state or cascade population outgrew
+:data:`MEMO_STATE_LIMIT`: it frees its tables and serves directly for
+the rest of its life, so memory stays bounded.  The results stay
+*identical*: memoized, direct and legacy execution are pinned equal by
+`tests/test_runtime_compiled_differential.py` and
 `tests/test_service_differential.py`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -156,12 +162,56 @@ class FleetResult:
         return "\n".join(lines)
 
 
-#: Flush the cascade memo when the interned state or cascade population
-#: exceeds this; after :data:`MEMO_MAX_FLUSHES` flushes the kernel falls
-#: back to the direct batched loop for good (results are identical, the
-#: net is just not memoization-friendly).
+#: The memo's memory bound: once the interned state or cascade population
+#: exceeds it, the kernel frees its tables and serves on the direct path
+#: for good (results are identical, the net is just not
+#: memoization-friendly).
 MEMO_STATE_LIMIT = 65_536
-MEMO_MAX_FLUSHES = 2
+
+
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """``array``, or a copy with room for ``needed`` rows (capacity doubles)."""
+    if needed <= len(array):
+        return array
+    grown = np.empty(
+        (max(needed, 2 * len(array)),) + array.shape[1:], dtype=array.dtype
+    )
+    grown[: len(array)] = array
+    return grown
+
+
+def instance_not_enabled(transition: str, instance: int) -> NotEnabledError:
+    """The error for an event whose source is not enabled in ``instance``.
+
+    The error carries ``transition`` and ``instance`` as attributes, so a
+    caller that maps kernel rows to its own keys can name the key.
+    """
+    error = NotEnabledError(
+        f"transition {transition!r} is not enabled in instance {instance}"
+    )
+    error.transition = transition
+    error.instance = instance
+    return error
+
+
+@dataclass
+class CascadeRows:
+    """Per-event outcome of running events to quiescence, one row each.
+
+    ``end`` holds the end markings ``(K, P)`` as computed, or end state
+    ids once stored in the memo.  ``act`` counts activations per module
+    ``(K, M)`` and ``fired`` firings per transition ``(K, T)``.  A
+    ``bad`` row's source was not enabled: it changed nothing.  A
+    ``stopped`` row spent the firing budget under ``on_budget="stop"``.
+    """
+
+    end: np.ndarray
+    cycles: np.ndarray
+    ticks: np.ndarray
+    act: np.ndarray
+    fired: np.ndarray
+    stopped: np.ndarray
+    bad: np.ndarray
 
 
 class SignatureTable:
@@ -234,17 +284,50 @@ class SignatureTable:
             chosen_id = transition_index.get(chosen, -1)
             allowed[candidates[candidates != chosen_id]] = False
         sig_id = self.count
-        if sig_id >= len(self.allowed):
-            grown = np.ones(
-                (2 * len(self.allowed), len(self.cnet.transitions)), dtype=bool
-            )
-            grown[: len(self.allowed)] = self.allowed
-            self.allowed = grown
+        self.allowed = _grown(self.allowed, sig_id + 1)
         self.allowed[sig_id] = allowed
         self._index[signature] = sig_id
         self._signatures.append(signature)
         self.count += 1
         return sig_id
+
+    def intern_events(self, events: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """Intern events into (source id, signature id) columns.
+
+        Takes anything with ``source`` and ``choices`` attributes
+        (:class:`Event`, the service's ``InjectEvent``).  The hot loop of
+        the serving path: one raw-cache hit per event in the steady
+        state (the insertion-order ``items()`` tuple doubles as the
+        lookup key, so repeated resolutions skip the sort).  An unknown
+        source transition raises :class:`NotEnabledError`.
+        """
+        src_list: List[int] = []
+        sig_list: List[int] = []
+        add_src = src_list.append
+        add_sig = sig_list.append
+        lookup_src = self.cnet.transition_index.get
+        lookup_sig = self._raw_index.get
+        intern_raw = self.intern_raw
+        for event in events:
+            t_id = lookup_src(event.source)
+            if t_id is None:
+                raise NotEnabledError(
+                    f"unknown source transition {event.source!r}"
+                )
+            add_src(t_id)
+            choices = event.choices
+            if choices:
+                raw = tuple(choices.items())
+                sig_id = lookup_sig(raw)
+                if sig_id is None:
+                    sig_id = intern_raw(raw)
+                add_sig(sig_id)
+            else:
+                add_sig(0)
+        return (
+            np.array(src_list, dtype=np.int64),
+            np.array(sig_list, dtype=np.int64),
+        )
 
     def definitions(
         self, start: int = 0, end: Optional[int] = None
@@ -277,8 +360,9 @@ class FleetEngine:
     instances:
         Initial fleet size; :meth:`add_instances` grows it at runtime.
     memo:
-        ``True`` (default) enables the cascade memo; ``False`` forces
-        the direct batched loop (the cross-check path).
+        ``True`` (default) enables the cascade memo; ``False`` serves
+        every event on the direct path (the cache bypass).  Both run
+        the same :meth:`_compute_cascade`.
     signatures:
         Optional shared :class:`SignatureTable`.  The sharded service
         passes one table to every shard engine so events interned once
@@ -286,10 +370,10 @@ class FleetEngine:
         by default each engine owns a private table.
     timing:
         Optional :class:`~repro.runtime.stochastic.TimingModel`.  Timed
-        runs track an extra per-instance integer tick total; the memo
-        path replays it as one ``fired @ ticks`` product per cascade and
-        the direct path accumulates it per firing — integer arithmetic
-        keeps the two byte-identical.
+        runs track an extra per-instance integer tick total: one
+        ``fired @ ticks`` product per cascade row, which the memo
+        replays.  Integer arithmetic keeps it byte-identical to the
+        legacy engine's per-firing sum.
     """
 
     def __init__(
@@ -318,9 +402,9 @@ class FleetEngine:
                 "own CompiledNet"
             )
         self.signatures = signatures or SignatureTable(self.cnet)
-        self._memo_enabled = memo
+        self._memo_active = memo
         self._prepare_tables()
-        self._init_memo_tables()
+        self._init_memo()
         self.reset(instances)
 
     # ------------------------------------------------------------------
@@ -361,48 +445,22 @@ class FleetEngine:
 
     # ------------------------------------------------------------------
     # Memo tables: marking states and cascades (signatures live in the
-    # possibly-shared SignatureTable and survive memo flushes)
+    # possibly-shared SignatureTable)
     # ------------------------------------------------------------------
-    def _init_memo_tables(self) -> None:
-        self._memo_flushes = 0
-        self._clear_cascades()
-
-    def _clear_cascades(self) -> None:
-        n_t = len(self.cnet.transitions)
-        n_m = len(self._module_names)
-        n_p = len(self.cnet.places)
+    def _init_memo(self) -> None:
         self._state_index: Dict[bytes, int] = {}
-        self._state_mark = np.empty((8, n_p), dtype=np.int64)
-        self._state_count = 0
+        self._state_mark = np.empty((8, len(self.cnet.places)), dtype=np.int64)
         self._cascade_index: Dict[Tuple[int, int, int], int] = {}
-        cap = 8
-        self._c_count = 0
-        self._c_end = np.empty(cap, dtype=np.int64)
-        self._c_cycles = np.empty(cap, dtype=np.int64)
-        self._c_ticks = np.empty(cap, dtype=np.int64)
-        self._c_body = np.empty(cap, dtype=np.int64)
-        self._c_queue = np.empty(cap, dtype=np.int64)
-        self._c_act_total = np.empty(cap, dtype=np.int64)
-        self._c_stopped = np.empty(cap, dtype=bool)
-        self._c_bad = np.empty(cap, dtype=bool)  # source not enabled
-        self._c_fired = np.empty((cap, n_t), dtype=np.int64)
-        self._c_act = np.empty((cap, n_m), dtype=np.int64)
+        self._cascades: Optional[CascadeRows] = None
 
     def _intern_state(self, marking: np.ndarray) -> int:
         key = marking.tobytes()
         state_id = self._state_index.get(key)
         if state_id is None:
-            state_id = self._state_count
-            if state_id >= len(self._state_mark):
-                grown = np.empty(
-                    (2 * len(self._state_mark), self._state_mark.shape[1]),
-                    dtype=np.int64,
-                )
-                grown[: len(self._state_mark)] = self._state_mark
-                self._state_mark = grown
+            state_id = len(self._state_index)
+            self._state_mark = _grown(self._state_mark, state_id + 1)
             self._state_mark[state_id] = marking
             self._state_index[key] = state_id
-            self._state_count += 1
         return state_id
 
     # ------------------------------------------------------------------
@@ -426,11 +484,7 @@ class FleetEngine:
         self._events = np.zeros(capacity, dtype=np.int64)
         self._fire_counts = np.zeros(len(self.cnet.transitions), dtype=np.int64)
         self._activation_counts = np.zeros(len(self._module_names), dtype=np.int64)
-        self._activation_total = 0
-        self._body_total = 0
-        self._queue_total = 0
         self._budget_stops = 0
-        self._memo_active = self._memo_enabled
         self._state_of_row = np.zeros(capacity, dtype=np.int64)
         if self._memo_active:
             self._state_of_row[:instances] = self._intern_state(self._initial)
@@ -451,9 +505,6 @@ class FleetEngine:
             self._events[: self._n] = 0
             self._fire_counts[:] = 0
             self._activation_counts[:] = 0
-            self._activation_total = 0
-            self._body_total = 0
-            self._queue_total = 0
             self._budget_stops = 0
 
     @property
@@ -464,25 +515,12 @@ class FleetEngine:
     def events_total(self) -> int:
         return int(self._events[: self._n].sum())
 
-    def _grow(self, needed: int) -> None:
-        capacity = len(self._cycles)
-        if needed <= capacity:
-            return
-        new_cap = max(needed, 2 * capacity)
-        for name in ("_cycles", "_ticks", "_events", "_state_of_row"):
-            old = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-        old_m = self._markings
-        self._markings = np.empty((new_cap, old_m.shape[1]), dtype=np.int64)
-        self._markings[: self._n] = old_m[: self._n]
-
     def add_instances(self, count: int) -> np.ndarray:
         """Register ``count`` fresh instances; returns their row indices."""
         if count <= 0:
             return np.empty(0, dtype=np.int64)
-        self._grow(self._n + count)
+        for name in ("_markings", "_cycles", "_ticks", "_events", "_state_of_row"):
+            setattr(self, name, _grown(getattr(self, name), self._n + count))
         rows = np.arange(self._n, self._n + count, dtype=np.int64)
         self._markings[rows] = self._initial
         self._cycles[rows] = 0
@@ -503,303 +541,185 @@ class FleetEngine:
         signature ``sig_ids[j]``, see :meth:`prepare_events`) is
         dispatched to instance ``rows[j]``.  Rows must be unique within a
         call (an instance's events are ordered; feed them in consecutive
-        rounds)."""
+        rounds).  A source that is not enabled or a spent firing budget
+        raises before anything changes."""
         if len(src_ids) == 0:
             return
         if self._memo_active and (
-            self._state_count > MEMO_STATE_LIMIT
-            or self._c_count > MEMO_STATE_LIMIT
+            len(self._state_index) > MEMO_STATE_LIMIT
+            or len(self._cascade_index) > MEMO_STATE_LIMIT
         ):
-            self._flush_memo()
+            # past the memory bound: serve directly for good
+            live = self._state_of_row[: self._n]
+            self._markings[: self._n] = self._state_mark[live]
+            self._memo_active = False
+            self._init_memo()
         if self._memo_active:
-            self._dispatch_memo(rows, src_ids, sig_ids)
+            ids = self._memo_cascades(rows, src_ids, sig_ids)
+            table = self._cascades
         else:
-            self._dispatch_direct(rows, src_ids, sig_ids)
+            table = self._compute_cascade(self._markings[rows], src_ids, sig_ids)
+            ids = np.arange(len(rows))
+        bad = table.bad[ids]
+        if bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            raise instance_not_enabled(
+                self.cnet.transitions[int(src_ids[first])], int(rows[first])
+            )
+        self._apply(rows, table, ids)
 
     def prepare_events(
         self, events: Sequence[Event]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Intern a batch of events into (source id, signature id) columns.
+        """Intern a batch of events into (source id, signature id) columns
+        (:meth:`SignatureTable.intern_events`)."""
+        return self.signatures.intern_events(events)
 
-        The hot loop of the serving path: one raw-cache hit per event in
-        the steady state (the insertion-order ``items()`` tuple doubles
-        as the lookup key, so repeated resolutions skip the sort)."""
-        src_list: List[int] = []
-        sig_list: List[int] = []
-        add_src = src_list.append
-        add_sig = sig_list.append
-        lookup_src = self.cnet.transition_index.get
-        table = self.signatures
-        lookup_sig = table._raw_index.get
-        intern_raw = table.intern_raw
-        for event in events:
-            t_id = lookup_src(event.source)
-            if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
-            add_src(t_id)
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
-                sig_id = lookup_sig(raw)
-                if sig_id is None:
-                    sig_id = intern_raw(raw)
-                add_sig(sig_id)
-            else:
-                add_sig(0)
-        return (
-            np.array(src_list, dtype=np.int64),
-            np.array(sig_list, dtype=np.int64),
-        )
-
-    # -- memoized path -------------------------------------------------
-    def _flush_memo(self) -> None:
-        """Drop the state/cascade tables (population outgrew the limit).
-
-        After :data:`MEMO_MAX_FLUSHES` flushes the kernel concludes the
-        net is not memoization-friendly and switches to the direct loop.
-        """
-        self._materialize_markings()
-        self._memo_flushes += 1
-        if self._memo_flushes >= MEMO_MAX_FLUSHES:
-            self._memo_active = False
-            return
-        self._clear_cascades()
-        live = self._markings[: self._n]
-        if self._n:
-            unique, inverse = np.unique(live, axis=0, return_inverse=True)
-            ids = np.array(
-                [self._intern_state(unique[k]) for k in range(len(unique))],
-                dtype=np.int64,
-            )
-            self._state_of_row[: self._n] = ids[inverse]
-
-    def _materialize_markings(self) -> None:
-        if self._memo_active and self._n:
-            self._markings[: self._n] = self._state_mark[
-                self._state_of_row[: self._n]
-            ]
-
-    def _dispatch_memo(
+    def _memo_cascades(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
-    ) -> None:
-        state_ids = self._state_of_row[rows]
+    ) -> np.ndarray:
+        """The memo's cascade id for every event of one round.
+
+        The round's unseen ``(state, source, signature)`` keys run
+        through one :meth:`_compute_cascade` call and are stored.
+        """
         # pack (state, src, sig) into one sortable key; spans are
         # per-round local, the cascade index itself is keyed by tuples
         span_sig = self.signatures.count
         span_src = len(self.cnet.transitions)
+        state_ids = self._state_of_row[rows]
         packed = (state_ids * span_src + src_ids) * span_sig + sig_ids
         unique_keys, inverse = np.unique(packed, return_inverse=True)
-        cascade_of_key = np.empty(len(unique_keys), dtype=np.int64)
-        cascade_index = self._cascade_index
-        for k, key in enumerate(unique_keys.tolist()):
-            sig = key % span_sig
-            rest = key // span_sig
-            src = rest % span_src
-            state = rest // span_src
-            cascade_id = cascade_index.get((state, src, sig))
-            if cascade_id is None:
-                cascade_id = self._compute_cascade(int(state), int(src), int(sig))
-            cascade_of_key[k] = cascade_id
-        cascade_ids = cascade_of_key[inverse]
-
-        bad = self._c_bad[cascade_ids]
-        if bad.any():
-            first = int(np.flatnonzero(bad)[0])
-            name = self.cnet.transitions[int(src_ids[first])]
-            raise NotEnabledError(
-                f"transition {name!r} is not enabled in instance "
-                f"{int(rows[first])}"
+        rest, sigs = np.divmod(unique_keys, span_sig)
+        states, srcs = np.divmod(rest, span_src)
+        keys = list(zip(states.tolist(), srcs.tolist(), sigs.tolist()))
+        lookup = self._cascade_index.get
+        ids = np.array([lookup(key, -1) for key in keys], dtype=np.int64)
+        miss = np.flatnonzero(ids < 0)
+        if miss.size:
+            fresh = self._compute_cascade(
+                self._state_mark[states[miss]], srcs[miss], sigs[miss]
             )
+            ids[miss] = self._store_cascades(
+                [keys[k] for k in miss.tolist()], fresh
+            )
+        return ids[inverse]
 
-        self._cycles[rows] += self._c_cycles[cascade_ids]
-        if self._timed:
-            self._ticks[rows] += self._c_ticks[cascade_ids]
-        self._events[rows] += 1
-        self._state_of_row[rows] = self._c_end[cascade_ids]
-        unique_cascades, counts = np.unique(cascade_ids, return_counts=True)
-        self._fire_counts += self._c_fired[unique_cascades].T @ counts
-        self._activation_counts += self._c_act[unique_cascades].T @ counts
-        self._body_total += int(self._c_body[unique_cascades] @ counts)
-        self._queue_total += int(self._c_queue[unique_cascades] @ counts)
-        self._activation_total += int(self._c_act_total[unique_cascades] @ counts)
-        self._budget_stops += int(
-            counts[self._c_stopped[unique_cascades]].sum()
-        )
+    def _store_cascades(
+        self, keys: List[Tuple[int, int, int]], fresh: CascadeRows
+    ) -> np.ndarray:
+        """Append ``fresh`` to the memo under ``keys``; returns their ids.
 
-    def _compute_cascade(self, state: int, src: int, sig: int) -> int:
-        """Simulate one (state, source, signature) event to quiescence.
-
-        A literal single-row transcription of the direct batched loop —
-        the cascade must charge cycle for cycle what the loop charges.
+        The end markings are stored as interned state ids (bad and
+        stopped rows end where they are, so they intern too).
         """
+        fresh.end = np.array(
+            [self._intern_state(marking) for marking in fresh.end],
+            dtype=np.int64,
+        )
+        start = len(self._cascade_index)
+        stop = start + len(keys)
+        if self._cascades is None:
+            self._cascades = fresh
+        else:
+            for field in fields(CascadeRows):
+                column = _grown(getattr(self._cascades, field.name), stop)
+                column[start:stop] = getattr(fresh, field.name)
+                setattr(self._cascades, field.name, column)
+        self._cascade_index.update(zip(keys, range(start, stop)))
+        return np.arange(start, stop)
+
+    def _compute_cascade(
+        self, markings: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
+    ) -> CascadeRows:
+        """Run K events to quiescence, event ``k`` from ``markings[k]``.
+
+        Each event activates its source's task and fires the source,
+        then fires the first enabled candidate its signature allows,
+        one batched firing per iteration, until no candidate is left or
+        the firing budget is spent.  Nothing of the fleet changes here:
+        the rows' deltas come back as :class:`CascadeRows`.
+        """
+        count = len(src_ids)
         pre = self.cnet.pre
         incidence = self.cnet.incidence
-        fire_cycles = self._fire_cycles
         module_of = self._module_of
-        allowed = self.signatures.allowed[sig] & self._nonsource
-        activation = self.cost.activation_cycles
-        queue_round_trip = 2 * self.cost.queue_op_cycles
-        budget = self.max_firings_per_event
-        stop_on_budget = self.on_budget == "stop"
-
-        n_t = len(self.cnet.transitions)
-        fired = np.zeros(n_t, dtype=np.int64)
-        activations = np.zeros(len(self._module_names), dtype=np.int64)
-        marking = self._state_mark[state].copy()
-        bad = not bool(np.all(marking >= pre[src]))
-        cycles = body = queue = activation_total = 0
-        stopped = False
-        if not bad:
-            cycles = int(activation + fire_cycles[src])
-            activations[module_of[src]] += 1
-            activation_total = activation
-            marking += incidence[src]
-            fired[src] += 1
-            body = int(fire_cycles[src])
-            current_module = int(module_of[src])
-            firings = 1
-            while True:
-                candidates = np.all(marking >= pre, axis=1) & allowed
-                if not candidates.any():
-                    break
-                chosen = int(candidates.argmax())
-                module = int(module_of[chosen])
-                if module != current_module:
-                    cycles += queue_round_trip + activation
-                    queue += queue_round_trip
-                    activation_total += activation
-                    activations[module] += 1
-                    current_module = module
-                marking += incidence[chosen]
-                cycles += int(fire_cycles[chosen])
-                fired[chosen] += 1
-                body += int(fire_cycles[chosen])
-                firings += 1
-                if firings > budget:
-                    if not stop_on_budget:
-                        raise RuntimeError(QUIESCENCE_MESSAGE)
-                    stopped = True
-                    break
-
-        cascade_id = self._c_count
-        if cascade_id >= len(self._c_end):
-            for name in (
-                "_c_end",
-                "_c_cycles",
-                "_c_ticks",
-                "_c_body",
-                "_c_queue",
-                "_c_act_total",
-                "_c_stopped",
-                "_c_bad",
-            ):
-                old = getattr(self, name)
-                grown = np.empty(2 * len(old), dtype=old.dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-            for name in ("_c_fired", "_c_act"):
-                old = getattr(self, name)
-                grown = np.empty((2 * len(old), old.shape[1]), dtype=old.dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-        self._c_end[cascade_id] = state if bad else self._intern_state(marking)
-        self._c_cycles[cascade_id] = cycles
-        # integer matmul == the direct loop's per-firing accumulation,
-        # so memoized replay stays byte-identical on the timed axis too
-        self._c_ticks[cascade_id] = int(fired @ self._tick_vector)
-        self._c_body[cascade_id] = body
-        self._c_queue[cascade_id] = queue
-        self._c_act_total[cascade_id] = activation_total
-        self._c_stopped[cascade_id] = stopped
-        self._c_bad[cascade_id] = bad
-        self._c_fired[cascade_id] = fired
-        self._c_act[cascade_id] = activations
-        self._cascade_index[(state, src, sig)] = cascade_id
-        self._c_count += 1
-        return cascade_id
-
-    # -- direct path (the original batched loop) -----------------------
-    def _dispatch_direct(
-        self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
-    ) -> None:
-        cnet = self.cnet
-        count = len(rows)
-        pre = cnet.pre
-        incidence = cnet.incidence
-        fire_cycles = self._fire_cycles
-        module_of = self._module_of
-        nonsource = self._nonsource
-        markings = self._markings
-        activation = self.cost.activation_cycles
-        queue_round_trip = 2 * self.cost.queue_op_cycles
-        budget = self.max_firings_per_event
-        stop_on_budget = self.on_budget == "stop"
-
-        allowed = self.signatures.allowed[sig_ids]
+        marking = markings.copy()
+        fired = np.zeros((count, len(self.cnet.transitions)), dtype=np.int64)
+        act = np.zeros((count, len(self._module_names)), dtype=np.int64)
+        stopped = np.zeros(count, dtype=bool)
+        bad = ~np.all(marking >= pre[src_ids], axis=1)
 
         # dispatch: one activation per event, then fire the source
-        src_modules = module_of[src_ids]
-        if not np.all(markings[rows] >= pre[src_ids]):
-            bad = rows[~np.all(markings[rows] >= pre[src_ids], axis=1)][0]
-            position = int(np.flatnonzero(rows == bad)[0])
-            name = cnet.transitions[int(src_ids[position])]
-            raise NotEnabledError(
-                f"transition {name!r} is not enabled in instance {int(bad)}"
-            )
-        self._cycles[rows] += activation + fire_cycles[src_ids]
-        if self._timed:
-            self._ticks[rows] += self._tick_vector[src_ids]
-        np.add.at(self._activation_counts, src_modules, 1)
-        self._activation_total += activation * count
-        markings[rows] += incidence[src_ids]
-        np.add.at(self._fire_counts, src_ids, 1)
-        self._body_total += int(fire_cycles[src_ids].sum())
-        self._events[rows] += 1
+        active = np.flatnonzero(~bad)
+        current_module = module_of[src_ids]
+        act[active, current_module[active]] = 1
+        fired[active, src_ids[active]] = 1
+        marking[active] += incidence[src_ids[active]]
+        allowed = self.signatures.allowed[sig_ids] & self._nonsource
+        firings = 1  # every active event has fired equally often
 
         # run to quiescence, one batched firing per iteration
-        current_module = src_modules.copy()
-        firings = np.ones(count, dtype=np.int64)
-        active = np.arange(count)
         while active.size:
-            sub_rows = rows[active]
-            enabled = np.all(
-                markings[sub_rows][:, np.newaxis, :] >= pre[np.newaxis, :, :],
-                axis=2,
+            candidates = (
+                np.all(marking[active][:, np.newaxis, :] >= pre, axis=2)
+                & allowed[active]
             )
-            candidates = enabled & allowed[active] & nonsource[np.newaxis, :]
             has_candidate = candidates.any(axis=1)
             active = active[has_candidate]
             if not active.size:
                 break
-            candidates = candidates[has_candidate]
-            sub_rows = rows[active]
             # argmax of a boolean row = first True = lowest transition
             # id = the legacy "first candidate in insertion order"
-            chosen = candidates.argmax(axis=1)
+            chosen = candidates[has_candidate].argmax(axis=1)
+            marking[active] += incidence[chosen]
+            fired[active, chosen] += 1
             modules = module_of[chosen]
             crossed = modules != current_module[active]
-            if crossed.any():
-                crossed_count = int(crossed.sum())
-                self._cycles[sub_rows[crossed]] += queue_round_trip + activation
-                self._queue_total += queue_round_trip * crossed_count
-                self._activation_total += activation * crossed_count
-                np.add.at(self._activation_counts, modules[crossed], 1)
+            act[active[crossed], modules[crossed]] += 1
             current_module[active] = modules
-            markings[sub_rows] += incidence[chosen]
-            self._cycles[sub_rows] += fire_cycles[chosen]
-            if self._timed:
-                self._ticks[sub_rows] += self._tick_vector[chosen]
-            np.add.at(self._fire_counts, chosen, 1)
-            self._body_total += int(fire_cycles[chosen].sum())
-            firings[active] += 1
-            over = firings[active] > budget
-            if over.any():
-                if not stop_on_budget:
+            firings += 1
+            if firings > self.max_firings_per_event:
+                if self.on_budget != "stop":
                     raise RuntimeError(QUIESCENCE_MESSAGE)
-                self._budget_stops += int(over.sum())
-                active = active[~over]
+                stopped[active] = True
+                break
+
+        # every activation after an event's first crossed a task
+        # boundary: one queue round trip each
+        activations = act.sum(axis=1)
+        crossings = np.maximum(activations - 1, 0)
+        cycles = (
+            activations * self.cost.activation_cycles
+            + crossings * (2 * self.cost.queue_op_cycles)
+            + fired @ self._fire_cycles
+        )
+        return CascadeRows(
+            end=marking,
+            cycles=cycles,
+            ticks=fired @ self._tick_vector,
+            act=act,
+            fired=fired,
+            stopped=stopped,
+            bad=bad,
+        )
+
+    def _apply(
+        self, rows: np.ndarray, table: CascadeRows, ids: np.ndarray
+    ) -> None:
+        """Fold cascade row ``ids[j]`` into the accounting of ``rows[j]``."""
+        if self._memo_active:
+            self._state_of_row[rows] = table.end[ids]
+        else:
+            self._markings[rows] = table.end[ids]
+        self._cycles[rows] += table.cycles[ids]
+        if self._timed:
+            self._ticks[rows] += table.ticks[ids]
+        self._events[rows] += 1
+        used, counts = np.unique(ids, return_counts=True)
+        self._fire_counts += table.fired[used].T @ counts
+        self._activation_counts += table.act[used].T @ counts
+        self._budget_stops += int(table.stopped[used] @ counts)
 
     # ------------------------------------------------------------------
     # Results
@@ -808,16 +728,20 @@ class FleetEngine:
         """The aggregate :class:`ExecutionStats` accumulated so far."""
         stats = ExecutionStats()
         stats.events_processed = int(self._events[: self._n].sum())
-        stats.activation_cycles = self._activation_total
-        stats.body_cycles = self._body_total
-        stats.queue_cycles = self._queue_total
+        # the cycle totals are pure functions of the counts, so the
+        # aggregate needs no separate accumulators: every activation
+        # after an event's first is one queue round trip
+        activations = int(self._activation_counts.sum())
+        stats.activation_cycles = activations * self.cost.activation_cycles
+        stats.body_cycles = int(self._fire_counts @ self._fire_cycles)
+        stats.queue_cycles = (activations - stats.events_processed) * (
+            2 * self.cost.queue_op_cycles
+        )
         stats.total_cycles = (
-            self._activation_total + self._body_total + self._queue_total
+            stats.activation_cycles + stats.body_cycles + stats.queue_cycles
         )
         stats.budget_stops = self._budget_stops
         if self._timed:
-            # total delay is a pure function of the firing counts, so
-            # the aggregate needs no separate accumulator
             stats.delay_ticks = int(self._fire_counts @ self._tick_vector)
         stats.activations = {
             self._module_names[m]: int(c)

@@ -7,9 +7,9 @@ This module adds both dimensions to the reactive/fleet runtime while
 keeping every execution path bit-reproducible:
 
 * :class:`TimingModel` charges an **integer tick** delay per transition
-  firing.  Ticks are integers on purpose — the fleet kernel accumulates
-  them either per firing (direct loop) or as one ``fired @ ticks``
-  matmul per memoized cascade, and integer arithmetic makes the two
+  firing.  Ticks are integers on purpose — the fleet kernel charges
+  one ``fired @ ticks`` product per cascade row where the legacy
+  engine adds a delay per firing, and integer arithmetic makes the two
   orders byte-identical, which the differential suites pin.  Use
   :meth:`TimingModel.sampled` for a seeded random assignment or
   :meth:`TimingModel.constant` for a uniform one.

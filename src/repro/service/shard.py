@@ -43,7 +43,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..runtime.fleet import FleetEngine, FleetResult
+from ..petrinet.exceptions import NotEnabledError
+from ..runtime.fleet import FleetEngine, FleetResult, instance_not_enabled
 from .messages import (
     Ack,
     InjectBatchPacked,
@@ -169,12 +170,18 @@ class ShardCore:
         starts = np.flatnonzero(boundaries)
         counts = np.diff(np.append(starts, count))
         max_rounds = int(counts.max())
-        if max_rounds == 1:
-            engine.dispatch_ids(rows, sources, signatures)
-        else:
-            for k in range(max_rounds):
-                sel = order[starts[counts > k] + k]
-                engine.dispatch_ids(rows[sel], sources[sel], signatures[sel])
+        try:
+            if max_rounds == 1:
+                engine.dispatch_ids(rows, sources, signatures)
+            else:
+                for k in range(max_rounds):
+                    sel = order[starts[counts > k] + k]
+                    engine.dispatch_ids(rows[sel], sources[sel], signatures[sel])
+        except NotEnabledError as error:
+            # the kernel names its own row; callers know their key
+            raise instance_not_enabled(
+                error.transition, self._keys[error.instance]
+            ) from None
         self.events_served += count
         return count
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from ..petrinet import PetriNet
 from ..petrinet.compiled import ENGINE_COMPILED, CompiledNet, compile_net
-from ..petrinet.exceptions import NotEnabledError
 from ..runtime.cost import CostModel
 from ..runtime.fleet import FleetEngine, FleetResult, SignatureTable
 from ..runtime.reactive import ModuleAssignment, validate_budget_policy
@@ -203,40 +202,18 @@ class FleetSupervisor:
         """Intern a batch of string-keyed injects into packed id columns.
 
         The *only* place the service touches event strings: source names
-        resolve through the compiled transition index and choice
-        resolutions through the shared :class:`SignatureTable`.  In the
-        steady state every lookup is a dict hit; the returned ndarray
+        and choice resolutions resolve through the shared
+        :class:`SignatureTable` (:meth:`SignatureTable.intern_events`).  In
+        the steady state every lookup is a dict hit; the returned ndarray
         batch flows through routing, inboxes and kernels zero-copy.
         Unknown source transitions fail here, at the boundary, rather
         than inside a shard's actor loop.
         """
-        count = len(events)
-        instances = np.empty(count, dtype=np.int64)
-        sources = np.empty(count, dtype=np.int64)
-        signatures = np.empty(count, dtype=np.int64)
-        lookup_src = self.compiled.transition_index.get
-        table = self.signatures
-        lookup_sig = table._raw_index.get
-        intern_raw = table.intern_raw
-        for j, event in enumerate(events):
-            t_id = lookup_src(event.source)
-            if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
-            instances[j] = event.instance
-            sources[j] = t_id
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
-                sig_id = lookup_sig(raw)
-                if sig_id is None:
-                    sig_id = intern_raw(raw)
-                signatures[j] = sig_id
-            else:
-                signatures[j] = 0
+        sources, signatures = self.signatures.intern_events(events)
         return InjectBatchPacked(
-            instances=instances, sources=sources, signatures=signatures
+            instances=np.array([event.instance for event in events], dtype=np.int64),
+            sources=sources,
+            signatures=signatures,
         )
 
     def _shards_of(self, instances: np.ndarray) -> np.ndarray:

@@ -25,8 +25,17 @@ import numpy as np
 import pytest
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
+from repro.petrinet import NetBuilder
 from repro.petrinet.corpus import CORPUS_FAMILIES
-from repro.runtime import FleetSimulator, ModuleAssignment, synthetic_streams
+from repro.petrinet.exceptions import NotEnabledError
+from repro.petrinet.generators import unbalanced_choice_net
+from repro.runtime import (
+    Event,
+    FleetEngine,
+    FleetSimulator,
+    ModuleAssignment,
+    synthetic_streams,
+)
 from repro.service import (
     FleetSupervisor,
     IngestServer,
@@ -48,6 +57,41 @@ def corpus_case(family="choice_fan", instances=16, events=8, seed=5):
     assignment = ModuleAssignment.single_task(net)
     streams = synthetic_streams(net, instances, events, seed=seed)
     return net, assignment, streams
+
+
+def merge_case(instances=300, events=30, seed=7):
+    """The weighted merge fleet: thousands of memo states, many misses
+    per round."""
+    net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
+    streams = synthetic_streams(net, instances, events, seed=seed)
+    return net, ModuleAssignment.single_task(net), streams
+
+
+def spinning_case(instances=12, events=4, seed=3):
+    """A choice between quiescing and a loop that never quiesces."""
+    net = (
+        NetBuilder("spin_or_halt")
+        .source("t_src")
+        .arc("t_src", "p_choice")
+        .arc("p_choice", "t_halt")
+        .arc("p_choice", "t_loop")
+        .arc("t_loop", "p_fuel")
+        .arc("p_fuel", "t_spin")
+        .arc("t_spin", "p_fuel")
+        .build()
+    )
+    streams = synthetic_streams(net, instances, events, seed=seed)
+    return net, ModuleAssignment.single_task(net), streams
+
+
+def memo_and_direct(net, assignment, streams, **options):
+    """The same streams through the memoized and the direct kernel path."""
+    memoized = FleetSimulator(net, assignment, **options).run(streams)
+    direct_sim = FleetSimulator(net, assignment, **options)
+    direct_sim.kernel = FleetEngine(net, assignment, memo=False, **options)
+    direct = direct_sim.run(streams)
+    assert not direct_sim.kernel._memo_active
+    return memoized, direct
 
 
 def assert_results_identical(expected, actual):
@@ -129,25 +173,64 @@ class TestServiceEqualsBatch:
 
 
 class TestKernelPaths:
-    """Memoized cascades, the direct loop, flush and disable all agree."""
+    """Memoized cascades, the direct path and the memo's over-limit
+    fallback all agree."""
 
-    @pytest.mark.parametrize("case", [atm_case, corpus_case])
+    @pytest.mark.parametrize("case", [atm_case, corpus_case, merge_case])
     def test_memo_equals_direct(self, case):
         net, assignment, streams = case()
-        memoized = FleetSimulator(net, assignment).run(streams)
-        direct_sim = FleetSimulator(net, assignment)
-        direct_sim.kernel._memo_enabled = False
-        direct = direct_sim.run(streams)
+        memoized, direct = memo_and_direct(net, assignment, streams)
         assert_results_identical(memoized, direct)
-        assert not direct_sim.kernel._memo_active
+
+    def test_budget_stops_memo_equals_direct_equals_legacy(self):
+        net, assignment, streams = spinning_case()
+        options = dict(max_firings_per_event=8, on_budget="stop")
+        memoized, direct = memo_and_direct(net, assignment, streams, **options)
+        assert_results_identical(memoized, direct)
+        legacy = FleetSimulator(net, assignment, engine="legacy", **options).run(
+            streams
+        )
+        assert_results_identical(legacy, memoized)
+        assert 0 < memoized.stats.budget_stops < memoized.stats.events_processed
+
+    def test_budget_error_is_the_same_on_both_paths(self):
+        net, assignment, streams = spinning_case()
+        errors = []
+        for memo in (True, False):
+            simulator = FleetSimulator(net, assignment, max_firings_per_event=8)
+            simulator.kernel = FleetEngine(
+                net, assignment, max_firings_per_event=8, memo=memo
+            )
+            with pytest.raises(RuntimeError) as caught:
+                simulator.run(streams)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert "did not quiesce" in errors[0][1]
+
+    def test_not_enabled_error_is_the_same_on_both_paths(self):
+        net, assignment, streams = atm_case()
+        # instance 3's second event: a known transition that is not a
+        # source, so it is never enabled after a cascade quiesced
+        streams[3][1] = Event(time=streams[3][1].time, source="t_parse_header")
+        errors = []
+        for memo in (True, False):
+            simulator = FleetSimulator(net, assignment)
+            simulator.kernel = FleetEngine(net, assignment, memo=memo)
+            with pytest.raises(NotEnabledError) as caught:
+                simulator.run(streams)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == (
+            "transition 't_parse_header' is not enabled in instance 3"
+        )
 
     def test_memo_flush_and_disable_preserve_results(self, monkeypatch):
         import repro.runtime.fleet as fleet_mod
 
         net, assignment, streams = atm_case()
         expected = FleetSimulator(net, assignment).run(streams)
-        # a tiny limit forces a flush on nearly every round and then the
-        # permanent fallback to the direct loop mid-run
+        # a tiny limit frees the memo after its first rounds and serves
+        # the rest of the run on the direct path
         monkeypatch.setattr(fleet_mod, "MEMO_STATE_LIMIT", 2)
         constrained = FleetSimulator(net, assignment)
         actual = constrained.run(streams)

@@ -546,6 +546,35 @@ class TestFailedShard:
         assert "shard 0 failed: NotEnabledError" in snapshot_ack.error
         assert isinstance(reload_ack, Ack) and not reload_ack.ok
 
+    @pytest.mark.parametrize("backend", ["async", "process"])
+    def test_not_enabled_error_names_the_instance_key(self, backend):
+        keys = (1000, 2000, 3000, 4000)
+
+        async def go():
+            supervisor = FleetSupervisor(
+                ATM, ASSIGNMENT, shards=2, backend=backend
+            )
+            await supervisor.start()
+            for key in keys:
+                await supervisor.inject(InjectEvent(instance=key, source="t_cell"))
+            await supervisor.inject(
+                InjectEvent(instance=4000, source="t_parse_header")
+            )
+            with pytest.raises(ShardFailed) as caught:
+                await asyncio.wait_for(supervisor.snapshot(), timeout=10)
+            with pytest.raises(ShardFailed):
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return caught.value
+
+        failure = asyncio.run(go())
+        # the shard's kernel row of key 4000 is not the key
+        routing = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+        assert failure.shard == routing.shard_of(4000)
+        assert isinstance(failure.error, NotEnabledError)
+        assert str(failure.error) == (
+            "transition 't_parse_header' is not enabled in instance 4000"
+        )
+
 
 class TestStoppedShard:
     """A shard that answered its Shutdown fails every later request with

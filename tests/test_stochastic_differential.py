@@ -17,6 +17,7 @@ import pytest
 
 from repro.apps import atm, heating, router
 from repro.runtime import (
+    FleetEngine,
     FleetSimulator,
     ModuleAssignment,
     StochasticChoicePolicy,
@@ -100,7 +101,7 @@ class TestTimedEngineEquality:
         net, assignment, streams, timing = timed_case(case)
         memoized = FleetSimulator(net, assignment, timing=timing).run(streams)
         direct_sim = FleetSimulator(net, assignment, timing=timing)
-        direct_sim.kernel._memo_enabled = False
+        direct_sim.kernel = FleetEngine(net, assignment, memo=False, timing=timing)
         direct = direct_sim.run(streams)
         assert not direct_sim.kernel._memo_active
         assert_results_identical(memoized, direct)
