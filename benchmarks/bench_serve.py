@@ -11,27 +11,22 @@ the *live* service path now carries its own enforced floor:
 **>= 500,000 events/s one-shot batch** on the 10,000-instance ATM
 contract fleet (~1.0M on a development machine), **also held at
 100,000 instances** (the scale row), and
-**>= 1,000,000 events/s on the warm service path** (async backend,
+**>= 1,000,000 events/s on the warm service path** (one async shard,
 pre-packed injects, same 10k contract fleet) — the quasi-static
 promise that the always-on runtime adds near-zero per-event overhead.
-
-The process backend additionally must show **>= 2x scaling** from 1
-shard to 4 shards when the machine has the cores for it (gated on
-``os.cpu_count() >= 4``; recorded informationally otherwise).
 
 Every timed row lands in ``BENCH_serve.json`` (via ``bench_io``, so
 rows accumulate across engines/runs) and ``--smoke`` appends one entry
 to the committed ``BENCH_serve.history.json`` — the machine-readable
-throughput trajectory of the serving stack across PRs.  ``--smoke``
-sweeps shards {1, 2, 4} for *both* backends on the smoke fleet
-(results equality-checked against one-shot batch every time) and
-enforces the 1M service-path contract on the full contract fleet.
+throughput trajectory of the serving stack.  ``--smoke`` sweeps shards
+{1, 2, 4} on the smoke fleet (results equality-checked against
+one-shot batch every time) and enforces the 1M service-path contract
+on the full contract fleet.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -57,21 +52,15 @@ SCALE_CELLS = 10
 #: Enforced floor for the one-shot serving path on the contract fleet.
 REQUIRED_EVENTS_PER_SECOND = 500_000.0
 
-#: Enforced floor for the *live* service path: async backend, warm
+#: Enforced floor for the *live* service path: one shard, warm
 #: (cascade memo + instance registry populated), pre-packed injects.
 REQUIRED_SERVICE_EVENTS_PER_SECOND = 1_000_000.0
-
-#: The process backend must scale >= 2x from 1 shard to this many —
-#: enforced only on machines with at least ``MIN_SCALING_CORES`` cores.
-PROCESS_SCALING_SHARDS = 4
-REQUIRED_PROCESS_SCALING = 2.0
-MIN_SCALING_CORES = 4
 
 #: Smoke sizes (CI): same machinery, affordable fleet.
 SMOKE_INSTANCES = 1_000
 SMOKE_CELLS = 10
 
-#: Shard counts the smoke sweep records for each backend.
+#: Shard counts the smoke sweep records.
 SMOKE_SHARD_SWEEP = (1, 2, 4)
 
 #: Events per packed inject (the granularity a live producer would
@@ -105,13 +94,7 @@ def _batch_row(instances: int, cells: int, rounds: int = 2):
     return row, result
 
 
-def _service_row(
-    instances: int,
-    cells: int,
-    shards: int = 1,
-    backend: str = "async",
-    warm: bool = True,
-):
+def _service_row(instances: int, cells: int, shards: int = 1, warm: bool = True):
     """Timed service run over pre-packed injects; returns (row, result).
 
     Events are interned into ``InjectBatchPacked`` chunks once, outside
@@ -127,9 +110,7 @@ def _service_row(
     net, assignment, streams = _workload(instances, cells)
 
     async def go():
-        supervisor = FleetSupervisor(
-            net, assignment, shards=shards, backend=backend
-        )
+        supervisor = FleetSupervisor(net, assignment, shards=shards)
         await supervisor.start()
         packed = supervisor.pack(events_to_injects(streams))
         chunks = [
@@ -155,7 +136,6 @@ def _service_row(
     events = result.stats.events_processed
     row = {
         "path": "service",
-        "backend": backend,
         "shards": shards,
         "warm": warm,
         "instances": instances,
@@ -206,10 +186,8 @@ class TestServeThroughput:
         )
 
     def test_service_path_sustains_1m_events_per_second(self):
-        """>= 1M events/s live (async, warm, packed) — byte-identical."""
-        row, result = _service_row(
-            CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1, backend="async"
-        )
+        """>= 1M events/s live (one shard, warm, packed) — byte-identical."""
+        row, result = _service_row(CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1)
         net, assignment, streams = _workload(
             CONTRACT_INSTANCES, CONTRACT_CELLS
         )
@@ -226,48 +204,14 @@ class TestServeThroughput:
             f"{row['events_per_second']:,.0f}"
         )
 
-    def test_process_backend_scales_with_cores(self):
-        """>= 2x throughput from 1 to 4 process shards (gated on cores)."""
-        import pytest
-
-        cores = os.cpu_count() or 1
-        if cores < MIN_SCALING_CORES:
-            pytest.skip(
-                f"process scaling needs >= {MIN_SCALING_CORES} cores "
-                f"(machine has {cores})"
-            )
-        base, base_result = _service_row(
-            CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1, backend="process"
-        )
-        scaled, scaled_result = _service_row(
-            CONTRACT_INSTANCES,
-            CONTRACT_CELLS,
-            shards=PROCESS_SCALING_SHARDS,
-            backend="process",
-        )
-        _assert_equal(base_result, scaled_result)
-        record_bench_rows("serve", [base, scaled])
-        ratio = scaled["events_per_second"] / base["events_per_second"]
-        _print_row("\nserve process x1", base)
-        _print_row("serve process x4", scaled)
-        print(f"serve process scaling: {ratio:.2f}x")
-        assert ratio >= REQUIRED_PROCESS_SCALING, (
-            f"process backend must scale >= {REQUIRED_PROCESS_SCALING}x "
-            f"from 1 to {PROCESS_SCALING_SHARDS} shards; measured "
-            f"{ratio:.2f}x"
-        )
-
     def test_service_path_matches_and_is_recorded(self):
-        """Service == batch on the smoke fleet for both backends."""
+        """Service == batch on the smoke fleet over two shards."""
         net, assignment, streams = _workload(SMOKE_INSTANCES, SMOKE_CELLS)
         expected = FleetSimulator(net, assignment).run(streams)
-        for backend in ("async", "process"):
-            row, result = _service_row(
-                SMOKE_INSTANCES, SMOKE_CELLS, shards=2, backend=backend
-            )
-            _assert_equal(expected, result)
-            record_bench_rows("serve", [row])
-            _print_row(f"\nserve smoke ({backend} x2)", row)
+        row, result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS, shards=2)
+        _assert_equal(expected, result)
+        record_bench_rows("serve", [row])
+        _print_row("\nserve smoke (x2)", row)
 
 
 def _smoke() -> int:
@@ -276,19 +220,17 @@ def _smoke() -> int:
     rows = [batch_row]
     _print_row("smoke serve batch", batch_row)
     sweep = {}
-    for backend in ("async", "process"):
-        for shards in SMOKE_SHARD_SWEEP:
-            row, result = _service_row(
-                SMOKE_INSTANCES, SMOKE_CELLS, shards=shards, backend=backend
-            )
-            _assert_equal(batch_result, result)
-            rows.append(row)
-            sweep[f"{backend}_x{shards}"] = row["events_per_second"]
-            _print_row(f"smoke serve {backend} x{shards} (identical)", row)
+    for shards in SMOKE_SHARD_SWEEP:
+        row, result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS, shards=shards)
+        _assert_equal(batch_result, result)
+        rows.append(row)
+        # the async_ prefix keeps keys comparable with older history entries
+        sweep[f"async_x{shards}"] = row["events_per_second"]
+        _print_row(f"smoke serve x{shards} (identical)", row)
 
     # the enforced 1M service-path contract, on the full contract fleet
     contract_row, contract_result = _service_row(
-        CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1, backend="async"
+        CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1
     )
     rows.append(contract_row)
     _print_row("smoke serve contract (service, warm)", contract_row)
@@ -303,32 +245,6 @@ def _smoke() -> int:
         f"{contract_row['events_per_second']:,.0f}"
     )
 
-    # process scaling: enforced only when the machine has the cores
-    cores = os.cpu_count() or 1
-    scaling = None
-    if cores >= MIN_SCALING_CORES:
-        base, _ = _service_row(
-            CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1, backend="process"
-        )
-        scaled, _ = _service_row(
-            CONTRACT_INSTANCES,
-            CONTRACT_CELLS,
-            shards=PROCESS_SCALING_SHARDS,
-            backend="process",
-        )
-        rows.extend([base, scaled])
-        scaling = scaled["events_per_second"] / base["events_per_second"]
-        print(f"smoke serve process scaling: {scaling:.2f}x")
-        assert scaling >= REQUIRED_PROCESS_SCALING, (
-            f"process backend must scale >= {REQUIRED_PROCESS_SCALING}x; "
-            f"measured {scaling:.2f}x"
-        )
-    else:
-        print(
-            f"smoke serve process scaling: skipped "
-            f"({cores} < {MIN_SCALING_CORES} cores)"
-        )
-
     path = record_bench_rows("serve", rows)
     print(f"smoke serve: rows recorded -> {path}")
     entry = {
@@ -338,7 +254,6 @@ def _smoke() -> int:
         "service_events_per_second": contract_row["events_per_second"],
         "service_shards": contract_row["shards"],
         "smoke_sweep": sweep,
-        "process_scaling": scaling,
     }
     history = append_history("serve", entry)
     print(f"smoke serve: history appended -> {history}")

@@ -437,7 +437,6 @@ async def _serve_service(
         net,
         assignment,
         shards=shards,
-        backend=args.backend,
         inbox_limit=(
             args.inbox_limit
             if args.inbox_limit is not None
@@ -534,8 +533,7 @@ async def _serve_service(
     print(
         f"served {result.stats.events_processed} events across "
         f"{result.instances} instance(s) in {result.elapsed_seconds:.3f}s "
-        f"({shards} shard(s), {args.backend} backend, "
-        f"{args.partition} partition)"
+        f"({shards} shard(s), {args.partition} partition)"
     )
     return 0
 
@@ -881,13 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run as the always-on actor service with this many shard "
         "actors (hash-sharded instance routing, drain-and-stop)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("async", "process"),
-        default="async",
-        help="shard backend for service mode: asyncio tasks in-process "
-        "(default) or one multiprocessing worker per shard",
     )
     p_serve.add_argument(
         "--inbox-limit",

@@ -21,8 +21,7 @@ the full Python event loop per instance; this module steps all of them
 * :class:`FleetSimulator` is the stream **orchestration**: it sorts the
   per-instance streams and feeds them to one kernel round by round
   (``run``), or loops the string-keyed reactive simulator per instance
-  (``engine="legacy"``, the benchmark baseline).  Scaling across
-  processes is the service's job (process-backed shards).
+  (``engine="legacy"``, the benchmark baseline).
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
@@ -226,10 +225,7 @@ class SignatureTable:
     ``choices.items()`` tuples so the steady-state lookup skips the
     per-event sort; the **canonical** index keys sorted tuples so
     equivalent resolutions share one id.  Ids are assigned densely in
-    canonical-creation order, which makes the table replicable: feeding
-    :meth:`definitions` to another table's :meth:`intern` in order
-    yields the same ids (how the process-backed shards stay in sync
-    with their supervisor across pipes).
+    canonical-creation order.
     """
 
     def __init__(self, cnet: CompiledNet) -> None:
@@ -249,7 +245,6 @@ class SignatureTable:
         # signature id 0 is the empty resolution (allowed = everything)
         self._index: Dict[Tuple[Tuple[str, str], ...], int] = {(): 0}
         self._raw_index: Dict[Tuple[Tuple[str, str], ...], int] = {(): 0}
-        self._signatures: List[Tuple[Tuple[str, str], ...]] = [()]
         self.allowed = np.ones((4, n_t), dtype=bool)
         self.count = 1
 
@@ -287,7 +282,6 @@ class SignatureTable:
         self.allowed = _grown(self.allowed, sig_id + 1)
         self.allowed[sig_id] = allowed
         self._index[signature] = sig_id
-        self._signatures.append(signature)
         self.count += 1
         return sig_id
 
@@ -328,12 +322,6 @@ class SignatureTable:
             np.array(src_list, dtype=np.int64),
             np.array(sig_list, dtype=np.int64),
         )
-
-    def definitions(
-        self, start: int = 0, end: Optional[int] = None
-    ) -> List[Tuple[Tuple[str, str], ...]]:
-        """Canonical signatures ``start..end`` in id order (replication)."""
-        return self._signatures[start : self.count if end is None else end]
 
 
 class FleetEngine:
@@ -950,8 +938,7 @@ def synthetic_streams(
     identical across processes and platforms
     (`tests/test_service_differential.py` pins the default path,
     `tests/test_stochastic_determinism.py` the new arrival processes and
-    weighted policies, because the service's process-backed shards rely
-    on it).
+    weighted policies).
     """
     validate_arrival(arrival)
     named = net.decompile() if isinstance(net, CompiledNet) else net

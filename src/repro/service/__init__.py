@@ -5,14 +5,12 @@ kernel:
 
 - :mod:`~repro.service.messages` — frozen typed messages + the
   versioned JSON wire codec every endpoint speaks, plus the internal
-  zero-copy representations: :class:`InjectBatchPacked` (pre-interned
-  int64 id columns) and the binary frame codec the process-backed
-  shards speak over their pipes.
+  zero-copy :class:`InjectBatchPacked` (pre-interned int64 id columns).
 - :mod:`~repro.service.shard` — the shard: one kernel behind one ordered
-  inbox, served by the drain loop both backends share (coalesced
-  vectorized injects, controls as barriers, typed failure).
-- :mod:`~repro.service.supervisor` — hash-sharded routing over async or
-  process shards, snapshots, reload, drain-and-stop.
+  bounded inbox, served by an asyncio actor loop (coalesced vectorized
+  injects, controls as barriers, typed failure).
+- :mod:`~repro.service.supervisor` — hash-sharded routing over the
+  shard actors, snapshots, reload, drain-and-stop.
 - :mod:`~repro.service.ingest` — the LDJSON socket server and its
   client.
 - :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
@@ -24,10 +22,6 @@ results equal to the one-shot batch path.
 
 from .ingest import IngestServer, ServiceClient, events_to_injects
 from .messages import (
-    FRAME_CONTROL,
-    FRAME_PACKED,
-    FRAME_RESULT,
-    FRAME_SCHEMA,
     WIRE_SCHEMA,
     Ack,
     InjectBatch,
@@ -39,25 +33,16 @@ from .messages import (
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
-    decode_frame,
     decode_message,
-    encode_frame_control,
-    encode_frame_packed,
-    encode_frame_result,
     encode_message,
 )
 from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore, ShardFailed
-from .supervisor import SERVICE_BACKENDS, FleetSupervisor, validate_backend
+from .supervisor import FleetSupervisor
 from .telemetry import TELEMETRY_SCHEMA, TelemetryWriter, validate_telemetry_record
 
 __all__ = [
     "WIRE_SCHEMA",
-    "FRAME_SCHEMA",
-    "FRAME_CONTROL",
-    "FRAME_PACKED",
-    "FRAME_RESULT",
     "TELEMETRY_SCHEMA",
-    "SERVICE_BACKENDS",
     "DEFAULT_INBOX_LIMIT",
     "Ack",
     "InjectBatch",
@@ -71,12 +56,7 @@ __all__ = [
     "SnapshotRequest",
     "decode_message",
     "encode_message",
-    "decode_frame",
-    "encode_frame_control",
-    "encode_frame_packed",
-    "encode_frame_result",
     "FleetSupervisor",
-    "validate_backend",
     "ShardActor",
     "ShardCore",
     "ShardFailed",

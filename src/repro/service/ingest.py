@@ -7,10 +7,11 @@ Injects propagate the shard actors' backpressure naturally: the
 connection handler ``await``s the supervisor, so while shard inboxes
 are full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
-latency, never to unbounded server memory.  Malformed lines, and
-control requests that reach a failed shard, are answered with a
-``not-ok`` :class:`~repro.service.messages.Ack` carrying the error;
-the connection stays up.
+latency, never to unbounded server memory.  Malformed lines, injects
+naming an unknown source transition, and control requests that reach
+a failed shard are answered with a ``not-ok``
+:class:`~repro.service.messages.Ack` carrying the error; the
+connection stays up.
 
 :class:`ServiceClient` speaks the codec over a socket (inject /
 snapshot / reload / shutdown): what external producers use, and what
@@ -24,6 +25,7 @@ import asyncio
 import dataclasses
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+from ..petrinet.exceptions import NotEnabledError
 from .messages import (
     Ack,
     InjectBatch,
@@ -102,7 +104,9 @@ class IngestServer:
                     continue
                 try:
                     reply = await self._serve(message)
-                except ShardFailed as error:
+                except (NotEnabledError, ShardFailed) as error:
+                    # NotEnabledError: pack() rejected the whole line
+                    # before routing it, so none of its events is served
                     reply = Ack(
                         request_id=getattr(message, "request_id", 0),
                         ok=False,

@@ -1,10 +1,10 @@
 """Typed messages and the versioned JSON wire codec of the fleet service.
 
-Every interaction with the service — socket ingest, in-process callers,
-the parent↔worker pipes of the process-backed shards — speaks the same
-protocol: frozen dataclass messages serialized as one JSON
-object per line, each carrying the :data:`WIRE_SCHEMA` version tag and
-a ``type`` discriminator.  The codec is total in both directions
+Every interaction with the service — socket ingest and in-process
+callers — speaks the same protocol: frozen dataclass messages
+serialized as one JSON object per line, each carrying the
+:data:`WIRE_SCHEMA` version tag and a ``type`` discriminator.  The
+codec is total in both directions
 (``decode_message(encode_message(m)) == m``) and *strict*: unknown
 schemas, unknown types, missing or extra fields all raise
 :class:`ProtocolError` rather than guessing, so protocol drift between
@@ -15,30 +15,21 @@ Request/response pairing uses the optional ``request_id`` carried by
 :class:`SnapshotReply`/:class:`Ack` — multiple requests can be in
 flight on one connection.
 
-Two *internal* representations ride alongside the public JSON codec:
-
-* :class:`InjectBatchPacked` — the zero-copy inject batch: pre-interned
-  ``(instance, source id, signature id)`` int64 ndarray columns,
-  produced once at the ingest boundary and consumed by the shard
-  kernels without touching another Python object per event.  It never
-  crosses the *public* socket (clients speak strings; ids are private
-  to one supervisor's intern tables), so it is deliberately **not**
-  part of :data:`MESSAGE_TYPES`.
-* The **binary frame codec** (:func:`encode_frame` /
-  :func:`decode_frame`) — what the process-backed shards speak over
-  their pipes: length-prefixed raw ndarray buffers for packed inject
-  batches, with control requests falling back to the JSON wire codec
-  inside a ``control`` frame and every reply travelling back as one
-  pickle frame.
+One *internal* representation rides alongside the public JSON codec:
+:class:`InjectBatchPacked`, the zero-copy inject batch of pre-interned
+``(instance, source id, signature id)`` int64 ndarray columns,
+produced once at the ingest boundary and consumed by the shard kernels
+without touching another Python object per event.  It never crosses
+the socket (clients speak strings; ids are private to one supervisor's
+intern tables), so it is deliberately **not** part of
+:data:`MESSAGE_TYPES`.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
-import struct
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -281,120 +272,3 @@ def decode_message(line: Union[str, bytes]) -> Message:
     if cls is None:
         raise ProtocolError(f"unknown message type {kind!r}")
     return _from_payload(cls, payload)
-
-
-# ----------------------------------------------------------------------
-# Binary frame codec (process-backend pipes)
-# ----------------------------------------------------------------------
-#: Version tag of the binary frame layout.  Bump on any change to the
-#: frame kinds or section layout.
-FRAME_SCHEMA = "repro-qss.frame/1"
-
-#: One-byte frame discriminators.
-FRAME_CONTROL = 0x00  # JSON wire-codec line (the fallback for controls)
-FRAME_PACKED = 0x01  # packed inject batch: raw int64 ndarray sections
-FRAME_RESULT = 0x02  # pickled reply (stats, ack, failure or final result)
-
-_FRAME_MAGIC = b"RQF1"
-_U32 = struct.Struct("<I")
-
-#: Signature definitions ride the packed frame as a compact JSON list —
-#: ``[[place, chosen], ...]`` per signature, in table-id order starting
-#: at the frame's ``sig_base``, so the receiving table replays them into
-#: exactly the sender's ids (see ``SignatureTable.definitions``).
-SigDefs = List[Tuple[Tuple[str, str], ...]]
-
-
-def encode_frame_control(message: Message) -> bytes:
-    """Wrap one JSON wire line in a control frame."""
-    return (
-        _FRAME_MAGIC
-        + bytes([FRAME_CONTROL])
-        + encode_message(message).encode("utf-8")
-    )
-
-
-def encode_frame_result(payload: Any) -> bytes:
-    """Wrap one pickled shard reply (up to the final keys + FleetResult)."""
-    return _FRAME_MAGIC + bytes([FRAME_RESULT]) + pickle.dumps(payload)
-
-
-def encode_frame_packed(
-    batch: InjectBatchPacked, sig_base: int = 0, sig_defs: Sequence = ()
-) -> bytes:
-    """Encode a packed inject batch as length-prefixed raw buffers.
-
-    Layout after the magic + kind byte::
-
-        u32 header_len | header JSON | instances | sources | signatures
-
-    where each array section is ``len(batch) * 8`` bytes of little-endian
-    int64 — ``ndarray.tobytes()`` of the columns, decoded zero-copy by
-    ``np.frombuffer`` on the receiving side.  ``sig_defs`` carries the
-    canonical signature definitions for table ids ``sig_base..`` that
-    the receiver has not seen yet.
-    """
-    header = json.dumps(
-        {
-            "n": len(batch),
-            "sig_base": sig_base,
-            "sig_defs": [list(map(list, sig)) for sig in sig_defs],
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    sections = [
-        _FRAME_MAGIC,
-        bytes([FRAME_PACKED]),
-        _U32.pack(len(header)),
-        header,
-        np.ascontiguousarray(batch.instances, dtype="<i8").tobytes(),
-        np.ascontiguousarray(batch.sources, dtype="<i8").tobytes(),
-        np.ascontiguousarray(batch.signatures, dtype="<i8").tobytes(),
-    ]
-    return b"".join(sections)
-
-
-def decode_frame(data: bytes) -> Tuple[int, Any]:
-    """Decode one binary frame into ``(kind, payload)``.
-
-    ``payload`` is the decoded :class:`Message` for control frames, a
-    ``(batch, sig_base, sig_defs)`` triple for packed frames and the
-    unpickled object for result frames.  Malformed frames raise
-    :class:`ProtocolError` — same strictness contract as the JSON codec.
-    """
-    if len(data) < 5 or data[:4] != _FRAME_MAGIC:
-        raise ProtocolError("binary frame is missing the RQF1 magic")
-    kind = data[4]
-    body = memoryview(data)[5:]
-    if kind == FRAME_CONTROL:
-        return kind, decode_message(bytes(body))
-    if kind == FRAME_RESULT:
-        return kind, pickle.loads(body)
-    if kind != FRAME_PACKED:
-        raise ProtocolError(f"unknown binary frame kind {kind!r}")
-    if len(body) < _U32.size:
-        raise ProtocolError("packed frame is truncated before its header")
-    (header_len,) = _U32.unpack_from(body, 0)
-    header_end = _U32.size + header_len
-    try:
-        header = json.loads(bytes(body[_U32.size : header_end]))
-        n = int(header["n"])
-        sig_base = int(header["sig_base"])
-        sig_defs: SigDefs = [
-            tuple(tuple(pair) for pair in sig) for sig in header["sig_defs"]
-        ]
-    except (ValueError, KeyError, TypeError) as error:
-        raise ProtocolError(f"bad packed frame header: {error}") from None
-    section = 8 * n
-    if len(body) - header_end != 3 * section:
-        raise ProtocolError(
-            f"packed frame payload is {len(body) - header_end} bytes, "
-            f"expected {3 * section} for {n} events"
-        )
-    def column(k: int) -> np.ndarray:
-        lo = header_end + k * section
-        return np.frombuffer(body[lo : lo + section], dtype="<i8")
-    batch = InjectBatchPacked(
-        instances=column(0), sources=column(1), signatures=column(2)
-    )
-    return kind, (batch, sig_base, sig_defs)

@@ -1,4 +1,4 @@
-"""The shard: one kernel behind one ordered inbox, on either backend.
+"""The shard: one kernel behind one ordered inbox.
 
 A shard owns a subset of the fleet's instances.  Its inbox carries two
 kinds of item, in arrival order: :class:`InjectBatchPacked` batches
@@ -8,10 +8,8 @@ requests (:class:`~repro.service.messages.SnapshotRequest`,
 :class:`~repro.service.messages.Shutdown`) paired with the token their
 reply goes to.
 
-:meth:`ShardCore.drain` serves one drain of that inbox and is shared by
-both backends: the asyncio :class:`ShardActor` hands it everything its
-inbox holds, the ``multiprocessing`` worker of
-:mod:`repro.service.supervisor` everything queued on its pipe.
+:meth:`ShardCore.drain` serves one drain of that inbox: the asyncio
+:class:`ShardActor` hands it everything its inbox holds.
 Consecutive packed batches coalesce into one vectorized
 :meth:`ShardCore.serve_packed` — the deeper the backlog, the cheaper
 each event — and every control is a **barrier**: the injects ahead of
@@ -31,8 +29,7 @@ The actor's inbox is bounded (``asyncio.Queue(maxsize=inbox_limit)``):
 producers ``await put(...)`` and suspend while the shard is saturated,
 which is the service's backpressure — socket readers stop reading, TCP
 windows fill, and the client slows down instead of the server growing
-an unbounded buffer.  ``try_put`` is the non-blocking variant for
-callers that prefer an explicit overflow signal.
+an unbounded buffer.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ class ShardFailed(RuntimeError):
 
 
 class ShardCore:
-    """Backend-independent shard state: instance registry over one kernel."""
+    """Shard state: an instance registry over one kernel."""
 
     def __init__(self, shard_id: int, engine: FleetEngine) -> None:
         self.shard_id = shard_id
@@ -259,7 +256,7 @@ class ShardCore:
 
 
 class ShardActor:
-    """The asyncio shard backend: a bounded inbox drained into one core."""
+    """The shard actor: a bounded asyncio inbox drained into one core."""
 
     def __init__(
         self,
@@ -294,14 +291,6 @@ class ShardActor:
         """
         if not self._finished():
             await self.inbox.put(item)
-
-    def try_put(self, item: InboxItem) -> bool:
-        """Non-blocking enqueue; ``False`` signals overflow (backpressure)."""
-        try:
-            self.inbox.put_nowait(item)
-        except asyncio.QueueFull:
-            return False
-        return True
 
     async def request(self, control: Control) -> Any:
         """Enqueue a control behind every queued inject; await its reply."""

@@ -1,25 +1,13 @@
-"""The fleet supervisor: hash-sharded routing over shards of either backend.
+"""The fleet supervisor: hash-sharded routing over async shard actors.
 
-The supervisor owns N shards — each a :class:`~repro.service.shard.ShardCore`
-around its own :class:`~repro.runtime.fleet.FleetEngine` — and routes
-every instance key to one shard with a deterministic multiplicative
-hash, so one instance's events always land on one kernel in order.
-Both shard backends offer the same coroutines — ``start()``,
-``put(batch)``, ``request(control)`` and ``join()`` — and serve through
-the same :meth:`~repro.service.shard.ShardCore.drain`, so only
-:meth:`FleetSupervisor.start` knows which one runs:
-
-``async``
-    Every shard is a :class:`~repro.service.shard.ShardActor` task on
-    the supervisor's event loop: in-process, zero serialization, and
-    sharing the supervisor's signature table.  The default; with
-    several shards it is the in-process reference the differential
-    suites pin routing and merge against.
-
-``process``
-    Every shard is a ``multiprocessing`` worker fed over a pipe in
-    binary frames (:mod:`repro.service.messages`); replies resolve
-    FIFO futures.  The way to scale across cores.
+The supervisor owns N shards — each a :class:`~repro.service.shard.ShardActor`
+task on the supervisor's event loop, driving its own
+:class:`~repro.runtime.fleet.FleetEngine` — and routes every instance
+key to one shard with a deterministic multiplicative hash, so one
+instance's events always land on one kernel in order.  Every shard
+engine shares the supervisor's signature table, so an event is
+interned once, at :meth:`FleetSupervisor.pack`, and nothing downstream
+touches its strings.
 
 :meth:`FleetSupervisor.stop` with ``drain=True`` serves every queued
 event, then merges the per-shard results into one
@@ -29,15 +17,14 @@ run over the same streams (pinned by ``tests/test_service_differential.py``).
 A failed shard answers every request with its
 :class:`~repro.service.shard.ShardFailed`; ``stop()`` joins every shard
 before raising it.  A request that races ``stop()`` gets a
-:class:`~repro.service.shard.ShardFailed` too, on either backend.
+:class:`~repro.service.shard.ShardFailed` too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +36,6 @@ from ..runtime.reactive import ModuleAssignment, validate_budget_policy
 from ..runtime.rtos import ExecutionStats
 from ..runtime.stochastic import TimingModel
 from .messages import (
-    FRAME_PACKED,
     InjectBatch,
     InjectBatchPacked,
     InjectEvent,
@@ -57,34 +43,11 @@ from .messages import (
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
-    decode_frame,
-    encode_frame_control,
-    encode_frame_packed,
-    encode_frame_result,
 )
-from .shard import (
-    DEFAULT_INBOX_LIMIT,
-    Control,
-    ShardActor,
-    ShardCore,
-    ShardFailed,
-    settle,
-)
-
-#: Supported shard backends.
-SERVICE_BACKENDS = ("async", "process")
+from .shard import DEFAULT_INBOX_LIMIT, Control, ShardActor
 
 #: Knuth's multiplicative hash constant (2^32 / phi).
 _HASH_MULTIPLIER = 2_654_435_761
-
-
-def validate_backend(backend: str) -> str:
-    if backend not in SERVICE_BACKENDS:
-        raise ValueError(
-            f"unknown service backend {backend!r} "
-            f"(choose from {', '.join(SERVICE_BACKENDS)})"
-        )
-    return backend
 
 
 class FleetSupervisor:
@@ -104,8 +67,12 @@ class FleetSupervisor:
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")
-        self.backend = validate_backend(backend)
-        self.net = net
+        # "async" is the only backend; the keyword stays because
+        # perfbench passes it
+        if backend != "async":
+            raise ValueError(
+                f"unknown service backend {backend!r} (the only one is 'async')"
+            )
         self.assignment = assignment
         self.cost = cost_model or CostModel()
         self.max_firings_per_event = max_firings_per_event
@@ -114,14 +81,13 @@ class FleetSupervisor:
         self.shards = shards
         self.inbox_limit = inbox_limit
         # the ingest-boundary intern tables: every event is turned into
-        # integer ids exactly once, here; async shard engines share the
-        # signature table directly, process shards replay definition
-        # deltas shipped inside the binary packed frames
+        # integer ids exactly once, here; the shard engines share the
+        # signature table
         self.compiled: CompiledNet = (
             net if isinstance(net, CompiledNet) else compile_net(net)
         )
         self.signatures = SignatureTable(self.compiled)
-        self._shards: List[Union[ShardActor, "_ProcessShardHandle"]] = []
+        self._shards: List[ShardActor] = []
         self._started_at = 0.0
         self._running = False
 
@@ -139,45 +105,22 @@ class FleetSupervisor:
         if self._running:
             raise RuntimeError("supervisor is already running")
         self._started_at = time.perf_counter()
-        if self.backend == "async":
-            self._shards = [
-                ShardActor(
-                    shard_id,
-                    FleetEngine(
-                        self.compiled,
-                        self.assignment,
-                        cost_model=self.cost,
-                        max_firings_per_event=self.max_firings_per_event,
-                        on_budget=self.on_budget,
-                        timing=self.timing,
-                        signatures=self.signatures,
-                    ),
-                    inbox_limit=self.inbox_limit,
-                )
-                for shard_id in range(self.shards)
-            ]
-        else:
-            from ..petrinet.serialization import net_to_json
-
-            named = (
-                self.net.decompile()
-                if isinstance(self.net, CompiledNet)
-                else self.net
-            )
-            net_json = net_to_json(named)
-            self._shards = [
-                _ProcessShardHandle(
-                    shard_id,
-                    net_json,
-                    dict(self.assignment.modules),
-                    self.cost,
-                    self.max_firings_per_event,
-                    self.on_budget,
-                    self.timing,
+        self._shards = [
+            ShardActor(
+                shard_id,
+                FleetEngine(
+                    self.compiled,
+                    self.assignment,
+                    cost_model=self.cost,
+                    max_firings_per_event=self.max_firings_per_event,
+                    on_budget=self.on_budget,
+                    timing=self.timing,
                     signatures=self.signatures,
-                )
-                for shard_id in range(self.shards)
-            ]
+                ),
+                inbox_limit=self.inbox_limit,
+            )
+            for shard_id in range(self.shards)
+        ]
         for shard in self._shards:
             await shard.start()
         self._running = True
@@ -206,8 +149,8 @@ class FleetSupervisor:
         :class:`SignatureTable` (:meth:`SignatureTable.intern_events`).  In
         the steady state every lookup is a dict hit; the returned ndarray
         batch flows through routing, inboxes and kernels zero-copy.
-        Unknown source transitions fail here, at the boundary, rather
-        than inside a shard's actor loop.
+        An unknown source transition raises :class:`NotEnabledError`
+        here, at the boundary, before any event of the batch is routed.
         """
         sources, signatures = self.signatures.intern_events(events)
         return InjectBatchPacked(
@@ -326,185 +269,3 @@ def _merge_results(
             else None
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Process backend
-# ----------------------------------------------------------------------
-class _ProcessShardHandle:
-    """The process shard backend: parent-side endpoint of one worker.
-
-    Everything on the pipe is a binary frame (:mod:`repro.service.messages`):
-    packed inject batches travel as length-prefixed raw int64 buffers,
-    control requests as JSON wire lines inside control frames, and every
-    reply as one pickle frame.  Replies resolve a FIFO of pending
-    futures (the pipe preserves order, so no request ids are needed).
-    When the worker exits, every request still pending — and every
-    later one — fails with :class:`ShardFailed`, and later injects are
-    dropped; a pipe the worker already closed is no error.  Blocking pipe
-    operations run in worker threads (``asyncio.to_thread``) so the
-    event loop never stalls on a full pipe buffer.
-
-    The handle also keeps its worker's :class:`SignatureTable` replica
-    consistent: ``_sigs_synced`` is the high-water mark of signature
-    ids the worker has seen, and every packed frame carries the
-    definitions interned since — the worker replays them in id order,
-    so both tables assign identical ids by construction.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        net_json: str,
-        modules: Dict[str, str],
-        cost: CostModel,
-        max_firings: int,
-        on_budget: str,
-        timing: Optional[TimingModel] = None,
-        signatures: Optional[SignatureTable] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self._spec = (net_json, modules, cost, max_firings, on_budget, timing)
-        self._signatures = signatures
-        self._sigs_synced = 1  # id 0 (the empty signature) is implicit
-        self._process: Optional["object"] = None
-        self._conn = None
-        self._pending: Deque["asyncio.Future"] = deque()
-        self._failure: Optional[ShardFailed] = None
-        self._send_lock: Optional[asyncio.Lock] = None
-        self._reader: Optional["asyncio.Task"] = None
-
-    async def start(self) -> None:
-        import multiprocessing
-
-        parent, child = multiprocessing.Pipe()
-        process = multiprocessing.Process(
-            target=_shard_worker,
-            args=(child, self.shard_id) + self._spec,
-            daemon=True,
-        )
-        process.start()
-        child.close()
-        self._process = process
-        self._conn = parent
-        self._send_lock = asyncio.Lock()
-        self._reader = asyncio.create_task(self._read_loop())
-
-    async def _read_loop(self) -> None:
-        while True:
-            try:
-                data = await asyncio.to_thread(self._conn.recv_bytes)
-            except (EOFError, OSError):
-                break
-            settle(self._pending.popleft(), decode_frame(data)[1])
-        # the worker is gone: nothing pending can be answered any more
-        self._failure = ShardFailed(
-            self.shard_id, EOFError("shard worker process exited")
-        )
-        while self._pending:
-            settle(self._pending.popleft(), self._failure)
-
-    async def put(self, batch: InjectBatchPacked) -> None:
-        async with self._send_lock:
-            base = self._sigs_synced
-            defs = self._signatures.definitions(base)
-            data = encode_frame_packed(batch, sig_base=base, sig_defs=defs)
-            self._sigs_synced = base + len(defs)
-            await self._send(data)
-
-    async def request(self, control: Control) -> Any:
-        """Send a control behind every inject sent so far; await its reply."""
-        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
-        async with self._send_lock:
-            if self._failure is not None:
-                raise self._failure
-            self._pending.append(future)
-            await self._send(encode_frame_control(control))
-        return await future
-
-    async def _send(self, data: bytes) -> None:
-        """Write one frame; a worker that has exited drops it."""
-        try:
-            await asyncio.to_thread(self._conn.send_bytes, data)
-        except OSError:
-            pass  # the read loop fails every pending future on EOF
-
-    async def join(self) -> None:
-        await self._reader
-        await asyncio.to_thread(self._process.join, 10)
-        self._conn.close()
-
-
-def _shard_worker(
-    conn,
-    shard_id: int,
-    net_json: str,
-    modules: Dict[str, str],
-    cost: CostModel,
-    max_firings: int,
-    on_budget: str,
-    timing: Optional[TimingModel],
-) -> None:  # pragma: no cover - runs inside the worker process
-    """The worker process: pipe frames into :meth:`ShardCore.drain`.
-
-    The worker keeps a :class:`SignatureTable` replica of the
-    supervisor's intern table — packed frames carry the definitions of
-    any signatures interned since the last frame, replayed here in id
-    order so a signature id means the same resolution on both sides of
-    the pipe.  Every frame queued on the pipe makes one drain, exactly
-    as the async actor drains its inbox.
-    """
-    from ..petrinet.compiled import compile_net as _compile
-    from ..petrinet.serialization import net_from_json
-
-    cnet = _compile(net_from_json(net_json))
-    signatures = SignatureTable(cnet)
-    engine = FleetEngine(
-        cnet,
-        ModuleAssignment(modules=modules),
-        cost_model=cost,
-        max_firings_per_event=max_firings,
-        on_budget=on_budget,
-        timing=timing,
-        signatures=signatures,
-    )
-    core = ShardCore(shard_id, engine)
-
-    def sync_signatures(sig_base: int, sig_defs) -> None:
-        if not sig_defs:
-            return
-        if signatures.count != sig_base:
-            raise RuntimeError(
-                f"signature table out of sync: worker has "
-                f"{signatures.count} ids, frame starts at {sig_base}"
-            )
-        for offset, definition in enumerate(sig_defs):
-            assigned = signatures.intern(definition)
-            if assigned != sig_base + offset:
-                raise RuntimeError(
-                    f"signature replay drift: {definition!r} interned as "
-                    f"{assigned}, expected {sig_base + offset}"
-                )
-
-    def answer(_token: None, reply: Any) -> None:
-        conn.send_bytes(encode_frame_result(reply))
-
-    stopped = False
-    while not stopped:
-        try:
-            frames = [conn.recv_bytes()]
-        except EOFError:
-            break
-        while conn.poll():
-            frames.append(conn.recv_bytes())
-        items = []
-        for data in frames:
-            kind, payload = decode_frame(data)
-            if kind == FRAME_PACKED:
-                batch, sig_base, sig_defs = payload
-                sync_signatures(sig_base, sig_defs)
-                items.append(batch)
-            else:
-                items.append((payload, None))
-        stopped = core.drain(items, answer)
-    conn.close()

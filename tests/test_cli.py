@@ -183,28 +183,9 @@ class TestServeService:
             )
         ]
         assert pick(batch_out) == pick(service_out)
-        assert "2 shard(s), async backend" in service_out
+        assert "(2 shard(s), modules partition)" in service_out
 
-    def test_service_process_backend(self, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--instances",
-                    "4",
-                    "--events",
-                    "2",
-                    "--shards",
-                    "2",
-                    "--backend",
-                    "process",
-                ]
-            )
-            == 0
-        )
-        assert "process backend" in capsys.readouterr().out
-
-    def test_failed_process_shard_exits_1_instead_of_hanging(self, tmp_path):
+    def test_failed_shard_exits_1_instead_of_hanging(self, tmp_path):
         """A bad event over the socket fails its shard; the run still ends."""
         import asyncio
         import os
@@ -219,7 +200,7 @@ class TestServeService:
         command = [
             sys.executable, "-m", "repro.cli", "serve", "--instances", "0",
             "--listen", "127.0.0.1:0", "--duration", "30", "--shards", "2",
-            "--backend", "process", "--telemetry", str(tmp_path / "t.jsonl"),
+            "--telemetry", str(tmp_path / "t.jsonl"),
             "--telemetry-interval", "0.05",
         ]
         proc = subprocess.Popen(

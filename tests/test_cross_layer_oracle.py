@@ -8,7 +8,9 @@ two layers must agree: sending one event per source-transition
 occurrence of a cycle, in the cycle's sequence order and carrying the
 cycle's allocation as choices, fires exactly the cycle's firing counts.
 Those counts form a T-invariant, so the instance ends back at M0.  The
-check runs on both kernel paths, the memo and ``memo=False``.
+check runs on both kernel paths, the memo and ``memo=False``, over the
+gallery, the application nets and every corpus net that has sources
+and is schedulable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.apps import atm, heating, router
 from repro.gallery import figures
+from repro.petrinet.corpus import generate_corpus
 from repro.qss import analyse
 from repro.runtime import Event, FleetEngine, ModuleAssignment
 
@@ -30,6 +33,11 @@ NETS = {
     "figure4": figures.figure4_weighted,
     "figure5": figures.figure5_two_inputs,
 }
+
+#: At least this many nets of ``generate_corpus(60, seed=0)`` have
+#: source transitions and are schedulable (43 do), so a generator
+#: change cannot silently empty the corpus case.
+MIN_CORPUS_NETS = 40
 
 
 def cycle_events(net, cycle):
@@ -54,13 +62,31 @@ def fleet_firings(net, events, memo):
     return engine.aggregate_stats().firings
 
 
-@pytest.mark.parametrize("name", sorted(NETS))
-def test_fleet_cascades_fire_each_qss_cycle(name):
-    net = NETS[name]()
-    report = analyse(net)
-    assert report.schedulable and report.schedule.cycles
+def assert_cascades_fire_cycles(net, report, label):
+    """Every cycle of ``report`` replays exactly on both kernel paths."""
+    assert report.schedulable and report.schedule.cycles, label
     for cycle in report.schedule.cycles:
         events = cycle_events(net, cycle)
         for memo in (True, False):
             firings = fleet_firings(net, events, memo)
-            assert firings == dict(cycle.firing_counts), (str(cycle), memo)
+            assert firings == dict(cycle.firing_counts), (label, str(cycle), memo)
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_fleet_cascades_fire_each_qss_cycle(name):
+    net = NETS[name]()
+    assert_cascades_fire_cycles(net, analyse(net), name)
+
+
+def test_fleet_cascades_fire_each_corpus_qss_cycle():
+    """Every corpus net that has sources and is schedulable."""
+    checked = 0
+    for spec in generate_corpus(60, seed=0):
+        net = spec.build()
+        if not net.source_transitions():
+            continue
+        report = analyse(net)
+        if report.schedulable:
+            assert_cascades_fire_cycles(net, report, spec)
+            checked += 1
+    assert checked >= MIN_CORPUS_NETS

@@ -4,10 +4,9 @@ The refactor split `FleetSimulator` into the `FleetEngine` kernel plus
 orchestration, and layered the always-on service on the same kernel.
 These tests pin the acceptance criterion: for identical seeds and
 streams, every path — the one-shot batch run (memoized or direct
-kernel), a single-shard service, a multi-shard service, the
-process-backed service and the socket ingest — produces
-byte-identical `FleetResult` contents (aggregate stats dict,
-per-instance cycle and event vectors).
+kernel), a single-shard service, a multi-shard service and the socket
+ingest — produces byte-identical `FleetResult` contents (aggregate
+stats dict, per-instance cycle and event vectors).
 
 The one-shot path itself is pinned against the *pre-refactor*
 semantics by `tests/test_runtime_compiled_differential.py`, which
@@ -19,7 +18,7 @@ batch path here therefore chains all the way back to the original
 from __future__ import annotations
 
 import asyncio
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -100,19 +99,27 @@ def assert_results_identical(expected, actual):
     assert np.array_equal(expected.instance_events, actual.instance_events)
 
 
-def run_service(net, assignment, streams, shards=1, backend="async"):
+def run_service(net, assignment, streams, shards=1):
     """Feed the streams through a supervisor, return the drained result."""
+    return serve_injects(net, assignment, events_to_injects(streams), shards)
+
+
+def serve_injects(net, assignment, injects, shards=1, form="batch"):
+    """Feed injects through a supervisor in one of the three inject
+    forms it accepts; return the drained result."""
 
     async def go():
-        supervisor = FleetSupervisor(
-            net, assignment, shards=shards, backend=backend
-        )
+        supervisor = FleetSupervisor(net, assignment, shards=shards)
         await supervisor.start()
-        injects = events_to_injects(streams)
         for lo in range(0, len(injects), 97):
-            await supervisor.inject(
-                InjectBatch(events=tuple(injects[lo : lo + 97]))
-            )
+            chunk = injects[lo : lo + 97]
+            if form == "event":
+                for inject in chunk:
+                    await supervisor.inject(inject)
+            elif form == "batch":
+                await supervisor.inject(InjectBatch(events=tuple(chunk)))
+            else:
+                await supervisor.inject(supervisor.pack(chunk))
         return await supervisor.stop(drain=True)
 
     return asyncio.run(go())
@@ -133,18 +140,47 @@ class TestServiceEqualsBatch:
         actual = run_service(net, assignment, streams, shards=3)
         assert_results_identical(expected, actual)
 
-    def test_process_backend_equals_one_shot(self):
-        net, assignment, streams = atm_case(instances=12, cells=4)
-        expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(
-            net, assignment, streams, shards=2, backend="process"
-        )
-        assert_results_identical(expected, actual)
-
     def test_corpus_family_service_equals_one_shot(self):
         net, assignment, streams = corpus_case()
         expected = FleetSimulator(net, assignment).run(streams)
         actual = run_service(net, assignment, streams, shards=2)
+        assert_results_identical(expected, actual)
+
+    def test_merge_fleet_multi_shard_equals_one_shot(self):
+        """The weighted merge fleet: markings that differ per instance,
+        so a misrouted event changes a cycle count."""
+        net, assignment, streams = merge_case(instances=120, events=12)
+        expected = FleetSimulator(net, assignment).run(streams)
+        actual = run_service(net, assignment, streams, shards=2)
+        assert_results_identical(expected, actual)
+
+    @pytest.mark.parametrize("form", ["event", "batch", "packed"])
+    def test_every_inject_form_equals_one_shot(self, form):
+        """One InjectEvent at a time, InjectBatch lines and batches the
+        caller packed itself route and serve alike."""
+        net, assignment, streams = atm_case(instances=8, cells=4)
+        expected = FleetSimulator(net, assignment).run(streams)
+        actual = serve_injects(
+            net, assignment, events_to_injects(streams), shards=2, form=form
+        )
+        assert_results_identical(expected, actual)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sparse_instance_keys_equal_one_shot(self, shards):
+        """Negative keys and keys past the shard's dense row table take
+        the registry's dict path and route by the same hash; the merge
+        orders instances by key, so a key map that keeps stream order
+        gives the one-shot result."""
+        net, assignment, streams = atm_case(instances=12, cells=4)
+        expected = FleetSimulator(net, assignment).run(streams)
+        keys = [-1000 + i for i in range(4)] + [4 * i for i in range(4, 8)]
+        keys += [(1 << 40) + i for i in range(8, 12)]
+        assert keys == sorted(keys)
+        injects = [
+            replace(inject, instance=keys[inject.instance])
+            for inject in events_to_injects(streams)
+        ]
+        actual = serve_injects(net, assignment, injects, shards=shards)
         assert_results_identical(expected, actual)
 
     def test_socket_ingest_equals_one_shot(self):

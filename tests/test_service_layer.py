@@ -4,10 +4,12 @@ Complements `tests/test_service_differential.py` (which pins result
 equality across serving paths) with the layer-local behaviour: the
 wire codec is total and strict, telemetry records validate against
 their versioned schema, shard inboxes really bound memory and exert
-backpressure, the shared drain loop answers controls as ordered
-barriers, a failed shard fails every request instead of hanging,
-supervisor routing is deterministic, and the ingest server answers
-malformed lines without dying.  Also carries the satellite pins for
+backpressure, the shard registry maps negative and sparse keys, the
+drain loop answers controls as ordered barriers, a Shutdown without
+drain drops its backlog, a failed shard fails every request instead of
+hanging, supervisor lifecycle and routing are deterministic, and the
+ingest server and its client answer malformed, unknown and unexpected
+lines without dying.  Also carries the satellite pins for
 `FleetResult.percentile`/`percentiles` edge cases and cross-process
 `synthetic_streams` determinism.
 """
@@ -18,23 +20,21 @@ import asyncio
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.petrinet.exceptions import NotEnabledError
-from repro.runtime import FleetEngine, ModuleAssignment
+from repro.petrinet.generators import unbalanced_choice_net
+from repro.runtime import FleetEngine, ModuleAssignment, synthetic_streams
 from repro.runtime.fleet import FleetResult
 from repro.runtime.rtos import ExecutionStats
 from repro.service import (
-    FRAME_CONTROL,
-    FRAME_PACKED,
-    FRAME_RESULT,
     TELEMETRY_SCHEMA,
     WIRE_SCHEMA,
     Ack,
@@ -54,14 +54,9 @@ from repro.service import (
     SnapshotReply,
     SnapshotRequest,
     TelemetryWriter,
-    decode_frame,
     decode_message,
-    encode_frame_control,
-    encode_frame_packed,
-    encode_frame_result,
     encode_message,
     events_to_injects,
-    validate_backend,
     validate_telemetry_record,
 )
 
@@ -257,55 +252,15 @@ class TestTelemetrySchema:
             assert len(path.read_text().splitlines()) == 4
 
 
-class TestBinaryFrames:
-    """The process-backend pipe codec: packed, control and result frames."""
+class TestPackedBatch:
+    """The zero-copy inject batch the ingest boundary hands the shards."""
 
-    def packed(self):
-        return InjectBatchPacked(
+    def test_packed_take_and_concat_preserve_order(self):
+        batch = InjectBatchPacked(
             instances=np.array([5, 9, 5], dtype=np.int64),
             sources=np.array([1, 2, 1], dtype=np.int64),
             signatures=np.array([0, 3, 0], dtype=np.int64),
         )
-
-    def test_packed_frame_round_trips(self):
-        batch = self.packed()
-        defs = [(("p_choice", "t_left"),), (("p_choice", "t_right"),)]
-        data = encode_frame_packed(batch, sig_base=2, sig_defs=defs)
-        kind, (decoded, sig_base, sig_defs) = decode_frame(data)
-        assert kind == FRAME_PACKED
-        assert sig_base == 2
-        assert sig_defs == defs
-        assert np.array_equal(decoded.instances, batch.instances)
-        assert np.array_equal(decoded.sources, batch.sources)
-        assert np.array_equal(decoded.signatures, batch.signatures)
-
-    def test_control_frame_round_trips(self):
-        message = SnapshotRequest(request_id=7)
-        kind, decoded = decode_frame(encode_frame_control(message))
-        assert kind == FRAME_CONTROL
-        assert decoded == message
-
-    def test_result_frame_round_trips(self):
-        payload = ([3, 1, 4], {"events": 42})
-        kind, decoded = decode_frame(encode_frame_result(payload))
-        assert kind == FRAME_RESULT
-        assert decoded == payload
-
-    def test_rejects_missing_magic(self):
-        with pytest.raises(ProtocolError, match="magic"):
-            decode_frame(b"NOPE" + bytes([FRAME_CONTROL]))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ProtocolError, match="unknown binary frame kind"):
-            decode_frame(b"RQF1" + bytes([0x7F]))
-
-    def test_rejects_truncated_packed_payload(self):
-        data = encode_frame_packed(self.packed())
-        with pytest.raises(ProtocolError, match="expected"):
-            decode_frame(data[:-8])
-
-    def test_packed_take_and_concat_preserve_order(self):
-        batch = self.packed()
         front = batch.take(slice(0, 2))
         back = batch.take(slice(2, 3))
         rejoined = InjectBatchPacked.concat([front, back])
@@ -327,17 +282,6 @@ def packed_ticks(engine, instances):
 
 
 class TestShardBackpressure:
-    def test_try_put_reports_overflow(self):
-        async def go():
-            engine = FleetEngine(ATM, ASSIGNMENT)
-            actor = ShardActor(0, engine, inbox_limit=2)
-            batch = packed_ticks(engine, [0])
-            assert actor.try_put(batch)
-            assert actor.try_put(batch)
-            assert not actor.try_put(batch)  # bounded: third enqueue refused
-
-        asyncio.run(go())
-
     def test_put_suspends_until_the_actor_drains(self):
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
@@ -359,11 +303,40 @@ class TestShardBackpressure:
         asyncio.run(go())
 
 
-def barrier_case(backend="async"):
+class TestShardRegistry:
+    """Instance keys map to kernel rows: keys in the dense range through
+    one gather, negative and sparse keys through the dict, and both
+    agree on every registered key."""
+
+    def test_sparse_and_negative_keys_register_once(self):
+        engine = FleetEngine(ATM, ASSIGNMENT)
+        core = ShardCore(0, engine)
+        sparse = [-7, 1 << 24, 1 << 40, 3, -7]
+        assert core.serve_packed(packed_ticks(engine, sparse)) == 5
+        # key 3 comes back in an all-dense batch: the row the dict path
+        # registered, not a new instance
+        assert core.serve_packed(packed_ticks(engine, [3, 3])) == 2
+        keys, result = core.result()
+        assert keys == [-7, 1 << 24, 1 << 40, 3]
+        assert result.instance_events.tolist() == [2, 1, 1, 3]
+        assert engine.instances == 4
+
+    def test_dense_rows_grow_past_their_capacity(self):
+        engine = FleetEngine(ATM, ASSIGNMENT)
+        core = ShardCore(0, engine)
+        core.serve_packed(packed_ticks(engine, [5000, 1, 5000]))
+        core.serve_packed(packed_ticks(engine, [70_000, 1, 5000]))
+        keys, result = core.result()
+        assert keys == [1, 5000, 70_000]
+        assert result.instance_events.tolist() == [2, 3, 1]
+        assert engine.instances == 3
+
+
+def barrier_case(shards=1):
     """A supervisor plus its packed A (the first 6 injects) and B (the
     other 12) of a 4-instance ATM fleet, and a bare engine sharing the
     supervisor's signature table."""
-    supervisor = FleetSupervisor(ATM, ASSIGNMENT, backend=backend)
+    supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=shards)
     injects = events_to_injects(make_fleet_testbench(4, cells=2, seed=1))
     assert len(injects) == 18
     engine = FleetEngine(
@@ -384,11 +357,11 @@ BARRIER_ORDERS = {
 
 
 class TestOrderedBarriers:
-    """Controls are barriers answered in inbox order, on every backend."""
+    """Controls are barriers answered in inbox order."""
 
     @pytest.mark.parametrize("order", sorted(BARRIER_ORDERS))
     def test_drain_answers_controls_in_inbox_order(self, order):
-        """The drain loop both backends share, driven directly."""
+        """The shard's drain loop, driven directly."""
         _, engine, batches = barrier_case()
         sequence, observed, final = BARRIER_ORDERS[order]
         items = [
@@ -438,12 +411,11 @@ class TestOrderedBarriers:
         assert keys == [0, 1, 2, 3]
         assert result.stats.events_processed == final
 
-    @pytest.mark.parametrize("backend", ["async", "process"])
-    def test_backends_answer_controls_in_order(self, backend):
+    def test_supervisor_shard_answers_controls_in_order(self):
         """[A, Reload, B, Snapshot] sent back to back through one shard."""
 
         async def go():
-            supervisor, _, batches = barrier_case(backend)
+            supervisor, _, batches = barrier_case()
             await supervisor.start()
             try:
                 shard = supervisor._shards[0]
@@ -469,50 +441,35 @@ class TestOrderedBarriers:
 class TestFailedShard:
     """A shard whose serving raised fails every request; none hangs."""
 
-    @pytest.mark.parametrize("backend", ["async", "process"])
-    def test_requests_to_a_failed_shard_raise(self, backend):
-        children = set(multiprocessing.active_children())
-
+    def test_requests_to_a_failed_shard_raise(self):
         async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=2, backend=backend
-            )
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
             await supervisor.start()
-            try:
-                await self._fail_and_stop(supervisor)
-            finally:
-                # a regression must fail this test, not hang it on a
-                # worker that is still running
-                for child in set(multiprocessing.active_children()) - children:
-                    child.kill()
+            failed = supervisor.shard_of(0)
+            assert supervisor.shard_of(1) != failed
+            for i in range(4):
+                await supervisor.inject(InjectEvent(instance=i, source="t_tick"))
+            # a known transition, so pack() accepts it, but not a source:
+            # the kernel raises inside the shard
+            await supervisor.inject(
+                InjectEvent(instance=0, source="t_parse_header")
+            )
+            with pytest.raises(ShardFailed) as caught:
+                await asyncio.wait_for(supervisor.snapshot(), timeout=10)
+            assert caught.value.shard == failed
+            assert isinstance(caught.value.error, NotEnabledError)
+            assert "t_parse_header" in str(caught.value)
+            # later injects are dropped, later requests fail the same way
+            await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
+            with pytest.raises(ShardFailed):
+                await asyncio.wait_for(supervisor.reload(), timeout=10)
+            with pytest.raises(ShardFailed) as stopped:
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+            assert stopped.value.shard == failed
+            with pytest.raises(RuntimeError, match="not running"):
+                await supervisor.stop()
 
         asyncio.run(go())
-        # stop() joined every worker, the healthy shard's included
-        assert set(multiprocessing.active_children()) <= children
-
-    @staticmethod
-    async def _fail_and_stop(supervisor):
-        failed = supervisor.shard_of(0)
-        assert supervisor.shard_of(1) != failed
-        for i in range(4):
-            await supervisor.inject(InjectEvent(instance=i, source="t_tick"))
-        # a known transition, so pack() accepts it, but not a source: the
-        # kernel raises inside the shard
-        await supervisor.inject(InjectEvent(instance=0, source="t_parse_header"))
-        with pytest.raises(ShardFailed) as caught:
-            await asyncio.wait_for(supervisor.snapshot(), timeout=10)
-        assert caught.value.shard == failed
-        assert isinstance(caught.value.error, NotEnabledError)
-        assert "t_parse_header" in str(caught.value)
-        # later injects are dropped, later requests fail the same way
-        await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
-        with pytest.raises(ShardFailed):
-            await asyncio.wait_for(supervisor.reload(), timeout=10)
-        with pytest.raises(ShardFailed) as stopped:
-            await asyncio.wait_for(supervisor.stop(), timeout=10)
-        assert stopped.value.shard == failed
-        with pytest.raises(RuntimeError, match="not running"):
-            await supervisor.stop()
 
     def test_ingest_answers_a_failed_shard_with_not_ok_ack(self):
         async def go():
@@ -546,14 +503,11 @@ class TestFailedShard:
         assert "shard 0 failed: NotEnabledError" in snapshot_ack.error
         assert isinstance(reload_ack, Ack) and not reload_ack.ok
 
-    @pytest.mark.parametrize("backend", ["async", "process"])
-    def test_not_enabled_error_names_the_instance_key(self, backend):
+    def test_not_enabled_error_names_the_instance_key(self):
         keys = (1000, 2000, 3000, 4000)
 
         async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=2, backend=backend
-            )
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
             await supervisor.start()
             for key in keys:
                 await supervisor.inject(InjectEvent(instance=key, source="t_cell"))
@@ -621,10 +575,9 @@ class TestStoppedShard:
         assert keys == []
         assert isinstance(failure, ShardFailed) and failure.shard == 3
 
-    @pytest.mark.parametrize("backend", ["async", "process"])
-    def test_request_after_stop_fails(self, backend):
+    def test_request_after_stop_fails(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2, backend=backend)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
             await supervisor.start()
             await asyncio.wait_for(supervisor.stop(), timeout=10)
             for shard in supervisor._shards:
@@ -641,13 +594,12 @@ class TestStoppedShard:
 
         asyncio.run(go())
 
-    @pytest.mark.parametrize("backend", ["async", "process"])
-    def test_snapshot_racing_stop_fails(self, backend):
+    def test_snapshot_racing_stop_fails(self):
         async def go():
             unretrieved = []
             loop = asyncio.get_running_loop()
             loop.set_exception_handler(lambda _, context: unretrieved.append(context))
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2, backend=backend)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
             await supervisor.start()
             await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
             # stop() enqueues its Shutdown first, the snapshot lands behind it
@@ -696,11 +648,138 @@ class TestStoppedShard:
         assert ack.error == "shard 0 failed: RuntimeError: shard stopped"
 
 
+class TestShutdownWithoutDrain:
+    """Shutdown(drain=False) drops the injects queued since the previous
+    barrier; what was served ahead of that barrier stays."""
+
+    def test_drain_drops_the_injects_since_the_last_barrier(self):
+        _, engine, batches = barrier_case()
+        core = ShardCore(0, engine)
+        replies = []
+        items = [
+            batches["A"],
+            (SnapshotRequest(), "snapshot"),
+            batches["B"],
+            (Shutdown(drain=False), "stop"),
+        ]
+        assert core.drain(
+            items, lambda token, reply: replies.append((token, reply))
+        )
+        assert [token for token, _ in replies] == ["snapshot", "stop"]
+        assert replies[0][1].events == 6
+        keys, result = replies[1][1]
+        # B's instances were never registered
+        assert sorted(keys) == sorted(set(batches["A"].instances.tolist()))
+        assert result.stats.events_processed == 6
+        assert engine.events_total == 6
+
+    def test_supervisor_stop_without_drain_keeps_what_a_snapshot_saw(self):
+        async def go():
+            supervisor, _, batches = barrier_case(shards=2)
+            await supervisor.start()
+            await supervisor.inject(batches["A"])
+            snapshot = await asyncio.wait_for(supervisor.snapshot(), timeout=10)
+            result = await asyncio.wait_for(
+                supervisor.stop(drain=False), timeout=10
+            )
+            return snapshot, result
+
+        snapshot, result = asyncio.run(go())
+        assert len(snapshot.shards) == 2
+        assert snapshot.events == result.stats.events_processed == 6
+
+
+class TestSupervisorLifecycle:
+    def test_requests_before_start_raise(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            requests = (
+                lambda: supervisor.inject(InjectEvent(instance=0, source="t_tick")),
+                supervisor.snapshot,
+                supervisor.reload,
+                supervisor.stop,
+            )
+            for request in requests:
+                with pytest.raises(RuntimeError, match="not running"):
+                    await request()
+
+        asyncio.run(go())
+
+    def test_start_twice_raises_and_the_first_shards_keep_serving(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            first = list(supervisor._shards)
+            with pytest.raises(RuntimeError, match="already running"):
+                await supervisor.start()
+            assert supervisor._shards == first
+            await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
+            return await asyncio.wait_for(supervisor.stop(), timeout=10)
+
+        assert asyncio.run(go()).stats.events_processed == 1
+
+    def test_reload_keeping_stats_resets_only_the_markings(self):
+        """On the merge fleet a marking changes what the next event
+        costs, so the second pass shows whether the reload reset it."""
+        net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
+        assignment = ModuleAssignment.single_task(net)
+        batch = InjectBatch(
+            events=tuple(events_to_injects(synthetic_streams(net, 6, 4, seed=7)))
+        )
+
+        async def two_passes(reload):
+            supervisor = FleetSupervisor(net, assignment, shards=2)
+            await supervisor.start()
+            await supervisor.inject(batch)
+            first = await supervisor.snapshot()
+            if reload:
+                await supervisor.reload(reset_stats=False)
+                kept = await supervisor.snapshot()
+                assert (kept.events, kept.cycles) == (first.events, first.cycles)
+                assert kept.instances == first.instances
+            await supervisor.inject(batch)
+            second = await supervisor.snapshot()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return first, second
+
+        first, reloaded = asyncio.run(two_passes(reload=True))
+        _, carried_on = asyncio.run(two_passes(reload=False))
+        assert reloaded.events == carried_on.events == 2 * first.events
+        # from the initial marking again, the pass costs what the first did
+        assert reloaded.cycles == 2 * first.cycles
+        assert carried_on.cycles != reloaded.cycles
+
+    def test_snapshot_sums_the_shards_it_routed_to(self):
+        injects = events_to_injects(make_fleet_testbench(10, cells=2, seed=4))
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=3)
+            await supervisor.start()
+            await supervisor.inject(InjectBatch(events=tuple(injects)))
+            snapshot = await supervisor.snapshot()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return supervisor, snapshot
+
+        supervisor, snapshot = asyncio.run(go())
+        assert [shard.shard for shard in snapshot.shards] == [0, 1, 2]
+        for name in ("instances", "events", "cycles", "budget_stops"):
+            assert getattr(snapshot, name) == sum(
+                getattr(shard, name) for shard in snapshot.shards
+            )
+        instances = Counter(supervisor.shard_of(i) for i in range(10))
+        events = Counter(supervisor.shard_of(e.instance) for e in injects)
+        assert [s.instances for s in snapshot.shards] == [
+            instances[k] for k in range(3)
+        ]
+        assert [s.events for s in snapshot.shards] == [events[k] for k in range(3)]
+        assert snapshot.events == len(injects)
+
+
 class TestSupervisorRouting:
     def test_backend_validation(self):
-        assert validate_backend("async") == "async"
+        assert FleetSupervisor(ATM, ASSIGNMENT, backend="async").shards == 1
         with pytest.raises(ValueError, match="unknown service backend"):
-            validate_backend("threads")
+            FleetSupervisor(ATM, ASSIGNMENT, backend="process")
         with pytest.raises(ValueError, match="shards must be positive"):
             FleetSupervisor(ATM, ASSIGNMENT, shards=0)
 
@@ -709,6 +788,18 @@ class TestSupervisorRouting:
         shards = [supervisor.shard_of(i) for i in range(1000)]
         assert shards == [supervisor.shard_of(i) for i in range(1000)]
         assert set(shards) == {0, 1, 2, 3}  # every shard gets work
+
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_vectorized_routing_matches_shard_of(self, shards):
+        """The per-batch routing wraps int64 products; it must pick the
+        shard the Python-int hash picks, negative and huge keys too."""
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=shards)
+        keys = list(range(-50, 50)) + [
+            (1 << 24) - 1, 1 << 24, (1 << 31) - 1, 1 << 32, (1 << 40) + 3,
+            (1 << 62) + 1, -(1 << 62), (1 << 63) - 1,
+        ]
+        routed = supervisor._shards_of(np.array(keys, dtype=np.int64))
+        assert routed.tolist() == [supervisor.shard_of(key) for key in keys]
 
     def test_reload_resets_markings_and_stats(self):
         async def go():
@@ -756,6 +847,167 @@ class TestIngestServer:
             await writer.wait_closed()
             await server.stop()
             await supervisor.stop()
+
+        asyncio.run(go())
+
+    def test_unknown_source_gets_error_ack_and_connection_survives(self):
+        """The line naming an unknown source is rejected whole; none of
+        its events is served, and the connection keeps serving."""
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            lines = [
+                InjectEvent(instance=0, source="t_tick"),
+                InjectBatch(
+                    events=(
+                        InjectEvent(instance=1, source="t_tick"),
+                        InjectEvent(instance=1, source="no_such_transition"),
+                    )
+                ),
+                SnapshotRequest(request_id=5),
+            ]
+            for message in lines:
+                writer.write(encode_message(message).encode() + b"\n")
+            await writer.drain()
+            replies = []
+            for _ in range(2):
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                replies.append(decode_message(line.strip()))
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return replies, result
+
+        (ack, snapshot), result = asyncio.run(go())
+        assert isinstance(ack, Ack) and not ack.ok
+        assert "no_such_transition" in ack.error
+        assert isinstance(snapshot, SnapshotReply)
+        assert snapshot.request_id == 5
+        assert snapshot.events == 1
+        assert result.stats.events_processed == 1
+
+    def test_unexpected_message_type_gets_error_ack(self):
+        """A valid wire message that is not a request (here a reply)."""
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            for message in (Ack(request_id=4), SnapshotRequest(request_id=6)):
+                writer.write(encode_message(message).encode() + b"\n")
+            await writer.drain()
+            replies = []
+            for _ in range(2):
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                replies.append(decode_message(line.strip()))
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return replies
+
+        ack, snapshot = asyncio.run(go())
+        assert ack == Ack(ok=False, error="unexpected message type 'ack'")
+        assert isinstance(snapshot, SnapshotReply)
+        assert snapshot.request_id == 6
+
+    def test_shutdown_request_is_acked_and_left_to_the_owner(self):
+        """The server records the request; the fleet stops only when
+        its owner calls stop(), so the connection still serves."""
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            await client.inject(0, "t_tick")
+            ack = await asyncio.wait_for(client.shutdown(drain=False), timeout=10)
+            requested = server.shutdown_requested.is_set()
+            snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.close()
+            await server.stop()
+            result = await asyncio.wait_for(
+                supervisor.stop(drain=server.shutdown_drain), timeout=10
+            )
+            return ack, requested, server.shutdown_drain, snapshot, result
+
+        ack, requested, drain, snapshot, result = asyncio.run(go())
+        assert ack == Ack(request_id=1)
+        assert requested and drain is False
+        assert (snapshot.request_id, snapshot.events) == (2, 1)
+        assert result.stats.events_processed == 1
+
+    def test_reload_over_the_socket(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            ticks = [InjectEvent(instance=i, source="t_tick") for i in range(4)]
+            await client.inject_batch(ticks)
+            kept_ack = await client.reload(reset_stats=False)
+            kept = await client.snapshot()
+            reset_ack = await client.reload()
+            reset = await client.snapshot()
+            await client.close()
+            await server.stop()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return kept_ack, kept, reset_ack, reset
+
+        kept_ack, kept, reset_ack, reset = asyncio.run(go())
+        assert kept_ack == reset_ack == Ack()
+        assert (kept.instances, kept.events) == (4, 4)
+        assert (reset.instances, reset.events, reset.cycles) == (4, 0, 0)
+
+    def test_client_snapshot_rejects_an_error_ack(self):
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            # a known transition that is not a source fails the shard
+            await client.inject(0, "t_parse_header")
+            with pytest.raises(
+                ProtocolError, match="expected snapshot_reply, got 'ack'"
+            ):
+                await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.close()
+            await server.stop()
+            with pytest.raises(ShardFailed):
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+
+        asyncio.run(go())
+
+    def test_client_reports_a_closed_connection(self):
+        async def read_one_line_and_close(reader, writer):
+            await reader.readline()
+            writer.close()
+
+        async def go():
+            server = await asyncio.start_server(
+                read_one_line_and_close, "127.0.0.1", 0
+            )
+            host, port = server.sockets[0].getsockname()[:2]
+            client = await ServiceClient.connect(host, port)
+            try:
+                with pytest.raises(
+                    ConnectionError, match="service closed the connection"
+                ):
+                    await asyncio.wait_for(client.snapshot(), timeout=10)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
 
         asyncio.run(go())
 

@@ -1,10 +1,10 @@
 """Differential pins for the timed/stochastic runtime: every path agrees.
 
-The ISSUE 9 acceptance criterion: for a fixed seed, the timed and
-stochastic fleet is deterministic and **byte-identical across engines**
-— compiled vs legacy, the memoized cascade path vs the direct loop, and
-the async vs process shard backends of the always-on service.  Tick accounting is integer on purpose; these tests are the
-reason.
+For a fixed seed, the timed and stochastic fleet is deterministic and
+**byte-identical across engines** — compiled vs legacy, the memoized
+cascade path vs the direct loop, and the one-shot run vs the sharded
+always-on service.  Tick accounting is integer on purpose; these tests
+are the reason.
 """
 
 from __future__ import annotations
@@ -69,11 +69,9 @@ def assert_results_identical(expected, actual):
         assert np.array_equal(expected.instance_ticks, actual.instance_ticks)
 
 
-def run_service(net, assignment, streams, timing, shards=2, backend="async"):
+def run_service(net, assignment, streams, timing, shards=2):
     async def go():
-        supervisor = FleetSupervisor(
-            net, assignment, shards=shards, backend=backend, timing=timing
-        )
+        supervisor = FleetSupervisor(net, assignment, shards=shards, timing=timing)
         await supervisor.start()
         injects = events_to_injects(streams)
         for lo in range(0, len(injects), 97):
@@ -106,20 +104,11 @@ class TestTimedEngineEquality:
         assert not direct_sim.kernel._memo_active
         assert_results_identical(memoized, direct)
 
-    def test_async_service_equals_one_shot(self):
-        net, assignment, streams, timing = timed_case("router")
+    @pytest.mark.parametrize("case", ["heating", "router"])
+    def test_async_service_equals_one_shot(self, case):
+        net, assignment, streams, timing = timed_case(case)
         expected = FleetSimulator(net, assignment, timing=timing).run(streams)
         actual = run_service(net, assignment, streams, timing, shards=2)
-        assert_results_identical(expected, actual)
-
-    def test_process_service_equals_one_shot(self):
-        net, assignment, streams, timing = timed_case(
-            "heating", instances=10, events=4
-        )
-        expected = FleetSimulator(net, assignment, timing=timing).run(streams)
-        actual = run_service(
-            net, assignment, streams, timing, shards=2, backend="process"
-        )
         assert_results_identical(expected, actual)
 
     def test_fixed_seed_runs_are_identical(self):
