@@ -51,11 +51,9 @@ from .codegen import EmitOptions, emit_c, native_source, synthesize
 from .gallery import paper_figures
 from .petrinet import (
     ENGINE_COMPILED,
-    ENGINE_FRONTIER,
     ENGINE_NATIVE,
     ENGINES,
     EXEC_ENGINES,
-    SEARCH_ENGINES,
     classify,
     is_free_choice,
     load_net,
@@ -598,12 +596,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    if (args.memory_budget or args.spill_dir) and args.engine != ENGINE_FRONTIER:
-        print(
-            "error: --memory-budget/--spill-dir require --engine frontier",
-            file=sys.stderr,
-        )
-        return 2
     try:
         result = run_corpus(
             specs,
@@ -648,13 +640,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def _add_engine_flag(
     parser: argparse.ArgumentParser, engines: tuple = ENGINES
 ) -> None:
-    if ENGINE_FRONTIER in engines:
-        help_text = (
-            "execution core: the integer-indexed compiled engine "
-            "(default), the legacy dict-based token game, or the "
-            "frontier-batched vectorized state-space engine"
-        )
-    elif ENGINE_NATIVE in engines:
+    if ENGINE_NATIVE in engines:
         help_text = (
             "execution core: the integer-indexed compiled engine "
             "(default), the legacy dict-based token game, or the "
@@ -804,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_corpus.add_argument(
         "--memory-budget",
-        help="out-of-core RAM budget per net for --engine frontier "
+        help="out-of-core RAM budget per net, compiled engine only "
         "(bytes, or a suffixed size like 64MB/2GiB); exploration spills "
         "visited-set shards and marking logs to disk past the budget",
     )
@@ -814,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         "temp directory, removed after each net); requires --memory-budget "
         "or is used standalone to force the spilling code path",
     )
-    _add_engine_flag(p_corpus, SEARCH_ENGINES)
+    _add_engine_flag(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)
 
     p_serve = sub.add_parser(

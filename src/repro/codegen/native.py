@@ -504,7 +504,8 @@ class NativeBatchResult:
     :class:`~repro.codegen.interpreter.ActivationResult` list is
     materialized lazily on first access to :attr:`results` — sustained
     runs that only need aggregate numbers skip the Python-object cost
-    entirely (same idea as the frontier engine's lazy named views).
+    entirely (same idea as the compiled reachability graph's lazy named
+    views).
     """
 
     def __init__(

@@ -14,8 +14,10 @@ library) needs from Petri net theory:
 * :mod:`~repro.petrinet.simulation` — token game, finite complete cycles.
 * :mod:`~repro.petrinet.reachability` — reachability, boundedness
   (Karp–Miller), deadlock and liveness.
+* :mod:`~repro.petrinet.frontier` — the frontier-batched state-space
+  exploration the compiled engine runs for those queries.
 * :mod:`~repro.petrinet.outofcore` — memory-budgeted spill-to-disk
-  frontier exploration (``engine="frontier"`` + ``memory_budget=``).
+  frontier exploration (``memory_budget=``/``spill_dir=``).
 * :mod:`~repro.petrinet.symmetry` — validated symmetry groups and
   orbit canonicalization for quotient state spaces.
 * :mod:`~repro.petrinet.generators` — parameterized net families.
@@ -24,13 +26,11 @@ library) needs from Petri net theory:
 from .builder import NetBuilder
 from .compiled import (
     ENGINE_COMPILED,
-    ENGINE_FRONTIER,
     ENGINE_LEGACY,
     ENGINE_NATIVE,
     ENGINES,
     EXEC_ENGINES,
     OMEGA,
-    SEARCH_ENGINES,
     CompiledNet,
     compile_net,
     validate_engine,
@@ -177,15 +177,13 @@ __all__ = [
     "CompiledNet",
     "compile_net",
     "ENGINES",
-    "SEARCH_ENGINES",
     "EXEC_ENGINES",
     "ENGINE_COMPILED",
     "ENGINE_LEGACY",
-    "ENGINE_FRONTIER",
     "ENGINE_NATIVE",
     "OMEGA",
     "validate_engine",
-    # frontier engine
+    # frontier exploration (the compiled state-space core)
     "FrontierExploration",
     "explore_frontier",
     # out-of-core budgeted exploration

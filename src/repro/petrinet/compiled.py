@@ -47,15 +47,7 @@ ENGINE_COMPILED = "compiled"
 ENGINE_LEGACY = "legacy"
 ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY)
 
-#: Third engine offered by the state-space searches (reachability,
-#: coverability): whole BFS frontiers as ``(N, P)`` numpy matrices
-#: instead of one marking at a time.  See :mod:`repro.petrinet.frontier`.
-#: Everything else — simulators, the runtime and the QSS pipeline, whose
-#: cycle search is a memoized DFS — only accepts :data:`ENGINES`.
-ENGINE_FRONTIER = "frontier"
-SEARCH_ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY, ENGINE_FRONTIER)
-
-#: Fourth engine, offered only by the execution tier (the IR
+#: Third engine, offered only by the execution tier (the IR
 #: interpreter, the RTOS executive and the metrics built on them): the
 #: synthesized C is compiled to a shared library and run natively; see
 #: :mod:`repro.codegen.native`.  Falls back to ``"compiled"`` with a
@@ -78,9 +70,8 @@ def validate_engine(engine: str, engines: Tuple[str, ...] = ENGINES) -> str:
     """Validate an ``engine=`` argument, returning it unchanged.
 
     ``engines`` is the tuple of engines the calling analysis supports:
-    :data:`ENGINES` (the default) for token-game/runtime paths, or
-    :data:`SEARCH_ENGINES` for the state-space searches that also offer
-    the frontier-batched engine.
+    :data:`ENGINES` (the default), or :data:`EXEC_ENGINES` for the
+    execution tier that also offers the native engine.
     """
     if engine not in engines:
         raise ValueError(
@@ -365,7 +356,7 @@ class CompiledNet:
         or ``(N, T)`` with ``True`` where the transition is enabled.
 
         Callers that already hold an int64 array (the fleet simulator,
-        the frontier exploration engine) hit a zero-copy fast path; any
+        the frontier exploration) hit a zero-copy fast path; any
         other input pays exactly one :func:`numpy.asarray` conversion.
         Inputs of more than two dimensions are rejected rather than
         silently broadcast wrong.

@@ -39,7 +39,7 @@ JSON schema (``schema`` = ``repro-qss.corpus/3``)::
       "schema": "repro-qss.corpus/3",
       "n": <number of records>,
       "workers": <pool size used>,
-      "engine": "compiled" | "legacy" | "frontier",
+      "engine": "compiled" | "legacy",
       "analyse": "properties" | "qss",
       "elapsed_seconds": <wall-clock of the whole run>,
       "records": [
@@ -102,9 +102,7 @@ from typing import (
 
 from .compiled import (
     ENGINE_COMPILED,
-    ENGINE_FRONTIER,
     ENGINE_LEGACY,
-    SEARCH_ENGINES,
     CompiledNet,
     compile_net,
     validate_engine,
@@ -123,6 +121,12 @@ from .generators import (
     unschedulable_merge_net,
 )
 from .net import PetriNet
+from .reachability import (
+    _validate_outofcore_args,
+    build_reachability_graph,
+    coverability_analysis,
+    live_verdict,
+)
 
 #: Version tag of the JSON summary documented in the module docstring.
 #: Bumped to /2 when the schedulability sweep columns (``allocations``,
@@ -527,32 +531,20 @@ def analyse_spec(
     guessed.  Analysis exceptions are captured in ``error`` so one
     degenerate net cannot sink a whole corpus run.
 
-    ``memory_budget`` / ``spill_dir`` (frontier engine only) route the
+    ``memory_budget`` / ``spill_dir`` (compiled engine only) route the
     coverability and reachability passes through the out-of-core
     budgeted explorer (:mod:`repro.petrinet.outofcore`), bounding RAM
-    by spilling visited-set shards and marking logs to disk.
+    by spilling visited-set shards and marking logs to disk.  They are
+    validated before the per-net error capture, so a bad engine/budget
+    combination or a malformed budget fails the call, not one record.
     """
     from ..qss import analyse as qss_analyse  # local import: qss imports petrinet
     from .exceptions import PetriNetError
-    from .reachability import (
-        build_reachability_graph,
-        coverability_analysis,
-        live_verdict,
-    )
     from .structure import classify, is_free_choice
 
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     validate_corpus_analyse(analyse)
-    budget_kwargs: Dict[str, Any] = {}
-    if memory_budget is not None or spill_dir is not None:
-        # validated eagerly (same rule as reachability) so a bad
-        # engine/budget combination fails the call, not one record
-        if engine != ENGINE_FRONTIER:
-            raise ValueError(
-                "memory_budget/spill_dir require engine="
-                f"{ENGINE_FRONTIER!r}, got {engine!r}"
-            )
-        budget_kwargs = {"memory_budget": memory_budget, "spill_dir": spill_dir}
+    _validate_outofcore_args(engine, memory_budget, spill_dir, None)
     started = time.perf_counter()
     record = CorpusRecord(family=spec.family, seed=spec.seed, params=spec.param_dict)
     try:
@@ -569,7 +561,11 @@ def analyse_spec(
                 net if engine == ENGINE_LEGACY else _cached_compiled(spec)
             )
             coverability = coverability_analysis(
-                analysed, max_nodes=max_nodes, engine=engine, **budget_kwargs
+                analysed,
+                max_nodes=max_nodes,
+                engine=engine,
+                memory_budget=memory_budget,
+                spill_dir=spill_dir,
             )
             record.unbounded_places = list(coverability.unbounded_places)
             record.coverability_nodes = coverability.node_count
@@ -590,7 +586,11 @@ def analyse_spec(
                 record.max_place_bound = max(finite) if finite else None
 
             graph = build_reachability_graph(
-                analysed, max_markings=max_markings, engine=engine, **budget_kwargs
+                analysed,
+                max_markings=max_markings,
+                engine=engine,
+                memory_budget=memory_budget,
+                spill_dir=spill_dir,
             )
             record.exploration_complete = graph.complete
             if graph.complete:
@@ -603,7 +603,7 @@ def analyse_spec(
         if analyse == "runtime":
             _runtime_sweep(spec, record, engine)
         elif record.free_choice:
-            report = qss_analyse(net, engine=_without_frontier(engine))
+            report = qss_analyse(net, engine=engine)
             record.schedulable = report.schedulable
             record.allocations = report.allocation_count
             record.reductions = report.reduction_count
@@ -614,16 +614,6 @@ def analyse_spec(
         record.error = f"{type(exc).__name__}: {exc}"
     record.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return record
-
-
-def _without_frontier(engine: str) -> str:
-    """The engine of a stage that is not a state-space search.
-
-    The QSS pipeline and the fleet offer only ``compiled`` and
-    ``legacy``; the frontier engine has nothing to add there and maps to
-    the compiled core, so a frontier corpus run matches a compiled one.
-    """
-    return ENGINE_COMPILED if engine == ENGINE_FRONTIER else engine
 
 
 def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
@@ -640,13 +630,12 @@ def _runtime_sweep(spec: NetSpec, record: CorpusRecord, engine: str) -> None:
     streams = synthetic_streams(
         net, FLEET_SWEEP_INSTANCES, FLEET_SWEEP_EVENTS, seed=spec.seed
     )
-    fleet_engine = _without_frontier(engine)
-    target: Any = net if fleet_engine == ENGINE_LEGACY else _cached_compiled(spec)
+    target: Any = net if engine == ENGINE_LEGACY else _cached_compiled(spec)
     fleet = FleetSimulator(
         target,
         ModuleAssignment.single_task(net),
         max_firings_per_event=FLEET_SWEEP_BUDGET,
-        engine=fleet_engine,
+        engine=engine,
         on_budget="stop",
     )
     result = fleet.run(streams)
@@ -711,22 +700,16 @@ def run_corpus(
     the baseline the parallel path is benchmarked against.  Results come
     back in spec order either way.  ``analyse`` selects the pipeline per
     net: the full property pipeline (``"properties"``, default) or the
-    QSS schedulability sweep (``"qss"``).  ``engine`` is any of the
-    search engines (``compiled``/``legacy``/``frontier``); the QSS and
-    runtime stages run ``frontier`` as ``compiled``.
-    ``memory_budget`` / ``spill_dir`` (frontier only) bound exploration
-    RAM per net by spilling to disk; each worker spills into its own
-    private temp directory unless ``spill_dir`` pins one.
+    QSS schedulability sweep (``"qss"``).  ``engine`` is ``compiled``
+    or ``legacy``.  ``memory_budget`` / ``spill_dir`` (compiled only)
+    bound exploration RAM per net by spilling to disk; each worker
+    spills into its own private temp directory unless ``spill_dir``
+    pins one.  Invalid arguments raise ``ValueError`` before any net is
+    analysed.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     validate_corpus_analyse(analyse)
-    if (memory_budget is not None or spill_dir is not None) and (
-        engine != ENGINE_FRONTIER
-    ):
-        raise ValueError(
-            "memory_budget/spill_dir require engine="
-            f"{ENGINE_FRONTIER!r}, got {engine!r}"
-        )
+    _validate_outofcore_args(engine, memory_budget, spill_dir, None)
     started = time.perf_counter()
     if workers <= 1 or len(specs) <= 1:
         records = [

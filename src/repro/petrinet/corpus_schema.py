@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from .corpus import CORPUS_ANALYSES, CORPUS_SCHEMA, RECORD_FIELDS
-from .compiled import SEARCH_ENGINES
+from .compiled import ENGINES
 
 
 class CorpusSchemaError(ValueError):
@@ -249,8 +249,8 @@ def validate_corpus_document(doc: Any) -> Mapping[str, Any]:
         _fail("n", "non-negative int", doc["n"])
     if not _is_int(doc["workers"]) or doc["workers"] < 1:
         _fail("workers", "positive int", doc["workers"])
-    if doc["engine"] not in SEARCH_ENGINES:
-        _fail("engine", f"one of {', '.join(SEARCH_ENGINES)}", doc["engine"])
+    if doc["engine"] not in ENGINES:
+        _fail("engine", f"one of {', '.join(ENGINES)}", doc["engine"])
     if doc["analyse"] not in CORPUS_ANALYSES:
         _fail(
             "analyse", f"one of {', '.join(CORPUS_ANALYSES)}", doc["analyse"]

@@ -1,11 +1,11 @@
-"""Frontier-batched state-space exploration (``engine="frontier"``).
+"""Frontier-batched state-space exploration: the ``engine="compiled"`` core.
 
-The compiled engine of :mod:`repro.petrinet.reachability` already runs
-the *per-marking* kernels at generated-code speed, but the search loop
-itself still pops one marking at a time off a queue.  This module
-batches the loop: each BFS level (the *frontier*) is one ``(N, P)``
-int64 matrix, and every step of the exploration is a whole-frontier
-numpy operation —
+Every compiled state-space query of :mod:`repro.petrinet.reachability`
+(reachability graphs, reachability tests, deadlocks, liveness and the
+bounded prefix of coverability) runs here.  The search loop does not
+pop one marking at a time off a queue: each BFS level (the *frontier*)
+is one ``(N, P)`` int64 matrix, and every step of the exploration is a
+whole-frontier numpy operation —
 
 * enabledness of all transitions over the whole frontier in one pass
   (per-transition CSR column checks, cheaper than the dense
@@ -13,7 +13,7 @@ numpy operation —
 * all successors of the whole frontier materialized in one vectorized
   ``frontier[src] + incidence[transition]`` step over the enabled
   ``(src, transition)`` pairs (row-major, i.e. exactly the visit order
-  of the one-marking-at-a-time engines);
+  of a one-marking-at-a-time BFS);
 * deduplication with :func:`numpy.unique` over successor *hashes* plus
   a sorted visited ``hash -> index`` table queried with
   :func:`numpy.searchsorted` — no Python dictionary work on the hot
@@ -28,17 +28,20 @@ Every equality the exploration relies on — a within-level merge of two
 successors, or a cross-level match against the visited table — is
 confirmed by a second, independent 64-bit hash; a disagreement between
 the two hashes transparently restarts the exploration on
-:func:`_explore_exact`, a bytes-keyed dictionary explorer that is
+:func:`_explore_exact`, a tuple-keyed dictionary explorer that is
 slower but collision-free.  A *silently* wrong merge therefore needs
 two distinct markings colliding in both hashes at once (probability
 ~2^-128 per pair, far below hardware error rates); any single-hash
-collision is detected and routed to the exact engine.
+collision is detected and routed to the exact explorer.
 
-Both explorers visit markings in exactly the order of the compiled
+The exploration picks between the two explorers from what it observes
+— a hash disagreement, or a long run of narrow levels — never from an
+option.  Both visit markings in exactly the order of the legacy
 engine's BFS — same node numbering, same edge list, same
 ``max_markings`` cutoff point — which is what makes the differential
-suite (:mod:`tests.test_frontier_differential`) a bit-for-bit equality
-check rather than a graph-isomorphism test.
+suites (:mod:`tests.test_frontier_differential`,
+:mod:`tests.test_properties_differential`) bit-for-bit equality checks
+rather than graph-isomorphism tests.
 
 The QSS cycle search is not offered here: its per-reduction state
 spaces are small and deep, where the memoized sequential DFS
@@ -54,7 +57,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiled import ENGINE_FRONTIER, CompiledNet, MarkingTuple  # noqa: F401
+from .compiled import CompiledNet, MarkingTuple
+from .symmetry import SymmetryGroup, canonicalize
 
 #: Seed of the fixed hash mix; one constant so every process (pool
 #: workers included) explores identically.
@@ -65,8 +69,8 @@ _MIX_SEED = 0x9E3779B97F4A7C15
 #: numpy dispatch overhead dominates any vectorization win (a
 #: single-token chain degenerates to one marking per level, i.e. one
 #: whole batched round per node), so the exploration restarts on the
-#: scalar exact explorer, which handles deep-narrow state spaces at the
-#: compiled engine's cost.
+#: scalar exact explorer, which handles deep-narrow state spaces at
+#: one dictionary lookup per successor.
 _NARROW_STREAK = 64
 _NARROW_WIDTH = 16
 
@@ -218,7 +222,7 @@ def explore_frontier(
     ``start``/``target`` are compiled marking tuples (or arrays); the
     default start is the net's initial marking.  The discovered node
     numbering, edge list and ``max_markings`` cutoff are identical to
-    the compiled engine's one-marking-at-a-time BFS.  With
+    the legacy engine's one-marking-at-a-time BFS.  With
     ``stop_on_target`` the exploration returns as soon as the target is
     discovered (used by the early-exit reachability query); with
     ``collect_edges=False`` the edge arrays stay empty (used by the
@@ -434,21 +438,28 @@ def _explore_exact(
     target: Optional[Sequence[int]],
     stop_on_target: bool,
     collect_edges: bool,
+    groups: Sequence[SymmetryGroup] = (),
 ) -> FrontierExploration:
     """Collision-free scalar fallback on the compiled successor function.
 
-    The same one-marking-at-a-time BFS as the compiled engine
-    (:attr:`CompiledNet.expander` plus a tuple-keyed visited dict),
+    A one-marking-at-a-time BFS (:attr:`CompiledNet.expander` plus a
+    tuple-keyed visited dict) in the hashed explorers' visit order,
     assembling the integer-array :class:`FrontierExploration` form at
-    the end.  It serves two roles: the exact court of appeal when the
-    hashed explorer detects a 64-bit collision, and the right engine
-    outright for deep-narrow state spaces, where its per-marking cost
-    beats any per-level batching.
+    the end.  It serves two roles: the exact court of appeal when a
+    hashed explorer, in RAM or out of core, detects a 64-bit collision,
+    and the right engine outright for deep-narrow state spaces, where
+    its per-marking cost beats any per-level batching.  With symmetry
+    ``groups`` every marking is canonicalized, so it explores the same
+    quotient as :func:`repro.petrinet.outofcore.explore_budgeted`;
+    without them the expander runs unwrapped.
     """
-    start_vector = _start_vector(compiled, start)
-    start_tuple = tuple(int(v) for v in start_vector)
+    start_tuple = tuple(
+        canonicalize(_start_vector(compiled, start), groups).tolist()
+    )
     target_tuple = (
-        None if target is None else tuple(int(v) for v in target)
+        None
+        if target is None
+        else tuple(canonicalize(target, groups).tolist())
     )
     target_index: Optional[int] = None
     if target_tuple is not None and start_tuple == target_tuple:
@@ -461,6 +472,15 @@ def _explore_exact(
     edge_dst: List[int] = []
     complete = True
     expand = compiled.expander
+    if groups:
+        plain = expand
+
+        def expand(marking: MarkingTuple) -> List[Tuple[int, MarkingTuple]]:
+            return [
+                (transition, tuple(canonicalize(successor, groups).tolist()))
+                for transition, successor in plain(marking)
+            ]
+
     queue = deque([0])
     count = 1
     index_get = index.get

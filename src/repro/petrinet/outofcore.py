@@ -1,12 +1,13 @@
 """Memory-budgeted, spill-to-disk frontier exploration.
 
-PR 5's frontier engine batches BFS levels into numpy matrices, which
-is fast — and RAM-bound: near 10^7 markings the marking matrix, the
-sorted visited tables and the per-level successor arrays together
-outgrow small machines.  This module re-runs the *same* BFS under an
-explicit ``memory_budget`` (bytes), following the external-memory
-search discipline of explicit-state model checkers (Murφ/SPIN-style
-disk-based search):
+The compiled engine's state-space exploration
+(:mod:`repro.petrinet.frontier`) batches BFS levels into numpy
+matrices, which is fast — and RAM-bound: near 10^7 markings the
+marking matrix, the sorted visited tables and the per-level successor
+arrays together outgrow small machines.  This module re-runs the
+*same* BFS under an explicit ``memory_budget`` (bytes), following the
+external-memory search discipline of explicit-state model checkers
+(Murφ/SPIN-style disk-based search):
 
 * **Marking and edge logs** stream to flat little-endian int64 files
   in ``spill_dir`` as they are discovered (row-major ``(N, P)`` for
@@ -41,10 +42,11 @@ per-transition liveness and bit-identity deliberately not).
 
 Caveats, by design:
 
-* hash-collision fallback: like the in-RAM engine, any 64-bit hash
+* hash-collision fallback: like the in-RAM explorer, any 64-bit hash
   disagreement (probability ~2^-128 per pair) restarts on the exact
-  dictionary explorer, which does not honor the budget — correctness
-  outranks the budget in that astronomically unlikely case;
+  dictionary explorer (canonicalizing under ``symmetry``), which does
+  not honor the budget — correctness outranks the budget in that
+  astronomically unlikely case;
 * the budget bounds the *exploration working set* (frontier chunks,
   visited tables); returned matrices are read-only memory maps over
   the spill files, so downstream consumers page in only what they
@@ -380,14 +382,9 @@ def explore_budgeted(
         # 2^-128-likely court of appeal: correctness outranks the budget
         if owns_dir:
             shutil.rmtree(directory, ignore_errors=True)
-        if groups:
-            return _explore_exact_canonical(
-                compiled, start, max_markings, target, stop_on_target,
-                collect_edges, groups,
-            )
         return _explore_exact(
             compiled, start, max_markings, target, stop_on_target,
-            collect_edges,
+            collect_edges, groups,
         )
     except BaseException:
         if owns_dir:
@@ -594,85 +591,3 @@ def _explore_spilling(
         spill=stats,
     )
 
-
-def _explore_exact_canonical(
-    compiled: CompiledNet,
-    start: Optional[Sequence[int]],
-    max_markings: int,
-    target: Optional[Sequence[int]],
-    stop_on_target: bool,
-    collect_edges: bool,
-    groups: Tuple,
-):
-    """Collision-free scalar quotient BFS (symmetry's court of appeal)."""
-    from collections import deque
-
-    from .frontier import FrontierExploration, _start_vector
-
-    start_row = canonicalize(_start_vector(compiled, start), groups)
-    start_tuple = tuple(int(v) for v in start_row)
-    target_tuple = (
-        None
-        if target is None
-        else tuple(
-            int(v)
-            for v in canonicalize(np.array(tuple(target), dtype=np.int64), groups)
-        )
-    )
-    target_index: Optional[int] = None
-    if target_tuple is not None and start_tuple == target_tuple:
-        target_index = 0
-
-    rows: List[Tuple[int, ...]] = [start_tuple]
-    index = {start_tuple: 0}
-    edge_src: List[int] = []
-    edge_t: List[int] = []
-    edge_dst: List[int] = []
-    complete = True
-    expand = compiled.expander
-    queue = deque([0])
-    count = 1
-
-    while queue and not (stop_on_target and target_index is not None):
-        current_index = queue.popleft()
-        current = rows[current_index]
-        for transition, successor in expand(current):
-            successor = tuple(
-                int(v)
-                for v in canonicalize(
-                    np.array(successor, dtype=np.int64), groups
-                )
-            )
-            successor_index = index.get(successor)
-            if successor_index is None:
-                if count >= max_markings:
-                    complete = False
-                    queue.clear()
-                    break
-                successor_index = count
-                index[successor] = count
-                rows.append(successor)
-                queue.append(count)
-                count += 1
-                if target_tuple is not None and successor == target_tuple:
-                    target_index = successor_index
-            if collect_edges:
-                edge_src.append(current_index)
-                edge_t.append(transition)
-                edge_dst.append(successor_index)
-        if not complete:
-            break
-
-    if stop_on_target and target_index is not None:
-        complete = False
-
-    return FrontierExploration(
-        matrix=np.array(rows, dtype=np.int64).reshape(
-            count, len(compiled.places)
-        ),
-        edge_src=np.array(edge_src, dtype=np.int64),
-        edge_transition=np.array(edge_t, dtype=np.int64),
-        edge_dst=np.array(edge_dst, dtype=np.int64),
-        complete=complete,
-        target_index=target_index,
-    )

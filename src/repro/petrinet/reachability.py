@@ -14,6 +14,13 @@ constrained simulation, but the exploratory analyses here are used by
 For bounded nets the reachability graph is finite and explored
 exhaustively; for possibly-unbounded nets the Karp–Miller coverability
 tree with omega-acceleration is used.
+
+Two engines answer every query: ``"compiled"`` (default) runs the
+frontier-batched exploration of :mod:`repro.petrinet.frontier` (and its
+out-of-core and symmetry-reduced variants), ``"legacy"`` the original
+dict-based token game, kept as the oracle the differential suites
+compare against.  Both visit markings in the same BFS order, so their
+graphs are identical.
 """
 
 from __future__ import annotations
@@ -29,16 +36,16 @@ from .exceptions import UnknownNodeError
 
 from .compiled import (
     ENGINE_COMPILED,
-    ENGINE_FRONTIER,
     ENGINE_LEGACY,
     OMEGA,
-    SEARCH_ENGINES,
     CompiledNet,
     validate_engine,
 )
 from .frontier import FrontierExploration, explore_frontier
 from .marking import Marking
 from .net import PetriNet
+from .outofcore import parse_memory_budget
+from .symmetry import orbit_place_bounds, resolve_symmetry
 
 
 class ReachabilityGraph:
@@ -55,14 +62,14 @@ class ReachabilityGraph:
         boundedness/deadlock/liveness answers are only exact when the
         graph is complete.
 
-    Graphs built by the frontier engine
-    (:meth:`from_exploration`) keep the discovered markings as one
-    ``(N, P)`` integer matrix and the edges as three parallel arrays;
-    the named ``markings``/``edges`` views above materialize lazily on
-    first access, so analyses that only need counts or the integer
-    structure (deadlock detection, liveness) never pay for N ``Marking``
-    dictionaries.  Either way the materialized views are identical to
-    what the compiled engine builds eagerly.
+    Graphs built by the compiled engine (:meth:`from_exploration`)
+    keep the discovered markings as one ``(N, P)`` integer matrix and
+    the edges as three parallel arrays; the named ``markings``/``edges``
+    views above materialize lazily on first access, so analyses that
+    only need counts or the integer structure (deadlock detection,
+    liveness) never pay for N ``Marking`` dictionaries.  Either way the
+    materialized views are identical to what the legacy engine builds
+    eagerly.
     """
 
     def __init__(
@@ -81,7 +88,7 @@ class ReachabilityGraph:
         # `markings` grew since it was built — see successors())
         self._adjacency: Optional[List[List[Tuple[str, int]]]] = None
         self._adjacency_shape: Tuple[int, int] = (-1, -1)
-        # lazy (frontier) storage; None on eagerly-built graphs
+        # lazy (compiled) storage; None on eagerly-built graphs
         self._compiled: Optional[CompiledNet] = None
         self._exploration: Optional[FrontierExploration] = None
 
@@ -191,11 +198,16 @@ class ReachabilityGraph:
         return list(self._adjacency[index])
 
     def deadlock_markings(self) -> List[Marking]:
-        """Markings with no outgoing edge (no enabled transition)."""
+        """Markings with no outgoing edge.
+
+        On a complete graph these are exactly the deadlocks.  A
+        truncated graph also lists the markings it never expanded;
+        :func:`find_deadlocks` filters those out.
+        """
         exploration = self._exploration
         if exploration is not None and not self._markings and not self._edges:
-            # frontier graphs answer from the integer arrays and only
-            # decompile the deadlocked markings themselves
+            # compiled graphs answer from the integer arrays and only
+            # decompile the markings without an out-edge
             compiled = self._compiled
             assert compiled is not None
             has_out = np.zeros(exploration.node_count, dtype=bool)
@@ -236,16 +248,18 @@ def _validate_outofcore_args(
     spill_dir: Optional[object],
     symmetry: Optional[object],
 ) -> None:
-    """Out-of-core knobs belong to the frontier engine exclusively."""
-    if engine != ENGINE_FRONTIER and (
+    """Refuse the out-of-core knobs under the legacy engine, and a
+    malformed memory budget under any engine."""
+    if engine == ENGINE_LEGACY and (
         memory_budget is not None
         or spill_dir is not None
         or symmetry is not None
     ):
         raise ValueError(
-            "memory_budget/spill_dir/symmetry require engine="
-            f"'{ENGINE_FRONTIER}' (got engine={engine!r})"
+            "memory_budget/spill_dir/symmetry are not supported by "
+            f"engine='{ENGINE_LEGACY}'; use engine='{ENGINE_COMPILED}'"
         )
+    parse_memory_budget(memory_budget)
 
 
 def build_reachability_graph(
@@ -264,55 +278,38 @@ def build_reachability_graph(
     only way to terminate on unbounded nets.
 
     ``engine`` selects the execution core: ``"compiled"`` (default)
-    explores integer marking tuples on the net's
-    :class:`~repro.petrinet.compiled.CompiledNet` view and decompiles
-    the discovered markings at the end; ``"frontier"`` explores whole
-    BFS levels as ``(N, P)`` numpy matrices
+    explores whole BFS levels as ``(N, P)`` numpy matrices on the net's
+    :class:`~repro.petrinet.compiled.CompiledNet` view
     (:mod:`repro.petrinet.frontier`) and materializes the named
     markings/edges lazily; ``"legacy"`` runs the original dict-based
-    token game.  All engines visit the same markings in the same BFS
+    token game.  Both engines visit the same markings in the same BFS
     order, so the resulting graphs are identical.
 
-    The frontier engine additionally accepts ``memory_budget`` (bytes
+    The compiled engine additionally accepts ``memory_budget`` (bytes
     or ``"256MB"``-style strings) and ``spill_dir``, routing the
-    exploration through the out-of-core engine
+    exploration through the out-of-core explorer
     (:mod:`repro.petrinet.outofcore`) — the graph is still bit-identical,
     only its storage is memory-mapped — and ``symmetry`` (``"auto"`` or
     :class:`~repro.petrinet.symmetry.SymmetryGroup` s), which returns
     the canonical *quotient* graph of the symmetry instead.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     _validate_outofcore_args(engine, memory_budget, spill_dir, symmetry)
-    if isinstance(net, CompiledNet):
-        if engine == ENGINE_LEGACY:
-            raise ValueError(
-                "engine='legacy' needs a PetriNet; pass net.decompile() to "
-                "run the dict-based exploration on a compiled net"
-            )
-        if engine == ENGINE_FRONTIER:
-            return _build_reachability_graph_frontier(
-                net,
-                max_markings=max_markings,
-                marking=marking,
-                memory_budget=memory_budget,
-                spill_dir=spill_dir,
-                symmetry=symmetry,
-            )
-        return _build_reachability_graph_compiled(
-            net, max_markings=max_markings, marking=marking
-        )
-    if engine == ENGINE_FRONTIER:
-        return _build_reachability_graph_frontier(
-            net.compile(),
+    if engine == ENGINE_COMPILED:
+        compiled = net if isinstance(net, CompiledNet) else net.compile()
+        exploration = explore_frontier(
+            compiled,
+            start=None if marking is None else compiled.marking_to_tuple(marking),
             max_markings=max_markings,
-            marking=marking,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
             symmetry=symmetry,
         )
-    if engine == ENGINE_COMPILED:
-        return _build_reachability_graph_compiled(
-            net.compile(), max_markings=max_markings, marking=marking
+        return ReachabilityGraph.from_exploration(compiled, exploration)
+    if isinstance(net, CompiledNet):
+        raise ValueError(
+            "engine='legacy' needs a PetriNet; pass net.decompile() to "
+            "run the dict-based exploration on a compiled net"
         )
     start = marking if marking is not None else net.initial_marking
     graph = ReachabilityGraph(markings=[start])
@@ -333,97 +330,6 @@ def build_reachability_graph(
     return graph
 
 
-def _build_reachability_graph_compiled(
-    compiled: CompiledNet, max_markings: int, marking: Optional[Marking]
-) -> ReachabilityGraph:
-    """BFS over compiled marking tuples with a marking->index hash map.
-
-    The hot primitive is the net-specialized
-    :attr:`~repro.petrinet.compiled.CompiledNet.expander`, which yields
-    every enabled transition and its successor marking in one generated
-    straight-line function.  The visit order — and therefore the node
-    numbering, the edge list and the ``max_markings`` cutoff point — is
-    identical to the legacy one-marking-at-a-time exploration.
-    """
-    start = (
-        compiled.marking_to_tuple(marking)
-        if marking is not None
-        else compiled.initial
-    )
-    markings: List[Tuple[int, ...]] = [start]
-    index: Dict[Tuple[int, ...], int] = {start: 0}
-    edges: List[Tuple[int, str, int]] = []
-    complete = True
-    transition_names = compiled.transitions
-    expand = compiled.expander
-    queue = deque([0])
-    count = 1
-    index_get = index.get
-    append_edge = edges.append
-    append_marking = markings.append
-    append_queue = queue.append
-    popleft = queue.popleft
-    while queue:
-        current_index = popleft()
-        current = markings[current_index]
-        for transition, successor in expand(current):
-            successor_index = index_get(successor)
-            if successor_index is None:
-                if count >= max_markings:
-                    complete = False
-                    queue.clear()
-                    break
-                successor_index = count
-                index[successor] = count
-                append_marking(successor)
-                append_queue(count)
-                count += 1
-            append_edge(
-                (current_index, transition_names[transition], successor_index)
-            )
-        if not complete:
-            break
-    # bulk decompile: compiled tuples hold plain non-negative ints, so the
-    # Marking dicts can be assembled entirely in C (compress drops zeros)
-    places = compiled.places
-    from_clean = Marking._from_clean
-    decompiled = [
-        from_clean(dict(zip(compress(places, m), compress(m, m))))
-        for m in markings
-    ]
-    return ReachabilityGraph(markings=decompiled, edges=edges, complete=complete)
-
-
-def _build_reachability_graph_frontier(
-    compiled: CompiledNet,
-    max_markings: int,
-    marking: Optional[Marking],
-    memory_budget: Optional[object] = None,
-    spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
-) -> ReachabilityGraph:
-    """Frontier-batched BFS (see :mod:`repro.petrinet.frontier`).
-
-    Visits markings in exactly the compiled engine's order — same node
-    numbering, same edge list, same cutoff point — but keeps the graph
-    in integer-array form; the named views materialize on demand.  Any
-    out-of-core knob set routes through
-    :func:`repro.petrinet.outofcore.explore_budgeted`.
-    """
-    start = (
-        compiled.marking_to_tuple(marking) if marking is not None else None
-    )
-    exploration = explore_frontier(
-        compiled,
-        start=start,
-        max_markings=max_markings,
-        memory_budget=memory_budget,
-        spill_dir=spill_dir,
-        symmetry=symmetry,
-    )
-    return ReachabilityGraph.from_exploration(compiled, exploration)
-
-
 def is_reachable(
     net: Union[PetriNet, CompiledNet],
     target: Marking,
@@ -434,35 +340,32 @@ def is_reachable(
     """True if ``target`` is reachable from ``marking`` (exact for bounded
     nets explored within the limit).
 
-    The frontier engine answers without building a graph: the
+    The compiled engine answers without building a graph: the
     exploration stops as soon as the target marking is discovered, so
     positive answers on large state spaces return early.
     """
-    validate_engine(engine, SEARCH_ENGINES)
-    if engine == ENGINE_FRONTIER:
-        compiled = net if isinstance(net, CompiledNet) else net.compile()
-        try:
-            target_tuple = compiled.marking_to_tuple(target)
-        except UnknownNodeError:
-            # tokens on a place this net does not have: unreachable, the
-            # same verdict the graph-membership engines give
-            return False
-        start = (
-            compiled.marking_to_tuple(marking) if marking is not None else None
+    validate_engine(engine)
+    if engine == ENGINE_LEGACY:
+        graph = build_reachability_graph(
+            net, max_markings=max_markings, marking=marking, engine=engine
         )
-        exploration = explore_frontier(
-            compiled,
-            start=start,
-            max_markings=max_markings,
-            target=target_tuple,
-            stop_on_target=True,
-            collect_edges=False,
-        )
-        return exploration.target_index is not None
-    graph = build_reachability_graph(
-        net, max_markings=max_markings, marking=marking, engine=engine
+        return graph.index_of(target) is not None
+    compiled = net if isinstance(net, CompiledNet) else net.compile()
+    try:
+        target_tuple = compiled.marking_to_tuple(target)
+    except UnknownNodeError:
+        # tokens on a place this net does not have: unreachable, the
+        # same verdict the legacy graph-membership test gives
+        return False
+    exploration = explore_frontier(
+        compiled,
+        start=None if marking is None else compiled.marking_to_tuple(marking),
+        max_markings=max_markings,
+        target=target_tuple,
+        stop_on_target=True,
+        collect_edges=False,
     )
-    return graph.index_of(target) is not None
+    return exploration.target_index is not None
 
 
 # ----------------------------------------------------------------------
@@ -520,51 +423,50 @@ def coverability_analysis(
     larger components are accelerated to omega, which makes the tree
     finite and identifies exactly the places that can grow without bound.
 
-    ``engine`` selects the execution core: ``"compiled"`` (default) runs
-    on numpy omega-vectors over the net's integer place ids,
-    ``"legacy"`` on the original name-keyed token game.  Both engines
-    expand the same nodes in the same depth-first order (Karp–Miller
-    trees are sensitive to exploration order), so the results —
-    boundedness, unbounded places, node count and place bounds — are
-    identical and cross-checkable.
+    ``engine`` selects the execution core.  ``"legacy"`` runs the
+    original name-keyed token game.  ``"compiled"`` (default) first
+    runs the batched plain-reachability exploration as a *bounded-prefix
+    fast path*: if the whole state space fits within ``max_nodes`` the
+    net is bounded and the per-place bounds are the exact column maxima
+    of the marking matrix (on bounded nets the Karp–Miller construction
+    never accelerates, so its node set and bounds coincide with plain
+    reachability).  If the prefix is truncated — the net is unbounded,
+    or simply bigger than the cap — it defers to the Karp–Miller
+    construction on numpy omega-vectors over the net's integer place
+    ids, whose omega verdict is the only finite way to prove
+    unboundedness.  A net with a source transition that has an output
+    place skips the prefix: the source is always enabled and every
+    firing adds a token, so the prefix could only run into
+    ``max_nodes``.  Both Karp–Miller cores expand the same nodes in the
+    same depth-first order (Karp–Miller trees are sensitive to
+    exploration order), so the results — boundedness, unbounded
+    places, node count and place bounds — are identical on both
+    engines and cross-checkable.
 
-    ``"frontier"`` first runs the batched plain-reachability exploration
-    as a *bounded-prefix fast path*: if the whole state space fits
-    within ``max_nodes`` the net is bounded and the per-place bounds
-    are the exact column maxima of the marking matrix (on bounded nets
-    the Karp–Miller construction never accelerates, so its node set and
-    bounds coincide with plain reachability).  If the prefix is
-    truncated — the net is unbounded, or simply bigger than the cap —
-    the engine defers to the compiled Karp–Miller construction, whose
-    omega verdict is the only finite way to prove unboundedness.
-
-    The frontier fast path honours ``memory_budget``/``spill_dir``
+    The compiled prefix honours ``memory_budget``/``spill_dir``
     (out-of-core prefix exploration; identical verdicts) and
     ``symmetry`` (the prefix is the canonical quotient — per-place
     bounds are lifted back to true bounds over each block orbit, and
-    ``node_count`` counts canonical states).  The Karp–Miller fallback
-    for truncated prefixes runs in RAM regardless: omega acceleration
-    needs the ancestor chains resident.
+    ``node_count`` counts canonical states).  The Karp–Miller
+    construction runs in RAM regardless: omega acceleration needs the
+    ancestor chains resident.
     """
-    validate_engine(engine, SEARCH_ENGINES)
+    validate_engine(engine)
     _validate_outofcore_args(engine, memory_budget, spill_dir, symmetry)
-    if isinstance(net, CompiledNet):
-        if engine == ENGINE_LEGACY:
-            raise ValueError(
-                "engine='legacy' needs a PetriNet; pass net.decompile() to "
-                "run the dict-based coverability on a compiled net"
-            )
-        if engine == ENGINE_FRONTIER:
-            return _coverability_analysis_frontier(
-                net, marking, max_nodes, memory_budget, spill_dir, symmetry
-            )
-        return _coverability_analysis_compiled(net, marking, max_nodes)
-    if engine == ENGINE_FRONTIER:
-        return _coverability_analysis_frontier(
-            net.compile(), marking, max_nodes, memory_budget, spill_dir, symmetry
-        )
     if engine == ENGINE_COMPILED:
-        return _coverability_analysis_compiled(net.compile(), marking, max_nodes)
+        return _coverability_analysis_frontier(
+            net if isinstance(net, CompiledNet) else net.compile(),
+            marking,
+            max_nodes,
+            memory_budget,
+            spill_dir,
+            symmetry,
+        )
+    if isinstance(net, CompiledNet):
+        raise ValueError(
+            "engine='legacy' needs a PetriNet; pass net.decompile() to "
+            "run the dict-based coverability on a compiled net"
+        )
     places = tuple(net.place_names)
     start_marking = marking if marking is not None else net.initial_marking
     start = tuple(start_marking[p] for p in places)
@@ -655,10 +557,12 @@ def _coverability_analysis_frontier(
     place's exact bound is the column maximum of the marking matrix.
     On bounded nets the Karp–Miller tree never accelerates (a strict
     cover would pump tokens without bound), so node count and bounds
-    agree with the compiled engine exactly.  A truncated prefix proves
-    nothing — unbounded nets never finish — and defers to the compiled
-    Karp–Miller construction wholesale, making the frontier verdicts
-    identical to the compiled ones on every net.
+    agree with the Karp–Miller construction exactly.  A truncated
+    prefix proves nothing — unbounded nets never finish — and defers to
+    the compiled Karp–Miller construction wholesale, making the
+    verdicts identical to Karp–Miller's on every net.  A source
+    transition with an output place makes the state space infinite, so
+    such nets defer without exploring the prefix.
 
     Under ``symmetry`` the prefix explores canonical representatives
     only; the orbit of every canonical marking is reachable, so a
@@ -670,13 +574,11 @@ def _coverability_analysis_frontier(
     start = (
         compiled.marking_to_tuple(marking) if marking is not None else None
     )
-    groups = ()
-    if symmetry is not None:
-        from .symmetry import resolve_symmetry
-
-        # resolve once: the exploration revalidates cheaply, and the
-        # bounds lift below needs the concrete groups
-        groups = resolve_symmetry(compiled, symmetry)
+    # resolve once: the exploration revalidates cheaply, and the bounds
+    # lift below needs the concrete groups
+    groups = resolve_symmetry(compiled, symmetry) if symmetry is not None else ()
+    if any(compiled.post_lists[t] for t in compiled.source_transition_ids()):
+        return _coverability_analysis_compiled(compiled, marking, max_nodes)
     exploration = explore_frontier(
         compiled,
         start=start,
@@ -690,8 +592,6 @@ def _coverability_analysis_frontier(
         return _coverability_analysis_compiled(compiled, marking, max_nodes)
     bounds = np.asarray(exploration.matrix.max(axis=0), dtype=np.int64)
     if groups:
-        from .symmetry import orbit_place_bounds
-
         bounds = orbit_place_bounds(bounds, groups)
     return CoverabilityResult(
         bounded=True,
@@ -869,12 +769,14 @@ def find_deadlocks(
 ) -> List[Marking]:
     """Reachable markings with no enabled transition.
 
-    The frontier engine accepts the out-of-core knobs of
-    :func:`build_reachability_graph`.  Under ``symmetry`` each returned
-    marking is the canonical representative of a deadlock orbit
-    (automorphisms preserve enabledness, so a deadlock exists iff its
-    representative deadlocks) — the *set of orbits* is exact, the
-    concrete marking count is the quotient's.
+    Every returned marking is a real deadlock, also when the
+    exploration hit ``max_markings``; a truncated exploration may miss
+    deadlocks beyond the cap.  The compiled engine accepts the
+    out-of-core knobs of :func:`build_reachability_graph`.  Under
+    ``symmetry`` each returned marking is the canonical representative
+    of a deadlock orbit (automorphisms preserve enabledness, so a
+    deadlock exists iff its representative deadlocks) — the *set of
+    orbits* is exact, the concrete marking count is the quotient's.
     """
     graph = build_reachability_graph(
         net,
@@ -885,7 +787,20 @@ def find_deadlocks(
         spill_dir=spill_dir,
         symmetry=symmetry,
     )
-    return graph.deadlock_markings()
+    return _deadlocks(net, graph)
+
+
+def _deadlocks(
+    net: Union[PetriNet, CompiledNet], graph: ReachabilityGraph
+) -> List[Marking]:
+    """The deadlocks among ``graph``'s markings without an out-edge."""
+    deadlocks = graph.deadlock_markings()
+    if graph.complete:
+        return deadlocks
+    # a truncated graph never expanded its last markings: keep the ones
+    # that enable no transition
+    named = net.decompile() if isinstance(net, CompiledNet) else net
+    return [m for m in deadlocks if not named.enabled_transitions(m)]
 
 
 def is_deadlock_free(
@@ -897,15 +812,29 @@ def is_deadlock_free(
     spill_dir: Optional[object] = None,
     symmetry: Optional[object] = None,
 ) -> bool:
-    """True if every reachable marking enables at least one transition."""
-    return not find_deadlocks(
+    """True if every reachable marking enables at least one transition.
+
+    A deadlock found within ``max_markings`` proves ``False``.  Raises
+    ``RuntimeError`` when the exploration hit the cap without finding
+    one: the markings beyond it are unknown, so deadlock-freedom is
+    refused rather than guessed.
+    """
+    graph = build_reachability_graph(
         net,
-        marking=marking,
         max_markings=max_markings,
+        marking=marking,
         engine=engine,
         memory_budget=memory_budget,
         spill_dir=spill_dir,
         symmetry=symmetry,
+    )
+    if _deadlocks(net, graph):
+        return False
+    if graph.complete:
+        return True
+    raise RuntimeError(
+        "deadlock-freedom undecided: the exploration hit max_markings "
+        "before finding a deadlock or finishing"
     )
 
 

@@ -479,6 +479,21 @@ class TestCorpus:
         assert main(["corpus", "--n", "4", "--families", "nope"]) == 2
         assert "unknown corpus families" in capsys.readouterr().err
 
+    def test_corpus_malformed_memory_budget_fails_once(self, capsys):
+        assert main(["corpus", "--n", "3", "--memory-budget", "bogus"]) == 2
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.err.splitlines() if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert "'bogus'" in errors[0]
+        assert captured.out == ""
+
+    def test_corpus_legacy_refuses_out_of_core_flags(self, capsys):
+        argv = ["corpus", "--n", "2", "--engine", "legacy", "--memory-budget", "64MB"]
+        assert main(argv) == 2
+        assert "engine='legacy'" in capsys.readouterr().err
+
     def test_corpus_family_subset_and_engine(self, capsys):
         assert (
             main(

@@ -200,6 +200,7 @@ class TestDocumentMutations:
             ("elapsed_seconds", "1.2"),
             ("records", {"0": {}}),
             ("summary", "aggregates"),
+            ("engine", "frontier"),
         ],
     )
     def test_top_level_type_violations(self, field, value):

@@ -1,24 +1,23 @@
-"""Differential suite for the frontier-batched state-space engine.
+"""Differential suite for the frontier-batched state-space exploration.
 
-Pins the frontier engine (``engine="frontier"``) against the compiled
-and legacy engines on the paper gallery plus seeded nets from every
-corpus family:
+Pins the compiled engine's batched exploration
+(:mod:`repro.petrinet.frontier`) against the legacy oracle, the exact
+fallback explorer and the compiled Karp–Miller construction on the
+paper gallery plus seeded nets from every corpus family:
 
-* reachability graphs are **bit-identical** (same marking list, same
-  edge list, same ``complete`` flag — the frontier BFS reproduces the
-  compiled node numbering exactly, including the ``max_markings``
-  cutoff point);
+* reachability graphs are **bit-identical** to legacy's (same marking
+  list, same edge list, same ``complete`` flag — the batched BFS
+  reproduces the legacy node numbering exactly, including the
+  ``max_markings`` cutoff point), and the hashed explorer's raw arrays
+  equal the exact explorer's;
 * coverability/boundedness verdicts, place bounds and node counts are
-  identical (bounded-prefix fast path on bounded nets, clean deferral
-  to Karp–Miller on unbounded or oversized ones);
-* deadlock, liveness and reachability queries agree;
-* a frontier corpus run reports exactly the compiled QSS analysis (the
-  QSS stage runs ``frontier`` as ``compiled``), and every cycle it
-  reports is a genuine finite complete cycle;
-* the exact fallback explorer (the collision path) produces the same
-  exploration as the hashed fast path;
-* the QSS entry points, which offer only the compiled pipeline and its
-  legacy oracle, reject ``engine="frontier"``.
+  identical to Karp–Miller's (bounded-prefix fast path on bounded nets,
+  clean deferral to Karp–Miller on unbounded or oversized ones, and
+  straight to Karp–Miller for nets with an output-producing source);
+* deadlock, liveness and reachability queries agree with legacy;
+* a compiled corpus run reports exactly the legacy QSS analysis, and
+  every cycle it reports is a genuine finite complete cycle;
+* ``engine="frontier"`` is an unknown engine at every entry point.
 """
 
 from __future__ import annotations
@@ -45,12 +44,19 @@ from repro.petrinet import (
     place_bounds,
     save_net,
 )
-from repro.petrinet.corpus import CORPUS_FAMILIES, NetSpec, analyse_spec
+from repro.petrinet.corpus import (
+    CORPUS_FAMILIES,
+    NetSpec,
+    analyse_spec,
+    generate_corpus,
+    run_corpus,
+)
 from repro.petrinet.frontier import (
     _explore_exact,
     _HashDisagreement,
     explore_frontier,
 )
+from repro.petrinet.reachability import _coverability_analysis_compiled
 from repro.petrinet.generators import pipeline_net, producer_consumer_ring
 from repro.petrinet.structure import is_free_choice
 from repro.qss import (
@@ -113,8 +119,10 @@ def _compiled_reduction(net: PetriNet):
     return next(iter_compiled_reductions(net))
 
 
-#: Every QSS entry point driven with ``frontier``, as ``call(net, path)``
-#: (``path`` holds the net as JSON), with the error it must raise.
+#: Every entry point that takes an engine — the QSS pipeline's and the
+#: state-space searches' — driven with ``frontier``, as
+#: ``call(net, path)`` (``path`` holds the net as JSON), with the error
+#: it must raise.
 QSS_FRONTIER_CALLS = {
     "analyse": (
         lambda net, _: analyse(net, engine="frontier"),
@@ -189,50 +197,121 @@ QSS_FRONTIER_CALLS = {
         SystemExit,
         "^2$",  # argparse's usage-error exit code
     ),
+    "build_reachability_graph": (
+        lambda net, _: build_reachability_graph(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "is_reachable": (
+        lambda net, _: is_reachable(net, net.initial_marking, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "coverability_analysis": (
+        lambda net, _: coverability_analysis(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "find_deadlocks": (
+        lambda net, _: find_deadlocks(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "is_live": (
+        lambda net, _: is_live(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "place_bounds": (
+        lambda net, _: place_bounds(net, engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "analyse_spec": (
+        lambda *_: analyse_spec(generate_corpus(1, seed=0)[0], engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "run_corpus": (
+        lambda *_: run_corpus(generate_corpus(2, seed=0), engine="frontier"),
+        ValueError,
+        "unknown engine",
+    ),
+    "cli-corpus": (
+        lambda *_: main(["corpus", "--n", "2", "--engine", "frontier"]),
+        SystemExit,
+        "^2$",
+    ),
 }
 
 
-def assert_graphs_identical(frontier: ReachabilityGraph, other: ReachabilityGraph):
-    assert frontier.markings == other.markings
-    assert frontier.edges == other.edges
-    assert frontier.complete == other.complete
+def assert_graphs_identical(graph: ReachabilityGraph, other: ReachabilityGraph):
+    assert graph.markings == other.markings
+    assert graph.edges == other.edges
+    assert graph.complete == other.complete
 
 
-def assert_coverability_identical(net, max_nodes=COVERABILITY_CAP):
-    compiled_result = coverability_analysis(net, max_nodes=max_nodes, engine="compiled")
-    frontier_result = coverability_analysis(net, max_nodes=max_nodes, engine="frontier")
-    assert frontier_result.bounded == compiled_result.bounded
-    assert frontier_result.unbounded_places == compiled_result.unbounded_places
-    assert frontier_result.place_bounds == compiled_result.place_bounds
-    assert frontier_result.node_count == compiled_result.node_count
-    assert frontier_result.complete == compiled_result.complete
-    return frontier_result
+def assert_explorations_identical(a, b):
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.edge_src, b.edge_src)
+    assert np.array_equal(a.edge_transition, b.edge_transition)
+    assert np.array_equal(a.edge_dst, b.edge_dst)
+    assert a.complete == b.complete
+
+
+def assert_graph_matches_oracles(net, max_markings=GRAPH_CAP, marking=None):
+    """The compiled graph equals legacy's, and the hashed explorer's
+    arrays equal the exact explorer's."""
+    graph = build_reachability_graph(net, max_markings=max_markings, marking=marking)
+    legacy = build_reachability_graph(
+        net, max_markings=max_markings, marking=marking, engine="legacy"
+    )
+    assert_graphs_identical(graph, legacy)
+    compiled = compile_net(net)
+    start = None if marking is None else compiled.marking_to_tuple(marking)
+    assert_explorations_identical(
+        explore_frontier(compiled, start=start, max_markings=max_markings),
+        _explore_exact(compiled, start, max_markings, None, False, True),
+    )
+    return graph
+
+
+def assert_coverability_identical(net, max_nodes=COVERABILITY_CAP, reference=None):
+    """Compiled coverability equals the compiled Karp–Miller construction
+    (or ``reference``, e.g. the legacy result)."""
+    result = coverability_analysis(net, max_nodes=max_nodes)
+    if reference is None:
+        reference = _coverability_analysis_compiled(compile_net(net), None, max_nodes)
+    assert result.bounded == reference.bounded
+    assert result.unbounded_places == reference.unbounded_places
+    assert result.place_bounds == reference.place_bounds
+    assert result.node_count == reference.node_count
+    assert result.complete == reference.complete
+    return result
 
 
 def assert_qss_reports_agree(spec: NetSpec):
-    """A frontier corpus run reports exactly the compiled QSS analysis.
+    """A compiled corpus run reports exactly the legacy QSS analysis.
 
-    The corpus keeps the frontier engine for its state-space passes and
-    runs the QSS stage on the compiled pipeline, so the frontier record
-    equals the compiled one and holds the compiled report's verdict,
+    Its record equals the legacy one and holds the report's verdict,
     counts and cycle lengths; every cycle must really execute and close.
     """
-    frontier = analyse_spec(spec, engine="frontier", analyse="qss")
     compiled = analyse_spec(spec, engine="compiled", analyse="qss")
-    assert frontier.error is None
-    assert {**frontier.to_dict(), "elapsed_ms": 0.0} == {
-        **compiled.to_dict(),
+    legacy = analyse_spec(spec, engine="legacy", analyse="qss")
+    assert compiled.error is None
+    assert {**compiled.to_dict(), "elapsed_ms": 0.0} == {
+        **legacy.to_dict(),
         "elapsed_ms": 0.0,
     }
     net = spec.build()
     if not is_free_choice(net):
-        assert frontier.schedulable is None
+        assert compiled.schedulable is None
         return
     report = analyse(net)
-    assert frontier.schedulable == report.schedulable
-    assert frontier.allocations == report.allocation_count
-    assert frontier.reductions == report.reduction_count
-    assert frontier.cycle_lengths == [
+    assert compiled.schedulable == report.schedulable
+    assert compiled.allocations == report.allocation_count
+    assert compiled.reductions == report.reduction_count
+    assert compiled.cycle_lengths == [
         len(v.cycle) for v in report.verdicts if v.cycle is not None
     ]
     for verdict in report.verdicts:
@@ -246,16 +325,7 @@ def assert_qss_reports_agree(spec: NetSpec):
 class TestGallery:
     @pytest.mark.parametrize("figure", GALLERY)
     def test_graphs_identical_across_all_engines(self, figure):
-        net = paper_figures()[figure]()
-        legacy = build_reachability_graph(net, max_markings=GRAPH_CAP, engine="legacy")
-        compiled = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
-        frontier = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="frontier"
-        )
-        assert_graphs_identical(frontier, compiled)
-        assert_graphs_identical(frontier, legacy)
+        assert_graph_matches_oracles(paper_figures()[figure]())
 
     @pytest.mark.parametrize("figure", GALLERY)
     def test_coverability_identical(self, figure):
@@ -266,10 +336,8 @@ class TestGallery:
         net = paper_figures()[figure]()
         graph = build_reachability_graph(net, max_markings=GRAPH_CAP)
         if graph.complete:
-            assert find_deadlocks(net, engine="frontier") == find_deadlocks(
-                net, engine="compiled"
-            )
-            assert is_live(net, engine="frontier") == is_live(net, engine="compiled")
+            assert find_deadlocks(net) == find_deadlocks(net, engine="legacy")
+            assert is_live(net) == is_live(net, engine="legacy")
 
     @pytest.mark.parametrize("figure", GALLERY)
     def test_qss_reports_agree(self, figure):
@@ -284,14 +352,7 @@ class TestGallery:
 class TestCorpusFamilies:
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
     def test_graphs_identical(self, family, seed):
-        net = _family_net(family, seed)
-        compiled = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
-        frontier = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="frontier"
-        )
-        assert_graphs_identical(frontier, compiled)
+        assert_graph_matches_oracles(_family_net(family, seed))
 
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
     def test_coverability_identical(self, family, seed):
@@ -304,30 +365,34 @@ class TestCorpusFamilies:
     @pytest.mark.parametrize("family", sorted(CORPUS_FAMILIES))
     def test_reachability_queries_agree(self, family):
         net = _family_net(family, 0)
-        compiled = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
+        graph = build_reachability_graph(net, max_markings=GRAPH_CAP)
         # a marking from the middle of the graph is reachable; a marking
         # with an absurd token count is not
-        middle = compiled.markings[len(compiled.markings) // 2]
-        assert is_reachable(net, middle, max_markings=GRAPH_CAP, engine="frontier")
+        middle = graph.markings[graph.num_markings // 2]
+        assert is_reachable(net, middle, max_markings=GRAPH_CAP)
         absurd = Marking({net.place_names[0]: 999_999})
-        assert is_reachable(
-            net, absurd, max_markings=GRAPH_CAP, engine="frontier"
-        ) == is_reachable(net, absurd, max_markings=GRAPH_CAP, engine="compiled")
+        assert is_reachable(net, absurd, max_markings=GRAPH_CAP) == is_reachable(
+            net, absurd, max_markings=GRAPH_CAP, engine="legacy"
+        )
 
 
 # ----------------------------------------------------------------------
 # Edge cases the batching must not get wrong
 # ----------------------------------------------------------------------
+def _sourceless_pump_net() -> PetriNet:
+    """Unbounded without a source: ``t`` takes one token and puts two back."""
+    net = PetriNet(name="sourceless_pump")
+    net.add_place("p", tokens=1)
+    net.add_transition("t")
+    net.add_arc("p", "t")
+    net.add_arc("t", "p", weight=2)
+    return net
+
+
 class TestEdgeCases:
     def test_adversarial_arc_order(self):
         net = _adversarial_arc_order_net()
-        legacy = build_reachability_graph(net, max_markings=GRAPH_CAP, engine="legacy")
-        frontier = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="frontier"
-        )
-        assert_graphs_identical(frontier, legacy)
+        assert_graph_matches_oracles(net)
         assert_coverability_identical(net)
         # the QSS pipeline on the same net: compiled equals its oracle
         assert is_free_choice(net)
@@ -339,14 +404,10 @@ class TestEdgeCases:
     def test_truncation_cutoff_identical(self, cap):
         """The max_markings cutoff lands on the same node and edge."""
         for net in [producer_consumer_ring(3, 2), pipeline_net(3, rates=[2, 1, 3])]:
-            compiled = build_reachability_graph(net, max_markings=cap, engine="compiled")
-            frontier = build_reachability_graph(net, max_markings=cap, engine="frontier")
-            assert_graphs_identical(frontier, compiled)
+            assert_graph_matches_oracles(net, max_markings=cap)
 
     def test_unbounded_net_defers_to_karp_miller(self):
-        """Unbounded nets: frontier exploration cannot finish, so the
-        coverability analysis must defer to Karp-Miller and return the
-        compiled engine's result exactly."""
+        """Unbounded nets: Karp-Miller decides, and both engines agree."""
         net = pipeline_net(3, rates=[1, 1, 1])  # source transition => unbounded
         result = assert_coverability_identical(net, max_nodes=400)
         assert not result.bounded
@@ -354,28 +415,51 @@ class TestEdgeCases:
         # Karp-Miller finishes on unbounded nets (omega makes the tree
         # finite), so place_bounds reports the same None-for-unbounded
         # bounds under both engines
-        assert place_bounds(net, engine="frontier") == place_bounds(
-            net, engine="compiled"
-        )
-        assert None in place_bounds(net, engine="frontier").values()
+        assert place_bounds(net) == place_bounds(net, engine="legacy")
+        assert None in place_bounds(net).values()
+
+    def test_sourceless_unbounded_net_defers_after_truncated_prefix(
+        self, monkeypatch
+    ):
+        """Without a source the bounded prefix runs first, hits the cap,
+        and Karp-Miller then returns the legacy result exactly."""
+        import repro.petrinet.reachability as reachability_module
+
+        prefixes = []
+
+        def spy(*args, **kwargs):
+            exploration = explore_frontier(*args, **kwargs)
+            prefixes.append(exploration.complete)
+            return exploration
+
+        monkeypatch.setattr(reachability_module, "explore_frontier", spy)
+        net = _sourceless_pump_net()
+        legacy = coverability_analysis(net, max_nodes=50, engine="legacy")
+        result = assert_coverability_identical(net, max_nodes=50, reference=legacy)
+        assert prefixes == [False]
+        assert result.unbounded_places == ["p"]
+        assert result.complete
+
+    def test_source_net_goes_straight_to_karp_miller(self, monkeypatch):
+        """A source with an output place skips the bounded prefix."""
+        import repro.petrinet.reachability as reachability_module
+
+        def no_prefix(*args, **kwargs):
+            raise AssertionError("the bounded prefix must not run")
+
+        monkeypatch.setattr(reachability_module, "explore_frontier", no_prefix)
+        net = pipeline_net(3, rates=[1, 1, 1])
+        legacy = coverability_analysis(net, max_nodes=400, engine="legacy")
+        assert_coverability_identical(net, max_nodes=400, reference=legacy)
 
     def test_place_bounds_agree_on_bounded_net(self):
         net = producer_consumer_ring(3, 2)
-        assert place_bounds(net, engine="frontier") == place_bounds(
-            net, engine="compiled"
-        )
+        assert place_bounds(net) == place_bounds(net, engine="legacy")
 
     def test_explicit_start_marking(self):
         net = producer_consumer_ring(2, 3)
         graph = build_reachability_graph(net, max_markings=GRAPH_CAP)
-        start = graph.markings[-1]
-        compiled = build_reachability_graph(
-            net, marking=start, max_markings=GRAPH_CAP, engine="compiled"
-        )
-        frontier = build_reachability_graph(
-            net, marking=start, max_markings=GRAPH_CAP, engine="frontier"
-        )
-        assert_graphs_identical(frontier, compiled)
+        assert_graph_matches_oracles(net, marking=graph.markings[-1])
 
     def test_exact_fallback_explorer_matches_hashed(self, monkeypatch):
         """The collision fallback path explores identically."""
@@ -396,11 +480,7 @@ class TestEdgeCases:
                 stop_on_target=False,
                 collect_edges=True,
             )
-            assert np.array_equal(hashed.matrix, exact.matrix)
-            assert np.array_equal(hashed.edge_src, exact.edge_src)
-            assert np.array_equal(hashed.edge_transition, exact.edge_transition)
-            assert np.array_equal(hashed.edge_dst, exact.edge_dst)
-            assert hashed.complete == exact.complete
+            assert_explorations_identical(hashed, exact)
 
         # and the public entry point really falls back on disagreement
         def always_disagrees(*args, **kwargs):
@@ -408,26 +488,20 @@ class TestEdgeCases:
 
         monkeypatch.setattr(frontier_module, "_explore_hashed", always_disagrees)
         net = producer_consumer_ring(3, 2)
-        graph = build_reachability_graph(net, max_markings=200, engine="frontier")
-        reference = build_reachability_graph(net, max_markings=200, engine="compiled")
+        graph = build_reachability_graph(net, max_markings=200)
+        reference = build_reachability_graph(net, max_markings=200, engine="legacy")
         assert_graphs_identical(graph, reference)
 
     def test_narrow_deep_state_space_stays_fast_and_identical(self):
         """A one-marking-per-level chain must bail out of per-level
         batching (the narrow-frontier detector) and still produce the
-        compiled engine's exact graph."""
+        legacy engine's exact graph."""
         net = PetriNet(name="producer_chain")
         net.add_place("p")
         net.add_transition("t")
         net.add_arc("t", "p")
-        compiled_graph = build_reachability_graph(
-            net, max_markings=2_000, engine="compiled"
-        )
-        frontier_graph = build_reachability_graph(
-            net, max_markings=2_000, engine="frontier"
-        )
-        assert_graphs_identical(frontier_graph, compiled_graph)
-        assert not frontier_graph.complete
+        graph = assert_graph_matches_oracles(net, max_markings=2_000)
+        assert not graph.complete
 
     def test_stop_on_target_marks_exploration_incomplete(self):
         """An early-exit target search returns a prefix, and says so."""
@@ -442,9 +516,9 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("entry_point", sorted(QSS_FRONTIER_CALLS))
     def test_qss_entry_points_reject_frontier(self, entry_point, tmp_path):
-        """The QSS pipeline runs compiled or legacy only: ``frontier`` is
-        an unknown engine to every entry point, and the cycle searches
-        of the mask pipeline take no engine at all."""
+        """Every entry point runs compiled or legacy only: ``frontier``
+        is an unknown engine to all of them, and the cycle searches of
+        the mask pipeline take no engine at all."""
         call, error, match = QSS_FRONTIER_CALLS[entry_point]
         net = _adversarial_arc_order_net()
         path = tmp_path / "net.json"
@@ -459,7 +533,7 @@ class TestEdgeCases:
 class TestReachabilityGraphSuccessors:
     def test_successors_match_edge_scan(self):
         net = producer_consumer_ring(2, 2)
-        graph = build_reachability_graph(net, engine="frontier")
+        graph = build_reachability_graph(net)
         for index in range(graph.num_markings):
             expected = [(t, dst) for src, t, dst in graph.edges if src == index]
             assert graph.successors(index) == expected
@@ -509,11 +583,12 @@ class TestEnabledMaskCoercion:
 
 class TestCompiledNetPassThrough:
     def test_frontier_accepts_precompiled_net(self):
-        compiled = compile_net(producer_consumer_ring(2, 2))
+        net = producer_consumer_ring(2, 2)
+        compiled = compile_net(net)
         assert isinstance(compiled, CompiledNet)
-        frontier = build_reachability_graph(compiled, engine="frontier")
-        reference = build_reachability_graph(compiled, engine="compiled")
-        assert_graphs_identical(frontier, reference)
+        graph = build_reachability_graph(compiled)
+        reference = build_reachability_graph(net, engine="legacy")
+        assert_graphs_identical(graph, reference)
 
     def test_legacy_engine_still_rejects_compiled_input(self):
         compiled = compile_net(producer_consumer_ring(2, 2))

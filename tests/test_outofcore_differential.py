@@ -1,9 +1,10 @@
-"""Differential suite for the out-of-core budgeted frontier engine.
+"""Differential suite for the out-of-core budgeted frontier exploration.
 
-Pins the spill-to-disk exploration (``engine="frontier"`` plus
-``memory_budget=``/``spill_dir=``) against the in-RAM paths on the
-paper gallery plus seeded nets from the corpus families, under budgets
-tiny enough that spilling and chunking trigger even on small nets:
+Pins the spill-to-disk exploration (the compiled engine plus
+``memory_budget=``/``spill_dir=``) against the in-RAM explorer, the
+legacy oracle and the compiled Karp–Miller construction on the paper
+gallery plus seeded nets from the corpus families, under budgets tiny
+enough that spilling and chunking trigger even on small nets:
 
 * reachability graphs are **bit-identical** (same marking list, same
   edge list, same ``complete`` flag — the chunked BFS reproduces the
@@ -14,7 +15,8 @@ tiny enough that spilling and chunking trigger even on small nets:
 * the budget parser, the spilling visited store and the engine
   validation guard behave as documented;
 * symmetry reduction produces a validated quotient that preserves the
-  deadlock-freedom verdict and the exact per-place bounds.
+  deadlock-freedom verdict and the exact per-place bounds, and its
+  collision fallback explores the same quotient.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ from repro.petrinet import (
     orbit_place_bounds,
     parse_memory_budget,
 )
-from repro.petrinet.corpus import CORPUS_FAMILIES
+from repro.petrinet.corpus import CORPUS_FAMILIES, generate_corpus, run_corpus
+from repro.petrinet.frontier import _HashDisagreement
 from repro.petrinet.outofcore import VisitedStore, explore_budgeted
 from repro.petrinet.generators import (
     fork_join_pipeline,
     pipeline_net,
     producer_consumer_ring,
 )
+from repro.petrinet.reachability import _coverability_analysis_compiled
 
 #: Small enough that even ~100-marking nets spill visited shards and
 #: split frontiers into chunks (the spill floors are 64 entries / 64
@@ -78,12 +82,16 @@ def assert_graphs_identical(budgeted: ReachabilityGraph, other: ReachabilityGrap
 
 def _budgeted_graph(net, cap=GRAPH_CAP, **kwargs):
     return build_reachability_graph(
-        net,
-        max_markings=cap,
-        engine="frontier",
-        memory_budget=TINY_BUDGET,
-        **kwargs,
+        net, max_markings=cap, memory_budget=TINY_BUDGET, **kwargs
     )
+
+
+def _legacy_graph(net, cap=GRAPH_CAP):
+    return build_reachability_graph(net, max_markings=cap, engine="legacy")
+
+
+def _karp_miller(net, cap=COVERABILITY_CAP):
+    return _coverability_analysis_compiled(compile_net(net), None, cap)
 
 
 # ----------------------------------------------------------------------
@@ -93,27 +101,17 @@ class TestGallery:
     @pytest.mark.parametrize("figure", GALLERY)
     def test_graphs_identical(self, figure):
         net = paper_figures()[figure]()
-        in_ram = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="frontier"
-        )
-        compiled = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
+        in_ram = build_reachability_graph(net, max_markings=GRAPH_CAP)
         budgeted = _budgeted_graph(net)
         assert_graphs_identical(budgeted, in_ram)
-        assert_graphs_identical(budgeted, compiled)
+        assert_graphs_identical(budgeted, _legacy_graph(net))
 
     @pytest.mark.parametrize("figure", GALLERY)
     def test_coverability_identical(self, figure):
         net = paper_figures()[figure]()
-        in_ram = coverability_analysis(
-            net, max_nodes=COVERABILITY_CAP, engine="compiled"
-        )
+        in_ram = _karp_miller(net)
         budgeted = coverability_analysis(
-            net,
-            max_nodes=COVERABILITY_CAP,
-            engine="frontier",
-            memory_budget=TINY_BUDGET,
+            net, max_nodes=COVERABILITY_CAP, memory_budget=TINY_BUDGET
         )
         assert budgeted.bounded == in_ram.bounded
         assert budgeted.unbounded_places == in_ram.unbounded_places
@@ -126,35 +124,24 @@ class TestCorpusFamilies:
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
     def test_graphs_identical(self, family, seed):
         net = _family_net(family, seed)
-        compiled = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
-        assert_graphs_identical(_budgeted_graph(net), compiled)
+        assert_graphs_identical(_budgeted_graph(net), _legacy_graph(net))
 
     @pytest.mark.parametrize("family,seed", FAMILY_CASES)
     def test_deadlock_sets_identical(self, family, seed):
         net = _family_net(family, seed)
         budgeted = find_deadlocks(
-            net,
-            max_markings=GRAPH_CAP,
-            engine="frontier",
-            memory_budget=TINY_BUDGET,
+            net, max_markings=GRAPH_CAP, memory_budget=TINY_BUDGET
         )
         assert budgeted == find_deadlocks(
-            net, max_markings=GRAPH_CAP, engine="compiled"
+            net, max_markings=GRAPH_CAP, engine="legacy"
         )
 
     @pytest.mark.parametrize("family", sorted(CORPUS_FAMILIES))
     def test_coverability_identical(self, family):
         net = _family_net(family, 0)
-        in_ram = coverability_analysis(
-            net, max_nodes=COVERABILITY_CAP, engine="frontier"
-        )
+        in_ram = _karp_miller(net)
         budgeted = coverability_analysis(
-            net,
-            max_nodes=COVERABILITY_CAP,
-            engine="frontier",
-            memory_budget=TINY_BUDGET,
+            net, max_nodes=COVERABILITY_CAP, memory_budget=TINY_BUDGET
         )
         assert budgeted.bounded == in_ram.bounded
         assert budgeted.place_bounds == in_ram.place_bounds
@@ -200,10 +187,9 @@ class TestSpillMechanics:
     def test_truncation_cutoff_identical(self, cap):
         """The max_markings cutoff lands on the same node and edge."""
         for net in [producer_consumer_ring(3, 2), pipeline_net(3, rates=[2, 1, 3])]:
-            compiled = build_reachability_graph(
-                net, max_markings=cap, engine="compiled"
+            assert_graphs_identical(
+                _budgeted_graph(net, cap=cap), _legacy_graph(net, cap=cap)
             )
-            assert_graphs_identical(_budgeted_graph(net, cap=cap), compiled)
 
     def test_stop_on_target_identical(self):
         compiled = compile_net(producer_consumer_ring(5, 3))
@@ -253,12 +239,9 @@ class TestSpillMechanics:
         shards — everything fits — but the marking log streams there)."""
         net = producer_consumer_ring(3, 2)
         graph = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="frontier", spill_dir=tmp_path
+            net, max_markings=GRAPH_CAP, spill_dir=tmp_path
         )
-        reference = build_reachability_graph(
-            net, max_markings=GRAPH_CAP, engine="compiled"
-        )
-        assert_graphs_identical(graph, reference)
+        assert_graphs_identical(graph, _legacy_graph(net))
         assert graph._exploration.spill is not None
         assert graph._exploration.spill.shard_count == 0
 
@@ -318,39 +301,61 @@ class TestVisitedStore:
 # Validation + fallback
 # ----------------------------------------------------------------------
 class TestValidation:
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
-    def test_budget_requires_frontier_engine(self, engine):
+    def test_legacy_rejects_the_knobs(self):
         net = producer_consumer_ring(2, 2)
-        with pytest.raises(ValueError, match="frontier"):
-            build_reachability_graph(net, engine=engine, memory_budget=TINY_BUDGET)
-        with pytest.raises(ValueError, match="frontier"):
-            coverability_analysis(net, engine=engine, spill_dir="/tmp/x")
-        with pytest.raises(ValueError, match="frontier"):
-            find_deadlocks(net, engine=engine, symmetry="auto")
+        with pytest.raises(ValueError, match="legacy"):
+            build_reachability_graph(
+                net, engine="legacy", memory_budget=TINY_BUDGET
+            )
+        with pytest.raises(ValueError, match="legacy"):
+            coverability_analysis(net, engine="legacy", spill_dir="/tmp/x")
+        with pytest.raises(ValueError, match="legacy"):
+            find_deadlocks(net, engine="legacy", symmetry="auto")
 
-    def test_corpus_rejects_budget_on_other_engines(self):
-        from repro.petrinet.corpus import generate_corpus, run_corpus
+    def test_compiled_accepts_the_knobs(self, tmp_path):
+        net = producer_consumer_ring(2, 2)
+        reference = find_deadlocks(net, engine="legacy")
+        assert find_deadlocks(net, memory_budget=TINY_BUDGET) == reference
+        assert find_deadlocks(net, spill_dir=tmp_path) == reference
+        assert coverability_analysis(net, symmetry="auto").bounded
 
+    def test_malformed_budget_fails_at_the_boundary(self):
+        net = producer_consumer_ring(2, 2)
+        with pytest.raises(ValueError, match="unparseable memory budget"):
+            build_reachability_graph(net, memory_budget="bogus")
+        # a source net skips the budgeted prefix, yet the budget is refused
+        with pytest.raises(ValueError, match="unparseable memory budget"):
+            coverability_analysis(pipeline_net(2, rates=[1, 1]), memory_budget="bogus")
+
+    def test_corpus_rejects_budget_on_legacy(self):
         specs = generate_corpus(2, seed=0)
-        with pytest.raises(ValueError, match="frontier"):
-            run_corpus(specs, engine="compiled", memory_budget=TINY_BUDGET)
+        with pytest.raises(ValueError, match="legacy"):
+            run_corpus(specs, engine="legacy", memory_budget=TINY_BUDGET)
+
+    def test_corpus_malformed_budget_fails_before_any_net(self, monkeypatch):
+        import repro.petrinet.corpus as corpus_module
+
+        built = []
+        monkeypatch.setattr(corpus_module, "_cached_net", built.append)
+        specs = generate_corpus(3, seed=0)
+        with pytest.raises(ValueError, match="unparseable memory budget 'bogus'"):
+            run_corpus(specs, memory_budget="bogus")
+        assert built == []
 
     def test_corpus_budgeted_records_match_in_ram(self):
-        from repro.petrinet.corpus import generate_corpus, run_corpus
-
         specs = generate_corpus(4, seed=11)
-        budgeted = run_corpus(specs, engine="frontier", memory_budget=TINY_BUDGET)
-        in_ram = run_corpus(specs, engine="frontier")
+        budgeted = run_corpus(specs, memory_budget=TINY_BUDGET)
+        in_ram = run_corpus(specs)
+        legacy = run_corpus(specs, engine="legacy")
         assert not budgeted.errors
-        for a, b in zip(budgeted.records, in_ram.records):
-            da, db = a.to_dict(), b.to_dict()
-            da.pop("elapsed_ms")
-            db.pop("elapsed_ms")
-            assert da == db
+
+        def records(result):
+            return [{**r.to_dict(), "elapsed_ms": 0.0} for r in result.records]
+
+        assert records(budgeted) == records(in_ram) == records(legacy)
 
     def test_hash_disagreement_falls_back_to_exact(self, monkeypatch):
         import repro.petrinet.outofcore as outofcore_module
-        from repro.petrinet.frontier import _HashDisagreement
 
         def always_disagrees(*args, **kwargs):
             raise _HashDisagreement
@@ -360,8 +365,7 @@ class TestValidation:
         )
         net = producer_consumer_ring(3, 2)
         graph = _budgeted_graph(net, cap=200)
-        reference = build_reachability_graph(net, max_markings=200, engine="compiled")
-        assert_graphs_identical(graph, reference)
+        assert_graphs_identical(graph, _legacy_graph(net, cap=200))
 
 
 # ----------------------------------------------------------------------
@@ -405,16 +409,16 @@ class TestSymmetry:
         )
         assert quotient.complete
         assert quotient.node_count < full.node_count
-        assert is_deadlock_free(
-            net, engine="frontier", symmetry="auto"
-        ) == is_deadlock_free(net, engine="compiled")
+        assert is_deadlock_free(net, symmetry="auto") == is_deadlock_free(
+            net, engine="legacy"
+        )
 
     def test_orbit_bounds_equal_full_place_bounds(self):
         net = fork_join_pipeline(3, 4, closed=True)
         budgeted = coverability_analysis(
-            net, engine="frontier", symmetry="auto", memory_budget=TINY_BUDGET
+            net, symmetry="auto", memory_budget=TINY_BUDGET
         )
-        reference = coverability_analysis(net, engine="compiled")
+        reference = _karp_miller(net, cap=200_000)
         assert budgeted.bounded == reference.bounded
         assert budgeted.place_bounds == reference.place_bounds
         assert budgeted.complete
@@ -472,3 +476,43 @@ class TestSymmetry:
         assert budgeted.spill.canonical
         assert np.array_equal(np.asarray(budgeted.matrix), plain.matrix)
         assert np.array_equal(np.asarray(budgeted.edge_dst), plain.edge_dst)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fork_join_pipeline(3, 4, closed=True),
+            lambda: _family_net("choice_fan", 0),
+            lambda: _family_net("fork_join_pipeline", 0),
+            lambda: _family_net("independent_choices", 0),
+            lambda: _family_net("producer_consumer_ring", 3),
+        ],
+        ids=["fork_join_3x4", "choice_fan-0", "fork_join-0", "independent-0", "ring-3"],
+    )
+    @pytest.mark.parametrize("budget", [None, TINY_BUDGET], ids=["no-budget", "budget"])
+    def test_collision_fallback_explores_the_same_quotient(
+        self, monkeypatch, build, budget
+    ):
+        """A forced hash disagreement under symmetry reruns the exact
+        explorer on canonical markings: bit-identical to the hashed run."""
+        import repro.petrinet.outofcore as outofcore_module
+
+        compiled = compile_net(build())
+        hashed = explore_frontier(
+            compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
+        )
+
+        def always_disagrees(*args, **kwargs):
+            raise _HashDisagreement
+
+        monkeypatch.setattr(outofcore_module, "_explore_spilling", always_disagrees)
+        exact = explore_frontier(
+            compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
+        )
+        assert exact.spill is None  # the exact explorer really ran
+        assert np.array_equal(exact.matrix, np.asarray(hashed.matrix))
+        assert np.array_equal(exact.edge_src, np.asarray(hashed.edge_src))
+        assert np.array_equal(
+            exact.edge_transition, np.asarray(hashed.edge_transition)
+        )
+        assert np.array_equal(exact.edge_dst, np.asarray(hashed.edge_dst))
+        assert exact.complete == hashed.complete

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gallery import figure2_sdf_chain, figure3b_unschedulable
+from repro.petrinet.generators import pipeline_net
 from repro.petrinet import (
     Marking,
     NetBuilder,
@@ -138,3 +139,31 @@ class TestDeadlockAndLiveness:
     def test_liveness_requires_complete_graph(self, fig2):
         with pytest.raises(RuntimeError):
             is_live(fig2, max_markings=5)
+
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    def test_truncated_exploration_reports_no_false_deadlock(self, engine):
+        # the source keeps every marking live; the markings past the cap
+        # were never expanded, which must not make them deadlocks
+        net = pipeline_net(3, rates=[1, 1, 1])
+        assert find_deadlocks(net, max_markings=50, engine=engine) == []
+        with pytest.raises(RuntimeError, match="deadlock-freedom undecided"):
+            is_deadlock_free(net, max_markings=50, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    def test_truncated_exploration_keeps_real_deadlocks(self, engine):
+        # ``t_pump`` grows ``q`` without bound; ``t_stop`` empties ``p``
+        # and leaves a dead marking for every count of ``q``
+        net = (
+            NetBuilder("pump_or_stop")
+            .place("p", tokens=1)
+            .place("q")
+            .arc("p", "t_pump")
+            .arc("t_pump", "p")
+            .arc("t_pump", "q")
+            .arc("p", "t_stop")
+            .build()
+        )
+        deadlocks = find_deadlocks(net, max_markings=50, engine=engine)
+        assert deadlocks[:3] == [Marking(), Marking({"q": 1}), Marking({"q": 2})]
+        assert all(not net.enabled_transitions(m) for m in deadlocks)
+        assert not is_deadlock_free(net, max_markings=50, engine=engine)
