@@ -209,7 +209,9 @@ def _smoke() -> int:
             "to the interpreter (tested elsewhere); nothing to measure"
         )
         return 0
-    entry = {"programs": {}}
+    # one timed round per engine, unlike the pytest contract's best of 3:
+    # compare smoke entries only with smoke entries
+    entry = {"config": "native vs interpreter, one smoke round", "programs": {}}
     for name, program, activations in _contract_programs():
         rows, speedup = _native_rows(name, program, activations, rounds=1)
         path = record_bench_rows("codegen", rows)

@@ -11,8 +11,9 @@ T-allocations** (the ``independent_choices`` / ``nested_choices``
 families of the scalability study).
 
 Run ``python benchmarks/bench_qss_pipeline.py --smoke`` for a fast
-functional pass (equivalence only, no timing statistics) — the mode CI
-uses.
+functional pass (equivalence only, no timing statistics: identical
+reports and cycles, and byte-identical emitted C from both engines) —
+the mode CI uses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 
 import pytest
 
+from repro.codegen import emit_c, synthesize
 from repro.petrinet.corpus import generate_corpus, run_corpus
 from repro.petrinet.generators import independent_choices_net, nested_choices_net
 from repro.qss import analyse
@@ -56,6 +58,9 @@ def _assert_reports_identical(legacy, compiled):
     assert [v.invariants for v in compiled.verdicts] == [
         v.invariants for v in legacy.verdicts
     ]
+    if compiled.schedulable:
+        # cycles carry their reduction's invariants into task partitioning
+        assert compiled.schedule.cycles == legacy.schedule.cycles
 
 
 @pytest.mark.parametrize("name,build,allocations", CONTRACT_NETS)
@@ -129,10 +134,16 @@ def _smoke() -> int:
         compiled = analyse(net, engine="compiled")
         assert legacy.allocation_count == allocations
         _assert_reports_identical(legacy, compiled)
+        assert compiled.schedulable
+        assert (
+            emit_c(synthesize(compiled.schedule)).source
+            == emit_c(synthesize(legacy.schedule)).source
+        )
         print(
             f"smoke {name}: {allocations} allocations, "
             f"{compiled.reduction_count} reductions, "
-            f"schedulable={compiled.schedulable} — engines identical"
+            f"schedulable={compiled.schedulable} — engines identical, "
+            "C byte-identical"
         )
     test_corpus_qss_sweep_parallel_matches_sequential()
     print("smoke corpus qss sweep: parallel == sequential")

@@ -214,6 +214,11 @@ class TestServeThroughput:
         _print_row("\nserve smoke (x2)", row)
 
 
+def _fleet(instances: int, cells: int, row) -> dict:
+    """Which fleet a history figure was measured on."""
+    return {"instances": instances, "cells": cells, "events": row["events"]}
+
+
 def _smoke() -> int:
     """CI pass: shard sweep, equality checks, the 1M contract, history."""
     batch_row, batch_result = _batch_row(SMOKE_INSTANCES, SMOKE_CELLS, rounds=1)
@@ -248,9 +253,13 @@ def _smoke() -> int:
     path = record_bench_rows("serve", rows)
     print(f"smoke serve: rows recorded -> {path}")
     entry = {
-        "instances": CONTRACT_INSTANCES,
-        "events": contract_row["events"],
+        "config": (
+            "serve smoke: batch and sweep on the smoke fleet, "
+            "service on the contract fleet"
+        ),
+        "batch_fleet": _fleet(SMOKE_INSTANCES, SMOKE_CELLS, batch_row),
         "batch_events_per_second": batch_row["events_per_second"],
+        "service_fleet": _fleet(CONTRACT_INSTANCES, CONTRACT_CELLS, contract_row),
         "service_events_per_second": contract_row["events_per_second"],
         "service_shards": contract_row["shards"],
         "smoke_sweep": sweep,

@@ -61,8 +61,10 @@ class ReductionVerdict:
     uncovered_transitions / uncovered_sources / source_places:
         Diagnostics explaining a negative verdict.
     invariants:
-        The minimal T-invariants of the reduction (kept for reporting and
-        for task partitioning).
+        The minimal T-invariants of the reduction, kept for reporting
+        and for task partitioning: ``analyse`` hands them to the
+        reduction's :class:`~repro.qss.schedule.FiniteCompleteCycle`,
+        and ``partition_tasks`` reads them from there.
     """
 
     reduction: "TReduction | CompiledReduction"

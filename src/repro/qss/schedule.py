@@ -32,19 +32,26 @@ class FiniteCompleteCycle:
         The choice resolutions (T-allocation) this cycle corresponds to.
     reduction_transitions:
         The transitions of the T-reduction the cycle was scheduled on.
+    invariants:
+        The minimal T-invariants of that T-reduction, as computed by the
+        Definition 3.5 check, in the verdict's order; each is stored as
+        sorted ``(transition, count)`` pairs like ``firing_counts``.
+        Task partitioning (Section 4) builds each task from them.
     """
 
     sequence: Tuple[str, ...]
     firing_counts: Tuple[Tuple[str, int], ...]
     allocation: TAllocation
     reduction_transitions: FrozenSet[str]
+    invariants: Tuple[Tuple[Tuple[str, int], ...], ...]
 
     @classmethod
     def from_sequence(
         cls,
         sequence: Sequence[str],
         allocation: TAllocation,
-        reduction_transitions: Optional[FrozenSet[str]] = None,
+        reduction_transitions: FrozenSet[str],
+        invariants: Sequence[Mapping[str, int]],
     ) -> "FiniteCompleteCycle":
         counts: Dict[str, int] = {}
         for transition in sequence:
@@ -53,8 +60,10 @@ class FiniteCompleteCycle:
             sequence=tuple(sequence),
             firing_counts=tuple(sorted(counts.items())),
             allocation=allocation,
-            reduction_transitions=reduction_transitions
-            or frozenset(counts),
+            reduction_transitions=reduction_transitions,
+            invariants=tuple(
+                tuple(sorted(invariant.items())) for invariant in invariants
+            ),
         )
 
     @property

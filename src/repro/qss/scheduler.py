@@ -10,8 +10,9 @@ The top-level entry points are :func:`is_schedulable` and
 3. statically schedule each reduction with the SDF-style machinery
    (T-invariants + deadlock-free constrained simulation);
 4. if every reduction is schedulable (Theorem 3.1), assemble the valid
-   schedule — a set of finite complete cycles, one per reduction — from
-   which C code is synthesized by :mod:`repro.codegen`.
+   schedule — a set of finite complete cycles, one per reduction, each
+   carrying its reduction's minimal T-invariants for task partitioning
+   — from which C code is synthesized by :mod:`repro.codegen`.
 
 When the net is not schedulable a :class:`SchedulabilityReport` explains
 which reductions fail and why, so the designer is "notified that there
@@ -170,6 +171,7 @@ def analyse(
                     verdict.cycle,
                     allocation=verdict.reduction.allocation,
                     reduction_transitions=verdict.reduction.transition_set,
+                    invariants=verdict.invariants,
                 )
             )
         report.schedule = schedule

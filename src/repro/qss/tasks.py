@@ -15,7 +15,11 @@ Given a valid schedule this module
 * assigns to each task the transitions appearing in T-invariants that
   contain one of its source transitions, across all T-reductions
   (transitions reachable from several inputs — shared code such as the
-  WFQ module of the ATM server — appear in several tasks);
+  WFQ module of the ATM server — appear in several tasks).  Those are
+  the minimal T-invariants the Definition 3.5 check already computed
+  for every reduction, carried on each
+  :class:`~repro.qss.schedule.FiniteCompleteCycle`; nothing is
+  recomputed here;
 * extracts the per-task subnet used by the code generator.
 """
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..petrinet import PetriNet, t_invariants
+from ..petrinet import PetriNet
 from .schedule import ValidSchedule
 
 
@@ -101,6 +105,39 @@ def _task_places(net: PetriNet, transitions: Set[str]) -> Set[str]:
     return places
 
 
+def _rate_groups(
+    net: PetriNet, rate_groups: Optional[Sequence[Sequence[str]]]
+) -> List[List[str]]:
+    """The task groups: the given ones, then one per ungrouped source.
+
+    Raises ``ValueError`` on an empty group, on a member that is not a
+    source transition of ``net`` and on a source named twice.
+    """
+    sources = net.source_transitions()
+    if rate_groups is None:
+        return [[s] for s in sources]
+    groups = [list(group) for group in rate_groups]
+    source_set = set(sources)
+    grouped: Set[str] = set()
+    for group in groups:
+        if not group:
+            raise ValueError("empty rate group: a task needs a source transition")
+        for transition in group:
+            if transition not in source_set:
+                raise ValueError(
+                    f"rate group {group} names {transition!r}, which is not "
+                    f"a source transition of net {net.name!r}"
+                )
+            if transition in grouped:
+                raise ValueError(
+                    f"source transition {transition!r} is named twice in "
+                    "the rate groups"
+                )
+            grouped.add(transition)
+    groups.extend([s] for s in sources if s not in grouped)
+    return groups
+
+
 def partition_tasks(
     schedule: ValidSchedule,
     rate_groups: Optional[Sequence[Sequence[str]]] = None,
@@ -120,35 +157,37 @@ def partition_tasks(
     task_names:
         Optional ``{first source of group: task name}`` mapping used to
         give tasks application-level names (e.g. ``cell_task``).
+
+    Raises
+    ------
+    ValueError
+        Before any work, when a rate group is empty, names a transition
+        that is not a source of the net, or repeats a source, and when
+        two tasks would get the same name.
     """
     net = schedule.net
-    sources = net.source_transitions()
-    if rate_groups is None:
-        groups: List[List[str]] = [[s] for s in sources]
-    else:
-        groups = [list(group) for group in rate_groups]
-        grouped = {s for group in groups for s in group}
-        for source in sources:
-            if source not in grouped:
-                groups.append([source])
+    groups = _rate_groups(net, rate_groups)
+    names: List[str] = []
+    for group in groups:
+        name = (task_names or {}).get(group[0], f"task_{group[0]}")
+        if name in names:
+            raise ValueError(
+                f"task name {name!r} is given to the tasks of sources "
+                f"{groups[names.index(name)][0]!r} and {group[0]!r}"
+            )
+        names.append(name)
 
     # Transitions per task: union over every cycle (i.e. every reduction)
     # of the supports of the T-invariants containing the task's sources.
-    # The cycles already realize those invariants, so it is sufficient to
-    # recompute the invariants on each reduction's transition set.
+    # Each cycle carries its reduction's minimal T-invariants, computed
+    # once by the Definition 3.5 check in ``analyse``.
     membership: Dict[str, Set[str]] = {group[0]: set(group) for group in groups}
     for cycle in schedule.cycles:
-        reduction_net = net.subnet(
-            places=net.place_names,
-            transitions=list(cycle.reduction_transitions),
-            name=f"{net.name}_cycle",
-        )
-        invariants = t_invariants(reduction_net)
-        for group in groups:
-            key = group[0]
-            for invariant in invariants:
-                if any(source in invariant for source in group):
-                    membership[key].update(invariant)
+        for invariant in cycle.invariants:
+            support = {transition for transition, _ in invariant}
+            for group in groups:
+                if not support.isdisjoint(group):
+                    membership[group[0]].update(support)
 
     # Transitions claimed by several tasks are the shared code patterns.
     claim_count: Dict[str, int] = {}
@@ -157,11 +196,9 @@ def partition_tasks(
             claim_count[transition] = claim_count.get(transition, 0) + 1
 
     partition = TaskPartition(net=net)
-    for group in groups:
-        key = group[0]
-        owned = membership[key]
+    for group, name in zip(groups, names):
+        owned = membership[group[0]]
         places = _task_places(net, owned)
-        name = (task_names or {}).get(key, f"task_{key}")
         task_net = net.subnet(places=places, transitions=owned, name=name)
         shared = frozenset(t for t in owned if claim_count.get(t, 0) > 1)
         partition.tasks.append(

@@ -187,6 +187,31 @@ class TestTaskPartitioning:
         names = {task.name for task in partition.tasks}
         assert names == {"cell", "tick"}
 
+    @pytest.mark.parametrize(
+        "kwargs,offender",
+        [
+            ({"rate_groups": [["t1"], ["t1"]]}, "'t1' is named twice"),
+            ({"task_names": {"t1": "x", "t8": "x"}}, "task name 'x'"),
+            ({"rate_groups": [["t2"]]}, "names 't2', which is not a source"),
+            ({"rate_groups": [[]]}, "empty rate group"),
+            ({"rate_groups": [["t_nonexistent"]]}, "names 't_nonexistent'"),
+        ],
+        ids=[
+            "source_twice",
+            "task_name_twice",
+            "internal_transition",
+            "empty_group",
+            "unknown_transition",
+        ],
+    )
+    def test_bad_grouping_or_names_rejected(self, fig5, kwargs, offender):
+        """Duplicate task names or sources would emit C that gcc rejects
+        (redefined counters); an internal trigger breaks one task per
+        source; all are refused up front, naming the offender."""
+        schedule = compute_valid_schedule(fig5)
+        with pytest.raises(ValueError, match=offender):
+            partition_tasks(schedule, **kwargs)
+
     def test_unknown_source_raises(self, fig5):
         partition = partition_tasks(compute_valid_schedule(fig5))
         with pytest.raises(KeyError):
