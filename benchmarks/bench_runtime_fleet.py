@@ -108,7 +108,8 @@ def test_fleet_scaling_rows(benchmark):
 
 
 def _smoke() -> int:
-    """Fast functional pass: engine equivalence and determinism."""
+    """Fast functional pass: engine equivalence, columns equal
+    materialised Event lists, and determinism."""
     streams = make_fleet_testbench(64, cells=CONTRACT_CELLS)
     legacy = _fleet("legacy").run(streams)
     compiled = _fleet("compiled").run(streams)
@@ -118,6 +119,9 @@ def _smoke() -> int:
         f"({compiled.stats.events_processed} events, "
         f"{compiled.stats.total_cycles} cycles)"
     )
+    materialised = _fleet("compiled").run([list(stream) for stream in streams])
+    _assert_results_identical(materialised, compiled)
+    print("smoke columns: the column run equals the run over Event lists")
     again = _fleet("compiled").run(make_fleet_testbench(64, cells=CONTRACT_CELLS))
     _assert_results_identical(compiled, again)
     print("smoke determinism: identical results under the fixed fleet seed")

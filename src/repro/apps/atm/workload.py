@@ -16,16 +16,16 @@ the ``repro-qss serve`` subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 from ...runtime.events import (
     ChoiceSampler,
     Event,
-    arrival_events,
-    merge_streams,
-    periodic_events,
-    with_choices,
+    EventStreams,
+    StreamCollector,
+    arrival_times,
+    periodic_times,
 )
 from .model import (
     CELL_CHOICES,
@@ -66,8 +66,8 @@ class AtmWorkload:
     seed: int = 2026
     probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
 
-    def events(self) -> List[Event]:
-        """Generate the merged, time-ordered event stream."""
+    def draw(self, collector: StreamCollector) -> None:
+        """Append the merged, time-ordered stream to ``collector``."""
         probabilities = self.probabilities or default_choice_probabilities()
         sampler = ChoiceSampler(
             probabilities,
@@ -77,22 +77,23 @@ class AtmWorkload:
                 TICK_SOURCE: list(TICK_CHOICES),
             },
         )
-        cell_stream = arrival_events(
+        cells = arrival_times(
             self.arrival,
-            CELL_SOURCE,
             mean_interval=self.cell_mean_interval,
             count=self.cells,
             seed=self.seed,
         )
         # Ticks run for as long as cells keep arriving (plus one trailing
         # slot to drain), which is how a cell-slot clock behaves.
-        horizon = cell_stream[-1].time if cell_stream else 0.0
-        tick_count = int(horizon / self.tick_period) + 2
-        tick_stream = periodic_events(
-            TICK_SOURCE, period=self.tick_period, count=tick_count
-        )
-        merged = merge_streams(cell_stream, tick_stream)
-        return with_choices(merged, sampler)
+        horizon = cells[-1] if cells else 0.0
+        ticks = periodic_times(self.tick_period, int(horizon / self.tick_period) + 2)
+        collector.add(((CELL_SOURCE, cells), (TICK_SOURCE, ticks)), sampler)
+
+    def events(self) -> List[Event]:
+        """Generate the merged, time-ordered event stream."""
+        collector = StreamCollector()
+        self.draw(collector)
+        return collector.finish()[0]
 
     def summary(self) -> Dict[str, int]:
         events = self.events()
@@ -137,9 +138,10 @@ class AtmFleetWorkload:
     def instance_seed(self, instance: int) -> int:
         return self.seed * 1_000_003 + instance
 
-    def streams(self) -> List[List[Event]]:
+    def streams(self) -> EventStreams:
         """One merged, time-ordered event stream per instance."""
-        return [
+        collector = StreamCollector()
+        for i in range(self.instances):
             AtmWorkload(
                 cells=self.cells,
                 cell_mean_interval=self.cell_mean_interval,
@@ -147,14 +149,13 @@ class AtmFleetWorkload:
                 arrival=self.arrival,
                 seed=self.instance_seed(i),
                 probabilities=self.probabilities,
-            ).events()
-            for i in range(self.instances)
-        ]
+            ).draw(collector)
+        return collector.finish()
 
 
 def make_fleet_testbench(
     instances: int, cells: int = 50, seed: int = 2026, arrival: str = "exponential"
-) -> List[List[Event]]:
+) -> EventStreams:
     """Per-instance testbenches for an ``instances``-strong ATM server fleet."""
     return AtmFleetWorkload(
         instances=instances, cells=cells, seed=seed, arrival=arrival

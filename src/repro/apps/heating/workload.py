@@ -21,10 +21,10 @@ from typing import Dict, List, Mapping, Optional
 from ...runtime.events import (
     ChoiceSampler,
     Event,
-    arrival_events,
-    merge_streams,
-    periodic_events,
-    with_choices,
+    EventStreams,
+    StreamCollector,
+    arrival_times,
+    periodic_times,
 )
 from .model import (
     SAMPLE_CHOICES,
@@ -65,8 +65,8 @@ class HeatingWorkload:
     seed: int = 2026
     probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
 
-    def events(self) -> List[Event]:
-        """Generate the merged, time-ordered event stream."""
+    def draw(self, collector: StreamCollector) -> None:
+        """Append the merged, time-ordered stream to ``collector``."""
         probabilities = self.probabilities or default_choice_probabilities()
         sampler = ChoiceSampler(
             probabilities,
@@ -76,21 +76,22 @@ class HeatingWorkload:
                 SETPOINT_SOURCE: list(SETPOINT_CHOICES),
             },
         )
-        sample_stream = periodic_events(
-            SAMPLE_SOURCE, period=self.sample_period, count=self.samples
-        )
+        samples = periodic_times(self.sample_period, self.samples)
         # setpoint requests arrive over the sampling horizon
-        horizon = sample_stream[-1].time if sample_stream else 0.0
-        request_count = max(1, int(horizon / self.setpoint_mean_interval) + 1)
-        request_stream = arrival_events(
+        horizon = samples[-1] if samples else 0.0
+        requests = arrival_times(
             self.arrival,
-            SETPOINT_SOURCE,
             mean_interval=self.setpoint_mean_interval,
-            count=request_count,
+            count=max(1, int(horizon / self.setpoint_mean_interval) + 1),
             seed=self.seed,
         )
-        merged = merge_streams(sample_stream, request_stream)
-        return with_choices(merged, sampler)
+        collector.add(((SAMPLE_SOURCE, samples), (SETPOINT_SOURCE, requests)), sampler)
+
+    def events(self) -> List[Event]:
+        """Generate the merged, time-ordered event stream."""
+        collector = StreamCollector()
+        self.draw(collector)
+        return collector.finish()[0]
 
     def summary(self) -> Dict[str, int]:
         events = self.events()
@@ -128,9 +129,10 @@ class HeatingFleetWorkload:
     def instance_seed(self, instance: int) -> int:
         return self.seed * 1_000_003 + instance
 
-    def streams(self) -> List[List[Event]]:
+    def streams(self) -> EventStreams:
         """One merged, time-ordered event stream per instance."""
-        return [
+        collector = StreamCollector()
+        for i in range(self.instances):
             HeatingWorkload(
                 samples=self.samples,
                 sample_period=self.sample_period,
@@ -138,14 +140,13 @@ class HeatingFleetWorkload:
                 arrival=self.arrival,
                 seed=self.instance_seed(i),
                 probabilities=self.probabilities,
-            ).events()
-            for i in range(self.instances)
-        ]
+            ).draw(collector)
+        return collector.finish()
 
 
 def make_fleet_testbench(
     instances: int, samples: int = 50, seed: int = 2026, arrival: str = "diurnal"
-) -> List[List[Event]]:
+) -> EventStreams:
     """Per-instance testbenches for an ``instances``-zone heating fleet."""
     return HeatingFleetWorkload(
         instances=instances, samples=samples, seed=seed, arrival=arrival

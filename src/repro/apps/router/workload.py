@@ -21,10 +21,10 @@ from typing import Dict, List, Mapping, Optional
 from ...runtime.events import (
     ChoiceSampler,
     Event,
-    arrival_events,
-    merge_streams,
-    periodic_events,
-    with_choices,
+    EventStreams,
+    StreamCollector,
+    arrival_times,
+    periodic_times,
 )
 from .model import (
     PACKET_CHOICES,
@@ -65,8 +65,8 @@ class RouterWorkload:
     seed: int = 2026
     probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
 
-    def events(self) -> List[Event]:
-        """Generate the merged, time-ordered event stream."""
+    def draw(self, collector: StreamCollector) -> None:
+        """Append the merged, time-ordered stream to ``collector``."""
         probabilities = self.probabilities or default_choice_probabilities()
         sampler = ChoiceSampler(
             probabilities,
@@ -76,22 +76,23 @@ class RouterWorkload:
                 SCHED_SOURCE: list(SCHED_CHOICES),
             },
         )
-        packet_stream = arrival_events(
+        packets = arrival_times(
             self.arrival,
-            PACKET_SOURCE,
             mean_interval=self.packet_mean_interval,
             count=self.packets,
             seed=self.seed,
         )
         # transmit slots run for as long as frames keep arriving (plus
         # one trailing slot to drain the queues)
-        horizon = packet_stream[-1].time if packet_stream else 0.0
-        slot_count = int(horizon / self.slot_period) + 2
-        slot_stream = periodic_events(
-            SCHED_SOURCE, period=self.slot_period, count=slot_count
-        )
-        merged = merge_streams(packet_stream, slot_stream)
-        return with_choices(merged, sampler)
+        horizon = packets[-1] if packets else 0.0
+        slots = periodic_times(self.slot_period, int(horizon / self.slot_period) + 2)
+        collector.add(((PACKET_SOURCE, packets), (SCHED_SOURCE, slots)), sampler)
+
+    def events(self) -> List[Event]:
+        """Generate the merged, time-ordered event stream."""
+        collector = StreamCollector()
+        self.draw(collector)
+        return collector.finish()[0]
 
     def summary(self) -> Dict[str, int]:
         events = self.events()
@@ -129,9 +130,10 @@ class RouterFleetWorkload:
     def instance_seed(self, instance: int) -> int:
         return self.seed * 1_000_003 + instance
 
-    def streams(self) -> List[List[Event]]:
+    def streams(self) -> EventStreams:
         """One merged, time-ordered event stream per instance."""
-        return [
+        collector = StreamCollector()
+        for i in range(self.instances):
             RouterWorkload(
                 packets=self.packets,
                 packet_mean_interval=self.packet_mean_interval,
@@ -139,14 +141,13 @@ class RouterFleetWorkload:
                 arrival=self.arrival,
                 seed=self.instance_seed(i),
                 probabilities=self.probabilities,
-            ).events()
-            for i in range(self.instances)
-        ]
+            ).draw(collector)
+        return collector.finish()
 
 
 def make_fleet_testbench(
     instances: int, packets: int = 50, seed: int = 2026, arrival: str = "bursty"
-) -> List[List[Event]]:
+) -> EventStreams:
     """Per-instance testbenches for an ``instances``-strong line-card fleet."""
     return RouterFleetWorkload(
         instances=instances, packets=packets, seed=seed, arrival=arrival

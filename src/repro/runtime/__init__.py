@@ -19,7 +19,10 @@ from .events import (
     ARRIVAL_PROCESSES,
     ChoiceSampler,
     Event,
+    EventColumns,
+    EventStreams,
     arrival_events,
+    as_columns,
     bursty_events,
     diurnal_events,
     irregular_events,
@@ -53,6 +56,9 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Event",
+    "EventColumns",
+    "EventStreams",
+    "as_columns",
     "periodic_events",
     "irregular_events",
     "bursty_events",

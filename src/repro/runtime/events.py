@@ -10,14 +10,40 @@ processing of that event will encounter, because in the real system those
 decisions depend on the data carried by the event (cell contents, buffer
 occupancy); the workload generators in :mod:`repro.apps.atm.workload`
 draw them from configurable probabilities.
+
+A fleet's streams travel packed: :class:`EventColumns` holds one row per
+event — ``time``, ``instance``, ``source`` and ``signature`` columns —
+with name tables for the source transitions and the raw insertion-order
+choice resolutions.  :class:`StreamCollector` draws a fleet's streams
+straight into columns (no :class:`Event` per event), and
+:class:`EventStreams` is the per-instance ``Sequence`` view over them:
+``streams[i]`` is instance ``i``'s list of :class:`Event`, and a slice
+is again :class:`EventStreams`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
+
+#: Raw choice resolutions: ``choices.items()`` in insertion order.
+RawChoices = Tuple[Tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -44,6 +70,90 @@ class Event:
     payload: Optional[object] = None
 
 
+# ----------------------------------------------------------------------
+# Arrival processes: one draw loop each, returning arrival times
+# ----------------------------------------------------------------------
+def periodic_times(period: float, count: int, start: float = 0.0) -> List[float]:
+    """``count`` arrival times spaced ``period`` apart."""
+    if period <= 0:
+        raise ValueError("period must be positive")
+    return [start + i * period for i in range(count)]
+
+
+def _exponential_times(
+    mean_interval: float, count: int, seed: int, start: float
+) -> List[float]:
+    if mean_interval <= 0:
+        raise ValueError("mean_interval must be positive")
+    rng = random.Random(seed)
+    times = []
+    time = start
+    for _ in range(count):
+        time += rng.expovariate(1.0 / mean_interval)
+        times.append(time)
+    return times
+
+
+def _bursty_times(
+    mean_interval: float,
+    count: int,
+    seed: int,
+    start: float,
+    burst_mean: float = 4.0,
+    burst_spread: float = 0.1,
+    idle_factor: float = 5.0,
+) -> List[float]:
+    if mean_interval <= 0:
+        raise ValueError("mean_interval must be positive")
+    if burst_mean < 1:
+        raise ValueError("burst_mean must be at least 1")
+    rng = random.Random(seed)
+    times: List[float] = []
+    time = start
+    p_stop = 1.0 / burst_mean
+    while len(times) < count:
+        # idle gap before the burst
+        time += rng.expovariate(1.0 / (idle_factor * mean_interval))
+        # geometric burst size (at least one event)
+        while len(times) < count:
+            times.append(time)
+            if rng.random() < p_stop:
+                break
+            time += rng.expovariate(1.0 / (burst_spread * mean_interval))
+    return times
+
+
+def _diurnal_times(
+    mean_interval: float,
+    count: int,
+    seed: int,
+    start: float,
+    amplitude: float = 0.8,
+    period: float = 24.0,
+) -> List[float]:
+    if mean_interval <= 0:
+        raise ValueError("mean_interval must be positive")
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError("amplitude must be in [0, 1)")
+    if period <= 0:
+        raise ValueError("period must be positive")
+    rng = random.Random(seed)
+    times: List[float] = []
+    time = start
+    two_pi = 2.0 * math.pi
+    for _ in range(count):
+        rate = (1.0 + amplitude * math.sin(two_pi * time / period)) / mean_interval
+        time += rng.expovariate(rate)
+        times.append(time)
+    return times
+
+
+def _events_at(
+    times: Iterable[float], source: str, choices: Optional[Mapping[str, str]]
+) -> List[Event]:
+    return [Event(time=t, source=source, choices=dict(choices or {})) for t in times]
+
+
 def periodic_events(
     source: str,
     period: float,
@@ -52,12 +162,7 @@ def periodic_events(
     choices: Optional[Mapping[str, str]] = None,
 ) -> List[Event]:
     """``count`` events spaced ``period`` apart (e.g. the ATM Tick)."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    return [
-        Event(time=start + i * period, source=source, choices=dict(choices or {}))
-        for i in range(count)
-    ]
+    return _events_at(periodic_times(period, count, start), source, choices)
 
 
 def irregular_events(
@@ -74,15 +179,8 @@ def irregular_events(
     cell arrivals of the ATM server.  The stream is fully determined by
     ``seed`` so experiments are reproducible.
     """
-    if mean_interval <= 0:
-        raise ValueError("mean_interval must be positive")
-    rng = random.Random(seed)
-    events = []
-    time = start
-    for _ in range(count):
-        time += rng.expovariate(1.0 / mean_interval)
-        events.append(Event(time=time, source=source, choices=dict(choices or {})))
-    return events
+    times = _exponential_times(mean_interval, count, seed, start)
+    return _events_at(times, source, choices)
 
 
 def bursty_events(
@@ -108,26 +206,10 @@ def bursty_events(
     arrivals, which is what stresses run-to-completion serving.  Fully
     determined by ``seed``.
     """
-    if mean_interval <= 0:
-        raise ValueError("mean_interval must be positive")
-    if burst_mean < 1:
-        raise ValueError("burst_mean must be at least 1")
-    rng = random.Random(seed)
-    events: List[Event] = []
-    time = start
-    p_stop = 1.0 / burst_mean
-    while len(events) < count:
-        # idle gap before the burst
-        time += rng.expovariate(1.0 / (idle_factor * mean_interval))
-        # geometric burst size (at least one event)
-        while len(events) < count:
-            events.append(
-                Event(time=time, source=source, choices=dict(choices or {}))
-            )
-            if rng.random() < p_stop:
-                break
-            time += rng.expovariate(1.0 / (burst_spread * mean_interval))
-    return events
+    times = _bursty_times(
+        mean_interval, count, seed, start, burst_mean, burst_spread, idle_factor
+    )
+    return _events_at(times, source, choices)
 
 
 def diurnal_events(
@@ -150,27 +232,20 @@ def diurnal_events(
     previous event arrived, which keeps the stream fully determined by
     ``seed``.
     """
-    if mean_interval <= 0:
-        raise ValueError("mean_interval must be positive")
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    rng = random.Random(seed)
-    events: List[Event] = []
-    time = start
-    two_pi = 2.0 * math.pi
-    for _ in range(count):
-        rate = (1.0 + amplitude * math.sin(two_pi * time / period)) / mean_interval
-        time += rng.expovariate(rate)
-        events.append(Event(time=time, source=source, choices=dict(choices or {})))
-    return events
+    times = _diurnal_times(mean_interval, count, seed, start, amplitude, period)
+    return _events_at(times, source, choices)
 
 
 #: Arrival-process kinds accepted by :func:`arrival_events` (and the
 #: ``arrival=`` argument of :func:`repro.runtime.fleet.synthetic_streams`
 #: / the ``--arrival`` flag of ``repro-qss serve``).
 ARRIVAL_PROCESSES = ("exponential", "bursty", "diurnal")
+
+_ARRIVAL_TIMES = {
+    "exponential": _exponential_times,
+    "bursty": _bursty_times,
+    "diurnal": _diurnal_times,
+}
 
 
 def validate_arrival(arrival: str) -> str:
@@ -181,6 +256,18 @@ def validate_arrival(arrival: str) -> str:
             f"{', '.join(ARRIVAL_PROCESSES)}"
         )
     return arrival
+
+
+def arrival_times(
+    arrival: str,
+    mean_interval: float,
+    count: int,
+    seed: int = 0,
+    start: float = 0.0,
+) -> List[float]:
+    """The arrival times of :func:`arrival_events`, without the events."""
+    draw = _ARRIVAL_TIMES[validate_arrival(arrival)]
+    return draw(mean_interval, count, seed, start)
 
 
 def arrival_events(
@@ -199,18 +286,8 @@ def arrival_events(
     :func:`bursty_events`, ``"diurnal"`` is :func:`diurnal_events` —
     all seeded, all with comparable long-run mean rates.
     """
-    validate_arrival(arrival)
-    if arrival == "bursty":
-        return bursty_events(
-            source, mean_interval, count, seed=seed, start=start, choices=choices
-        )
-    if arrival == "diurnal":
-        return diurnal_events(
-            source, mean_interval, count, seed=seed, start=start, choices=choices
-        )
-    return irregular_events(
-        source, mean_interval, count, seed=seed, start=start, choices=choices
-    )
+    times = arrival_times(arrival, mean_interval, count, seed=seed, start=start)
+    return _events_at(times, source, choices)
 
 
 def merge_streams(*streams: Sequence[Event]) -> List[Event]:
@@ -269,24 +346,272 @@ class ChoiceSampler:
             if per_source
             else None
         )
+        # per source: one (branches, total) table per relevant place,
+        # each branch a ((place, transition), cumulative weight) pair
+        self._tables: Dict[Optional[str], list] = {}
+
+    def _tables_of(self, source: Optional[str]) -> list:
+        tables = self._tables.get(source)
+        if tables is None:
+            if self._per_source is not None and source is not None:
+                places = self._per_source.get(source, [])
+            else:
+                places = list(self._probabilities)
+            tables = []
+            for place in places:
+                branches = self._probabilities[place]
+                cumulative = 0.0
+                pairs = []
+                for transition, weight in branches.items():
+                    cumulative += weight
+                    pairs.append(((place, transition), cumulative))
+                tables.append((pairs, sum(branches.values())))
+            self._tables[source] = tables
+        return tables
+
+    def sample_items(self, source: Optional[str] = None) -> RawChoices:
+        """Draw one resolution for every relevant choice place, as
+        insertion-order ``(place, transition)`` pairs."""
+        random_draw = self._rng.random
+        items = []
+        for pairs, total in self._tables_of(source):
+            draw = random_draw() * total
+            for pair, cumulative in pairs:
+                if draw <= cumulative:
+                    break
+            else:
+                pair = pairs[0][0]
+            items.append(pair)
+        return tuple(items)
 
     def sample(self, source: Optional[str] = None) -> Dict[str, str]:
         """Draw one resolution for every relevant choice place."""
-        if self._per_source is not None and source is not None:
-            places = self._per_source.get(source, [])
-        else:
-            places = list(self._probabilities)
-        resolution: Dict[str, str] = {}
-        for place in places:
-            branches = self._probabilities[place]
-            total = sum(branches.values())
-            draw = self._rng.random() * total
-            cumulative = 0.0
-            chosen = next(iter(branches))
-            for transition, weight in branches.items():
-                cumulative += weight
-                if draw <= cumulative:
-                    chosen = transition
-                    break
-            resolution[place] = chosen
-        return resolution
+        return dict(self.sample_items(source))
+
+
+# ----------------------------------------------------------------------
+# Columnar streams
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """Packed events, one row per event.
+
+    ``time`` is float64; ``instance``, ``source`` and ``signature`` are
+    int64.  ``source`` indexes the :attr:`sources` name table and
+    ``signature`` the :attr:`choices` table of raw insertion-order
+    ``choices.items()`` tuples, whose id 0 is ``()`` (no choices).  The
+    names stay strings here: a kernel maps each table entry to its own
+    ids once and gathers (:meth:`repro.runtime.fleet.SignatureTable.gather`).
+    """
+
+    time: np.ndarray
+    instance: np.ndarray
+    source: np.ndarray
+    signature: np.ndarray
+    sources: Tuple[str, ...]
+    choices: Tuple[RawChoices, ...]
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    @classmethod
+    def pack(cls, rows: Iterable[Tuple[int, Any]]) -> "EventColumns":
+        """Columns of ``(instance key, event)`` pairs, in their order.
+
+        An event is anything with ``time``, ``source`` and ``choices``
+        (:class:`Event`, the service's ``InjectEvent``).  This is the one
+        loop that reads event strings: each row costs two name-table
+        lookups.
+        """
+        times: List[float] = []
+        instances: List[int] = []
+        source_ids: List[int] = []
+        signature_ids: List[int] = []
+        sources: Dict[str, int] = {}
+        choices: Dict[RawChoices, int] = {(): 0}
+        for key, event in rows:
+            instances.append(key)
+            times.append(event.time)
+            source_id = sources.get(event.source)
+            if source_id is None:
+                source_id = sources[event.source] = len(sources)
+            source_ids.append(source_id)
+            resolved = event.choices
+            if resolved:
+                raw = tuple(resolved.items())
+                signature_id = choices.get(raw)
+                if signature_id is None:
+                    signature_id = choices[raw] = len(choices)
+                signature_ids.append(signature_id)
+            else:
+                signature_ids.append(0)
+        return cls(
+            time=np.array(times, dtype=np.float64),
+            instance=np.array(instances, dtype=np.int64),
+            source=np.array(source_ids, dtype=np.int64),
+            signature=np.array(signature_ids, dtype=np.int64),
+            sources=tuple(sources),
+            choices=tuple(choices),
+        )
+
+
+def as_columns(streams: Sequence[Sequence[Any]]) -> EventColumns:
+    """The columns of per-instance streams; instance ``i`` is row key ``i``.
+
+    :class:`EventStreams` already are columns; any other sequence of
+    event sequences is packed once (:meth:`EventColumns.pack`).
+    """
+    if isinstance(streams, EventStreams):
+        return streams.columns
+    return EventColumns.pack(
+        (instance, event)
+        for instance, stream in enumerate(streams)
+        for event in stream
+    )
+
+
+class EventStreams(SequenceABC):
+    """Per-instance event streams backed by one :class:`EventColumns`.
+
+    The rows are grouped by instance, ``0..len-1`` ascending, each
+    instance's rows in stream order.  ``streams[i]`` builds instance
+    ``i``'s ``List[Event]``; ``streams[a:b]`` (any slice) is again
+    :class:`EventStreams`, its instances renumbered from 0.  Equality
+    and ``repr`` go by content, so a generated fleet compares equal to
+    the same streams as lists.
+    """
+
+    def __init__(self, columns: EventColumns, count: int) -> None:
+        self.columns = columns
+        self._count = count
+        self._offsets = np.searchsorted(
+            columns.instance, np.arange(count + 1, dtype=np.int64)
+        )
+        # each event gets its own copy of its signature's dict
+        self._choice_dicts = [dict(raw) for raw in columns.choices]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if isinstance(index, slice):
+            return self._take(np.arange(self._count, dtype=np.int64)[index])
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("stream index out of range")
+        return self._events(self._offsets[index], self._offsets[index + 1])
+
+    def __iter__(self) -> Iterator[List[Event]]:
+        bounds = self._offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield self._events(lo, hi)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            mine == list(theirs) for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EventStreams({list(self)!r})"
+
+    def _events(self, lo: int, hi: int) -> List[Event]:
+        columns = self.columns
+        names = columns.sources
+        choices = self._choice_dicts
+        return [
+            Event(time=t, source=names[s], choices=dict(choices[g]))
+            for t, s, g in zip(
+                columns.time[lo:hi].tolist(),
+                columns.source[lo:hi].tolist(),
+                columns.signature[lo:hi].tolist(),
+            )
+        ]
+
+    def _take(self, picks: np.ndarray) -> "EventStreams":
+        """The streams of instances ``picks``, renumbered in pick order."""
+        starts = self._offsets[picks]
+        lengths = self._offsets[picks + 1] - starts
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1] if len(ends) else 0, dtype=np.int64) + np.repeat(
+            starts - (ends - lengths), lengths
+        )
+        columns = self.columns
+        taken = EventColumns(
+            time=columns.time[rows],
+            instance=np.repeat(np.arange(len(picks), dtype=np.int64), lengths),
+            source=columns.source[rows],
+            signature=columns.signature[rows],
+            sources=columns.sources,
+            choices=columns.choices,
+        )
+        return EventStreams(taken, len(picks))
+
+
+class StreamCollector:
+    """Draws a fleet's streams straight into :class:`EventColumns`.
+
+    Each :meth:`add` appends one instance; :meth:`finish` returns the
+    :class:`EventStreams`.  No :class:`Event` is made on the way.
+    """
+
+    def __init__(self) -> None:
+        self._times: List[float] = []
+        self._sources: List[int] = []
+        self._signatures: List[int] = []
+        self._lengths: List[int] = []
+        self._source_index: Dict[str, int] = {}
+        self._choice_index: Dict[RawChoices, int] = {(): 0}
+
+    def add(
+        self,
+        parts: Sequence[Tuple[str, Sequence[float]]],
+        sampler: ChoiceSampler,
+        limit: Optional[int] = None,
+    ) -> None:
+        """Append one instance's stream.
+
+        ``parts`` are ``(source, arrival times)`` pairs, merged in time
+        order (stable: on a tie the earlier part goes first, as in
+        :func:`merge_streams`) and cut to the first ``limit`` events.
+        Each event then draws its choices from ``sampler``, in stream
+        order (as in :func:`with_choices`).
+        """
+        names: List[str] = []
+        ids: List[int] = []
+        times: List[float] = []
+        owners: List[int] = []
+        for source, part in parts:
+            owners.extend([len(names)] * len(part))
+            names.append(source)
+            ids.append(self._source_index.setdefault(source, len(self._source_index)))
+            times.extend(part)
+        order = sorted(range(len(times)), key=times.__getitem__)[:limit]
+        choice_index = self._choice_index
+        sample = sampler.sample_items
+        signatures = self._signatures
+        for k in order:
+            raw = sample(names[owners[k]])
+            signature_id = choice_index.get(raw)
+            if signature_id is None:
+                signature_id = choice_index[raw] = len(choice_index)
+            signatures.append(signature_id)
+        self._times.extend([times[k] for k in order])
+        self._sources.extend([ids[owners[k]] for k in order])
+        self._lengths.append(len(order))
+
+    def finish(self) -> EventStreams:
+        lengths = np.array(self._lengths, dtype=np.int64)
+        columns = EventColumns(
+            time=np.array(self._times, dtype=np.float64),
+            instance=np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
+            source=np.array(self._sources, dtype=np.int64),
+            signature=np.array(self._signatures, dtype=np.int64),
+            sources=tuple(self._source_index),
+            choices=tuple(self._choice_index),
+        )
+        return EventStreams(columns, len(lengths))

@@ -12,16 +12,24 @@ the full Python event loop per instance; this module steps all of them
   ``(N, P)`` int64 marking matrix (one row per instance, one column per
   compiled place id), the batched enabledness/dispatch machinery and
   the per-instance accounting arrays.  It is driven round by round
-  through :meth:`FleetEngine.dispatch_ids` — one pre-interned event per
-  listed instance — so the same kernel serves both a one-shot batch
-  run over complete streams and the always-on shards of
+  through :meth:`FleetEngine.dispatch_ids` — one event per listed
+  instance, as kernel ids — so the same kernel serves both a one-shot
+  batch run over complete streams and the always-on shards of
   :mod:`repro.service`, which feed it incrementally from their inboxes
   and register instances as their first events arrive.
 
-* :class:`FleetSimulator` is the stream **orchestration**: it sorts the
-  per-instance streams and feeds them to one kernel round by round
-  (``run``), or loops the string-keyed reactive simulator per instance
-  (``engine="legacy"``, the benchmark baseline).
+* :class:`FleetSimulator` is the stream **orchestration**: it takes the
+  streams as :class:`~repro.runtime.events.EventColumns` (the fleet
+  generators, :func:`synthetic_streams` among them, emit them; other
+  input is packed once), orders each instance by time with one stable
+  sort and feeds one kernel round by round (``run``), or loops the
+  string-keyed reactive simulator per instance (``engine="legacy"``,
+  the benchmark baseline).
+
+Events reach the kernel as ids without being interned one by one: the
+columns carry name tables of their distinct source names and raw
+choice tuples, :meth:`SignatureTable.gather` maps each table entry to a
+kernel id once, and each id column is one gather.
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
@@ -69,10 +77,12 @@ from .cost import CostModel
 from .events import (
     ChoiceSampler,
     Event,
-    arrival_events,
-    merge_streams,
+    EventColumns,
+    EventStreams,
+    StreamCollector,
+    arrival_times,
+    as_columns,
     validate_arrival,
-    with_choices,
 )
 from .reactive import (
     QUIESCENCE_MESSAGE,
@@ -218,8 +228,9 @@ class SignatureTable:
 
     Signatures depend only on the net, so one table can back any number
     of :class:`FleetEngine` instances of the same ``CompiledNet`` — the
-    sharded service interns each event *once* at the ingest boundary
-    and every shard kernel consumes the resulting integer ids directly.
+    sharded service maps each batch to ids *once* at the ingest boundary
+    (:meth:`gather`) and every shard kernel consumes the resulting
+    integer ids directly.
 
     Two-level scheme: the **raw** index caches insertion-order
     ``choices.items()`` tuples so the steady-state lookup skips the
@@ -237,10 +248,8 @@ class SignatureTable:
         for t_id, pairs in enumerate(cnet.pre_lists):
             for p_id, _w in pairs:
                 successors.setdefault(p_id, []).append(t_id)
-        self._choice_successors: Dict[int, np.ndarray] = {
-            p_id: np.array(t_ids, dtype=np.int64)
-            for p_id, t_ids in successors.items()
-            if len(t_ids) > 1
+        self._choice_successors: Dict[int, List[int]] = {
+            p_id: t_ids for p_id, t_ids in successors.items() if len(t_ids) > 1
         }
         # signature id 0 is the empty resolution (allowed = everything)
         self._index: Dict[Tuple[Tuple[str, str], ...], int] = {(): 0}
@@ -268,7 +277,7 @@ class SignatureTable:
             return sig_id
         transition_index = self.cnet.transition_index
         place_index = self.cnet.place_index
-        allowed = np.ones(len(self.cnet.transitions), dtype=bool)
+        allowed = [True] * len(self.cnet.transitions)
         for place, chosen in signature:
             p_id = place_index.get(place)
             if p_id is None:
@@ -277,7 +286,9 @@ class SignatureTable:
             if candidates is None:
                 continue
             chosen_id = transition_index.get(chosen, -1)
-            allowed[candidates[candidates != chosen_id]] = False
+            for t_id in candidates:
+                if t_id != chosen_id:
+                    allowed[t_id] = False
         sig_id = self.count
         self.allowed = _grown(self.allowed, sig_id + 1)
         self.allowed[sig_id] = allowed
@@ -285,43 +296,29 @@ class SignatureTable:
         self.count += 1
         return sig_id
 
-    def intern_events(self, events: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """Intern events into (source id, signature id) columns.
+    def gather(self, columns: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
+        """Kernel (source id, signature id) columns of packed events.
 
-        Takes anything with ``source`` and ``choices`` attributes
-        (:class:`Event`, the service's ``InjectEvent``).  The hot loop of
-        the serving path: one raw-cache hit per event in the steady
-        state (the insertion-order ``items()`` tuple doubles as the
-        lookup key, so repeated resolutions skip the sort).  An unknown
-        source transition raises :class:`NotEnabledError`.
+        Each entry of the columns' name tables is looked up once — a
+        source name in the compiled transition index, a raw choice tuple
+        through :meth:`intern_raw` — and each id column is one gather
+        through those maps.  A source that no transition of the net
+        names raises :class:`NotEnabledError` naming it, before any
+        signature is interned.
         """
-        src_list: List[int] = []
-        sig_list: List[int] = []
-        add_src = src_list.append
-        add_sig = sig_list.append
-        lookup_src = self.cnet.transition_index.get
-        lookup_sig = self._raw_index.get
-        intern_raw = self.intern_raw
-        for event in events:
-            t_id = lookup_src(event.source)
-            if t_id is None:
-                raise NotEnabledError(
-                    f"unknown source transition {event.source!r}"
-                )
-            add_src(t_id)
-            choices = event.choices
-            if choices:
-                raw = tuple(choices.items())
-                sig_id = lookup_sig(raw)
-                if sig_id is None:
-                    sig_id = intern_raw(raw)
-                add_sig(sig_id)
-            else:
-                add_sig(0)
-        return (
-            np.array(src_list, dtype=np.int64),
-            np.array(sig_list, dtype=np.int64),
+        lookup = self.cnet.transition_index.get
+        source_map = np.array(
+            [lookup(name, -1) for name in columns.sources], dtype=np.int64
         )
+        src_ids = source_map[columns.source]
+        unknown = np.flatnonzero(src_ids < 0)
+        if unknown.size:
+            name = columns.sources[int(columns.source[unknown[0]])]
+            raise NotEnabledError(f"unknown source transition {name!r}")
+        signature_map = np.array(
+            [self.intern_raw(raw) for raw in columns.choices], dtype=np.int64
+        )
+        return src_ids, signature_map[columns.signature]
 
 
 class FleetEngine:
@@ -331,9 +328,11 @@ class FleetEngine:
     event counters, aggregate accounting) and *mechanism* (batched
     dispatch with memoized cascades); it knows nothing about streams,
     sockets or actors.  Drive it with :meth:`dispatch_ids` — one event
-    per listed instance row per call, interned by :meth:`prepare_events`
-    or at the service's ingest boundary — and read the outcome with
-    :meth:`result` at any point.
+    per listed instance row per call, as the kernel ids that
+    :meth:`prepare_events` gathers from
+    :class:`~repro.runtime.events.EventColumns` (at the service's ingest
+    boundary, :meth:`FleetSupervisor.pack` does the same) — and read the
+    outcome with :meth:`result` at any point.
 
     Parameters
     ----------
@@ -557,11 +556,11 @@ class FleetEngine:
         self._apply(rows, table, ids)
 
     def prepare_events(
-        self, events: Sequence[Event]
+        self, events: EventColumns
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Intern a batch of events into (source id, signature id) columns
-        (:meth:`SignatureTable.intern_events`)."""
-        return self.signatures.intern_events(events)
+        """Kernel (source id, signature id) columns of packed events, row
+        for row (:meth:`SignatureTable.gather`)."""
+        return self.signatures.gather(events)
 
     def _memo_cascades(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
@@ -776,7 +775,13 @@ class FleetSimulator:
     same kernel that backs the always-on service
     (:mod:`repro.service`) is driven here with complete per-instance
     streams, round by round (round ``k`` dispatches the ``k``-th event
-    of every instance at once).
+    of every instance at once).  The streams are read as
+    :class:`~repro.runtime.events.EventColumns` — generated
+    :class:`~repro.runtime.events.EventStreams` already are columns,
+    other sequences of events are packed once — and their kernel ids
+    come from one gather over the columns' name tables
+    (:meth:`FleetEngine.prepare_events`), never from interning each
+    :class:`Event`.
 
     Parameters
     ----------
@@ -838,12 +843,21 @@ class FleetSimulator:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
-        """Execute one event stream per instance and return the fleet result."""
+        """Execute one event stream per instance and return the fleet result.
+
+        ``streams`` become :class:`EventColumns` once (generated
+        :class:`EventStreams` already are).  A NaN event time is refused
+        with :class:`ValueError` on both engines: it has no place in a
+        time order.
+        """
         started = time.perf_counter()
+        columns = as_columns(streams)
+        if np.isnan(columns.time).any():
+            raise ValueError("an event time is NaN")
         if self.engine == ENGINE_LEGACY:
             result = self._run_legacy(streams)
         else:
-            result = self._run_batched(streams)
+            result = self._run_batched(columns, len(streams))
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -882,31 +896,28 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Compiled engine: drive the kernel round by round
     # ------------------------------------------------------------------
-    def _run_batched(self, streams: Sequence[Sequence[Event]]) -> FleetResult:
+    def _run_batched(self, columns: EventColumns, count: int) -> FleetResult:
         kernel = self.kernel
-        n = len(streams)
-        kernel.reset(n)
-        lengths = np.array([len(stream) for stream in streams], dtype=np.int64)
-        max_len = int(lengths.max()) if n else 0
-        if max_len == 0:
+        kernel.reset(count)
+        if not len(columns):
             return kernel.result(engine=self.engine)
-        # intern every stream once up front: rounds become pure column
-        # slices of the padded (N, max_len) id matrices
-        src_matrix = np.zeros((n, max_len), dtype=np.int64)
-        sig_matrix = np.zeros((n, max_len), dtype=np.int64)
-        timer = lambda e: e.time  # noqa: E731
-        for i, stream in enumerate(streams):
-            if not stream:
-                continue
-            ordered = sorted(stream, key=timer)
-            src_ids, sig_ids = kernel.prepare_events(ordered)
-            src_matrix[i, : len(ordered)] = src_ids
-            sig_matrix[i, : len(ordered)] = sig_ids
-        for round_k in range(max_len):
-            rows = np.flatnonzero(lengths > round_k)
-            kernel.dispatch_ids(
-                rows, src_matrix[rows, round_k], sig_matrix[rows, round_k]
-            )
+        src_ids, sig_ids = kernel.prepare_events(columns)
+        # one stable sort orders each instance's events by time; round k
+        # then dispatches the k-th event of every instance that has one,
+        # instances ascending
+        order = np.lexsort((columns.time, columns.instance))
+        rows = columns.instance[order]
+        lengths = np.bincount(rows, minlength=count)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        by_round = np.argsort(rank, kind="stable")
+        order = order[by_round]
+        rows = rows[by_round]
+        src_ids = src_ids[order]
+        sig_ids = sig_ids[order]
+        lo = 0
+        for hi in np.cumsum(np.bincount(rank)).tolist():
+            kernel.dispatch_ids(rows[lo:hi], src_ids[lo:hi], sig_ids[lo:hi])
+            lo = hi
         return kernel.result(engine=self.engine)
 
 
@@ -921,7 +932,7 @@ def synthetic_streams(
     mean_interval: float = 1.0,
     arrival: str = "exponential",
     choice_policy: Optional[StochasticChoicePolicy] = None,
-) -> List[List[Event]]:
+) -> EventStreams:
     """Reproducible per-instance event streams for an arbitrary net.
 
     Every source transition of the net emits events through the chosen
@@ -950,23 +961,21 @@ def synthetic_streams(
             place: {t: 1.0 for t in named.postset_names(place)}
             for place in named.choice_places()
         }
-    streams: List[List[Event]] = []
+    collector = StreamCollector()
     for i in range(instances):
-        if not sources:
-            streams.append([])
-            continue
         base = seed * 1_000_003 + i * 7_919
-        per_source = [
-            arrival_events(
-                arrival,
+        parts = [
+            (
                 source,
-                mean_interval=mean_interval,
-                count=events_per_instance,
-                seed=base + s_idx,
+                arrival_times(
+                    arrival,
+                    mean_interval=mean_interval,
+                    count=events_per_instance,
+                    seed=base + s_idx,
+                ),
             )
             for s_idx, source in enumerate(sources)
         ]
-        merged = merge_streams(*per_source)[:events_per_instance]
         sampler = ChoiceSampler(probabilities, seed=base + 104_729)
-        streams.append(with_choices(merged, sampler))
-    return streams
+        collector.add(parts, sampler, limit=events_per_instance)
+    return collector.finish()

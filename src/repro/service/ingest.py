@@ -7,11 +7,11 @@ Injects propagate the shard actors' backpressure naturally: the
 connection handler ``await``s the supervisor, so while shard inboxes
 are full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
-latency, never to unbounded server memory.  Malformed lines, injects
-naming an unknown source transition, and control requests that reach
-a failed shard are answered with a ``not-ok``
-:class:`~repro.service.messages.Ack` carrying the error; the
-connection stays up.
+latency, never to unbounded server memory.  Malformed lines (an inject
+field of the wrong type included), injects naming an unknown source
+transition, and control requests that reach a failed shard are
+answered with a ``not-ok`` :class:`~repro.service.messages.Ack`
+carrying the error; the connection stays up.
 
 :class:`ServiceClient` speaks the codec over a socket (inject /
 snapshot / reload / shutdown): what external producers use, and what
@@ -25,7 +25,10 @@ import asyncio
 import dataclasses
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..petrinet.exceptions import NotEnabledError
+from ..runtime.events import as_columns
 from .messages import (
     Ack,
     InjectBatch,
@@ -91,7 +94,13 @@ class IngestServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # a single line exceeded STREAM_LIMIT: the stream
+                    # cannot be re-synchronized mid-line, so drop this
+                    # connection cleanly
+                    break
                 if not line:
                     break
                 stripped = line.strip()
@@ -115,10 +124,6 @@ class IngestServer:
                 if reply is not None:
                     await self._reply(writer, reply)
         except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except ValueError:
-            # a single line exceeded STREAM_LIMIT: the stream cannot be
-            # re-synchronized mid-line, so drop this connection cleanly
             pass
         finally:
             writer.close()
@@ -244,22 +249,23 @@ def events_to_injects(
     Instance ``i``'s stream becomes injects with ``instance=i``; the
     global order interleaves instances by event time (stable, so each
     instance's own order is preserved) — the shape a real multiplexed
-    ingest feed would have.
+    ingest feed would have.  The streams are read as
+    :class:`~repro.runtime.events.EventColumns` (generated streams
+    already are), and every field is a plain Python value, as the wire
+    codec needs.
     """
-    flat: List[Tuple[float, int, InjectEvent]] = []
-    for instance, stream in enumerate(streams):
-        for event in stream:
-            flat.append(
-                (
-                    event.time,
-                    instance,
-                    InjectEvent(
-                        instance=instance,
-                        source=event.source,
-                        time=event.time,
-                        choices=dict(event.choices),
-                    ),
-                )
-            )
-    flat.sort(key=lambda item: item[0])
-    return [inject for _, _, inject in flat]
+    columns = as_columns(streams)
+    order = np.argsort(columns.time, kind="stable")
+    sources = columns.sources
+    choices = [dict(raw) for raw in columns.choices]
+    return [
+        InjectEvent(
+            instance=instance, source=sources[s], time=t, choices=dict(choices[g])
+        )
+        for instance, s, t, g in zip(
+            columns.instance[order].tolist(),
+            columns.source[order].tolist(),
+            columns.time[order].tolist(),
+            columns.signature[order].tolist(),
+        )
+    ]

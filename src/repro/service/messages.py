@@ -6,7 +6,10 @@ serialized as one JSON object per line, each carrying the
 :data:`WIRE_SCHEMA` version tag and a ``type`` discriminator.  The
 codec is total in both directions
 (``decode_message(encode_message(m)) == m``) and *strict*: unknown
-schemas, unknown types, missing or extra fields all raise
+schemas, unknown types, missing or extra fields, and inject fields of
+the wrong type (an ``instance`` that is not an int64 integer, a
+``source`` that is not a string, a ``time`` that is not a finite
+number, ``choices`` that are not strings mapped to strings) all raise
 :class:`ProtocolError` rather than guessing, so protocol drift between
 endpoints fails loudly at the boundary.
 
@@ -28,6 +31,8 @@ intern tables), so it is deliberately **not** part of
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Sequence, Tuple, Type, Union
 
@@ -230,6 +235,46 @@ def encode_message(message: Message) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
+#: The range of an inject's ``instance`` key: the kernels carry keys in
+#: int64 columns.
+INSTANCE_MIN, INSTANCE_MAX = -(2**63), 2**63 - 1
+
+
+def _finite_real(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _check_inject(event: InjectEvent) -> None:
+    """Refuse an inject whose fields do not have their wire types."""
+    instance = event.instance
+    if (
+        isinstance(instance, bool)
+        or not isinstance(instance, int)
+        or not INSTANCE_MIN <= instance <= INSTANCE_MAX
+    ):
+        name, expected = "instance", "an integer within int64"
+    elif not isinstance(event.source, str):
+        name, expected = "source", "a string"
+    elif not _finite_real(event.time):
+        name, expected = "time", "a finite number"
+    elif not isinstance(event.choices, dict) or not all(
+        isinstance(place, str) and isinstance(chosen, str)
+        for place, chosen in event.choices.items()
+    ):
+        name, expected = "choices", "an object mapping strings to strings"
+    else:
+        return
+    raise ProtocolError(
+        f"bad inject field {name!r}: expected {expected}, "
+        f"got {reprlib.repr(getattr(event, name))}"
+    )
+
+
 def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
     names = {spec.name for spec in fields(cls)}
     extra = set(payload) - names
@@ -247,18 +292,21 @@ def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
             kwargs["shards"] = tuple(
                 _from_payload(ShardStats, item) for item in kwargs.get("shards", ())
             )
-        return cls(**kwargs)
+        message = cls(**kwargs)
     except TypeError as error:
         raise ProtocolError(
             f"bad payload for message type {cls.TYPE!r}: {error}"
         ) from None
+    if cls is InjectEvent:
+        _check_inject(message)
+    return message
 
 
 def decode_message(line: Union[str, bytes]) -> Message:
     """Parse one wire line back into its typed message (strict)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise ProtocolError(f"wire line is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("wire line must be a JSON object")

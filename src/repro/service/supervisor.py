@@ -31,6 +31,7 @@ import numpy as np
 from ..petrinet import PetriNet
 from ..petrinet.compiled import ENGINE_COMPILED, CompiledNet, compile_net
 from ..runtime.cost import CostModel
+from ..runtime.events import EventColumns
 from ..runtime.fleet import FleetEngine, FleetResult, SignatureTable
 from ..runtime.reactive import ModuleAssignment, validate_budget_policy
 from ..runtime.rtos import ExecutionStats
@@ -142,21 +143,22 @@ class FleetSupervisor:
     # Ingest-boundary packing
     # ------------------------------------------------------------------
     def pack(self, events: Sequence[InjectEvent]) -> InjectBatchPacked:
-        """Intern a batch of string-keyed injects into packed id columns.
+        """Pack a batch of string-keyed injects into kernel id columns.
 
-        The *only* place the service touches event strings: source names
-        and choice resolutions resolve through the shared
-        :class:`SignatureTable` (:meth:`SignatureTable.intern_events`).  In
-        the steady state every lookup is a dict hit; the returned ndarray
-        batch flows through routing, inboxes and kernels zero-copy.
-        An unknown source transition raises :class:`NotEnabledError`
-        here, at the boundary, before any event of the batch is routed.
+        The *only* place the service touches event strings: the batch
+        becomes :class:`~repro.runtime.events.EventColumns` (keyed by
+        the injects' instance keys), and its name tables map to kernel
+        ids through the shared :class:`SignatureTable` with one gather
+        per column (:meth:`SignatureTable.gather`).  The returned
+        ndarray batch flows through routing, inboxes and kernels
+        zero-copy.  An unknown source transition raises
+        :class:`NotEnabledError` here, at the boundary, before any event
+        of the batch is routed.
         """
-        sources, signatures = self.signatures.intern_events(events)
+        columns = EventColumns.pack((event.instance, event) for event in events)
+        sources, signatures = self.signatures.gather(columns)
         return InjectBatchPacked(
-            instances=np.array([event.instance for event in events], dtype=np.int64),
-            sources=sources,
-            signatures=signatures,
+            instances=columns.instance, sources=sources, signatures=signatures
         )
 
     def _shards_of(self, instances: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from repro.apps import atm, heating, router
 from repro.gallery import figures
 from repro.petrinet.corpus import generate_corpus
 from repro.qss import analyse
-from repro.runtime import Event, FleetEngine, ModuleAssignment
+from repro.runtime import Event, FleetEngine, ModuleAssignment, as_columns
 
 NETS = {
     "atm": atm.build_atm_server_net,
@@ -55,7 +55,7 @@ def fleet_firings(net, events, memo):
     engine = FleetEngine(
         net, ModuleAssignment.single_task(net), instances=1, memo=memo
     )
-    src_ids, sig_ids = engine.prepare_events(events)
+    src_ids, sig_ids = engine.prepare_events(as_columns([events]))
     row = np.zeros(1, dtype=np.int64)
     for k in range(len(events)):
         engine.dispatch_ids(row, src_ids[k : k + 1], sig_ids[k : k + 1])

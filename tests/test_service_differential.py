@@ -244,7 +244,8 @@ class TestKernelPaths:
         assert "did not quiesce" in errors[0][1]
 
     def test_not_enabled_error_is_the_same_on_both_paths(self):
-        net, assignment, streams = atm_case()
+        net, assignment, generated = atm_case()
+        streams = [list(stream) for stream in generated]
         # instance 3's second event: a known transition that is not a
         # source, so it is never enabled after a cascade quiesced
         streams[3][1] = Event(time=streams[3][1].time, source="t_parse_header")

@@ -822,7 +822,124 @@ class TestSupervisorRouting:
         asyncio.run(go())
 
 
+#: Inject lines the decoder refuses, one per broken field rule.  The
+#: first three used to close the connection; ``instance_float`` was
+#: served as instance 1.
+BAD_INJECT_FIELDS = {
+    "instance_string": {"instance": "abc"},
+    "instance_beyond_int64": {"instance": 2**70},
+    "instance_float": {"instance": 1.5},
+    "instance_bool": {"instance": True},
+    "source_number": {"source": 5},
+    "time_string": {"time": "soon"},
+    "time_nan": {"time": float("nan")},
+    "time_infinite": {"time": float("inf")},
+    "time_bool": {"time": True},
+    "choices_list": {"choices": ["x"]},
+    "choices_number": {"choices": {"p_timer_state": 1}},
+}
+
+
+def inject_payload(**fields):
+    payload = {"instance": 1, "source": "t_tick", "time": 0.0, "choices": {}}
+    payload.update(fields)
+    return payload
+
+
+def wire_line(payload, kind="inject"):
+    line = dict(payload, schema=WIRE_SCHEMA, type=kind)
+    return json.dumps(line).encode() + b"\n"
+
+
+def serve_bad_line(bad_line):
+    """One good inject, ``bad_line``, then a snapshot, on one
+    connection: returns the two replies and the drained result."""
+
+    async def go():
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+        await supervisor.start()
+        server = IngestServer(supervisor, port=0)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(wire_line(inject_payload(instance=0)))
+        writer.write(bad_line)
+        writer.write(encode_message(SnapshotRequest(request_id=5)).encode() + b"\n")
+        await writer.drain()
+        replies = []
+        for _ in range(2):
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            replies.append(decode_message(line.strip()))
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+        result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+        return replies, result
+
+    return asyncio.run(go())
+
+
 class TestIngestServer:
+    @pytest.mark.parametrize(
+        "fields", BAD_INJECT_FIELDS.values(), ids=list(BAD_INJECT_FIELDS)
+    )
+    def test_bad_inject_field_gets_error_ack_and_connection_survives(self, fields):
+        (ack, snapshot), result = serve_bad_line(wire_line(inject_payload(**fields)))
+        assert isinstance(ack, Ack) and not ack.ok
+        assert f"bad inject field {next(iter(fields))!r}" in ack.error
+        assert isinstance(snapshot, SnapshotReply) and snapshot.request_id == 5
+        assert snapshot.events == 1
+        assert result.stats.events_processed == 1
+
+    def test_batch_with_one_bad_inject_is_rejected_whole(self):
+        batch = {
+            "events": [
+                inject_payload(instance=2),
+                inject_payload(instance=3, choices=["x"]),
+                inject_payload(instance=4),
+            ]
+        }
+        (ack, snapshot), result = serve_bad_line(wire_line(batch, "inject_batch"))
+        assert isinstance(ack, Ack) and not ack.ok
+        assert "bad inject field 'choices'" in ack.error
+        assert (snapshot.instances, snapshot.events) == (1, 1)
+        assert result.stats.events_processed == 1
+
+    def test_line_that_is_not_utf8_gets_error_ack(self):
+        (ack, snapshot), result = serve_bad_line(b'{"source": "\xff"}\n')
+        assert isinstance(ack, Ack) and not ack.ok
+        assert "not valid JSON" in ack.error
+        assert snapshot.events == result.stats.events_processed == 1
+
+    def test_line_beyond_the_stream_limit_drops_only_its_connection(
+        self, monkeypatch
+    ):
+        import repro.service.ingest as ingest
+
+        monkeypatch.setattr(ingest, "STREAM_LIMIT", 1024)
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"x" * 4096 + b"\n")
+            await writer.drain()
+            closed = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            client = await ServiceClient.connect(host, port)
+            await client.inject(0, "t_tick")
+            snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.close()
+            await server.stop()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return closed, snapshot
+
+        closed, snapshot = asyncio.run(go())
+        assert closed == b""
+        assert snapshot.events == 1
+
     def test_malformed_line_gets_error_ack_and_connection_survives(self):
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
