@@ -3,25 +3,26 @@
 The service refactor split `FleetSimulator` into the `FleetEngine`
 stepping kernel (memoized quiescence cascades + vectorized dispatch)
 and orchestration layers — the one-shot batch path and the always-on
-sharded service both drive the same kernel.  With zero-copy ingest
-(`InjectBatchPacked`: events interned once at the boundary into int64
-id columns, consumed by the shards without per-event Python objects)
-the *live* service path now carries its own enforced floor:
+service's one shard both drive the same kernel and its one round loop.
+With zero-copy ingest (`InjectBatchPacked`: events interned once at
+the boundary into int64 id columns, consumed by the shard without
+per-event Python objects) the *live* service path carries its own
+enforced floor:
 
 **>= 500,000 events/s one-shot batch** on the 10,000-instance ATM
 contract fleet (~1.0M on a development machine), **also held at
 100,000 instances** (the scale row), and
-**>= 1,000,000 events/s on the warm service path** (one async shard,
-pre-packed injects, same 10k contract fleet) — the quasi-static
+**>= 1,000,000 events/s on the warm service path** (the one async
+shard, pre-packed injects, same 10k contract fleet) — the quasi-static
 promise that the always-on runtime adds near-zero per-event overhead.
 
 Every timed row lands in ``BENCH_serve.json`` (via ``bench_io``, so
 rows accumulate across engines/runs) and ``--smoke`` appends one entry
 to the committed ``BENCH_serve.history.json`` — the machine-readable
-throughput trajectory of the serving stack.  ``--smoke`` sweeps shards
-{1, 2, 4} on the smoke fleet (results equality-checked against
-one-shot batch every time) and enforces the 1M service-path contract
-on the full contract fleet.
+throughput trajectory of the serving stack.  ``--smoke`` serves the
+smoke fleet through the service (its result equality-checked against
+the one-shot batch run) and enforces the 1M service-path contract on
+the full contract fleet.
 """
 
 from __future__ import annotations
@@ -52,19 +53,16 @@ SCALE_CELLS = 10
 #: Enforced floor for the one-shot serving path on the contract fleet.
 REQUIRED_EVENTS_PER_SECOND = 500_000.0
 
-#: Enforced floor for the *live* service path: one shard, warm
-#: (cascade memo + instance registry populated), pre-packed injects.
+#: Enforced floor for the *live* service path: warm (cascade memo +
+#: instance registry populated), pre-packed injects.
 REQUIRED_SERVICE_EVENTS_PER_SECOND = 1_000_000.0
 
 #: Smoke sizes (CI): same machinery, affordable fleet.
 SMOKE_INSTANCES = 1_000
 SMOKE_CELLS = 10
 
-#: Shard counts the smoke sweep records.
-SMOKE_SHARD_SWEEP = (1, 2, 4)
-
 #: Events per packed inject (the granularity a live producer would
-#: batch at; routing + inbox costs amortize across each chunk).
+#: batch at; inbox costs amortize across each chunk).
 INJECT_CHUNK = 8192
 
 
@@ -94,7 +92,7 @@ def _batch_row(instances: int, cells: int, rounds: int = 2):
     return row, result
 
 
-def _service_row(instances: int, cells: int, shards: int = 1, warm: bool = True):
+def _service_row(instances: int, cells: int, warm: bool = True):
     """Timed service run over pre-packed injects; returns (row, result).
 
     Events are interned into ``InjectBatchPacked`` chunks once, outside
@@ -104,13 +102,13 @@ def _service_row(instances: int, cells: int, shards: int = 1, warm: bool = True)
     (populating the cascade memo and instance registry), reloads state
     keeping the memo, then times the second pass — the steady-state
     throughput of an always-on service.  The timed window closes on a
-    snapshot barrier (control messages ride the shard inboxes, so the
+    snapshot barrier (control messages ride the shard's inbox, so the
     snapshot observes every inject before it).
     """
     net, assignment, streams = _workload(instances, cells)
 
     async def go():
-        supervisor = FleetSupervisor(net, assignment, shards=shards)
+        supervisor = FleetSupervisor(net, assignment)
         await supervisor.start()
         packed = supervisor.pack(events_to_injects(streams))
         chunks = [
@@ -136,7 +134,6 @@ def _service_row(instances: int, cells: int, shards: int = 1, warm: bool = True)
     events = result.stats.events_processed
     row = {
         "path": "service",
-        "shards": shards,
         "warm": warm,
         "instances": instances,
         "events": events,
@@ -186,8 +183,8 @@ class TestServeThroughput:
         )
 
     def test_service_path_sustains_1m_events_per_second(self):
-        """>= 1M events/s live (one shard, warm, packed) — byte-identical."""
-        row, result = _service_row(CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1)
+        """>= 1M events/s live (warm, packed) — byte-identical."""
+        row, result = _service_row(CONTRACT_INSTANCES, CONTRACT_CELLS)
         net, assignment, streams = _workload(
             CONTRACT_INSTANCES, CONTRACT_CELLS
         )
@@ -205,13 +202,13 @@ class TestServeThroughput:
         )
 
     def test_service_path_matches_and_is_recorded(self):
-        """Service == batch on the smoke fleet over two shards."""
+        """Service == batch on the smoke fleet."""
         net, assignment, streams = _workload(SMOKE_INSTANCES, SMOKE_CELLS)
         expected = FleetSimulator(net, assignment).run(streams)
-        row, result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS, shards=2)
+        row, result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS)
         _assert_equal(expected, result)
         record_bench_rows("serve", [row])
-        _print_row("\nserve smoke (x2)", row)
+        _print_row("\nserve smoke (service)", row)
 
 
 def _fleet(instances: int, cells: int, row) -> dict:
@@ -220,24 +217,17 @@ def _fleet(instances: int, cells: int, row) -> dict:
 
 
 def _smoke() -> int:
-    """CI pass: shard sweep, equality checks, the 1M contract, history."""
+    """CI pass: equality checks, the 1M contract, history."""
     batch_row, batch_result = _batch_row(SMOKE_INSTANCES, SMOKE_CELLS, rounds=1)
-    rows = [batch_row]
     _print_row("smoke serve batch", batch_row)
-    sweep = {}
-    for shards in SMOKE_SHARD_SWEEP:
-        row, result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS, shards=shards)
-        _assert_equal(batch_result, result)
-        rows.append(row)
-        # the async_ prefix keeps keys comparable with older history entries
-        sweep[f"async_x{shards}"] = row["events_per_second"]
-        _print_row(f"smoke serve x{shards} (identical)", row)
+    smoke_row, smoke_result = _service_row(SMOKE_INSTANCES, SMOKE_CELLS)
+    _assert_equal(batch_result, smoke_result)
+    _print_row("smoke serve service (identical)", smoke_row)
 
     # the enforced 1M service-path contract, on the full contract fleet
     contract_row, contract_result = _service_row(
-        CONTRACT_INSTANCES, CONTRACT_CELLS, shards=1
+        CONTRACT_INSTANCES, CONTRACT_CELLS
     )
-    rows.append(contract_row)
     _print_row("smoke serve contract (service, warm)", contract_row)
     net, assignment, streams = _workload(CONTRACT_INSTANCES, CONTRACT_CELLS)
     _assert_equal(FleetSimulator(net, assignment).run(streams), contract_result)
@@ -250,19 +240,18 @@ def _smoke() -> int:
         f"{contract_row['events_per_second']:,.0f}"
     )
 
-    path = record_bench_rows("serve", rows)
+    path = record_bench_rows("serve", [batch_row, smoke_row, contract_row])
     print(f"smoke serve: rows recorded -> {path}")
     entry = {
         "config": (
-            "serve smoke: batch and sweep on the smoke fleet, "
+            "serve smoke: batch and one-shard service on the smoke fleet, "
             "service on the contract fleet"
         ),
         "batch_fleet": _fleet(SMOKE_INSTANCES, SMOKE_CELLS, batch_row),
         "batch_events_per_second": batch_row["events_per_second"],
+        "smoke_service_events_per_second": smoke_row["events_per_second"],
         "service_fleet": _fleet(CONTRACT_INSTANCES, CONTRACT_CELLS, contract_row),
         "service_events_per_second": contract_row["events_per_second"],
-        "service_shards": contract_row["shards"],
-        "smoke_sweep": sweep,
     }
     history = append_history("serve", entry)
     print(f"smoke serve: history appended -> {history}")

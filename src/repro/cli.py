@@ -351,8 +351,7 @@ def _validate_serve_args(
 ) -> None:
     """Up-front validation of serve flag combinations (exit code 2)."""
     service_mode = (
-        args.shards is not None
-        or args.listen is not None
+        args.listen is not None
         or args.duration is not None
         or args.telemetry is not None
     )
@@ -362,14 +361,12 @@ def _validate_serve_args(
         parser.error("argument --instances: must be positive")
     if args.events <= 0 and not args.listen:
         parser.error("argument --events: must be positive")
-    if args.shards is not None and args.shards <= 0:
-        parser.error("argument --shards: must be positive")
     if args.inbox_limit is not None and args.inbox_limit <= 0:
         parser.error("argument --inbox-limit: must be positive")
     if args.inbox_limit is not None and not service_mode:
         parser.error(
             "argument --inbox-limit: only meaningful in service mode "
-            "(use --shards, --listen or --telemetry)"
+            "(use --listen or --telemetry)"
         )
     if args.duration is not None and args.duration <= 0:
         parser.error("argument --duration: must be positive")
@@ -430,11 +427,9 @@ async def _serve_service(
         events_to_injects,
     )
 
-    shards = args.shards or 1
     supervisor = FleetSupervisor(
         net,
         assignment,
-        shards=shards,
         inbox_limit=(
             args.inbox_limit
             if args.inbox_limit is not None
@@ -502,7 +497,7 @@ async def _serve_service(
                 supervisor, host=args.listen_host, port=args.listen_port
             )
             host, port = await server.start()
-            print(f"listening on {host}:{port} ({shards} shard(s))", flush=True)
+            print(f"listening on {host}:{port}", flush=True)
             try:
                 waiter = aio.create_task(server.shutdown_requested.wait())
                 try:
@@ -531,7 +526,7 @@ async def _serve_service(
     print(
         f"served {result.stats.events_processed} events across "
         f"{result.instances} instance(s) in {result.elapsed_seconds:.3f}s "
-        f"({shards} shard(s), {args.partition} partition)"
+        f"(service, {args.partition} partition)"
     )
     return 0
 
@@ -544,12 +539,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         timing = parse_timing(args.timing, net, seed=args.seed)
     except ValueError as error:
         parser.error(f"argument --timing: {error}")
-    service_mode = (
-        args.shards is not None
-        or args.listen is not None
-        or args.telemetry is not None
-    )
-    if service_mode:
+    if args.listen is not None or args.telemetry is not None:
         import asyncio
 
         from .service import ShardFailed
@@ -806,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="execute a fleet of net instances: one-shot batch run or the "
-        "always-on sharded service",
+        "always-on service",
     )
     p_serve.add_argument(
         "--instances",
@@ -860,19 +850,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run-to-completion task (the only choice for corpus families)",
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run as the always-on actor service with this many shard "
-        "actors (hash-sharded instance routing, drain-and-stop)",
-    )
-    p_serve.add_argument(
         "--inbox-limit",
         type=int,
         default=None,
         metavar="N",
         help="bounded shard-inbox capacity in messages (default 1024); "
-        "producers suspend while a shard's inbox is full — this is the "
+        "producers suspend while the shard's inbox is full — this is the "
         "service's backpressure knob (smaller = tighter latency bound, "
         "larger = more burst absorption)",
     )
@@ -895,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="FILE",
-        help="append versioned JSON-lines telemetry (per-shard throughput, "
+        help="append versioned JSON-lines telemetry (shard throughput, "
         "queue depth, budget stops, cycle percentiles) to FILE while "
         "the service runs (implies service mode)",
     )

@@ -11,18 +11,21 @@ the full Python event loop per instance; this module steps all of them
 * :class:`FleetEngine` is the pure stepping **kernel**: it owns the
   ``(N, P)`` int64 marking matrix (one row per instance, one column per
   compiled place id), the batched enabledness/dispatch machinery and
-  the per-instance accounting arrays.  It is driven round by round
-  through :meth:`FleetEngine.dispatch_ids` — one event per listed
-  instance, as kernel ids — so the same kernel serves both a one-shot
-  batch run over complete streams and the always-on shards of
-  :mod:`repro.service`, which feed it incrementally from their inboxes
-  and register instances as their first events arrive.
+  the per-instance accounting arrays.  It owns the one round split
+  too: :meth:`FleetEngine.dispatch_rounds` takes events in per-instance
+  order and serves round ``k`` — the ``k``-th event of every instance
+  that has one — as one :meth:`FleetEngine.dispatch_ids` call, so an
+  instance's next event starts only after its previous one ran to
+  completion.  The same kernel and split serve both a one-shot batch
+  run over complete streams and the always-on shard of
+  :mod:`repro.service`, which feeds it incrementally from its inbox and
+  registers instances as their first events arrive.
 
 * :class:`FleetSimulator` is the stream **orchestration**: it takes the
   streams as :class:`~repro.runtime.events.EventColumns` (the fleet
   generators, :func:`synthetic_streams` among them, emit them; other
   input is packed once), orders each instance by time with one stable
-  sort and feeds one kernel round by round (``run``), or loops the
+  sort and hands the kernel the whole run (``run``), or loops the
   string-keyed reactive simulator per instance (``engine="legacy"``,
   the benchmark baseline).
 
@@ -228,8 +231,8 @@ class SignatureTable:
 
     Signatures depend only on the net, so one table can back any number
     of :class:`FleetEngine` instances of the same ``CompiledNet`` — the
-    sharded service maps each batch to ids *once* at the ingest boundary
-    (:meth:`gather`) and every shard kernel consumes the resulting
+    service maps each batch to ids *once* at the ingest boundary
+    (:meth:`gather`) and its shard's kernel consumes the resulting
     integer ids directly.
 
     Two-level scheme: the **raw** index caches insertion-order
@@ -327,9 +330,9 @@ class FleetEngine:
     The engine owns *state* (the marking matrix, per-instance cycle and
     event counters, aggregate accounting) and *mechanism* (batched
     dispatch with memoized cascades); it knows nothing about streams,
-    sockets or actors.  Drive it with :meth:`dispatch_ids` — one event
-    per listed instance row per call, as the kernel ids that
-    :meth:`prepare_events` gathers from
+    sockets or actors.  Drive it with :meth:`dispatch_rounds` — events
+    in per-row order, served one round per :meth:`dispatch_ids` call,
+    as the kernel ids that :meth:`prepare_events` gathers from
     :class:`~repro.runtime.events.EventColumns` (at the service's ingest
     boundary, :meth:`FleetSupervisor.pack` does the same) — and read the
     outcome with :meth:`result` at any point.
@@ -351,10 +354,10 @@ class FleetEngine:
         every event on the direct path (the cache bypass).  Both run
         the same :meth:`_compute_cascade`.
     signatures:
-        Optional shared :class:`SignatureTable`.  The sharded service
-        passes one table to every shard engine so events interned once
-        at the ingest boundary are directly dispatchable on any shard;
-        by default each engine owns a private table.
+        Optional shared :class:`SignatureTable`.  The service passes
+        its ingest boundary's table, so events interned once there are
+        directly dispatchable on its shard's engine; by default each
+        engine owns a private table.
     timing:
         Optional :class:`~repro.runtime.stochastic.TimingModel`.  Timed
         runs track an extra per-instance integer tick total: one
@@ -554,6 +557,35 @@ class FleetEngine:
                 self.cnet.transitions[int(src_ids[first])], int(rows[first])
             )
         self._apply(rows, table, ids)
+
+    def dispatch_rounds(
+        self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
+    ) -> None:
+        """Serve events listed in per-row order, one round per call.
+
+        Event ``j`` goes to instance ``rows[j]``, and each row's events
+        are served in the order they are listed (events of different
+        rows may interleave).  Round ``k`` is one :meth:`dispatch_ids`
+        call with the ``k``-th event of every row that has one, rows
+        ascending; a batch with one event per row is dispatched as
+        given.  This is the paper's run to completion: an instance's
+        next event starts only after its previous one quiesced.
+        """
+        if len(rows) == 0:
+            return
+        # stable sort by row (rows are never negative): each row's events
+        # keep their order and form one contiguous run of ``order``,
+        # [starts[g], starts[g] + counts[g])
+        order = np.argsort(rows, kind="stable")
+        starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+        counts = np.diff(starts, append=len(rows))
+        rounds = int(counts.max())
+        if rounds == 1:
+            self.dispatch_ids(rows, src_ids, sig_ids)
+            return
+        for k in range(rounds):
+            selected = order[starts[counts > k] + k]
+            self.dispatch_ids(rows[selected], src_ids[selected], sig_ids[selected])
 
     def prepare_events(
         self, events: EventColumns
@@ -774,12 +806,12 @@ class FleetSimulator:
     A thin stream-orchestration layer over :class:`FleetEngine`: the
     same kernel that backs the always-on service
     (:mod:`repro.service`) is driven here with complete per-instance
-    streams, round by round (round ``k`` dispatches the ``k``-th event
-    of every instance at once).  The streams are read as
-    :class:`~repro.runtime.events.EventColumns` — generated
-    :class:`~repro.runtime.events.EventStreams` already are columns,
-    other sequences of events are packed once — and their kernel ids
-    come from one gather over the columns' name tables
+    streams, round by round (:meth:`FleetEngine.dispatch_rounds`: round
+    ``k`` dispatches the ``k``-th event of every instance at once).  The
+    streams are read as :class:`~repro.runtime.events.EventColumns` —
+    generated :class:`~repro.runtime.events.EventStreams` already are
+    columns, other sequences of events are packed once — and their
+    kernel ids come from one gather over the columns' name tables
     (:meth:`FleetEngine.prepare_events`), never from interning each
     :class:`Event`.
 
@@ -902,22 +934,15 @@ class FleetSimulator:
         if not len(columns):
             return kernel.result(engine=self.engine)
         src_ids, sig_ids = kernel.prepare_events(columns)
-        # one stable sort orders each instance's events by time; round k
-        # then dispatches the k-th event of every instance that has one,
-        # instances ascending
+        # one stable sort orders each instance's events by time (ties
+        # keep their stream order); only the ordered columns stay alive
+        # while the kernel serves them in rounds
         order = np.lexsort((columns.time, columns.instance))
         rows = columns.instance[order]
-        lengths = np.bincount(rows, minlength=count)
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        by_round = np.argsort(rank, kind="stable")
-        order = order[by_round]
-        rows = rows[by_round]
         src_ids = src_ids[order]
         sig_ids = sig_ids[order]
-        lo = 0
-        for hi in np.cumsum(np.bincount(rank)).tolist():
-            kernel.dispatch_ids(rows[lo:hi], src_ids[lo:hi], sig_ids[lo:hi])
-            lo = hi
+        del order
+        kernel.dispatch_rounds(rows, src_ids, sig_ids)
         return kernel.result(engine=self.engine)
 
 

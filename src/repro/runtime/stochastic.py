@@ -17,7 +17,7 @@ keeping every execution path bit-reproducible:
 * :class:`StochasticChoicePolicy` carries **weighted** branch odds per
   choice place.  Resolution stays at the stream boundary (events carry
   their resolutions, exactly as before), so the engines — compiled,
-  legacy, memoized, direct, sharded — never see randomness: they
+  legacy, memoized, direct, service — never see randomness: they
   receive the same resolved events and must produce the same bytes.
 
 Both are seeded through :class:`random.Random` with *string* seeds over

@@ -9,15 +9,15 @@ kernel:
 - :mod:`~repro.service.shard` — the shard: one kernel behind one ordered
   bounded inbox, served by an asyncio actor loop (coalesced vectorized
   injects, controls as barriers, typed failure).
-- :mod:`~repro.service.supervisor` — hash-sharded routing over the
-  shard actors, snapshots, reload, drain-and-stop.
+- :mod:`~repro.service.supervisor` — the ingest boundary in front of
+  the one shard actor: packing, snapshots, reload, drain-and-stop.
 - :mod:`~repro.service.ingest` — the LDJSON socket server and its
   client.
 - :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
 
-``repro-qss serve --shards/--listen/--duration/--telemetry`` is the
-CLI front end; ``tests/test_service_differential.py`` pins service
-results equal to the one-shot batch path.
+``repro-qss serve --listen/--duration/--telemetry`` is the CLI front
+end; ``tests/test_service_differential.py`` pins service results equal
+to the one-shot batch path.
 """
 
 from .ingest import IngestServer, ServiceClient, events_to_injects
@@ -37,7 +37,7 @@ from .messages import (
     encode_message,
 )
 from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore, ShardFailed
-from .supervisor import FleetSupervisor
+from .supervisor import FleetSupervisor, SupervisorNotRunning
 from .telemetry import TELEMETRY_SCHEMA, TelemetryWriter, validate_telemetry_record
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "decode_message",
     "encode_message",
     "FleetSupervisor",
+    "SupervisorNotRunning",
     "ShardActor",
     "ShardCore",
     "ShardFailed",

@@ -3,15 +3,16 @@
 :class:`IngestServer` exposes a running
 :class:`~repro.service.supervisor.FleetSupervisor` over TCP, one wire
 message (:mod:`repro.service.messages`) per line in both directions.
-Injects propagate the shard actors' backpressure naturally: the
-connection handler ``await``s the supervisor, so while shard inboxes
-are full the handler stops reading its socket, the kernel buffer and
+Injects propagate the shard actor's backpressure naturally: the
+connection handler ``await``s the supervisor, so while the shard's inbox
+is full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
 latency, never to unbounded server memory.  Malformed lines (an inject
 field of the wrong type included), injects naming an unknown source
-transition, and control requests that reach a failed shard are
-answered with a ``not-ok`` :class:`~repro.service.messages.Ack`
-carrying the error; the connection stays up.
+transition, control requests that reach a failed or stopped shard, and
+any request that arrives after the supervisor stopped are answered with
+a ``not-ok`` :class:`~repro.service.messages.Ack` carrying the error;
+the connection stays up.
 
 :class:`ServiceClient` speaks the codec over a socket (inject /
 snapshot / reload / shutdown): what external producers use, and what
@@ -42,7 +43,7 @@ from .messages import (
     encode_message,
 )
 from .shard import ShardFailed
-from .supervisor import FleetSupervisor
+from .supervisor import FleetSupervisor, SupervisorNotRunning
 
 #: Per-line stream buffer limit, both directions.  asyncio's 64 KiB
 #: default truncates a large :class:`InjectBatch` (one JSON line); a
@@ -113,9 +114,15 @@ class IngestServer:
                     continue
                 try:
                     reply = await self._serve(message)
-                except (NotEnabledError, ShardFailed) as error:
+                except (
+                    NotEnabledError,
+                    ShardFailed,
+                    SupervisorNotRunning,
+                ) as error:
                     # NotEnabledError: pack() rejected the whole line
-                    # before routing it, so none of its events is served
+                    # before queueing it, so none of its events is
+                    # served; SupervisorNotRunning: the line outlived
+                    # supervisor.stop() on a connection still open
                     reply = Ack(
                         request_id=getattr(message, "request_id", 0),
                         ok=False,

@@ -21,8 +21,8 @@ flight on one connection.
 One *internal* representation rides alongside the public JSON codec:
 :class:`InjectBatchPacked`, the zero-copy inject batch of pre-interned
 ``(instance, source id, signature id)`` int64 ndarray columns,
-produced once at the ingest boundary and consumed by the shard kernels
-without touching another Python object per event.  It never crosses
+produced once at the ingest boundary and consumed by the shard's
+kernel without touching another Python object per event.  It never crosses
 the socket (clients speak strings; ids are private to one supervisor's
 intern tables), so it is deliberately **not** part of
 :data:`MESSAGE_TYPES`.
@@ -51,9 +51,8 @@ class ProtocolError(ValueError):
 class InjectEvent:
     """Dispatch one environment event to one fleet instance.
 
-    ``instance`` is the caller's stable instance key (the supervisor
-    routes it to a shard; unknown keys register fresh instances on
-    first use).  ``source``/``time``/``choices`` mirror
+    ``instance`` is the caller's stable instance key (unknown keys
+    register fresh instances on first use).  ``source``/``time``/``choices`` mirror
     :class:`repro.runtime.events.Event`.
     """
 
@@ -67,7 +66,7 @@ class InjectEvent:
 
 @dataclass(frozen=True)
 class InjectBatch:
-    """Dispatch many events in one message (amortizes codec + routing)."""
+    """Dispatch many events in one message (amortizes codec + packing)."""
 
     events: Tuple[InjectEvent, ...]
 
@@ -84,7 +83,7 @@ class InjectBatchPacked:
     The three arrays are index-aligned (event ``j`` is row ``j`` of
     each) and ordered — per-instance event order is their order here.
     Built once at the ingest boundary (:meth:`FleetSupervisor.pack`);
-    shards dispatch the columns straight into the kernel.
+    the shard dispatches the columns straight into the kernel.
     """
 
     instances: np.ndarray
@@ -143,7 +142,7 @@ class ShardStats:
 
 @dataclass(frozen=True)
 class SnapshotReply:
-    """Aggregate fleet statistics plus the per-shard breakdown."""
+    """Aggregate fleet statistics plus the shard's own (a 1-tuple)."""
 
     request_id: int
     instances: int

@@ -1,21 +1,24 @@
 """The shard: one kernel behind one ordered inbox.
 
-A shard owns a subset of the fleet's instances.  Its inbox carries two
-kinds of item, in arrival order: :class:`InjectBatchPacked` batches
-(interned once at the supervisor's ingest boundary) and control
-requests (:class:`~repro.service.messages.SnapshotRequest`,
+The supervisor runs one shard, and it owns every instance of the fleet:
+instance keys register as engine rows when their first event arrives.
+Its inbox carries two kinds of item, in arrival order:
+:class:`InjectBatchPacked` batches (interned once at the supervisor's
+ingest boundary) and control requests
+(:class:`~repro.service.messages.SnapshotRequest`,
 :class:`~repro.service.messages.Reload`,
 :class:`~repro.service.messages.Shutdown`) paired with the token their
 reply goes to.
 
 :meth:`ShardCore.drain` serves one drain of that inbox: the asyncio
-:class:`ShardActor` hands it everything its inbox holds.
-Consecutive packed batches coalesce into one vectorized
-:meth:`ShardCore.serve_packed` — the deeper the backlog, the cheaper
-each event — and every control is a **barrier**: the injects ahead of
-it are served before it is answered, none behind it are, and replies
-leave in inbox order.  A snapshot observes exactly the events enqueued
-before it.
+:class:`ShardActor` hands it everything its inbox holds.  Consecutive
+packed batches coalesce into one vectorized
+:meth:`ShardCore.serve_packed`, which the kernel serves in per-instance
+rounds (:meth:`~repro.runtime.fleet.FleetEngine.dispatch_rounds`) — the
+deeper the backlog, the cheaper each event — and every control is a
+**barrier**: the injects ahead of it are served before it is answered,
+none behind it are, and replies leave in inbox order.  A snapshot
+observes exactly the events enqueued before it.
 
 If serving raises, the shard *fails*: it keeps the error as a
 :class:`ShardFailed` naming the shard, answers every pending and later
@@ -145,35 +148,16 @@ class ShardCore:
     def serve_packed(self, batch: InjectBatchPacked) -> int:
         """Serve one packed batch: zero per-event Python objects.
 
-        Rows are resolved with one gather, per-instance event order is
-        preserved by grouping the batch into occurrence *rounds* (round
-        ``k`` carries the ``k``-th event of every instance present) and
-        each round is a single vectorized kernel dispatch.
+        Rows are resolved with one gather, and the kernel serves the
+        batch in arrival order per instance, one vectorized dispatch
+        per round (:meth:`FleetEngine.dispatch_rounds`).
         """
         count = len(batch)
         if count == 0:
             return 0
         rows = self._rows_for_keys(np.asarray(batch.instances, dtype=np.int64))
-        sources = batch.sources
-        signatures = batch.signatures
-        engine = self.engine
-        # stable sort by row: each row's events stay in arrival order and
-        # form one contiguous run [starts[g], starts[g] + counts[g])
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        boundaries = np.empty(count, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=boundaries[1:])
-        starts = np.flatnonzero(boundaries)
-        counts = np.diff(np.append(starts, count))
-        max_rounds = int(counts.max())
         try:
-            if max_rounds == 1:
-                engine.dispatch_ids(rows, sources, signatures)
-            else:
-                for k in range(max_rounds):
-                    sel = order[starts[counts > k] + k]
-                    engine.dispatch_ids(rows[sel], sources[sel], signatures[sel])
+            self.engine.dispatch_rounds(rows, batch.sources, batch.signatures)
         except NotEnabledError as error:
             # the kernel names its own row; callers know their key
             raise instance_not_enabled(

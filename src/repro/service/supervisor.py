@@ -1,40 +1,39 @@
-"""The fleet supervisor: hash-sharded routing over async shard actors.
+"""The fleet supervisor: one async shard actor behind the ingest boundary.
 
-The supervisor owns N shards — each a :class:`~repro.service.shard.ShardActor`
-task on the supervisor's event loop, driving its own
-:class:`~repro.runtime.fleet.FleetEngine` — and routes every instance
-key to one shard with a deterministic multiplicative hash, so one
-instance's events always land on one kernel in order.  Every shard
-engine shares the supervisor's signature table, so an event is
-interned once, at :meth:`FleetSupervisor.pack`, and nothing downstream
-touches its strings.
+The supervisor owns one :class:`~repro.service.shard.ShardActor` — a
+task on the supervisor's event loop, driving the one
+:class:`~repro.runtime.fleet.FleetEngine` that serves every instance
+key, each instance's events in arrival order.  The engine uses the
+supervisor's signature table, so an event is interned once, at
+:meth:`FleetSupervisor.pack`, and nothing downstream touches its
+strings.
 
 :meth:`FleetSupervisor.stop` with ``drain=True`` serves every queued
-event, then merges the per-shard results into one
-:class:`~repro.runtime.fleet.FleetResult` ordered by instance key —
-byte-identical to a one-shot :class:`~repro.runtime.fleet.FleetSimulator`
-run over the same streams (pinned by ``tests/test_service_differential.py``).
-A failed shard answers every request with its
-:class:`~repro.service.shard.ShardFailed`; ``stop()`` joins every shard
+event, then orders the shard's result by instance key: a
+:class:`~repro.runtime.fleet.FleetResult` byte-identical to a one-shot
+:class:`~repro.runtime.fleet.FleetSimulator` run over the same streams
+(pinned by ``tests/test_service_differential.py``).  A failed shard
+answers every request with its
+:class:`~repro.service.shard.ShardFailed`; ``stop()`` joins the shard
 before raising it.  A request that races ``stop()`` gets a
-:class:`~repro.service.shard.ShardFailed` too.
+:class:`~repro.service.shard.ShardFailed` too, and one that comes after
+it a :class:`SupervisorNotRunning`.
 """
 
 from __future__ import annotations
 
-import asyncio
+import dataclasses
 import time
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..petrinet import PetriNet
-from ..petrinet.compiled import ENGINE_COMPILED, CompiledNet, compile_net
+from ..petrinet.compiled import CompiledNet, compile_net
 from ..runtime.cost import CostModel
 from ..runtime.events import EventColumns
 from ..runtime.fleet import FleetEngine, FleetResult, SignatureTable
 from ..runtime.reactive import ModuleAssignment, validate_budget_policy
-from ..runtime.rtos import ExecutionStats
 from ..runtime.stochastic import TimingModel
 from .messages import (
     InjectBatch,
@@ -45,14 +44,15 @@ from .messages import (
     SnapshotReply,
     SnapshotRequest,
 )
-from .shard import DEFAULT_INBOX_LIMIT, Control, ShardActor
+from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardFailed
 
-#: Knuth's multiplicative hash constant (2^32 / phi).
-_HASH_MULTIPLIER = 2_654_435_761
+
+class SupervisorNotRunning(RuntimeError):
+    """A request reached a supervisor before ``start()`` or after ``stop()``."""
 
 
 class FleetSupervisor:
-    """Routes instance keys over sharded fleet actors; merges their results."""
+    """Serves instance keys on one shard actor; orders its result by key."""
 
     def __init__(
         self,
@@ -66,38 +66,35 @@ class FleetSupervisor:
         inbox_limit: int = DEFAULT_INBOX_LIMIT,
         timing: Optional[TimingModel] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        # "async" is the only backend; the keyword stays because
-        # perfbench passes it
+        # one async shard is the only service; both keywords stay,
+        # each accepting only that value, because perfbench passes them
+        if shards != 1:
+            raise ValueError(
+                f"shards must be 1 (the service runs one shard), got {shards!r}"
+            )
         if backend != "async":
             raise ValueError(
                 f"unknown service backend {backend!r} (the only one is 'async')"
             )
+        if inbox_limit < 1:
+            # asyncio.Queue(maxsize <= 0) is unbounded: no backpressure
+            raise ValueError(f"inbox_limit must be positive, got {inbox_limit!r}")
         self.assignment = assignment
         self.cost = cost_model or CostModel()
         self.max_firings_per_event = max_firings_per_event
         self.on_budget = validate_budget_policy(on_budget)
         self.timing = timing
-        self.shards = shards
         self.inbox_limit = inbox_limit
         # the ingest-boundary intern tables: every event is turned into
-        # integer ids exactly once, here; the shard engines share the
+        # integer ids exactly once, here; the shard's engine shares the
         # signature table
         self.compiled: CompiledNet = (
             net if isinstance(net, CompiledNet) else compile_net(net)
         )
         self.signatures = SignatureTable(self.compiled)
-        self._shards: List[ShardActor] = []
+        self._shard: Optional[ShardActor] = None
         self._started_at = 0.0
         self._running = False
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def shard_of(self, instance: int) -> int:
-        """Deterministic instance→shard routing."""
-        return ((instance * _HASH_MULTIPLIER) & 0xFFFFFFFF) % self.shards
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -106,38 +103,42 @@ class FleetSupervisor:
         if self._running:
             raise RuntimeError("supervisor is already running")
         self._started_at = time.perf_counter()
-        self._shards = [
-            ShardActor(
-                shard_id,
-                FleetEngine(
-                    self.compiled,
-                    self.assignment,
-                    cost_model=self.cost,
-                    max_firings_per_event=self.max_firings_per_event,
-                    on_budget=self.on_budget,
-                    timing=self.timing,
-                    signatures=self.signatures,
-                ),
-                inbox_limit=self.inbox_limit,
-            )
-            for shard_id in range(self.shards)
-        ]
-        for shard in self._shards:
-            await shard.start()
+        self._shard = ShardActor(
+            0,
+            FleetEngine(
+                self.compiled,
+                self.assignment,
+                cost_model=self.cost,
+                max_firings_per_event=self.max_firings_per_event,
+                on_budget=self.on_budget,
+                timing=self.timing,
+                signatures=self.signatures,
+            ),
+            inbox_limit=self.inbox_limit,
+        )
+        await self._shard.start()
         self._running = True
 
     async def stop(self, drain: bool = True) -> FleetResult:
-        """Stop every shard and merge their results by instance key.
+        """Stop the shard and return its result ordered by instance key.
 
-        Every shard is joined before a failed shard's
-        :class:`ShardFailed` is raised.
+        The shard is joined before a failed shard's :class:`ShardFailed`
+        is raised.
         """
-        replies = await self._ask_all(Shutdown(drain=drain))
-        for shard in self._shards:
-            await shard.join()
-        self._running = False
+        self._require_running()
+        try:
+            keys, result = await self._shard.request(Shutdown(drain=drain))
+        except ShardFailed:
+            # a failed shard answers the Shutdown too, so its loop ends
+            await self._join_shard()
+            raise
+        await self._join_shard()
         elapsed = time.perf_counter() - self._started_at
-        return _merge_results(_raise_failure(replies), elapsed)
+        return _ordered_by_key(keys, result, elapsed)
+
+    async def _join_shard(self) -> None:
+        await self._shard.join()
+        self._running = False
 
     # ------------------------------------------------------------------
     # Ingest-boundary packing
@@ -150,10 +151,9 @@ class FleetSupervisor:
         the injects' instance keys), and its name tables map to kernel
         ids through the shared :class:`SignatureTable` with one gather
         per column (:meth:`SignatureTable.gather`).  The returned
-        ndarray batch flows through routing, inboxes and kernels
-        zero-copy.  An unknown source transition raises
-        :class:`NotEnabledError` here, at the boundary, before any event
-        of the batch is routed.
+        ndarray batch flows through the inbox into the kernel zero-copy.
+        An unknown source transition raises :class:`NotEnabledError`
+        here, at the boundary, before any event of the batch is queued.
         """
         columns = EventColumns.pack((event.instance, event) for event in events)
         sources, signatures = self.signatures.gather(columns)
@@ -161,113 +161,61 @@ class FleetSupervisor:
             instances=columns.instance, sources=sources, signatures=signatures
         )
 
-    def _shards_of(self, instances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`shard_of` over an instance-key column."""
-        # int64 products wrap mod 2^64; & 0xFFFFFFFF recovers the exact
-        # low 32 bits, so this matches the scalar Python-int hash
-        with np.errstate(over="ignore"):
-            return ((instances * _HASH_MULTIPLIER) & 0xFFFFFFFF) % self.shards
-
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
     async def inject(
         self, message: Union[InjectEvent, InjectBatch, InjectBatchPacked]
     ) -> None:
-        """Route an inject to its shard(s); awaits under backpressure.
+        """Queue an inject on the shard; awaits under backpressure.
 
         Every representation converges to :class:`InjectBatchPacked`
-        here — strings are interned once, then the per-shard split is a
-        handful of ndarray gathers and the shards never intern again.
+        here: strings are interned once, and the shard never interns
+        again.
         """
         self._require_running()
         if isinstance(message, InjectEvent):
-            packed = self.pack((message,))
+            message = self.pack((message,))
         elif isinstance(message, InjectBatch):
-            packed = self.pack(message.events)
-        else:
-            packed = message
-        if self.shards == 1:
-            await self._shards[0].put(packed)
-            return
-        shard_ids = self._shards_of(packed.instances)
-        for shard_id in np.unique(shard_ids).tolist():
-            await self._shards[shard_id].put(packed.take(shard_ids == shard_id))
+            message = self.pack(message.events)
+        await self._shard.put(message)
 
     async def snapshot(self) -> SnapshotReply:
-        """Aggregate + per-shard statistics (observes prior injects)."""
-        stats = _raise_failure(await self._ask_all(SnapshotRequest()))
+        """The shard's statistics (observes prior injects)."""
+        self._require_running()
+        stats = await self._shard.request(SnapshotRequest())
         return SnapshotReply(
             request_id=0,
-            instances=sum(s.instances for s in stats),
-            events=sum(s.events for s in stats),
-            cycles=sum(s.cycles for s in stats),
-            budget_stops=sum(s.budget_stops for s in stats),
-            shards=tuple(stats),
+            instances=stats.instances,
+            events=stats.events,
+            cycles=stats.cycles,
+            budget_stops=stats.budget_stops,
+            shards=(stats,),
         )
 
     async def reload(self, reset_stats: bool = True) -> None:
-        """Reset every shard's instances to the initial marking."""
-        _raise_failure(await self._ask_all(Reload(reset_stats=reset_stats)))
+        """Reset every instance to the initial marking."""
+        self._require_running()
+        await self._shard.request(Reload(reset_stats=reset_stats))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _require_running(self) -> None:
         if not self._running:
-            raise RuntimeError("supervisor is not running")
-
-    async def _ask_all(self, control: Control) -> List[Any]:
-        """Every shard's reply to ``control``, failures included."""
-        self._require_running()
-        return await asyncio.gather(
-            *(shard.request(control) for shard in self._shards),
-            return_exceptions=True,
-        )
+            raise SupervisorNotRunning("supervisor is not running")
 
 
-def _raise_failure(replies: List[Any]) -> List[Any]:
-    """The replies, unless one is a failure: then the first is raised."""
-    for reply in replies:
-        if isinstance(reply, BaseException):
-            raise reply
-    return replies
-
-
-def _merge_results(
-    parts: Sequence[Tuple[List[int], FleetResult]], elapsed: float
+def _ordered_by_key(
+    keys: List[int], result: FleetResult, elapsed: float
 ) -> FleetResult:
-    """Merge per-shard results into one fleet result ordered by key."""
-    aggregate = ExecutionStats()
-    keyed: List[Tuple[int, int, int, int]] = []
-    timed = any(result.instance_ticks is not None for _, result in parts)
-    for keys, result in parts:
-        aggregate.merge(result.stats)
-        ticks = (
-            result.instance_ticks.tolist()
-            if result.instance_ticks is not None
-            else [0] * len(keys)
-        )
-        keyed.extend(
-            zip(
-                keys,
-                result.instance_cycles.tolist(),
-                result.instance_events.tolist(),
-                ticks,
-            )
-        )
-    keyed.sort()
-    cycles = np.array([c for _, c, _, _ in keyed], dtype=np.int64)
-    events = np.array([e for _, _, e, _ in keyed], dtype=np.int64)
-    return FleetResult(
-        stats=aggregate,
-        instance_cycles=cycles,
-        instance_events=events,
-        engine=ENGINE_COMPILED,
+    """The shard's result (instances in row order) ordered by key."""
+    order = np.argsort(np.array(keys, dtype=np.int64))
+    ticks = result.instance_ticks
+    return dataclasses.replace(
+        result,
+        instance_cycles=result.instance_cycles[order],
+        instance_events=result.instance_events[order],
+        instance_ticks=ticks[order] if ticks is not None else None,
         elapsed_seconds=elapsed,
-        instance_ticks=(
-            np.array([t for _, _, _, t in keyed], dtype=np.int64)
-            if timed
-            else None
-        ),
     )

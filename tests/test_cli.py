@@ -169,11 +169,12 @@ class TestServe:
 class TestServeService:
     """The always-on service modes of `repro-qss serve`."""
 
-    def test_service_mode_matches_batch_mode(self, capsys):
+    def test_service_mode_matches_batch_mode(self, capsys, tmp_path):
         args = ["serve", "--instances", "6", "--events", "3", "--seed", "4"]
         assert main(args) == 0
         batch_out = capsys.readouterr().out
-        assert main(args + ["--shards", "2"]) == 0
+        telemetry = str(tmp_path / "t.jsonl")
+        assert main(args + ["--telemetry", telemetry]) == 0
         service_out = capsys.readouterr().out
         pick = lambda text: [
             line
@@ -183,7 +184,7 @@ class TestServeService:
             )
         ]
         assert pick(batch_out) == pick(service_out)
-        assert "(2 shard(s), modules partition)" in service_out
+        assert "(service, modules partition)" in service_out
 
     def test_failed_shard_exits_1_instead_of_hanging(self, tmp_path):
         """A bad event over the socket fails its shard; the run still ends."""
@@ -199,7 +200,7 @@ class TestServeService:
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         command = [
             sys.executable, "-m", "repro.cli", "serve", "--instances", "0",
-            "--listen", "127.0.0.1:0", "--duration", "30", "--shards", "2",
+            "--listen", "127.0.0.1:0", "--duration", "30",
             "--telemetry", str(tmp_path / "t.jsonl"),
             "--telemetry-interval", "0.05",
         ]
@@ -241,8 +242,6 @@ class TestServeService:
                     "--instances",
                     "4",
                     "--events",
-                    "2",
-                    "--shards",
                     "2",
                     "--telemetry",
                     str(telemetry),
@@ -306,7 +305,7 @@ class TestServeValidation:
             (["--instances", "0"], "--instances: must be positive"),
             (["--instances", "-3"], "--instances: must be positive"),
             (["--events", "0"], "--events: must be positive"),
-            (["--shards", "0"], "--shards: must be positive"),
+            (["--shards", "2"], "unrecognized arguments: --shards 2"),
             (["--duration", "5"], "only meaningful with --listen"),
             (
                 ["--listen", "127.0.0.1:0", "--duration", "0"],
@@ -314,7 +313,7 @@ class TestServeValidation:
             ),
             (["--listen", "localhost"], "expected HOST:PORT"),
             (["--listen", "localhost:notaport"], "bad port"),
-            (["--shards", "2", "--engine", "legacy"], "compiled kernel"),
+            (["--telemetry", "t.jsonl", "--engine", "legacy"], "compiled kernel"),
             (["--family", "warp_drive"], "unknown family"),
             (
                 ["--family", "pipeline", "--partition", "modules"],

@@ -68,9 +68,7 @@ class TestInboxOverload:
         expected = FleetSimulator(ATM, ASSIGNMENT).run(streams)
 
         async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=2, inbox_limit=1
-            )
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, inbox_limit=1)
             await supervisor.start()
 
             async def producer(owner: int) -> int:
@@ -94,9 +92,7 @@ class TestInboxOverload:
         expected = FleetSimulator(ATM, ASSIGNMENT).run(streams)
 
         async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=3, inbox_limit=1
-            )
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, inbox_limit=1)
             await supervisor.start()
             packed = supervisor.pack(injects)
             for lo in range(0, len(packed), 64):
@@ -124,9 +120,7 @@ class TestSocketFirehose:
         expected = FleetSimulator(ATM, ASSIGNMENT).run(streams)
 
         async def go():
-            supervisor = FleetSupervisor(
-                ATM, ASSIGNMENT, shards=2, inbox_limit=2
-            )
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT, inbox_limit=2)
             await supervisor.start()
             server = IngestServer(supervisor)
             host, port = await server.start()

@@ -4,7 +4,8 @@ The refactor split `FleetSimulator` into the `FleetEngine` kernel plus
 orchestration, and layered the always-on service on the same kernel.
 These tests pin the acceptance criterion: for identical seeds and
 streams, every path — the one-shot batch run (memoized or direct
-kernel), a single-shard service, a multi-shard service and the socket
+kernel), the service fed in every inject form, in any interleaving
+that keeps each instance's order and in any chunking, and the socket
 ingest — produces byte-identical `FleetResult` contents (aggregate
 stats dict, per-instance cycle and event vectors).
 
@@ -18,10 +19,14 @@ batch path here therefore chains all the way back to the original
 from __future__ import annotations
 
 import asyncio
+import functools
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.petrinet import NetBuilder
@@ -40,6 +45,7 @@ from repro.service import (
     IngestServer,
     InjectBatch,
     ServiceClient,
+    ShardCore,
     events_to_injects,
 )
 
@@ -83,6 +89,26 @@ def spinning_case(instances=12, events=4, seed=3):
     return net, ModuleAssignment.single_task(net), streams
 
 
+def drain_case(instances=8, events=8, seed=23):
+    """An order-sensitive net: a ``t_b`` event drains, one firing per
+    token, what earlier ``t_a`` events left in ``p_acc``, so serving an
+    instance's events out of order changes its cycle count."""
+    net = (
+        NetBuilder("drain")
+        .source("t_a")
+        .source("t_b")
+        .arc("t_a", "p_acc")
+        .arc("t_b", "p_flag")
+        .arc("p_flag", "t_drain")
+        .arc("p_acc", "t_drain")
+        .arc("t_drain", "p_flag")
+        .arc("p_flag", "t_done")
+        .build()
+    )
+    streams = synthetic_streams(net, instances, events, seed=seed)
+    return net, ModuleAssignment.single_task(net), streams
+
+
 def memo_and_direct(net, assignment, streams, **options):
     """The same streams through the memoized and the direct kernel path."""
     memoized = FleetSimulator(net, assignment, **options).run(streams)
@@ -99,17 +125,17 @@ def assert_results_identical(expected, actual):
     assert np.array_equal(expected.instance_events, actual.instance_events)
 
 
-def run_service(net, assignment, streams, shards=1):
+def run_service(net, assignment, streams):
     """Feed the streams through a supervisor, return the drained result."""
-    return serve_injects(net, assignment, events_to_injects(streams), shards)
+    return serve_injects(net, assignment, events_to_injects(streams))
 
 
-def serve_injects(net, assignment, injects, shards=1, form="batch"):
+def serve_injects(net, assignment, injects, form="batch"):
     """Feed injects through a supervisor in one of the three inject
     forms it accepts; return the drained result."""
 
     async def go():
-        supervisor = FleetSupervisor(net, assignment, shards=shards)
+        supervisor = FleetSupervisor(net, assignment)
         await supervisor.start()
         for lo in range(0, len(injects), 97):
             chunk = injects[lo : lo + 97]
@@ -131,46 +157,40 @@ class TestServiceEqualsBatch:
     def test_single_shard_async_equals_one_shot(self):
         net, assignment, streams = atm_case()
         expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(net, assignment, streams, shards=1)
-        assert_results_identical(expected, actual)
-
-    def test_multi_shard_async_equals_one_shot(self):
-        net, assignment, streams = atm_case()
-        expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(net, assignment, streams, shards=3)
+        actual = run_service(net, assignment, streams)
         assert_results_identical(expected, actual)
 
     def test_corpus_family_service_equals_one_shot(self):
         net, assignment, streams = corpus_case()
         expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(net, assignment, streams, shards=2)
+        actual = run_service(net, assignment, streams)
         assert_results_identical(expected, actual)
 
     def test_merge_fleet_multi_shard_equals_one_shot(self):
         """The weighted merge fleet: markings that differ per instance,
-        so a misrouted event changes a cycle count."""
+        so an event served on the wrong instance or out of its
+        instance's order changes a cycle count."""
         net, assignment, streams = merge_case(instances=120, events=12)
         expected = FleetSimulator(net, assignment).run(streams)
-        actual = run_service(net, assignment, streams, shards=2)
+        actual = run_service(net, assignment, streams)
         assert_results_identical(expected, actual)
 
     @pytest.mark.parametrize("form", ["event", "batch", "packed"])
     def test_every_inject_form_equals_one_shot(self, form):
         """One InjectEvent at a time, InjectBatch lines and batches the
-        caller packed itself route and serve alike."""
+        caller packed itself serve alike."""
         net, assignment, streams = atm_case(instances=8, cells=4)
         expected = FleetSimulator(net, assignment).run(streams)
         actual = serve_injects(
-            net, assignment, events_to_injects(streams), shards=2, form=form
+            net, assignment, events_to_injects(streams), form=form
         )
         assert_results_identical(expected, actual)
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_sparse_instance_keys_equal_one_shot(self, shards):
+    def test_sparse_instance_keys_equal_one_shot(self):
         """Negative keys and keys past the shard's dense row table take
-        the registry's dict path and route by the same hash; the merge
-        orders instances by key, so a key map that keeps stream order
-        gives the one-shot result."""
+        the registry's dict path; the drained result orders instances
+        by key, so a key map that keeps stream order gives the one-shot
+        result."""
         net, assignment, streams = atm_case(instances=12, cells=4)
         expected = FleetSimulator(net, assignment).run(streams)
         keys = [-1000 + i for i in range(4)] + [4 * i for i in range(4, 8)]
@@ -180,7 +200,7 @@ class TestServiceEqualsBatch:
             replace(inject, instance=keys[inject.instance])
             for inject in events_to_injects(streams)
         ]
-        actual = serve_injects(net, assignment, injects, shards=shards)
+        actual = serve_injects(net, assignment, injects)
         assert_results_identical(expected, actual)
 
     def test_socket_ingest_equals_one_shot(self):
@@ -188,7 +208,7 @@ class TestServiceEqualsBatch:
         expected = FleetSimulator(net, assignment).run(streams)
 
         async def go():
-            supervisor = FleetSupervisor(net, assignment, shards=2)
+            supervisor = FleetSupervisor(net, assignment)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -206,6 +226,95 @@ class TestServiceEqualsBatch:
             return await supervisor.stop(drain=True)
 
         assert_results_identical(expected, asyncio.run(go()))
+
+
+#: The property's fleets: ATM, the merge net, and the drain net, where
+#: only the drain net's results depend on each instance's event order.
+ROUND_FLEETS = {
+    "atm": lambda: atm_case(instances=8, cells=4, seed=23),
+    "merge": lambda: merge_case(instances=8, events=6, seed=23),
+    "drain": drain_case,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def round_fleet(name):
+    """A small fleet's net, assignment, injects and one-shot result."""
+    net, assignment, streams = ROUND_FLEETS[name]()
+    expected = FleetSimulator(net, assignment).run(streams)
+    return net, assignment, events_to_injects(streams), expected
+
+
+@st.composite
+def interleaved_chunks(draw):
+    """A fleet's name and its injects, interleaved in any order that
+    keeps each instance's own order, cut into chunks of any size."""
+    name = draw(st.sampled_from(sorted(ROUND_FLEETS)))
+    injects = round_fleet(name)[2]
+    queues = {}
+    for inject in injects:
+        queues.setdefault(inject.instance, []).append(inject)
+    queues = {key: iter(queue) for key, queue in queues.items()}
+    picks = draw(st.permutations([inject.instance for inject in injects]))
+    interleaved = [next(queues[key]) for key in picks]
+    cuts = draw(st.sets(st.integers(1, len(interleaved) - 1), max_size=20))
+    bounds = [0, *sorted(cuts), len(interleaved)]
+    return name, [interleaved[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestOneRoundLoop:
+    """`FleetEngine.dispatch_rounds` is the one round split: the service
+    serves any per-instance-ordered interleaving, in any chunking, as
+    the one-shot run does, one kernel call per round of each batch."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=interleaved_chunks())
+    def test_any_interleaving_and_chunking_equals_one_shot(self, case):
+        name, chunks = case
+        net, assignment, _, expected = round_fleet(name)
+
+        async def go():
+            # a one-message inbox serves the chunks as separate batches,
+            # so instances register in the order the chunks bring them
+            supervisor = FleetSupervisor(net, assignment, inbox_limit=1)
+            await supervisor.start()
+            for chunk in chunks:
+                await supervisor.inject(InjectBatch(events=tuple(chunk)))
+            return await supervisor.stop(drain=True)
+
+        assert_results_identical(expected, asyncio.run(go()))
+
+        # the same chunks straight into one shard core: each batch is
+        # one dispatch_ids call per round, rows unique within a call
+        packer = FleetSupervisor(net, assignment)
+        engine = FleetEngine(
+            packer.compiled, assignment, signatures=packer.signatures
+        )
+        dispatch_ids = engine.dispatch_ids
+        calls = []
+
+        def counted(rows, src_ids, sig_ids):
+            assert len(set(rows.tolist())) == len(rows)
+            calls.append(len(rows))
+            dispatch_ids(rows, src_ids, sig_ids)
+
+        engine.dispatch_ids = counted
+        core = ShardCore(0, engine)
+        for chunk in chunks:
+            calls.clear()
+            core.serve_packed(packer.pack(chunk))
+            rounds = max(Counter(inject.instance for inject in chunk).values())
+            assert len(calls) == rounds
+            assert sum(calls) == len(chunk)
+        keys, result = core.result()
+        by_key = np.argsort(keys)
+        assert asdict(result.stats) == asdict(expected.stats)
+        assert np.array_equal(
+            result.instance_cycles[by_key], expected.instance_cycles
+        )
+        assert np.array_equal(
+            result.instance_events[by_key], expected.instance_events
+        )
 
 
 class TestKernelPaths:
@@ -295,7 +404,6 @@ class TestKernelPaths:
         supervisor = FleetSupervisor(
             net,
             assignment,
-            shards=2,
             max_firings_per_event=8,
             on_budget="stop",
         )

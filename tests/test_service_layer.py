@@ -1,4 +1,4 @@
-"""Unit coverage of the service layer: codec, telemetry, actors, routing.
+"""Unit coverage of the service layer: codec, telemetry, actors, supervisor.
 
 Complements `tests/test_service_differential.py` (which pins result
 equality across serving paths) with the layer-local behaviour: the
@@ -7,11 +7,11 @@ their versioned schema, shard inboxes really bound memory and exert
 backpressure, the shard registry maps negative and sparse keys, the
 drain loop answers controls as ordered barriers, a Shutdown without
 drain drops its backlog, a failed shard fails every request instead of
-hanging, supervisor lifecycle and routing are deterministic, and the
-ingest server and its client answer malformed, unknown and unexpected
-lines without dying.  Also carries the satellite pins for
-`FleetResult.percentile`/`percentiles` edge cases and cross-process
-`synthetic_streams` determinism.
+hanging, the supervisor's lifecycle is deterministic and it refuses
+arguments it cannot honour, and the ingest server and its client answer
+malformed, unknown, unexpected and late lines without dying.  Also
+pins `FleetResult.percentile`/`percentiles` edge cases and
+cross-process `synthetic_streams` determinism.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -253,7 +252,7 @@ class TestTelemetrySchema:
 
 
 class TestPackedBatch:
-    """The zero-copy inject batch the ingest boundary hands the shards."""
+    """The zero-copy inject batch the ingest boundary hands the shard."""
 
     def test_packed_take_and_concat_preserve_order(self):
         batch = InjectBatchPacked(
@@ -332,11 +331,11 @@ class TestShardRegistry:
         assert engine.instances == 3
 
 
-def barrier_case(shards=1):
+def barrier_case():
     """A supervisor plus its packed A (the first 6 injects) and B (the
     other 12) of a 4-instance ATM fleet, and a bare engine sharing the
     supervisor's signature table."""
-    supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=shards)
+    supervisor = FleetSupervisor(ATM, ASSIGNMENT)
     injects = events_to_injects(make_fleet_testbench(4, cells=2, seed=1))
     assert len(injects) == 18
     engine = FleetEngine(
@@ -418,7 +417,7 @@ class TestOrderedBarriers:
             supervisor, _, batches = barrier_case()
             await supervisor.start()
             try:
-                shard = supervisor._shards[0]
+                shard = supervisor._shard
                 replies = await asyncio.wait_for(
                     asyncio.gather(
                         shard.put(batches["A"]),
@@ -443,10 +442,8 @@ class TestFailedShard:
 
     def test_requests_to_a_failed_shard_raise(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
-            failed = supervisor.shard_of(0)
-            assert supervisor.shard_of(1) != failed
             for i in range(4):
                 await supervisor.inject(InjectEvent(instance=i, source="t_tick"))
             # a known transition, so pack() accepts it, but not a source:
@@ -456,7 +453,7 @@ class TestFailedShard:
             )
             with pytest.raises(ShardFailed) as caught:
                 await asyncio.wait_for(supervisor.snapshot(), timeout=10)
-            assert caught.value.shard == failed
+            assert caught.value.shard == 0
             assert isinstance(caught.value.error, NotEnabledError)
             assert "t_parse_header" in str(caught.value)
             # later injects are dropped, later requests fail the same way
@@ -465,7 +462,7 @@ class TestFailedShard:
                 await asyncio.wait_for(supervisor.reload(), timeout=10)
             with pytest.raises(ShardFailed) as stopped:
                 await asyncio.wait_for(supervisor.stop(), timeout=10)
-            assert stopped.value.shard == failed
+            assert stopped.value.shard == 0
             with pytest.raises(RuntimeError, match="not running"):
                 await supervisor.stop()
 
@@ -473,7 +470,7 @@ class TestFailedShard:
 
     def test_ingest_answers_a_failed_shard_with_not_ok_ack(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -507,7 +504,7 @@ class TestFailedShard:
         keys = (1000, 2000, 3000, 4000)
 
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             for key in keys:
                 await supervisor.inject(InjectEvent(instance=key, source="t_cell"))
@@ -522,8 +519,7 @@ class TestFailedShard:
 
         failure = asyncio.run(go())
         # the shard's kernel row of key 4000 is not the key
-        routing = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
-        assert failure.shard == routing.shard_of(4000)
+        assert failure.shard == 0
         assert isinstance(failure.error, NotEnabledError)
         assert str(failure.error) == (
             "transition 't_parse_header' is not enabled in instance 4000"
@@ -577,20 +573,20 @@ class TestStoppedShard:
 
     def test_request_after_stop_fails(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             await asyncio.wait_for(supervisor.stop(), timeout=10)
-            for shard in supervisor._shards:
-                with pytest.raises(ShardFailed) as caught:
-                    await asyncio.wait_for(
-                        shard.request(SnapshotRequest()), timeout=10
-                    )
-                assert caught.value.shard == shard.shard_id
-                # injects to a stopped shard are dropped, not an error
+            shard = supervisor._shard
+            with pytest.raises(ShardFailed) as caught:
                 await asyncio.wait_for(
-                    shard.put(packed_ticks(FleetEngine(ATM, ASSIGNMENT), [0])),
-                    timeout=10,
+                    shard.request(SnapshotRequest()), timeout=10
                 )
+            assert caught.value.shard == shard.shard_id
+            # injects to a stopped shard are dropped, not an error
+            await asyncio.wait_for(
+                shard.put(packed_ticks(FleetEngine(ATM, ASSIGNMENT), [0])),
+                timeout=10,
+            )
 
         asyncio.run(go())
 
@@ -599,7 +595,7 @@ class TestStoppedShard:
             unretrieved = []
             loop = asyncio.get_running_loop()
             loop.set_exception_handler(lambda _, context: unretrieved.append(context))
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
             # stop() enqueues its Shutdown first, the snapshot lands behind it
@@ -616,36 +612,65 @@ class TestStoppedShard:
 
         result, failure, unretrieved = asyncio.run(go())
         assert result.stats.events_processed == 1
-        assert isinstance(failure, ShardFailed) and failure.shard in (0, 1)
+        assert isinstance(failure, ShardFailed) and failure.shard == 0
         assert unretrieved == []
 
-    def test_ingest_answers_a_stopped_shard_with_not_ok_ack(self):
+    @pytest.mark.parametrize("stopped", ["shard_stopped", "supervisor_stopped"])
+    def test_ingest_answers_a_stopped_shard_with_not_ok_ack(self, stopped):
+        """Every request line gets an answer.  ``shard_stopped``: the
+        shard stopped while the supervisor still runs, as it does while
+        stop() is in flight.  ``supervisor_stopped``: stop() returned
+        while a connection stayed open (the CLI closes the listener, then
+        stops the supervisor), so its lines outlive the supervisor."""
+
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            unhandled = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: unhandled.append(context))
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
-            # the shard stops while the supervisor still runs, as it
-            # does while stop() is in flight
-            shard = supervisor._shards[0]
-            await asyncio.wait_for(shard.request(Shutdown()), timeout=10)
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                encode_message(SnapshotRequest(request_id=9)).encode() + b"\n"
-            )
+            lines = [SnapshotRequest(request_id=9)]
+            if stopped == "shard_stopped":
+                await asyncio.wait_for(
+                    supervisor._shard.request(Shutdown()), timeout=10
+                )
+                reader, writer = await asyncio.open_connection(host, port)
+            else:
+                reader, writer = await asyncio.open_connection(host, port)
+                await asyncio.wait_for(supervisor.stop(), timeout=10)
+                lines.insert(0, InjectEvent(instance=0, source="t_tick"))
+            for message in lines:
+                writer.write(encode_message(message).encode() + b"\n")
             await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            replies = [
+                decode_message(
+                    (await asyncio.wait_for(reader.readline(), timeout=10)).strip()
+                )
+                for _ in lines
+            ]
             writer.close()
             await writer.wait_closed()
             await server.stop()
-            with pytest.raises(ShardFailed):
-                await asyncio.wait_for(supervisor.stop(), timeout=10)
-            return decode_message(line.strip())
+            if stopped == "shard_stopped":
+                with pytest.raises(ShardFailed):
+                    await asyncio.wait_for(supervisor.stop(), timeout=10)
+            # the connection handler ends on the client's EOF; await it,
+            # so a handler that raised is reported here
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            await asyncio.wait_for(asyncio.gather(*handlers), timeout=10)
+            return replies, unhandled
 
-        ack = asyncio.run(go())
-        assert isinstance(ack, Ack) and not ack.ok
-        assert ack.request_id == 9
-        assert ack.error == "shard 0 failed: RuntimeError: shard stopped"
+        replies, unhandled = asyncio.run(go())
+        assert unhandled == []
+        for ack in replies:
+            assert isinstance(ack, Ack) and not ack.ok
+        assert replies[-1].request_id == 9
+        if stopped == "shard_stopped":
+            assert replies[-1].error == "shard 0 failed: RuntimeError: shard stopped"
+        else:
+            assert [ack.error for ack in replies] == ["supervisor is not running"] * 2
 
 
 class TestShutdownWithoutDrain:
@@ -675,7 +700,7 @@ class TestShutdownWithoutDrain:
 
     def test_supervisor_stop_without_drain_keeps_what_a_snapshot_saw(self):
         async def go():
-            supervisor, _, batches = barrier_case(shards=2)
+            supervisor, _, batches = barrier_case()
             await supervisor.start()
             await supervisor.inject(batches["A"])
             snapshot = await asyncio.wait_for(supervisor.snapshot(), timeout=10)
@@ -685,14 +710,14 @@ class TestShutdownWithoutDrain:
             return snapshot, result
 
         snapshot, result = asyncio.run(go())
-        assert len(snapshot.shards) == 2
+        assert len(snapshot.shards) == 1
         assert snapshot.events == result.stats.events_processed == 6
 
 
 class TestSupervisorLifecycle:
     def test_requests_before_start_raise(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             requests = (
                 lambda: supervisor.inject(InjectEvent(instance=0, source="t_tick")),
                 supervisor.snapshot,
@@ -709,10 +734,10 @@ class TestSupervisorLifecycle:
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
-            first = list(supervisor._shards)
+            first = supervisor._shard
             with pytest.raises(RuntimeError, match="already running"):
                 await supervisor.start()
-            assert supervisor._shards == first
+            assert supervisor._shard is first
             await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
             return await asyncio.wait_for(supervisor.stop(), timeout=10)
 
@@ -728,7 +753,7 @@ class TestSupervisorLifecycle:
         )
 
         async def two_passes(reload):
-            supervisor = FleetSupervisor(net, assignment, shards=2)
+            supervisor = FleetSupervisor(net, assignment)
             await supervisor.start()
             await supervisor.inject(batch)
             first = await supervisor.snapshot()
@@ -749,61 +774,47 @@ class TestSupervisorLifecycle:
         assert reloaded.cycles == 2 * first.cycles
         assert carried_on.cycles != reloaded.cycles
 
-    def test_snapshot_sums_the_shards_it_routed_to(self):
+    def test_snapshot_reports_the_one_shard(self):
         injects = events_to_injects(make_fleet_testbench(10, cells=2, seed=4))
 
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=3)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             await supervisor.inject(InjectBatch(events=tuple(injects)))
             snapshot = await supervisor.snapshot()
             await asyncio.wait_for(supervisor.stop(), timeout=10)
-            return supervisor, snapshot
+            return snapshot
 
-        supervisor, snapshot = asyncio.run(go())
-        assert [shard.shard for shard in snapshot.shards] == [0, 1, 2]
+        snapshot = asyncio.run(go())
+        (shard,) = snapshot.shards
+        assert shard.shard == 0
         for name in ("instances", "events", "cycles", "budget_stops"):
-            assert getattr(snapshot, name) == sum(
-                getattr(shard, name) for shard in snapshot.shards
-            )
-        instances = Counter(supervisor.shard_of(i) for i in range(10))
-        events = Counter(supervisor.shard_of(e.instance) for e in injects)
-        assert [s.instances for s in snapshot.shards] == [
-            instances[k] for k in range(3)
-        ]
-        assert [s.events for s in snapshot.shards] == [events[k] for k in range(3)]
+            assert getattr(snapshot, name) == getattr(shard, name)
+        assert snapshot.instances == 10
         assert snapshot.events == len(injects)
 
 
 class TestSupervisorRouting:
-    def test_backend_validation(self):
-        assert FleetSupervisor(ATM, ASSIGNMENT, backend="async").shards == 1
-        with pytest.raises(ValueError, match="unknown service backend"):
-            FleetSupervisor(ATM, ASSIGNMENT, backend="process")
-        with pytest.raises(ValueError, match="shards must be positive"):
-            FleetSupervisor(ATM, ASSIGNMENT, shards=0)
-
-    def test_routing_is_deterministic_and_total(self):
-        supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=4)
-        shards = [supervisor.shard_of(i) for i in range(1000)]
-        assert shards == [supervisor.shard_of(i) for i in range(1000)]
-        assert set(shards) == {0, 1, 2, 3}  # every shard gets work
-
-    @pytest.mark.parametrize("shards", [2, 3, 7])
-    def test_vectorized_routing_matches_shard_of(self, shards):
-        """The per-batch routing wraps int64 products; it must pick the
-        shard the Python-int hash picks, negative and huge keys too."""
-        supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=shards)
-        keys = list(range(-50, 50)) + [
-            (1 << 24) - 1, 1 << 24, (1 << 31) - 1, 1 << 32, (1 << 40) + 3,
-            (1 << 62) + 1, -(1 << 62), (1 << 63) - 1,
-        ]
-        routed = supervisor._shards_of(np.array(keys, dtype=np.int64))
-        assert routed.tolist() == [supervisor.shard_of(key) for key in keys]
+    @pytest.mark.parametrize(
+        "options, fragment",
+        [
+            ({"backend": "process"}, "unknown service backend"),
+            ({"shards": 0}, "shards must be 1"),
+            ({"shards": 2}, "shards must be 1"),
+            ({"inbox_limit": 0}, "inbox_limit must be positive"),
+            ({"inbox_limit": -5}, "inbox_limit must be positive"),
+        ],
+    )
+    def test_argument_validation(self, options, fragment):
+        """One async shard is the only service, and its inbox is bounded:
+        an inbox limit below 1 would build an unbounded asyncio.Queue."""
+        FleetSupervisor(ATM, ASSIGNMENT, shards=1, backend="async", inbox_limit=1)
+        with pytest.raises(ValueError, match=fragment):
+            FleetSupervisor(ATM, ASSIGNMENT, **options)
 
     def test_reload_resets_markings_and_stats(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             for i in range(4):
                 await supervisor.inject(
@@ -856,7 +867,7 @@ def serve_bad_line(bad_line):
     connection: returns the two replies and the drained result."""
 
     async def go():
-        supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
         await supervisor.start()
         server = IngestServer(supervisor, port=0)
         host, port = await server.start()
@@ -918,7 +929,7 @@ class TestIngestServer:
         monkeypatch.setattr(ingest, "STREAM_LIMIT", 1024)
 
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -942,7 +953,7 @@ class TestIngestServer:
 
     def test_malformed_line_gets_error_ack_and_connection_survives(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -972,7 +983,7 @@ class TestIngestServer:
         its events is served, and the connection keeps serving."""
 
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=1)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -1064,7 +1075,7 @@ class TestIngestServer:
 
     def test_reload_over_the_socket(self):
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
@@ -1145,7 +1156,7 @@ class TestIngestServer:
         assert len(one_line) > 64 * 1024  # exercises the server limit
 
         async def go():
-            supervisor = FleetSupervisor(ATM, ASSIGNMENT, shards=2)
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()

@@ -69,9 +69,9 @@ def assert_results_identical(expected, actual):
         assert np.array_equal(expected.instance_ticks, actual.instance_ticks)
 
 
-def run_service(net, assignment, streams, timing, shards=2):
+def run_service(net, assignment, streams, timing):
     async def go():
-        supervisor = FleetSupervisor(net, assignment, shards=shards, timing=timing)
+        supervisor = FleetSupervisor(net, assignment, timing=timing)
         await supervisor.start()
         injects = events_to_injects(streams)
         for lo in range(0, len(injects), 97):
@@ -108,7 +108,7 @@ class TestTimedEngineEquality:
     def test_async_service_equals_one_shot(self, case):
         net, assignment, streams, timing = timed_case(case)
         expected = FleetSimulator(net, assignment, timing=timing).run(streams)
-        actual = run_service(net, assignment, streams, timing, shards=2)
+        actual = run_service(net, assignment, streams, timing)
         assert_results_identical(expected, actual)
 
     def test_fixed_seed_runs_are_identical(self):
