@@ -786,9 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_corpus.add_argument(
         "--spill-dir",
-        help="directory for out-of-core spill files (default: a private "
-        "temp directory, removed after each net); requires --memory-budget "
-        "or is used standalone to force the spilling code path",
+        help="directory for out-of-core spill files: each exploration "
+        "writes a fresh explore-* subdirectory, kept after the run "
+        "(default: a private temp directory per exploration, removed as "
+        "it ends); alone, without --memory-budget, it still spills",
     )
     _add_engine_flag(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)

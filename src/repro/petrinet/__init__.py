@@ -15,9 +15,10 @@ library) needs from Petri net theory:
 * :mod:`~repro.petrinet.reachability` — reachability, boundedness
   (Karp–Miller), deadlock and liveness.
 * :mod:`~repro.petrinet.frontier` — the frontier-batched state-space
-  exploration the compiled engine runs for those queries.
-* :mod:`~repro.petrinet.outofcore` — memory-budgeted spill-to-disk
-  frontier exploration (``memory_budget=``/``spill_dir=``).
+  exploration the compiled engine runs for those queries: one level
+  loop, in RAM or, under ``memory_budget=``/``spill_dir=``, on disk.
+* :mod:`~repro.petrinet.outofcore` — that loop's spill-to-disk storage
+  (marking/edge logs, the spilling visited store, budget parsing).
 * :mod:`~repro.petrinet.symmetry` — validated symmetry groups and
   orbit canonicalization for quotient state spaces.
 * :mod:`~repro.petrinet.generators` — parameterized net families.
@@ -93,12 +94,7 @@ from .invariants import (
 )
 from .frontier import FrontierExploration, explore_frontier
 from .marking import Marking
-from .outofcore import (
-    SpillStats,
-    VisitedStore,
-    explore_budgeted,
-    parse_memory_budget,
-)
+from .outofcore import SpillStats, VisitedStore, parse_memory_budget
 from .net import Arc, PetriNet, Place, Transition
 from .reachability import (
     CoverabilityResult,
@@ -189,7 +185,6 @@ __all__ = [
     # out-of-core budgeted exploration
     "SpillStats",
     "VisitedStore",
-    "explore_budgeted",
     "parse_memory_budget",
     # symmetry reduction
     "SymmetryGroup",

@@ -531,10 +531,10 @@ def analyse_spec(
     guessed.  Analysis exceptions are captured in ``error`` so one
     degenerate net cannot sink a whole corpus run.
 
-    ``memory_budget`` / ``spill_dir`` (compiled engine only) route the
-    coverability and reachability passes through the out-of-core
-    budgeted explorer (:mod:`repro.petrinet.outofcore`), bounding RAM
-    by spilling visited-set shards and marking logs to disk.  They are
+    ``memory_budget`` / ``spill_dir`` (compiled engine only) keep the
+    coverability and reachability passes' exploration storage on disk
+    (:mod:`repro.petrinet.outofcore`), bounding RAM by spilling
+    visited-set shards and marking logs.  They are
     validated before the per-net error capture, so a bad engine/budget
     combination or a malformed budget fails the call, not one record.
     """
@@ -702,9 +702,10 @@ def run_corpus(
     net: the full property pipeline (``"properties"``, default) or the
     QSS schedulability sweep (``"qss"``).  ``engine`` is ``compiled``
     or ``legacy``.  ``memory_budget`` / ``spill_dir`` (compiled only)
-    bound exploration RAM per net by spilling to disk; each worker
-    spills into its own private temp directory unless ``spill_dir``
-    pins one.  Invalid arguments raise ``ValueError`` before any net is
+    bound exploration RAM per net by spilling to disk; every
+    exploration spills into a fresh directory of its own (a private
+    temp directory, or a new subdirectory of ``spill_dir``), so workers
+    sharing a ``spill_dir`` never touch each other's files.  Invalid arguments raise ``ValueError`` before any net is
     analysed.
     """
     validate_engine(engine)

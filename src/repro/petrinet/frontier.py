@@ -2,10 +2,10 @@
 
 Every compiled state-space query of :mod:`repro.petrinet.reachability`
 (reachability graphs, reachability tests, deadlocks, liveness and the
-bounded prefix of coverability) runs here.  The search loop does not
-pop one marking at a time off a queue: each BFS level (the *frontier*)
-is one ``(N, P)`` int64 matrix, and every step of the exploration is a
-whole-frontier numpy operation —
+bounded prefix of coverability) runs here, through one level loop.  The
+search does not pop one marking at a time off a queue: each BFS level
+(the *frontier*) is one ``(N, P)`` int64 matrix, and every step of the
+exploration is a whole-frontier numpy operation —
 
 * enabledness of all transitions over the whole frontier in one pass
   (per-transition CSR column checks, cheaper than the dense
@@ -34,12 +34,24 @@ two distinct markings colliding in both hashes at once (probability
 ~2^-128 per pair, far below hardware error rates); any single-hash
 collision is detected and routed to the exact explorer.
 
+Where the loop keeps its state follows ``memory_budget`` and
+``spill_dir``, never a second loop: in RAM, each level is one chunk,
+new markings go to a doubling buffer, edges are appended as arrays and
+concatenated once at the end, and the visited table never spills;
+under a budget or a spill directory, the storage of
+:mod:`repro.petrinet.outofcore` streams them to files in a directory
+of the run's own, spills the visited table past its budget share and
+reads each level back in budget-sized chunks.  ``symmetry``
+canonicalizes every successor in either storage, so a symmetry-reduced
+run without a budget stays in RAM.
+
 The exploration picks between the two explorers from what it observes
-— a hash disagreement, or a long run of narrow levels — never from an
-option.  Both visit markings in exactly the order of the legacy
+— a hash disagreement, or a long run of narrow levels in RAM — never
+from an option.  Both visit markings in exactly the order of the legacy
 engine's BFS — same node numbering, same edge list, same
 ``max_markings`` cutoff point — which is what makes the differential
 suites (:mod:`tests.test_frontier_differential`,
+:mod:`tests.test_outofcore_differential`,
 :mod:`tests.test_properties_differential`) bit-for-bit equality checks
 rather than graph-isomorphism tests.
 
@@ -50,15 +62,25 @@ spaces are small and deep, where the memoized sequential DFS
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .compiled import CompiledNet, MarkingTuple
-from .symmetry import SymmetryGroup, canonicalize
+from .outofcore import (
+    SpillStats,
+    VisitedStore,
+    _ArrayLog,
+    _chunk_rows_for,
+    parse_memory_budget,
+)
+from .symmetry import SymmetryGroup, SymmetrySpec, canonicalize, resolve_symmetry
 
 #: Seed of the fixed hash mix; one constant so every process (pool
 #: workers included) explores identically.
@@ -68,8 +90,8 @@ _MIX_SEED = 0x9E3779B97F4A7C15
 #: carry fewer than :data:`_NARROW_WIDTH` markings each, the per-level
 #: numpy dispatch overhead dominates any vectorization win (a
 #: single-token chain degenerates to one marking per level, i.e. one
-#: whole batched round per node), so the exploration restarts on the
-#: scalar exact explorer, which handles deep-narrow state spaces at
+#: whole batched round per node), so an in-RAM exploration restarts on
+#: the scalar exact explorer, which handles deep-narrow state spaces at
 #: one dictionary lookup per successor.
 _NARROW_STREAK = 64
 _NARROW_WIDTH = 16
@@ -105,8 +127,9 @@ class FrontierExploration:
         BFS index of the target marking when one was given and found.
     spill:
         :class:`~repro.petrinet.outofcore.SpillStats` when the
-        exploration ran under a memory budget (the matrix/edge arrays
-        are then read-only memory maps); ``None`` for in-RAM runs.
+        exploration stored its state on disk (``memory_budget`` or
+        ``spill_dir``; the matrix/edge arrays are then read-only memory
+        maps); ``None`` for in-RAM runs.
     """
 
     matrix: np.ndarray
@@ -115,7 +138,7 @@ class FrontierExploration:
     edge_dst: np.ndarray
     complete: bool
     target_index: Optional[int] = None
-    spill: Optional[object] = None
+    spill: Optional[SpillStats] = None
 
     @property
     def node_count(self) -> int:
@@ -203,6 +226,63 @@ def _tables_for(compiled: CompiledNet) -> _FrontierTables:
     return tables
 
 
+class _RamRows:
+    """In-RAM marking log: rows copied into one buffer grown by doubling.
+
+    Keeping each level's rows as its own array would save the copies,
+    but those long-lived arrays fragment the heap between the visited
+    table's reallocations: in a fresh process that multiplied page
+    faults 3-6x and cost 15-35% at 10^5-10^6 markings (2-core VM,
+    Python 3.11).
+    """
+
+    def __init__(self, columns: int) -> None:
+        self.rows = 0
+        self._buffer = np.empty((1024, columns), dtype=np.int64)
+
+    def append(self, array: np.ndarray) -> None:
+        end = self.rows + array.shape[0]
+        if end > self._buffer.shape[0]:
+            grown = np.empty(
+                (max(end, 2 * self._buffer.shape[0]), self._buffer.shape[1]),
+                dtype=np.int64,
+            )
+            grown[: self.rows] = self._buffer[: self.rows]
+            self._buffer = grown
+        self._buffer[self.rows : end] = array
+        self.rows = end
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        return self._buffer[start:stop]
+
+    def finalize(self) -> np.ndarray:
+        # a trimmed copy: the matrix may outlive the run, the doubling
+        # slack must not
+        matrix = self._buffer[: self.rows].copy()
+        del self._buffer
+        return matrix
+
+    def close(self) -> None:
+        pass
+
+
+class _ChunkList:
+    """In-RAM edge log: appended arrays, concatenated once by finalize."""
+
+    def __init__(self) -> None:
+        self._chunks: List[np.ndarray] = []
+
+    def append(self, array: np.ndarray) -> None:
+        self._chunks.append(array)
+
+    def finalize(self) -> np.ndarray:
+        chunks, self._chunks = self._chunks, []
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+    def close(self) -> None:
+        pass
+
+
 # ----------------------------------------------------------------------
 # Reachability exploration
 # ----------------------------------------------------------------------
@@ -213,9 +293,9 @@ def explore_frontier(
     target: Optional[Sequence[int]] = None,
     stop_on_target: bool = False,
     collect_edges: bool = True,
-    memory_budget: Optional[object] = None,
-    spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
+    memory_budget: Union[None, int, str] = None,
+    spill_dir: Union[None, str, Path] = None,
+    symmetry: SymmetrySpec = None,
 ) -> FrontierExploration:
     """Breadth-first exploration with whole-level batching.
 
@@ -228,36 +308,30 @@ def explore_frontier(
     ``collect_edges=False`` the edge arrays stay empty (used by the
     boundedness fast path, which only needs the marking matrix).
 
-    Any of ``memory_budget`` (bytes, or ``"256MB"``-style strings),
-    ``spill_dir`` or ``symmetry`` routes the exploration through the
-    out-of-core engine (:mod:`repro.petrinet.outofcore`): markings and
-    edges stream to disk, the visited tables spill past the budget, and
-    oversized frontiers are processed in budget-sized chunks — same
-    BFS order bit for bit.  ``symmetry`` (``"auto"`` or validated
-    :class:`~repro.petrinet.symmetry.SymmetryGroup` s) additionally
-    canonicalizes markings, returning the quotient graph instead.
+    ``memory_budget`` (bytes, or ``"256MB"``-style strings) or
+    ``spill_dir`` moves the exploration's storage to disk
+    (:mod:`repro.petrinet.outofcore`): markings and edges stream to a
+    fresh directory of the run's own — a subdirectory of ``spill_dir``,
+    kept after the run and named in the returned ``spill`` stats, or a
+    temporary one removed with the run — the visited tables spill past
+    the budget, and oversized frontiers are processed in budget-sized
+    chunks; same BFS order bit for bit.  ``symmetry`` (``"auto"`` or
+    validated :class:`~repro.petrinet.symmetry.SymmetryGroup` s)
+    canonicalizes markings in either storage, returning the quotient
+    graph instead.
     """
-    if memory_budget is not None or spill_dir is not None or symmetry is not None:
-        from .outofcore import explore_budgeted
-
-        return explore_budgeted(
-            compiled,
-            start=start,
-            max_markings=max_markings,
-            target=target,
-            stop_on_target=stop_on_target,
-            collect_edges=collect_edges,
-            memory_budget=memory_budget,
-            spill_dir=spill_dir,
-            symmetry=symmetry,
-        )
+    groups = resolve_symmetry(compiled, symmetry)
+    budget = parse_memory_budget(memory_budget)
     try:
         return _explore_hashed(
-            compiled, start, max_markings, target, stop_on_target, collect_edges
+            compiled, start, max_markings, target, stop_on_target,
+            collect_edges, groups, budget, spill_dir,
         )
     except (_HashDisagreement, _NarrowFrontier):
+        # correctness outranks the budget: the exact explorer runs in RAM
         return _explore_exact(
-            compiled, start, max_markings, target, stop_on_target, collect_edges
+            compiled, start, max_markings, target, stop_on_target,
+            collect_edges, groups,
         )
 
 
@@ -282,8 +356,11 @@ def _explore_hashed(
     target: Optional[Sequence[int]],
     stop_on_target: bool,
     collect_edges: bool,
+    groups: Sequence[SymmetryGroup],
+    budget: Optional[int],
+    spill_dir: Union[None, str, Path],
 ) -> FrontierExploration:
-    """The vectorized two-hash explorer (fast path)."""
+    """The vectorized two-hash level loop, in RAM or spilling to disk."""
     n_places = len(compiled.places)
     incidence = compiled.incidence
     tables = _tables_for(compiled)
@@ -291,144 +368,172 @@ def _explore_hashed(
     mix2, inc_h2 = tables.mix2, tables.inc_h2
     enabled_fn = tables.enabled
 
-    start_vector = _start_vector(compiled, start)
-    target_vector = (
-        None if target is None else np.array(tuple(target), dtype=np.int64)
-    )
+    start_vector = canonicalize(_start_vector(compiled, start), groups)
+    target_vector = None if target is None else canonicalize(target, groups)
     target_index: Optional[int] = None
     if target_vector is not None and np.array_equal(start_vector, target_vector):
         target_index = 0
 
-    store = np.empty((1024, n_places), dtype=np.int64)
-    store[0] = start_vector
-    count = 1
-    start_h1 = np.int64(start_vector @ mix1)
-    start_h2 = np.int64(start_vector @ mix2)
-    visited_h = np.array([start_h1], dtype=np.int64)
-    visited_h2 = np.array([start_h2], dtype=np.int64)
-    visited_idx = np.zeros(1, dtype=np.int64)
-
-    frontier = start_vector[np.newaxis, :]
-    # hashes of the frontier rows, carried level to level (a new row's
-    # hashes are the successor hashes that discovered it)
-    frontier_h1 = np.array([start_h1], dtype=np.int64)
-    frontier_h2 = np.array([start_h2], dtype=np.int64)
-    base = 0  # BFS index of the first frontier row (rows are contiguous)
-    edge_src: List[np.ndarray] = []
-    edge_t: List[np.ndarray] = []
-    edge_dst: List[np.ndarray] = []
-    complete = True
-    narrow_streak = 0
-
-    while frontier.shape[0] and not (stop_on_target and target_index is not None):
-        if frontier.shape[0] < _NARROW_WIDTH:
-            narrow_streak += 1
-            if narrow_streak >= _NARROW_STREAK:
-                # deep-narrow state space: per-level batching overhead is
-                # O(levels) = O(markings) here and the visited-table
-                # merges would turn quadratic — the scalar explorer is
-                # the right engine (the short prefix redone is tiny)
-                raise _NarrowFrontier
+    directory: Optional[Path] = None
+    if spill_dir is not None:
+        # a fresh subdirectory per run: explorations sharing a spill_dir
+        # must never rewrite each other's memory-mapped logs
+        Path(spill_dir).mkdir(parents=True, exist_ok=True)
+        directory = Path(tempfile.mkdtemp(prefix="explore-", dir=spill_dir))
+    elif budget is not None:
+        directory = Path(tempfile.mkdtemp(prefix="repro-qss-ooc-"))
+    logs: List = []
+    try:
+        if directory is None:
+            logs = [_RamRows(n_places), _ChunkList(), _ChunkList(), _ChunkList()]
         else:
-            narrow_streak = 0
-        src_local, trans = np.nonzero(enabled_fn(frontier))
-        if src_local.size == 0:
-            break
-        # successor hashes via linearity — no successor matrix yet
-        h1 = frontier_h1[src_local] + inc_h1[trans]
-        h2 = frontier_h2[src_local] + inc_h2[trans]
-        unique_h, first, inverse = np.unique(
-            h1, return_index=True, return_inverse=True
+            for name, columns in (
+                ("markings", n_places),
+                ("edge-src", 0),
+                ("edge-transition", 0),
+                ("edge-dst", 0),
+            ):
+                logs.append(_ArrayLog(directory / f"{name}.bin", columns))
+        markings, edge_src, edge_t, edge_dst = logs
+        # a quarter of the budget holds the visited RAM segment (three
+        # int64 per entry); without a budget it never spills
+        visited = VisitedStore(
+            directory, 2**62 if budget is None else budget // 4 // 24
         )
-        # within-level merge check: the second hash must agree wherever
-        # the first merged two successor rows
-        if not np.array_equal(h2, h2[first[inverse]]):
-            raise _HashDisagreement
-        # membership against everything discovered so far; a first-hash
-        # match must be confirmed by the second hash or the exploration
-        # falls back to the exact engine
-        pos = np.minimum(np.searchsorted(visited_h, unique_h), visited_h.size - 1)
-        found = visited_h[pos] == unique_h
-        unique_index = np.empty(unique_h.size, dtype=np.int64)
-        found_pos = np.flatnonzero(found)
-        if found_pos.size:
-            if not np.array_equal(h2[first[found_pos]], visited_h2[pos[found_pos]]):
-                raise _HashDisagreement
-            unique_index[found_pos] = visited_idx[pos[found_pos]]
-        new_pos = np.flatnonzero(~found)
-        new_first = first[new_pos]
-        # discovery order of the new markings = order of first occurrence
-        # in the row-major (src, transition) pair enumeration
-        discovery = np.argsort(new_first, kind="stable")
-        n_new = new_pos.size
-        if count + n_new > max_markings:
+        chunk_rows = _chunk_rows_for(budget, n_places, len(compiled.transitions))
+
+        markings.append(start_vector[np.newaxis, :])
+        visited.insert(
+            np.array([start_vector @ mix1], dtype=np.int64),
+            np.array([start_vector @ mix2], dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        )
+        count = 1
+        level_start, level_end = 0, 1
+        complete = True
+        levels = chunks = narrow_streak = 0
+        # a found target stops the search at a level boundary only (the
+        # level it appears in is processed in full, in every chunking)
+        while (
+            complete
+            and level_start < level_end
+            and not (stop_on_target and target_index is not None)
+        ):
+            levels += 1
+            if directory is None:
+                # deep-narrow state space: per-level batching overhead is
+                # O(levels) = O(markings) here and the visited-table merges
+                # would turn quadratic, so the scalar explorer takes over
+                # (the short prefix redone is tiny); in RAM only, since
+                # the exact explorer does not honour a budget
+                narrow = level_end - level_start < _NARROW_WIDTH
+                narrow_streak = narrow_streak + 1 if narrow else 0
+                if narrow_streak >= _NARROW_STREAK:
+                    raise _NarrowFrontier
+            for chunk_at in range(level_start, level_end, chunk_rows):
+                # a spilled level is read back from the marking log one
+                # chunk at a time: the only frontier RAM it uses
+                chunk = markings.read(chunk_at, min(chunk_at + chunk_rows, level_end))
+                chunks += 1
+                src_local, trans = np.nonzero(enabled_fn(chunk))
+                if src_local.size == 0:
+                    continue
+                if groups:
+                    # canonical successors must exist as rows to be hashed
+                    successors = canonicalize(
+                        chunk[src_local] + incidence[trans], groups
+                    )
+                    h1 = successors @ mix1
+                    h2 = successors @ mix2
+                else:
+                    # linearity: no successor matrix yet
+                    h1 = (chunk @ mix1)[src_local] + inc_h1[trans]
+                    h2 = (chunk @ mix2)[src_local] + inc_h2[trans]
+                unique_h, first, inverse = np.unique(
+                    h1, return_index=True, return_inverse=True
+                )
+                # within-level merge check: the second hash must agree
+                # wherever the first merged two successor rows
+                if not np.array_equal(h2, h2[first[inverse]]):
+                    raise _HashDisagreement
+                # membership against everything discovered so far; a
+                # first-hash match must be confirmed by the second hash
+                found, unique_index, found_h2 = visited.lookup(unique_h)
+                found_pos = np.flatnonzero(found)
+                if not np.array_equal(h2[first[found_pos]], found_h2[found_pos]):
+                    raise _HashDisagreement
+                new_pos = np.flatnonzero(~found)
+                new_first = first[new_pos]
+                # discovery order of the new markings = order of first
+                # occurrence in the row-major (src, transition) enumeration
+                discovery = np.argsort(new_first, kind="stable")
+                allowed = min(new_pos.size, max(0, max_markings - count))
+                kept = discovery[:allowed]
+                new_ids = np.full(new_pos.size, -1, dtype=np.int64)
+                new_ids[kept] = count + np.arange(allowed, dtype=np.int64)
+                unique_index[new_pos] = new_ids
+                kept_first = new_first[kept]
+                if groups:
+                    new_rows = successors[kept_first]
+                else:
+                    new_rows = (
+                        chunk[src_local[kept_first]] + incidence[trans[kept_first]]
+                    )
+                markings.append(new_rows)
+                if target_vector is not None and target_index is None and allowed:
+                    hits = np.flatnonzero((new_rows == target_vector).all(axis=1))
+                    if hits.size:
+                        target_index = count + int(hits[0])
+                kept_unique = new_pos[new_ids >= 0]  # hash order, as insert wants
+                visited.insert(
+                    unique_h[kept_unique],
+                    h2[first[kept_unique]],
+                    unique_index[kept_unique],
+                )
+                # the max_markings cap cuts the level at the first pair
+                # that discovers a dropped marking; the edges stop there
+                cut = allowed < new_pos.size
+                if collect_edges:
+                    stop_at = (
+                        int(new_first[discovery[allowed]]) if cut else src_local.size
+                    )
+                    edge_src.append(src_local[:stop_at] + chunk_at)
+                    edge_t.append(trans[:stop_at])
+                    edge_dst.append(unique_index[inverse[:stop_at]])
+                count += allowed
+                if cut:
+                    complete = False
+                    break
+            level_start, level_end = level_end, count
+
+        if stop_on_target and target_index is not None:
+            # stopped at the target: the graph is (potentially) a prefix
             complete = False
-            allowed = max(0, max_markings - count)
-            cutoff = int(new_first[discovery[allowed]])
-        else:
-            allowed = n_new
-            cutoff = -1
-        kept = discovery[:allowed]
-        new_ids = np.full(n_new, -1, dtype=np.int64)
-        new_ids[kept] = count + np.arange(allowed, dtype=np.int64)
-        unique_index[new_pos] = new_ids
-        kept_first = new_first[kept]
-        new_rows = frontier[src_local[kept_first]] + incidence[trans[kept_first]]
-        while count + allowed > store.shape[0]:
-            store = np.concatenate([store, np.empty_like(store)])
-        store[count : count + allowed] = new_rows
-        if target_vector is not None and target_index is None and allowed:
-            hits = np.flatnonzero((new_rows == target_vector).all(axis=1))
-            if hits.size:
-                target_index = count + int(hits[0])
-        # merge the kept new hashes into the sorted visited tables
-        kept_mask = new_ids >= 0
-        kept_unique = new_pos[kept_mask]
-        new_h = unique_h[kept_unique]
-        insert_at = np.searchsorted(visited_h, new_h)
-        visited_h = np.insert(visited_h, insert_at, new_h)
-        visited_h2 = np.insert(visited_h2, insert_at, h2[first[kept_unique]])
-        visited_idx = np.insert(visited_idx, insert_at, new_ids[kept_mask])
-        if collect_edges:
-            dst = unique_index[inverse]
-            src = src_local + base
-            if cutoff >= 0:
-                edge_src.append(src[:cutoff])
-                edge_t.append(trans[:cutoff])
-                edge_dst.append(dst[:cutoff])
-            else:
-                edge_src.append(src)
-                edge_t.append(trans)
-                edge_dst.append(dst)
-        count += allowed
-        if cutoff >= 0:
-            break
-        base = count - allowed
-        frontier = new_rows
-        frontier_h1 = h1[kept_first]
-        frontier_h2 = h2[kept_first]
-
-    if stop_on_target and target_index is not None:
-        # stopped at the target: the graph is (potentially) a prefix
-        complete = False
-
-    def concatenated(chunks: List[np.ndarray]) -> np.ndarray:
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-    if count < store.shape[0]:
-        # release the doubling slack: the matrix may be held for the
-        # lifetime of a lazily-viewed graph, the buffer must not be
-        store = store[:count].copy()
-    return FrontierExploration(
-        matrix=store,
-        edge_src=concatenated(edge_src),
-        edge_transition=concatenated(edge_t),
-        edge_dst=concatenated(edge_dst),
-        complete=complete,
-        target_index=target_index,
-    )
+        spill = None
+        if directory is not None:
+            spill = SpillStats(
+                budget_bytes=budget,
+                spill_dir=str(directory),
+                shard_count=visited.shard_count,
+                shard_bytes=visited.shard_bytes,
+                log_bytes=sum(log.nbytes for log in logs),
+                chunk_count=chunks,
+                level_count=levels,
+                canonical=bool(groups),
+            )
+        # edges first: the marking buffer's trimmed copy comes last, once
+        # the edge chunks are gone, which keeps the peak lowest
+        edges = [log.finalize() for log in (edge_src, edge_t, edge_dst)]
+        return FrontierExploration(
+            markings.finalize(), *edges, complete, target_index, spill
+        )
+    finally:
+        for log in logs:
+            log.close()
+        if directory is not None and spill_dir is None:
+            # POSIX: unlinked files stay readable through their live
+            # maps, so the temporary directory goes with the run
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 def _explore_exact(
@@ -443,15 +548,15 @@ def _explore_exact(
     """Collision-free scalar fallback on the compiled successor function.
 
     A one-marking-at-a-time BFS (:attr:`CompiledNet.expander` plus a
-    tuple-keyed visited dict) in the hashed explorers' visit order,
+    tuple-keyed visited dict) in the hashed loop's visit order,
     assembling the integer-array :class:`FrontierExploration` form at
-    the end.  It serves two roles: the exact court of appeal when a
-    hashed explorer, in RAM or out of core, detects a 64-bit collision,
-    and the right engine outright for deep-narrow state spaces, where
-    its per-marking cost beats any per-level batching.  With symmetry
+    the end.  It serves two roles: the exact court of appeal when the
+    hashed loop, in RAM or spilling, detects a 64-bit collision, and
+    the right engine outright for deep-narrow state spaces, where its
+    per-marking cost beats any per-level batching.  With symmetry
     ``groups`` every marking is canonicalized, so it explores the same
-    quotient as :func:`repro.petrinet.outofcore.explore_budgeted`;
-    without them the expander runs unwrapped.
+    quotient as :func:`_explore_hashed`; without them the expander runs
+    unwrapped.
     """
     start_tuple = tuple(
         canonicalize(_start_vector(compiled, start), groups).tolist()

@@ -16,8 +16,9 @@ exhaustively; for possibly-unbounded nets the Karp–Miller coverability
 tree with omega-acceleration is used.
 
 Two engines answer every query: ``"compiled"`` (default) runs the
-frontier-batched exploration of :mod:`repro.petrinet.frontier` (and its
-out-of-core and symmetry-reduced variants), ``"legacy"`` the original
+frontier-batched exploration of :mod:`repro.petrinet.frontier` (one
+level loop, in RAM or out of core, optionally symmetry-reduced),
+``"legacy"`` the original
 dict-based token game, kept as the oracle the differential suites
 compare against.  Both visit markings in the same BFS order, so their
 graphs are identical.
@@ -286,10 +287,10 @@ def build_reachability_graph(
     order, so the resulting graphs are identical.
 
     The compiled engine additionally accepts ``memory_budget`` (bytes
-    or ``"256MB"``-style strings) and ``spill_dir``, routing the
-    exploration through the out-of-core explorer
-    (:mod:`repro.petrinet.outofcore`) — the graph is still bit-identical,
-    only its storage is memory-mapped — and ``symmetry`` (``"auto"`` or
+    or ``"256MB"``-style strings) and ``spill_dir``, which keep the
+    exploration's storage on disk (:mod:`repro.petrinet.outofcore`) —
+    the graph is still bit-identical, only its storage is memory-mapped
+    — and ``symmetry`` (``"auto"`` or
     :class:`~repro.petrinet.symmetry.SymmetryGroup` s), which returns
     the canonical *quotient* graph of the symmetry instead.
     """

@@ -7,8 +7,8 @@ producer/consumer ring — have reachability graphs whose states come in
 orbits: permuting the instances of a marking yields another reachable
 marking with the same future.  Exploring one *canonical representative*
 per orbit shrinks the explored space by up to ``k!`` for ``k``
-interchangeable instances, which is exactly the lever the out-of-core
-engine (:mod:`repro.petrinet.outofcore`) wants: the explored space
+interchangeable instances, which is exactly the lever an out-of-core
+exploration (:mod:`repro.petrinet.outofcore`) wants: the explored space
 shrinks before the stored space does.
 
 The reduction is the classical *scalarset* symmetry of explicit-state

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,10 @@ STREAM_LIMIT = 16 * 1024 * 1024
 #: larger batches so no single line approaches :data:`STREAM_LIMIT`.
 BATCH_CHUNK = 4096
 
+#: Seconds :meth:`IngestServer.stop` lets closed connections flush
+#: their pending replies before it aborts them.
+STOP_GRACE = 5.0
+
 
 class IngestServer:
     """Line-delimited-JSON TCP front end for a fleet supervisor."""
@@ -69,6 +73,8 @@ class IngestServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open client connections: handler task -> its stream writer.
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         #: Set when a client sends :class:`Shutdown`; the owner of the
         #: supervisor awaits this (or a duration timeout) and then calls
         #: ``supervisor.stop()`` — the server never stops the fleet itself.
@@ -85,14 +91,34 @@ class IngestServer:
         return self.host, self.port
 
     async def stop(self) -> None:
+        """Stop listening, close every open client connection and wait
+        for its handler to finish.
+
+        A client that stays connected must not outlive the server: its
+        handler would be cancelled at event-loop teardown, and
+        ``Server.wait_closed()`` waits for open connections on newer
+        Pythons.
+        """
         if self._server is not None:
             self._server.close()
+            while self._connections:  # handlers accepted meanwhile too
+                for writer in self._connections.values():
+                    writer.close()
+                _, stuck = await asyncio.wait(
+                    list(self._connections), timeout=STOP_GRACE
+                )
+                for task in stuck:
+                    # a client that never reads holds its handler in
+                    # drain(), and close() waits for that flush
+                    self._connections[task].transport.abort()
             await self._server.wait_closed()
             self._server = None
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -138,6 +164,9 @@ class IngestServer:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
+            finally:
+                # last: stop() waits until this handler has fully ended
+                del self._connections[task]
 
     async def _serve(self, message) -> Optional[object]:
         """Act on one decoded message; returns the reply to send, if any."""

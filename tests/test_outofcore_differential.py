@@ -14,12 +14,26 @@ enough that spilling and chunking trigger even on small nets:
 * deadlock sets are identical;
 * the budget parser, the spilling visited store and the engine
   validation guard behave as documented;
+* every exploration gets a spill directory of its own, and its open
+  logs are closed on every exit path;
 * symmetry reduction produces a validated quotient that preserves the
   deadlock-freedom verdict and the exact per-place bounds, and its
-  collision fallback explores the same quotient.
+  collision fallback explores the same quotient;
+* the one level loop equals the exact explorer in every storage (RAM,
+  budget, spill directory alone), with and without symmetry.
 """
 
 from __future__ import annotations
+
+import gc
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +55,11 @@ from repro.petrinet import (
     orbit_place_bounds,
     parse_memory_budget,
 )
+import repro.petrinet.frontier as frontier_module
 from repro.petrinet.corpus import CORPUS_FAMILIES, generate_corpus, run_corpus
-from repro.petrinet.frontier import _HashDisagreement
-from repro.petrinet.outofcore import VisitedStore, explore_budgeted
+from repro.petrinet.frontier import _explore_exact, _HashDisagreement
+from repro.petrinet.outofcore import VisitedStore
+from repro.petrinet.symmetry import resolve_symmetry
 from repro.petrinet.generators import (
     fork_join_pipeline,
     pipeline_net,
@@ -78,6 +94,27 @@ def assert_graphs_identical(budgeted: ReachabilityGraph, other: ReachabilityGrap
     assert budgeted.markings == other.markings
     assert budgeted.edges == other.edges
     assert budgeted.complete == other.complete
+
+
+def assert_explorations_identical(hashed, exact):
+    """Raw arrays, ``complete`` and ``target_index`` are all equal."""
+    assert np.array_equal(np.asarray(hashed.matrix), exact.matrix)
+    assert np.array_equal(np.asarray(hashed.edge_src), exact.edge_src)
+    assert np.array_equal(
+        np.asarray(hashed.edge_transition), exact.edge_transition
+    )
+    assert np.array_equal(np.asarray(hashed.edge_dst), exact.edge_dst)
+    assert hashed.complete == exact.complete
+    assert hashed.target_index == exact.target_index
+
+
+#: The storages the one level loop runs on, as ``explore_frontier``
+#: keyword arguments for a scratch directory.
+STORAGES = {
+    "ram": lambda directory: {},
+    "budget": lambda directory: {"memory_budget": TINY_BUDGET},
+    "spill_dir": lambda directory: {"spill_dir": directory},
+}
 
 
 def _budgeted_graph(net, cap=GRAPH_CAP, **kwargs):
@@ -224,15 +261,67 @@ class TestSpillMechanics:
     def test_user_spill_dir_is_kept(self, tmp_path):
         compiled = compile_net(producer_consumer_ring(4, 3))
         spill_dir = tmp_path / "nested" / "spill"  # created on demand
-        explore_frontier(
+        exploration = explore_frontier(
             compiled,
             max_markings=1_000,
             memory_budget=TINY_BUDGET,
             spill_dir=spill_dir,
         )
-        kept = list(spill_dir.iterdir())
+        run_dir = Path(exploration.spill.spill_dir)
+        assert run_dir.parent == spill_dir, "each run spills into its own subdirectory"
+        kept = list(run_dir.iterdir())
         assert kept, "a user-provided spill dir must retain its files"
         assert any(p.name.startswith("visited-") for p in kept)
+
+    def test_explorations_never_share_spill_files(self, tmp_path):
+        """A second exploration into the same spill_dir leaves the first
+        one's memory-mapped logs as they were."""
+        first = explore_frontier(
+            compile_net(producer_consumer_ring(2, 1)), spill_dir=tmp_path
+        )
+        matrix, edge_dst = np.array(first.matrix), np.array(first.edge_dst)
+        second = explore_frontier(
+            compile_net(producer_consumer_ring(4, 4)), spill_dir=tmp_path
+        )
+        assert second.node_count > first.node_count
+        assert np.array_equal(first.matrix, matrix)
+        assert np.array_equal(first.edge_dst, edge_dst)
+
+    def test_corpus_workers_share_one_spill_dir(self, tmp_path):
+        """Two pool workers spilling into one spill_dir: the run ends
+        (a worker killed by a rewritten log would leave ``Pool.map``
+        waiting forever) and its records equal the in-RAM run's."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.petrinet.corpus import generate_corpus, run_corpus\n"
+            "result = run_corpus(generate_corpus(24, seed=0), workers=2, "
+            "memory_budget='16KB', spill_dir=sys.argv[1])\n"
+            "print(json.dumps([r.to_dict() for r in result.records]))\n"
+        )
+        # a session of its own, so a hung pool's workers die with it
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the 2-worker corpus run spilling into one dir hung")
+        assert proc.returncode == 0, err
+
+        def records(dicts):
+            return [{**record, "elapsed_ms": 0.0} for record in dicts]
+
+        in_ram = run_corpus(generate_corpus(24, seed=0))
+        expected = json.loads(json.dumps([r.to_dict() for r in in_ram.records]))
+        assert records(json.loads(out)) == records(expected)
 
     def test_spill_dir_alone_forces_outofcore_path(self, tmp_path):
         """``spill_dir`` without a budget still routes out-of-core (no
@@ -293,8 +382,6 @@ class TestVisitedStore:
         missing = np.array([10_001, 20_002], dtype=np.int64)
         found, _, _ = store.lookup(missing)
         assert not found.any()
-        store.release()
-        assert not list(tmp_path.glob("visited-*.bin"))
 
 
 # ----------------------------------------------------------------------
@@ -354,18 +441,39 @@ class TestValidation:
 
         assert records(budgeted) == records(in_ram) == records(legacy)
 
-    def test_hash_disagreement_falls_back_to_exact(self, monkeypatch):
-        import repro.petrinet.outofcore as outofcore_module
+    def test_hash_disagreement_falls_back_to_exact(self, monkeypatch, tmp_path):
+        """One forced second-hash mismatch in the visited store: every
+        storage answers with the exact explorer's result, and the
+        spilling ones close their open logs (no ResourceWarning)."""
+        real_lookup = VisitedStore.lookup
+        forced = []
 
-        def always_disagrees(*args, **kwargs):
-            raise _HashDisagreement
+        def disagreeing_lookup(store, queries):
+            found, index, h2 = real_lookup(store, queries)
+            if found.any() and not forced:
+                forced.append(True)
+                h2 = h2.copy()
+                h2[found] ^= 1
+            return found, index, h2
 
-        monkeypatch.setattr(
-            outofcore_module, "_explore_spilling", always_disagrees
-        )
-        net = producer_consumer_ring(3, 2)
-        graph = _budgeted_graph(net, cap=200)
-        assert_graphs_identical(graph, _legacy_graph(net, cap=200))
+        monkeypatch.setattr(VisitedStore, "lookup", disagreeing_lookup)
+        compiled = compile_net(producer_consumer_ring(3, 2))
+        exact = _explore_exact(compiled, None, 200, None, False, True)
+        for storage in ("budget", "spill_dir", "ram"):
+            forced.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                exploration = explore_frontier(
+                    compiled,
+                    max_markings=200,
+                    **STORAGES[storage](tmp_path / storage),
+                )
+                gc.collect()
+            assert forced, f"{storage}: the mismatch was never forced"
+            assert exploration.spill is None, f"{storage}: exact did not run"
+            assert_explorations_identical(exploration, exact)
+            leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+            assert not leaked, f"{storage}: {[str(w.message) for w in leaked]}"
 
 
 # ----------------------------------------------------------------------
@@ -466,16 +574,28 @@ class TestSymmetry:
     def test_symmetry_composes_with_budget(self, tmp_path):
         compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
         plain = explore_frontier(compiled, max_markings=10_000, symmetry="auto")
-        budgeted = explore_budgeted(
+        budgeted = explore_frontier(
             compiled,
             max_markings=10_000,
             memory_budget=TINY_BUDGET,
             spill_dir=tmp_path,
             symmetry="auto",
         )
+        assert plain.spill is None  # no budget: the quotient stays in RAM
         assert budgeted.spill.canonical
-        assert np.array_equal(np.asarray(budgeted.matrix), plain.matrix)
-        assert np.array_equal(np.asarray(budgeted.edge_dst), plain.edge_dst)
+        assert_explorations_identical(budgeted, plain)
+
+    def test_symmetry_without_budget_makes_no_spill_dir(self, monkeypatch):
+        def no_temp_dirs(*args, **kwargs):
+            raise AssertionError("an in-RAM exploration made a spill dir")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dirs)
+        compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
+        exploration = explore_frontier(
+            compiled, max_markings=10_000, symmetry="auto"
+        )
+        assert exploration.spill is None
+        assert exploration.complete
 
     @pytest.mark.parametrize(
         "build",
@@ -494,8 +614,6 @@ class TestSymmetry:
     ):
         """A forced hash disagreement under symmetry reruns the exact
         explorer on canonical markings: bit-identical to the hashed run."""
-        import repro.petrinet.outofcore as outofcore_module
-
         compiled = compile_net(build())
         hashed = explore_frontier(
             compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
@@ -504,15 +622,45 @@ class TestSymmetry:
         def always_disagrees(*args, **kwargs):
             raise _HashDisagreement
 
-        monkeypatch.setattr(outofcore_module, "_explore_spilling", always_disagrees)
+        monkeypatch.setattr(frontier_module, "_explore_hashed", always_disagrees)
         exact = explore_frontier(
             compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
         )
         assert exact.spill is None  # the exact explorer really ran
-        assert np.array_equal(exact.matrix, np.asarray(hashed.matrix))
-        assert np.array_equal(exact.edge_src, np.asarray(hashed.edge_src))
-        assert np.array_equal(
-            exact.edge_transition, np.asarray(hashed.edge_transition)
+        assert_explorations_identical(hashed, exact)
+
+
+# ----------------------------------------------------------------------
+# The one level loop: every storage x symmetry equals the exact explorer
+# ----------------------------------------------------------------------
+ONE_LOOP_NETS = [("figure", figure) for figure in GALLERY] + [
+    (family, seed) for family in sorted(CORPUS_FAMILIES) for seed in range(2)
+]
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("symmetry", [None, "auto"], ids=["plain", "symmetry"])
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    @pytest.mark.parametrize(
+        "source,key", ONE_LOOP_NETS, ids=[f"{s}-{k}" for s, k in ONE_LOOP_NETS]
+    )
+    def test_equals_exact_explorer(self, source, key, storage, symmetry, tmp_path):
+        net = (
+            paper_figures()[key]() if source == "figure" else _family_net(source, key)
         )
-        assert np.array_equal(exact.edge_dst, np.asarray(hashed.edge_dst))
-        assert exact.complete == hashed.complete
+        compiled = compile_net(net)
+        groups = resolve_symmetry(compiled, symmetry)
+        full = _explore_exact(compiled, None, GRAPH_CAP, None, False, True, groups)
+        target = tuple(full.matrix[full.node_count // 2].tolist())
+        exact = _explore_exact(compiled, None, GRAPH_CAP, target, False, True, groups)
+        hashed = explore_frontier(
+            compiled,
+            max_markings=GRAPH_CAP,
+            target=target,
+            symmetry=symmetry,
+            **STORAGES[storage](tmp_path),
+        )
+        assert (hashed.spill is None) == (storage == "ram")
+        assert exact.target_index == full.node_count // 2
+        assert_explorations_identical(hashed, exact)
+

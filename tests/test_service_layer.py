@@ -1170,6 +1170,108 @@ class TestIngestServer:
 
         asyncio.run(go())
 
+    @staticmethod
+    def _stop_with_open_client(connect, prepare):
+        """Run ``server.stop()`` while one client connection stays open.
+
+        Returns how long stop() took (``None`` when it did not return
+        within 10 s), the handler tasks still pending after it, what the
+        client then reads (``None`` on a 5 s timeout) and every context
+        that reached the loop's exception handler, teardown included.
+        """
+        errors = []
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: errors.append(context))
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            reader, writer = await connect(host, port)
+            try:
+                await prepare(server, reader, writer)
+                started = loop.time()
+                try:
+                    await asyncio.wait_for(server.stop(), timeout=10)
+                    took = loop.time() - started
+                except asyncio.TimeoutError:
+                    took = None
+                pending = [
+                    task
+                    for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__ == "IngestServer._handle"
+                ]
+                try:
+                    tail = await asyncio.wait_for(reader.read(), timeout=5)
+                except asyncio.TimeoutError:
+                    tail = None
+                except ConnectionResetError:
+                    tail = "reset"
+            finally:
+                # a handler stop() left behind must not hang loop teardown
+                writer.transport.abort()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return took, pending, tail
+
+        took, pending, tail = asyncio.run(go())
+        return took, pending, tail, errors
+
+    def test_stop_closes_an_idle_client_connection(self):
+        """A client still connected when the server stops gets EOF, and
+        no handler outlives stop() to be cancelled at loop teardown."""
+
+        async def one_snapshot(server, reader, writer):
+            writer.write(encode_message(SnapshotRequest()).encode() + b"\n")
+            await writer.drain()
+            await asyncio.wait_for(reader.readline(), timeout=10)
+
+        took, pending, tail, errors = self._stop_with_open_client(
+            asyncio.open_connection, one_snapshot
+        )
+        assert took is not None and took < 3
+        assert pending == []
+        assert tail == b""
+        assert errors == []
+
+    def test_stop_aborts_a_client_that_never_reads(self, monkeypatch):
+        """Replies a client never reads hold its handler in drain(), which
+        close() would wait on: stop() aborts it after STOP_GRACE."""
+        import socket
+
+        import repro.service.ingest as ingest
+
+        monkeypatch.setattr(ingest, "STOP_GRACE", 0.5, raising=False)
+
+        async def small_window(host, port):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            sock.setblocking(False)
+            return await asyncio.open_connection(sock=sock)
+
+        async def unread_error_acks(server, reader, writer):
+            writer.write(b"not json\n" * 50_000)
+            await writer.drain()
+            # until the server buffers acks it cannot send (bounded: a
+            # server that keeps no connection table is not waited on)
+            for _ in range(500):
+                connections = getattr(server, "_connections", {})
+                if any(
+                    w.transport.get_write_buffer_size()
+                    for w in connections.values()
+                ):
+                    break
+                await asyncio.sleep(0.01)
+
+        took, pending, tail, errors = self._stop_with_open_client(
+            small_window, unread_error_acks
+        )
+        assert took is not None and took < 3
+        assert pending == []
+        assert tail is not None  # EOF after the unread acks, or a reset
+        assert errors == []
+
 
 class TestFleetResultEdgeCases:
     """Satellite pin: percentile semantics at the edges."""
