@@ -7,8 +7,8 @@ periodic *Tick* events that occur while the cells are being served, each
 event carrying the data-dependent choice resolutions drawn from the
 probabilities in :func:`repro.apps.atm.model.default_choice_probabilities`.
 
-:class:`AtmFleetWorkload` scales the testbench to a *server fleet*: N
-independent ATM server instances, each driven by its own reproducible
+:func:`make_fleet_testbench` scales the testbench to a *server fleet*:
+N independent ATM server instances, each driven by its own reproducible
 stream (per-instance derived seeds for both the arrival process and the
 choice sampler), for :class:`~repro.runtime.fleet.FleetSimulator` and
 the ``repro-qss serve`` subcommand.
@@ -111,52 +111,18 @@ def make_testbench(
     return AtmWorkload(cells=cells, seed=seed, arrival=arrival).events()
 
 
-@dataclass
-class AtmFleetWorkload:
-    """A fleet of independent ATM server testbenches.
-
-    Attributes
-    ----------
-    instances:
-        Number of concurrent server instances.
-    cells / cell_mean_interval / tick_period / probabilities:
-        Per-instance testbench parameters (see :class:`AtmWorkload`).
-    seed:
-        Fleet seed; instance ``i`` derives the reproducible, distinct
-        seed ``seed * 1_000_003 + i`` for its own arrival process and
-        choice sampler.
-    """
-
-    instances: int = 100
-    cells: int = 50
-    cell_mean_interval: float = 2.5
-    tick_period: float = 2.0
-    arrival: str = "exponential"
-    seed: int = 2026
-    probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
-
-    def instance_seed(self, instance: int) -> int:
-        return self.seed * 1_000_003 + instance
-
-    def streams(self) -> EventStreams:
-        """One merged, time-ordered event stream per instance."""
-        collector = StreamCollector()
-        for i in range(self.instances):
-            AtmWorkload(
-                cells=self.cells,
-                cell_mean_interval=self.cell_mean_interval,
-                tick_period=self.tick_period,
-                arrival=self.arrival,
-                seed=self.instance_seed(i),
-                probabilities=self.probabilities,
-            ).draw(collector)
-        return collector.finish()
-
-
 def make_fleet_testbench(
     instances: int, cells: int = 50, seed: int = 2026, arrival: str = "exponential"
 ) -> EventStreams:
-    """Per-instance testbenches for an ``instances``-strong ATM server fleet."""
-    return AtmFleetWorkload(
-        instances=instances, cells=cells, seed=seed, arrival=arrival
-    ).streams()
+    """Per-instance testbenches for an ``instances``-strong ATM server fleet.
+
+    Instance ``i`` derives the reproducible, distinct seed
+    ``seed * 1_000_003 + i`` for its own arrival process and choice
+    sampler.
+    """
+    collector = StreamCollector()
+    for i in range(instances):
+        AtmWorkload(
+            cells=cells, seed=seed * 1_000_003 + i, arrival=arrival
+        ).draw(collector)
+    return collector.finish()

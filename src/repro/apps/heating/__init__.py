@@ -11,7 +11,6 @@ from .model import (
     default_choice_probabilities,
 )
 from .workload import (
-    HeatingFleetWorkload,
     HeatingWorkload,
     make_fleet_testbench,
     make_testbench,
@@ -27,7 +26,6 @@ __all__ = [
     "HEATING_CHOICE_PLACES",
     "default_choice_probabilities",
     "HeatingWorkload",
-    "HeatingFleetWorkload",
     "make_testbench",
     "make_fleet_testbench",
 ]

@@ -7,7 +7,7 @@ so the request rate swings sinusoidally over the day
 (``arrival="exponential"`` restores memoryless requests for comparison
 runs).
 
-:class:`HeatingFleetWorkload` scales the testbench to a building fleet
+:func:`make_fleet_testbench` scales the testbench to a building fleet
 with per-instance derived seeds, for
 :class:`~repro.runtime.fleet.FleetSimulator` and ``repro-qss serve
 --family heating``.
@@ -109,45 +109,17 @@ def make_testbench(
     return HeatingWorkload(samples=samples, seed=seed, arrival=arrival).events()
 
 
-@dataclass
-class HeatingFleetWorkload:
-    """A fleet of independent heating-plant testbenches (one per zone).
-
-    Instance ``i`` derives the reproducible, distinct seed
-    ``seed * 1_000_003 + i`` for its own arrival process and choice
-    sampler, exactly like the ATM fleet workload.
-    """
-
-    instances: int = 100
-    samples: int = 50
-    sample_period: float = 1.0
-    setpoint_mean_interval: float = 6.0
-    arrival: str = "diurnal"
-    seed: int = 2026
-    probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
-
-    def instance_seed(self, instance: int) -> int:
-        return self.seed * 1_000_003 + instance
-
-    def streams(self) -> EventStreams:
-        """One merged, time-ordered event stream per instance."""
-        collector = StreamCollector()
-        for i in range(self.instances):
-            HeatingWorkload(
-                samples=self.samples,
-                sample_period=self.sample_period,
-                setpoint_mean_interval=self.setpoint_mean_interval,
-                arrival=self.arrival,
-                seed=self.instance_seed(i),
-                probabilities=self.probabilities,
-            ).draw(collector)
-        return collector.finish()
-
-
 def make_fleet_testbench(
     instances: int, samples: int = 50, seed: int = 2026, arrival: str = "diurnal"
 ) -> EventStreams:
-    """Per-instance testbenches for an ``instances``-zone heating fleet."""
-    return HeatingFleetWorkload(
-        instances=instances, samples=samples, seed=seed, arrival=arrival
-    ).streams()
+    """Per-instance testbenches for an ``instances``-zone heating fleet.
+
+    Instance ``i`` derives the reproducible, distinct seed
+    ``seed * 1_000_003 + i``, exactly like the ATM fleet.
+    """
+    collector = StreamCollector()
+    for i in range(instances):
+        HeatingWorkload(
+            samples=samples, seed=seed * 1_000_003 + i, arrival=arrival
+        ).draw(collector)
+    return collector.finish()

@@ -7,7 +7,7 @@ packet stream here is bursty (``arrival="exponential"`` restores
 memoryless arrivals for comparison runs).  The transmit-slot SchedTick
 is periodic, like the ATM cell-slot clock.
 
-:class:`RouterFleetWorkload` scales the testbench to a line-card fleet
+:func:`make_fleet_testbench` scales the testbench to a line-card fleet
 with per-instance derived seeds, for
 :class:`~repro.runtime.fleet.FleetSimulator` and ``repro-qss serve
 --family router``.
@@ -110,45 +110,17 @@ def make_testbench(
     return RouterWorkload(packets=packets, seed=seed, arrival=arrival).events()
 
 
-@dataclass
-class RouterFleetWorkload:
-    """A fleet of independent line-card testbenches.
-
-    Instance ``i`` derives the reproducible, distinct seed
-    ``seed * 1_000_003 + i`` for its own arrival process and choice
-    sampler, exactly like the ATM fleet workload.
-    """
-
-    instances: int = 100
-    packets: int = 50
-    packet_mean_interval: float = 1.5
-    slot_period: float = 2.0
-    arrival: str = "bursty"
-    seed: int = 2026
-    probabilities: Optional[Mapping[str, Mapping[str, float]]] = None
-
-    def instance_seed(self, instance: int) -> int:
-        return self.seed * 1_000_003 + instance
-
-    def streams(self) -> EventStreams:
-        """One merged, time-ordered event stream per instance."""
-        collector = StreamCollector()
-        for i in range(self.instances):
-            RouterWorkload(
-                packets=self.packets,
-                packet_mean_interval=self.packet_mean_interval,
-                slot_period=self.slot_period,
-                arrival=self.arrival,
-                seed=self.instance_seed(i),
-                probabilities=self.probabilities,
-            ).draw(collector)
-        return collector.finish()
-
-
 def make_fleet_testbench(
     instances: int, packets: int = 50, seed: int = 2026, arrival: str = "bursty"
 ) -> EventStreams:
-    """Per-instance testbenches for an ``instances``-strong line-card fleet."""
-    return RouterFleetWorkload(
-        instances=instances, packets=packets, seed=seed, arrival=arrival
-    ).streams()
+    """Per-instance testbenches for an ``instances``-strong line-card fleet.
+
+    Instance ``i`` derives the reproducible, distinct seed
+    ``seed * 1_000_003 + i``, exactly like the ATM fleet.
+    """
+    collector = StreamCollector()
+    for i in range(instances):
+        RouterWorkload(
+            packets=packets, seed=seed * 1_000_003 + i, arrival=arrival
+        ).draw(collector)
+    return collector.finish()

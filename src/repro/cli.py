@@ -25,17 +25,16 @@ analysis reports a negative result (e.g. the net is not schedulable) and
 2 on usage errors, so the tool composes with shell scripts and CI jobs.
 
 Analysis subcommands accept ``--engine`` (default ``compiled``):
-``compiled`` runs on the integer-indexed
-:class:`~repro.petrinet.compiled.CompiledNet` core and ``legacy`` on
-the original dict-based token game.  The state-space sweep
-(``corpus``) additionally accepts ``frontier`` — the batched vectorized
-exploration engine of :mod:`repro.petrinet.frontier` — and the
-execution subcommand (``atm-table1``) accepts ``native`` — the
-synthesized C compiled to a shared library
-(:mod:`repro.codegen.native`), falling back to ``compiled`` with a
-warning when no C compiler is available.  All engines produce
-identical verdicts; the flag exists so each path can be exercised
-(and timed) from the shell.
+``compiled`` is the fast path on the integer-indexed
+:class:`~repro.petrinet.compiled.CompiledNet` core (its state-space
+queries, ``corpus`` included, run the batched explorer of
+:mod:`repro.petrinet.frontier`) and ``legacy`` is the oracle on the
+original dict-based token game.  The execution subcommand
+(``atm-table1``) also accepts ``native`` — the synthesized C compiled to
+a shared library (:mod:`repro.codegen.native`), falling back to
+``compiled`` with a warning when no C compiler is available.  All
+engines produce identical verdicts; the flag exists so each path can be
+exercised (and timed) from the shell.
 """
 
 from __future__ import annotations

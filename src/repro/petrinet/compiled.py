@@ -1,12 +1,13 @@
 """Compiled (integer-indexed) view of a Petri net.
 
-Every hot path of the reproduction — reachability exploration, the QSS
-constrained simulation of each T-reduction and the schedule interpreter
-— used to run on :class:`~repro.petrinet.net.PetriNet`'s string-keyed
-dicts and immutable dict-backed :class:`~repro.petrinet.marking.Marking`
-values, so enabledness checks and firing were dominated by string
-hashing and dict churn.  :class:`CompiledNet` is the frozen, dense
-representation those paths run on instead:
+:class:`~repro.petrinet.net.PetriNet`'s string-keyed dicts and immutable
+dict-backed :class:`~repro.petrinet.marking.Marking` values make
+enabledness checks and firing cost string hashing and dict churn.
+:class:`CompiledNet` is the frozen, dense representation the fast paths
+run on instead — the frontier explorer and Karp–Miller construction of
+the state-space queries, the compiled token game of the simulators and
+of ``find_firing_sequence``, the QSS mask pipeline, the reactive and
+fleet runtimes:
 
 * places and transitions are mapped to dense integer ids (insertion
   order of the source net, so results are reproducible across engines);
@@ -24,7 +25,10 @@ representation those paths run on instead:
 The compiled view is a pure accelerator: it carries the full name
 tables, so every id-level result decompiles back to named places and
 transitions (:meth:`CompiledNet.decompile`, :meth:`marking_from_tuple`)
-and the string-based public API of the library is unchanged.
+and the string-based public API of the library is unchanged.  Each
+``engine="compiled"`` path is the fast path of its analysis, and
+``engine="legacy"`` runs the same analysis on the ``PetriNet`` itself
+as its oracle.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .exceptions import NotEnabledError, UnknownNodeError
 from .marking import Marking
 from .net import PetriNet, Place, Transition
 
-#: The two execution engines offered by analyses that were refactored to
-#: run on :class:`CompiledNet`.  ``"compiled"`` is the default; the
-#: ``"legacy"`` dict-based path is kept for cross-checking and for the
-#: compiled-vs-legacy benchmarks.
+#: The two engines of the analyses that run on :class:`CompiledNet`:
+#: ``"compiled"`` is the default and the fast path; the ``"legacy"``
+#: dict-based path is the oracle the differential suites and the
+#: compiled-vs-legacy benchmarks compare against.
 ENGINE_COMPILED = "compiled"
 ENGINE_LEGACY = "legacy"
 ENGINES = (ENGINE_COMPILED, ENGINE_LEGACY)
@@ -280,10 +284,6 @@ class CompiledNet:
             {p: int(c) for p, c in zip(self.places, vector) if c}
         )
 
-    def marking_to_array(self, marking: Mapping[str, int]) -> np.ndarray:
-        """Convert a name-keyed marking to a numpy token vector."""
-        return np.array(self.marking_to_tuple(marking), dtype=np.int64)
-
     def tokens(self, marking: Sequence[int], place: Union[str, int]) -> int:
         """O(1) token lookup in a compiled marking, by place name or id."""
         if isinstance(place, str):
@@ -312,10 +312,6 @@ class CompiledNet:
     def source_transition_ids(self) -> List[int]:
         """Ids of transitions with an empty preset."""
         return [t for t in range(len(self.transitions)) if not self.pre_lists[t]]
-
-    def sink_transition_ids(self) -> List[int]:
-        """Ids of transitions with an empty postset."""
-        return [t for t in range(len(self.transitions)) if not self.post_lists[t]]
 
     # ------------------------------------------------------------------
     # Token-game semantics over compiled markings
@@ -347,32 +343,6 @@ class CompiledNet:
     def enabled_transitions(self, marking: Sequence[int]) -> List[int]:
         """Ids of all enabled transitions, in id (= insertion) order."""
         return self._enabled_checker(marking)
-
-    def enabled_mask(self, markings: Union[Sequence[int], np.ndarray]) -> np.ndarray:
-        """Vectorized enabledness over one marking or a batch of markings.
-
-        ``markings`` is a token vector of shape ``(P,)`` or a batch of
-        shape ``(N, P)``; the result is a boolean array of shape ``(T,)``
-        or ``(N, T)`` with ``True`` where the transition is enabled.
-
-        Callers that already hold an int64 array (the fleet simulator,
-        the frontier exploration) hit a zero-copy fast path; any
-        other input pays exactly one :func:`numpy.asarray` conversion.
-        Inputs of more than two dimensions are rejected rather than
-        silently broadcast wrong.
-        """
-        if isinstance(markings, np.ndarray) and markings.dtype == np.int64:
-            m = markings
-        else:
-            m = np.asarray(markings, dtype=np.int64)
-        if m.ndim == 1:
-            return np.all(m[np.newaxis, :] >= self.pre, axis=1)
-        if m.ndim == 2:
-            return np.all(m[:, np.newaxis, :] >= self.pre[np.newaxis, :, :], axis=2)
-        raise ValueError(
-            f"markings must be a (P,) vector or an (N, P) batch, got a "
-            f"{m.ndim}-D array"
-        )
 
     def fire(self, transition: int, marking: MarkingTuple) -> MarkingTuple:
         """Fire transition id ``transition``, returning the new marking.
@@ -467,15 +437,6 @@ class CompiledNet:
         caller guarantees enabledness (see :meth:`omega_enabled_mask`).
         """
         return np.where(vector == OMEGA, OMEGA, vector + self.incidence[transition])
-
-    def marking_after_counts(
-        self, marking: Sequence[int], counts: Mapping[str, int]
-    ) -> np.ndarray:
-        """State equation: ``marking + f^T . incidence`` as a numpy vector."""
-        f = np.zeros(len(self.transitions), dtype=np.int64)
-        for transition, count in counts.items():
-            f[self.transition_id(transition)] = count
-        return np.asarray(marking, dtype=np.int64) + f @ self.incidence
 
     # ------------------------------------------------------------------
     # Dunder helpers

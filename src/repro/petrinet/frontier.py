@@ -65,7 +65,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -389,9 +388,9 @@ def _explore_hashed(
         else:
             for name, columns in (
                 ("markings", n_places),
-                ("edge-src", 0),
-                ("edge-transition", 0),
-                ("edge-dst", 0),
+                ("edge-src", None),
+                ("edge-transition", None),
+                ("edge-dst", None),
             ):
                 logs.append(_ArrayLog(directory / f"{name}.bin", columns))
         markings, edge_src, edge_t, edge_dst = logs
@@ -586,24 +585,28 @@ def _explore_exact(
                 for transition, successor in plain(marking)
             ]
 
-    queue = deque([0])
     count = 1
     index_get = index.get
+    # BFS indices are discovery order, so the queue is the index range
+    # itself; ``level_end`` is the first index of the next BFS level
+    current_index = level_end = 0
 
-    while queue and not (stop_on_target and target_index is not None):
-        current_index = queue.popleft()
-        current = markings[current_index]
-        for transition, successor in expand(current):
+    while complete and current_index < count:
+        if current_index == level_end:
+            # a found target stops the search at a level boundary only,
+            # as in the hashed loop: its level is expanded in full
+            if stop_on_target and target_index is not None:
+                break
+            level_end = count
+        for transition, successor in expand(markings[current_index]):
             successor_index = index_get(successor)
             if successor_index is None:
                 if count >= max_markings:
                     complete = False
-                    queue.clear()
                     break
                 successor_index = count
                 index[successor] = count
                 markings.append(successor)
-                queue.append(count)
                 count += 1
                 if target_tuple is not None and successor == target_tuple:
                     target_index = successor_index
@@ -611,8 +614,7 @@ def _explore_exact(
                 edge_src.append(current_index)
                 edge_t.append(transition)
                 edge_dst.append(successor_index)
-        if not complete:
-            break
+        current_index += 1
 
     if stop_on_target and target_index is not None:
         # stopped at the target: the graph is (potentially) a prefix

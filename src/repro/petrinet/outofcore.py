@@ -130,29 +130,30 @@ class SpillStats:
 class _ArrayLog:
     """Append-only flat int64 array file.
 
-    ``columns == 0`` stores a 1-D array, otherwise row-major ``(N,
-    columns)``.  Rows stream out through the OS page cache
+    ``columns=None`` stores a 1-D array, otherwise row-major ``(N,
+    columns)``, zero columns included: the markings of a net without
+    places take no bytes.  Rows stream out through the OS page cache
     (``file.write`` of contiguous buffers); :meth:`read` copies a
     finished BFS level back chunk by chunk, so the log is never
     resident in RAM, and :meth:`finalize` maps the whole log read-only.
     """
 
-    def __init__(self, path: Path, columns: int = 0) -> None:
+    def __init__(self, path: Path, columns: Optional[int] = None) -> None:
         self.path = path
         self.columns = columns
         self.rows = 0
         self._file = open(path, "wb")
 
     @property
-    def row_bytes(self) -> int:
-        return _ITEM * (self.columns or 1)
+    def row_items(self) -> int:
+        return 1 if self.columns is None else self.columns
 
     @property
     def nbytes(self) -> int:
-        return self.rows * self.row_bytes
+        return self.rows * self.row_items * _ITEM
 
     def _shape(self, rows: int) -> Tuple[int, ...]:
-        return (rows, self.columns) if self.columns else (rows,)
+        return (rows,) if self.columns is None else (rows, self.columns)
 
     def append(self, array: np.ndarray) -> None:
         if array.shape[0]:
@@ -165,15 +166,15 @@ class _ArrayLog:
         return np.fromfile(
             self.path,
             dtype=np.int64,
-            count=(stop - start) * (self.columns or 1),
-            offset=start * self.row_bytes,
+            count=(stop - start) * self.row_items,
+            offset=start * self.row_items * _ITEM,
         ).reshape(self._shape(stop - start))
 
     def finalize(self) -> np.ndarray:
         """Close the writer and return the whole log as a read-only map."""
         self._file.close()
-        if not self.rows:  # an empty file cannot be mapped
-            return np.empty(self._shape(0), dtype=np.int64)
+        if not self.nbytes:  # an empty file cannot be mapped
+            return np.empty(self._shape(self.rows), dtype=np.int64)
         return np.memmap(
             self.path, dtype=np.int64, mode="r", shape=self._shape(self.rows)
         )

@@ -428,11 +428,6 @@ class CompiledSimulator:
         """The current marking, decompiled to a named :class:`Marking`."""
         return self.compiled.marking_from_tuple(self._marking)
 
-    @property
-    def marking_tuple(self) -> MarkingTuple:
-        """The current marking in compiled (tuple) form."""
-        return self._marking
-
     def enabled(self) -> List[str]:
         """Names of the transitions enabled in the current marking."""
         names = self.compiled.transitions

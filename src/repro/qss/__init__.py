@@ -17,7 +17,6 @@ from .allocation import (
 from .compiled_reduction import (
     CompiledReduction,
     QSSContext,
-    enumerate_compiled_reductions,
     iter_compiled_reductions,
 )
 from .reduction import (
@@ -59,7 +58,6 @@ __all__ = [
     "CompiledReduction",
     "QSSContext",
     "iter_compiled_reductions",
-    "enumerate_compiled_reductions",
     "ReductionVerdict",
     "check_reduction",
     "check_compiled_reduction",

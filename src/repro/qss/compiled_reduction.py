@@ -23,39 +23,32 @@ ids.
   (zero per-reduction ``exec`` compiles), T-invariants via an int64
   submatrix of the parent incidence matrix
   (:func:`~repro.petrinet.invariants.fast_minimal_semiflows`, memoized
-  per submatrix on the context), and decompiles to a named
-  :class:`~repro.petrinet.net.PetriNet` only on demand for reporting.
+  per submatrix on the context), and builds a named
+  :class:`~repro.petrinet.net.PetriNet` (a subnet of the parent) only
+  on demand for reporting.
 * :func:`iter_compiled_reductions` streams the allocation product with
   on-the-fly mask-signature dedup, so the exponential allocation list is
   never materialized.
+
+The pipeline starts from the :class:`~repro.petrinet.net.PetriNet` that
+:func:`~repro.qss.scheduler.analyse` passes: its arc order fixes the
+allocation order, and with it which allocation first-wins dedup keeps.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..petrinet import CompiledNet, Marking, PetriNet, compile_net
+from ..petrinet import PetriNet, compile_net
 from ..petrinet.compiled import MarkingTuple
 from ..petrinet.exceptions import NotFreeChoiceError
 from ..petrinet.invariants import fast_minimal_semiflows
 from ..petrinet.simulation import search_firing_order
 from ..petrinet.structure import is_free_choice
 from .allocation import TAllocation
-
-NetLike = Union[PetriNet, CompiledNet]
 
 
 class QSSContext:
@@ -69,14 +62,9 @@ class QSSContext:
     computation.
     """
 
-    def __init__(self, net: NetLike) -> None:
-        if isinstance(net, CompiledNet):
-            self.net: Optional[PetriNet] = None
-            self.compiled = net
-        else:
-            self.net = net
-            self.compiled = compile_net(net)
-        compiled = self.compiled
+    def __init__(self, net: PetriNet) -> None:
+        self.net = net
+        self.compiled = compiled = compile_net(net)
         self.n_transitions = len(compiled.transitions)
         self.n_places = len(compiled.places)
         self.t_pre_places: Tuple[Tuple[int, ...], ...] = tuple(
@@ -99,25 +87,14 @@ class QSSContext:
             tuple(ids) for ids in consumers
         )
         # Choice places in place-id (= insertion) order; the successor
-        # alternatives follow the source net's postset (arc insertion)
-        # order when available so allocation enumeration — and therefore
-        # first-wins dedup — matches the legacy pipeline exactly.  From a
-        # bare CompiledNet the arc order is gone and id order is used.
-        choice_alternatives: List[Tuple[int, Tuple[int, ...]]] = []
-        for p_id in range(self.n_places):
-            if len(self.place_consumers[p_id]) <= 1:
-                continue
-            if self.net is not None:
-                t_index = compiled.transition_index
-                alternatives = tuple(
-                    t_index[t]
-                    for t in self.net.postset_names(compiled.places[p_id])
-                )
-            else:
-                alternatives = self.place_consumers[p_id]
-            choice_alternatives.append((p_id, alternatives))
+        # alternatives follow the net's postset (arc insertion) order so
+        # allocation enumeration — and therefore first-wins dedup —
+        # matches the legacy pipeline exactly.
+        t_index = compiled.transition_index
         self.choice_alternatives: Tuple[Tuple[int, Tuple[int, ...]], ...] = tuple(
-            choice_alternatives
+            (p_id, tuple(t_index[t] for t in net.postset_names(compiled.places[p_id])))
+            for p_id in range(self.n_places)
+            if len(self.place_consumers[p_id]) > 1
         )
         self.source_transition_names: List[str] = [
             compiled.transitions[t]
@@ -125,35 +102,6 @@ class QSSContext:
             if not self.t_pre_places[t]
         ]
         self._semiflow_cache: Dict[bytes, Tuple[np.ndarray, ...]] = {}
-        self._decompiled: Optional[PetriNet] = None
-
-    # ------------------------------------------------------------------
-    # Structure
-    # ------------------------------------------------------------------
-    @property
-    def source_net(self) -> PetriNet:
-        """The parent as a :class:`PetriNet` (decompiled once if needed)."""
-        if self.net is not None:
-            return self.net
-        if self._decompiled is None:
-            self._decompiled = self.compiled.decompile()
-        return self._decompiled
-
-    def is_free_choice(self) -> bool:
-        """Free-choice check on whichever representation is cheapest."""
-        if self.net is not None:
-            return is_free_choice(self.net)
-        for _, alternatives in self.choice_alternatives:
-            for t_id in alternatives:
-                if len(self.t_pre_places[t_id]) != 1:
-                    return False
-        return True
-
-    def count_allocations(self) -> int:
-        count = 1
-        for _, alternatives in self.choice_alternatives:
-            count *= len(alternatives)
-        return count
 
     # ------------------------------------------------------------------
     # Allocation streaming
@@ -200,11 +148,6 @@ class QSSContext:
                 sorted((places[p_id], transitions[t_id]) for p_id, t_id in combination)
             )
         )
-
-    def iter_allocations(self) -> Iterator[Tuple[TAllocation, Tuple[int, ...]]]:
-        """Yield ``(allocation, excluded transition ids)`` lazily."""
-        for combination, excluded in self.iter_raw_allocations():
-            yield self.make_allocation(combination), excluded
 
     # ------------------------------------------------------------------
     # The Reduction Algorithm on masks
@@ -377,7 +320,7 @@ class CompiledReduction:
     Offers the same identity surface as
     :class:`~repro.qss.reduction.TReduction` — ``allocation``,
     ``transition_set`` / ``place_set``, ``signature()``,
-    ``source_places()`` and a lazily decompiled ``net`` — plus the
+    ``source_places()`` and a lazily built ``net`` — plus the
     id-level token-game primitives the schedulability check runs on:
     per-reduction enabledness and successor functions that filter the
     parent's scalar preset/delta tables through the masks, with no net
@@ -557,12 +500,6 @@ class CompiledReduction:
                 return False
         return True
 
-    def fire_unchecked(self, transition: int, marking: MarkingTuple) -> MarkingTuple:
-        result = list(marking)
-        for p_id, delta in self.masked_delta_lists[transition]:
-            result[p_id] += delta
-        return tuple(result)
-
     def enabled_transitions(self, marking: Sequence[int]) -> List[int]:
         """Ids of the surviving transitions enabled in ``marking``."""
         return [t for t in self.transition_ids if self.is_enabled(t, marking)]
@@ -651,7 +588,7 @@ class CompiledReduction:
         return sequence
 
     # ------------------------------------------------------------------
-    # Decompilation (reporting only)
+    # Named view (reporting only)
     # ------------------------------------------------------------------
     @property
     def net(self) -> PetriNet:
@@ -666,7 +603,7 @@ class CompiledReduction:
         """
         built = self._cache.get("net")
         if built is None:
-            source = self.context.source_net
+            source = self.context.net
             built = source.subnet(
                 self.place_names,
                 self.transition_names,
@@ -695,7 +632,7 @@ class CompiledReduction:
 
 
 def iter_compiled_reductions(
-    net: NetLike,
+    net: PetriNet,
     context: Optional[QSSContext] = None,
     deduplicate: bool = True,
     require_free_choice: bool = True,
@@ -710,7 +647,7 @@ def iter_compiled_reductions(
     :func:`repro.qss.reduction.enumerate_reductions` exactly.
     """
     ctx = context if context is not None else QSSContext(net)
-    if require_free_choice and not ctx.is_free_choice():
+    if require_free_choice and not is_free_choice(ctx.net):
         raise NotFreeChoiceError(
             f"net {ctx.compiled.name!r} is not free-choice; quasi-static "
             "scheduling is defined for Free-Choice Petri Nets"
@@ -738,22 +675,3 @@ def iter_compiled_reductions(
             removed_transition_ids=masks[2],
             removed_place_ids=masks[3],
         )
-
-
-def enumerate_compiled_reductions(
-    net: NetLike,
-    context: Optional[QSSContext] = None,
-    deduplicate: bool = True,
-    require_free_choice: bool = True,
-    max_reductions: Optional[int] = None,
-) -> List[CompiledReduction]:
-    """Eager form of :func:`iter_compiled_reductions`."""
-    return list(
-        iter_compiled_reductions(
-            net,
-            context=context,
-            deduplicate=deduplicate,
-            require_free_choice=require_free_choice,
-            max_reductions=max_reductions,
-        )
-    )

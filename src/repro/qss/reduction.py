@@ -17,16 +17,9 @@ the static SDF techniques of Section 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..petrinet import (
-    ENGINE_COMPILED,
-    ENGINE_LEGACY,
-    CompiledNet,
-    PetriNet,
-    validate_engine,
-)
+from ..petrinet import ENGINE_COMPILED, ENGINE_LEGACY, PetriNet, validate_engine
 from ..petrinet.structure import is_conflict_free
 from .allocation import TAllocation, enumerate_allocations
 
@@ -51,17 +44,6 @@ class TReduction:
     net: PetriNet
     removed_transitions: Tuple[str, ...]
     removed_places: Tuple[str, ...]
-
-    @cached_property
-    def compiled(self) -> CompiledNet:
-        """The integer-indexed compiled view of the reduced net.
-
-        Compiled lazily and cached on the reduction, so the
-        schedulability check (which simulates the reduction up to
-        ``MAX_CYCLE_SCALE`` times) and any later consumers share one
-        compilation per reduction across the allocation enumeration.
-        """
-        return self.net.compile()
 
     @property
     def transition_set(self) -> FrozenSet[str]:

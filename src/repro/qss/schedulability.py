@@ -14,6 +14,12 @@ Theorem 3.1: the FCPN has a valid schedule iff *every* T-reduction is
 schedulable.  This module implements the per-reduction check and returns
 rich diagnostics so that a designer can see exactly why a specification
 fails.
+
+The check exists twice, on one verdict body: :func:`check_compiled_reduction`
+is the fast path ``analyse`` runs by default, on a mask view of the
+compiled parent net, and :func:`check_reduction` is its oracle, on the
+rebuilt reduced :class:`~repro.petrinet.net.PetriNet` with the legacy
+token game (``analyse(engine="legacy")``).
 """
 
 from __future__ import annotations
@@ -22,14 +28,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..petrinet import (
-    ENGINE_COMPILED,
     ENGINE_LEGACY,
     Marking,
     PetriNet,
     combine_invariants,
     find_finite_complete_cycle,
     t_invariants,
-    validate_engine,
 )
 from .compiled_reduction import CompiledReduction
 from .reduction import TReduction
@@ -203,25 +207,19 @@ def _definition_35_verdict(
 
 
 def check_reduction(
-    net: PetriNet,
-    reduction: TReduction,
-    marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
+    net: PetriNet, reduction: TReduction, marking: Optional[Marking] = None
 ) -> ReductionVerdict:
-    """Check Definition 3.5 for one T-reduction of ``net``.
+    """Check Definition 3.5 for one T-reduction of ``net``: the oracle.
 
-    With the default ``engine="compiled"`` the deadlock-freedom
-    simulation of condition (3) runs on the reduction's cached
-    :class:`~repro.petrinet.compiled.CompiledNet` view — compiled once
-    per reduction and reused across the ``MAX_CYCLE_SCALE`` attempts and
-    across repeated checks during the allocation enumeration;
-    ``engine="legacy"`` runs it on the reduced :class:`PetriNet`.  Both
-    run the same memoized DFS and find the same cycle.
+    Runs on the rebuilt reduced :class:`PetriNet` throughout — its own
+    T-invariants and the legacy token game for the deadlock-freedom
+    simulation of condition (3) — which is what makes it the
+    independent check of :func:`check_compiled_reduction`, the fast
+    path ``analyse`` takes by default.  Both run the same memoized DFS
+    and find the same cycle.
     """
-    validate_engine(engine)
     reduced = reduction.net
     start = marking if marking is not None else reduced.initial_marking
-    target = reduced if engine == ENGINE_LEGACY else reduction.compiled
     return _definition_35_verdict(
         reduction,
         needed=reduced.transition_names,
@@ -229,7 +227,7 @@ def check_reduction(
         invariants=t_invariants(reduced),
         source_places=reduction.source_places(),
         find_cycle=lambda scaled: find_finite_complete_cycle(
-            target, scaled, start, engine=engine
+            reduced, scaled, start, engine=ENGINE_LEGACY
         ),
     )
 
@@ -237,7 +235,7 @@ def check_reduction(
 def check_compiled_reduction(
     reduction: CompiledReduction, marking: Optional[Marking] = None
 ) -> ReductionVerdict:
-    """Check Definition 3.5 for one mask-based T-reduction.
+    """Check Definition 3.5 for one mask-based T-reduction: the fast path.
 
     The mask pipeline's counterpart of :func:`check_reduction`: the
     T-invariants come from the parent incidence submatrix (memoized on

@@ -146,7 +146,7 @@ def analyse(
     complete = True
     for reduction in reductions:
         if engine == ENGINE_LEGACY:
-            verdict = check_reduction(net, reduction, marking, engine=engine)
+            verdict = check_reduction(net, reduction, marking)
         else:
             verdict = check_compiled_reduction(reduction, marking)
         verdicts.append(verdict)

@@ -9,21 +9,22 @@ dispatched in time order, and every activation is charged the cost
 model's activation overhead on top of the cycles reported by the task
 body itself.
 
-The executive takes the same ``engine="compiled"`` (default) /
-``engine="legacy"`` switch as the rest of the stack and forwards it to
-the IR interpreter: ``"compiled"`` executes the task bodies in their
-lowered integer-opcode form, ``"legacy"`` tree-walks the IR statement
-objects directly.  Both engines charge identical cycles
-(`tests/test_runtime_compiled_differential.py`).  ``engine="native"``
-runs the task bodies as compiled C (:mod:`repro.codegen.native`) with
-the same cycle charges, falling back to ``"compiled"`` with a warning
-when no C compiler is available.
+The executive forwards ``engine`` to the IR interpreter:
+``"compiled"`` (default) executes the task bodies in their lowered
+integer-opcode form, the fast path for short runs since it builds
+nothing; ``"native"`` runs them as compiled C
+(:mod:`repro.codegen.native`), the fast path for sustained runs,
+falling back to ``"compiled"`` with a warning when no C compiler is
+available; ``"legacy"`` tree-walks the IR statement objects and is the
+oracle both are checked against.  All three charge identical cycles
+(`tests/test_runtime_compiled_differential.py`,
+`tests/test_codegen_native.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
@@ -174,21 +175,3 @@ class RTOS:
             result = task_executor.activate(resolver)
             stats.record_body(result.cycles, result.fired)
         return stats
-
-    def run_many(
-        self, scenarios: Sequence[Sequence[Event]], reset_between: bool = True
-    ) -> List[ExecutionStats]:
-        """Run several event scenarios on the same synthesized program.
-
-        The program is compiled to its executable form once (at RTOS
-        construction); each scenario then only pays the dispatch loop,
-        which is what makes large scenario fan-outs affordable.  With
-        ``reset_between`` (the default) every scenario starts from the
-        initial counter state, so the per-scenario stats are independent.
-        """
-        results: List[ExecutionStats] = []
-        for events in scenarios:
-            if reset_between:
-                self.reset()
-            results.append(self.run(events))
-        return results

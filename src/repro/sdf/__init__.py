@@ -1,13 +1,13 @@
 """Synchronous Dataflow substrate: graphs, balance equations and static schedules.
 
-The PASS simulation behind :func:`static_schedule` /
-:func:`simulate_schedule` / :func:`is_statically_schedulable` takes the
-stack-wide ``engine="compiled"`` (default) / ``engine="legacy"`` switch:
-integer-indexed actors/channels with vectorized can-fire tests versus the
-original string-keyed dict loop, with identical schedules either way
-(`tests/test_runtime_compiled_differential.py` cross-checks them).  The
-balance equations (:mod:`repro.sdf.balance`) already run on integer
-matrices and need no switch.
+Section 2 of the paper: the balance equations (:mod:`repro.sdf.balance`,
+on integer matrices) give the repetition vector, and the PASS
+simulation behind :func:`static_schedule` / :func:`simulate_schedule` /
+:func:`is_statically_schedulable` orders one iteration.  That
+simulation is one dict loop and takes no ``engine=`` switch (see
+:mod:`repro.sdf.schedule`).  The QSS pipeline does not call this
+package: it schedules each T-reduction with the firing-order search of
+:mod:`repro.petrinet.simulation`.
 """
 
 from .balance import (

@@ -137,6 +137,15 @@ class TestWorkloads:
         reprs = {repr(stream) for stream in streams}
         assert len(reprs) == 4
 
+    @pytest.mark.parametrize("name", ["atm", "router", "heating"])
+    def test_fleet_instance_is_testbench_at_derived_seed(self, name):
+        # instance i of a fleet is the one-instance testbench drawn at
+        # seed * 1_000_003 + i
+        module = {"atm": atm, "router": router, "heating": heating}[name]
+        streams = module.make_fleet_testbench(3, 10, seed=7)
+        for i in range(3):
+            assert streams[i] == module.make_testbench(10, seed=7 * 1_000_003 + i)
+
     def test_fleet_run_serves_every_event(self, app):
         _, build, partition, _, _, _, make_fleet = app
         net = build()

@@ -148,8 +148,8 @@ QSS_FRONTIER_CALLS = {
         lambda net, _: check_reduction(
             net, enumerate_reductions(net)[0], engine="frontier"
         ),
-        ValueError,
-        "unknown engine",
+        TypeError,
+        "engine",
     ),
     "enumerate_reductions": (
         lambda net, _: enumerate_reductions(net, engine="frontier"),
@@ -517,8 +517,9 @@ class TestEdgeCases:
     @pytest.mark.parametrize("entry_point", sorted(QSS_FRONTIER_CALLS))
     def test_qss_entry_points_reject_frontier(self, entry_point, tmp_path):
         """Every entry point runs compiled or legacy only: ``frontier``
-        is an unknown engine to all of them, and the cycle searches of
-        the mask pipeline take no engine at all."""
+        is an unknown engine to all of them, and the Definition 3.5
+        checks and the mask pipeline's cycle searches take no engine at
+        all."""
         call, error, match = QSS_FRONTIER_CALLS[entry_point]
         net = _adversarial_arc_order_net()
         path = tmp_path / "net.json"
@@ -528,7 +529,7 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Satellite regressions: adjacency cache, enabled_mask coercion
+# Satellite regressions: adjacency cache, pre-compiled input
 # ----------------------------------------------------------------------
 class TestReachabilityGraphSuccessors:
     def test_successors_match_edge_scan(self):
@@ -554,31 +555,6 @@ class TestReachabilityGraphSuccessors:
         graph.edges.append((0, "t", 0))
         graph.successors(0).append(("junk", 99))
         assert graph.successors(0) == [("t", 0)]
-
-
-class TestEnabledMaskCoercion:
-    def test_int64_2d_fast_path(self):
-        compiled = compile_net(producer_consumer_ring(2, 2))
-        batch = np.array([compiled.initial, compiled.initial], dtype=np.int64)
-        mask = compiled.enabled_mask(batch)
-        assert mask.shape == (2, len(compiled.transitions))
-        assert np.array_equal(mask[0], compiled.enabled_mask(compiled.initial))
-
-    def test_non_array_inputs_still_work(self):
-        compiled = compile_net(producer_consumer_ring(2, 2))
-        from_tuple = compiled.enabled_mask(compiled.initial)
-        from_list = compiled.enabled_mask(list(compiled.initial))
-        from_f64 = compiled.enabled_mask(
-            np.array(compiled.initial, dtype=np.float64)
-        )
-        assert np.array_equal(from_tuple, from_list)
-        assert np.array_equal(from_tuple, from_f64)
-
-    def test_3d_input_rejected(self):
-        compiled = compile_net(producer_consumer_ring(2, 2))
-        bad = np.zeros((2, 2, len(compiled.places)), dtype=np.int64)
-        with pytest.raises(ValueError, match="3-D array"):
-            compiled.enabled_mask(bad)
 
 
 class TestCompiledNetPassThrough:

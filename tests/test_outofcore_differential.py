@@ -20,7 +20,9 @@ enough that spilling and chunking trigger even on small nets:
   deadlock-freedom verdict and the exact per-place bounds, and its
   collision fallback explores the same quotient;
 * the one level loop equals the exact explorer in every storage (RAM,
-  budget, spill directory alone), with and without symmetry.
+  budget, spill directory alone), with and without symmetry, and under
+  ``stop_on_target`` both finish the level the target appears in;
+* a net without places explores to zero-width rows in every storage.
 """
 
 from __future__ import annotations
@@ -246,6 +248,27 @@ class TestSpillMechanics:
         assert budgeted.complete is False
         assert np.array_equal(np.asarray(budgeted.matrix), in_ram.matrix)
         assert np.array_equal(np.asarray(budgeted.edge_dst), in_ram.edge_dst)
+
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    def test_net_without_places(self, storage, tmp_path):
+        """Zero-width marking rows: one (1, 0) matrix and one self-loop
+        edge in every storage, as the legacy graph has."""
+        net = PetriNet("no_places")
+        net.add_transition("t")
+        exploration = explore_frontier(
+            compile_net(net), **STORAGES[storage](tmp_path)
+        )
+        assert np.asarray(exploration.matrix).shape == (1, 0)
+        assert [
+            np.asarray(column).tolist()
+            for column in (
+                exploration.edge_src,
+                exploration.edge_transition,
+                exploration.edge_dst,
+            )
+        ] == [[0], [0], [0]]
+        assert exploration.complete
+        assert _legacy_graph(net).edges == [(0, "t", 0)]
 
     def test_collect_edges_false_leaves_logs_empty(self):
         compiled = compile_net(producer_consumer_ring(4, 3))
@@ -662,5 +685,23 @@ class TestOneLoop:
         )
         assert (hashed.spill is None) == (storage == "ram")
         assert exact.target_index == full.node_count // 2
+        assert_explorations_identical(hashed, exact)
+
+    @pytest.mark.parametrize("storage", sorted(STORAGES))
+    def test_stop_on_target_equals_exact_explorer(self, storage, tmp_path):
+        """Both explorers stop at the end of the target's BFS level."""
+        compiled = compile_net(producer_consumer_ring(5, 3))
+        full = explore_frontier(compiled, max_markings=100_000)
+        target = tuple(int(v) for v in full.matrix[137])
+        exact = _explore_exact(compiled, None, 100_000, target, True, True)
+        hashed = explore_frontier(
+            compiled,
+            target=target,
+            stop_on_target=True,
+            max_markings=100_000,
+            **STORAGES[storage](tmp_path),
+        )
+        assert (exact.target_index, exact.complete) == (137, False)
+        assert (exact.node_count, exact.edge_count) == (152, 392)
         assert_explorations_identical(hashed, exact)
 

@@ -103,7 +103,6 @@ class TestCompileBasics:
         assert compiled.tokens(vector, "p1") == 2
         assert compiled.tokens(vector, compiled.place_id("p3")) == 1
         assert compiled.marking_from_tuple(vector) == marking
-        assert compiled.marking_to_array(marking).tolist() == list(vector)
 
     def test_compile_net_is_noop_on_compiled(self, fig4):
         compiled = fig4.compile()
@@ -174,30 +173,12 @@ class TestTokenGameEquivalence:
                 for t in compiled.enabled_transitions(vector)
             ]
             assert compiled_enabled == legacy_enabled
-            mask = compiled.enabled_mask(np.array(vector, dtype=np.int64))
-            assert [
-                compiled.transitions[i] for i in np.nonzero(mask)[0]
-            ] == legacy_enabled
             if not legacy_enabled:
                 break
             choice = rng.choice(legacy_enabled)
             marking = net.fire(choice, marking)
             vector = compiled.fire_by_name(choice, vector)
             assert compiled.marking_from_tuple(vector) == marking
-
-    def test_enabled_mask_batches(self, fig4):
-        compiled = fig4.compile()
-        walk = [compiled.initial]
-        walk.append(compiled.fire(0, walk[-1]))  # t1
-        walk.append(compiled.fire(0, walk[-1]))
-        batch = np.array(walk, dtype=np.int64)
-        mask = compiled.enabled_mask(batch)
-        assert mask.shape == (3, len(compiled.transitions))
-        for row, vector in zip(mask, walk):
-            assert row.tolist() == [
-                compiled.is_enabled(t, vector)
-                for t in range(len(compiled.transitions))
-            ]
 
     def test_fire_disabled_raises_with_name(self, fig4):
         compiled = fig4.compile()
@@ -382,13 +363,6 @@ class TestQssEquivalence:
             assert [v.cycle for v in compiled.verdicts] == [
                 v.cycle for v in legacy.verdicts
             ]
-
-    def test_reduction_compiled_view_is_cached(self, fig3a):
-        from repro.qss import enumerate_reductions
-
-        reduction = enumerate_reductions(fig3a)[0]
-        assert reduction.compiled is reduction.compiled
-        assert list(reduction.compiled.transitions) == reduction.net.transition_names
 
     def test_unknown_engine_rejected(self, fig3a):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -41,7 +41,6 @@ from repro.petrinet.generators import (
     unschedulable_merge_net,
 )
 from repro.qss import (
-    QSSContext,
     TAllocation,
     analyse,
     check_compiled_reduction,
@@ -200,17 +199,6 @@ class TestCompiledReductionSurface:
         rebuilt = reduction.net
         assert "net" in reduction._cache
         assert set(rebuilt.transition_names) == reduction.transition_set
-
-    def test_context_from_compiled_net_only(self):
-        """The pipeline also runs on a bare CompiledNet (no source net)."""
-        net = independent_choices_net(2, 2)
-        context = QSSContext(net.compile())
-        reductions = list(iter_compiled_reductions(net.compile(), context=context))
-        assert len(reductions) == 4
-        for reduction in reductions:
-            verdict = check_compiled_reduction(reduction)
-            assert verdict.schedulable
-            assert set(reduction.net.transition_names) == reduction.transition_set
 
 
 class TestFastSemiflows:

@@ -1,8 +1,8 @@
 """Differential suite for the compiled runtime substrate.
 
-Pins the engine-equality contract of PR 4: the reactive simulator, the
-RTOS/IR interpreter, the SDF PASS simulation and the fleet simulator all
-take ``engine="compiled"`` / ``engine="legacy"`` and must produce
+Pins the engine-equality contract of the runtime: the reactive
+simulator, the RTOS/IR interpreter and the fleet simulator all take
+``engine="compiled"`` / ``engine="legacy"`` and must produce
 *identical* results — same :class:`ExecutionStats` field for field (total
 cycles, breakdowns, per-task activations, per-transition firings), same
 firing sequences, same per-instance cycle vectors — on the paper gallery,
@@ -37,7 +37,6 @@ from repro.apps.atm import (
     make_fleet_testbench,
     make_testbench,
 )
-from repro.sdf import DeadlockError, SDFGraph, static_schedule
 
 #: Per-event firing budget used when driving arbitrary generated nets:
 #: corpus families include nets that never quiesce (token rings), so the
@@ -317,41 +316,3 @@ class TestFleetEngines:
         assert result.instances == 0
         assert result.stats.events_processed == 0
         assert result.percentile(95) == 0.0
-
-
-class TestSdfEngines:
-    def _chain(self):
-        graph = SDFGraph("chain")
-        graph.add_actor("a", cost=2)
-        graph.add_actor("b", cost=1)
-        graph.add_actor("c", cost=3)
-        graph.add_edge("a", "b", production=2, consumption=3)
-        graph.add_edge("b", "c", production=1, consumption=2, initial_tokens=1)
-        return graph
-
-    def test_schedule_identical(self):
-        legacy = static_schedule(self._chain(), engine="legacy")
-        compiled = static_schedule(self._chain(), engine="compiled")
-        assert compiled.sequence == legacy.sequence
-        assert compiled.buffer_bounds == legacy.buffer_bounds
-        assert compiled.repetition == legacy.repetition
-        assert compiled.cost == legacy.cost
-
-    def test_deadlock_identical(self):
-        graph = SDFGraph("loop")
-        graph.add_actor("a")
-        graph.add_actor("b")
-        graph.add_edge("a", "b")
-        graph.add_edge("b", "a")  # no initial tokens: deadlock
-        for engine in ("legacy", "compiled"):
-            with pytest.raises(DeadlockError):
-                static_schedule(graph, engine=engine)
-
-    def test_converted_gallery_net_identical(self, fig2):
-        from repro.sdf import petri_to_sdf
-
-        graph = petri_to_sdf(fig2)
-        legacy = static_schedule(graph, engine="legacy")
-        compiled = static_schedule(graph, engine="compiled")
-        assert compiled.sequence == legacy.sequence
-        assert compiled.buffer_bounds == legacy.buffer_bounds

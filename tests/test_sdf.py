@@ -135,6 +135,27 @@ class TestScheduling:
             static_schedule(cyclic_graph(0))
         assert is_statically_schedulable(cyclic_graph(1))
 
+    def test_token_free_loop_deadlock_names_blocked_actors(self):
+        with pytest.raises(DeadlockError) as excinfo:
+            simulate_schedule(cyclic_graph(0))
+        assert str(excinfo.value) == (
+            "SDF graph 'cycle' deadlocks with actors still to fire: ['a', 'b']"
+        )
+
+    def test_multirate_chain_with_delay(self):
+        """The exact PASS of a chain whose rates do not divide evenly."""
+        graph = SDFGraph("chain")
+        graph.add_actor("a", cost=2)
+        graph.add_actor("b", cost=1)
+        graph.add_actor("c", cost=3)
+        graph.add_edge("a", "b", production=2, consumption=3)
+        graph.add_edge("b", "c", production=1, consumption=2, initial_tokens=1)
+        schedule = static_schedule(graph)
+        assert schedule.sequence == ["a", "a", "a", "b", "b", "c"]
+        assert schedule.buffer_bounds == {"a->b": 6, "b->c": 3}
+        assert schedule.repetition == {"a": 3, "b": 2, "c": 1}
+        assert schedule.cost == 11
+
     def test_simulate_schedule_custom_repetition(self):
         graph = figure2_graph()
         sequence, bounds = simulate_schedule(graph, {"t1": 8, "t2": 4, "t3": 2})
@@ -175,6 +196,13 @@ class TestConversion:
     def test_petri_figure2_gallery_net_converts(self, fig2):
         graph = petri_to_sdf(fig2)
         assert repetition_vector(graph) == {"t1": 4, "t2": 2, "t3": 1}
+
+    def test_petri_figure2_gallery_net_schedule(self, fig2):
+        """The PASS of Figure 2 converted from its Petri net, exactly."""
+        schedule = static_schedule(petri_to_sdf(fig2))
+        assert schedule.sequence == ["t1"] * 4 + ["t2"] * 2 + ["t3"]
+        assert schedule.buffer_bounds == {"p1": 4, "p2": 2}
+        assert schedule.cost == 7
 
     def test_costs_preserved(self):
         graph = SDFGraph()
