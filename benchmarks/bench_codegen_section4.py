@@ -35,7 +35,6 @@ from repro.codegen import (
     EmitOptions,
     TaskExecutor,
     emit_c,
-    make_resolver,
     native_available,
     synthesize,
     task_choice_branches,
@@ -99,7 +98,7 @@ def _native_rows(name, program, activations, rounds=3):
     final counters) before any timing counts.  The native run times the
     scripted batch entry point with a pre-encoded script — choice
     encoding is net-independent setup work, the same way the
-    interpreter's resolvers are prebuilt outside its loop.  Timing
+    interpreter's choice maps are built outside its loop.  Timing
     interleaves the engines round by round (best-of per engine) so a
     slow scheduling window hits both rather than skewing the ratio.
     """
@@ -111,7 +110,6 @@ def _native_rows(name, program, activations, rounds=3):
         native = TaskExecutor(task, engine="native")
         assert native.active_engine == "native"
         backend = native.native_backend
-        resolvers = [make_resolver(mapping) for mapping in maps]
         script = backend.encode_script(maps)
 
         # identical work, proven before the clocks start
@@ -125,8 +123,8 @@ def _native_rows(name, program, activations, rounds=3):
 
         def run_interp():
             interp.reset()
-            for resolver in resolvers:
-                interp.activate(resolver)
+            for mapping in maps:
+                interp.activate(mapping)
 
         def run_native():
             backend.reset()

@@ -14,13 +14,19 @@ it is internally consistent with the code:
    fails CI), and every long option a subcommand's flag table lists is
    one its parser still has (removing a flag but not its row fails CI);
    a row written ``--flag {a,b,…}`` must list exactly the parser's
-   ``choices`` for that flag, in order.
+   ``choices`` for that flag, in order;
+4. every ``from repro… import a, b`` inside a fenced python block of
+   ``docs/*.md`` and ``README.md`` names a module and attributes that
+   exist (a deleted export fails CI instead of rotting in the docs).
 
 Exits non-zero with a summary of every violation.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -40,12 +46,17 @@ FIRST_CELL = re.compile(r"^\|([^|\n]*)\|", re.M)
 LONG_OPTION = re.compile(r"--[a-z][a-z0-9-]*")
 #: A flag-table cell spelling out the flag's choices: ``--flag {a,b,c}``.
 FLAG_CHOICES = re.compile(r"(--[a-z][a-z0-9-]*) \{([^}]*)\}")
+#: A fenced python block, up to its closing fence.
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
+def _pages() -> list:
+    return sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
 
 
 def check_links(errors: list) -> int:
-    pages = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
     checked = 0
-    for page in pages:
+    for page in _pages():
         for match in LINK.finditer(page.read_text(encoding="utf-8")):
             target = match.group(1)
             if "://" in target or target.startswith("mailto:"):
@@ -121,11 +132,43 @@ def check_cli_reference(errors: list) -> int:
     return checked
 
 
+def check_python_imports(errors: list) -> int:
+    sys.path.insert(0, str(REPO / "src"))
+    checked = 0
+    for page in _pages():
+        label = os.path.relpath(page, REPO)
+        for block in PYTHON_BLOCK.findall(page.read_text(encoding="utf-8")):
+            try:
+                tree = ast.parse(block)
+            except SyntaxError as err:
+                errors.append(f"{label}: python block does not parse: {err.msg}")
+                continue
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom) or not node.module:
+                    continue
+                if node.module.split(".")[0] != "repro":
+                    continue
+                try:
+                    module = importlib.import_module(node.module)
+                except ImportError:
+                    errors.append(f"{label}: no module {node.module}")
+                    continue
+                for alias in node.names:
+                    checked += 1
+                    if alias.name != "*" and not hasattr(module, alias.name):
+                        errors.append(
+                            f"{label}: stale import -> from {node.module} "
+                            f"import {alias.name}"
+                        )
+    return checked
+
+
 def main() -> int:
     errors: list = []
     links = check_links(errors)
     paths = check_paper_map(errors)
     cli = check_cli_reference(errors)
+    imports = check_python_imports(errors)
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for error in errors:
@@ -133,7 +176,7 @@ def main() -> int:
         return 1
     print(
         f"docs check ok: {links} links, {paths} paper-map paths, "
-        f"{cli} CLI symbols verified"
+        f"{cli} CLI symbols, {imports} doc imports verified"
     )
     return 0
 

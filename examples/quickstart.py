@@ -18,7 +18,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.codegen import EmitOptions, ProgramExecutor, emit_c, make_resolver, synthesize
+from repro.codegen import EmitOptions, ProgramExecutor, emit_c, synthesize
 from repro.petrinet import NetBuilder, is_free_choice
 from repro.qss import analyse, compute_valid_schedule, partition_tasks
 
@@ -66,7 +66,7 @@ def main() -> None:
     executor = ProgramExecutor(program)
     print("---- simulated execution " + "-" * 32)
     for outcome in ["t2", "t2", "t3", "t2", "t3"]:
-        result = executor.activate_source("t1", make_resolver({"p1": outcome}))
+        result = executor.activate_source("t1", {"p1": outcome})
         print(
             f"input event (choice {outcome}): fired {result.fired}, "
             f"{result.cycles} cycles"

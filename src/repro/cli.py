@@ -9,7 +9,8 @@ writing Python:
     $ repro-qss info model.json            # structural summary and class
     $ repro-qss analyse model.json         # schedulability + valid schedule
     $ repro-qss synthesize model.json -o model.c   # generate the C code
-    $ repro-qss emit model.json --driver -o unit.c # C + native driver
+    $ repro-qss synthesize model.json --driver -o unit.c
+                                           # C + native driver
     $ repro-qss dot model.json -o model.dot        # Graphviz export
     $ repro-qss gallery figure4 -o fig4.json       # dump a paper figure net
     $ repro-qss atm-table1 --cells 50      # reproduce Table I
@@ -147,33 +148,17 @@ def cmd_analyse(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    program = _synthesized(args)
-    if program is None:
-        return 1
-    emission = emit_c(
-        program, EmitOptions(standalone_loop=args.standalone_loop)
-    )
-    _write_or_print(emission.source, args.output)
-    print(
-        f"synthesized {program.task_count} task(s), "
-        f"{emission.lines_of_code} lines of C",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_emit(args: argparse.Namespace) -> int:
+    if args.driver and args.standalone_loop:
+        print(
+            "error: --driver emits RTOS-callable entry points; "
+            "drop --standalone-loop",
+            file=sys.stderr,
+        )
+        return 2
     program = _synthesized(args)
     if program is None:
         return 1
     if args.driver:
-        if args.standalone_loop:
-            print(
-                "error: --driver emits RTOS-callable entry points; "
-                "drop --standalone-loop",
-                file=sys.stderr,
-            )
-            return 2
         text = native_source(program)
         what = "C translation unit with native driver"
     else:
@@ -183,10 +168,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         text = emission.source
         what = f"{emission.lines_of_code} lines of C"
     _write_or_print(text, args.output)
-    print(
-        f"emitted {program.task_count} task(s), {what}",
-        file=sys.stderr,
-    )
+    print(f"synthesized {program.task_count} task(s), {what}", file=sys.stderr)
     return 0
 
 
@@ -682,29 +664,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wrap each task in while(1) (the paper's listing style)",
     )
-    _add_engine_flag(p_synth)
-    p_synth.set_defaults(func=cmd_synthesize)
-
-    p_emit = sub.add_parser(
-        "emit",
-        help="write the generated C (optionally with the native driver) "
-        "to a file or stdout",
-    )
-    p_emit.add_argument("net")
-    p_emit.add_argument("-o", "--output", help="write the C source to this file")
-    p_emit.add_argument(
-        "--standalone-loop",
-        action="store_true",
-        help="wrap each task in while(1) (the paper's listing style)",
-    )
-    p_emit.add_argument(
+    p_synth.add_argument(
         "--driver",
         action="store_true",
         help="append the generated native driver (the self-contained "
         "translation unit the native execution tier compiles)",
     )
-    _add_engine_flag(p_emit)
-    p_emit.set_defaults(func=cmd_emit)
+    _add_engine_flag(p_synth)
+    p_synth.set_defaults(func=cmd_synthesize)
 
     p_dot = sub.add_parser("dot", help="export the net as Graphviz DOT")
     p_dot.add_argument("net")

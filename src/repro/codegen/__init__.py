@@ -10,11 +10,9 @@ from .generator import (
 )
 from .interpreter import (
     ActivationResult,
-    ChoiceResolver,
     ExecutionError,
     ProgramExecutor,
     TaskExecutor,
-    make_resolver,
 )
 from .native import (
     NativeBuildError,
@@ -76,7 +74,5 @@ __all__ = [
     "TaskExecutor",
     "ProgramExecutor",
     "ActivationResult",
-    "ChoiceResolver",
     "ExecutionError",
-    "make_resolver",
 ]

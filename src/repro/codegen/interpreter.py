@@ -11,9 +11,9 @@ the *relative* comparison of Table I is preserved.
 
 An activation of a task executes its entry fragments once; counting
 variables persist across activations (they are the statically allocated
-buffers of the implementation).  Data-dependent choices are resolved by
-a caller-provided resolver (the workload generator supplies one per
-event).
+buffers of the implementation).  Data-dependent choices are read from
+the activation's ``{place: transition}`` map — the choices its
+triggering event carries, as everywhere else events run.
 
 The executor interprets schedules over *compiled markings*: at
 construction every counting variable is mapped to a dense integer index
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..petrinet.compiled import (
     ENGINE_COMPILED,
@@ -67,11 +67,6 @@ from .ir import (
     TaskProgram,
 )
 
-#: A choice resolver maps a choice place to the transition selected by the
-#: run-time data.  It is invoked once per evaluation of the choice.
-ChoiceResolver = Callable[[str], str]
-
-
 class ExecutionError(Exception):
     """Raised when generated code misbehaves (e.g. a counter going negative),
     which would indicate a code generation bug."""
@@ -85,6 +80,19 @@ class ActivationResult:
     cycles: int
     fired: List[str] = field(default_factory=list)
     choices_taken: Dict[str, str] = field(default_factory=dict)
+
+
+def missing_choice(place: str) -> KeyError:
+    """The error an activation raises at a choice place its
+    ``{place: transition}`` map leaves out, so that workload bugs surface."""
+    return KeyError(f"no resolution provided for choice place {place!r}")
+
+
+def _resolve(choices: Mapping[str, str], place: str) -> str:
+    try:
+        return choices[place]
+    except KeyError:
+        raise missing_choice(place) from None
 
 
 def _native_fallback_warning(err: Exception) -> None:
@@ -181,7 +189,9 @@ class TaskExecutor:
         Contains every declared counter plus any statement-only counter
         that currently holds tokens.  The returned dict is a copy;
         assign to the property (or call :meth:`reset`) to change the
-        executor's state.
+        executor's state: assigning sets every declared counter (0 where
+        the mapping has none) and clears the rest, and a place the task
+        declares no counter for raises ``KeyError``.
         """
         if self.native_backend is not None:
             return self.native_backend.counters
@@ -200,15 +210,21 @@ class TaskExecutor:
 
     @counters.setter
     def counters(self, values: Mapping[str, int]) -> None:
+        declared = self.task.counters
+        for place in values:
+            if place not in declared:
+                raise KeyError(
+                    f"task {self.task.name!r} has no counter for place {place!r}"
+                )
+        state = {place: values.get(place, 0) for place in declared}
         if self.native_backend is not None:
-            self.native_backend.counters = values
-            return
-        if self.active_engine == ENGINE_LEGACY:
-            self._state = dict(values)
-            return
-        self._values = [0] * len(self._place_ids)
-        for place, value in values.items():
-            self._values[self._place_ids[place]] = value
+            self.native_backend.counters = state
+        elif self.active_engine == ENGINE_LEGACY:
+            self._state = state
+        else:
+            self._values = [0] * len(self._place_ids)
+            for place, value in state.items():
+                self._values[self._place_ids[place]] = value
 
     def reset(self) -> None:
         """Reset counters to the initial marking."""
@@ -219,10 +235,11 @@ class TaskExecutor:
         else:
             self._values = list(self._initial)
 
-    def activate(self, resolve_choice: ChoiceResolver) -> ActivationResult:
-        """Run one activation of the task (one input event)."""
+    def activate(self, choices: Mapping[str, str]) -> ActivationResult:
+        """Run one activation of the task (one input event) under the
+        event's ``{place: transition}`` choice map."""
         if self.native_backend is not None:
-            return self.native_backend.activate(resolve_choice)
+            return self.native_backend.activate(choices)
         result = ActivationResult(task=self.task.name, cycles=0)
         run = (
             self._run_fragment_ir
@@ -230,7 +247,7 @@ class TaskExecutor:
             else self._run_fragment
         )
         for entry in self.task.entry_fragments:
-            run(entry, resolve_choice, result, depth=0)
+            run(entry, choices, result, depth=0)
         return result
 
     def activate_many(
@@ -239,13 +256,12 @@ class TaskExecutor:
         """Run one activation per ``{place: transition}`` map.
 
         The native tier executes the whole batch in a single library
-        call; the interpreter engines loop over
-        :func:`make_resolver`-driven activations.  Results are
-        engine-identical either way.
+        call; the interpreter engines loop over :meth:`activate`.
+        Results are engine-identical either way.
         """
         if self.native_backend is not None:
             return self.native_backend.activate_many(choice_maps)
-        return [self.activate(make_resolver(mapping)) for mapping in choice_maps]
+        return [self.activate(choices) for choices in choice_maps]
 
     # -- IR lowering -------------------------------------------------------
     def _place_id(self, place: str) -> int:
@@ -297,7 +313,7 @@ class TaskExecutor:
     def _run_fragment(
         self,
         name: str,
-        resolve_choice: ChoiceResolver,
+        choices: Mapping[str, str],
         result: ActivationResult,
         depth: int,
     ) -> None:
@@ -307,12 +323,12 @@ class TaskExecutor:
                 f"task {self.task.name!r}"
             )
         result.cycles += self.cost.call_cycles
-        self._run_ops(self._code[name], resolve_choice, result, depth)
+        self._run_ops(self._code[name], choices, result, depth)
 
     def _run_ops(
         self,
         ops: Tuple,
-        resolve_choice: ChoiceResolver,
+        choices: Mapping[str, str],
         result: ActivationResult,
         depth: int,
     ) -> None:
@@ -339,7 +355,7 @@ class TaskExecutor:
             elif kind == _OP_IF:
                 result.cycles += test_cycles
                 if all(values[index] >= threshold for index, threshold in op[1]):
-                    self._run_ops(op[2], resolve_choice, result, depth)
+                    self._run_ops(op[2], choices, result, depth)
             elif kind == _OP_WHILE:
                 iterations = 0
                 while True:
@@ -348,7 +364,7 @@ class TaskExecutor:
                         values[index] >= threshold for index, threshold in op[1]
                     ):
                         break
-                    self._run_ops(op[2], resolve_choice, result, depth)
+                    self._run_ops(op[2], choices, result, depth)
                     iterations += 1
                     if iterations > 1_000_000:
                         raise ExecutionError(
@@ -357,22 +373,22 @@ class TaskExecutor:
                         )
             elif kind == _OP_CHOICE:
                 result.cycles += test_cycles
-                chosen = resolve_choice(op[1])
+                chosen = _resolve(choices, op[1])
                 result.choices_taken[op[1]] = chosen
                 for choice, branch in op[2]:
                     if choice == chosen:
-                        self._run_ops(branch, resolve_choice, result, depth)
+                        self._run_ops(branch, choices, result, depth)
                         break
                 # otherwise the data selected an alternative outside this
                 # task: nothing to do.
             else:  # _OP_CALL
-                self._run_fragment(op[1], resolve_choice, result, depth + 1)
+                self._run_fragment(op[1], choices, result, depth + 1)
 
     # -- legacy (tree-walking) execution ------------------------------------
     def _run_fragment_ir(
         self,
         name: str,
-        resolve_choice: ChoiceResolver,
+        choices: Mapping[str, str],
         result: ActivationResult,
         depth: int,
     ) -> None:
@@ -383,7 +399,7 @@ class TaskExecutor:
             )
         result.cycles += self.cost.call_cycles
         self._run_block_ir(
-            self.task.fragments[name].body, resolve_choice, result, depth
+            self.task.fragments[name].body, choices, result, depth
         )
 
     def _guard_holds(self, statement: Guarded) -> bool:
@@ -396,7 +412,7 @@ class TaskExecutor:
     def _run_block_ir(
         self,
         block: Block,
-        resolve_choice: ChoiceResolver,
+        choices: Mapping[str, str],
         result: ActivationResult,
         depth: int,
     ) -> None:
@@ -425,7 +441,7 @@ class TaskExecutor:
                     result.cycles += cost.test_cycles
                     if self._guard_holds(statement):
                         self._run_block_ir(
-                            statement.body, resolve_choice, result, depth
+                            statement.body, choices, result, depth
                         )
                 else:
                     iterations = 0
@@ -434,7 +450,7 @@ class TaskExecutor:
                         if not self._guard_holds(statement):
                             break
                         self._run_block_ir(
-                            statement.body, resolve_choice, result, depth
+                            statement.body, choices, result, depth
                         )
                         iterations += 1
                         if iterations > 1_000_000:
@@ -444,17 +460,17 @@ class TaskExecutor:
                             )
             elif isinstance(statement, ChoiceIf):
                 result.cycles += cost.test_cycles
-                chosen = resolve_choice(statement.place)
+                chosen = _resolve(choices, statement.place)
                 result.choices_taken[statement.place] = chosen
                 for choice, branch in statement.branches:
                     if choice == chosen:
-                        self._run_block_ir(branch, resolve_choice, result, depth)
+                        self._run_block_ir(branch, choices, result, depth)
                         break
                 # otherwise the data selected an alternative outside this
                 # task: nothing to do.
             elif isinstance(statement, CallFragment):
                 self._run_fragment_ir(
-                    statement.fragment, resolve_choice, result, depth + 1
+                    statement.fragment, choices, result, depth + 1
                 )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown IR statement {statement!r}")
@@ -522,24 +538,9 @@ class ProgramExecutor:
             executor.reset()
 
     def activate_source(
-        self, source: str, resolve_choice: ChoiceResolver
+        self, source: str, choices: Mapping[str, str]
     ) -> ActivationResult:
-        """Activate the task triggered by ``source`` (one input event)."""
-        return self.task_for_source(source).activate(resolve_choice)
+        """Activate the task triggered by ``source`` (one input event)
+        under the event's ``{place: transition}`` choice map."""
+        return self.task_for_source(source).activate(choices)
 
-
-def make_resolver(choices: Mapping[str, str], default_first: bool = False) -> ChoiceResolver:
-    """Build a resolver from a fixed ``{place: transition}`` mapping.
-
-    When ``default_first`` is False a missing place raises ``KeyError`` so
-    that workload bugs surface immediately.
-    """
-
-    def resolve(place: str) -> str:
-        if place in choices:
-            return choices[place]
-        if default_first:
-            return ""
-        raise KeyError(f"no resolution provided for choice place {place!r}")
-
-    return resolve

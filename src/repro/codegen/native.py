@@ -25,16 +25,15 @@ compiler raises :class:`NativeUnavailableError` from the capability
 probe; the interpreter layer catches it and falls back with a warning,
 so ``engine="native"`` degrades gracefully.
 
-Known, documented divergences from the interpreter (none observable on
-well-formed programs):
-
-* the interpreter raises mid-activation on a missing choice resolution
-  or a negative counter; the compiled code cannot unwind, so the native
-  tier raises *after* the run (missing resolution) or skips the
-  negative-counter check entirely (generated guards prevent it);
-* a resolver must answer deterministically per place within one
-  activation — the compiled choice test may read the choice more than
-  once and the reads are memoized.
+Every activation is scripted: each choice reader returns the value its
+activation's ``{place: transition}`` map put in the driver's script
+row, and a single activation is a one-row script.  One known,
+documented divergence from the interpreter is not observable on
+well-formed programs: the interpreter raises mid-activation on a
+missing choice resolution or a negative counter; the compiled code
+cannot unwind, so the native tier raises *after* the run (missing
+resolution) or skips the negative-counter check entirely (generated
+guards prevent it).
 """
 
 from __future__ import annotations
@@ -48,18 +47,19 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..runtime.cost import CostModel
 from .emit_c import CEmission, EmitOptions, emit_c
+from .interpreter import ActivationResult, missing_choice
 from .ir import Block, ChoiceIf, Guarded, Program, TaskProgram
 
 #: Bump when the generated driver's exported interface changes; baked
 #: into both the artifact hash and the library itself
 #: (``repro_qss_abi``), so a stale cache entry can never be misloaded.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _BASE_CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -70,8 +70,7 @@ _TRACE_ACTIVATION = 2
 
 #: Choice values outside the macro range, used by the driver protocol.
 _CHOICE_UNKNOWN = -1  # resolved to a transition this program never fires
-_CHOICE_ERROR = -3  # the Python choice hook raised; re-raised after the run
-_CHOICE_MISSING = -4  # scripted run had no resolution for this place
+_CHOICE_MISSING = -4  # the script has no resolution for this place
 
 
 class NativeUnavailableError(RuntimeError):
@@ -263,7 +262,6 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
     out("long long qss_tr_unit = 0;")
     out("")
     out(f"static int qss_choice_current[{max(n_choices, 1)}];")
-    out("static int (*qss_choice_hook)(int) = 0;")
     out("static int *qss_trace = 0;")
     out("static long qss_trace_cap = 0;")
     out("static long qss_trace_used = 0;")
@@ -294,13 +292,11 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
         out(f"    qss_trace_put({_TRACE_FIRE}, {index}, 0);")
         out("}")
         out("")
-    out("/* choice readers: scripted value or Python hook, both traced */")
+    out("/* choice readers: the activation's scripted value, traced */")
     for index, place in enumerate(layout.choice_places):
         out(f"int {names.choice_places[place]}(void)")
         out("{")
-        out("    int value;")
-        out(f"    if (qss_choice_hook) value = qss_choice_hook({index});")
-        out(f"    else value = qss_choice_current[{index}];")
+        out(f"    int value = qss_choice_current[{index}];")
         out(f"    qss_trace_put({_TRACE_CHOICE}, {index}, value);")
         out("    return value;")
         out("}")
@@ -346,7 +342,6 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
     out("    qss_tr_unit = transition_unit;")
     out("}")
     out("")
-    out("void repro_qss_set_choice_hook(int (*hook)(int)) { qss_choice_hook = hook; }")
     out("void repro_qss_set_trace(int on) { qss_trace_on = on; }")
     out("long repro_qss_trace_len(void) { return qss_trace_used; }")
     out("void repro_qss_trace_clear(void) { qss_trace_used = 0; qss_trace_oom = 0; }")
@@ -388,7 +383,8 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
 
 def native_source(program: Program) -> str:
     """The complete native translation unit: instrumented emission plus
-    the generated driver (what ``repro-qss emit --driver`` writes)."""
+    the generated driver (what ``repro-qss synthesize --driver``
+    writes)."""
     emission = emit_c(
         program, EmitOptions(instrument=True, explicit_choice_tail=True)
     )
@@ -419,8 +415,6 @@ def task_choice_branches(task: TaskProgram) -> Dict[str, Tuple[str, ...]]:
 # --------------------------------------------------------------------------
 # library loading
 # --------------------------------------------------------------------------
-
-_HOOK_T = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
 _INT_P = ctypes.POINTER(ctypes.c_int)
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
@@ -466,7 +460,6 @@ def _bind(lib: ctypes.CDLL, layout: _Layout) -> ctypes.CDLL:
         ctypes.c_longlong,
         ctypes.c_longlong,
     ]
-    lib.repro_qss_set_choice_hook.argtypes = [_HOOK_T]
     lib.repro_qss_set_trace.argtypes = [ctypes.c_int]
     lib.repro_qss_trace_len.restype = ctypes.c_long
     lib.repro_qss_trace_copy.argtypes = [_INT_P]
@@ -489,11 +482,41 @@ def _bind(lib: ctypes.CDLL, layout: _Layout) -> ctypes.CDLL:
 # executors
 # --------------------------------------------------------------------------
 
-# imported lazily where needed to avoid a cycle with interpreter.py
-def _activation_result(task: str, cycles: int, fired, choices) -> "ActivationResult":
-    from .interpreter import ActivationResult
 
-    return ActivationResult(task=task, cycles=cycles, fired=fired, choices_taken=choices)
+def _activation_from_trace(
+    task: str,
+    cycles: int,
+    trace: Sequence[int],
+    start: int,
+    stop: int,
+    layout: _Layout,
+    choices: Optional[Mapping[str, str]],
+) -> ActivationResult:
+    """One activation's result from its trace records ``trace[start:stop]``
+    (a flat int list of ``(kind, a, b)`` triples after its activation
+    marker).
+
+    A choice resolved to a transition of the program is named from the
+    trace; one resolved outside the program takes its name from
+    ``choices`` (left out when the script came without its maps).
+    """
+    names = layout.transition_names
+    places = layout.choice_places
+    fired: List[str] = []
+    taken: Dict[str, str] = {}
+    for k in range(start, stop, 3):
+        a = trace[k + 1]
+        if trace[k] == _TRACE_FIRE:
+            fired.append(names[a])
+            continue
+        value = trace[k + 2]
+        if value >= 0:
+            taken[places[a]] = names[value]
+        elif value == _CHOICE_MISSING:
+            raise missing_choice(places[a])
+        elif choices is not None:
+            taken[places[a]] = choices[places[a]]
+    return ActivationResult(task, cycles, fired, taken)
 
 
 class NativeBatchResult:
@@ -514,14 +537,14 @@ class NativeBatchResult:
         layout: _Layout,
         trace: np.ndarray,
         cycles: np.ndarray,
-        choice_names: Sequence[Optional[Mapping[str, str]]],
+        choice_names: Optional[Sequence[Mapping[str, str]]],
     ) -> None:
         self.task_name = task_name
         self._layout = layout
         self.trace = trace.reshape(-1, 3)
         self.cycles = cycles
         self._choice_names = choice_names
-        self._results: Optional[List] = None
+        self._results: Optional[List[ActivationResult]] = None
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -541,36 +564,28 @@ class NativeBatchResult:
         }
 
     @property
-    def results(self) -> List:
+    def results(self) -> List[ActivationResult]:
         """Per-activation :class:`ActivationResult` list (lazy)."""
-        if self._results is not None:
-            return self._results
-        transition_names = self._layout.transition_names
-        choice_places = self._layout.choice_places
-        kinds = self.trace[:, 0]
-        boundaries = np.flatnonzero(kinds == _TRACE_ACTIVATION)
-        ends = np.append(boundaries[1:], len(kinds))
-        results = []
-        for index, (start, stop) in enumerate(zip(boundaries, ends)):
-            fired: List[str] = []
-            choices: Dict[str, str] = {}
-            provided = self._choice_names[index] if self._choice_names is not None else None
-            for kind, a, b in self.trace[start + 1 : stop]:
-                if kind == _TRACE_FIRE:
-                    fired.append(transition_names[a])
-                elif kind == _TRACE_CHOICE:
-                    place = choice_places[a]
-                    if 0 <= b < len(transition_names):
-                        choices[place] = transition_names[b]
-                    elif provided is not None and place in provided:
-                        choices[place] = provided[place]
-            results.append(
-                _activation_result(
-                    self.task_name, int(self.cycles[index]), fired, choices
+        if self._results is None:
+            markers = np.flatnonzero(self.trace[:, 0] == _TRACE_ACTIVATION)
+            starts = (3 * markers + 3).tolist()
+            stops = (3 * markers).tolist()[1:] + [self.trace.size]
+            trace = self.trace.ravel().tolist()
+            cycles = self.cycles.tolist()
+            maps = self._choice_names
+            self._results = [
+                _activation_from_trace(
+                    self.task_name,
+                    cycles[index],
+                    trace,
+                    start,
+                    stop,
+                    self._layout,
+                    maps[index] if maps is not None else None,
                 )
-            )
-        self._results = results
-        return results
+                for index, (start, stop) in enumerate(zip(starts, stops))
+            ]
+        return self._results
 
 
 class NativeProgram:
@@ -625,14 +640,13 @@ class NativeProgram:
             [initial for _, _, initial in self.layout.counters], dtype=np.int32
         )
         self._n_counters = len(self.layout.counters)
-        self._hook_error: Optional[BaseException] = None
-        self._hook_fn: Optional[Callable[[str], str]] = None
-        self._hook_memo: Dict[str, int] = {}
-        self._hook_records: Dict[str, str] = {}
-        # one persistent ctypes trampoline; installed only for the
-        # duration of resolver-driven activations
-        self._trampoline = _HOOK_T(self._dispatch_choice)
-        self._null_hook = ctypes.cast(None, _HOOK_T)
+        width = max(len(self.layout.choice_places), 1)
+        self._blank_row = [_CHOICE_MISSING] * width
+        # single activations reuse these ctypes buffers, so they build
+        # no numpy arrays per call
+        self._row = (ctypes.c_int * width)()
+        self._row_cycles = (ctypes.c_longlong * 1)()
+        self._trace = (ctypes.c_int * 4096)()
         self.set_cost_model(self.cost)
 
     # -- configuration -----------------------------------------------------
@@ -659,42 +673,56 @@ class NativeProgram:
         self._lib.repro_qss_reset()
 
     # -- execution ---------------------------------------------------------
-    def _dispatch_choice(self, place_index: int) -> int:
-        place = self.layout.choice_places[place_index]
-        if place in self._hook_memo:
-            return self._hook_memo[place]
-        try:
-            chosen = self._hook_fn(place)
-        except BaseException as exc:  # noqa: BLE001 - re-raised after the run
-            if self._hook_error is None:
-                self._hook_error = exc
-            return _CHOICE_ERROR
-        value = self._choice_values.get(chosen, _CHOICE_UNKNOWN)
-        self._hook_memo[place] = value
-        self._hook_records[place] = chosen
-        return value
+    def _script_row(self, choices: Mapping[str, str]) -> List[int]:
+        """One activation's script row: a choice value per choice place of
+        the program (``_CHOICE_MISSING`` where ``choices`` has none)."""
+        row = list(self._blank_row)
+        ids = self._choice_ids
+        values = self._choice_values
+        for place, chosen in choices.items():
+            column = ids.get(place)
+            if column is not None:
+                row[column] = values.get(chosen, _CHOICE_UNKNOWN)
+        return row
 
-    def _run(
-        self, task_id: int, n: int, script: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Invoke the driver loop; returns ``(trace, per-activation cycles)``."""
+    def _run(self, task_id: int, n: int, script, cycles) -> int:
+        """Invoke the driver loop over ``n`` script rows, writing each
+        activation's cycles to ``cycles``; returns the trace length."""
         lib = self._lib
         lib.repro_qss_trace_clear()
-        cycles = np.zeros(n, dtype=np.int64)
-        script_ptr = (
-            script.ctypes.data_as(_INT_P) if script is not None else _INT_P()
-        )
-        status = lib.repro_qss_run(
-            task_id, n, script_ptr, cycles.ctypes.data_as(_LONGLONG_P)
-        )
+        status = lib.repro_qss_run(task_id, n, script, cycles)
         if status == -2:
             raise MemoryError("native trace buffer allocation failed")
         if status != 0:  # pragma: no cover - defensive
             raise RuntimeError(f"native driver returned status {status}")
-        length = lib.repro_qss_trace_len()
+        return lib.repro_qss_trace_len()
+
+    def _run_one(self, task_id: int, choices: Mapping[str, str]) -> Tuple[List[int], int]:
+        """One activation as a one-row script; returns ``(trace as a
+        flat int list, cycles)``."""
+        self._row[:] = self._script_row(choices)
+        length = self._run(task_id, 1, self._row, self._row_cycles)
+        if length > len(self._trace):
+            self._trace = (ctypes.c_int * (2 * length))()
+        self._lib.repro_qss_trace_copy(self._trace)
+        return self._trace[:length], self._row_cycles[0]
+
+    def _run_batch(self, task_id: int, script: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One activation per script row; returns ``(trace, cycles)``
+        as int32 and int64 arrays."""
+        width = len(self._blank_row)
+        if script.shape[1:] != (width,):
+            raise ValueError(f"script rows must have {width} columns, got {script.shape}")
+        cycles = np.zeros(len(script), dtype=np.int64)
+        length = self._run(
+            task_id,
+            len(script),
+            script.ctypes.data_as(_INT_P),
+            cycles.ctypes.data_as(_LONGLONG_P),
+        )
         trace = np.zeros(max(length, 1), dtype=np.int32)
         if length:
-            lib.repro_qss_trace_copy(trace.ctypes.data_as(_INT_P))
+            self._lib.repro_qss_trace_copy(trace.ctypes.data_as(_INT_P))
         return trace[:length], cycles
 
     def task_backend(self, task_name: str) -> "NativeTaskBackend":
@@ -713,7 +741,6 @@ class NativeTaskBackend:
         self.task_id = native._task_ids[task.name]
         self._slice = native._counter_slices[task.name]
         self._places = native._counter_places[self._slice]
-        self._place_ids = {place: i for i, place in enumerate(self._places)}
 
     # -- state -------------------------------------------------------------
     @property
@@ -723,11 +750,9 @@ class NativeTaskBackend:
 
     @counters.setter
     def counters(self, values: Mapping[str, int]) -> None:
+        """Set this task's counters (0 where ``values`` has none)."""
         current = self.native.read_counters()
-        mine = np.zeros(len(self._places), dtype=np.int32)
-        for place, value in values.items():
-            mine[self._place_ids[place]] = value
-        current[self._slice] = mine
+        current[self._slice] = [values.get(place, 0) for place in self._places]
         self.native.write_counters(current)
 
     def reset(self) -> None:
@@ -736,29 +761,12 @@ class NativeTaskBackend:
         self.native.write_counters(current)
 
     # -- execution ---------------------------------------------------------
-    def activate(self, resolve_choice: Callable[[str], str]):
-        """One resolver-driven activation (interpreter-compatible)."""
+    def activate(self, choices: Mapping[str, str]) -> ActivationResult:
+        """One activation, run as a one-row script (interpreter-compatible)."""
         native = self.native
-        native._hook_fn = resolve_choice
-        native._hook_error = None
-        native._hook_memo = {}
-        native._hook_records = {}
-        native._lib.repro_qss_set_choice_hook(native._trampoline)
-        try:
-            trace, cycles = native._run(self.task_id, 1, None)
-        finally:
-            native._lib.repro_qss_set_choice_hook(native._null_hook)
-            native._hook_fn = None
-        if native._hook_error is not None:
-            raise native._hook_error
-        records = dict(native._hook_records)
-        fired = [
-            native.layout.transition_names[entry[1]]
-            for entry in trace.reshape(-1, 3)
-            if entry[0] == _TRACE_FIRE
-        ]
-        return _activation_result(
-            self.task.name, int(cycles[0]), fired, records
+        trace, cycles = native._run_one(self.task_id, choices)
+        return _activation_from_trace(
+            self.task.name, cycles, trace, 3, len(trace), native.layout, choices
         )
 
     def encode_script(
@@ -767,16 +775,10 @@ class NativeTaskBackend:
         """Pack per-activation choice resolutions into the driver's
         scripted form (one int32 row per activation, one column per
         choice place of the whole program)."""
-        native = self.native
-        places = native.layout.choice_places
-        values = native._choice_values
-        script = np.full((len(choice_maps), max(len(places), 1)), _CHOICE_MISSING, dtype=np.int32)
-        for row, mapping in enumerate(choice_maps):
-            for place, chosen in mapping.items():
-                column = native._choice_ids.get(place)
-                if column is not None:
-                    script[row, column] = values.get(chosen, _CHOICE_UNKNOWN)
-        return script
+        rows = [self.native._script_row(mapping) for mapping in choice_maps]
+        return np.array(rows, dtype=np.int32).reshape(
+            len(rows), len(self.native._blank_row)
+        )
 
     def run_scripted(
         self,
@@ -788,8 +790,7 @@ class NativeTaskBackend:
         ``script`` is either a sequence of per-activation
         ``{place: transition}`` maps or a pre-encoded int32 array from
         :meth:`encode_script` (benchmarks pre-encode outside the timed
-        region).  Raises ``KeyError`` — like
-        :func:`~repro.codegen.interpreter.make_resolver` — if an
+        region).  Raises ``KeyError``, as the interpreter does, if an
         activation consults a choice place its map does not resolve,
         after the batch completes.
         """
@@ -798,18 +799,19 @@ class NativeTaskBackend:
         else:
             choice_names = script if choice_names is None else choice_names
             encoded = self.encode_script(script)
-        n = len(encoded)
-        trace, cycles = self.native._run(self.task_id, n, encoded)
+        trace, cycles = self.native._run_batch(self.task_id, encoded)
         rows = trace.reshape(-1, 3)
         missing = (rows[:, 0] == _TRACE_CHOICE) & (rows[:, 2] == _CHOICE_MISSING)
         if missing.any():
             place = self.native.layout.choice_places[int(rows[missing][0, 1])]
-            raise KeyError(f"no resolution provided for choice place {place!r}")
+            raise missing_choice(place)
         return NativeBatchResult(
             self.task.name, self.native.layout, trace, cycles, choice_names
         )
 
-    def activate_many(self, choice_maps: Sequence[Mapping[str, str]]) -> List:
+    def activate_many(
+        self, choice_maps: Sequence[Mapping[str, str]]
+    ) -> List[ActivationResult]:
         """Scripted batch, materialized to per-activation results."""
         return self.run_scripted(choice_maps).results
 

@@ -11,10 +11,9 @@ fleet runtimes:
 
 * places and transitions are mapped to dense integer ids (insertion
   order of the source net, so results are reproducible across engines);
-* presets/postsets are stored twice: as flat CSR-style numpy arrays
-  (``pre_indptr``/``pre_ids``/``pre_weights``) for vectorized analyses,
-  and as plain Python tuples of ``(place_id, weight)`` pairs for the
-  scalar token-game loops where numpy call overhead would dominate;
+* presets/postsets are plain Python tuples of ``(place_id, weight)``
+  pairs for the scalar token-game loops, where numpy call overhead
+  would dominate;
 * ``pre``/``post``/``incidence`` are dense numpy matrices (rows are
   transitions, columns are places — the convention of
   :mod:`repro.petrinet.incidence`);
@@ -103,10 +102,6 @@ class CompiledNet:
         the arc ``p -> t``, ``post[t, p]`` of ``t -> p`` and
         ``incidence = post - pre`` (same convention as
         :class:`~repro.petrinet.incidence.IncidenceMatrices`).
-    pre_indptr / pre_ids / pre_weights:
-        CSR encoding of the transition presets: the input places of
-        transition ``t`` are ``pre_ids[pre_indptr[t]:pre_indptr[t+1]]``
-        with matching ``pre_weights``.  ``post_*`` encodes the postsets.
     initial:
         The initial marking as a :data:`MarkingTuple`.
     costs:
@@ -121,12 +116,6 @@ class CompiledNet:
     pre: np.ndarray
     post: np.ndarray
     incidence: np.ndarray
-    pre_indptr: np.ndarray
-    pre_ids: np.ndarray
-    pre_weights: np.ndarray
-    post_indptr: np.ndarray
-    post_ids: np.ndarray
-    post_weights: np.ndarray
     initial: MarkingTuple
     costs: Tuple[int, ...]
     # scalar fast-path tables: per-transition tuples of (place_id, weight)
@@ -179,24 +168,6 @@ class CompiledNet:
             post_lists.append(outs)
             delta_lists.append(tuple((p, d) for p, d in delta.items() if d))
 
-        def csr(lists: Sequence[Tuple[Tuple[int, int], ...]]):
-            indptr = np.zeros(n_t + 1, dtype=np.int64)
-            ids: List[int] = []
-            weights: List[int] = []
-            for t_id, pairs in enumerate(lists):
-                for p_id, w in pairs:
-                    ids.append(p_id)
-                    weights.append(w)
-                indptr[t_id + 1] = len(ids)
-            return (
-                indptr,
-                np.array(ids, dtype=np.int64),
-                np.array(weights, dtype=np.int64),
-            )
-
-        pre_indptr, pre_ids, pre_weights = csr(pre_lists)
-        post_indptr, post_ids, post_weights = csr(post_lists)
-
         initial_marking = net.initial_marking
         initial = tuple(initial_marking[p] for p in places)
         return cls(
@@ -208,12 +179,6 @@ class CompiledNet:
             pre=pre,
             post=post,
             incidence=post - pre,
-            pre_indptr=pre_indptr,
-            pre_ids=pre_ids,
-            pre_weights=pre_weights,
-            post_indptr=post_indptr,
-            post_ids=post_ids,
-            post_weights=post_weights,
             initial=initial,
             costs=tuple(t.cost for t in transition_records),
             pre_lists=tuple(pre_lists),
@@ -283,12 +248,6 @@ class CompiledNet:
         return Marking._from_clean(
             {p: int(c) for p, c in zip(self.places, vector) if c}
         )
-
-    def tokens(self, marking: Sequence[int], place: Union[str, int]) -> int:
-        """O(1) token lookup in a compiled marking, by place name or id."""
-        if isinstance(place, str):
-            place = self.place_index[place]
-        return int(marking[place])
 
     # ------------------------------------------------------------------
     # Id/name translation
@@ -448,7 +407,7 @@ class CompiledNet:
         return (
             f"CompiledNet(name={self.name!r}, places={len(self.places)}, "
             f"transitions={len(self.transitions)}, "
-            f"arcs={int(self.pre_indptr[-1] + self.post_indptr[-1])})"
+            f"arcs={sum(map(len, self.pre_lists)) + sum(map(len, self.post_lists))})"
         )
 
 

@@ -407,15 +407,6 @@ class CompiledReduction:
         """The legacy name-level dedup signature (for cross-checking)."""
         return (self.transition_set, self.place_set)
 
-    def mask_signature(self) -> bytes:
-        """Compact dedup identity: the raw masks over the parent ids.
-
-        Two reductions of the same context have equal mask signatures
-        iff their legacy :meth:`signature` tuples are equal — the masks
-        *are* the node sets, just without the frozenset construction.
-        """
-        return self.transition_mask + b"|" + self.place_mask
-
     def source_place_ids(self) -> List[int]:
         """Ids of surviving places left without any surviving producer."""
         producers = self.context.place_producers
@@ -492,17 +483,6 @@ class CompiledReduction:
             lists = tuple(out)
             self._cache["masked_delta_lists"] = lists
         return lists  # type: ignore[return-value]
-
-    def is_enabled(self, transition: int, marking: Sequence[int]) -> bool:
-        """Enabledness of a surviving transition under masked semantics."""
-        for p_id, weight in self.masked_pre_lists[transition]:
-            if marking[p_id] < weight:
-                return False
-        return True
-
-    def enabled_transitions(self, marking: Sequence[int]) -> List[int]:
-        """Ids of the surviving transitions enabled in ``marking``."""
-        return [t for t in self.transition_ids if self.is_enabled(t, marking)]
 
     # ------------------------------------------------------------------
     # Invariants and cycles
@@ -633,7 +613,6 @@ class CompiledReduction:
 
 def iter_compiled_reductions(
     net: PetriNet,
-    context: Optional[QSSContext] = None,
     deduplicate: bool = True,
     require_free_choice: bool = True,
     max_reductions: Optional[int] = None,
@@ -646,7 +625,7 @@ def iter_compiled_reductions(
     early.  Enumeration order and first-wins dedup match the legacy
     :func:`repro.qss.reduction.enumerate_reductions` exactly.
     """
-    ctx = context if context is not None else QSSContext(net)
+    ctx = QSSContext(net)
     if require_free_choice and not is_free_choice(ctx.net):
         raise NotFreeChoiceError(
             f"net {ctx.compiled.name!r} is not free-choice; quasi-static "

@@ -162,8 +162,6 @@ class RTOS:
 
     def run(self, events: Sequence[Event]) -> ExecutionStats:
         """Dispatch ``events`` (already time-ordered or not) and return stats."""
-        from ..codegen.interpreter import make_resolver
-
         stats = ExecutionStats()
         activation_cycles = self.cost.activation_cycles
         task_for_source = self.executor.task_for_source
@@ -171,7 +169,6 @@ class RTOS:
             stats.events_processed += 1
             task_executor = task_for_source(event.source)
             stats.record_activation(task_executor.task.name, activation_cycles)
-            resolver = make_resolver(dict(event.choices))
-            result = task_executor.activate(resolver)
+            result = task_executor.activate(event.choices)
             stats.record_body(result.cycles, result.fired)
         return stats

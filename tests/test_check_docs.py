@@ -1,8 +1,9 @@
-"""The docs checker's CLI-reference pass: flag-table choices.
+"""The docs checker's CLI-reference and doc-import passes.
 
 ``docs/check_docs.py`` runs in the CI docs job; these tests pin that a
 flag-table row spelling out ``--flag {a,b,…}`` must match the parser's
-``choices`` for that flag exactly, so a stale engine list fails.
+``choices`` for that flag exactly, so a stale engine list fails, and
+that a python block importing a name ``repro`` no longer exports fails.
 """
 
 from __future__ import annotations
@@ -60,3 +61,21 @@ def test_stale_engine_choices_fail(check_docs, stale):
     assert len(errors) == 1
     assert "'analyse' flag table lists --engine" in errors[0]
     assert "its parser takes {compiled,legacy}" in errors[0]
+
+
+def test_stale_doc_import_fails(check_docs):
+    page = check_docs.DOCS / "quickstart.md"
+    shutil.copy(REPO / "docs" / "quickstart.md", page)
+    errors: list = []
+    assert check_docs.check_python_imports(errors) > 0
+    assert errors == []
+    text = page.read_text(encoding="utf-8")
+    line = "from repro.codegen import ProgramExecutor\n"
+    assert line in text
+    page.write_text(
+        text.replace(line, "from repro.codegen import ProgramExecutor, make_resolver\n"),
+        encoding="utf-8",
+    )
+    check_docs.check_python_imports(errors)
+    assert len(errors) == 1
+    assert "stale import -> from repro.codegen import make_resolver" in errors[0]

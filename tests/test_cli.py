@@ -7,12 +7,15 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.codegen import native_source, synthesize
 from repro.gallery import (
     figure1b_not_free_choice,
     figure3a_schedulable,
+    figure4_weighted,
     figure7_unschedulable,
 )
 from repro.petrinet import save_net
+from repro.qss import analyse
 from repro.petrinet.corpus import (
     CORPUS_SCHEMA,
     RECORD_FIELDS,
@@ -63,13 +66,17 @@ class TestInfoAndAnalyse:
         with pytest.raises(SystemExit):
             main(["info", "/nonexistent/net.json"])
 
-    @pytest.mark.parametrize("command", ["analyse", "synthesize", "emit"])
+    @pytest.mark.parametrize(
+        "command",
+        [["analyse"], ["synthesize"], ["synthesize", "--driver"]],
+        ids=["analyse", "synthesize", "synthesize-driver"],
+    )
     def test_not_free_choice_net_is_a_clean_error(self, command, tmp_path, capsys):
         """A net the analysis rejects exits 1 with ``error: …``, as
         ``gallery figure1b --analyse`` does, instead of a traceback."""
         path = tmp_path / "fig1b.json"
         save_net(figure1b_not_free_choice(), path)
-        assert main([command, str(path)]) == 1
+        assert main([*command, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "not a Free-Choice Petri Net" in captured.err
@@ -91,6 +98,21 @@ class TestSynthesizeAndDot:
     def test_synthesize_standalone_loop(self, fig3a_file, capsys):
         assert main(["synthesize", fig3a_file, "--standalone-loop"]) == 0
         assert "while (1) {" in capsys.readouterr().out
+
+    def test_synthesize_driver_writes_the_native_unit(self, tmp_path, capsys):
+        path = tmp_path / "fig4.json"
+        save_net(figure4_weighted(), path)
+        out_file = tmp_path / "unit.c"
+        assert main(["synthesize", str(path), "--driver", "-o", str(out_file)]) == 0
+        program = synthesize(analyse(figure4_weighted()).schedule)
+        assert out_file.read_text(encoding="utf-8") == native_source(program)
+        assert "native driver" in capsys.readouterr().err
+
+    def test_synthesize_driver_refuses_standalone_loop(self, fig3a_file, capsys):
+        assert main(["synthesize", fig3a_file, "--driver", "--standalone-loop"]) == 2
+        captured = capsys.readouterr()
+        assert "drop --standalone-loop" in captured.err
+        assert captured.out == ""
 
     def test_dot_output(self, fig3a_file, tmp_path):
         out_file = tmp_path / "net.dot"

@@ -14,7 +14,6 @@ from repro.codegen import (
     emit_c,
     generate_program,
     lines_of_code,
-    make_resolver,
     synthesize,
 )
 from repro.codegen.ir import ChoiceIf, FireTransition, Guarded
@@ -155,61 +154,61 @@ class TestCEmission:
 class TestInterpreter:
     def test_figure4_execution_matches_semantics(self, fig4_program):
         executor = ProgramExecutor(fig4_program)
-        r1 = executor.activate_source("t1", make_resolver({"p1": "t2"}))
+        r1 = executor.activate_source("t1", {"p1": "t2"})
         assert r1.fired == ["t1", "t2"]
-        r2 = executor.activate_source("t1", make_resolver({"p1": "t2"}))
+        r2 = executor.activate_source("t1", {"p1": "t2"})
         assert r2.fired == ["t1", "t2", "t4"]
-        r3 = executor.activate_source("t1", make_resolver({"p1": "t3"}))
+        r3 = executor.activate_source("t1", {"p1": "t3"})
         assert r3.fired == ["t1", "t3", "t5", "t5"]
 
     def test_counters_persist_across_activations(self, fig4_program):
         """The paper's Figure 4 discussion: one token may remain in p2 and is
         consumed two activations later."""
         executor = ProgramExecutor(fig4_program)
-        executor.activate_source("t1", make_resolver({"p1": "t2"}))
+        executor.activate_source("t1", {"p1": "t2"})
         task = executor.tasks["task_t1"]
         assert task.counters["p2"] == 1
-        executor.activate_source("t1", make_resolver({"p1": "t3"}))
+        executor.activate_source("t1", {"p1": "t3"})
         assert task.counters["p2"] == 1
-        result = executor.activate_source("t1", make_resolver({"p1": "t2"}))
+        result = executor.activate_source("t1", {"p1": "t2"})
         assert "t4" in result.fired
         assert task.counters["p2"] == 0
 
     def test_cycles_respect_cost_model(self, fig4_program):
         cheap = ProgramExecutor(fig4_program, CostModel(transition_cycles=1))
         costly = ProgramExecutor(fig4_program, CostModel(transition_cycles=100))
-        resolver = make_resolver({"p1": "t2"})
+        choices = {"p1": "t2"}
         assert (
-            costly.activate_source("t1", resolver).cycles
-            > cheap.activate_source("t1", resolver).cycles
+            costly.activate_source("t1", choices).cycles
+            > cheap.activate_source("t1", choices).cycles
         )
 
     def test_choices_taken_recorded(self, fig4_program):
         executor = ProgramExecutor(fig4_program)
-        result = executor.activate_source("t1", make_resolver({"p1": "t3"}))
+        result = executor.activate_source("t1", {"p1": "t3"})
         assert result.choices_taken == {"p1": "t3"}
 
     def test_missing_resolution_raises(self, fig4_program):
         executor = ProgramExecutor(fig4_program)
-        with pytest.raises(KeyError):
-            executor.activate_source("t1", make_resolver({}))
+        with pytest.raises(KeyError, match="choice place 'p1'"):
+            executor.activate_source("t1", {})
 
     def test_unknown_source_raises(self, fig4_program):
         executor = ProgramExecutor(fig4_program)
         with pytest.raises(KeyError):
-            executor.activate_source("t99", make_resolver({}))
+            executor.activate_source("t99", {})
 
     def test_reset_restores_counters(self, fig4_program):
         executor = ProgramExecutor(fig4_program)
-        executor.activate_source("t1", make_resolver({"p1": "t2"}))
+        executor.activate_source("t1", {"p1": "t2"})
         executor.reset()
         assert executor.tasks["task_t1"].counters["p2"] == 0
 
     def test_two_task_execution_shared_code(self, fig5_program):
         executor = ProgramExecutor(fig5_program)
-        tick = executor.activate_source("t8", make_resolver({}))
+        tick = executor.activate_source("t8", {})
         assert tick.fired == ["t8", "t9", "t6"]
-        cell = executor.activate_source("t1", make_resolver({"p1": "t3"}))
+        cell = executor.activate_source("t1", {"p1": "t3"})
         assert cell.fired == ["t1", "t3", "t5", "t7", "t7"]
 
     def test_interpreter_agrees_with_valid_schedule(self, fig5):
@@ -223,7 +222,7 @@ class TestInterpreter:
             resolution = dict(cycle.allocation.choices)
             fired = []
             for source in fig5.source_transitions():
-                result = executor.activate_source(source, make_resolver(resolution))
+                result = executor.activate_source(source, resolution)
                 fired.extend(result.fired)
             counts = {t: fired.count(t) for t in set(fired)}
             assert counts == cycle.counts

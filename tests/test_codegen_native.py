@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 
 import repro.codegen.native as native_mod
@@ -27,7 +28,6 @@ from repro.codegen import (
     TaskExecutor,
     emit_c,
     EmitOptions,
-    make_resolver,
     native_available,
     native_source,
     synthesize,
@@ -80,8 +80,8 @@ def assert_native_matches_interpreter(task, maps, cost_model=None):
     assert native.active_engine == "native"
     assert native.native_backend is not None
     for step, mapping in enumerate(maps):
-        expected = interp.activate(make_resolver(mapping))
-        actual = native.activate(make_resolver(mapping))
+        expected = interp.activate(mapping)
+        actual = native.activate(mapping)
         assert actual.task == expected.task
         assert actual.fired == expected.fired, f"step {step}: firing sequences differ"
         assert actual.choices_taken == expected.choices_taken, (
@@ -189,21 +189,29 @@ class TestNativeSemantics:
     def test_missing_resolution_raises_keyerror(self, fig4):
         program = synthesize(compute_valid_schedule(fig4))
         executor = ProgramExecutor(program, engine="native")
-        with pytest.raises(KeyError):
-            executor.activate_source("t1", make_resolver({}))
+        with pytest.raises(KeyError, match="choice place 'p1'"):
+            executor.activate_source("t1", {})
 
     def test_missing_resolution_in_batch_raises_keyerror(self, fig4):
         program = synthesize(compute_valid_schedule(fig4))
         (task,) = program.tasks
         executor = TaskExecutor(task, engine="native")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="choice place 'p1'"):
             executor.activate_many([{"p1": "t2"}, {}])
+
+    def test_script_of_the_wrong_width_is_refused(self, fig4):
+        program = synthesize(compute_valid_schedule(fig4))
+        (task,) = program.tasks
+        backend = TaskExecutor(task, engine="native").native_backend
+        assert backend.encode_script([{"p1": "t2"}]).shape == (1, 1)
+        with pytest.raises(ValueError, match="1 columns"):
+            backend.run_scripted(np.full((2, 3), -4, dtype=np.int32))
 
     def test_counters_survive_and_can_be_set(self, fig4):
         program = synthesize(compute_valid_schedule(fig4))
         (task,) = program.tasks
         executor = TaskExecutor(task, engine="native")
-        executor.activate(make_resolver({"p1": "t2"}))
+        executor.activate({"p1": "t2"})
         assert executor.counters["p2"] == 1
         executor.counters = {"p2": 5, "p3": 0}
         assert executor.counters == {"p2": 5, "p3": 0}
@@ -223,7 +231,7 @@ class TestNativeSemantics:
         (task,) = program.tasks
         first = TaskExecutor(task, engine="native")
         second = TaskExecutor(task, engine="native")
-        first.activate(make_resolver({"p1": "t2"}))
+        first.activate({"p1": "t2"})
         assert first.counters["p2"] == 1
         assert second.counters["p2"] == 0
 
@@ -240,6 +248,28 @@ class TestNativeSemantics:
             for transition in result.fired:
                 fired[transition] = fired.get(transition, 0) + 1
         assert batch.fired_counts() == fired
+
+
+@pytest.mark.parametrize(
+    "engine", ["legacy", "compiled", pytest.param("native", marks=needs_cc)]
+)
+def test_counters_setter_agrees_across_engines(fig4, engine):
+    """Assigning ``counters`` keeps every declared counter (0 where the
+    mapping has none) and refuses a place the task does not declare."""
+    program = synthesize(compute_valid_schedule(fig4))
+    (task,) = program.tasks
+    executor = TaskExecutor(task, engine=engine)
+    assert executor.active_engine == engine
+    executor.counters = {}
+    assert executor.counters == {"p2": 0, "p3": 0}
+    executor.counters = {"p3": 4}
+    assert executor.counters == {"p2": 0, "p3": 4}
+    with pytest.raises(KeyError) as raised:
+        executor.counters = {"no_such_place": 3}
+    assert raised.value.args == (
+        f"task {task.name!r} has no counter for place 'no_such_place'",
+    )
+    assert executor.counters == {"p2": 0, "p3": 4}
 
 
 class TestArtifactCache:
@@ -308,7 +338,7 @@ class TestArtifactCache:
         assert len(compile_counter) == 2
         # the rebuilt artifact actually executes
         backend = program.task_backend(program.program.tasks[0].name)
-        result = backend.activate(make_resolver({"p1": "t2"}))
+        result = backend.activate({"p1": "t2"})
         assert result.fired == ["t1", "t2"]
 
     @needs_cc
@@ -342,8 +372,8 @@ class TestInterpreterFallback:
         assert executor.native_backend is None
         reference = TaskExecutor(task)
         for mapping in ({"p1": "t2"}, {"p1": "t2"}, {"p1": "t3"}):
-            expected = reference.activate(make_resolver(mapping))
-            actual = executor.activate(make_resolver(mapping))
+            expected = reference.activate(mapping)
+            actual = executor.activate(mapping)
             assert actual.fired == expected.fired
             assert actual.cycles == expected.cycles
 
@@ -353,7 +383,7 @@ class TestInterpreterFallback:
             executor = ProgramExecutor(program, engine="native")
         assert executor.active_engine == "compiled"
         assert executor.native_program is None
-        result = executor.activate_source("t8", make_resolver({}))
+        result = executor.activate_source("t8", {})
         assert result.fired == ["t8", "t9", "t6"]
 
     def test_rtos_falls_back_and_matches_compiled(

@@ -75,21 +75,13 @@ class TestCompileBasics:
         assert np.array_equal(compiled.post, matrices.post)
         assert np.array_equal(compiled.incidence, matrices.incidence)
 
-    def test_csr_arrays_encode_presets(self, fig4):
+    def test_pre_post_lists_encode_presets(self, fig4):
         compiled = fig4.compile()
         for name, t_id in compiled.transition_index.items():
-            lo, hi = compiled.pre_indptr[t_id], compiled.pre_indptr[t_id + 1]
-            csr_preset = {
-                compiled.places[p]: int(w)
-                for p, w in zip(compiled.pre_ids[lo:hi], compiled.pre_weights[lo:hi])
-            }
-            assert csr_preset == fig4.preset(name)
-            lo, hi = compiled.post_indptr[t_id], compiled.post_indptr[t_id + 1]
-            csr_postset = {
-                compiled.places[p]: int(w)
-                for p, w in zip(compiled.post_ids[lo:hi], compiled.post_weights[lo:hi])
-            }
-            assert csr_postset == fig4.postset(name)
+            preset = {compiled.places[p]: w for p, w in compiled.pre_lists[t_id]}
+            assert preset == fig4.preset(name)
+            postset = {compiled.places[p]: w for p, w in compiled.post_lists[t_id]}
+            assert postset == fig4.postset(name)
 
     def test_initial_marking_round_trip(self, atm_net):
         compiled = atm_net.compile()
@@ -100,8 +92,8 @@ class TestCompileBasics:
         compiled = fig4.compile()
         marking = Marking({"p1": 2, "p3": 1})
         vector = compiled.marking_to_tuple(marking)
-        assert compiled.tokens(vector, "p1") == 2
-        assert compiled.tokens(vector, compiled.place_id("p3")) == 1
+        assert vector[compiled.place_index["p1"]] == 2
+        assert vector[compiled.place_id("p3")] == 1
         assert compiled.marking_from_tuple(vector) == marking
 
     def test_compile_net_is_noop_on_compiled(self, fig4):

@@ -169,7 +169,7 @@ class TestFailFast:
 
 
 class TestCompiledReductionSurface:
-    def test_masked_enabledness_and_source_places(self):
+    def test_source_places_of_unschedulable_reductions(self):
         net = unschedulable_merge_net()
         reductions = list(iter_compiled_reductions(net))
         assert len(reductions) == 2
@@ -177,14 +177,12 @@ class TestCompiledReductionSurface:
             # Figure 3b: each reduction keeps the other branch's place as a
             # producer-less source place
             assert len(reduction.source_places()) == 1
-            enabled = reduction.enabled_transitions(reduction.initial)
-            assert all(reduction.transition_mask[t] for t in enabled)
             verdict = check_compiled_reduction(reduction)
             assert not verdict.schedulable
 
-    def test_mask_signature_distinguishes_reductions(self):
+    def test_signatures_distinguish_reductions(self):
         net = independent_choices_net(2, 2)
-        signatures = {r.mask_signature() for r in iter_compiled_reductions(net)}
+        signatures = {r.signature() for r in iter_compiled_reductions(net)}
         assert len(signatures) == 4
 
     def test_max_reductions_cap_raises(self):

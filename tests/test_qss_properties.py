@@ -17,7 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import ProgramExecutor, make_resolver, synthesize
+from repro.codegen import ProgramExecutor, synthesize
 from repro.petrinet import is_finite_complete_cycle
 from repro.petrinet.generators import (
     choice_fan_net,
@@ -89,7 +89,7 @@ def test_synthesized_code_replays_each_cycle(n_choices, seed):
         resolution = dict(cycle.allocation.choices)
         fired = []
         for source in net.source_transitions():
-            result = executor.activate_source(source, make_resolver(resolution))
+            result = executor.activate_source(source, resolution)
             fired.extend(result.fired)
         counts = {t: fired.count(t) for t in set(fired)}
         assert counts == cycle.counts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codegen import make_resolver, synthesize
+from repro.codegen import synthesize
 from repro.gallery import figure3a_schedulable, figure5_two_inputs
 from repro.qss import compute_valid_schedule
 from repro.runtime import (
