@@ -1,7 +1,7 @@
 """Testbench workloads for the heating-control plant.
 
 The sensor loop samples on a fixed period; setpoint requests follow the
-*diurnal* arrival process of :func:`repro.runtime.events.diurnal_events`
+``"diurnal"`` arrival process of :func:`repro.runtime.events.arrival_times`
 — people adjust thermostats when they wake up and when they come home,
 so the request rate swings sinusoidally over the day
 (``arrival="exponential"`` restores memoryless requests for comparison

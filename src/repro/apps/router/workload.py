@@ -1,8 +1,8 @@
 """Testbench workloads for the packet-router line card.
 
 Router traffic is the canonical *bursty* arrival process: frames arrive
-in trains separated by idle gaps, which is exactly what
-:func:`repro.runtime.events.bursty_events` models — so the default
+in trains separated by idle gaps, which is exactly what the ``"bursty"``
+process of :func:`repro.runtime.events.arrival_times` models — so the default
 packet stream here is bursty (``arrival="exponential"`` restores
 memoryless arrivals for comparison runs).  The transmit-slot SchedTick
 is periodic, like the ATM cell-slot clock.

@@ -59,7 +59,7 @@ from .ir import Block, ChoiceIf, Guarded, Program, TaskProgram
 #: Bump when the generated driver's exported interface changes; baked
 #: into both the artifact hash and the library itself
 #: (``repro_qss_abi``), so a stale cache entry can never be misloaded.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _BASE_CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -265,12 +265,11 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
     out("static int *qss_trace = 0;")
     out("static long qss_trace_cap = 0;")
     out("static long qss_trace_used = 0;")
-    out("static int qss_trace_on = 1;")
     out("static int qss_trace_oom = 0;")
     out("")
     out("static void qss_trace_put(int kind, int a, int b)")
     out("{")
-    out("    if (!qss_trace_on || qss_trace_oom) return;")
+    out("    if (qss_trace_oom) return;")
     out("    if (qss_trace_used + 3 > qss_trace_cap) {")
     out("        long cap = qss_trace_cap ? qss_trace_cap * 2 : 4096;")
     out("        int *grown = (int *) realloc(qss_trace, (size_t) cap * sizeof(int));")
@@ -342,10 +341,8 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
     out("    qss_tr_unit = transition_unit;")
     out("}")
     out("")
-    out("void repro_qss_set_trace(int on) { qss_trace_on = on; }")
     out("long repro_qss_trace_len(void) { return qss_trace_used; }")
     out("void repro_qss_trace_clear(void) { qss_trace_used = 0; qss_trace_oom = 0; }")
-    out("long long repro_qss_cycles(void) { return qss_cycles; }")
     out("")
     out("void repro_qss_trace_copy(int *out)")
     out("{")
@@ -460,10 +457,8 @@ def _bind(lib: ctypes.CDLL, layout: _Layout) -> ctypes.CDLL:
         ctypes.c_longlong,
         ctypes.c_longlong,
     ]
-    lib.repro_qss_set_trace.argtypes = [ctypes.c_int]
     lib.repro_qss_trace_len.restype = ctypes.c_long
     lib.repro_qss_trace_copy.argtypes = [_INT_P]
-    lib.repro_qss_cycles.restype = ctypes.c_longlong
     lib.repro_qss_run.argtypes = [ctypes.c_int, ctypes.c_long, _INT_P, _LONGLONG_P]
     lib.repro_qss_run.restype = ctypes.c_int
     if lib.repro_qss_abi() != ABI_VERSION:

@@ -19,8 +19,6 @@ library) needs from Petri net theory:
   loop, in RAM or, under ``memory_budget=``/``spill_dir=``, on disk.
 * :mod:`~repro.petrinet.outofcore` — that loop's spill-to-disk storage
   (marking/edge logs, the spilling visited store, budget parsing).
-* :mod:`~repro.petrinet.symmetry` — validated symmetry groups and
-  orbit canonicalization for quotient state spaces.
 * :mod:`~repro.petrinet.generators` — parameterized net families.
 """
 
@@ -134,14 +132,6 @@ from .simulation import (
     search_firing_order,
     simulate_many,
 )
-from .symmetry import (
-    SymmetryGroup,
-    canonicalize,
-    detect_symmetries,
-    group_from_names,
-    orbit_place_bounds,
-    validate_group,
-)
 from .structure import (
     choice_sets,
     classify,
@@ -186,13 +176,6 @@ __all__ = [
     "SpillStats",
     "VisitedStore",
     "parse_memory_budget",
-    # symmetry reduction
-    "SymmetryGroup",
-    "canonicalize",
-    "detect_symmetries",
-    "group_from_names",
-    "orbit_place_bounds",
-    "validate_group",
     # scenario corpus
     "CORPUS_ANALYSES",
     "CORPUS_FAMILIES",

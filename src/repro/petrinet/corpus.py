@@ -544,7 +544,7 @@ def analyse_spec(
 
     validate_engine(engine)
     validate_corpus_analyse(analyse)
-    _validate_outofcore_args(engine, memory_budget, spill_dir, None)
+    _validate_outofcore_args(engine, memory_budget, spill_dir)
     started = time.perf_counter()
     record = CorpusRecord(family=spec.family, seed=spec.seed, params=spec.param_dict)
     try:
@@ -710,7 +710,7 @@ def run_corpus(
     """
     validate_engine(engine)
     validate_corpus_analyse(analyse)
-    _validate_outofcore_args(engine, memory_budget, spill_dir, None)
+    _validate_outofcore_args(engine, memory_budget, spill_dir)
     started = time.perf_counter()
     if workers <= 1 or len(specs) <= 1:
         records = [

@@ -41,9 +41,7 @@ concatenated once at the end, and the visited table never spills;
 under a budget or a spill directory, the storage of
 :mod:`repro.petrinet.outofcore` streams them to files in a directory
 of the run's own, spills the visited table past its budget share and
-reads each level back in budget-sized chunks.  ``symmetry``
-canonicalizes every successor in either storage, so a symmetry-reduced
-run without a budget stays in RAM.
+reads each level back in budget-sized chunks.
 
 The exploration picks between the two explorers from what it observes
 — a hash disagreement, or a long run of narrow levels in RAM — never
@@ -79,7 +77,6 @@ from .outofcore import (
     _chunk_rows_for,
     parse_memory_budget,
 )
-from .symmetry import SymmetryGroup, SymmetrySpec, canonicalize, resolve_symmetry
 
 #: Seed of the fixed hash mix; one constant so every process (pool
 #: workers included) explores identically.
@@ -294,7 +291,6 @@ def explore_frontier(
     collect_edges: bool = True,
     memory_budget: Union[None, int, str] = None,
     spill_dir: Union[None, str, Path] = None,
-    symmetry: SymmetrySpec = None,
 ) -> FrontierExploration:
     """Breadth-first exploration with whole-level batching.
 
@@ -314,23 +310,19 @@ def explore_frontier(
     kept after the run and named in the returned ``spill`` stats, or a
     temporary one removed with the run — the visited tables spill past
     the budget, and oversized frontiers are processed in budget-sized
-    chunks; same BFS order bit for bit.  ``symmetry`` (``"auto"`` or
-    validated :class:`~repro.petrinet.symmetry.SymmetryGroup` s)
-    canonicalizes markings in either storage, returning the quotient
-    graph instead.
+    chunks; same BFS order bit for bit.
     """
-    groups = resolve_symmetry(compiled, symmetry)
     budget = parse_memory_budget(memory_budget)
     try:
         return _explore_hashed(
             compiled, start, max_markings, target, stop_on_target,
-            collect_edges, groups, budget, spill_dir,
+            collect_edges, budget, spill_dir,
         )
     except (_HashDisagreement, _NarrowFrontier):
         # correctness outranks the budget: the exact explorer runs in RAM
         return _explore_exact(
             compiled, start, max_markings, target, stop_on_target,
-            collect_edges, groups,
+            collect_edges,
         )
 
 
@@ -355,7 +347,6 @@ def _explore_hashed(
     target: Optional[Sequence[int]],
     stop_on_target: bool,
     collect_edges: bool,
-    groups: Sequence[SymmetryGroup],
     budget: Optional[int],
     spill_dir: Union[None, str, Path],
 ) -> FrontierExploration:
@@ -367,8 +358,8 @@ def _explore_hashed(
     mix2, inc_h2 = tables.mix2, tables.inc_h2
     enabled_fn = tables.enabled
 
-    start_vector = canonicalize(_start_vector(compiled, start), groups)
-    target_vector = None if target is None else canonicalize(target, groups)
+    start_vector = _start_vector(compiled, start)
+    target_vector = None if target is None else np.array(target, dtype=np.int64)
     target_index: Optional[int] = None
     if target_vector is not None and np.array_equal(start_vector, target_vector):
         target_index = 0
@@ -437,17 +428,9 @@ def _explore_hashed(
                 src_local, trans = np.nonzero(enabled_fn(chunk))
                 if src_local.size == 0:
                     continue
-                if groups:
-                    # canonical successors must exist as rows to be hashed
-                    successors = canonicalize(
-                        chunk[src_local] + incidence[trans], groups
-                    )
-                    h1 = successors @ mix1
-                    h2 = successors @ mix2
-                else:
-                    # linearity: no successor matrix yet
-                    h1 = (chunk @ mix1)[src_local] + inc_h1[trans]
-                    h2 = (chunk @ mix2)[src_local] + inc_h2[trans]
+                # linearity: no successor matrix yet
+                h1 = (chunk @ mix1)[src_local] + inc_h1[trans]
+                h2 = (chunk @ mix2)[src_local] + inc_h2[trans]
                 unique_h, first, inverse = np.unique(
                     h1, return_index=True, return_inverse=True
                 )
@@ -472,12 +455,7 @@ def _explore_hashed(
                 new_ids[kept] = count + np.arange(allowed, dtype=np.int64)
                 unique_index[new_pos] = new_ids
                 kept_first = new_first[kept]
-                if groups:
-                    new_rows = successors[kept_first]
-                else:
-                    new_rows = (
-                        chunk[src_local[kept_first]] + incidence[trans[kept_first]]
-                    )
+                new_rows = chunk[src_local[kept_first]] + incidence[trans[kept_first]]
                 markings.append(new_rows)
                 if target_vector is not None and target_index is None and allowed:
                     hits = np.flatnonzero((new_rows == target_vector).all(axis=1))
@@ -518,7 +496,6 @@ def _explore_hashed(
                 log_bytes=sum(log.nbytes for log in logs),
                 chunk_count=chunks,
                 level_count=levels,
-                canonical=bool(groups),
             )
         # edges first: the marking buffer's trimmed copy comes last, once
         # the edge chunks are gone, which keeps the peak lowest
@@ -542,7 +519,6 @@ def _explore_exact(
     target: Optional[Sequence[int]],
     stop_on_target: bool,
     collect_edges: bool,
-    groups: Sequence[SymmetryGroup] = (),
 ) -> FrontierExploration:
     """Collision-free scalar fallback on the compiled successor function.
 
@@ -552,18 +528,11 @@ def _explore_exact(
     the end.  It serves two roles: the exact court of appeal when the
     hashed loop, in RAM or spilling, detects a 64-bit collision, and
     the right engine outright for deep-narrow state spaces, where its
-    per-marking cost beats any per-level batching.  With symmetry
-    ``groups`` every marking is canonicalized, so it explores the same
-    quotient as :func:`_explore_hashed`; without them the expander runs
-    unwrapped.
+    per-marking cost beats any per-level batching.
     """
-    start_tuple = tuple(
-        canonicalize(_start_vector(compiled, start), groups).tolist()
-    )
+    start_tuple = tuple(_start_vector(compiled, start).tolist())
     target_tuple = (
-        None
-        if target is None
-        else tuple(canonicalize(target, groups).tolist())
+        None if target is None else tuple(np.array(target, dtype=np.int64).tolist())
     )
     target_index: Optional[int] = None
     if target_tuple is not None and start_tuple == target_tuple:
@@ -576,15 +545,6 @@ def _explore_exact(
     edge_dst: List[int] = []
     complete = True
     expand = compiled.expander
-    if groups:
-        plain = expand
-
-        def expand(marking: MarkingTuple) -> List[Tuple[int, MarkingTuple]]:
-            return [
-                (transition, tuple(canonicalize(successor, groups).tolist()))
-                for transition, successor in plain(marking)
-            ]
-
     count = 1
     index_get = index.get
     # BFS indices are discovery order, so the queue is the index range

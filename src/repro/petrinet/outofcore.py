@@ -123,8 +123,6 @@ class SpillStats:
     chunk_count: int
     #: BFS levels processed
     level_count: int
-    #: True when a symmetry reduction canonicalized the exploration
-    canonical: bool
 
 
 class _ArrayLog:

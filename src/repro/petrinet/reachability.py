@@ -17,11 +17,10 @@ tree with omega-acceleration is used.
 
 Two engines answer every query: ``"compiled"`` (default) runs the
 frontier-batched exploration of :mod:`repro.petrinet.frontier` (one
-level loop, in RAM or out of core, optionally symmetry-reduced),
-``"legacy"`` the original
-dict-based token game, kept as the oracle the differential suites
-compare against.  Both visit markings in the same BFS order, so their
-graphs are identical.
+level loop, in RAM or out of core), ``"legacy"`` the original dict-based
+token game, kept as the oracle the differential suites compare against.
+Both visit markings in the same BFS order, so their graphs are
+identical.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .frontier import FrontierExploration, explore_frontier
 from .marking import Marking
 from .net import PetriNet
 from .outofcore import parse_memory_budget
-from .symmetry import orbit_place_bounds, resolve_symmetry
 
 
 class ReachabilityGraph:
@@ -247,17 +245,12 @@ def _validate_outofcore_args(
     engine: str,
     memory_budget: Optional[object],
     spill_dir: Optional[object],
-    symmetry: Optional[object],
 ) -> None:
     """Refuse the out-of-core knobs under the legacy engine, and a
     malformed memory budget under any engine."""
-    if engine == ENGINE_LEGACY and (
-        memory_budget is not None
-        or spill_dir is not None
-        or symmetry is not None
-    ):
+    if engine == ENGINE_LEGACY and (memory_budget is not None or spill_dir is not None):
         raise ValueError(
-            "memory_budget/spill_dir/symmetry are not supported by "
+            "memory_budget/spill_dir are not supported by "
             f"engine='{ENGINE_LEGACY}'; use engine='{ENGINE_COMPILED}'"
         )
     parse_memory_budget(memory_budget)
@@ -270,7 +263,6 @@ def build_reachability_graph(
     engine: str = ENGINE_COMPILED,
     memory_budget: Optional[object] = None,
     spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
 ) -> ReachabilityGraph:
     """Breadth-first exploration of the reachable markings.
 
@@ -289,13 +281,10 @@ def build_reachability_graph(
     The compiled engine additionally accepts ``memory_budget`` (bytes
     or ``"256MB"``-style strings) and ``spill_dir``, which keep the
     exploration's storage on disk (:mod:`repro.petrinet.outofcore`) —
-    the graph is still bit-identical, only its storage is memory-mapped
-    — and ``symmetry`` (``"auto"`` or
-    :class:`~repro.petrinet.symmetry.SymmetryGroup` s), which returns
-    the canonical *quotient* graph of the symmetry instead.
+    the graph is still bit-identical, only its storage is memory-mapped.
     """
     validate_engine(engine)
-    _validate_outofcore_args(engine, memory_budget, spill_dir, symmetry)
+    _validate_outofcore_args(engine, memory_budget, spill_dir)
     if engine == ENGINE_COMPILED:
         compiled = net if isinstance(net, CompiledNet) else net.compile()
         exploration = explore_frontier(
@@ -304,7 +293,6 @@ def build_reachability_graph(
             max_markings=max_markings,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
-            symmetry=symmetry,
         )
         return ReachabilityGraph.from_exploration(compiled, exploration)
     if isinstance(net, CompiledNet):
@@ -416,7 +404,6 @@ def coverability_analysis(
     engine: str = ENGINE_COMPILED,
     memory_budget: Optional[object] = None,
     spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
 ) -> CoverabilityResult:
     """Karp–Miller coverability tree with omega acceleration.
 
@@ -445,15 +432,12 @@ def coverability_analysis(
     engines and cross-checkable.
 
     The compiled prefix honours ``memory_budget``/``spill_dir``
-    (out-of-core prefix exploration; identical verdicts) and
-    ``symmetry`` (the prefix is the canonical quotient — per-place
-    bounds are lifted back to true bounds over each block orbit, and
-    ``node_count`` counts canonical states).  The Karp–Miller
-    construction runs in RAM regardless: omega acceleration needs the
-    ancestor chains resident.
+    (out-of-core prefix exploration; identical verdicts).  The
+    Karp–Miller construction runs in RAM regardless: omega acceleration
+    needs the ancestor chains resident.
     """
     validate_engine(engine)
-    _validate_outofcore_args(engine, memory_budget, spill_dir, symmetry)
+    _validate_outofcore_args(engine, memory_budget, spill_dir)
     if engine == ENGINE_COMPILED:
         return _coverability_analysis_frontier(
             net if isinstance(net, CompiledNet) else net.compile(),
@@ -461,7 +445,6 @@ def coverability_analysis(
             max_nodes,
             memory_budget,
             spill_dir,
-            symmetry,
         )
     if isinstance(net, CompiledNet):
         raise ValueError(
@@ -549,7 +532,6 @@ def _coverability_analysis_frontier(
     max_nodes: int,
     memory_budget: Optional[object] = None,
     spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
 ) -> CoverabilityResult:
     """Bounded-prefix fast path backed by the frontier exploration.
 
@@ -564,20 +546,10 @@ def _coverability_analysis_frontier(
     verdicts identical to Karp–Miller's on every net.  A source
     transition with an output place makes the state space infinite, so
     such nets defer without exploring the prefix.
-
-    Under ``symmetry`` the prefix explores canonical representatives
-    only; the orbit of every canonical marking is reachable, so a
-    place's true bound is the maximum over its position across all
-    blocks of its group (:func:`repro.petrinet.symmetry.orbit_place_bounds`)
-    — boundedness and per-place bounds stay exact while ``node_count``
-    shrinks to the quotient.
     """
     start = (
         compiled.marking_to_tuple(marking) if marking is not None else None
     )
-    # resolve once: the exploration revalidates cheaply, and the bounds
-    # lift below needs the concrete groups
-    groups = resolve_symmetry(compiled, symmetry) if symmetry is not None else ()
     if any(compiled.post_lists[t] for t in compiled.source_transition_ids()):
         return _coverability_analysis_compiled(compiled, marking, max_nodes)
     exploration = explore_frontier(
@@ -587,13 +559,10 @@ def _coverability_analysis_frontier(
         collect_edges=False,
         memory_budget=memory_budget,
         spill_dir=spill_dir,
-        symmetry=groups or None,
     )
     if not exploration.complete:
         return _coverability_analysis_compiled(compiled, marking, max_nodes)
     bounds = np.asarray(exploration.matrix.max(axis=0), dtype=np.int64)
-    if groups:
-        bounds = orbit_place_bounds(bounds, groups)
     return CoverabilityResult(
         bounded=True,
         unbounded_places=[],
@@ -766,18 +735,13 @@ def find_deadlocks(
     engine: str = ENGINE_COMPILED,
     memory_budget: Optional[object] = None,
     spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
 ) -> List[Marking]:
     """Reachable markings with no enabled transition.
 
     Every returned marking is a real deadlock, also when the
     exploration hit ``max_markings``; a truncated exploration may miss
     deadlocks beyond the cap.  The compiled engine accepts the
-    out-of-core knobs of :func:`build_reachability_graph`.  Under
-    ``symmetry`` each returned marking is the canonical representative
-    of a deadlock orbit (automorphisms preserve enabledness, so a
-    deadlock exists iff its representative deadlocks) — the *set of
-    orbits* is exact, the concrete marking count is the quotient's.
+    out-of-core knobs of :func:`build_reachability_graph`.
     """
     graph = build_reachability_graph(
         net,
@@ -786,7 +750,6 @@ def find_deadlocks(
         engine=engine,
         memory_budget=memory_budget,
         spill_dir=spill_dir,
-        symmetry=symmetry,
     )
     return _deadlocks(net, graph)
 
@@ -811,7 +774,6 @@ def is_deadlock_free(
     engine: str = ENGINE_COMPILED,
     memory_budget: Optional[object] = None,
     spill_dir: Optional[object] = None,
-    symmetry: Optional[object] = None,
 ) -> bool:
     """True if every reachable marking enables at least one transition.
 
@@ -827,7 +789,6 @@ def is_deadlock_free(
         engine=engine,
         memory_budget=memory_budget,
         spill_dir=spill_dir,
-        symmetry=symmetry,
     )
     if _deadlocks(net, graph):
         return False

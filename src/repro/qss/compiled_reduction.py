@@ -613,7 +613,6 @@ class CompiledReduction:
 
 def iter_compiled_reductions(
     net: PetriNet,
-    deduplicate: bool = True,
     require_free_choice: bool = True,
     max_reductions: Optional[int] = None,
 ) -> Iterator[CompiledReduction]:
@@ -635,11 +634,10 @@ def iter_compiled_reductions(
     yielded = 0
     for combination, excluded in ctx.iter_raw_allocations():
         masks = ctx.reduce_masks(excluded)
-        if deduplicate:
-            signature = masks[0] + b"|" + masks[1]
-            if signature in seen:
-                continue
-            seen.add(signature)
+        signature = masks[0] + b"|" + masks[1]
+        if signature in seen:
+            continue
+        seen.add(signature)
         if max_reductions is not None and yielded >= max_reductions:
             raise RuntimeError(
                 f"net {ctx.compiled.name!r} has more than {max_reductions} "

@@ -218,20 +218,19 @@ def reduce_net(
 
 def enumerate_reductions(
     net: PetriNet,
-    deduplicate: bool = True,
     max_reductions: Optional[int] = None,
     engine: str = ENGINE_COMPILED,
 ) -> List[TReduction]:
-    """Compute the T-reductions of every T-allocation of ``net``.
+    """Compute the distinct T-reductions of the T-allocations of ``net``.
+
+    Allocations whose reductions coincide — because they differ only at
+    choice places that are removed by the cascade (nested choices on
+    discarded branches) — yield one reduction, the first in allocation
+    order; the paper counts distinct reductions this way (120 for the
+    ATM server despite 2^11 allocations).
 
     Parameters
     ----------
-    deduplicate:
-        When True (the default), allocations whose reductions coincide —
-        because they differ only at choice places that are removed by the
-        cascade (nested choices on discarded branches) — are merged; the
-        paper counts distinct reductions this way (120 for the ATM
-        server despite 2^11 allocations).
     max_reductions:
         Optional safety cap; a ``RuntimeError`` is raised when exceeded
         so callers never silently work with a truncated set.
@@ -251,20 +250,17 @@ def enumerate_reductions(
         return [
             reduction.to_reduction()
             for reduction in iter_compiled_reductions(
-                net,
-                deduplicate=deduplicate,
-                max_reductions=max_reductions,
+                net, max_reductions=max_reductions
             )
         ]
     reductions: List[TReduction] = []
     seen: Set[Tuple[FrozenSet[str], FrozenSet[str]]] = set()
     for allocation in enumerate_allocations(net):
         reduction = reduce_net(net, allocation)
-        if deduplicate:
-            signature = reduction.signature()
-            if signature in seen:
-                continue
-            seen.add(signature)
+        signature = reduction.signature()
+        if signature in seen:
+            continue
+        seen.add(signature)
         reductions.append(reduction)
         if max_reductions is not None and len(reductions) > max_reductions:
             raise RuntimeError(
@@ -285,7 +281,7 @@ def count_distinct_reductions(net: PetriNet, engine: str = ENGINE_COMPILED) -> i
         from .compiled_reduction import iter_compiled_reductions
 
         return sum(1 for _ in iter_compiled_reductions(net))
-    return len(enumerate_reductions(net, deduplicate=True, engine=engine))
+    return len(enumerate_reductions(net, engine=engine))
 
 
 def assert_conflict_free(reduction: TReduction) -> None:

@@ -21,15 +21,8 @@ from .events import (
     Event,
     EventColumns,
     EventStreams,
-    arrival_events,
     as_columns,
-    bursty_events,
-    diurnal_events,
-    irregular_events,
-    merge_streams,
-    periodic_events,
     validate_arrival,
-    with_choices,
 )
 from .fleet import (
     FleetEngine,
@@ -59,15 +52,8 @@ __all__ = [
     "EventColumns",
     "EventStreams",
     "as_columns",
-    "periodic_events",
-    "irregular_events",
-    "bursty_events",
-    "diurnal_events",
-    "arrival_events",
     "ARRIVAL_PROCESSES",
     "validate_arrival",
-    "merge_streams",
-    "with_choices",
     "ChoiceSampler",
     "RTOS",
     "ExecutionStats",

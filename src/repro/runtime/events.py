@@ -2,8 +2,8 @@
 
 The embedded system reacts to external events — in the ATM server, the
 irregular *Cell* interrupt and the periodic *Tick*.  This module models
-events, periodic and irregular (seeded pseudo-random) streams, and their
-interleaving into a single time-ordered testbench.
+events, periodic and irregular (seeded pseudo-random) arrival times, and
+their interleaving into a single time-ordered testbench.
 
 Each event carries the resolutions of the data-dependent choices that the
 processing of that event will encounter, because in the real system those
@@ -83,6 +83,9 @@ def periodic_times(period: float, count: int, start: float = 0.0) -> List[float]
 def _exponential_times(
     mean_interval: float, count: int, seed: int, start: float
 ) -> List[float]:
+    """Exponentially distributed inter-arrival times: inputs that occur
+    "at irregular times", like the non-empty cell arrivals of the ATM
+    server."""
     if mean_interval <= 0:
         raise ValueError("mean_interval must be positive")
     rng = random.Random(seed)
@@ -103,6 +106,17 @@ def _bursty_times(
     burst_spread: float = 0.1,
     idle_factor: float = 5.0,
 ) -> List[float]:
+    """Arrivals in bursts separated by long idle gaps.
+
+    Models on/off traffic (a line card receiving packet trains, a
+    sensor delivering readings in flurries): burst sizes are geometric
+    with mean ``burst_mean``, arrivals inside a burst are
+    ``burst_spread * mean_interval`` apart on average, and the idle gap
+    between bursts averages ``idle_factor * mean_interval``.  The
+    defaults keep the *long-run* mean inter-arrival time in the same
+    ballpark as the exponential process while concentrating the
+    arrivals, which is what stresses run-to-completion serving.
+    """
     if mean_interval <= 0:
         raise ValueError("mean_interval must be positive")
     if burst_mean < 1:
@@ -131,6 +145,15 @@ def _diurnal_times(
     amplitude: float = 0.8,
     period: float = 24.0,
 ) -> List[float]:
+    """Arrivals whose rate swings sinusoidally over a day.
+
+    A non-homogeneous arrival process: the instantaneous rate is
+    ``(1 + amplitude * sin(2*pi*t / period)) / mean_interval``, so
+    traffic peaks once per ``period`` (the diurnal cycle of user-facing
+    services) and ebbs ``amplitude`` below the mean in the trough.
+    Inter-arrival gaps are exponential at the rate in force at the
+    previous arrival.
+    """
     if mean_interval <= 0:
         raise ValueError("mean_interval must be positive")
     if not 0.0 <= amplitude < 1.0:
@@ -148,95 +171,7 @@ def _diurnal_times(
     return times
 
 
-def _events_at(
-    times: Iterable[float], source: str, choices: Optional[Mapping[str, str]]
-) -> List[Event]:
-    return [Event(time=t, source=source, choices=dict(choices or {})) for t in times]
-
-
-def periodic_events(
-    source: str,
-    period: float,
-    count: int,
-    start: float = 0.0,
-    choices: Optional[Mapping[str, str]] = None,
-) -> List[Event]:
-    """``count`` events spaced ``period`` apart (e.g. the ATM Tick)."""
-    return _events_at(periodic_times(period, count, start), source, choices)
-
-
-def irregular_events(
-    source: str,
-    mean_interval: float,
-    count: int,
-    seed: int = 0,
-    start: float = 0.0,
-    choices: Optional[Mapping[str, str]] = None,
-) -> List[Event]:
-    """``count`` events with exponentially distributed inter-arrival times.
-
-    Models inputs that occur "at irregular times", like the non-empty
-    cell arrivals of the ATM server.  The stream is fully determined by
-    ``seed`` so experiments are reproducible.
-    """
-    times = _exponential_times(mean_interval, count, seed, start)
-    return _events_at(times, source, choices)
-
-
-def bursty_events(
-    source: str,
-    mean_interval: float,
-    count: int,
-    seed: int = 0,
-    start: float = 0.0,
-    burst_mean: float = 4.0,
-    burst_spread: float = 0.1,
-    idle_factor: float = 5.0,
-    choices: Optional[Mapping[str, str]] = None,
-) -> List[Event]:
-    """``count`` events arriving in bursts separated by long idle gaps.
-
-    Models on/off traffic (a line card receiving packet trains, a
-    sensor delivering readings in flurries): burst sizes are geometric
-    with mean ``burst_mean``, events inside a burst are
-    ``burst_spread * mean_interval`` apart on average, and the idle gap
-    between bursts averages ``idle_factor * mean_interval``.  The
-    defaults keep the *long-run* mean inter-arrival time in the same
-    ballpark as :func:`irregular_events` while concentrating the
-    arrivals, which is what stresses run-to-completion serving.  Fully
-    determined by ``seed``.
-    """
-    times = _bursty_times(
-        mean_interval, count, seed, start, burst_mean, burst_spread, idle_factor
-    )
-    return _events_at(times, source, choices)
-
-
-def diurnal_events(
-    source: str,
-    mean_interval: float,
-    count: int,
-    seed: int = 0,
-    start: float = 0.0,
-    amplitude: float = 0.8,
-    period: float = 24.0,
-    choices: Optional[Mapping[str, str]] = None,
-) -> List[Event]:
-    """``count`` events whose arrival rate swings sinusoidally over a day.
-
-    A non-homogeneous arrival process: the instantaneous rate is
-    ``(1 + amplitude * sin(2*pi*t / period)) / mean_interval``, so
-    traffic peaks once per ``period`` (the diurnal cycle of user-facing
-    services) and ebbs ``amplitude`` below the mean in the trough.
-    Inter-arrival gaps are exponential at the rate in force when the
-    previous event arrived, which keeps the stream fully determined by
-    ``seed``.
-    """
-    times = _diurnal_times(mean_interval, count, seed, start, amplitude, period)
-    return _events_at(times, source, choices)
-
-
-#: Arrival-process kinds accepted by :func:`arrival_events` (and the
+#: Arrival-process kinds accepted by :func:`arrival_times` (and the
 #: ``arrival=`` argument of :func:`repro.runtime.fleet.synthetic_streams`
 #: / the ``--arrival`` flag of ``repro-qss serve``).
 ARRIVAL_PROCESSES = ("exponential", "bursty", "diurnal")
@@ -265,54 +200,15 @@ def arrival_times(
     seed: int = 0,
     start: float = 0.0,
 ) -> List[float]:
-    """The arrival times of :func:`arrival_events`, without the events."""
+    """``count`` arrival times of the named process, fully determined by
+    ``seed``.
+
+    ``"exponential"`` draws memoryless Poisson arrivals (the historical
+    default), ``"bursty"`` on/off trains, ``"diurnal"`` a sinusoidally
+    swinging rate; all have comparable long-run mean rates.
+    """
     draw = _ARRIVAL_TIMES[validate_arrival(arrival)]
     return draw(mean_interval, count, seed, start)
-
-
-def arrival_events(
-    arrival: str,
-    source: str,
-    mean_interval: float,
-    count: int,
-    seed: int = 0,
-    start: float = 0.0,
-    choices: Optional[Mapping[str, str]] = None,
-) -> List[Event]:
-    """Dispatch to the named arrival process with a shared signature.
-
-    ``"exponential"`` is :func:`irregular_events` (memoryless Poisson
-    arrivals, the historical default), ``"bursty"`` is
-    :func:`bursty_events`, ``"diurnal"`` is :func:`diurnal_events` —
-    all seeded, all with comparable long-run mean rates.
-    """
-    times = arrival_times(arrival, mean_interval, count, seed=seed, start=start)
-    return _events_at(times, source, choices)
-
-
-def merge_streams(*streams: Sequence[Event]) -> List[Event]:
-    """Merge several event streams into one, ordered by time (stable)."""
-    merged: List[Event] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=lambda event: event.time)
-    return merged
-
-
-def with_choices(
-    events: Iterable[Event], resolver: "ChoiceSampler"
-) -> List[Event]:
-    """Return a copy of ``events`` with choice resolutions drawn from
-    ``resolver`` (one draw per event)."""
-    return [
-        Event(
-            time=event.time,
-            source=event.source,
-            choices=resolver.sample(event.source),
-            payload=event.payload,
-        )
-        for event in events
-    ]
 
 
 class ChoiceSampler:
@@ -576,10 +472,9 @@ class StreamCollector:
         """Append one instance's stream.
 
         ``parts`` are ``(source, arrival times)`` pairs, merged in time
-        order (stable: on a tie the earlier part goes first, as in
-        :func:`merge_streams`) and cut to the first ``limit`` events.
-        Each event then draws its choices from ``sampler``, in stream
-        order (as in :func:`with_choices`).
+        order (stable: on a tie the earlier part goes first) and cut to
+        the first ``limit`` events.  Each event then draws its choices
+        from ``sampler``, one draw per event in stream order.
         """
         names: List[str] = []
         ids: List[int] = []

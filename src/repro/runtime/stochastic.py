@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from ..petrinet import PetriNet
 from ..petrinet.compiled import CompiledNet
-from .events import ChoiceSampler, Event, with_choices
 
 #: Timing specs accepted by :func:`parse_timing` (and the ``--timing``
 #: flag of ``repro-qss serve``): ``none``, ``fixed:N``,
@@ -189,18 +188,6 @@ class StochasticChoicePolicy:
                 for transition, weight in branches.items()
             }
         return normalized
-
-    def resolver(
-        self,
-        seed: int = 0,
-        per_source: Optional[Mapping[str, Sequence[str]]] = None,
-    ) -> ChoiceSampler:
-        """A seeded :class:`ChoiceSampler` drawing from these weights."""
-        return ChoiceSampler(self.probabilities, seed=seed, per_source=per_source)
-
-    def resolve(self, events: Sequence[Event], seed: int = 0) -> List[Event]:
-        """Copy of ``events`` with choices drawn from these weights."""
-        return with_choices(events, self.resolver(seed))
 
     @classmethod
     def uniform(cls, net: Union[PetriNet, CompiledNet]) -> "StochasticChoicePolicy":

@@ -180,7 +180,7 @@ class IngestServer:
             return dataclasses.replace(reply, request_id=message.request_id)
         if isinstance(message, Reload):
             await self.supervisor.reload(reset_stats=message.reset_stats)
-            return Ack()
+            return Ack(request_id=message.request_id)
         if isinstance(message, Shutdown):
             self.shutdown_drain = message.drain
             self.shutdown_requested.set()
@@ -250,31 +250,45 @@ class ServiceClient:
                 InjectBatch(events=tuple(events[lo : lo + BATCH_CHUNK]))
             )
 
-    async def snapshot(self) -> SnapshotReply:
+    async def _request(self, message, expected: type):
+        """Send a control request and read until the reply echoing its
+        fresh ``request_id``.
+
+        Replies read on the way answer earlier lines: a not-ok
+        :class:`Ack` among them (a rejected inject's) is raised, but only
+        once this request's own reply is consumed, so the next call stays
+        in step; the others answer requests nobody waits for any more
+        and are dropped.
+        """
         async with self._lock:
             request_id = self._next_id
             self._next_id += 1
-            await self._send(SnapshotRequest(request_id=request_id))
-            reply = await self._recv()
-        if not isinstance(reply, SnapshotReply):
+            await self._send(dataclasses.replace(message, request_id=request_id))
+            rejected = []
+            while True:
+                reply = await self._recv()
+                if getattr(reply, "request_id", None) == request_id:
+                    break
+                if isinstance(reply, Ack) and not reply.ok:
+                    rejected.append(reply.error)
+        if rejected:
             raise ProtocolError(
-                f"expected snapshot_reply, got {reply.TYPE!r}"
+                f"service rejected an earlier line: {'; '.join(rejected)}"
             )
+        if not isinstance(reply, expected):
+            raise ProtocolError(f"expected {expected.TYPE}, got {reply.TYPE!r}")
         return reply
+
+    async def snapshot(self) -> SnapshotReply:
+        return await self._request(SnapshotRequest(), SnapshotReply)
 
     async def reload(self, reset_stats: bool = True) -> Ack:
-        async with self._lock:
-            await self._send(Reload(reset_stats=reset_stats))
-            reply = await self._recv()
-        return reply
+        """Reset the fleet; returns the service's :class:`Ack`, not-ok
+        when the reload failed."""
+        return await self._request(Reload(reset_stats=reset_stats), Ack)
 
     async def shutdown(self, drain: bool = True) -> Ack:
-        async with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            await self._send(Shutdown(drain=drain, request_id=request_id))
-            reply = await self._recv()
-        return reply
+        return await self._request(Shutdown(drain=drain), Ack)
 
 
 def events_to_injects(

@@ -14,9 +14,10 @@ number, ``choices`` that are not strings mapped to strings) all raise
 endpoints fails loudly at the boundary.
 
 Request/response pairing uses the optional ``request_id`` carried by
-:class:`SnapshotRequest`/:class:`Shutdown` and echoed by the matching
-:class:`SnapshotReply`/:class:`Ack` — multiple requests can be in
-flight on one connection.
+:class:`SnapshotRequest`/:class:`Reload`/:class:`Shutdown` and echoed
+by the matching :class:`SnapshotReply`/:class:`Ack` — multiple requests
+can be in flight on one connection.  An inject gets a reply only when it
+is rejected: a not-ok :class:`Ack` with ``request_id`` 0.
 
 One *internal* representation rides alongside the public JSON codec:
 :class:`InjectBatchPacked`, the zero-copy inject batch of pre-interned
@@ -40,7 +41,7 @@ import numpy as np
 
 #: Version tag carried by every wire message.  Bump on any incompatible
 #: change to the message set or field layout.
-WIRE_SCHEMA = "repro-qss.service/1"
+WIRE_SCHEMA = "repro-qss.service/2"
 
 
 class ProtocolError(ValueError):
@@ -173,6 +174,7 @@ class Reload:
     """
 
     reset_stats: bool = True
+    request_id: int = 0
 
     TYPE = "reload"
 

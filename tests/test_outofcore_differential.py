@@ -14,14 +14,12 @@ enough that spilling and chunking trigger even on small nets:
 * deadlock sets are identical;
 * the budget parser, the spilling visited store and the engine
   validation guard behave as documented;
-* every exploration gets a spill directory of its own, and its open
-  logs are closed on every exit path;
-* symmetry reduction produces a validated quotient that preserves the
-  deadlock-freedom verdict and the exact per-place bounds, and its
-  collision fallback explores the same quotient;
+* every exploration gets a spill directory of its own, an in-RAM one
+  makes none, and open logs are closed on every exit path;
 * the one level loop equals the exact explorer in every storage (RAM,
-  budget, spill directory alone), with and without symmetry, and under
-  ``stop_on_target`` both finish the level the target appears in;
+  budget, spill directory alone), from the initial marking or another
+  start and with a cutoff inside the graph, and under ``stop_on_target``
+  both finish the level the target appears in;
 * a net without places explores to zero-width rows in every storage.
 """
 
@@ -44,24 +42,16 @@ from repro.gallery import paper_figures
 from repro.petrinet import (
     PetriNet,
     ReachabilityGraph,
-    SymmetryGroup,
     build_reachability_graph,
-    canonicalize,
     compile_net,
     coverability_analysis,
-    detect_symmetries,
     explore_frontier,
     find_deadlocks,
-    group_from_names,
-    is_deadlock_free,
-    orbit_place_bounds,
     parse_memory_budget,
 )
-import repro.petrinet.frontier as frontier_module
 from repro.petrinet.corpus import CORPUS_FAMILIES, generate_corpus, run_corpus
-from repro.petrinet.frontier import _explore_exact, _HashDisagreement
+from repro.petrinet.frontier import _explore_exact
 from repro.petrinet.outofcore import VisitedStore
-from repro.petrinet.symmetry import resolve_symmetry
 from repro.petrinet.generators import (
     fork_join_pipeline,
     pipeline_net,
@@ -357,6 +347,16 @@ class TestSpillMechanics:
         assert graph._exploration.spill is not None
         assert graph._exploration.spill.shard_count == 0
 
+    def test_in_ram_exploration_makes_no_spill_dir(self, monkeypatch):
+        def no_temp_dirs(*args, **kwargs):
+            raise AssertionError("an in-RAM exploration made a spill dir")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dirs)
+        compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
+        exploration = explore_frontier(compiled, max_markings=10_000)
+        assert exploration.spill is None
+        assert exploration.complete
+
 
 # ----------------------------------------------------------------------
 # Budget parser + visited store unit coverage
@@ -420,14 +420,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="legacy"):
             coverability_analysis(net, engine="legacy", spill_dir="/tmp/x")
         with pytest.raises(ValueError, match="legacy"):
-            find_deadlocks(net, engine="legacy", symmetry="auto")
+            find_deadlocks(net, engine="legacy", memory_budget=TINY_BUDGET)
 
     def test_compiled_accepts_the_knobs(self, tmp_path):
         net = producer_consumer_ring(2, 2)
         reference = find_deadlocks(net, engine="legacy")
         assert find_deadlocks(net, memory_budget=TINY_BUDGET) == reference
         assert find_deadlocks(net, spill_dir=tmp_path) == reference
-        assert coverability_analysis(net, symmetry="auto").bounded
+        assert coverability_analysis(net, memory_budget=TINY_BUDGET).bounded
 
     def test_malformed_budget_fails_at_the_boundary(self):
         net = producer_consumer_ring(2, 2)
@@ -500,191 +500,50 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# Symmetry reduction
-# ----------------------------------------------------------------------
-def _twin_branch_net() -> PetriNet:
-    """Two interchangeable branches fed by one source place."""
-    net = PetriNet(name="twin_branches")
-    net.add_place("src", tokens=2)
-    net.add_place("p_a")
-    net.add_place("p_b")
-    net.add_place("sink")
-    net.add_transition("t_a")
-    net.add_transition("t_b")
-    net.add_transition("u_a")
-    net.add_transition("u_b")
-    net.add_arc("src", "t_a")
-    net.add_arc("src", "t_b")
-    net.add_arc("t_a", "p_a")
-    net.add_arc("t_b", "p_b")
-    net.add_arc("p_a", "u_a")
-    net.add_arc("p_b", "u_b")
-    net.add_arc("u_a", "sink")
-    net.add_arc("u_b", "sink")
-    return net
-
-
-class TestSymmetry:
-    def test_detects_interchangeable_branches(self):
-        compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
-        groups = detect_symmetries(compiled)
-        assert groups, "fork_join_pipeline branches are interchangeable"
-        assert groups[0].k == 3
-
-    def test_quotient_is_smaller_and_preserves_deadlock_verdict(self):
-        net = fork_join_pipeline(3, 4, closed=True)
-        compiled = compile_net(net)
-        full = explore_frontier(compiled, max_markings=10_000)
-        quotient = explore_frontier(
-            compiled, max_markings=10_000, symmetry="auto"
-        )
-        assert quotient.complete
-        assert quotient.node_count < full.node_count
-        assert is_deadlock_free(net, symmetry="auto") == is_deadlock_free(
-            net, engine="legacy"
-        )
-
-    def test_orbit_bounds_equal_full_place_bounds(self):
-        net = fork_join_pipeline(3, 4, closed=True)
-        budgeted = coverability_analysis(
-            net, symmetry="auto", memory_budget=TINY_BUDGET
-        )
-        reference = _karp_miller(net, cap=200_000)
-        assert budgeted.bounded == reference.bounded
-        assert budgeted.place_bounds == reference.place_bounds
-        assert budgeted.complete
-
-    def test_group_from_names_validates_real_symmetry(self):
-        compiled = compile_net(_twin_branch_net())
-        group = group_from_names(
-            compiled,
-            [["p_a"], ["p_b"]],
-            [["t_a", "u_a"], ["t_b", "u_b"]],
-        )
-        assert group.k == 2
-        quotient = explore_frontier(compiled, symmetry=group)
-        full = explore_frontier(compiled)
-        assert quotient.complete
-        assert quotient.node_count < full.node_count
-
-    def test_group_from_names_rejects_fake_symmetry(self):
-        compiled = compile_net(_twin_branch_net())
-        with pytest.raises(ValueError):
-            group_from_names(
-                compiled,
-                [["p_a"], ["sink"]],
-                [["t_a", "u_a"], ["t_b", "u_b"]],
-            )
-
-    def test_canonicalize_sorts_block_subvectors(self):
-        group = SymmetryGroup(
-            place_blocks=((0, 1), (2, 3)), transition_blocks=()
-        )
-        rows = np.array([[5, 0, 1, 2, 9], [1, 2, 5, 0, 9]], dtype=np.int64)
-        canon = canonicalize(rows, [group])
-        # blocks are (cols 0,1) and (cols 2,3); untouched tail col 4
-        assert canon.tolist() == [[1, 2, 5, 0, 9], [1, 2, 5, 0, 9]]
-        assert rows[0, 0] == 5  # input not mutated
-
-    def test_orbit_place_bounds_lifts_column_maxima(self):
-        group = SymmetryGroup(
-            place_blocks=((0, 1), (2, 3)), transition_blocks=()
-        )
-        bounds = np.array([1, 7, 4, 2, 3], dtype=np.int64)
-        lifted = orbit_place_bounds(bounds, [group])
-        assert lifted.tolist() == [4, 7, 4, 7, 3]
-
-    def test_symmetry_composes_with_budget(self, tmp_path):
-        compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
-        plain = explore_frontier(compiled, max_markings=10_000, symmetry="auto")
-        budgeted = explore_frontier(
-            compiled,
-            max_markings=10_000,
-            memory_budget=TINY_BUDGET,
-            spill_dir=tmp_path,
-            symmetry="auto",
-        )
-        assert plain.spill is None  # no budget: the quotient stays in RAM
-        assert budgeted.spill.canonical
-        assert_explorations_identical(budgeted, plain)
-
-    def test_symmetry_without_budget_makes_no_spill_dir(self, monkeypatch):
-        def no_temp_dirs(*args, **kwargs):
-            raise AssertionError("an in-RAM exploration made a spill dir")
-
-        monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dirs)
-        compiled = compile_net(fork_join_pipeline(3, 4, closed=True))
-        exploration = explore_frontier(
-            compiled, max_markings=10_000, symmetry="auto"
-        )
-        assert exploration.spill is None
-        assert exploration.complete
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: fork_join_pipeline(3, 4, closed=True),
-            lambda: _family_net("choice_fan", 0),
-            lambda: _family_net("fork_join_pipeline", 0),
-            lambda: _family_net("independent_choices", 0),
-            lambda: _family_net("producer_consumer_ring", 3),
-        ],
-        ids=["fork_join_3x4", "choice_fan-0", "fork_join-0", "independent-0", "ring-3"],
-    )
-    @pytest.mark.parametrize("budget", [None, TINY_BUDGET], ids=["no-budget", "budget"])
-    def test_collision_fallback_explores_the_same_quotient(
-        self, monkeypatch, build, budget
-    ):
-        """A forced hash disagreement under symmetry reruns the exact
-        explorer on canonical markings: bit-identical to the hashed run."""
-        compiled = compile_net(build())
-        hashed = explore_frontier(
-            compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
-        )
-
-        def always_disagrees(*args, **kwargs):
-            raise _HashDisagreement
-
-        monkeypatch.setattr(frontier_module, "_explore_hashed", always_disagrees)
-        exact = explore_frontier(
-            compiled, max_markings=GRAPH_CAP, symmetry="auto", memory_budget=budget
-        )
-        assert exact.spill is None  # the exact explorer really ran
-        assert_explorations_identical(hashed, exact)
-
-
-# ----------------------------------------------------------------------
-# The one level loop: every storage x symmetry equals the exact explorer
+# The one level loop: every storage equals the exact explorer
 # ----------------------------------------------------------------------
 ONE_LOOP_NETS = [("figure", figure) for figure in GALLERY] + [
     (family, seed) for family in sorted(CORPUS_FAMILIES) for seed in range(2)
 ]
 
+#: The ``(start, max_markings)`` of each one-loop run, from the net's
+#: full exploration: the initial marking up to the cap, a cutoff in the
+#: middle of that graph, or a restart from its last discovered marking.
+ONE_LOOP_RUNS = {
+    "plain": lambda full: (None, GRAPH_CAP),
+    "capped": lambda full: (None, full.node_count // 2),
+    "restart": lambda full: (tuple(full.matrix[-1].tolist()), GRAPH_CAP),
+}
+
 
 class TestOneLoop:
-    @pytest.mark.parametrize("symmetry", [None, "auto"], ids=["plain", "symmetry"])
+    @pytest.mark.parametrize("run", list(ONE_LOOP_RUNS))
     @pytest.mark.parametrize("storage", sorted(STORAGES))
     @pytest.mark.parametrize(
         "source,key", ONE_LOOP_NETS, ids=[f"{s}-{k}" for s, k in ONE_LOOP_NETS]
     )
-    def test_equals_exact_explorer(self, source, key, storage, symmetry, tmp_path):
+    def test_equals_exact_explorer(self, source, key, storage, run, tmp_path):
         net = (
             paper_figures()[key]() if source == "figure" else _family_net(source, key)
         )
         compiled = compile_net(net)
-        groups = resolve_symmetry(compiled, symmetry)
-        full = _explore_exact(compiled, None, GRAPH_CAP, None, False, True, groups)
-        target = tuple(full.matrix[full.node_count // 2].tolist())
-        exact = _explore_exact(compiled, None, GRAPH_CAP, target, False, True, groups)
+        full = _explore_exact(compiled, None, GRAPH_CAP, None, False, True)
+        start, cap = ONE_LOOP_RUNS[run](full)
+        reference = _explore_exact(compiled, start, cap, None, False, True)
+        if run == "capped":
+            assert not reference.complete  # the cutoff lands inside the graph
+        middle = reference.node_count // 2
+        target = tuple(reference.matrix[middle].tolist())
+        exact = _explore_exact(compiled, start, cap, target, False, True)
         hashed = explore_frontier(
             compiled,
-            max_markings=GRAPH_CAP,
+            start=start,
+            max_markings=cap,
             target=target,
-            symmetry=symmetry,
             **STORAGES[storage](tmp_path),
         )
         assert (hashed.spill is None) == (storage == "ram")
-        assert exact.target_index == full.node_count // 2
+        assert exact.target_index == middle
         assert_explorations_identical(hashed, exact)
 
     @pytest.mark.parametrize("storage", sorted(STORAGES))

@@ -174,14 +174,15 @@ class TestEnumeration:
         )
         assert count_allocations(net) == 4
         assert count_distinct_reductions(net) == 3
-        without_dedup = enumerate_reductions(net, deduplicate=False)
-        assert len(without_dedup) == 4
+        per_allocation = [reduce_net(net, a) for a in enumerate_allocations(net)]
+        assert len(per_allocation) == 4
+        assert len({r.signature() for r in per_allocation}) == 3
 
     def test_max_reductions_cap(self, fig5):
         with pytest.raises(RuntimeError):
             enumerate_reductions(fig5, max_reductions=1)
 
     def test_signatures_identify_equal_reductions(self, fig5):
-        reductions = enumerate_reductions(fig5, deduplicate=False)
+        reductions = [reduce_net(fig5, a) for a in enumerate_allocations(fig5)]
         signatures = {r.signature() for r in reductions}
         assert len(signatures) == 2

