@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines.functional_partitioning import (
-    QUEUE_BOILERPLATE_LINES,
     TASK_BOILERPLATE_LINES,
     build_functional_implementation,
 )
-from ..codegen.emit_c import EmitOptions, emit_c
-from ..codegen.generator import CodegenOptions, synthesize
+from ..codegen.emit_c import emit_c
+from ..codegen.generator import synthesize
 from ..codegen.ir import Program
 from ..petrinet import ENGINE_COMPILED, ENGINE_NATIVE, PetriNet
 from ..qss.scheduler import compute_valid_schedule
@@ -109,15 +108,13 @@ def qss_metrics(
         analysis_engine = ENGINE_COMPILED if engine == ENGINE_NATIVE else engine
         schedule = compute_valid_schedule(net, engine=analysis_engine)
     program = synthesize(schedule, rate_groups=rate_groups)
-    emission = emit_c(
-        program, EmitOptions(boilerplate_lines_per_task=TASK_BOILERPLATE_LINES)
-    )
     rtos = RTOS(program, cost_model, engine=engine)
     stats = rtos.run(events)
     metrics = ImplementationMetrics(
         name=name,
         tasks=program.task_count,
-        lines_of_code=emission.lines_of_code,
+        lines_of_code=emit_c(program).lines_of_code
+        + TASK_BOILERPLATE_LINES * program.task_count,
         clock_cycles=stats.total_cycles,
         activations=stats.total_activations,
         queue_cycles=stats.queue_cycles,

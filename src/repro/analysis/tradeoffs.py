@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..codegen.emit_c import EmitOptions, emit_c
-from ..codegen.generator import CodegenOptions, synthesize
+from ..codegen.generator import synthesize
 from ..petrinet import PetriNet
 from ..qss.schedule import ValidSchedule
 from ..qss.scheduler import compute_valid_schedule
@@ -48,27 +48,28 @@ def sharing_tradeoff(
 
     Sharing reduces code size (common suffixes are emitted once) at the
     cost of an extra call per activation; duplication does the opposite —
-    the trade-off the paper's ``goto`` sharing addresses.
+    the trade-off the paper's ``goto`` sharing addresses.  Both points
+    render one synthesized program (duplication is
+    ``EmitOptions(inline_all=True)``), so they report the same buffer
+    slots and clock cycles.
     """
     if schedule is None:
         schedule = compute_valid_schedule(net)
     buffers = sum(schedule_buffer_bounds(schedule).values())
-    points: List[TradeoffPoint] = []
-    for label, share in (("shared merges", True), ("duplicated merges", False)):
-        program = synthesize(schedule, options=CodegenOptions(share_merges=share))
-        emission = emit_c(program, EmitOptions(inline_all=not share))
-        cycles = None
-        if events is not None:
-            cycles = RTOS(program, cost_model).run(events).total_cycles
-        points.append(
-            TradeoffPoint(
-                label=label,
-                lines_of_code=emission.lines_of_code,
-                buffer_slots=buffers,
-                clock_cycles=cycles,
-            )
+    program = synthesize(schedule)
+    cycles = None
+    if events is not None:
+        cycles = RTOS(program, cost_model).run(events).total_cycles
+    renderings = (("shared merges", False), ("duplicated merges", True))
+    return [
+        TradeoffPoint(
+            label=label,
+            lines_of_code=emit_c(program, EmitOptions(inline_all=inline)).lines_of_code,
+            buffer_slots=buffers,
+            clock_cycles=cycles,
         )
-    return points
+        for label, inline in renderings
+    ]
 
 
 def overhead_sensitivity(

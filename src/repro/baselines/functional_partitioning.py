@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..codegen.emit_c import EmitOptions, emit_c
-from ..codegen.generator import CodegenOptions, generate_task_program
+from ..codegen.emit_c import emit_c
+from ..codegen.generator import generate_task_program
 from ..codegen.ir import Program
 from ..petrinet import ENGINE_COMPILED, PetriNet
 from ..qss.tasks import TaskDefinition
@@ -66,11 +66,11 @@ class FunctionalImplementation:
 
     def lines_of_code(self) -> int:
         """Generated C lines plus per-task and per-queue boilerplate."""
-        emission = emit_c(
-            self.program,
-            EmitOptions(boilerplate_lines_per_task=TASK_BOILERPLATE_LINES),
+        return (
+            emit_c(self.program).lines_of_code
+            + TASK_BOILERPLATE_LINES * self.program.task_count
+            + QUEUE_BOILERPLATE_LINES * len(self.queues)
         )
-        return emission.lines_of_code + QUEUE_BOILERPLATE_LINES * len(self.queues)
 
     def run(
         self,
@@ -135,9 +135,7 @@ def inter_module_queues(
 
 
 def build_functional_implementation(
-    net: PetriNet,
-    modules: Mapping[str, Sequence[str]],
-    options: Optional[CodegenOptions] = None,
+    net: PetriNet, modules: Mapping[str, Sequence[str]]
 ) -> FunctionalImplementation:
     """Synthesize the one-task-per-module implementation of ``net``."""
     owner: Dict[str, str] = {}
@@ -164,9 +162,7 @@ def build_functional_implementation(
             places=frozenset(places),
             net=net.subnet(places, transitions, name=f"task_{module}"),
         )
-        program.tasks.append(
-            generate_task_program(net, task, options or CodegenOptions())
-        )
+        program.tasks.append(generate_task_program(net, task))
 
     queues = inter_module_queues(net, modules)
     return FunctionalImplementation(

@@ -25,6 +25,10 @@ from ..petrinet import PetriNet
 from ..petrinet.reachability import build_reachability_graph, is_safe
 from ..petrinet.structure import is_ordinary
 
+#: Firings :func:`synthesize_single_task` walks before it gives up on
+#: finding the initial marking again.
+MAX_SEQUENCE_LENGTH = 10_000
+
 
 @dataclass
 class SafeSynthesisResult:
@@ -59,9 +63,7 @@ def is_applicable(net: PetriNet) -> SafeSynthesisResult:
     return SafeSynthesisResult(applicable=not reasons, reasons=reasons)
 
 
-def synthesize_single_task(
-    net: PetriNet, max_length: int = 10_000
-) -> SafeSynthesisResult:
+def synthesize_single_task(net: PetriNet) -> SafeSynthesisResult:
     """Produce a single cyclic firing sequence for a safe, closed net.
 
     The sequence is found by walking the (finite, because the net is
@@ -76,7 +78,7 @@ def synthesize_single_task(
     marking = net.initial_marking
     sequence: List[str] = []
     current = marking
-    for _ in range(max_length):
+    for _ in range(MAX_SEQUENCE_LENGTH):
         enabled = net.enabled_transitions(current)
         if not enabled:
             result.reasons.append("the net deadlocks before returning to the initial marking")

@@ -41,6 +41,7 @@ exercised (and timed) from the shell.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -349,8 +350,18 @@ def _validate_serve_args(
             "argument --inbox-limit: only meaningful in service mode "
             "(use --listen or --telemetry)"
         )
-    if args.duration is not None and args.duration <= 0:
-        parser.error("argument --duration: must be positive")
+    for flag, seconds in (
+        ("--duration", args.duration),
+        ("--telemetry-interval", args.telemetry_interval),
+    ):
+        if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+            parser.error(
+                f"argument {flag}: must be positive and finite, got {seconds}"
+            )
+    if args.telemetry_interval is not None and args.telemetry is None:
+        parser.error(
+            "argument --telemetry-interval: only meaningful with --telemetry"
+        )
     if args.duration is not None and args.listen is None:
         parser.error(
             "argument --duration: only meaningful with --listen (the "
@@ -467,8 +478,9 @@ async def _serve_service(
         telemetry.flush()  # one buffered write per sampling tick
 
     async def sampler() -> None:
+        interval = args.telemetry_interval or 0.5
         while True:
-            await aio.sleep(args.telemetry_interval)
+            await aio.sleep(interval)
             await sample()
 
     sampler_task = aio.create_task(sampler()) if telemetry else None
@@ -852,9 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--telemetry-interval",
         type=float,
-        default=0.5,
+        default=None,
         metavar="SECONDS",
-        help="telemetry sampling period (default 0.5s)",
+        help="with --telemetry: sampling period, a positive number of "
+        "seconds (default 0.5s)",
     )
     _add_engine_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve, serve_parser=p_serve)

@@ -1,9 +1,8 @@
 """Software synthesis backend: IR, code generation, C emission, execution."""
 
-from .emit_c import CEmission, CNames, EmitOptions, emit_c, lines_of_code
+from .emit_c import CEmission, CNames, EmitOptions, emit_c
 from .generator import (
     CodegenError,
-    CodegenOptions,
     generate_program,
     generate_task_program,
     synthesize,
@@ -27,7 +26,6 @@ from .ir import (
     Block,
     CallFragment,
     ChoiceIf,
-    Comment,
     DecCount,
     FireTransition,
     Fragment,
@@ -49,9 +47,7 @@ __all__ = [
     "CallFragment",
     "Guarded",
     "ChoiceIf",
-    "Comment",
     # generation
-    "CodegenOptions",
     "CodegenError",
     "generate_task_program",
     "generate_program",
@@ -61,7 +57,6 @@ __all__ = [
     "CEmission",
     "CNames",
     "emit_c",
-    "lines_of_code",
     # native tier
     "NativeProgram",
     "NativeTaskBackend",

@@ -25,21 +25,21 @@ collisions and C keywords) are resolved with deterministic ``_2``,
 emission as :class:`CNames` so that the native tier
 (:mod:`repro.codegen.native`) can generate a matching driver.
 
-The emitter also reports the generated code size in lines, which is the
-"Lines of C code" metric of Table I.
+The emitter also reports the generated code size in lines, the base of
+the "Lines of C code" metric of Table I (to which
+:func:`repro.analysis.qss_metrics` adds the per-task RTOS boilerplate).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .ir import (
     Block,
     CallFragment,
     ChoiceIf,
-    Comment,
     DecCount,
     FireTransition,
     Fragment,
@@ -62,41 +62,27 @@ class EmitOptions:
         Emit each task wrapped in ``while (1) { ... }`` (the paper's
         single-task listing style) instead of a per-activation function
         body called by the RTOS.
-    inline_single_use:
-        Inline fragments referenced exactly once (default True).  With
-        sharing disabled entirely at generation time every fragment is
-        referenced once, so this reproduces fully-inlined code.
     inline_all:
         Inline every fragment at every call site (duplicating merge
         continuations instead of sharing them); used by the code-size
         trade-off analysis.  Ignored for fragments that would recurse.
-    boilerplate_lines_per_task:
-        Extra lines charged per task for RTOS registration/activation
-        scaffolding when estimating code size (used so that
-        implementations with more tasks pay the overhead the paper
-        attributes to task management).
-    explicit_choice_tail:
-        Emit the last branch of every choice as an explicit
-        ``else if (choice == ...)`` instead of the paper's catch-all
-        ``else``.  The catch-all matches the paper listing but executes
-        the last branch even when the data selected an alternative that
-        belongs to another task; the IR interpreter (and the net) do
-        nothing in that case.  The native execution tier enables this so
-        that compiled and interpreted runs agree choice-for-choice.
+        Otherwise only fragments referenced once are inlined.
     instrument:
-        Thread the interpreter's cycle accounting through the emitted
-        code: every fragment entry, guard test, choice test, counter
-        update and transition firing charges the corresponding
-        ``qss_*_cycles`` runtime variable (defined by the native
-        driver).  Off by default so the paper-facing listing stays
-        clean.
+        Emit the unit the native tier compiles.  The interpreter's cycle
+        accounting is threaded through the code: every fragment entry,
+        guard test, choice test, counter update and transition firing
+        charges the corresponding ``qss_*_cycles`` runtime variable
+        (defined by the native driver).  The last branch of every
+        choice becomes an explicit ``else if (choice == ...)`` instead
+        of the paper's catch-all ``else``, which would run that branch
+        even when the data selected an alternative of another task
+        (where the interpreter and the net do nothing), so compiled and
+        interpreted runs agree choice for choice.  Off by default so the
+        paper-facing listing stays clean.
     """
 
     standalone_loop: bool = False
-    inline_single_use: bool = True
     inline_all: bool = False
-    boilerplate_lines_per_task: int = 0
-    explicit_choice_tail: bool = False
     instrument: bool = False
 
 
@@ -291,11 +277,7 @@ class _TaskEmitter:
         self.lines.append(INDENT * depth + text)
 
     def _inline_by_options(self, fragment: Fragment) -> bool:
-        if self.options.inline_all:
-            return True
-        if not self.options.inline_single_use:
-            return False
-        return fragment.call_count <= 1
+        return self.options.inline_all or fragment.call_count <= 1
 
     def _is_inline(self, fragment: Fragment) -> bool:
         if fragment.name in self._inline_stack:
@@ -340,9 +322,7 @@ class _TaskEmitter:
 
     def _emit_statement(self, statement, depth: int) -> None:
         instrument = self.options.instrument
-        if isinstance(statement, Comment):
-            self._emit(depth, f"/* {statement.text} */")
-        elif isinstance(statement, FireTransition):
+        if isinstance(statement, FireTransition):
             call = f"{self._transition_fn(statement.transition)}();"
             if instrument:
                 if statement.cost == 1:
@@ -383,7 +363,7 @@ class _TaskEmitter:
                     comparison = f"(qss_cycles += qss_test_cycles, {comparison})"
                 if index == 0:
                     self._emit(depth, f"if ({comparison}) {{")
-                elif index < last or self.options.explicit_choice_tail:
+                elif index < last or instrument:
                     self._emit(depth, f"}} else if ({comparison}) {{")
                 else:
                     self._emit(depth, "} else {")
@@ -491,7 +471,7 @@ def emit_c(program: Program, options: Optional[EmitOptions] = None) -> CEmission
     for task in program.tasks:
         emitter = _TaskEmitter(task, options, names=table)
         task_lines = emitter.emit()
-        per_task[task.name] = len(task_lines) + options.boilerplate_lines_per_task
+        per_task[task.name] = len(task_lines)
         names.tasks[task.name] = table.get(("task", task.name))
         names.counters[task.name] = {
             place: table.get(("counter", task.name, place))
@@ -501,17 +481,9 @@ def emit_c(program: Program, options: Optional[EmitOptions] = None) -> CEmission
         lines.append("")
 
     source = "\n".join(lines).rstrip() + "\n"
-    # Code size metric: every emitted source line plus the boilerplate lines
-    # charged per task (RTOS registration/activation scaffolding that the
-    # paper's task counts pay for but that we do not materialize as text).
-    total = len(source.splitlines()) + options.boilerplate_lines_per_task * len(
-        program.tasks
-    )
     return CEmission(
-        source=source, lines_of_code=total, lines_per_task=per_task, names=names
+        source=source,
+        lines_of_code=len(source.splitlines()),
+        lines_per_task=per_task,
+        names=names,
     )
-
-
-def lines_of_code(program: Program, options: Optional[EmitOptions] = None) -> int:
-    """Convenience wrapper returning only the generated line count."""
-    return emit_c(program, options).lines_of_code

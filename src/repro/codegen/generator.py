@@ -24,7 +24,6 @@ it can be pretty-printed to C or executed directly by the interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..petrinet import PetriNet
@@ -34,7 +33,6 @@ from .ir import (
     Block,
     CallFragment,
     ChoiceIf,
-    Comment,
     DecCount,
     FireTransition,
     Fragment,
@@ -49,39 +47,12 @@ class CodegenError(Exception):
     """Raised when a task subnet cannot be turned into structured code."""
 
 
-@dataclass
-class CodegenOptions:
-    """Tunable aspects of code generation.
-
-    Attributes
-    ----------
-    share_merges:
-        When True (default, the paper's behaviour) the fragment of a
-        transition referenced from several producer sites is emitted once
-        and called from each site; when False the fragment is duplicated
-        inline at every site.  Turning sharing off is used by the
-        code-size ablation benchmark.
-    emit_comments:
-        Include traceability comments mapping statements back to net
-        nodes.
-    """
-
-    share_merges: bool = True
-    emit_comments: bool = False
-
-
 class _TaskGenerator:
     """Generates the fragments of a single task."""
 
-    def __init__(
-        self,
-        net: PetriNet,
-        task: TaskDefinition,
-        options: CodegenOptions,
-    ) -> None:
+    def __init__(self, net: PetriNet, task: TaskDefinition) -> None:
         self.net = net
         self.task = task
-        self.options = options
         self.task_transitions = set(task.transitions)
         self.task_places = set(task.places)
         self.counters: Dict[str, int] = {}
@@ -136,14 +107,8 @@ class _TaskGenerator:
         return name
 
     def _build_body(self, transition: str, stack: Tuple[str, ...]) -> Block:
-        body = Block()
-        if self.options.emit_comments:
-            body.append(Comment(f"transition {transition}"))
-        body.append(
-            FireTransition(
-                transition=transition, cost=self.net.transition(transition).cost
-            )
-        )
+        cost = self.net.transition(transition).cost
+        body = Block([FireTransition(transition=transition, cost=cost)])
         # 1. Produce into all downstream places first (so that join
         #    transitions see every token produced by this firing).
         productions: List[Tuple[str, int, List[str]]] = []
@@ -261,21 +226,16 @@ class _TaskGenerator:
             self.fragments[entry].call_count += 1
 
 
-def generate_task_program(
-    net: PetriNet, task: TaskDefinition, options: Optional[CodegenOptions] = None
-) -> TaskProgram:
+def generate_task_program(net: PetriNet, task: TaskDefinition) -> TaskProgram:
     """Generate the structured code of one task."""
-    return _TaskGenerator(net, task, options or CodegenOptions()).generate()
+    return _TaskGenerator(net, task).generate()
 
 
-def generate_program(
-    partition: TaskPartition, options: Optional[CodegenOptions] = None
-) -> Program:
+def generate_program(partition: TaskPartition) -> Program:
     """Generate the structured code of every task of a partition."""
-    options = options or CodegenOptions()
     program = Program(name=partition.net.name)
     for task in partition.tasks:
-        program.tasks.append(generate_task_program(partition.net, task, options))
+        program.tasks.append(generate_task_program(partition.net, task))
     return program
 
 
@@ -283,7 +243,6 @@ def synthesize(
     schedule: ValidSchedule,
     rate_groups: Optional[Sequence[Sequence[str]]] = None,
     task_names: Optional[Dict[str, str]] = None,
-    options: Optional[CodegenOptions] = None,
 ) -> Program:
     """End-to-end software synthesis from a valid schedule.
 
@@ -293,4 +252,4 @@ def synthesize(
     :func:`repro.qss.compute_valid_schedule`.
     """
     partition = partition_tasks(schedule, rate_groups=rate_groups, task_names=task_names)
-    return generate_program(partition, options)
+    return generate_program(partition)

@@ -58,7 +58,6 @@ from .ir import (
     Block,
     CallFragment,
     ChoiceIf,
-    Comment,
     DecCount,
     FireTransition,
     Guarded,
@@ -273,8 +272,6 @@ class TaskExecutor:
         transition_cycles = self.cost.transition_cycles
         ops: List[Tuple] = []
         for statement in block:
-            if isinstance(statement, Comment):
-                continue
             if isinstance(statement, FireTransition):
                 ops.append(
                     (_OP_FIRE, statement.transition, statement.cost * transition_cycles)
@@ -419,8 +416,6 @@ class TaskExecutor:
         state = self._state
         cost = self.cost
         for statement in block:
-            if isinstance(statement, Comment):
-                continue
             if isinstance(statement, FireTransition):
                 result.fired.append(statement.transition)
                 result.cycles += statement.cost * cost.transition_cycles

@@ -87,14 +87,7 @@ class ChoiceIf:
     branches: Tuple[Tuple[str, "Block"], ...]
 
 
-@dataclass
-class Comment:
-    """A generated source comment (traceability back to the net)."""
-
-    text: str
-
-
-Statement = Union[FireTransition, IncCount, DecCount, CallFragment, Guarded, ChoiceIf, Comment]
+Statement = Union[FireTransition, IncCount, DecCount, CallFragment, Guarded, ChoiceIf]
 
 
 @dataclass

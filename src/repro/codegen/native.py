@@ -378,15 +378,19 @@ def _driver_source(program: Program, emission: CEmission, layout: _Layout) -> st
     return "\n".join(lines) + "\n"
 
 
+def _native_unit(program: Program) -> Tuple[CEmission, _Layout, str]:
+    """The instrumented emission, its layout and the complete native
+    translation unit (the emission plus the generated driver)."""
+    emission = emit_c(program, EmitOptions(instrument=True))
+    layout = _layout_for(program, emission)
+    return emission, layout, emission.source + _driver_source(program, emission, layout)
+
+
 def native_source(program: Program) -> str:
     """The complete native translation unit: instrumented emission plus
     the generated driver (what ``repro-qss synthesize --driver``
     writes)."""
-    emission = emit_c(
-        program, EmitOptions(instrument=True, explicit_choice_tail=True)
-    )
-    layout = _layout_for(program, emission)
-    return emission.source + _driver_source(program, emission, layout)
+    return _native_unit(program)[2]
 
 
 def task_choice_branches(task: TaskProgram) -> Dict[str, Tuple[str, ...]]:
@@ -599,12 +603,7 @@ class NativeProgram:
     ) -> None:
         self.program = program
         self.cost = cost_model or CostModel()
-        emission = emit_c(
-            program, EmitOptions(instrument=True, explicit_choice_tail=True)
-        )
-        self.emission = emission
-        self.layout = _layout_for(program, emission)
-        self.source = emission.source + _driver_source(program, emission, self.layout)
+        self.emission, self.layout, self.source = _native_unit(program)
         self.artifact = build_shared_library(self.source, directory)
         try:
             self._lib = _bind(_load_private(self.artifact), self.layout)
@@ -623,7 +622,7 @@ class NativeProgram:
                 ) from err
         self._task_ids = {name: i for i, name in enumerate(self.layout.task_names)}
         self._choice_ids = {p: i for i, p in enumerate(self.layout.choice_places)}
-        self._choice_values = emission.names.choice_values
+        self._choice_values = self.emission.names.choice_values
         self._counter_slices: Dict[str, slice] = {}
         start = 0
         for task in program.tasks:
@@ -776,9 +775,7 @@ class NativeTaskBackend:
         )
 
     def run_scripted(
-        self,
-        script: Union[np.ndarray, Sequence[Mapping[str, str]]],
-        choice_names: Optional[Sequence[Mapping[str, str]]] = None,
+        self, script: Union[np.ndarray, Sequence[Mapping[str, str]]]
     ) -> NativeBatchResult:
         """Run a batch of scripted activations in one native call.
 
@@ -791,9 +788,10 @@ class NativeTaskBackend:
         """
         if isinstance(script, np.ndarray):
             encoded = np.ascontiguousarray(script, dtype=np.int32)
+            choice_names = None
         else:
-            choice_names = script if choice_names is None else choice_names
             encoded = self.encode_script(script)
+            choice_names = script
         trace, cycles = self.native._run_batch(self.task_id, encoded)
         rows = trace.reshape(-1, 3)
         missing = (rows[:, 0] == _TRACE_CHOICE) & (rows[:, 2] == _CHOICE_MISSING)

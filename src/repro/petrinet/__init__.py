@@ -60,10 +60,8 @@ from .corpus_schema import (
 )
 from .exceptions import (
     DuplicateNodeError,
-    InconsistentNetError,
     InvalidArcError,
     InvalidMarkingError,
-    NotConflictFreeError,
     NotEnabledError,
     NotFreeChoiceError,
     NotSchedulableError,
@@ -130,7 +128,6 @@ from .simulation import (
     make_random_policy,
     policy_first_enabled,
     search_firing_order,
-    simulate_many,
 )
 from .structure import (
     choice_sets,
@@ -206,8 +203,6 @@ __all__ = [
     "NotEnabledError",
     "InvalidMarkingError",
     "NotFreeChoiceError",
-    "NotConflictFreeError",
-    "InconsistentNetError",
     "NotSchedulableError",
     "SerializationError",
     # structure
@@ -245,7 +240,6 @@ __all__ = [
     # simulation
     "Simulator",
     "CompiledSimulator",
-    "simulate_many",
     "SimulationTrace",
     "fire_sequence",
     "is_fireable",

@@ -17,14 +17,14 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
-def net_to_dot(net: PetriNet, rankdir: str = "LR", title: Optional[str] = None) -> str:
+def net_to_dot(net: PetriNet, title: Optional[str] = None) -> str:
     """Render ``net`` as a Graphviz DOT digraph string."""
     initial = net.initial_marking
     choices = set(net.choice_places())
     sources = set(net.source_transitions())
     sinks = set(net.sink_transitions())
     lines = [f"digraph {_quote(net.name)} {{"]
-    lines.append(f"  rankdir={rankdir};")
+    lines.append("  rankdir=LR;")
     if title:
         lines.append(f"  label={_quote(title)};")
         lines.append("  labelloc=t;")

@@ -39,16 +39,6 @@ class NotFreeChoiceError(PetriNetError):
     that is not free-choice."""
 
 
-class NotConflictFreeError(PetriNetError):
-    """An operation that requires a Conflict-Free net was applied to a net
-    containing conflicts."""
-
-
-class InconsistentNetError(PetriNetError):
-    """The net admits no positive T-invariant (the state equation
-    ``f^T . D = 0`` has no positive solution)."""
-
-
 class NotSchedulableError(PetriNetError):
     """The net (or one of its T-reductions) is not quasi-statically
     schedulable."""

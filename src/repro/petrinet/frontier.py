@@ -326,15 +326,21 @@ def explore_frontier(
         )
 
 
-def _start_vector(
-    compiled: CompiledNet, start: Optional[Sequence[int]]
+def _marking_vector(
+    compiled: CompiledNet, marking: Optional[Sequence[int]], argument: str
 ) -> np.ndarray:
+    """``marking`` (``None``: the initial marking) as an int64 vector.
+
+    A marking without exactly one component per place is refused with
+    a ``ValueError`` naming ``argument``, so neither explorer broadcasts
+    it across the places.
+    """
     vector = np.array(
-        compiled.initial if start is None else tuple(start), dtype=np.int64
+        compiled.initial if marking is None else tuple(marking), dtype=np.int64
     )
     if vector.shape != (len(compiled.places),):
         raise ValueError(
-            f"start marking has {vector.shape[0]} components, net has "
+            f"{argument} marking has {len(vector)} components, net has "
             f"{len(compiled.places)} places"
         )
     return vector
@@ -358,8 +364,10 @@ def _explore_hashed(
     mix2, inc_h2 = tables.mix2, tables.inc_h2
     enabled_fn = tables.enabled
 
-    start_vector = _start_vector(compiled, start)
-    target_vector = None if target is None else np.array(target, dtype=np.int64)
+    start_vector = _marking_vector(compiled, start, "start")
+    target_vector = (
+        None if target is None else _marking_vector(compiled, target, "target")
+    )
     target_index: Optional[int] = None
     if target_vector is not None and np.array_equal(start_vector, target_vector):
         target_index = 0
@@ -530,9 +538,11 @@ def _explore_exact(
     the right engine outright for deep-narrow state spaces, where its
     per-marking cost beats any per-level batching.
     """
-    start_tuple = tuple(_start_vector(compiled, start).tolist())
+    start_tuple = tuple(_marking_vector(compiled, start, "start").tolist())
     target_tuple = (
-        None if target is None else tuple(np.array(target, dtype=np.int64).tolist())
+        None
+        if target is None
+        else tuple(_marking_vector(compiled, target, "target").tolist())
     )
     target_index: Optional[int] = None
     if target_tuple is not None and start_tuple == target_tuple:

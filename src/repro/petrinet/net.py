@@ -21,7 +21,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from .compiled import CompiledNet
@@ -210,16 +210,6 @@ class PetriNet:
         self._pred[dst][src] = weight
         return arc
 
-    def remove_arc(self, source: NodeRef, target: NodeRef) -> None:
-        """Remove the arc ``source -> target`` (no-op if absent)."""
-        src = self._name_of(source)
-        dst = self._name_of(target)
-        self._arcs.pop((src, dst), None)
-        if src in self._succ:
-            self._succ[src].pop(dst, None)
-        if dst in self._pred:
-            self._pred[dst].pop(src, None)
-
     def remove_place(self, place: NodeRef) -> None:
         """Remove a place together with all its arcs and initial tokens."""
         name = self._name_of(place)
@@ -352,9 +342,6 @@ class PetriNet:
             {name: self._initial_tokens.get(name, 0) for name in self._places}
         )
 
-    def iter_arcs(self) -> Iterator[Arc]:
-        return iter(self._arcs.values())
-
     # ------------------------------------------------------------------
     # Structural shortcuts used throughout the QSS algorithm
     # ------------------------------------------------------------------
@@ -369,10 +356,6 @@ class PetriNet:
     def source_places(self) -> List[str]:
         """Places with an empty preset."""
         return [p for p in self._places if not self._pred[p]]
-
-    def sink_places(self) -> List[str]:
-        """Places with an empty postset."""
-        return [p for p in self._places if not self._succ[p]]
 
     def choice_places(self) -> List[str]:
         """Places with more than one output transition (conflicts/choices)."""

@@ -16,9 +16,9 @@ Two kinds of simulation are needed by the paper's algorithms:
 Both kinds run on the integer-indexed
 :class:`~repro.petrinet.compiled.CompiledNet` core by default (pass
 ``engine="legacy"`` or use :class:`Simulator` for the original
-dict-based token game).  :class:`CompiledSimulator` and
-:func:`simulate_many` expose the compiled engine directly for
-scenario fan-out: one compilation, many cheap runs over marking tuples.
+dict-based token game).  :class:`CompiledSimulator` is the free
+simulation on that core: compile once (or pass a ``CompiledNet``) and
+run over marking tuples.
 """
 
 from __future__ import annotations
@@ -473,51 +473,3 @@ class CompiledSimulator:
             else:
                 self.trace.markings.append(final)
         return self.trace
-
-
-def simulate_many(
-    net: NetLike,
-    runs: int,
-    max_steps: int,
-    policy: Optional[ChoicePolicy] = None,
-    seed: Optional[int] = None,
-    marking: Optional[Marking] = None,
-    record_markings: bool = False,
-) -> List[SimulationTrace]:
-    """Batched multi-run simulation for scenario fan-out.
-
-    Compiles ``net`` once and runs ``runs`` independent simulations of up
-    to ``max_steps`` firings each on the shared compiled core.
-
-    Parameters
-    ----------
-    policy / seed:
-        When ``seed`` is given, run ``i`` uses a fresh random policy
-        seeded ``seed + i`` (reproducible, decorrelated scenarios) and
-        ``policy`` must be None.  Otherwise every run uses ``policy``
-        (default: :func:`policy_first_enabled`).
-    record_markings:
-        Passed to :class:`CompiledSimulator`; off by default because
-        fan-out workloads typically only need firing counts and final
-        markings.
-    """
-    if runs < 0:
-        raise ValueError("runs must be non-negative")
-    if seed is not None and policy is not None:
-        raise ValueError("pass either a policy or a seed, not both")
-    compiled = compile_net(net)
-    traces: List[SimulationTrace] = []
-    for run in range(runs):
-        run_policy: ChoicePolicy
-        if seed is not None:
-            run_policy = make_random_policy(seed + run)
-        else:
-            run_policy = policy or policy_first_enabled
-        simulator = CompiledSimulator(
-            compiled,
-            marking=marking,
-            policy=run_policy,
-            record_markings=record_markings,
-        )
-        traces.append(simulator.run(max_steps))
-    return traces

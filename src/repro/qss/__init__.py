@@ -36,7 +36,6 @@ from .schedulability import (
 )
 from .schedule import FiniteCompleteCycle, ValidSchedule
 from .scheduler import (
-    QuasiStaticScheduler,
     SchedulabilityReport,
     analyse,
     compute_valid_schedule,
@@ -69,7 +68,6 @@ __all__ = [
     "analyse",
     "is_schedulable",
     "compute_valid_schedule",
-    "QuasiStaticScheduler",
     "TaskDefinition",
     "TaskPartition",
     "partition_tasks",

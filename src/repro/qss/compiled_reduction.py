@@ -592,17 +592,6 @@ class CompiledReduction:
             self._cache["net"] = built
         return built  # type: ignore[return-value]
 
-    def to_reduction(self):
-        """Materialize the equivalent legacy :class:`TReduction`."""
-        from .reduction import TReduction
-
-        return TReduction(
-            allocation=self.allocation,
-            net=self.net,
-            removed_transitions=self.removed_transitions,
-            removed_places=self.removed_places,
-        )
-
     def __repr__(self) -> str:
         return (
             f"CompiledReduction(net={self.context.compiled.name!r}, "

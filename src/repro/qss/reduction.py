@@ -12,6 +12,12 @@ detected later, as in Figure 7).
 The resulting subnet is conflict-free by construction (every surviving
 place has at most one surviving successor), so it can be scheduled with
 the static SDF techniques of Section 2.
+
+This module is the legacy oracle: :func:`reduce_net` rebuilds a subnet
+per allocation and :func:`enumerate_reductions` deduplicates them.  The
+pipeline's fast path is the mask stream of
+:mod:`repro.qss.compiled_reduction` (``iter_compiled_reductions``),
+over which :func:`count_distinct_reductions` counts.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..petrinet import ENGINE_COMPILED, ENGINE_LEGACY, PetriNet, validate_engine
+from ..petrinet import PetriNet
 from ..petrinet.structure import is_conflict_free
 from .allocation import TAllocation, enumerate_allocations
+from .compiled_reduction import iter_compiled_reductions
 
 
 @dataclass(frozen=True)
@@ -217,9 +224,7 @@ def reduce_net(
 
 
 def enumerate_reductions(
-    net: PetriNet,
-    max_reductions: Optional[int] = None,
-    engine: str = ENGINE_COMPILED,
+    net: PetriNet, max_reductions: Optional[int] = None
 ) -> List[TReduction]:
     """Compute the distinct T-reductions of the T-allocations of ``net``.
 
@@ -229,30 +234,17 @@ def enumerate_reductions(
     order; the paper counts distinct reductions this way (120 for the
     ATM server despite 2^11 allocations).
 
+    This is the legacy oracle: it rebuilds a subnet per allocation, as
+    the original algorithm did.  The fast path is the mask pipeline of
+    :func:`repro.qss.compiled_reduction.iter_compiled_reductions`,
+    which yields the same reductions in the same order.
+
     Parameters
     ----------
     max_reductions:
         Optional safety cap; a ``RuntimeError`` is raised when exceeded
         so callers never silently work with a truncated set.
-    engine:
-        ``"compiled"`` (default) streams the allocation product through
-        the mask-based pipeline
-        (:func:`repro.qss.compiled_reduction.iter_compiled_reductions`)
-        and materializes a :class:`TReduction` only once per *distinct*
-        reduction; ``"legacy"`` rebuilds a subnet per allocation, as the
-        original algorithm did.  Both return identical reductions in
-        identical order.
     """
-    validate_engine(engine)
-    if engine != ENGINE_LEGACY:
-        from .compiled_reduction import iter_compiled_reductions
-
-        return [
-            reduction.to_reduction()
-            for reduction in iter_compiled_reductions(
-                net, max_reductions=max_reductions
-            )
-        ]
     reductions: List[TReduction] = []
     seen: Set[Tuple[FrozenSet[str], FrozenSet[str]]] = set()
     for allocation in enumerate_allocations(net):
@@ -270,18 +262,13 @@ def enumerate_reductions(
     return reductions
 
 
-def count_distinct_reductions(net: PetriNet, engine: str = ENGINE_COMPILED) -> int:
+def count_distinct_reductions(net: PetriNet) -> int:
     """Number of distinct T-reductions (the size of a valid schedule).
 
-    With the default compiled engine the count streams over reduction
-    masks without building a single subnet.
+    The count streams over reduction masks without building a single
+    subnet.
     """
-    validate_engine(engine)
-    if engine != ENGINE_LEGACY:
-        from .compiled_reduction import iter_compiled_reductions
-
-        return sum(1 for _ in iter_compiled_reductions(net))
-    return len(enumerate_reductions(net, engine=engine))
+    return sum(1 for _ in iter_compiled_reductions(net))
 
 
 def assert_conflict_free(reduction: TReduction) -> None:

@@ -18,6 +18,11 @@ When the net is not schedulable a :class:`SchedulabilityReport` explains
 which reductions fail and why, so the designer is "notified that there
 exists no implementation that can be executed forever with bounded
 memory".
+
+Both entry points go through :func:`analyse`, whose ``engine`` picks the
+mask pipeline (``"compiled"``: ``iter_compiled_reductions`` and
+``check_compiled_reduction``) or its oracle (``"legacy"``:
+``enumerate_reductions`` and ``check_reduction``).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from ..petrinet.exceptions import NotFreeChoiceError, NotSchedulableError
 from ..petrinet.structure import is_free_choice
 from .allocation import count_allocations
 from .compiled_reduction import iter_compiled_reductions
-from .reduction import TReduction, enumerate_reductions
+from .reduction import enumerate_reductions
 from .schedulability import (
     ReductionVerdict,
     check_compiled_reduction,
@@ -139,7 +144,7 @@ def analyse(
         )
     reductions: Iterable
     if engine == ENGINE_LEGACY:
-        reductions = enumerate_reductions(net, engine=ENGINE_LEGACY)
+        reductions = enumerate_reductions(net)
     else:
         reductions = iter_compiled_reductions(net, require_free_choice=False)
     verdicts: List[ReductionVerdict] = []
@@ -211,43 +216,3 @@ def compute_valid_schedule(
         raise NotSchedulableError(report.explain())
     return report.schedule
 
-
-class QuasiStaticScheduler:
-    """Object-oriented facade over :func:`analyse` for incremental use.
-
-    The scheduler caches the report so that the examples/benchmarks can
-    query schedulability, the schedule and per-reduction details without
-    re-running the decomposition.
-    """
-
-    def __init__(
-        self,
-        net: PetriNet,
-        marking: Optional[Marking] = None,
-        engine: str = ENGINE_COMPILED,
-    ) -> None:
-        self.net = net
-        self.marking = marking
-        self.engine = validate_engine(engine)
-        self._report: Optional[SchedulabilityReport] = None
-
-    @property
-    def report(self) -> SchedulabilityReport:
-        if self._report is None:
-            self._report = analyse(self.net, self.marking, engine=self.engine)
-        return self._report
-
-    def is_schedulable(self) -> bool:
-        return self.report.schedulable
-
-    def valid_schedule(self) -> ValidSchedule:
-        report = self.report
-        if not report.schedulable or report.schedule is None:
-            raise NotSchedulableError(report.explain())
-        return report.schedule
-
-    def reductions(self) -> List[TReduction]:
-        return [verdict.reduction for verdict in self.report.verdicts]
-
-    def explain(self) -> str:
-        return self.report.explain()

@@ -40,7 +40,6 @@ from .reactive import (
 from .rtos import RTOS, ExecutionStats
 from .stochastic import (
     TIMING_SPECS,
-    StochasticChoicePolicy,
     TimingModel,
     parse_timing,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "SignatureTable",
     "synthetic_streams",
     "TimingModel",
-    "StochasticChoicePolicy",
     "TIMING_SPECS",
     "parse_timing",
 ]

@@ -94,7 +94,7 @@ from .reactive import (
     validate_budget_policy,
 )
 from .rtos import ExecutionStats
-from .stochastic import StochasticChoicePolicy, TimingModel
+from .stochastic import TimingModel
 
 
 @dataclass
@@ -956,7 +956,6 @@ def synthetic_streams(
     seed: int = 0,
     mean_interval: float = 1.0,
     arrival: str = "exponential",
-    choice_policy: Optional[StochasticChoicePolicy] = None,
 ) -> EventStreams:
     """Reproducible per-instance event streams for an arbitrary net.
 
@@ -965,27 +964,24 @@ def synthetic_streams(
     ``"bursty"`` / ``"diurnal"`` processes of
     :mod:`repro.runtime.events`); the per-instance streams are merged in
     time order and truncated to ``events_per_instance``, and every event
-    carries choice resolutions drawn from a per-instance seeded
-    :class:`~repro.runtime.events.ChoiceSampler` — uniformly over each
-    choice place's successors by default, or from the weighted odds of
-    ``choice_policy``.  Used by the corpus runtime sweep and the
-    differential suites; nets without source transitions yield empty
-    streams.  The streams are fully determined by the arguments —
-    identical across processes and platforms
+    carries choice resolutions drawn uniformly over each choice place's
+    successors by a per-instance seeded
+    :class:`~repro.runtime.events.ChoiceSampler` (the applications'
+    ``make_fleet_testbench`` draw their own odds through the same
+    sampler).  Used by the corpus runtime sweep, ``repro-qss serve`` on
+    corpus families and the differential suites; nets without source
+    transitions yield empty streams.  The streams are fully determined by
+    the arguments — identical across processes and platforms
     (`tests/test_service_differential.py` pins the default path,
-    `tests/test_stochastic_determinism.py` the new arrival processes and
-    weighted policies).
+    `tests/test_stochastic_determinism.py` every arrival process).
     """
     validate_arrival(arrival)
     named = net.decompile() if isinstance(net, CompiledNet) else net
     sources = named.source_transitions()
-    if choice_policy is not None:
-        probabilities = choice_policy.probabilities
-    else:
-        probabilities = {
-            place: {t: 1.0 for t in named.postset_names(place)}
-            for place in named.choice_places()
-        }
+    probabilities = {
+        place: {t: 1.0 for t in named.postset_names(place)}
+        for place in named.choice_places()
+    }
     collector = StreamCollector()
     for i in range(instances):
         base = seed * 1_000_003 + i * 7_919

@@ -1,35 +1,29 @@
-"""Timed firing delays and weighted stochastic choice for the runtime.
+"""Timed firing delays for the runtime.
 
 The paper's target systems are *timed*: firing a transition models a
-computation that takes real time, and the data-dependent choices of the
-specification resolve with application-specific (not uniform) odds.
-This module adds both dimensions to the reactive/fleet runtime while
-keeping every execution path bit-reproducible:
+computation that takes real time.  :class:`TimingModel` adds that
+dimension to the reactive/fleet runtime while keeping every execution
+path bit-reproducible: it charges an **integer tick** delay per
+transition firing.  Ticks are integers on purpose — the fleet kernel
+charges one ``fired @ ticks`` product per cascade row where the legacy
+engine adds a delay per firing, and integer arithmetic makes the two
+orders byte-identical, which the differential suites pin.  Use
+:meth:`TimingModel.sampled` for a seeded random assignment or
+:meth:`TimingModel.constant` for a uniform one.
 
-* :class:`TimingModel` charges an **integer tick** delay per transition
-  firing.  Ticks are integers on purpose — the fleet kernel charges
-  one ``fired @ ticks`` product per cascade row where the legacy
-  engine adds a delay per firing, and integer arithmetic makes the two
-  orders byte-identical, which the differential suites pin.  Use
-  :meth:`TimingModel.sampled` for a seeded random assignment or
-  :meth:`TimingModel.constant` for a uniform one.
-
-* :class:`StochasticChoicePolicy` carries **weighted** branch odds per
-  choice place.  Resolution stays at the stream boundary (events carry
-  their resolutions, exactly as before), so the engines — compiled,
-  legacy, memoized, direct, service — never see randomness: they
-  receive the same resolved events and must produce the same bytes.
-
-Both are seeded through :class:`random.Random` with *string* seeds over
-*sorted* names, so results are identical across processes regardless of
-``PYTHONHASHSEED`` (`tests/test_stochastic_determinism.py` pins this).
+Sampled models are seeded through :class:`random.Random` with a *string*
+seed over *sorted* transition names, so they are identical across
+processes regardless of ``PYTHONHASHSEED``
+(`tests/test_stochastic_determinism.py` pins this).  Weighted choice
+odds live with the event streams: :class:`~repro.runtime.events.ChoiceSampler`
+draws each event's resolutions, so the engines never see randomness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -40,10 +34,6 @@ from ..petrinet.compiled import CompiledNet
 #: flag of ``repro-qss serve``): ``none``, ``fixed:N``,
 #: ``uniform:LOW-HIGH``.
 TIMING_SPECS = ("none", "fixed:N", "uniform:LOW-HIGH")
-
-
-def _named(net: Union[PetriNet, CompiledNet]) -> PetriNet:
-    return net.decompile() if isinstance(net, CompiledNet) else net
 
 
 def _transition_names(net: Union[PetriNet, CompiledNet]) -> List[str]:
@@ -151,79 +141,3 @@ def parse_timing(
         f"bad timing spec {spec!r}; expected one of {', '.join(TIMING_SPECS)} "
         f"(e.g. 'fixed:3' or 'uniform:1-8')"
     )
-
-
-@dataclass(frozen=True)
-class StochasticChoicePolicy:
-    """Weighted branch odds per choice place.
-
-    Attributes
-    ----------
-    weights:
-        ``{choice place: {successor transition: weight}}``; weights are
-        relative (the samplers normalize), must be positive.
-    """
-
-    weights: Mapping[str, Mapping[str, float]]
-
-    def __post_init__(self) -> None:
-        for place, branches in self.weights.items():
-            if not branches:
-                raise ValueError(f"choice place {place!r} has no branches")
-            for transition, weight in branches.items():
-                if not weight > 0:
-                    raise ValueError(
-                        f"weight of {place!r} -> {transition!r} must be "
-                        f"positive, got {weight!r}"
-                    )
-
-    @property
-    def probabilities(self) -> Dict[str, Dict[str, float]]:
-        """The weights normalized to sum to 1 per choice place."""
-        normalized: Dict[str, Dict[str, float]] = {}
-        for place, branches in self.weights.items():
-            total = sum(branches.values())
-            normalized[place] = {
-                transition: weight / total
-                for transition, weight in branches.items()
-            }
-        return normalized
-
-    @classmethod
-    def uniform(cls, net: Union[PetriNet, CompiledNet]) -> "StochasticChoicePolicy":
-        """Equal odds on every branch (the historical synthetic default)."""
-        named = _named(net)
-        return cls(
-            weights={
-                place: {t: 1.0 for t in named.postset_names(place)}
-                for place in named.choice_places()
-            }
-        )
-
-    @classmethod
-    def sampled(
-        cls,
-        net: Union[PetriNet, CompiledNet],
-        seed: int = 0,
-        low: float = 0.25,
-        high: float = 4.0,
-    ) -> "StochasticChoicePolicy":
-        """Seeded random weight in ``[low, high]`` per branch.
-
-        Iterates choice places and their successors in *sorted name
-        order* with a string-seeded :class:`random.Random` — identical
-        across processes and ``PYTHONHASHSEED`` values.
-        """
-        if not 0 < low <= high:
-            raise ValueError(
-                f"need 0 < low <= high, got low={low!r} high={high!r}"
-            )
-        named = _named(net)
-        rng = random.Random(f"choice:{seed}")
-        weights: Dict[str, Dict[str, float]] = {}
-        for place in sorted(named.choice_places()):
-            weights[place] = {
-                t: rng.uniform(low, high)
-                for t in sorted(named.postset_names(place))
-            }
-        return cls(weights=weights)

@@ -12,17 +12,12 @@ from repro.analysis import (
     sharing_tradeoff,
     total_buffer_tokens,
 )
-from repro.codegen import (
-    CodegenOptions,
-    EmitOptions,
-    emit_c,
-    generate_program,
-    synthesize,
-)
-from repro.codegen.ir import Block, Comment, DecCount, FireTransition, Program, TaskProgram, Fragment
+from repro.baselines import TASK_BOILERPLATE_LINES
+from repro.codegen import EmitOptions, emit_c, synthesize
+from repro.codegen.ir import Block, DecCount, FireTransition, Program, TaskProgram, Fragment
 from repro.codegen.emit_c import _TaskEmitter
 from repro.gallery import figure4_weighted, figure5_two_inputs
-from repro.qss import compute_valid_schedule, partition_tasks
+from repro.qss import compute_valid_schedule
 from repro.runtime import CostModel, Event
 
 
@@ -62,6 +57,12 @@ class TestScheduleBufferMetrics:
         assert metrics.clock_cycles > 0
         assert metrics.activations == 2
 
+    def test_qss_metrics_counts_task_boilerplate(self, fig5):
+        metrics, program = qss_metrics(fig5, [], CostModel())
+        emitted = emit_c(program).lines_of_code
+        assert program.task_count == 2
+        assert metrics.lines_of_code == emitted + TASK_BOILERPLATE_LINES * 2
+
     def test_sharing_tradeoff_with_execution(self, fig5):
         events = [Event(time=0.0, source="t8", choices={})]
         points = sharing_tradeoff(fig5, events=events)
@@ -69,13 +70,6 @@ class TestScheduleBufferMetrics:
 
 
 class TestEmitterDetails:
-    def test_comment_statements_rendered(self, fig4):
-        schedule = compute_valid_schedule(fig4)
-        partition = partition_tasks(schedule)
-        program = generate_program(partition, CodegenOptions(emit_comments=True))
-        source = emit_c(program).source
-        assert "/* transition t1 */" in source
-
     def test_dec_by_one_uses_decrement_operator(self):
         task = TaskProgram(
             name="demo",
@@ -85,7 +79,7 @@ class TestEmitterDetails:
                 "t": Fragment(
                     name="t",
                     transition="t",
-                    body=Block([FireTransition("t"), DecCount("p", 1), Comment("hi")]),
+                    body=Block([FireTransition("t"), DecCount("p", 1)]),
                 )
             },
             entry_fragments=("t",),
@@ -93,7 +87,6 @@ class TestEmitterDetails:
         program = Program(name="demo", tasks=[task])
         source = emit_c(program).source
         assert "count_p--;" in source
-        assert "/* hi */" in source
 
     def test_unknown_statement_rejected(self):
         emitter = _TaskEmitter(
@@ -102,12 +95,6 @@ class TestEmitterDetails:
         )
         with pytest.raises(TypeError):
             emitter._emit_statement(object(), 0)
-
-    def test_boilerplate_counted_per_task(self, fig5):
-        program = synthesize(compute_valid_schedule(fig5))
-        base = emit_c(program).lines_of_code
-        padded = emit_c(program, EmitOptions(boilerplate_lines_per_task=5)).lines_of_code
-        assert padded - base == 5 * program.task_count
 
     def test_choice_macros_defined_once(self, fig4):
         program = synthesize(compute_valid_schedule(fig4))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import (
+    QUEUE_BOILERPLATE_LINES,
+    TASK_BOILERPLATE_LINES,
     build_dynamic_implementation,
     build_functional_implementation,
     inter_module_queues,
@@ -46,6 +48,17 @@ class TestFunctionalPartitioning:
         from repro.codegen import emit_c
 
         assert impl.lines_of_code() > emit_c(impl.program).lines_of_code
+
+    def test_lines_of_code_counts_task_and_queue_boilerplate(self, fig5):
+        from repro.codegen import emit_c
+
+        impl = build_functional_implementation(fig5, FIG5_MODULES)
+        assert impl.task_count == 3 and impl.queues
+        assert impl.lines_of_code() == (
+            emit_c(impl.program).lines_of_code
+            + TASK_BOILERPLATE_LINES * 3
+            + QUEUE_BOILERPLATE_LINES * len(impl.queues)
+        )
 
     def test_execution_charges_queue_crossings(self, fig5):
         impl = build_functional_implementation(fig5, FIG5_MODULES)

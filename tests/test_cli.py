@@ -318,6 +318,11 @@ class TestServeService:
         assert "fleet of 3 instance(s)" in capsys.readouterr().out
 
 
+#: A fleet small enough that a run the validation wrongly lets through
+#: ends at once.
+SMALL_FLEET = ["--instances", "2", "--events", "2"]
+
+
 class TestServeValidation:
     """Up-front argparse validation of serve flag combinations (exit 2)."""
 
@@ -347,9 +352,35 @@ class TestServeValidation:
                 "unknown parameter",
             ),
             (["--family", "choice_fan:branches"], "expected key=value"),
+            (
+                ["--listen", "127.0.0.1:0", "--duration", "nan"],
+                "--duration: must be positive and finite",
+            ),
+            (["--duration", "inf"], "--duration: must be positive and finite"),
+            (
+                SMALL_FLEET + ["--telemetry", "t.jsonl", "--telemetry-interval", "0"],
+                "--telemetry-interval: must be positive and finite",
+            ),
+            (
+                SMALL_FLEET + ["--telemetry", "t.jsonl", "--telemetry-interval", "-1"],
+                "--telemetry-interval: must be positive and finite",
+            ),
+            (
+                SMALL_FLEET
+                + ["--telemetry", "t.jsonl", "--telemetry-interval", "nan"],
+                "--telemetry-interval: must be positive and finite",
+            ),
+            (
+                SMALL_FLEET + ["--telemetry-interval", "1"],
+                "--telemetry-interval: only meaningful with --telemetry",
+            ),
         ],
     )
-    def test_bad_combinations_exit_2(self, args, fragment, capsys):
+    def test_bad_combinations_exit_2(
+        self, args, fragment, capsys, monkeypatch, tmp_path
+    ):
+        # a run the validation lets through writes its files here
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             main(["serve"] + args)
         assert excinfo.value.code == 2

@@ -6,14 +6,12 @@ import pytest
 
 from repro.codegen import (
     CodegenError,
-    CodegenOptions,
     EmitOptions,
     ExecutionError,
     ProgramExecutor,
     TaskExecutor,
     emit_c,
     generate_program,
-    lines_of_code,
     synthesize,
 )
 from repro.codegen.ir import ChoiceIf, FireTransition, Guarded
@@ -126,14 +124,6 @@ class TestCEmission:
     def test_counters_declared_static(self, fig4_program):
         source = emit_c(fig4_program).source
         assert "static int count_p2 = 0;" in source
-
-    def test_lines_of_code_counts_boilerplate(self, fig5_program):
-        plain = emit_c(fig5_program).lines_of_code
-        padded = emit_c(
-            fig5_program, EmitOptions(boilerplate_lines_per_task=10)
-        ).lines_of_code
-        assert padded == plain + 20
-        assert lines_of_code(fig5_program) == plain
 
     def test_inline_all_duplicates_shared_code(self, fig5_program):
         shared = emit_c(fig5_program).source

@@ -60,7 +60,6 @@ from repro.petrinet.reachability import _coverability_analysis_compiled
 from repro.petrinet.generators import pipeline_net, producer_consumer_ring
 from repro.petrinet.structure import is_free_choice
 from repro.qss import (
-    QuasiStaticScheduler,
     analyse,
     check_compiled_reduction,
     check_reduction,
@@ -139,11 +138,6 @@ QSS_FRONTIER_CALLS = {
         ValueError,
         "unknown engine",
     ),
-    "QuasiStaticScheduler": (
-        lambda net, _: QuasiStaticScheduler(net, engine="frontier"),
-        ValueError,
-        "unknown engine",
-    ),
     "check_reduction": (
         lambda net, _: check_reduction(
             net, enumerate_reductions(net)[0], engine="frontier"
@@ -153,13 +147,13 @@ QSS_FRONTIER_CALLS = {
     ),
     "enumerate_reductions": (
         lambda net, _: enumerate_reductions(net, engine="frontier"),
-        ValueError,
-        "unknown engine",
+        TypeError,
+        "engine",
     ),
     "count_distinct_reductions": (
         lambda net, _: count_distinct_reductions(net, engine="frontier"),
-        ValueError,
-        "unknown engine",
+        TypeError,
+        "engine",
     ),
     "find_firing_sequence": (
         lambda net, _: find_firing_sequence(net, {}, engine="frontier"),
@@ -518,8 +512,8 @@ class TestEdgeCases:
     def test_qss_entry_points_reject_frontier(self, entry_point, tmp_path):
         """Every entry point runs compiled or legacy only: ``frontier``
         is an unknown engine to all of them, and the Definition 3.5
-        checks and the mask pipeline's cycle searches take no engine at
-        all."""
+        checks, the reduction enumerators and the mask pipeline's cycle
+        searches take no engine at all."""
         call, error, match = QSS_FRONTIER_CALLS[entry_point]
         net = _adversarial_arc_order_net()
         path = tmp_path / "net.json"

@@ -464,6 +464,41 @@ class TestValidation:
 
         assert records(budgeted) == records(in_ram) == records(legacy)
 
+    @pytest.mark.parametrize("explorer", ["hashed", "exact", "budget"])
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("argument", ["start", "target"])
+    def test_marking_of_the_wrong_length_is_refused(
+        self, argument, components, explorer
+    ):
+        """``start`` and ``target`` need one component per place in every
+        explorer: a malformed one is refused by name, never broadcast
+        across the places."""
+        net = PetriNet("two_places")
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        net.add_transition("t")
+        net.add_transition("u")
+        net.add_arc("p", "t")
+        net.add_arc("t", "q")
+        net.add_arc("q", "u")
+        compiled = compile_net(net)
+        marking = {argument: (0,) * components}
+        match = f"{argument} marking has {components} components, net has 2 places"
+        with pytest.raises(ValueError, match=match):
+            if explorer == "exact":
+                _explore_exact(
+                    compiled,
+                    marking.get("start"),
+                    100,
+                    marking.get("target"),
+                    False,
+                    True,
+                )
+            elif explorer == "budget":
+                explore_frontier(compiled, memory_budget=TINY_BUDGET, **marking)
+            else:
+                explore_frontier(compiled, **marking)
+
     def test_hash_disagreement_falls_back_to_exact(self, monkeypatch, tmp_path):
         """One forced second-hash mismatch in the visited store: every
         storage answers with the exact explorer's result, and the

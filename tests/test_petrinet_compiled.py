@@ -27,7 +27,6 @@ from repro.petrinet import (
     fire_sequence,
     incidence_matrices,
     make_random_policy,
-    simulate_many,
 )
 from repro.petrinet.exceptions import NotEnabledError, UnknownNodeError
 from repro.petrinet.generators import (
@@ -282,7 +281,7 @@ class TestConstrainedSimulationEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Free simulation equivalence and the batched API
+# Free simulation equivalence
 # ----------------------------------------------------------------------
 class TestFreeSimulationEquivalence:
     @pytest.mark.parametrize("figure", FREE_CHOICE_GALLERY)
@@ -304,24 +303,13 @@ class TestFreeSimulationEquivalence:
         assert light.final_marking == full.final_marking
         assert len(light.markings) <= 2
 
-    def test_simulate_many_is_reproducible_and_decorrelated(self, fig3a):
-        batch_a = simulate_many(fig3a, runs=6, max_steps=40, seed=42)
-        batch_b = simulate_many(fig3a, runs=6, max_steps=40, seed=42)
-        assert [t.fired for t in batch_a] == [t.fired for t in batch_b]
-        # per-run seeds are seed + i, so run i matches a fresh policy
-        reference = CompiledSimulator(
-            fig3a, policy=make_random_policy(44), record_markings=False
-        ).run(40)
-        assert batch_a[2].fired == reference.fired
-
-    def test_simulate_many_rejects_policy_and_seed(self, fig3a):
-        with pytest.raises(ValueError):
-            simulate_many(fig3a, 2, 10, policy=make_random_policy(1), seed=2)
-
-    def test_simulate_many_matches_legacy_loop(self, fig4):
-        batch = simulate_many(fig4, runs=3, max_steps=30, seed=7)
-        for i, trace in enumerate(batch):
-            legacy = Simulator(fig4, policy=make_random_policy(7 + i)).run(30)
+    def test_compiled_simulator_matches_legacy_over_seeds(self, fig4):
+        compiled = compile_net(fig4)
+        for seed in (7, 8, 9):
+            trace = CompiledSimulator(
+                compiled, policy=make_random_policy(seed), record_markings=False
+            ).run(30)
+            legacy = Simulator(fig4, policy=make_random_policy(seed)).run(30)
             assert trace.fired == legacy.fired
             assert trace.final_marking == legacy.final_marking
 

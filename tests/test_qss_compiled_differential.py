@@ -100,7 +100,8 @@ class TestCorpusFamiliesDifferential:
 
 
 class TestReductionEquivalence:
-    """The mask pipeline's decompiled reductions equal the legacy ones."""
+    """The mask pipeline's reductions and their named views equal the
+    legacy oracle's."""
 
     @pytest.mark.parametrize(
         "family,seed", [(f, s) for f in sorted(CORPUS_FAMILIES) for s in range(3)]
@@ -109,8 +110,8 @@ class TestReductionEquivalence:
         net = CORPUS_FAMILIES[family].spec(seed).build()
         if not is_free_choice(net):
             pytest.skip("non-free-choice net")
-        legacy = enumerate_reductions(net, engine="legacy")
-        compiled = enumerate_reductions(net, engine="compiled")
+        legacy = enumerate_reductions(net)
+        compiled = list(iter_compiled_reductions(net))
         assert len(compiled) == len(legacy)
         for c_red, l_red in zip(compiled, legacy):
             assert c_red.allocation == l_red.allocation
@@ -127,15 +128,11 @@ class TestReductionEquivalence:
     def test_count_distinct_reductions_engines_agree(self):
         for family in ("nested_choices", "independent_choices", "choice_fan"):
             net = CORPUS_FAMILIES[family].spec(1).build()
-            assert count_distinct_reductions(
-                net, engine="compiled"
-            ) == count_distinct_reductions(net, engine="legacy")
+            assert count_distinct_reductions(net) == len(enumerate_reductions(net))
 
     def test_streaming_dedup_matches_legacy_signatures(self):
         net = CORPUS_FAMILIES["nested_choices"].spec(3).build()
-        legacy_signatures = [
-            r.signature() for r in enumerate_reductions(net, engine="legacy")
-        ]
+        legacy_signatures = [r.signature() for r in enumerate_reductions(net)]
         compiled_signatures = [
             r.signature() for r in iter_compiled_reductions(net)
         ]

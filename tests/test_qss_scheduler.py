@@ -15,7 +15,6 @@ from repro.gallery import (
 from repro.petrinet import NetBuilder, is_finite_complete_cycle
 from repro.petrinet.exceptions import NotFreeChoiceError, NotSchedulableError
 from repro.qss import (
-    QuasiStaticScheduler,
     TAllocation,
     analyse,
     check_reduction,
@@ -140,22 +139,6 @@ class TestValidSchedules:
         text = compute_valid_schedule(fig3a).describe()
         assert "finite complete cycle" in text
         assert "t2" in text
-
-
-class TestSchedulerFacade:
-    def test_report_is_cached(self, fig3a):
-        scheduler = QuasiStaticScheduler(fig3a)
-        assert scheduler.report is scheduler.report
-        assert scheduler.is_schedulable()
-        assert scheduler.valid_schedule().cycle_count == 2
-        assert len(scheduler.reductions()) == 2
-        assert "schedulable" in scheduler.explain()
-
-    def test_facade_raises_for_unschedulable(self, fig7):
-        scheduler = QuasiStaticScheduler(fig7)
-        assert not scheduler.is_schedulable()
-        with pytest.raises(NotSchedulableError):
-            scheduler.valid_schedule()
 
 
 class TestTaskPartitioning:

@@ -1,12 +1,11 @@
 """Seed-stability pins for the stochastic workload layer.
 
-The new arrival processes (`bursty`, `diurnal`), the sampled timing
-model and the sampled choice policy must be pure functions of their
-seed: byte-identical across interpreter processes under varied
-``PYTHONHASHSEED`` (the classic way hidden ``hash()`` dependence leaks
-in), identical on repeated in-process calls, and different for
-different seeds (a constant stream would also pass the stability
-check).
+The new arrival processes (`bursty`, `diurnal`) and the sampled timing
+model must be pure functions of their seed: byte-identical across
+interpreter processes under varied ``PYTHONHASHSEED`` (the classic way
+hidden ``hash()`` dependence leaks in), identical on repeated
+in-process calls, and different for different seeds (a constant stream
+would also pass the stability check).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 
 from repro.runtime import (
     ARRIVAL_PROCESSES,
-    StochasticChoicePolicy,
     TimingModel,
     synthetic_streams,
     validate_arrival,
@@ -30,14 +28,12 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 #: Digest every stochastic surface in one child process: all arrival
 #: processes through ``synthetic_streams``, the app fleet testbenches,
-#: and the sampled timing/choice models.
+#: and the sampled timing model.
 _DIGEST_SCRIPT = """
 import hashlib, sys
 sys.path.insert(0, {src!r})
 from repro.apps import heating, router
-from repro.runtime import (
-    ARRIVAL_PROCESSES, StochasticChoicePolicy, TimingModel, synthetic_streams,
-)
+from repro.runtime import ARRIVAL_PROCESSES, TimingModel, synthetic_streams
 
 net = router.build_router_net()
 parts = []
@@ -56,10 +52,6 @@ parts.append(("router_fleet", repr(router.make_fleet_testbench(3, 8, seed=7))))
 parts.append(("heating_fleet", repr(heating.make_fleet_testbench(3, 8, seed=7))))
 parts.append(
     ("timing", sorted(TimingModel.sampled(net, seed=7).transition_ticks.items()))
-)
-policy = StochasticChoicePolicy.sampled(net, seed=7)
-parts.append(
-    ("choice", sorted((p, sorted(w.items())) for p, w in policy.weights.items()))
 )
 print(hashlib.sha256(repr(parts).encode()).hexdigest())
 """
@@ -158,15 +150,3 @@ class TestSampledModels:
         assert a.transition_ticks == b.transition_ticks
         assert a.transition_ticks != c.transition_ticks
         assert all(1 <= t <= 8 for t in a.transition_ticks.values())
-
-    def test_choice_policy_seed_determinism(self):
-        from repro.apps import heating
-
-        net = heating.build_heating_net()
-        a = StochasticChoicePolicy.sampled(net, seed=5)
-        b = StochasticChoicePolicy.sampled(net, seed=5)
-        c = StochasticChoicePolicy.sampled(net, seed=6)
-        assert a.weights == b.weights
-        assert a.weights != c.weights
-        for branches in a.probabilities.values():
-            assert sum(branches.values()) == pytest.approx(1.0)

@@ -20,7 +20,6 @@ from repro.runtime import (
     FleetEngine,
     FleetSimulator,
     ModuleAssignment,
-    StochasticChoicePolicy,
     TimingModel,
     parse_timing,
     synthetic_streams,
@@ -158,10 +157,7 @@ class TestStochasticStreamsAcrossEngines:
     def test_arrival_processes_equal_across_engines(self, arrival):
         net = router.build_router_net()
         assignment = ModuleAssignment.single_task(net)
-        policy = StochasticChoicePolicy.sampled(net, seed=9)
-        streams = synthetic_streams(
-            net, 10, 8, seed=9, arrival=arrival, choice_policy=policy
-        )
+        streams = synthetic_streams(net, 10, 8, seed=9, arrival=arrival)
         compiled = FleetSimulator(net, assignment).run(streams)
         legacy = FleetSimulator(net, assignment, engine="legacy").run(streams)
         assert compiled.stats.events_processed == 80
