@@ -10,7 +10,7 @@ from .metrics import (
     schedule_buffer_bounds,
     total_buffer_tokens,
 )
-from .tradeoffs import TradeoffPoint, overhead_sensitivity, sharing_tradeoff
+from .tradeoffs import overhead_sensitivity
 
 __all__ = [
     "ImplementationMetrics",
@@ -20,8 +20,6 @@ __all__ = [
     "build_comparison",
     "schedule_buffer_bounds",
     "total_buffer_tokens",
-    "TradeoffPoint",
-    "sharing_tradeoff",
     "overhead_sensitivity",
     "summarize_corpus",
     "render_corpus_summary",

@@ -4,8 +4,7 @@ Table I of the paper compares two software implementations of the ATM
 server — QSS and functional task partitioning — on three metrics:
 number of tasks, lines of C code, and clock cycles over a testbench of
 50 ATM cells.  This module computes the same three metrics for any
-schedulable net, plus buffer-size metrics used by the trade-off
-exploration.
+schedulable net, plus the static buffer size of a valid schedule.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ def build_comparison(
 
 
 # ----------------------------------------------------------------------
-# Buffer metrics (memory side of the trade-off)
+# Buffer metrics
 # ----------------------------------------------------------------------
 def schedule_buffer_bounds(schedule: ValidSchedule) -> Dict[str, int]:
     """Static buffer bound per place when the valid schedule is followed."""

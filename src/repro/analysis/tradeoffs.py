@@ -2,22 +2,15 @@
 
 The paper's conclusions point to future work: "explore different
 schedules, evaluating tradeoffs between code and buffer size".  This
-module provides that exploration on top of the reproduction:
-
-* code size with and without merge-fragment sharing (the structured
-  counterpart of the paper's goto sharing);
-* code size versus statically allocated buffer slots for each candidate
-  implementation;
-* sensitivity of the cycle count to the RTOS activation overhead, which
-  is the knob that determines how much a coarser task partition wins.
+module sweeps the RTOS activation overhead, the knob that determines
+how much a coarser task partition wins, and reports its effect on the
+cycle counts of the QSS implementation and a baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..codegen.emit_c import EmitOptions, emit_c
 from ..codegen.generator import synthesize
 from ..petrinet import PetriNet
 from ..qss.schedule import ValidSchedule
@@ -25,51 +18,6 @@ from ..qss.scheduler import compute_valid_schedule
 from ..runtime.cost import CostModel
 from ..runtime.events import Event
 from ..runtime.rtos import RTOS
-from .metrics import schedule_buffer_bounds
-
-
-@dataclass
-class TradeoffPoint:
-    """One point in the code-size / buffer-size / cycles design space."""
-
-    label: str
-    lines_of_code: int
-    buffer_slots: int
-    clock_cycles: Optional[int] = None
-
-
-def sharing_tradeoff(
-    net: PetriNet,
-    schedule: Optional[ValidSchedule] = None,
-    events: Optional[Sequence[Event]] = None,
-    cost_model: Optional[CostModel] = None,
-) -> List[TradeoffPoint]:
-    """Compare implementations with and without shared merge fragments.
-
-    Sharing reduces code size (common suffixes are emitted once) at the
-    cost of an extra call per activation; duplication does the opposite —
-    the trade-off the paper's ``goto`` sharing addresses.  Both points
-    render one synthesized program (duplication is
-    ``EmitOptions(inline_all=True)``), so they report the same buffer
-    slots and clock cycles.
-    """
-    if schedule is None:
-        schedule = compute_valid_schedule(net)
-    buffers = sum(schedule_buffer_bounds(schedule).values())
-    program = synthesize(schedule)
-    cycles = None
-    if events is not None:
-        cycles = RTOS(program, cost_model).run(events).total_cycles
-    renderings = (("shared merges", False), ("duplicated merges", True))
-    return [
-        TradeoffPoint(
-            label=label,
-            lines_of_code=emit_c(program, EmitOptions(inline_all=inline)).lines_of_code,
-            buffer_slots=buffers,
-            clock_cycles=cycles,
-        )
-        for label, inline in renderings
-    ]
 
 
 def overhead_sensitivity(

@@ -62,11 +62,6 @@ class EmitOptions:
         Emit each task wrapped in ``while (1) { ... }`` (the paper's
         single-task listing style) instead of a per-activation function
         body called by the RTOS.
-    inline_all:
-        Inline every fragment at every call site (duplicating merge
-        continuations instead of sharing them); used by the code-size
-        trade-off analysis.  Ignored for fragments that would recurse.
-        Otherwise only fragments referenced once are inlined.
     instrument:
         Emit the unit the native tier compiles.  The interpreter's cycle
         accounting is threaded through the code: every fragment entry,
@@ -82,7 +77,6 @@ class EmitOptions:
     """
 
     standalone_loop: bool = False
-    inline_all: bool = False
     instrument: bool = False
 
 
@@ -110,7 +104,6 @@ class CEmission:
 
     source: str
     lines_of_code: int
-    lines_per_task: Dict[str, int] = field(default_factory=dict)
     names: CNames = field(default_factory=CNames)
 
 
@@ -276,24 +269,20 @@ class _TaskEmitter:
     def _emit(self, depth: int, text: str) -> None:
         self.lines.append(INDENT * depth + text)
 
-    def _inline_by_options(self, fragment: Fragment) -> bool:
-        return self.options.inline_all or fragment.call_count <= 1
-
     def _is_inline(self, fragment: Fragment) -> bool:
         if fragment.name in self._inline_stack:
             # recursive fragment (cyclic task net): must stay a helper call
             return False
-        return self._inline_by_options(fragment)
+        return fragment.call_count <= 1
 
     def _helper_fragments(self) -> List[Fragment]:
-        """Fragments that need an emitted helper body: everything not
-        inlined by the options, plus fragments on call cycles (which
+        """Fragments that need an emitted helper body: everything
+        referenced more than once, plus fragments on call cycles (which
         surface as helper calls when inlining hits the recursion)."""
         return [
             fragment
             for fragment in self.task.fragments.values()
-            if not self._inline_by_options(fragment)
-            or fragment.name in self._recursive
+            if fragment.call_count > 1 or fragment.name in self._recursive
         ]
 
     # -- statement rendering ------------------------------------------------
@@ -467,23 +456,18 @@ def emit_c(program: Program, options: Optional[EmitOptions] = None) -> CEmission
         )
     lines.append("")
 
-    per_task: Dict[str, int] = {}
     for task in program.tasks:
-        emitter = _TaskEmitter(task, options, names=table)
-        task_lines = emitter.emit()
-        per_task[task.name] = len(task_lines)
+        lines.extend(_TaskEmitter(task, options, names=table).emit())
+        lines.append("")
         names.tasks[task.name] = table.get(("task", task.name))
         names.counters[task.name] = {
             place: table.get(("counter", task.name, place))
             for place in sorted(task.counters)
         }
-        lines.extend(task_lines)
-        lines.append("")
 
     source = "\n".join(lines).rstrip() + "\n"
     return CEmission(
         source=source,
         lines_of_code=len(source.splitlines()),
-        lines_per_task=per_task,
         names=names,
     )

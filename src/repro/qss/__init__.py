@@ -17,13 +17,13 @@ from .allocation import (
 from .compiled_reduction import (
     CompiledReduction,
     QSSContext,
+    count_distinct_reductions,
     iter_compiled_reductions,
 )
 from .reduction import (
     ReductionStep,
     TReduction,
     assert_conflict_free,
-    count_distinct_reductions,
     enumerate_reductions,
     reduce_net,
 )

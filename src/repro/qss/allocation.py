@@ -104,9 +104,7 @@ def count_allocations(net: PetriNet) -> int:
     return count
 
 
-def enumerate_allocations(
-    net: PetriNet, require_free_choice: bool = True
-) -> Iterator[TAllocation]:
+def enumerate_allocations(net: PetriNet) -> Iterator[TAllocation]:
     """Yield every T-allocation of ``net``.
 
     The number of allocations is the product of the out-degrees of the
@@ -117,11 +115,10 @@ def enumerate_allocations(
     Raises
     ------
     NotFreeChoiceError
-        If ``require_free_choice`` is True and the net is not free-choice
-        (T-allocations are defined for any net, but the QSS theory is
-        stated for FCPNs only).
+        If the net is not free-choice (T-allocations are defined for any
+        net, but the QSS theory is stated for FCPNs only).
     """
-    if require_free_choice and not is_free_choice(net):
+    if not is_free_choice(net):
         raise NotFreeChoiceError(
             f"net {net.name!r} is not free-choice; quasi-static scheduling "
             "is defined for Free-Choice Petri Nets"

@@ -600,11 +600,7 @@ class CompiledReduction:
         )
 
 
-def iter_compiled_reductions(
-    net: PetriNet,
-    require_free_choice: bool = True,
-    max_reductions: Optional[int] = None,
-) -> Iterator[CompiledReduction]:
+def iter_compiled_reductions(net: PetriNet) -> Iterator[CompiledReduction]:
     """Stream the distinct T-reductions of ``net`` as mask views.
 
     The allocation product is consumed lazily with on-the-fly
@@ -612,27 +608,25 @@ def iter_compiled_reductions(
     materialized and consumers such as ``fail_fast`` analyses can stop
     early.  Enumeration order and first-wins dedup match the legacy
     :func:`repro.qss.reduction.enumerate_reductions` exactly.
+
+    Raises
+    ------
+    NotFreeChoiceError
+        If the net is not free-choice.
     """
     ctx = QSSContext(net)
-    if require_free_choice and not is_free_choice(ctx.net):
+    if not is_free_choice(ctx.net):
         raise NotFreeChoiceError(
             f"net {ctx.compiled.name!r} is not free-choice; quasi-static "
             "scheduling is defined for Free-Choice Petri Nets"
         )
     seen: set = set()
-    yielded = 0
     for combination, excluded in ctx.iter_raw_allocations():
         masks = ctx.reduce_masks(excluded)
         signature = masks[0] + b"|" + masks[1]
         if signature in seen:
             continue
         seen.add(signature)
-        if max_reductions is not None and yielded >= max_reductions:
-            raise RuntimeError(
-                f"net {ctx.compiled.name!r} has more than {max_reductions} "
-                "distinct T-reductions"
-            )
-        yielded += 1
         yield CompiledReduction(
             context=ctx,
             allocation=ctx.make_allocation(combination),
@@ -641,3 +635,12 @@ def iter_compiled_reductions(
             removed_transition_ids=masks[2],
             removed_place_ids=masks[3],
         )
+
+
+def count_distinct_reductions(net: PetriNet) -> int:
+    """Number of distinct T-reductions (the size of a valid schedule).
+
+    The count streams over reduction masks without building a single
+    subnet.
+    """
+    return sum(1 for _ in iter_compiled_reductions(net))

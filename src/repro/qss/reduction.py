@@ -16,8 +16,7 @@ the static SDF techniques of Section 2.
 This module is the legacy oracle: :func:`reduce_net` rebuilds a subnet
 per allocation and :func:`enumerate_reductions` deduplicates them.  The
 pipeline's fast path is the mask stream of
-:mod:`repro.qss.compiled_reduction` (``iter_compiled_reductions``),
-over which :func:`count_distinct_reductions` counts.
+:mod:`repro.qss.compiled_reduction` (``iter_compiled_reductions``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 from ..petrinet import PetriNet
 from ..petrinet.structure import is_conflict_free
 from .allocation import TAllocation, enumerate_allocations
-from .compiled_reduction import iter_compiled_reductions
 
 
 @dataclass(frozen=True)
@@ -223,9 +221,7 @@ def reduce_net(
     )
 
 
-def enumerate_reductions(
-    net: PetriNet, max_reductions: Optional[int] = None
-) -> List[TReduction]:
+def enumerate_reductions(net: PetriNet) -> List[TReduction]:
     """Compute the distinct T-reductions of the T-allocations of ``net``.
 
     Allocations whose reductions coincide — because they differ only at
@@ -238,12 +234,6 @@ def enumerate_reductions(
     the original algorithm did.  The fast path is the mask pipeline of
     :func:`repro.qss.compiled_reduction.iter_compiled_reductions`,
     which yields the same reductions in the same order.
-
-    Parameters
-    ----------
-    max_reductions:
-        Optional safety cap; a ``RuntimeError`` is raised when exceeded
-        so callers never silently work with a truncated set.
     """
     reductions: List[TReduction] = []
     seen: Set[Tuple[FrozenSet[str], FrozenSet[str]]] = set()
@@ -254,21 +244,7 @@ def enumerate_reductions(
             continue
         seen.add(signature)
         reductions.append(reduction)
-        if max_reductions is not None and len(reductions) > max_reductions:
-            raise RuntimeError(
-                f"net {net.name!r} has more than {max_reductions} distinct "
-                "T-reductions"
-            )
     return reductions
-
-
-def count_distinct_reductions(net: PetriNet) -> int:
-    """Number of distinct T-reductions (the size of a valid schedule).
-
-    The count streams over reduction masks without building a single
-    subnet.
-    """
-    return sum(1 for _ in iter_compiled_reductions(net))
 
 
 def assert_conflict_free(reduction: TReduction) -> None:

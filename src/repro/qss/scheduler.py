@@ -109,7 +109,6 @@ class SchedulabilityReport:
 def analyse(
     net: PetriNet,
     marking: Optional[Marking] = None,
-    require_free_choice: bool = True,
     engine: str = ENGINE_COMPILED,
     fail_fast: bool = False,
 ) -> SchedulabilityReport:
@@ -134,10 +133,10 @@ def analyse(
     Raises
     ------
     NotFreeChoiceError
-        If ``require_free_choice`` is True and the net is not free-choice.
+        If the net is not free-choice.
     """
     validate_engine(engine)
-    if require_free_choice and not is_free_choice(net):
+    if not is_free_choice(net):
         raise NotFreeChoiceError(
             f"net {net.name!r} is not a Free-Choice Petri Net; the QSS "
             "algorithm is only defined (and complete) for FCPNs"
@@ -146,7 +145,7 @@ def analyse(
     if engine == ENGINE_LEGACY:
         reductions = enumerate_reductions(net)
     else:
-        reductions = iter_compiled_reductions(net, require_free_choice=False)
+        reductions = iter_compiled_reductions(net)
     verdicts: List[ReductionVerdict] = []
     complete = True
     for reduction in reductions:

@@ -9,7 +9,6 @@ from repro.analysis import (
     ImplementationMetrics,
     qss_metrics,
     schedule_buffer_bounds,
-    sharing_tradeoff,
     total_buffer_tokens,
 )
 from repro.baselines import TASK_BOILERPLATE_LINES
@@ -62,11 +61,6 @@ class TestScheduleBufferMetrics:
         emitted = emit_c(program).lines_of_code
         assert program.task_count == 2
         assert metrics.lines_of_code == emitted + TASK_BOILERPLATE_LINES * 2
-
-    def test_sharing_tradeoff_with_execution(self, fig5):
-        events = [Event(time=0.0, source="t8", choices={})]
-        points = sharing_tradeoff(fig5, events=events)
-        assert all(p.clock_cycles is not None for p in points)
 
 
 class TestEmitterDetails:

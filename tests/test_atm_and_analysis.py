@@ -16,7 +16,6 @@ from repro.analysis import (
     overhead_sensitivity,
     qss_metrics,
     schedule_buffer_bounds,
-    sharing_tradeoff,
     total_buffer_tokens,
 )
 from repro.apps.atm import (
@@ -162,15 +161,6 @@ class TestTableOne:
 
 
 class TestTradeoffs:
-    def test_sharing_tradeoff_orders_code_size(self, fig5):
-        points = sharing_tradeoff(fig5)
-        by_label = {p.label: p for p in points}
-        assert (
-            by_label["shared merges"].lines_of_code
-            <= by_label["duplicated merges"].lines_of_code
-        )
-        assert all(p.buffer_slots >= 0 for p in points)
-
     def test_overhead_sensitivity_ratio_grows(self, atm_net, atm_events_small):
         functional = build_functional_implementation(atm_net, MODULE_PARTITION)
         records = overhead_sensitivity(

@@ -185,11 +185,6 @@ class TestCompiledReductionSurface:
         signatures = {r.signature() for r in iter_compiled_reductions(net)}
         assert len(signatures) == 4
 
-    def test_max_reductions_cap_raises(self):
-        net = independent_choices_net(3, 2)
-        with pytest.raises(RuntimeError, match="more than 3 distinct"):
-            list(iter_compiled_reductions(net, max_reductions=3))
-
     def test_decompile_only_on_demand(self):
         net = nested_choices_net(3)
         reduction = next(iter_compiled_reductions(net))
