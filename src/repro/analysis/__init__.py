@@ -7,7 +7,6 @@ from .metrics import (
     build_comparison,
     functional_metrics,
     qss_metrics,
-    schedule_buffer_bounds,
     total_buffer_tokens,
 )
 from .tradeoffs import overhead_sensitivity
@@ -18,7 +17,6 @@ __all__ = [
     "qss_metrics",
     "functional_metrics",
     "build_comparison",
-    "schedule_buffer_bounds",
     "total_buffer_tokens",
     "overhead_sensitivity",
     "summarize_corpus",

@@ -10,7 +10,7 @@ schedulable net, plus the static buffer size of a valid schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines.functional_partitioning import (
     TASK_BOILERPLATE_LINES,
@@ -174,11 +174,6 @@ def build_comparison(
 # ----------------------------------------------------------------------
 # Buffer metrics
 # ----------------------------------------------------------------------
-def schedule_buffer_bounds(schedule: ValidSchedule) -> Dict[str, int]:
-    """Static buffer bound per place when the valid schedule is followed."""
-    return schedule.max_buffer_bounds()
-
-
 def total_buffer_tokens(schedule: ValidSchedule) -> int:
     """Total statically allocated buffer slots implied by the schedule."""
-    return sum(schedule_buffer_bounds(schedule).values())
+    return sum(schedule.max_buffer_bounds().values())

@@ -413,10 +413,10 @@ async def _serve_service(
         TELEMETRY_SCHEMA,
         FleetSupervisor,
         IngestServer,
-        InjectBatch,
         ShardFailed,
         TelemetryWriter,
         events_to_injects,
+        inject_columns,
     )
 
     supervisor = FleetSupervisor(
@@ -502,9 +502,7 @@ async def _serve_service(
         else:
             injects = events_to_injects(streams)
             for i in range(0, len(injects), 512):
-                await supervisor.inject(
-                    InjectBatch(events=tuple(injects[i : i + 512]))
-                )
+                await supervisor.inject(inject_columns(injects[i : i + 512]))
     finally:
         if sampler_task is not None:
             sampler_task.cancel()

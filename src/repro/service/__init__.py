@@ -3,16 +3,16 @@
 Layered on the :class:`~repro.runtime.fleet.FleetEngine` stepping
 kernel:
 
-- :mod:`~repro.service.messages` — frozen typed messages + the
-  versioned JSON wire codec every endpoint speaks, plus the internal
-  zero-copy :class:`InjectBatchPacked` (pre-interned int64 id columns).
+- :mod:`~repro.service.messages` — frozen typed messages, the
+  versioned wire codecs every endpoint speaks (JSON lines, binary
+  inject frames), plus the internal zero-copy
+  :class:`InjectBatchPacked` (pre-interned int64 id columns).
 - :mod:`~repro.service.shard` — the shard: one kernel behind one ordered
   bounded inbox, served by an asyncio actor loop (coalesced vectorized
   injects, controls as barriers, typed failure).
 - :mod:`~repro.service.supervisor` — the ingest boundary in front of
   the one shard actor: packing, snapshots, reload, drain-and-stop.
-- :mod:`~repro.service.ingest` — the LDJSON socket server and its
-  client.
+- :mod:`~repro.service.ingest` — the socket server and its client.
 - :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
 
 ``repro-qss serve --listen/--duration/--telemetry`` is the CLI front
@@ -24,7 +24,6 @@ from .ingest import IngestServer, ServiceClient, events_to_injects
 from .messages import (
     WIRE_SCHEMA,
     Ack,
-    InjectBatch,
     InjectBatchPacked,
     InjectEvent,
     ProtocolError,
@@ -35,6 +34,7 @@ from .messages import (
     SnapshotRequest,
     decode_message,
     encode_message,
+    inject_columns,
 )
 from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardCore, ShardFailed
 from .supervisor import FleetSupervisor, SupervisorNotRunning
@@ -45,7 +45,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "DEFAULT_INBOX_LIMIT",
     "Ack",
-    "InjectBatch",
     "InjectBatchPacked",
     "InjectEvent",
     "ProtocolError",
@@ -56,6 +55,7 @@ __all__ = [
     "SnapshotRequest",
     "decode_message",
     "encode_message",
+    "inject_columns",
     "FleetSupervisor",
     "SupervisorNotRunning",
     "ShardActor",

@@ -1,23 +1,33 @@
-"""Event ingest: the LDJSON socket server and its client.
+"""Event ingest: the socket server and its client.
 
 :class:`IngestServer` exposes a running
-:class:`~repro.service.supervisor.FleetSupervisor` over TCP, one wire
-message (:mod:`repro.service.messages`) per line in both directions.
+:class:`~repro.service.supervisor.FleetSupervisor` over TCP.  A client
+sends JSON lines (single injects and the controls) and binary inject
+frames (batches), both defined in :mod:`repro.service.messages`; the
+server tells them apart by the first byte and answers in JSON lines.
 Injects propagate the shard actor's backpressure naturally: the
 connection handler ``await``s the supervisor, so while the shard's inbox
 is full the handler stops reading its socket, the kernel buffer and
 TCP window fill, and the *client* slows down — overload degrades to
-latency, never to unbounded server memory.  Malformed lines (an inject
-field of the wrong type included), injects naming an unknown source
-transition, control requests that reach a failed or stopped shard, and
-any request that arrives after the supervisor stopped are answered with
-a ``not-ok`` :class:`~repro.service.messages.Ack` carrying the error;
-the connection stays up.
+latency, never to unbounded server memory.
 
-:class:`ServiceClient` speaks the codec over a socket (inject /
-snapshot / reload / shutdown): what external producers use, and what
-the socket tests drive.  In-process callers use the supervisor
-directly.
+A bad request is answered with a ``not-ok``
+:class:`~repro.service.messages.Ack` carrying the error, and the
+connection stays up: a malformed line (an inject field of the wrong
+type included), a frame whose rows name an id beyond the connection's
+tables or a time that is not finite, an inject or frame naming an
+unknown source transition (none of its events is served), a control
+request that reaches a failed or stopped shard, and any request that
+arrives after the supervisor stopped.  Only what leaves the stream out
+of step drops its connection, and only that one: a line longer than
+:data:`STREAM_LIMIT`, a frame prefix whose sizes exceed it (checked
+before the frame's body is read), a frame header that is not the
+expected JSON shape, and end of stream inside a frame.
+
+:class:`ServiceClient` speaks both forms over a socket (inject /
+inject_batch / snapshot / reload / shutdown): what external producers
+use, and what the socket tests drive.  In-process callers use the
+supervisor directly.
 """
 
 from __future__ import annotations
@@ -29,11 +39,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..petrinet.exceptions import NotEnabledError
-from ..runtime.events import as_columns
+from ..runtime.events import EventColumns, as_columns
 from .messages import (
+    FRAME_MAGIC,
+    FRAME_ROW_BYTES,
+    FRAME_SIZES,
     Ack,
-    InjectBatch,
+    FrameDecoder,
+    FrameEncoder,
     InjectEvent,
+    Message,
     ProtocolError,
     Reload,
     Shutdown,
@@ -45,14 +60,13 @@ from .messages import (
 from .shard import ShardFailed
 from .supervisor import FleetSupervisor, SupervisorNotRunning
 
-#: Per-line stream buffer limit, both directions.  asyncio's 64 KiB
-#: default truncates a large :class:`InjectBatch` (one JSON line); a
-#: line beyond even this limit closes the connection rather than
-#: buffering unboundedly.
+#: The largest line, or frame header plus rows, the server reads, in
+#: bytes (and the client's stream buffer limit).  Anything larger closes
+#: its connection rather than being buffered.
 STREAM_LIMIT = 16 * 1024 * 1024
 
-#: Injects per wire line: :meth:`ServiceClient.inject_batch` splits
-#: larger batches so no single line approaches :data:`STREAM_LIMIT`.
+#: Rows per inject frame: :meth:`ServiceClient.inject_batch` splits
+#: larger batches so no frame approaches :data:`STREAM_LIMIT`.
 BATCH_CHUNK = 4096
 
 #: Seconds :meth:`IngestServer.stop` lets closed connections flush
@@ -60,8 +74,12 @@ BATCH_CHUNK = 4096
 STOP_GRACE = 5.0
 
 
+class _OutOfStep(Exception):
+    """The connection's stream can no longer be read in step: drop it."""
+
+
 class IngestServer:
-    """Line-delimited-JSON TCP front end for a fleet supervisor."""
+    """TCP front end for a fleet supervisor: JSON lines and inject frames."""
 
     def __init__(
         self,
@@ -119,24 +137,21 @@ class IngestServer:
     ) -> None:
         task = asyncio.current_task()
         self._connections[task] = writer
+        frames = FrameDecoder()
         try:
             while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # a single line exceeded STREAM_LIMIT: the stream
-                    # cannot be re-synchronized mid-line, so drop this
-                    # connection cleanly
+                first = await reader.read(1)
+                if not first:
                     break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
                 try:
-                    message = decode_message(stripped)
+                    if first == FRAME_MAGIC:
+                        message = await self._read_frame(reader, frames)
+                    else:
+                        message = await self._read_line(reader, first)
                 except ProtocolError as error:
                     await self._reply(writer, Ack(ok=False, error=str(error)))
+                    continue
+                if message is None:
                     continue
                 try:
                     reply = await self._serve(message)
@@ -145,9 +160,9 @@ class IngestServer:
                     ShardFailed,
                     SupervisorNotRunning,
                 ) as error:
-                    # NotEnabledError: pack() rejected the whole line
-                    # before queueing it, so none of its events is
-                    # served; SupervisorNotRunning: the line outlived
+                    # NotEnabledError: pack() rejected the whole line or
+                    # frame before queueing it, so none of its events is
+                    # served; SupervisorNotRunning: the request outlived
                     # supervisor.stop() on a connection still open
                     reply = Ack(
                         request_id=getattr(message, "request_id", 0),
@@ -156,7 +171,7 @@ class IngestServer:
                     )
                 if reply is not None:
                     await self._reply(writer, reply)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError, _OutOfStep):
             pass
         finally:
             writer.close()
@@ -168,9 +183,49 @@ class IngestServer:
                 # last: stop() waits until this handler has fully ended
                 del self._connections[task]
 
+    @staticmethod
+    async def _read_line(
+        reader: asyncio.StreamReader, first: bytes
+    ) -> Optional[Message]:
+        """The message of the line that starts with ``first``; ``None``
+        for a blank line."""
+        line = first
+        if first != b"\n":
+            try:
+                line += await reader.readline()
+            except ValueError:
+                # beyond STREAM_LIMIT: a line cannot be re-synchronized
+                # mid-way
+                raise _OutOfStep from None
+        line = line.strip()
+        return decode_message(line) if line else None
+
+    @staticmethod
+    async def _read_frame(
+        reader: asyncio.StreamReader, frames: FrameDecoder
+    ) -> EventColumns:
+        """The columns of the frame whose magic byte was just read.
+
+        The header's table entries are kept even when its rows are
+        refused (:class:`ProtocolError`), because the client's tables
+        advanced when it encoded the frame.
+        """
+        header_size, rows = FRAME_SIZES.unpack(
+            await reader.readexactly(FRAME_SIZES.size)
+        )
+        size = header_size + rows * FRAME_ROW_BYTES
+        if size > STREAM_LIMIT:
+            raise _OutOfStep  # before reading any of the body
+        body = await reader.readexactly(size)
+        try:
+            frames.add_tables(body[:header_size])
+        except ProtocolError:
+            raise _OutOfStep from None
+        return frames.columns(body, header_size, rows)
+
     async def _serve(self, message) -> Optional[object]:
         """Act on one decoded message; returns the reply to send, if any."""
-        if isinstance(message, (InjectEvent, InjectBatch)):
+        if isinstance(message, (InjectEvent, EventColumns)):
             # awaiting under backpressure pauses this reader — that is
             # the flow control
             await self.supervisor.inject(message)
@@ -194,7 +249,7 @@ class IngestServer:
 
 
 class ServiceClient:
-    """Socket client speaking the wire codec (one request at a time)."""
+    """Socket client speaking both wire forms (one request at a time)."""
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -203,6 +258,7 @@ class ServiceClient:
         self._writer = writer
         self._lock = asyncio.Lock()
         self._next_id = 1
+        self._frames = FrameEncoder()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
@@ -245,10 +301,16 @@ class ServiceClient:
         )
 
     async def inject_batch(self, events: Sequence[InjectEvent]) -> None:
+        """Send ``events`` as inject frames of at most :data:`BATCH_CHUNK`
+        rows each.
+
+        A chunk holding a field the wire refuses raises
+        :class:`ProtocolError` naming it before any byte of that chunk
+        is written; the chunks ahead of it have been sent.
+        """
         for lo in range(0, len(events), BATCH_CHUNK):
-            await self._send(
-                InjectBatch(events=tuple(events[lo : lo + BATCH_CHUNK]))
-            )
+            self._writer.write(self._frames.encode(events[lo : lo + BATCH_CHUNK]))
+            await self._writer.drain()
 
     async def _request(self, message, expected: type):
         """Send a control request and read until the reply echoing its

@@ -1,32 +1,44 @@
-"""Typed messages and the versioned JSON wire codec of the fleet service.
+"""Typed messages and the versioned wire codecs of the fleet service.
 
-Every interaction with the service — socket ingest and in-process
-callers — speaks the same protocol: frozen dataclass messages
-serialized as one JSON object per line, each carrying the
-:data:`WIRE_SCHEMA` version tag and a ``type`` discriminator.  The
-codec is total in both directions
-(``decode_message(encode_message(m)) == m``) and *strict*: unknown
-schemas, unknown types, missing or extra fields, and inject fields of
-the wrong type (an ``instance`` that is not an int64 integer, a
-``source`` that is not a string, a ``time`` that is not a finite
-number, ``choices`` that are not strings mapped to strings) all raise
-:class:`ProtocolError` rather than guessing, so protocol drift between
-endpoints fails loudly at the boundary.
+The service speaks two wire forms, both tagged with :data:`WIRE_SCHEMA`:
+
+- **JSON lines** carry single injects, the controls and every reply:
+  frozen dataclass messages serialized as one JSON object per line,
+  each with a ``type`` discriminator.  The codec is total in both
+  directions (``decode_message(encode_message(m)) == m``) and *strict*:
+  unknown schemas, unknown types, missing or extra fields, and inject
+  fields of the wrong type (an ``instance`` that is not an int64
+  integer, a ``source`` that is not a string, a ``time`` that is not a
+  finite number, ``choices`` that are not strings mapped to strings)
+  all raise :class:`ProtocolError` rather than guessing, so protocol
+  drift between endpoints fails loudly at the boundary.
+- **Inject frames** carry batches of injects as binary columns
+  (:class:`FrameEncoder` on the client, :class:`FrameDecoder` on the
+  server): the magic byte :data:`FRAME_MAGIC`, which no JSON line
+  starts with, then the header's length and the row count
+  (:data:`FRAME_SIZES`), then a JSON header with the connection's new
+  name-table entries, then the little-endian columns instance i64,
+  time f64, source id u32 and choice id u32 — :data:`FRAME_ROW_BYTES`
+  per event.  The ids index name tables that both ends of one
+  connection grow in step: source names, and raw insertion-order
+  ``choices.items()`` tuples whose id 0 is ``()``.  The client refuses
+  what the JSON decoder refuses, field by field; nothing in a frame is
+  ever unpickled or evaluated.
 
 Request/response pairing uses the optional ``request_id`` carried by
 :class:`SnapshotRequest`/:class:`Reload`/:class:`Shutdown` and echoed
 by the matching :class:`SnapshotReply`/:class:`Ack` — multiple requests
-can be in flight on one connection.  An inject gets a reply only when it
-is rejected: a not-ok :class:`Ack` with ``request_id`` 0.
+can be in flight on one connection.  An inject or a frame gets a reply
+only when it is rejected: a not-ok :class:`Ack` with ``request_id`` 0.
 
-One *internal* representation rides alongside the public JSON codec:
+One *internal* representation rides alongside the wire forms:
 :class:`InjectBatchPacked`, the zero-copy inject batch of pre-interned
 ``(instance, source id, signature id)`` int64 ndarray columns,
 produced once at the ingest boundary and consumed by the shard's
-kernel without touching another Python object per event.  It never crosses
-the socket (clients speak strings; ids are private to one supervisor's
-intern tables), so it is deliberately **not** part of
-:data:`MESSAGE_TYPES`.
+kernel without touching another Python object per event.  It never
+crosses the socket (a frame's ids index its connection's tables;
+kernel ids are private to one supervisor's intern tables), so it is
+deliberately **not** part of :data:`MESSAGE_TYPES`.
 """
 
 from __future__ import annotations
@@ -34,14 +46,19 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import struct
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Sequence, Tuple, Type, Union
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Mapping, NoReturn, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-#: Version tag carried by every wire message.  Bump on any incompatible
-#: change to the message set or field layout.
-WIRE_SCHEMA = "repro-qss.service/2"
+from ..runtime.events import EventColumns, RawChoices
+
+#: Version tag carried by every wire message and frame header.  Bump on
+#: any incompatible change to the message set, a field layout or the
+#: frame layout.
+WIRE_SCHEMA = "repro-qss.service/3"
 
 
 class ProtocolError(ValueError):
@@ -63,15 +80,6 @@ class InjectEvent:
     choices: Mapping[str, str] = field(default_factory=dict)
 
     TYPE = "inject"
-
-
-@dataclass(frozen=True)
-class InjectBatch:
-    """Dispatch many events in one message (amortizes codec + packing)."""
-
-    events: Tuple[InjectEvent, ...]
-
-    TYPE = "inject_batch"
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +200,6 @@ class Ack:
 
 Message = Union[
     InjectEvent,
-    InjectBatch,
     SnapshotRequest,
     ShardStats,
     SnapshotReply,
@@ -205,7 +212,6 @@ MESSAGE_TYPES: Dict[str, Type[Any]] = {
     cls.TYPE: cls
     for cls in (
         InjectEvent,
-        InjectBatch,
         SnapshotRequest,
         ShardStats,
         SnapshotReply,
@@ -285,11 +291,7 @@ def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
         )
     kwargs = dict(payload)
     try:
-        if cls is InjectBatch:
-            kwargs["events"] = tuple(
-                _from_payload(InjectEvent, item) for item in kwargs.get("events", ())
-            )
-        elif cls is SnapshotReply:
+        if cls is SnapshotReply:
             kwargs["shards"] = tuple(
                 _from_payload(ShardStats, item) for item in kwargs.get("shards", ())
             )
@@ -307,7 +309,9 @@ def decode_message(line: Union[str, bytes]) -> Message:
     """Parse one wire line back into its typed message (strict)."""
     try:
         payload = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError: bad JSON or bad UTF-8; RecursionError: nesting
+        # deeper than the parser's stack
         raise ProtocolError(f"wire line is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("wire line must be a JSON object")
@@ -321,3 +325,216 @@ def decode_message(line: Union[str, bytes]) -> Message:
     if cls is None:
         raise ProtocolError(f"unknown message type {kind!r}")
     return _from_payload(cls, payload)
+
+
+# ----------------------------------------------------------------------
+# Inject frames
+# ----------------------------------------------------------------------
+#: First byte of an inject frame.  No JSON line starts with it: it is
+#: not ``{`` or whitespace, and it never occurs in UTF-8 text.
+FRAME_MAGIC = b"\xfb"
+
+#: The rest of a frame's prefix, after the magic byte: the header's
+#: length in bytes and the row count (little-endian u32 each).
+FRAME_SIZES = struct.Struct("<II")
+
+#: The frame's columns after its header, in order, one value per row.
+FRAME_COLUMNS = (
+    ("instance", "<i8"),
+    ("time", "<f8"),
+    ("source", "<u4"),
+    ("signature", "<u4"),
+)
+
+#: Bytes per frame row.
+FRAME_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in FRAME_COLUMNS)
+
+
+def inject_columns(events: Iterable[InjectEvent]) -> EventColumns:
+    """The columns of injects, each row keyed by its event's ``instance``."""
+    return EventColumns.pack((event.instance, event) for event in events)
+
+
+#: Inject fields checked by the types their values have (``source`` and
+#: the strings of ``choices`` are checked per name-table entry).
+_FIELD_TYPES = (
+    (
+        attrgetter("instance"),
+        lambda kind: issubclass(kind, int) and not issubclass(kind, bool),
+    ),
+    (
+        attrgetter("time"),
+        lambda kind: issubclass(kind, (int, float)) and not issubclass(kind, bool),
+    ),
+    (attrgetter("choices"), lambda kind: issubclass(kind, dict)),
+)
+
+
+def _refuse(events: Sequence[InjectEvent]) -> NoReturn:
+    """Raise the error of the first inject the JSON decoder refuses.
+
+    Reached only once a column check failed, to name the field as a
+    JSON line would.
+    """
+    for event in events:
+        _check_inject(event)
+    raise ProtocolError("bad inject batch")
+
+
+def _string_pairs(raw: Any) -> bool:
+    return all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and isinstance(pair[1], str)
+        for pair in raw
+    )
+
+
+class FrameEncoder:
+    """The client end of one connection's inject frames.
+
+    It keeps the connection's name tables — source names, and raw choice
+    tuples whose id 0 is ``()`` — and sends each entry once, in the
+    header of the first frame whose rows use it.
+    """
+
+    def __init__(self) -> None:
+        self._sources: Dict[str, int] = {}
+        self._choices: Dict[RawChoices, int] = {(): 0}
+
+    def encode(self, events: Sequence[InjectEvent]) -> bytes:
+        """One frame of ``events``, packed once (:func:`inject_columns`).
+
+        Fields are checked per column and per new name-table entry, and
+        a refused one raises :class:`ProtocolError` naming it before the
+        tables advance, so the refused events never reach the wire.
+        """
+        for field_of, allowed in _FIELD_TYPES:
+            if not all(map(allowed, set(map(type, map(field_of, events))))):
+                _refuse(events)
+        try:
+            columns = inject_columns(events)
+        except (OverflowError, TypeError):
+            # an instance beyond int64 or a time beyond float; an
+            # unhashable source or choice
+            _refuse(events)
+        sources = [name for name in columns.sources if name not in self._sources]
+        choices = [raw for raw in columns.choices if raw not in self._choices]
+        if (
+            not all(isinstance(name, str) for name in sources)
+            or not all(map(_string_pairs, choices))
+            or not np.isfinite(columns.time).all()
+        ):
+            _refuse(events)
+        header = json.dumps(
+            {"schema": WIRE_SCHEMA, "sources": sources, "choices": choices},
+            separators=(",", ":"),
+        ).encode()
+        header += b" " * (-len(header) % 8)  # aligns the 8-byte columns
+        for name in sources:
+            self._sources[name] = len(self._sources)
+        for raw in choices:
+            self._choices[raw] = len(self._choices)
+        source_ids = np.array(
+            [self._sources[name] for name in columns.sources], dtype="<u4"
+        )
+        choice_ids = np.array(
+            [self._choices[raw] for raw in columns.choices], dtype="<u4"
+        )
+        return b"".join(
+            (
+                FRAME_MAGIC,
+                FRAME_SIZES.pack(len(header), len(columns)),
+                header,
+                columns.instance.astype("<i8", copy=False).tobytes(),
+                columns.time.astype("<f8", copy=False).tobytes(),
+                source_ids[columns.source].tobytes(),
+                choice_ids[columns.signature].tobytes(),
+            )
+        )
+
+
+class FrameDecoder:
+    """The server end of one connection's inject frames: the client's
+    name tables, grown by each frame's header."""
+
+    def __init__(self) -> None:
+        self.sources: Tuple[str, ...] = ()
+        self.choices: Tuple[RawChoices, ...] = ((),)
+
+    def add_tables(self, header: bytes) -> None:
+        """Append a frame header's new name-table entries.
+
+        A header that is not the expected JSON shape raises
+        :class:`ProtocolError`: the tables can no longer be kept in step
+        with the client's, so the connection cannot go on.
+        """
+        try:
+            payload = json.loads(header)
+        except (ValueError, RecursionError) as error:
+            raise ProtocolError(f"frame header is not valid JSON: {error}") from None
+        if not isinstance(payload, dict) or set(payload) != {
+            "schema",
+            "sources",
+            "choices",
+        }:
+            raise ProtocolError(
+                "frame header must hold exactly schema, sources and choices"
+            )
+        if payload["schema"] != WIRE_SCHEMA:
+            raise ProtocolError(
+                f"unsupported wire schema {payload['schema']!r} "
+                f"(expected {WIRE_SCHEMA!r})"
+            )
+        sources, choices = payload["sources"], payload["choices"]
+        if not (
+            isinstance(sources, list)
+            and all(isinstance(name, str) for name in sources)
+            and isinstance(choices, list)
+            and all(isinstance(raw, list) and _string_pairs(raw) for raw in choices)
+        ):
+            raise ProtocolError(
+                "frame header tables must be a list of source names and a "
+                "list of [place, transition] string pair lists"
+            )
+        self.sources += tuple(sources)
+        self.choices += tuple(tuple(map(tuple, raw)) for raw in choices)
+
+    def columns(self, body: bytes, offset: int, rows: int) -> EventColumns:
+        """The ``rows`` rows stored in ``body`` from ``offset`` on, as
+        columns over the connection's tables (no copy of the instance
+        and time columns).
+
+        A row naming an id beyond the tables, or a time that is not
+        finite, raises :class:`ProtocolError`; the frame is then refused
+        whole.
+        """
+        arrays = []
+        for _, dtype in FRAME_COLUMNS:
+            arrays.append(np.frombuffer(body, dtype, rows, offset))
+            offset += rows * arrays[-1].itemsize
+        instance, time, source, signature = arrays
+        for name, ids, table in (
+            ("source", source, self.sources),
+            ("choices", signature, self.choices),
+        ):
+            if (ids >= len(table)).any():
+                raise ProtocolError(
+                    f"bad inject field {name!r}: id {int(ids.max())} is beyond "
+                    f"the connection's {len(table)} table entries"
+                )
+        finite = np.isfinite(time)
+        if not finite.all():
+            raise ProtocolError(
+                f"bad inject field 'time': expected a finite number, "
+                f"got {float(time[~finite][0])!r}"
+            )
+        return EventColumns(
+            time=time,
+            instance=instance,
+            source=source.astype(np.int64),
+            signature=signature.astype(np.int64),
+            sources=self.sources,
+            choices=self.choices,
+        )

@@ -6,7 +6,10 @@ task on the supervisor's event loop, driving the one
 key, each instance's events in arrival order.  The engine uses the
 supervisor's signature table, so an event is interned once, at
 :meth:`FleetSupervisor.pack`, and nothing downstream touches its
-strings.
+strings.  Injects arrive as columns — a socket frame's, or those of
+in-process callers — or as single events, and leave :meth:`pack` as
+kernel ids that never cross the socket: a client knows names, not the
+net.
 
 :meth:`FleetSupervisor.stop` with ``drain=True`` serves every queued
 event, then orders the shard's result by instance key: a
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -36,13 +39,13 @@ from ..runtime.fleet import FleetEngine, FleetResult, SignatureTable
 from ..runtime.reactive import ModuleAssignment, validate_budget_policy
 from ..runtime.stochastic import TimingModel
 from .messages import (
-    InjectBatch,
     InjectBatchPacked,
     InjectEvent,
     Reload,
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
+    inject_columns,
 )
 from .shard import DEFAULT_INBOX_LIMIT, ShardActor, ShardFailed
 
@@ -143,19 +146,17 @@ class FleetSupervisor:
     # ------------------------------------------------------------------
     # Ingest-boundary packing
     # ------------------------------------------------------------------
-    def pack(self, events: Sequence[InjectEvent]) -> InjectBatchPacked:
-        """Pack a batch of string-keyed injects into kernel id columns.
+    def pack(self, columns: EventColumns) -> InjectBatchPacked:
+        """Map packed injects to kernel id columns.
 
-        The *only* place the service touches event strings: the batch
-        becomes :class:`~repro.runtime.events.EventColumns` (keyed by
-        the injects' instance keys), and its name tables map to kernel
-        ids through the shared :class:`SignatureTable` with one gather
-        per column (:meth:`SignatureTable.gather`).  The returned
-        ndarray batch flows through the inbox into the kernel zero-copy.
-        An unknown source transition raises :class:`NotEnabledError`
-        here, at the boundary, before any event of the batch is queued.
+        The *only* place the service turns event names into ids: the
+        columns' name tables map to kernel ids through the shared
+        :class:`SignatureTable` with one gather per column
+        (:meth:`SignatureTable.gather`).  The returned ndarray batch
+        flows through the inbox into the kernel zero-copy.  An unknown
+        source transition raises :class:`NotEnabledError` here, at the
+        boundary, before any event of the batch is queued.
         """
-        columns = EventColumns.pack((event.instance, event) for event in events)
         sources, signatures = self.signatures.gather(columns)
         return InjectBatchPacked(
             instances=columns.instance, sources=sources, signatures=signatures
@@ -165,19 +166,20 @@ class FleetSupervisor:
     # Requests
     # ------------------------------------------------------------------
     async def inject(
-        self, message: Union[InjectEvent, InjectBatch, InjectBatchPacked]
+        self, message: Union[InjectEvent, EventColumns, InjectBatchPacked]
     ) -> None:
         """Queue an inject on the shard; awaits under backpressure.
 
-        Every representation converges to :class:`InjectBatchPacked`
-        here: strings are interned once, and the shard never interns
-        again.
+        Every form converges to :class:`InjectBatchPacked` here: strings
+        are interned once, and the shard never interns again.  Columns
+        are keyed by instance (:func:`~repro.service.messages.inject_columns`
+        packs a sequence of :class:`InjectEvent`).
         """
         self._require_running()
         if isinstance(message, InjectEvent):
-            message = self.pack((message,))
-        elif isinstance(message, InjectBatch):
-            message = self.pack(message.events)
+            message = inject_columns((message,))
+        if isinstance(message, EventColumns):
+            message = self.pack(message)
         await self._shard.put(message)
 
     async def snapshot(self) -> SnapshotReply:

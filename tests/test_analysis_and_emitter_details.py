@@ -8,7 +8,6 @@ from repro.analysis import (
     ComparisonTable,
     ImplementationMetrics,
     qss_metrics,
-    schedule_buffer_bounds,
     total_buffer_tokens,
 )
 from repro.baselines import TASK_BOILERPLATE_LINES
@@ -41,7 +40,7 @@ class TestComparisonTable:
 class TestScheduleBufferMetrics:
     def test_bounds_and_total(self, fig4):
         schedule = compute_valid_schedule(fig4)
-        bounds = schedule_buffer_bounds(schedule)
+        bounds = schedule.max_buffer_bounds()
         assert bounds["p2"] == 2
         assert total_buffer_tokens(schedule) == sum(bounds.values())
 

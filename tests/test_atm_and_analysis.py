@@ -15,7 +15,6 @@ from repro.analysis import (
     functional_metrics,
     overhead_sensitivity,
     qss_metrics,
-    schedule_buffer_bounds,
     total_buffer_tokens,
 )
 from repro.apps.atm import (
@@ -84,7 +83,7 @@ class TestAtmModel:
             assert shared in cell_task.shared_transitions
 
     def test_buffer_bounds_are_small(self, atm_report):
-        bounds = schedule_buffer_bounds(atm_report.schedule)
+        bounds = atm_report.schedule.max_buffer_bounds()
         assert max(bounds.values()) <= 2
         assert total_buffer_tokens(atm_report.schedule) <= len(bounds) * 2
 

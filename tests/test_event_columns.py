@@ -41,6 +41,7 @@ from repro.service import (
     InjectEvent,
     encode_message,
     events_to_injects,
+    inject_columns,
 )
 
 APPS = {
@@ -358,7 +359,7 @@ class TestWireBoundary:
             InjectEvent(instance=0, source="t_cell", choices={}),
             InjectEvent(instance=7, source="t_tick", choices=reordered),
         ]
-        packed = supervisor.pack(batch)
+        packed = supervisor.pack(inject_columns(batch))
         reference = SignatureTable(supervisor.compiled)
         index = supervisor.compiled.transition_index
         assert packed.instances.dtype == np.int64
@@ -376,10 +377,12 @@ class TestWireBoundary:
         supervisor = FleetSupervisor(net, ModuleAssignment.single_task(net))
         with pytest.raises(NotEnabledError, match="'nope'"):
             supervisor.pack(
-                [
-                    InjectEvent(instance=0, source="t_tick"),
-                    InjectEvent(instance=1, source="nope"),
-                ]
+                inject_columns(
+                    [
+                        InjectEvent(instance=0, source="t_tick"),
+                        InjectEvent(instance=1, source="nope"),
+                    ]
+                )
             )
 
 

@@ -29,13 +29,13 @@ from repro.service import (
     Ack,
     FleetSupervisor,
     IngestServer,
-    InjectBatch,
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
     decode_message,
     encode_message,
     events_to_injects,
+    inject_columns,
 )
 
 ATM = build_atm_server_net()
@@ -74,9 +74,7 @@ class TestInboxOverload:
             async def producer(owner: int) -> int:
                 mine = [m for m in injects if m.instance % 4 == owner]
                 for lo in range(0, len(mine), 16):
-                    await supervisor.inject(
-                        InjectBatch(events=tuple(mine[lo : lo + 16]))
-                    )
+                    await supervisor.inject(inject_columns(mine[lo : lo + 16]))
                 return len(mine)
 
             sent = await asyncio.gather(*(producer(k) for k in range(4)))
@@ -94,7 +92,7 @@ class TestInboxOverload:
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT, inbox_limit=1)
             await supervisor.start()
-            packed = supervisor.pack(injects)
+            packed = supervisor.pack(inject_columns(injects))
             for lo in range(0, len(packed), 64):
                 await supervisor.inject(packed.take(slice(lo, lo + 64)))
             return await supervisor.stop(drain=True)

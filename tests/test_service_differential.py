@@ -43,10 +43,10 @@ from repro.runtime import (
 from repro.service import (
     FleetSupervisor,
     IngestServer,
-    InjectBatch,
     ServiceClient,
     ShardCore,
     events_to_injects,
+    inject_columns,
 )
 
 
@@ -132,7 +132,8 @@ def run_service(net, assignment, streams):
 
 def serve_injects(net, assignment, injects, form="batch"):
     """Feed injects through a supervisor in one of the three inject
-    forms it accepts; return the drained result."""
+    forms it accepts (single events, columns, packed batches); return
+    the drained result."""
 
     async def go():
         supervisor = FleetSupervisor(net, assignment)
@@ -143,9 +144,9 @@ def serve_injects(net, assignment, injects, form="batch"):
                 for inject in chunk:
                     await supervisor.inject(inject)
             elif form == "batch":
-                await supervisor.inject(InjectBatch(events=tuple(chunk)))
+                await supervisor.inject(inject_columns(chunk))
             else:
-                await supervisor.inject(supervisor.pack(chunk))
+                await supervisor.inject(supervisor.pack(inject_columns(chunk)))
         return await supervisor.stop(drain=True)
 
     return asyncio.run(go())
@@ -177,8 +178,8 @@ class TestServiceEqualsBatch:
 
     @pytest.mark.parametrize("form", ["event", "batch", "packed"])
     def test_every_inject_form_equals_one_shot(self, form):
-        """One InjectEvent at a time, InjectBatch lines and batches the
-        caller packed itself serve alike."""
+        """One InjectEvent at a time, columns and batches the caller
+        packed itself serve alike."""
         net, assignment, streams = atm_case(instances=8, cells=4)
         expected = FleetSimulator(net, assignment).run(streams)
         actual = serve_injects(
@@ -226,6 +227,32 @@ class TestServiceEqualsBatch:
             return await supervisor.stop(drain=True)
 
         assert_results_identical(expected, asyncio.run(go()))
+
+    @pytest.mark.parametrize("chunk", [1, 61, 1024])
+    def test_merge_fleet_over_socket_frames_equals_one_shot(self, chunk):
+        """The state-dependent merge fleet sent as inject frames: each
+        frame after the first reuses the connection's name-table entries
+        and adds the ones its rows are first to use."""
+        net, assignment, streams = merge_case(instances=60, events=10)
+        expected = FleetSimulator(net, assignment).run(streams)
+
+        async def go():
+            supervisor = FleetSupervisor(net, assignment)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            injects = events_to_injects(streams)
+            for lo in range(0, len(injects), chunk):
+                await client.inject_batch(injects[lo : lo + chunk])
+            snapshot = await client.snapshot()
+            assert snapshot.events == expected.stats.events_processed
+            await client.close()
+            await server.stop()
+            return await supervisor.stop(drain=True)
+
+        actual = asyncio.run(asyncio.wait_for(go(), timeout=60))
+        assert_results_identical(expected, actual)
 
 
 #: The property's fleets: ATM, the merge net, and the drain net, where
@@ -279,7 +306,7 @@ class TestOneRoundLoop:
             supervisor = FleetSupervisor(net, assignment, inbox_limit=1)
             await supervisor.start()
             for chunk in chunks:
-                await supervisor.inject(InjectBatch(events=tuple(chunk)))
+                await supervisor.inject(inject_columns(chunk))
             return await supervisor.stop(drain=True)
 
         assert_results_identical(expected, asyncio.run(go()))
@@ -302,7 +329,7 @@ class TestOneRoundLoop:
         core = ShardCore(0, engine)
         for chunk in chunks:
             calls.clear()
-            core.serve_packed(packer.pack(chunk))
+            core.serve_packed(packer.pack(inject_columns(chunk)))
             rounds = max(Counter(inject.instance for inject in chunk).values())
             assert len(calls) == rounds
             assert sum(calls) == len(chunk)

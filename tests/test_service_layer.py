@@ -9,7 +9,10 @@ drain loop answers controls as ordered barriers, a Shutdown without
 drain drops its backlog, a failed shard fails every request instead of
 hanging, the supervisor's lifecycle is deterministic and it refuses
 arguments it cannot honour, and the ingest server and its client answer
-malformed, unknown, unexpected and late lines without dying.  Also
+malformed, unknown, unexpected and late lines without dying.  Inject
+frames: the client refuses what the JSON decoder refuses before writing
+anything, and every malformed, cut or fuzzed frame gets a not-ok Ack or
+drops only its own connection.  Also
 pins `FleetResult.percentile`/`percentiles` edge cases and
 cross-process `synthetic_streams` determinism.
 """
@@ -26,6 +29,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
 from repro.petrinet.exceptions import NotEnabledError
@@ -39,7 +44,6 @@ from repro.service import (
     Ack,
     FleetSupervisor,
     IngestServer,
-    InjectBatch,
     InjectBatchPacked,
     InjectEvent,
     ProtocolError,
@@ -56,7 +60,17 @@ from repro.service import (
     decode_message,
     encode_message,
     events_to_injects,
+    inject_columns,
     validate_telemetry_record,
+)
+from repro.service.messages import (
+    FRAME_COLUMNS,
+    FRAME_MAGIC,
+    FRAME_ROW_BYTES,
+    FRAME_SIZES,
+    MESSAGE_TYPES,
+    FrameDecoder,
+    FrameEncoder,
 )
 
 ATM = build_atm_server_net()
@@ -66,12 +80,6 @@ ASSIGNMENT = ModuleAssignment.from_groups(MODULE_PARTITION)
 class TestWireCodec:
     MESSAGES = [
         InjectEvent(instance=7, source="t_cell", time=1.5, choices={"p": "t"}),
-        InjectBatch(
-            events=(
-                InjectEvent(instance=0, source="t_tick"),
-                InjectEvent(instance=1, source="t_cell", choices={"a": "b"}),
-            )
-        ),
         SnapshotRequest(request_id=3),
         ShardStats(
             shard=2,
@@ -141,6 +149,17 @@ class TestWireCodec:
         line = json.dumps({"schema": WIRE_SCHEMA, "type": "inject"})
         with pytest.raises(ProtocolError, match="bad payload"):
             decode_message(line)
+
+    def test_batches_are_not_json_messages(self):
+        """Batches cross the socket only as inject frames."""
+        assert "inject_batch" not in MESSAGE_TYPES
+        line = json.dumps({"schema": WIRE_SCHEMA, "type": "inject_batch", "events": []})
+        with pytest.raises(ProtocolError, match="unknown message type"):
+            decode_message(line)
+
+    def test_nesting_beyond_the_parser_stack_is_not_valid_json(self):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_message("[" * 100_000)
 
 
 class TestTelemetrySchema:
@@ -342,8 +361,8 @@ def barrier_case():
         supervisor.compiled, ASSIGNMENT, signatures=supervisor.signatures
     )
     batches = {
-        "A": supervisor.pack(injects[:6]),
-        "B": supervisor.pack(injects[6:]),
+        "A": supervisor.pack(inject_columns(injects[:6])),
+        "B": supervisor.pack(inject_columns(injects[6:])),
     }
     return supervisor, engine, batches
 
@@ -748,8 +767,8 @@ class TestSupervisorLifecycle:
         costs, so the second pass shows whether the reload reset it."""
         net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
         assignment = ModuleAssignment.single_task(net)
-        batch = InjectBatch(
-            events=tuple(events_to_injects(synthetic_streams(net, 6, 4, seed=7)))
+        batch = inject_columns(
+            events_to_injects(synthetic_streams(net, 6, 4, seed=7))
         )
 
         async def two_passes(reload):
@@ -780,7 +799,7 @@ class TestSupervisorLifecycle:
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT)
             await supervisor.start()
-            await supervisor.inject(InjectBatch(events=tuple(injects)))
+            await supervisor.inject(inject_columns(injects))
             snapshot = await supervisor.snapshot()
             await asyncio.wait_for(supervisor.stop(), timeout=10)
             return snapshot
@@ -862,6 +881,21 @@ def wire_line(payload, kind="inject"):
     return json.dumps(line).encode() + b"\n"
 
 
+def raw_frame(rows=(), sources=(), choices=(), header=None):
+    """An inject frame built by hand: ``rows`` of (instance, time,
+    source id, choice id) over the table entries the header adds."""
+    if header is None:
+        header = json.dumps(
+            {"schema": WIRE_SCHEMA, "sources": list(sources), "choices": list(choices)}
+        ).encode()
+    columns = list(zip(*rows)) or [()] * len(FRAME_COLUMNS)
+    body = b"".join(
+        np.array(column, dtype=dtype).tobytes()
+        for column, (_, dtype) in zip(columns, FRAME_COLUMNS)
+    )
+    return FRAME_MAGIC + FRAME_SIZES.pack(len(header), len(rows)) + header + body
+
+
 def serve_bad_line(bad_line):
     """One good inject, ``bad_line``, then a snapshot, on one
     connection: returns the two replies and the drained result."""
@@ -902,14 +936,12 @@ class TestIngestServer:
         assert result.stats.events_processed == 1
 
     def test_batch_with_one_bad_inject_is_rejected_whole(self):
-        batch = {
-            "events": [
-                inject_payload(instance=2),
-                inject_payload(instance=3, choices=["x"]),
-                inject_payload(instance=4),
-            ]
-        }
-        (ack, snapshot), result = serve_bad_line(wire_line(batch, "inject_batch"))
+        # the middle row names a choice entry the connection never added
+        frame = raw_frame(
+            rows=[(2, 0.0, 0, 0), (3, 0.0, 0, 1), (4, 0.0, 0, 0)],
+            sources=["t_tick"],
+        )
+        (ack, snapshot), result = serve_bad_line(frame)
         assert isinstance(ack, Ack) and not ack.ok
         assert "bad inject field 'choices'" in ack.error
         assert (snapshot.instances, snapshot.events) == (1, 1)
@@ -979,7 +1011,7 @@ class TestIngestServer:
         asyncio.run(go())
 
     def test_unknown_source_gets_error_ack_and_connection_survives(self):
-        """The line naming an unknown source is rejected whole; none of
+        """The frame naming an unknown source is rejected whole; none of
         its events is served, and the connection keeps serving."""
 
         async def go():
@@ -988,18 +1020,21 @@ class TestIngestServer:
             server = IngestServer(supervisor, port=0)
             host, port = await server.start()
             reader, writer = await asyncio.open_connection(host, port)
-            lines = [
-                InjectEvent(instance=0, source="t_tick"),
-                InjectBatch(
-                    events=(
+            writer.write(
+                encode_message(InjectEvent(instance=0, source="t_tick")).encode()
+                + b"\n"
+            )
+            writer.write(
+                FrameEncoder().encode(
+                    [
                         InjectEvent(instance=1, source="t_tick"),
                         InjectEvent(instance=1, source="no_such_transition"),
-                    )
-                ),
-                SnapshotRequest(request_id=5),
-            ]
-            for message in lines:
-                writer.write(encode_message(message).encode() + b"\n")
+                    ]
+                )
+            )
+            writer.write(
+                encode_message(SnapshotRequest(request_id=5)).encode() + b"\n"
+            )
             await writer.drain()
             replies = []
             for _ in range(2):
@@ -1174,20 +1209,18 @@ class TestIngestServer:
         asyncio.run(go())
 
     def test_large_inject_batch_crosses_the_wire(self):
-        # regression: a big InjectBatch is one JSON line, far beyond
-        # asyncio's 64 KiB default stream limit — the server reads it
-        # under the raised STREAM_LIMIT and the client splits batches
-        # larger than BATCH_CHUNK events across lines
+        # regression: a full frame is far beyond asyncio's 64 KiB
+        # default stream limit — the server reads it under the raised
+        # STREAM_LIMIT and the client splits batches larger than
+        # BATCH_CHUNK events across frames
         from repro.service.ingest import BATCH_CHUNK
 
         injects = events_to_injects(
             make_fleet_testbench(200, cells=10, seed=3)
         )
         assert len(injects) > BATCH_CHUNK  # exercises the client split
-        one_line = encode_message(
-            InjectBatch(events=tuple(injects[:BATCH_CHUNK]))
-        )
-        assert len(one_line) > 64 * 1024  # exercises the server limit
+        one_frame = FrameEncoder().encode(injects[:BATCH_CHUNK])
+        assert len(one_frame) > 64 * 1024  # exercises the server limit
 
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT)
@@ -1305,6 +1338,348 @@ class TestIngestServer:
         assert pending == []
         assert tail is not None  # EOF after the unread acks, or a reset
         assert errors == []
+
+
+def handler_tasks():
+    return [
+        task
+        for task in asyncio.all_tasks()
+        if task.get_coro().__qualname__ == "IngestServer._handle"
+    ]
+
+
+async def no_handlers_left():
+    while handler_tasks():
+        await asyncio.sleep(0.01)
+
+
+#: The frame every decoder case sends first: it adds ``t_tick`` as the
+#: connection's source 0 and serves one tick of instance 0.
+FIRST_FRAME = raw_frame([(0, 0.0, 0, 0)], sources=["t_tick"])
+
+#: A good frame to cut: two rows over ``t_cell``, which it adds as source 1.
+CUT_FRAME = raw_frame([(1, 0.0, 1, 0), (2, 0.5, 0, 0)], sources=["t_cell"])
+CUT_HEADER = FRAME_SIZES.unpack(CUT_FRAME[1 : 1 + FRAME_SIZES.size])[0]
+CUT_ROWS_START = 1 + FRAME_SIZES.size + CUT_HEADER
+
+SNAPSHOT_LINE = encode_message(SnapshotRequest(request_id=5)).encode() + b"\n"
+
+
+def serve_frames(payload, then="snapshot"):
+    """:data:`FIRST_FRAME`, then ``payload``, on one raw connection.
+
+    ``then="snapshot"`` sends a snapshot request and returns the replies
+    up to its reply; ``"eof"`` ends the stream and ``"wait"`` sends
+    nothing more, each returning what the server sent before it closed
+    the connection.  Also returns a fresh client's snapshot and the
+    drained result; every wait is bounded, and no handler may end in an
+    exception that reaches the event loop.
+    """
+    errors = []
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _, context: errors.append(context))
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+        await supervisor.start()
+        server = IngestServer(supervisor, port=0)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(FIRST_FRAME + payload)
+        if then == "snapshot":
+            writer.write(SNAPSHOT_LINE)
+            replies = []
+            while not replies or not isinstance(replies[-1], SnapshotReply):
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                replies.append(decode_message(line))
+        else:
+            if then == "eof":
+                writer.write_eof()
+            replies = await asyncio.wait_for(reader.read(), timeout=10)
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.wait_for(no_handlers_left(), timeout=10)
+        client = await ServiceClient.connect(host, port)
+        fresh = await asyncio.wait_for(client.snapshot(), timeout=10)
+        await client.close()
+        await server.stop()
+        result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+        return replies, fresh, result
+
+    outcome = asyncio.run(go())
+    assert errors == []
+    return outcome
+
+
+#: Frames the server refuses whole with a not-ok Ack naming the reason.
+REFUSED_FRAMES = {
+    "source_id_beyond_tables": (raw_frame([(1, 0.0, 1, 0)]), "'source'"),
+    "choice_id_beyond_tables": (raw_frame([(1, 0.0, 0, 1)]), "'choices'"),
+    "time_nan": (raw_frame([(1, float("nan"), 0, 0)]), "'time'"),
+    "time_infinite": (raw_frame([(1, float("-inf"), 0, 0)]), "'time'"),
+    "unknown_source_name": (
+        raw_frame([(1, 0.0, 0, 0), (2, 0.0, 1, 0)], sources=["no_such_transition"]),
+        "no_such_transition",
+    ),
+}
+
+#: Frame headers that leave the tables out of step: they drop the connection.
+BAD_HEADERS = {
+    "not_json": b"{not json",
+    "empty": b"",
+    "not_an_object": b"[1, 2]",
+    "missing_choices": json.dumps({"schema": WIRE_SCHEMA, "sources": []}).encode(),
+    "extra_key": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [], "choices": [], "x": 1}
+    ).encode(),
+    "wrong_schema": json.dumps(
+        {"schema": "repro-qss.service/2", "sources": [], "choices": []}
+    ).encode(),
+    "source_not_a_string": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [5], "choices": []}
+    ).encode(),
+    "choice_not_strings": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [], "choices": [[["p", 1]]]}
+    ).encode(),
+    "choice_not_pairs": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [], "choices": [["pt"]]}
+    ).encode(),
+    "choices_an_object": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [], "choices": [{"p": "t"}]}
+    ).encode(),
+    "choice_not_a_list": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": [], "choices": [5]}
+    ).encode(),
+    "sources_a_string": json.dumps(
+        {"schema": WIRE_SCHEMA, "sources": "t_tick", "choices": []}
+    ).encode(),
+    "nested_too_deep": b"[" * 100_000,
+}
+
+
+class TestInjectFrames:
+    """Binary inject frames: the client's checks, the decoder's answers
+    to every malformed frame, and the connection's name tables."""
+
+    def test_layout_and_table_deltas(self):
+        injects = [
+            InjectEvent(instance=3, source="t_tick", time=0.5),
+            InjectEvent(instance=-4, source="t_cell", choices={"p": "t"}),
+        ]
+        encoder = FrameEncoder()
+        first, again = encoder.encode(injects), encoder.encode(injects)
+        (first_header, rows), (again_header, _) = (
+            FRAME_SIZES.unpack(frame[1:9]) for frame in (first, again)
+        )
+        assert first[:1] == FRAME_MAGIC and rows == 2
+        assert json.loads(first[9 : 9 + first_header]) == {
+            "schema": WIRE_SCHEMA,
+            "sources": ["t_tick", "t_cell"],
+            "choices": [[["p", "t"]]],
+        }
+        assert first_header % 8 == 0
+        assert len(first) == 9 + first_header + FRAME_ROW_BYTES * rows
+        # the second frame reuses every entry: its header adds none, and
+        # its rows are the same bytes
+        assert json.loads(again[9 : 9 + again_header]) == {
+            "schema": WIRE_SCHEMA,
+            "sources": [],
+            "choices": [],
+        }
+        assert first[-2 * FRAME_ROW_BYTES :] == again[-2 * FRAME_ROW_BYTES :]
+        decoder = FrameDecoder()
+        decoder.add_tables(first[9 : 9 + first_header])
+        decoder.add_tables(again[9 : 9 + again_header])
+        columns = decoder.columns(again, 9 + again_header, rows)
+        assert columns.instance.tolist() == [3, -4]
+        assert columns.time.tolist() == [0.5, 0.0]
+        assert [columns.sources[i] for i in columns.source] == ["t_tick", "t_cell"]
+        assert [columns.choices[i] for i in columns.signature] == [(), (("p", "t"),)]
+
+    def test_rows_cost_24_bytes_per_event(self):
+        injects = events_to_injects(make_fleet_testbench(20, cells=20, seed=7))
+        encoder = FrameEncoder()
+        encoder.encode(injects)
+        again = encoder.encode(injects)
+        assert FRAME_ROW_BYTES == 24
+        assert 0 < len(again) - 24 * len(injects) <= 80  # prefix and header
+
+    @pytest.mark.parametrize(
+        "fields", BAD_INJECT_FIELDS.values(), ids=list(BAD_INJECT_FIELDS)
+    )
+    def test_client_refuses_what_the_json_decoder_refuses(self, fields):
+        """Nothing of the refused chunk is written and the tables do not
+        advance: ``t_cell``, new in the refused chunk, still lines up
+        when the next frame adds it."""
+        (field_name,) = fields
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            host, port = await server.start()
+            client = await ServiceClient.connect(host, port)
+            await client.inject_batch([InjectEvent(instance=0, source="t_tick")])
+            written = []
+            write = client._writer.write
+            client._writer.write = lambda data: (written.append(data), write(data))
+            bad = InjectEvent(**inject_payload(**{"instance": 2, **fields}))
+            with pytest.raises(ProtocolError) as refused:
+                await client.inject_batch(
+                    [InjectEvent(instance=1, source="t_cell"), bad]
+                )
+            refused_writes = list(written)
+            snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.inject_batch([InjectEvent(instance=3, source="t_cell")])
+            after = await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.close()
+            await server.stop()
+            await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return str(refused.value), refused_writes, snapshot, after
+
+        error, refused_writes, snapshot, after = asyncio.run(go())
+        assert f"bad inject field {field_name!r}" in error
+        assert refused_writes == []
+        assert (snapshot.instances, snapshot.events) == (1, 1)
+        assert (after.instances, after.events) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "frame, fragment", REFUSED_FRAMES.values(), ids=list(REFUSED_FRAMES)
+    )
+    def test_refused_frame_gets_error_ack_and_connection_stays_in_step(
+        self, frame, fragment
+    ):
+        replies, fresh, result = serve_frames(frame)
+        ack, snapshot = replies
+        assert isinstance(ack, Ack) and not ack.ok and ack.request_id == 0
+        assert fragment in ack.error
+        assert (snapshot.request_id, snapshot.events) == (5, 1)
+        assert fresh.events == result.stats.events_processed == 1
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            1,
+            4,
+            9,
+            9 + CUT_HEADER // 2,
+            CUT_ROWS_START,
+            CUT_ROWS_START + 20,
+            len(CUT_FRAME) - 1,
+        ],
+        ids=[
+            "magic",
+            "prefix",
+            "header_start",
+            "header",
+            "rows_start",
+            "rows",
+            "last_byte",
+        ],
+    )
+    def test_frame_cut_short_by_eof_drops_its_connection(self, cut):
+        replies, fresh, result = serve_frames(CUT_FRAME[:cut], then="eof")
+        assert replies == b""
+        assert fresh.events == result.stats.events_processed == 1
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(10, 100), (2000, 0), (2**32 - 1, 2**32 - 1)],
+        ids=["rows", "header", "both_maximal"],
+    )
+    def test_sizes_beyond_the_stream_limit_drop_the_connection_unread(
+        self, monkeypatch, sizes
+    ):
+        import repro.service.ingest as ingest
+
+        monkeypatch.setattr(ingest, "STREAM_LIMIT", 1024)
+        replies, fresh, result = serve_frames(
+            FRAME_MAGIC + FRAME_SIZES.pack(*sizes), then="wait"
+        )
+        assert replies == b""
+        assert fresh.events == result.stats.events_processed == 1
+
+    @pytest.mark.parametrize("header", BAD_HEADERS.values(), ids=list(BAD_HEADERS))
+    def test_bad_header_drops_its_connection(self, header):
+        replies, fresh, result = serve_frames(
+            raw_frame([(1, 0.0, 0, 0)], header=header), then="wait"
+        )
+        assert replies == b""
+        assert fresh.events == result.stats.events_processed == 1
+
+    def test_zero_row_frame_adds_table_entries(self):
+        frames = raw_frame([], sources=["t_cell"]) + raw_frame([(1, 0.0, 1, 0)])
+        (snapshot,), fresh, result = serve_frames(frames)
+        assert (snapshot.instances, snapshot.events) == (2, 2)
+        assert fresh.events == result.stats.events_processed == 2
+
+    def test_refused_frames_table_entries_serve_the_next_frame(self):
+        frames = raw_frame(
+            [(1, float("nan"), 1, 1)], sources=["t_cell"], choices=[[["p_x", "t_y"]]]
+        )
+        frames += raw_frame([(1, 0.0, 1, 1)])
+        (ack, snapshot), fresh, result = serve_frames(frames)
+        assert not ack.ok and "'time'" in ack.error
+        assert (snapshot.instances, snapshot.events) == (2, 2)
+        assert fresh.events == result.stats.events_processed == 2
+
+
+#: A valid two-frame stream: the second frame reuses the first's table
+#: entries and adds its own.
+FUZZ_STREAM = raw_frame(
+    [(0, 0.0, 0, 0), (1, 1.0, 1, 1)],
+    sources=["t_tick", "t_cell"],
+    choices=[[["p_x", "t_y"]]],
+) + raw_frame([(2, 2.0, 1, 0), (0, 3.0, 0, 2)], choices=[[["p_z", "t_w"]]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(0, len(FUZZ_STREAM) - 1), st.integers(1, 255)),
+        max_size=3,
+    ),
+    cut=st.integers(0, len(FUZZ_STREAM)),
+)
+def test_fuzzed_frames_never_crash_hang_or_leak_a_handler(flips, cut):
+    """Flipped or truncated bytes of a valid stream: whatever the
+    server makes of them, it closes the connection at EOF, no handler
+    outlives it or ends in an exception, and the next connection still
+    serves.  (The names
+    ``t_tick`` and ``t_cell`` are 4 bytes apart and 8 from every other
+    ATM transition, so no flip injects a transition that is not a
+    source, which would fail the shard.)"""
+    stream = bytearray(FUZZ_STREAM[:cut])
+    for position, mask in flips:
+        if position < len(stream):
+            stream[position] ^= mask
+    errors = []
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _, context: errors.append(context))
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+        await supervisor.start()
+        server = IngestServer(supervisor, port=0)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(bytes(stream))
+        writer.write_eof()
+        await asyncio.wait_for(reader.read(), timeout=10)
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.wait_for(no_handlers_left(), timeout=10)
+        client = await ServiceClient.connect(host, port)
+        await client.inject_batch([InjectEvent(instance=9, source="t_tick")])
+        snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+        await client.close()
+        await server.stop()
+        await asyncio.wait_for(supervisor.stop(), timeout=10)
+        return snapshot
+
+    snapshot = asyncio.run(go())
+    assert errors == []
+    assert 1 <= snapshot.events <= 1 + len(FUZZ_STREAM) // FRAME_ROW_BYTES
 
 
 class TestFleetResultEdgeCases:

@@ -24,7 +24,7 @@ from repro.runtime import (
     parse_timing,
     synthetic_streams,
 )
-from repro.service import FleetSupervisor, InjectBatch, events_to_injects
+from repro.service import FleetSupervisor, events_to_injects, inject_columns
 
 CASES = {
     "router": (
@@ -74,9 +74,7 @@ def run_service(net, assignment, streams, timing):
         await supervisor.start()
         injects = events_to_injects(streams)
         for lo in range(0, len(injects), 97):
-            await supervisor.inject(
-                InjectBatch(events=tuple(injects[lo : lo + 97]))
-            )
+            await supervisor.inject(inject_columns(injects[lo : lo + 97]))
         return await supervisor.stop(drain=True)
 
     return asyncio.run(go())
