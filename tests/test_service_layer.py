@@ -1478,7 +1478,7 @@ class TestInjectFrames:
             "choices": [[["p", "t"]]],
         }
         assert first_header % 8 == 0
-        assert len(first) == 9 + first_header + FRAME_ROW_BYTES * rows
+        assert len(first) == 9 + first_header + 24 * rows
         # the second frame reuses every entry: its header adds none, and
         # its rows are the same bytes
         assert json.loads(again[9 : 9 + again_header]) == {
@@ -1495,14 +1495,6 @@ class TestInjectFrames:
         assert columns.time.tolist() == [0.5, 0.0]
         assert [columns.sources[i] for i in columns.source] == ["t_tick", "t_cell"]
         assert [columns.choices[i] for i in columns.signature] == [(), (("p", "t"),)]
-
-    def test_rows_cost_24_bytes_per_event(self):
-        injects = events_to_injects(make_fleet_testbench(20, cells=20, seed=7))
-        encoder = FrameEncoder()
-        encoder.encode(injects)
-        again = encoder.encode(injects)
-        assert FRAME_ROW_BYTES == 24
-        assert 0 < len(again) - 24 * len(injects) <= 80  # prefix and header
 
     @pytest.mark.parametrize(
         "fields", BAD_INJECT_FIELDS.values(), ids=list(BAD_INJECT_FIELDS)
