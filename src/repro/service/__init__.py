@@ -26,6 +26,7 @@ from .messages import (
     Ack,
     InjectBatchPacked,
     InjectEvent,
+    InjectView,
     ProtocolError,
     Reload,
     ShardStats,
@@ -47,6 +48,7 @@ __all__ = [
     "Ack",
     "InjectBatchPacked",
     "InjectEvent",
+    "InjectView",
     "ProtocolError",
     "Reload",
     "ShardStats",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .messages import (
     FrameDecoder,
     FrameEncoder,
     InjectEvent,
+    InjectView,
     Message,
     ProtocolError,
     Reload,
@@ -304,9 +305,12 @@ class ServiceClient:
         """Send ``events`` as inject frames of at most :data:`BATCH_CHUNK`
         rows each.
 
-        A chunk holding a field the wire refuses raises
-        :class:`ProtocolError` naming it before any byte of that chunk
-        is written; the chunks ahead of it have been sent.
+        The chunks of an :class:`InjectView` (what
+        :func:`events_to_injects` returns) are framed straight from its
+        columns; any other sequence is packed per event
+        (:meth:`FrameEncoder.encode`).  A chunk holding a field the wire
+        refuses raises :class:`ProtocolError` naming it before any byte
+        of that chunk is written; the chunks ahead of it have been sent.
         """
         for lo in range(0, len(events), BATCH_CHUNK):
             self._writer.write(self._frames.encode(events[lo : lo + BATCH_CHUNK]))
@@ -353,31 +357,20 @@ class ServiceClient:
         return await self._request(Shutdown(drain=drain), Ack)
 
 
-def events_to_injects(
-    streams: Sequence[Sequence["object"]],
-) -> List[InjectEvent]:
-    """Flatten per-instance Event streams into a time-ordered inject list.
+def events_to_injects(streams: Sequence[Sequence["object"]]) -> InjectView:
+    """Flatten per-instance Event streams into time-ordered injects.
 
     Instance ``i``'s stream becomes injects with ``instance=i``; the
     global order interleaves instances by event time (stable, so each
     instance's own order is preserved) — the shape a real multiplexed
     ingest feed would have.  The streams are read as
     :class:`~repro.runtime.events.EventColumns` (generated streams
-    already are), and every field is a plain Python value, as the wire
-    codec needs.
+    already are), and the result is an :class:`InjectView` over them in
+    that order: one stable argsort and a gather per column, no inject
+    built.  Its items are built on demand, every field a plain Python
+    value and each with its own ``choices`` dict, and its slices are
+    views again, which :meth:`ServiceClient.inject_batch` frames as
+    they are.
     """
     columns = as_columns(streams)
-    order = np.argsort(columns.time, kind="stable")
-    sources = columns.sources
-    choices = [dict(raw) for raw in columns.choices]
-    return [
-        InjectEvent(
-            instance=instance, source=sources[s], time=t, choices=dict(choices[g])
-        )
-        for instance, s, t, g in zip(
-            columns.instance[order].tolist(),
-            columns.source[order].tolist(),
-            columns.time[order].tolist(),
-            columns.signature[order].tolist(),
-        )
-    ]
+    return InjectView(columns.take(np.argsort(columns.time, kind="stable")))

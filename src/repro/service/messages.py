@@ -23,7 +23,10 @@ The service speaks two wire forms, both tagged with :data:`WIRE_SCHEMA`:
   connection grow in step: source names, and raw insertion-order
   ``choices.items()`` tuples whose id 0 is ``()``.  The client refuses
   what the JSON decoder refuses, field by field; nothing in a frame is
-  ever unpickled or evaluated.
+  ever unpickled or evaluated.  An :class:`InjectView` — the
+  ``Sequence[InjectEvent]`` over :class:`EventColumns` that
+  :func:`~repro.service.ingest.events_to_injects` returns — is framed
+  straight from its columns, with no inject built.
 
 Request/response pairing uses the optional ``request_id`` carried by
 :class:`SnapshotRequest`/:class:`Reload`/:class:`Shutdown` and echoed
@@ -45,15 +48,30 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import reprlib
 import struct
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Dict, Iterable, Mapping, NoReturn, Sequence, Tuple, Type, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 import numpy as np
 
-from ..runtime.events import EventColumns, RawChoices
+from ..runtime.events import EventColumns, NameTable
 
 #: Version tag carried by every wire message and frame header.  Bump on
 #: any incompatible change to the message set, a field layout or the
@@ -80,6 +98,72 @@ class InjectEvent:
     choices: Mapping[str, str] = field(default_factory=dict)
 
     TYPE = "inject"
+
+
+#: Rows an :class:`InjectView` turns into injects per step of an iteration.
+_VIEW_BATCH = 4096
+
+
+class InjectView(SequenceABC):
+    """Injects as a ``Sequence[InjectEvent]`` over one :class:`EventColumns`.
+
+    The per-row counterpart of
+    :class:`~repro.runtime.events.EventStreams`: row ``i`` of
+    :attr:`columns` is inject ``i``, whose ``instance`` is the row's
+    instance key.  ``view[i]`` builds that :class:`InjectEvent` on
+    demand, its fields plain Python values and its ``choices`` a fresh
+    dict; a slice, with any step, is again a view, over sliced column
+    views that share the name tables; iteration builds the injects a
+    batch of rows at a time.  Equality goes by content against any
+    sequence, so a view equals the list of its injects.
+    """
+
+    def __init__(self, columns: EventColumns) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if isinstance(index, slice):
+            return InjectView(self.columns.take(index))
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("inject index out of range")
+        return self._injects(index, index + 1)[0]
+
+    def __iter__(self) -> Iterator[InjectEvent]:
+        for lo in range(0, len(self), _VIEW_BATCH):
+            yield from self._injects(lo, lo + _VIEW_BATCH)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"InjectView({list(self)!r})"
+
+    def _injects(self, lo: int, hi: int) -> List[InjectEvent]:
+        columns = self.columns
+        sources, choices = columns.sources, columns.choices
+        return [
+            InjectEvent(
+                instance=instance, source=sources[s], time=t, choices=dict(choices[g])
+            )
+            for instance, s, t, g in zip(
+                columns.instance[lo:hi].tolist(),
+                columns.source[lo:hi].tolist(),
+                columns.time[lo:hi].tolist(),
+                columns.signature[lo:hi].tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +435,15 @@ FRAME_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in FRAME_COLUMNS)
 
 
 def inject_columns(events: Iterable[InjectEvent]) -> EventColumns:
-    """The columns of injects, each row keyed by its event's ``instance``."""
+    """The columns of injects, each row keyed by its event's ``instance``.
+
+    An :class:`InjectView` is columns already: its :attr:`InjectView.columns`
+    are returned as they are, as :func:`~repro.runtime.events.as_columns`
+    returns ``EventStreams.columns``.  Any other sequence is packed once,
+    event by event (:meth:`EventColumns.pack`).
+    """
+    if isinstance(events, InjectView):
+        return events.columns
     return EventColumns.pack((event.instance, event) for event in events)
 
 
@@ -391,6 +483,52 @@ def _string_pairs(raw: Any) -> bool:
     )
 
 
+class _ConnectionTable:
+    """One name table of a connection, at the client: :attr:`ids` maps
+    each entry sent so far to its id on the connection.
+
+    It also maps the ids of the last columns table it saw to connection
+    ids (-1 where not looked up yet), filled in where a chunk first uses
+    an entry, so a chunk costs a gather over its rows, however large
+    that table is.
+    """
+
+    def __init__(self, *entries: Any) -> None:
+        self.ids: Dict[Any, int] = {entry: i for i, entry in enumerate(entries)}
+        self._table: Optional[Sequence[Any]] = None
+        self._map = np.empty(0, dtype=np.int64)
+
+    def fresh(self, table: Sequence[Any], rows: np.ndarray) -> Dict[Any, List[int]]:
+        """The entries of ``table`` that ``rows`` use and the connection
+        has not been sent, in table order, each with its ids in ``table``.
+
+        Nothing is added to the connection's table (:meth:`add` does).
+        """
+        if table is not self._table or len(table) != len(self._map):
+            self._table = table
+            self._map = np.full(len(table), -1, dtype=np.int64)
+        unmapped = rows[self._map[rows] < 0]
+        fresh: Dict[Any, List[int]] = {}
+        if unmapped.size:
+            for index in np.unique(unmapped).tolist():
+                entry = table[index]
+                known = self.ids.get(entry)
+                if known is None:
+                    fresh.setdefault(entry, []).append(index)
+                else:
+                    self._map[index] = known
+        return fresh
+
+    def add(self, fresh: Dict[Any, List[int]]) -> None:
+        """Give the :meth:`fresh` entries the next connection ids."""
+        for entry, indices in fresh.items():
+            self._map[indices] = self.ids[entry] = len(self.ids)
+
+    def row_ids(self, rows: np.ndarray) -> np.ndarray:
+        """The connection ids of ``rows``, once their entries are added."""
+        return self._map[rows].astype("<u4")
+
+
 class FrameEncoder:
     """The client end of one connection's inject frames.
 
@@ -400,27 +538,35 @@ class FrameEncoder:
     """
 
     def __init__(self) -> None:
-        self._sources: Dict[str, int] = {}
-        self._choices: Dict[RawChoices, int] = {(): 0}
+        self._sources = _ConnectionTable()
+        self._choices = _ConnectionTable(())
 
     def encode(self, events: Sequence[InjectEvent]) -> bytes:
-        """One frame of ``events``, packed once (:func:`inject_columns`).
+        """One frame of ``events``, over their :func:`inject_columns`.
 
-        Fields are checked per column and per new name-table entry, and
-        a refused one raises :class:`ProtocolError` naming it before the
-        tables advance, so the refused events never reach the wire.
+        An :class:`InjectView`'s columns are framed as they are, with a
+        few vector operations; any other sequence is checked per field
+        type and packed once, event by event.  Either way the times are
+        checked to be finite and every table entry new to the connection
+        to be a string or a tuple of string pairs.  A refused field
+        raises :class:`ProtocolError` naming it, as a JSON line would,
+        before the tables advance, so the refused events never reach the
+        wire.  The header carries only the new entries that the rows
+        use.
         """
-        for field_of, allowed in _FIELD_TYPES:
-            if not all(map(allowed, set(map(type, map(field_of, events))))):
-                _refuse(events)
+        if not isinstance(events, InjectView):
+            # a view's int64 and float64 columns hold these types already
+            for field_of, allowed in _FIELD_TYPES:
+                if not all(map(allowed, set(map(type, map(field_of, events))))):
+                    _refuse(events)
         try:
             columns = inject_columns(events)
         except (OverflowError, TypeError):
             # an instance beyond int64 or a time beyond float; an
             # unhashable source or choice
             _refuse(events)
-        sources = [name for name in columns.sources if name not in self._sources]
-        choices = [raw for raw in columns.choices if raw not in self._choices]
+        sources = self._sources.fresh(columns.sources, columns.source)
+        choices = self._choices.fresh(columns.choices, columns.signature)
         if (
             not all(isinstance(name, str) for name in sources)
             or not all(map(_string_pairs, choices))
@@ -428,20 +574,12 @@ class FrameEncoder:
         ):
             _refuse(events)
         header = json.dumps(
-            {"schema": WIRE_SCHEMA, "sources": sources, "choices": choices},
+            {"schema": WIRE_SCHEMA, "sources": list(sources), "choices": list(choices)},
             separators=(",", ":"),
         ).encode()
         header += b" " * (-len(header) % 8)  # aligns the 8-byte columns
-        for name in sources:
-            self._sources[name] = len(self._sources)
-        for raw in choices:
-            self._choices[raw] = len(self._choices)
-        source_ids = np.array(
-            [self._sources[name] for name in columns.sources], dtype="<u4"
-        )
-        choice_ids = np.array(
-            [self._choices[raw] for raw in columns.choices], dtype="<u4"
-        )
+        self._sources.add(sources)
+        self._choices.add(choices)
         return b"".join(
             (
                 FRAME_MAGIC,
@@ -449,8 +587,8 @@ class FrameEncoder:
                 header,
                 columns.instance.astype("<i8", copy=False).tobytes(),
                 columns.time.astype("<f8", copy=False).tobytes(),
-                source_ids[columns.source].tobytes(),
-                choice_ids[columns.signature].tobytes(),
+                self._sources.row_ids(columns.source).tobytes(),
+                self._choices.row_ids(columns.signature).tobytes(),
             )
         )
 
@@ -460,8 +598,8 @@ class FrameDecoder:
     name tables, grown by each frame's header."""
 
     def __init__(self) -> None:
-        self.sources: Tuple[str, ...] = ()
-        self.choices: Tuple[RawChoices, ...] = ((),)
+        self.sources = NameTable()
+        self.choices = NameTable([()])
 
     def add_tables(self, header: bytes) -> None:
         """Append a frame header's new name-table entries.
@@ -498,8 +636,8 @@ class FrameDecoder:
                 "frame header tables must be a list of source names and a "
                 "list of [place, transition] string pair lists"
             )
-        self.sources += tuple(sources)
-        self.choices += tuple(tuple(map(tuple, raw)) for raw in choices)
+        self.sources.extend(sources)
+        self.choices.extend(tuple(map(tuple, raw)) for raw in choices)
 
     def columns(self, body: bytes, offset: int, rows: int) -> EventColumns:
         """The ``rows`` rows stored in ``body`` from ``offset`` on, as

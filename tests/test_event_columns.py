@@ -39,6 +39,7 @@ from repro.runtime import (
 from repro.service import (
     FleetSupervisor,
     InjectEvent,
+    InjectView,
     encode_message,
     events_to_injects,
     inject_columns,
@@ -333,14 +334,17 @@ class TestWireBoundary:
         expected = parent_events_to_injects([list(s) for s in streams])
         actual = events_to_injects(streams)
         assert actual == expected
-        # every inject owns its choices dict
-        assert len({id(inject.choices) for inject in actual}) == len(actual)
-        for inject in actual:
+        # the view builds its items on demand: hold them all, so no
+        # dropped item's id() is reused, and check every inject owns its
+        # choices dict
+        items = list(actual)
+        assert len({id(inject.choices) for inject in items}) == len(items)
+        for inject in items:
             assert type(inject.instance) is int
             assert type(inject.time) is float
             assert type(inject.source) is str
             assert type(inject.choices) is dict
-        assert [encode_message(i) for i in actual] == [
+        assert [encode_message(i) for i in items] == [
             encode_message(i) for i in expected
         ]
 
@@ -384,6 +388,117 @@ class TestWireBoundary:
                     ]
                 )
             )
+
+
+def atm_view(instances=6, cells=5, seed=3):
+    streams = atm.make_fleet_testbench(instances, cells=cells, seed=seed)
+    return events_to_injects(streams)
+
+
+class TestInjectView:
+    """``events_to_injects`` returns a ``Sequence[InjectEvent]`` view over
+    one time-ordered ``EventColumns``: these pin it to the list it
+    stands for."""
+
+    def test_is_a_view_over_time_ordered_columns(self):
+        streams = atm.make_fleet_testbench(6, cells=5, seed=3)
+        view = events_to_injects(streams)
+        assert isinstance(view, InjectView)
+        assert inject_columns(view) is view.columns
+        assert view.columns.sources is streams.columns.sources
+        assert view.columns.choices is streams.columns.choices
+        assert np.all(np.diff(view.columns.time) >= 0)
+
+    def test_len_and_indices(self):
+        view = atm_view()
+        items = list(view)
+        assert len(view) == len(items) > 0
+        for index in (0, 1, len(items) // 2, len(items) - 1, -1, -len(items)):
+            assert view[index] == items[index]
+        assert view[np.int64(2)] == items[2]
+        for index in (len(items), -len(items) - 1, 10**6):
+            with pytest.raises(IndexError):
+                view[index]
+        with pytest.raises(TypeError):
+            view[1.0]
+
+    def test_every_item_gets_its_own_choices_dict(self):
+        view = atm_view()
+        index = next(i for i, inject in enumerate(view) if inject.choices)
+        first, second = view[index], view[index]
+        assert first == second and first.choices is not second.choices
+        first.choices.clear()
+        assert view[index].choices == second.choices != {}
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            slice(None),
+            slice(3, 17),
+            slice(None, None, 3),
+            slice(5, None, 4),
+            slice(None, None, -1),
+            slice(-3, 2, -2),
+            slice(10, 10),
+            slice(9, 2),
+            slice(-1000, 1000),
+        ],
+        ids=[
+            "all",
+            "range",
+            "step",
+            "offset_step",
+            "reversed",
+            "negative_step",
+            "empty",
+            "empty_backward",
+            "beyond_both_ends",
+        ],
+    )
+    def test_slices_are_views_equal_to_the_list_slice(self, cut):
+        view = atm_view()
+        part = view[cut]
+        assert isinstance(part, InjectView)
+        assert part.columns.sources is view.columns.sources
+        assert part.columns.choices is view.columns.choices
+        assert list(part) == list(view)[cut]
+        assert len(part) == len(list(view)[cut])
+
+    def test_nested_slices(self):
+        view = atm_view()
+        items = list(view)
+        assert list(view[2:60][3:40:2]) == items[2:60][3:40:2]
+        assert list(view[::-1][::3][1:]) == items[::-1][::3][1:]
+        assert list(view[5:][-4:][::-1]) == items[5:][-4:][::-1]
+
+    def test_iteration_crosses_its_batches(self, monkeypatch):
+        import repro.service.messages as messages
+
+        view = atm_view()
+        expected = [view[i] for i in range(len(view))]
+        monkeypatch.setattr(messages, "_VIEW_BATCH", 7)
+        assert list(view) == expected
+
+    def test_equality_goes_by_content(self):
+        view = atm_view()
+        items = list(view)
+        assert view == items and items == view
+        assert view == tuple(items) and view == events_to_injects(
+            [list(s) for s in atm.make_fleet_testbench(6, cells=5, seed=3)]
+        )
+        assert view != items[:-1]
+        changed = list(items)
+        changed[3] = InjectEvent(
+            instance=changed[3].instance + 1,
+            source=changed[3].source,
+            time=changed[3].time,
+            choices=changed[3].choices,
+        )
+        assert view != changed
+        assert view != 5 and view != "not injects"
+        assert view[:0] == [] and view[:0] != [items[0]]
+        with pytest.raises(TypeError):
+            hash(view)
 
 
 class TestColumnsPack:

@@ -20,22 +20,34 @@ cross-process `synthetic_streams` determinism.
 from __future__ import annotations
 
 import asyncio
+import collections
+import dataclasses
 import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import atm, heating, router
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
+from repro.petrinet.compiled import compile_net
 from repro.petrinet.exceptions import NotEnabledError
 from repro.petrinet.generators import unbalanced_choice_net
-from repro.runtime import FleetEngine, ModuleAssignment, synthetic_streams
+from repro.runtime import (
+    Event,
+    FleetEngine,
+    FleetSimulator,
+    ModuleAssignment,
+    parse_timing,
+    synthetic_streams,
+)
 from repro.runtime.fleet import FleetResult
 from repro.runtime.rtos import ExecutionStats
 from repro.service import (
@@ -1616,6 +1628,217 @@ class TestInjectFrames:
         assert fresh.events == result.stats.events_processed == 2
 
 
+def decode_frame(decoder, frame):
+    """The columns of ``frame`` on ``decoder``'s connection."""
+    header_size, rows = FRAME_SIZES.unpack(frame[1 : 1 + FRAME_SIZES.size])
+    start = 1 + FRAME_SIZES.size
+    decoder.add_tables(frame[start : start + header_size])
+    return decoder.columns(frame, start + header_size, rows)
+
+
+def frame_rows(decoder, frame):
+    """Decode ``frame`` on ``decoder``'s connection into rows of
+    (instance, time, source name, choice tuple), checking that the
+    header's entries are new to the connection, distinct, and each used
+    by a row."""
+    known = len(decoder.sources), len(decoder.choices)
+    columns = decode_frame(decoder, frame)
+    for table, ids, before in (
+        (decoder.sources, columns.source, known[0]),
+        (decoder.choices, columns.signature, known[1]),
+    ):
+        new = list(table[before:])
+        assert len(set(new)) == len(new)
+        assert not set(new) & set(table[:before])
+        assert set(ids[ids >= before].tolist()) == set(range(before, len(table)))
+    return [
+        (instance, time, columns.sources[s], columns.choices[g])
+        for instance, time, s, g in zip(
+            columns.instance.tolist(),
+            columns.time.tolist(),
+            columns.source.tolist(),
+            columns.signature.tolist(),
+        )
+    ]
+
+
+#: Stream edits the wire refuses, each with the field it names.
+BAD_STREAM_EVENTS = {
+    "time_nan": (
+        "time",
+        lambda e: Event(time=float("nan"), source=e.source, choices=e.choices),
+    ),
+    "source_number": (
+        "source",
+        lambda e: Event(time=e.time, source=5, choices=e.choices),
+    ),
+    "choice_number": (
+        "choices",
+        lambda e: Event(time=e.time, source=e.source, choices={"p_timer_state": 1}),
+    ),
+}
+
+
+class CountingIndex(dict):
+    """A transition index that counts its ``get`` lookups per key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = collections.Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+
+def counting_supervisor():
+    """A supervisor whose signature table counts its source lookups and
+    its ``intern_raw`` calls, per entry."""
+    index = CountingIndex(compile_net(ATM).transition_index)
+    supervisor = FleetSupervisor(
+        dataclasses.replace(compile_net(ATM), transition_index=index), ASSIGNMENT
+    )
+    interned = collections.Counter()
+    intern_raw = supervisor.signatures.intern_raw
+
+    def counting(raw):
+        interned[raw] += 1
+        return intern_raw(raw)
+
+    supervisor.signatures.intern_raw = counting
+    return supervisor, index.lookups, interned
+
+
+class TestViewFrames:
+    """The client frames an ``InjectView`` from its columns: the same
+    rows, headers and refusals as framing the list of its injects, and
+    the server maps each connection entry to kernel ids once."""
+
+    def test_view_and_list_frames_decode_to_the_same_rows(self):
+        # the benchmark's socket fleet: 200 ATM instances of 50 cells, seed 7
+        injects = events_to_injects(make_fleet_testbench(200, cells=50, seed=7))
+        assert len(injects) > 20 * 1024
+        encoders = FrameEncoder(), FrameEncoder()
+        decoders = FrameDecoder(), FrameDecoder()
+        for lo in range(0, len(injects), 1024):
+            chunk = injects[lo : lo + 1024]
+            from_view, from_list = (
+                frame_rows(decoder, encoder.encode(events))
+                for encoder, decoder, events in zip(
+                    encoders, decoders, (chunk, list(chunk))
+                )
+            )
+            assert from_view == from_list == [
+                (e.instance, e.time, e.source, tuple(e.choices.items()))
+                for e in chunk
+            ]
+
+    @pytest.mark.parametrize(
+        "edit", BAD_STREAM_EVENTS.values(), ids=list(BAD_STREAM_EVENTS)
+    )
+    def test_a_view_is_refused_as_its_list_is(self, edit):
+        """The same error for both forms, nothing of the refused chunk
+        written, and the tables where they were: the good injects sent
+        afterwards are served as a one-shot run serves them."""
+        field_name, change = edit
+        streams = make_fleet_testbench(3, cells=4, seed=1)
+        lists = [list(stream) for stream in streams]
+        lists[1][2] = change(lists[1][2])
+        bad, good = events_to_injects(lists), events_to_injects(streams)
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            server = IngestServer(supervisor, port=0)
+            client = await ServiceClient.connect(*await server.start())
+            await client.inject_batch(good[:5])
+            written = []
+            write = client._writer.write
+            client._writer.write = lambda data: (written.append(data), write(data))
+            errors = []
+            for events in (bad, list(bad)):
+                with pytest.raises(ProtocolError) as refused:
+                    await client.inject_batch(events)
+                errors.append(str(refused.value))
+            refused_writes = list(written)
+            await client.inject_batch(good[5:])
+            snapshot = await asyncio.wait_for(client.snapshot(), timeout=10)
+            await client.close()
+            await server.stop()
+            result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return errors, refused_writes, snapshot, result
+
+        errors, refused_writes, snapshot, result = asyncio.run(go())
+        assert errors[0] == errors[1]
+        assert f"bad inject field {field_name!r}" in errors[0]
+        assert refused_writes == []
+        assert snapshot.events == len(good)
+        expected = FleetSimulator(ATM, ASSIGNMENT).run(streams)
+        assert dataclasses.asdict(result.stats) == dataclasses.asdict(expected.stats)
+        assert np.array_equal(result.instance_cycles, expected.instance_cycles)
+        # the refusal left the encoder's tables as they were
+        refused, clean = FrameEncoder(), FrameEncoder()
+        for encoder in (refused, clean):
+            encoder.encode(good[:5])
+        with pytest.raises(ProtocolError):
+            refused.encode(bad)
+        assert refused.encode(good[5:]) == clean.encode(good[5:])
+
+    def test_pack_looks_each_connection_entry_up_once(self):
+        """Over one connection, ``pack`` looks up a table entry in the
+        frame that adds it and never again, and gathers the ids that
+        mapping every entry afresh gives."""
+        supervisor, lookups, interned = counting_supervisor()
+        reference = FleetSupervisor(ATM, ASSIGNMENT)
+        encoder, decoder = FrameEncoder(), FrameDecoder()
+        view = events_to_injects(make_fleet_testbench(40, cells=20, seed=7))
+        for lo in range(0, len(view), 256):
+            columns = decode_frame(decoder, encoder.encode(view[lo : lo + 256]))
+            packed = supervisor.pack(columns)
+            expected = reference.pack(
+                dataclasses.replace(
+                    columns,
+                    sources=tuple(columns.sources),
+                    choices=tuple(columns.choices),
+                )
+            )
+            for name in ("instances", "sources", "signatures"):
+                assert np.array_equal(getattr(packed, name), getattr(expected, name))
+        assert len(decoder.choices) > 20
+        assert dict(interned) == {raw: 1 for raw in decoder.choices}
+        assert {name: lookups[name] for name in decoder.sources} == {
+            name: 1 for name in decoder.sources
+        }
+
+    def test_an_unused_unknown_source_is_refused_once_a_row_uses_it(self):
+        supervisor, lookups, _ = counting_supervisor()
+        decoder = FrameDecoder()
+        frames = [
+            raw_frame([(0, 0.0, 0, 0)], sources=["t_tick", "no_such"]),
+            raw_frame([(1, 0.0, 0, 0), (2, 0.0, 1, 0)]),
+        ]
+        outcomes = []
+        for frame in frames:
+            columns = decode_frame(decoder, frame)
+            try:
+                outcomes.append(len(supervisor.pack(columns)))
+            except NotEnabledError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == 1
+        assert "'no_such'" in outcomes[1]
+        assert lookups["no_such"] == lookups["t_tick"] == 1
+
+    def test_the_kernel_ids_go_with_the_connection(self):
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+        decoder = FrameDecoder()
+        injects = events_to_injects(make_fleet_testbench(2, cells=3))
+        supervisor.pack(decode_frame(decoder, FrameEncoder().encode(injects)))
+        tables = weakref.ref(decoder.sources), weakref.ref(decoder.choices)
+        del decoder
+        gc.collect()
+        assert [table() for table in tables] == [None, None]
+
+
 #: A valid two-frame stream: the second frame reuses the first's table
 #: entries and adds its own.
 FUZZ_STREAM = raw_frame(
@@ -1713,6 +1936,30 @@ class TestFleetResultEdgeCases:
     def test_custom_quantile_labels(self):
         spread = self.result([10, 20, 30, 40])
         assert set(spread.percentiles((50, 99.9))) == {"p50", "p99.9"}
+
+    @pytest.mark.parametrize(
+        "app", [atm, router, heating], ids=lambda app: app.__name__.split(".")[-1]
+    )
+    def test_one_call_equals_per_q_percentile_over_the_apps_fleets(self, app):
+        builders = {
+            atm: atm.build_atm_server_net,
+            router: router.build_router_net,
+            heating: heating.build_heating_net,
+        }
+        net = builders[app]()
+        assignment = ModuleAssignment.from_groups(app.MODULE_PARTITION)
+        result = FleetSimulator(
+            net, assignment, timing=parse_timing("uniform:1-8", net, seed=5)
+        ).run(app.make_fleet_testbench(37, 6, seed=3))
+        for qs in ((50, 90, 95, 99), (0, 12.5, 33.3, 100), (99, 1, 50), (99.9,)):
+            assert result.percentiles(qs) == {
+                f"p{q:g}": result.percentile(q) for q in qs
+            }
+        ticks = ", ".join(
+            f"p{q:g}={float(np.percentile(result.instance_ticks, q)):.0f}"
+            for q in (50, 90, 95, 99)
+        )
+        assert f"per-instance delay ticks: {ticks}" in result.describe()
 
 
 _STREAM_DIGEST_SCRIPT = """
