@@ -298,15 +298,14 @@ class EventColumns:
     ``choices.items()`` tuples, whose id 0 is ``()`` (no choices).  The
     names stay strings here: a kernel maps each table entry to its own
     ids once and gathers (:meth:`repro.runtime.fleet.SignatureTable.gather`).
-    The tables are tuples, or a connection's :class:`NameTable` objects.
     """
 
     time: np.ndarray
     instance: np.ndarray
     source: np.ndarray
     signature: np.ndarray
-    sources: Sequence[str]
-    choices: Sequence[RawChoices]
+    sources: Tuple[str, ...]
+    choices: Tuple[RawChoices, ...]
 
     def __len__(self) -> int:
         return len(self.time)
@@ -362,30 +361,6 @@ class EventColumns:
             sources=tuple(sources),
             choices=tuple(choices),
         )
-
-
-class NameTable(SequenceABC):
-    """A name table that only grows: every entry keeps its id for good.
-
-    A connection's two tables are ``NameTable`` objects that each
-    frame's header extends, so the :class:`EventColumns` of all its
-    frames share them.  :meth:`repro.runtime.fleet.SignatureTable.gather`
-    keeps the kernel ids of a ``NameTable``'s entries and maps only
-    those added since its last call.  Equality and hashing go by
-    identity.
-    """
-
-    def __init__(self, entries: Iterable[Any] = ()) -> None:
-        self._entries: List[Any] = list(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index: Union[int, slice]) -> Any:
-        return self._entries[index]
-
-    def extend(self, entries: Iterable[Any]) -> None:
-        self._entries.extend(entries)
 
 
 def as_columns(streams: Sequence[Sequence[Any]]) -> EventColumns:

@@ -62,9 +62,8 @@ the rest of its life, so memory stays bounded.  The results stay
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,7 +82,6 @@ from .events import (
     Event,
     EventColumns,
     EventStreams,
-    NameTable,
     StreamCollector,
     arrival_times,
     as_columns,
@@ -205,10 +203,6 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
-#: The kernel ids of a :class:`NameTable` that none were looked up for yet.
-_NO_IDS = np.empty(0, dtype=np.int64)
-
-
 def instance_not_enabled(transition: str, instance: int) -> NotEnabledError:
     """The error for an event whose source is not enabled in ``instance``.
 
@@ -276,8 +270,6 @@ class SignatureTable:
         self._raw_index: Dict[Tuple[Tuple[str, str], ...], int] = {(): 0}
         self.allowed = np.ones((4, n_t), dtype=bool)
         self.count = 1
-        # per NameTable: (kernel ids of its first entries, their count)
-        self._table_ids: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def intern_raw(self, raw: Tuple[Tuple[str, str], ...]) -> int:
         """Intern an insertion-order ``choices.items()`` tuple."""
@@ -324,41 +316,23 @@ class SignatureTable:
         Each entry of the columns' name tables is looked up once — a
         source name in the compiled transition index, a raw choice tuple
         through :meth:`intern_raw` — and each id column is one gather
-        through those maps.  A :class:`NameTable` (a connection's) keeps
-        its entries' ids across calls, so only the entries added since
-        the last call are looked up.  A source that no transition of the
-        net names raises :class:`NotEnabledError` naming it, once a row
-        uses it and before any signature is interned.
+        through those maps.  A source that no transition of the net
+        names raises :class:`NotEnabledError` naming it, before any
+        signature is interned.
         """
-        source_map = self._kernel_ids(columns.sources, self._source_id)
+        lookup = self.cnet.transition_index.get
+        source_map = np.array(
+            [lookup(name, -1) for name in columns.sources], dtype=np.int64
+        )
         src_ids = source_map[columns.source]
         unknown = np.flatnonzero(src_ids < 0)
         if unknown.size:
             name = columns.sources[int(columns.source[unknown[0]])]
             raise NotEnabledError(f"unknown source transition {name!r}")
-        signature_map = self._kernel_ids(columns.choices, self.intern_raw)
+        signature_map = np.array(
+            [self.intern_raw(raw) for raw in columns.choices], dtype=np.int64
+        )
         return src_ids, signature_map[columns.signature]
-
-    def _source_id(self, name: str) -> int:
-        """The transition id of source ``name``; -1 if the net has none."""
-        return self.cnet.transition_index.get(name, -1)
-
-    def _kernel_ids(
-        self, table: Sequence[Any], lookup: Callable[[Any], int]
-    ) -> np.ndarray:
-        """``lookup`` of every entry of ``table``, as an int64 array.
-
-        A :class:`NameTable`'s ids are kept: only its entries added since
-        the last call are looked up."""
-        if not isinstance(table, NameTable):
-            return np.fromiter(map(lookup, table), dtype=np.int64, count=len(table))
-        ids, done = self._table_ids.get(table, (_NO_IDS, 0))
-        size = len(table)
-        if done < size:
-            ids = _grown(ids, size)
-            ids[done:size] = [lookup(entry) for entry in table[done:size]]
-            self._table_ids[table] = ids, size
-        return ids[:size]
 
 
 class FleetEngine:

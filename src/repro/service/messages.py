@@ -62,7 +62,6 @@ from typing import (
     List,
     Mapping,
     NoReturn,
-    Optional,
     Sequence,
     Tuple,
     Type,
@@ -71,7 +70,7 @@ from typing import (
 
 import numpy as np
 
-from ..runtime.events import EventColumns, NameTable
+from ..runtime.events import EventColumns, RawChoices
 
 #: Version tag carried by every wire message and frame header.  Bump on
 #: any incompatible change to the message set, a field layout or the
@@ -483,50 +482,12 @@ def _string_pairs(raw: Any) -> bool:
     )
 
 
-class _ConnectionTable:
-    """One name table of a connection, at the client: :attr:`ids` maps
-    each entry sent so far to its id on the connection.
-
-    It also maps the ids of the last columns table it saw to connection
-    ids (-1 where not looked up yet), filled in where a chunk first uses
-    an entry, so a chunk costs a gather over its rows, however large
-    that table is.
-    """
-
-    def __init__(self, *entries: Any) -> None:
-        self.ids: Dict[Any, int] = {entry: i for i, entry in enumerate(entries)}
-        self._table: Optional[Sequence[Any]] = None
-        self._map = np.empty(0, dtype=np.int64)
-
-    def fresh(self, table: Sequence[Any], rows: np.ndarray) -> Dict[Any, List[int]]:
-        """The entries of ``table`` that ``rows`` use and the connection
-        has not been sent, in table order, each with its ids in ``table``.
-
-        Nothing is added to the connection's table (:meth:`add` does).
-        """
-        if table is not self._table or len(table) != len(self._map):
-            self._table = table
-            self._map = np.full(len(table), -1, dtype=np.int64)
-        unmapped = rows[self._map[rows] < 0]
-        fresh: Dict[Any, List[int]] = {}
-        if unmapped.size:
-            for index in np.unique(unmapped).tolist():
-                entry = table[index]
-                known = self.ids.get(entry)
-                if known is None:
-                    fresh.setdefault(entry, []).append(index)
-                else:
-                    self._map[index] = known
-        return fresh
-
-    def add(self, fresh: Dict[Any, List[int]]) -> None:
-        """Give the :meth:`fresh` entries the next connection ids."""
-        for entry, indices in fresh.items():
-            self._map[indices] = self.ids[entry] = len(self.ids)
-
-    def row_ids(self, rows: np.ndarray) -> np.ndarray:
-        """The connection ids of ``rows``, once their entries are added."""
-        return self._map[rows].astype("<u4")
+def _used(table: Sequence[Any], ids: np.ndarray) -> Tuple[List[Any], np.ndarray]:
+    """The entries of ``table`` that ``ids`` name, in table order, and
+    each id's index among them: one :func:`numpy.unique` over the ids,
+    so the cost does not grow with the table."""
+    used, rows = np.unique(ids, return_inverse=True)
+    return [table[i] for i in used.tolist()], rows
 
 
 class FrameEncoder:
@@ -538,8 +499,8 @@ class FrameEncoder:
     """
 
     def __init__(self) -> None:
-        self._sources = _ConnectionTable()
-        self._choices = _ConnectionTable(())
+        self._sources: Dict[str, int] = {}
+        self._choices: Dict[RawChoices, int] = {(): 0}
 
     def encode(self, events: Sequence[InjectEvent]) -> bytes:
         """One frame of ``events``, over their :func:`inject_columns`.
@@ -551,8 +512,10 @@ class FrameEncoder:
         to be a string or a tuple of string pairs.  A refused field
         raises :class:`ProtocolError` naming it, as a JSON line would,
         before the tables advance, so the refused events never reach the
-        wire.  The header carries only the new entries that the rows
-        use.
+        wire.  The entries the rows use are found with one
+        :func:`numpy.unique` per id column, so the header carries only
+        new entries that the rows use, and a chunk's cost does not grow
+        with a view's whole-stream tables.
         """
         if not isinstance(events, InjectView):
             # a view's int64 and float64 columns hold these types already
@@ -561,12 +524,14 @@ class FrameEncoder:
                     _refuse(events)
         try:
             columns = inject_columns(events)
+            row_sources, source_rows = _used(columns.sources, columns.source)
+            row_choices, choice_rows = _used(columns.choices, columns.signature)
+            sources = [name for name in row_sources if name not in self._sources]
+            choices = [raw for raw in row_choices if raw not in self._choices]
         except (OverflowError, TypeError):
             # an instance beyond int64 or a time beyond float; an
             # unhashable source or choice
             _refuse(events)
-        sources = self._sources.fresh(columns.sources, columns.source)
-        choices = self._choices.fresh(columns.choices, columns.signature)
         if (
             not all(isinstance(name, str) for name in sources)
             or not all(map(_string_pairs, choices))
@@ -574,12 +539,16 @@ class FrameEncoder:
         ):
             _refuse(events)
         header = json.dumps(
-            {"schema": WIRE_SCHEMA, "sources": list(sources), "choices": list(choices)},
+            {"schema": WIRE_SCHEMA, "sources": sources, "choices": choices},
             separators=(",", ":"),
         ).encode()
         header += b" " * (-len(header) % 8)  # aligns the 8-byte columns
-        self._sources.add(sources)
-        self._choices.add(choices)
+        for name in sources:
+            self._sources[name] = len(self._sources)
+        for raw in choices:
+            self._choices[raw] = len(self._choices)
+        source_ids = np.array([self._sources[name] for name in row_sources], "<u4")
+        choice_ids = np.array([self._choices[raw] for raw in row_choices], "<u4")
         return b"".join(
             (
                 FRAME_MAGIC,
@@ -587,8 +556,8 @@ class FrameEncoder:
                 header,
                 columns.instance.astype("<i8", copy=False).tobytes(),
                 columns.time.astype("<f8", copy=False).tobytes(),
-                self._sources.row_ids(columns.source).tobytes(),
-                self._choices.row_ids(columns.signature).tobytes(),
+                source_ids[source_rows].tobytes(),
+                choice_ids[choice_rows].tobytes(),
             )
         )
 
@@ -598,8 +567,8 @@ class FrameDecoder:
     name tables, grown by each frame's header."""
 
     def __init__(self) -> None:
-        self.sources = NameTable()
-        self.choices = NameTable([()])
+        self.sources: Tuple[str, ...] = ()
+        self.choices: Tuple[RawChoices, ...] = ((),)
 
     def add_tables(self, header: bytes) -> None:
         """Append a frame header's new name-table entries.
@@ -636,8 +605,8 @@ class FrameDecoder:
                 "frame header tables must be a list of source names and a "
                 "list of [place, transition] string pair lists"
             )
-        self.sources.extend(sources)
-        self.choices.extend(tuple(map(tuple, raw)) for raw in choices)
+        self.sources += tuple(sources)
+        self.choices += tuple(tuple(map(tuple, raw)) for raw in choices)
 
     def columns(self, body: bytes, offset: int, rows: int) -> EventColumns:
         """The ``rows`` rows stored in ``body`` from ``offset`` on, as

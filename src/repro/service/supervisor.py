@@ -152,12 +152,10 @@ class FleetSupervisor:
         The *only* place the service turns event names into ids: the
         columns' name tables map to kernel ids through the shared
         :class:`SignatureTable` with one gather per column
-        (:meth:`SignatureTable.gather`).  A frame's tables are its
-        connection's, and each of their entries is looked up once, in
-        the first frame packed after its header.  The returned ndarray
-        batch flows through the inbox into the kernel zero-copy.  An
-        unknown source transition raises :class:`NotEnabledError` here,
-        at the boundary, before any event of the batch is queued.
+        (:meth:`SignatureTable.gather`).  The returned ndarray batch
+        flows through the inbox into the kernel zero-copy.  An unknown
+        source transition raises :class:`NotEnabledError` here, at the
+        boundary, before any event of the batch is queued.
         """
         sources, signatures = self.signatures.gather(columns)
         return InjectBatchPacked(

@@ -20,7 +20,6 @@ cross-process `synthetic_streams` determinism.
 from __future__ import annotations
 
 import asyncio
-import collections
 import dataclasses
 import gc
 import hashlib
@@ -28,7 +27,6 @@ import json
 import os
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.apps import atm, heating, router
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
-from repro.petrinet.compiled import compile_net
 from repro.petrinet.exceptions import NotEnabledError
 from repro.petrinet.generators import unbalanced_choice_net
 from repro.runtime import (
@@ -58,6 +55,7 @@ from repro.service import (
     IngestServer,
     InjectBatchPacked,
     InjectEvent,
+    InjectView,
     ProtocolError,
     Reload,
     ServiceClient,
@@ -1679,40 +1677,9 @@ BAD_STREAM_EVENTS = {
 }
 
 
-class CountingIndex(dict):
-    """A transition index that counts its ``get`` lookups per key."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lookups = collections.Counter()
-
-    def get(self, key, default=None):
-        self.lookups[key] += 1
-        return super().get(key, default)
-
-
-def counting_supervisor():
-    """A supervisor whose signature table counts its source lookups and
-    its ``intern_raw`` calls, per entry."""
-    index = CountingIndex(compile_net(ATM).transition_index)
-    supervisor = FleetSupervisor(
-        dataclasses.replace(compile_net(ATM), transition_index=index), ASSIGNMENT
-    )
-    interned = collections.Counter()
-    intern_raw = supervisor.signatures.intern_raw
-
-    def counting(raw):
-        interned[raw] += 1
-        return intern_raw(raw)
-
-    supervisor.signatures.intern_raw = counting
-    return supervisor, index.lookups, interned
-
-
 class TestViewFrames:
     """The client frames an ``InjectView`` from its columns: the same
-    rows, headers and refusals as framing the list of its injects, and
-    the server maps each connection entry to kernel ids once."""
+    rows, headers and refusals as framing the list of its injects."""
 
     def test_view_and_list_frames_decode_to_the_same_rows(self):
         # the benchmark's socket fleet: 200 ATM instances of 50 cells, seed 7
@@ -1731,6 +1698,21 @@ class TestViewFrames:
             assert from_view == from_list == [
                 (e.instance, e.time, e.source, tuple(e.choices.items()))
                 for e in chunk
+            ]
+
+    def test_rows_that_skip_table_entries_get_the_connection_ids(self):
+        """A view whose rows use only the last entry of its source table:
+        the header names only the entries the rows use, and the rows'
+        ids are those entries' ids on the connection."""
+        columns = events_to_injects(make_fleet_testbench(20, cells=10, seed=7)).columns
+        last = len(columns.sources) - 1
+        picked = InjectView(columns.take(np.flatnonzero(columns.source == last)))
+        assert 0 < last and 0 < len(picked) < len(columns)
+        for events in (picked, picked[::3]):
+            rows = frame_rows(FrameDecoder(), FrameEncoder().encode(events))
+            assert rows == [
+                (e.instance, e.time, e.source, tuple(e.choices.items()))
+                for e in events
             ]
 
     @pytest.mark.parametrize(
@@ -1784,59 +1766,26 @@ class TestViewFrames:
             refused.encode(bad)
         assert refused.encode(good[5:]) == clean.encode(good[5:])
 
-    def test_pack_looks_each_connection_entry_up_once(self):
-        """Over one connection, ``pack`` looks up a table entry in the
-        frame that adds it and never again, and gathers the ids that
-        mapping every entry afresh gives."""
-        supervisor, lookups, interned = counting_supervisor()
-        reference = FleetSupervisor(ATM, ASSIGNMENT)
-        encoder, decoder = FrameEncoder(), FrameDecoder()
-        view = events_to_injects(make_fleet_testbench(40, cells=20, seed=7))
-        for lo in range(0, len(view), 256):
-            columns = decode_frame(decoder, encoder.encode(view[lo : lo + 256]))
-            packed = supervisor.pack(columns)
-            expected = reference.pack(
-                dataclasses.replace(
-                    columns,
-                    sources=tuple(columns.sources),
-                    choices=tuple(columns.choices),
-                )
-            )
-            for name in ("instances", "sources", "signatures"):
-                assert np.array_equal(getattr(packed, name), getattr(expected, name))
-        assert len(decoder.choices) > 20
-        assert dict(interned) == {raw: 1 for raw in decoder.choices}
-        assert {name: lookups[name] for name in decoder.sources} == {
-            name: 1 for name in decoder.sources
-        }
-
-    def test_an_unused_unknown_source_is_refused_once_a_row_uses_it(self):
-        supervisor, lookups, _ = counting_supervisor()
+    def test_an_unknown_source_is_refused_once_a_row_uses_it(self):
+        """``pack`` refuses only the names its rows use: a header entry no
+        row uses yet, or one of a view's whole-stream table entries that
+        the slice's rows do not use, passes."""
+        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
         decoder = FrameDecoder()
         frames = [
             raw_frame([(0, 0.0, 0, 0)], sources=["t_tick", "no_such"]),
             raw_frame([(1, 0.0, 0, 0), (2, 0.0, 1, 0)]),
         ]
-        outcomes = []
-        for frame in frames:
-            columns = decode_frame(decoder, frame)
-            try:
-                outcomes.append(len(supervisor.pack(columns)))
-            except NotEnabledError as error:
-                outcomes.append(str(error))
-        assert outcomes[0] == 1
-        assert "'no_such'" in outcomes[1]
-        assert lookups["no_such"] == lookups["t_tick"] == 1
-
-    def test_the_kernel_ids_go_with_the_connection(self):
-        supervisor = FleetSupervisor(ATM, ASSIGNMENT)
-        decoder = FrameDecoder()
-        injects = events_to_injects(make_fleet_testbench(2, cells=3))
-        supervisor.pack(decode_frame(decoder, FrameEncoder().encode(injects)))
-        tables = weakref.ref(decoder.sources), weakref.ref(decoder.choices)
-        del decoder
-        gc.collect()
-        assert [table() for table in tables] == [None, None]
+        assert len(supervisor.pack(decode_frame(decoder, frames[0]))) == 1
+        with pytest.raises(NotEnabledError, match="'no_such'"):
+            supervisor.pack(decode_frame(decoder, frames[1]))
+        streams = [list(stream) for stream in make_fleet_testbench(2, cells=3)]
+        streams[1].append(Event(time=1e9, source="no_such", choices={}))
+        view = events_to_injects(streams)
+        assert "no_such" in view.columns.sources
+        assert len(supervisor.pack(inject_columns(view[:-1]))) == len(view) - 1
+        with pytest.raises(NotEnabledError, match="'no_such'"):
+            supervisor.pack(inject_columns(view[-1:]))
 
 
 #: A valid two-frame stream: the second frame reuses the first's table
