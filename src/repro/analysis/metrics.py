@@ -38,9 +38,6 @@ class ImplementationMetrics:
     activations: int = 0
     queue_cycles: int = 0
 
-    def as_row(self) -> Tuple[str, int, int, int]:
-        return (self.name, self.tasks, self.lines_of_code, self.clock_cycles)
-
 
 @dataclass
 class ComparisonTable:

@@ -410,7 +410,6 @@ async def _serve_service(
 
     from .service import (
         DEFAULT_INBOX_LIMIT,
-        TELEMETRY_SCHEMA,
         FleetSupervisor,
         IngestServer,
         ShardFailed,
@@ -432,50 +431,25 @@ async def _serve_service(
     await supervisor.start()
     started = time_mod.monotonic()
     telemetry = TelemetryWriter(args.telemetry) if args.telemetry else None
-    last_events: dict = {}
+    last_events = 0
 
     async def sample() -> None:
+        nonlocal last_events
         snapshot = await supervisor.snapshot()
-        elapsed = time_mod.monotonic() - started
-        records = [
+        telemetry.emit(
             {
-                "schema": TELEMETRY_SCHEMA,
-                "kind": "shard",
-                "shard": s.shard,
-                "elapsed_seconds": elapsed,
-                "instances": s.instances,
-                "events": s.events,
-                "events_delta": s.events - last_events.get(s.shard, 0),
-                "throughput_eps": s.throughput_eps,
-                "queue_depth": s.queue_depth,
-                "budget_stops": s.budget_stops,
-                "cycle_percentiles": dict(s.percentiles),
-            }
-            for s in snapshot.shards
-        ]
-        for s in snapshot.shards:
-            last_events[s.shard] = s.events
-        records.append(
-            {
-                "schema": TELEMETRY_SCHEMA,
-                "kind": "aggregate",
-                "elapsed_seconds": elapsed,
+                "elapsed_seconds": time_mod.monotonic() - started,
                 "instances": snapshot.instances,
                 "events": snapshot.events,
-                "events_delta": snapshot.events
-                - last_events.get("aggregate", 0),
-                "throughput_eps": (
-                    snapshot.events / elapsed if elapsed > 0 else 0.0
-                ),
-                "queue_depth": sum(s.queue_depth for s in snapshot.shards),
+                "events_delta": snapshot.events - last_events,
+                "throughput_eps": snapshot.throughput_eps,
+                "queue_depth": snapshot.queue_depth,
                 "budget_stops": snapshot.budget_stops,
-                "cycle_percentiles": {},
+                "cycle_percentiles": dict(snapshot.percentiles),
             }
         )
-        last_events["aggregate"] = snapshot.events
-        for record in records:
-            telemetry.emit(record)
-        telemetry.flush()  # one buffered write per sampling tick
+        telemetry.flush()  # one write per sampling tick
+        last_events = snapshot.events
 
     async def sampler() -> None:
         interval = args.telemetry_interval or 0.5
@@ -484,6 +458,7 @@ async def _serve_service(
             await sample()
 
     sampler_task = aio.create_task(sampler()) if telemetry else None
+    drain = True  # unless a client asks to stop without draining
     try:
         if args.listen is not None:
             server = IngestServer(
@@ -495,6 +470,7 @@ async def _serve_service(
                 waiter = aio.create_task(server.shutdown_requested.wait())
                 try:
                     await aio.wait_for(aio.shield(waiter), timeout=args.duration)
+                    drain = server.shutdown_drain
                 except aio.TimeoutError:
                     waiter.cancel()
             finally:
@@ -512,7 +488,7 @@ async def _serve_service(
             with contextlib.suppress(ShardFailed):  # stop() raises it
                 await sample()
             telemetry.close()
-        result = await supervisor.stop(drain=True)
+        result = await supervisor.stop(drain=drain)
     print(result.describe())
     print(
         f"served {result.stats.events_processed} events across "
@@ -855,9 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="FILE",
-        help="append versioned JSON-lines telemetry (shard throughput, "
-        "queue depth, budget stops, cycle percentiles) to FILE while "
-        "the service runs (implies service mode)",
+        help="append versioned JSON-lines telemetry (one record per "
+        "sampling tick: throughput, queue depth, budget stops, cycle "
+        "percentiles) to FILE while the service runs (implies service mode)",
     )
     p_serve.add_argument(
         "--telemetry-interval",

@@ -552,16 +552,6 @@ class NativeBatchResult:
     def total_cycles(self) -> int:
         return int(self.cycles.sum())
 
-    def fired_counts(self) -> Dict[str, int]:
-        """Aggregate firing counts per transition (no materialization)."""
-        fires = self.trace[self.trace[:, 0] == _TRACE_FIRE, 1]
-        counts = np.bincount(fires, minlength=len(self._layout.transition_names))
-        return {
-            name: int(count)
-            for name, count in zip(self._layout.transition_names, counts)
-            if count
-        }
-
     @property
     def results(self) -> List[ActivationResult]:
         """Per-activation :class:`ActivationResult` list (lazy)."""

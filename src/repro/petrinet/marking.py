@@ -105,10 +105,6 @@ class Marking(Mapping[str, int]):
         tokens[place] = tokens.get(place, 0) - count
         return Marking(tokens)
 
-    def union_places(self, other: "Marking") -> Iterable[str]:
-        """All places that carry tokens in either marking."""
-        return set(self._tokens) | set(other._tokens)
-
     def covers(self, other: "Marking") -> bool:
         """True if this marking has at least as many tokens everywhere."""
         for place, count in other._tokens.items():
@@ -116,20 +112,3 @@ class Marking(Mapping[str, int]):
                 return False
         return True
 
-    def strictly_covers(self, other: "Marking") -> bool:
-        """True if this marking covers ``other`` and is different from it."""
-        return self.covers(other) and self._tokens != other._tokens
-
-    def restricted_to(self, places: Iterable[str]) -> "Marking":
-        """Return the marking restricted to the given set of places."""
-        keep = set(places)
-        return Marking({p: c for p, c in self._tokens.items() if p in keep})
-
-    def as_vector(self, place_order: Iterable[str]) -> Tuple[int, ...]:
-        """Return the marking as a tuple following ``place_order``."""
-        return tuple(self._tokens.get(p, 0) for p in place_order)
-
-    @classmethod
-    def from_vector(cls, place_order: Iterable[str], vector: Iterable[int]) -> "Marking":
-        """Build a marking from a vector aligned with ``place_order``."""
-        return cls(dict(zip(place_order, vector)))

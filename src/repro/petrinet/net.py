@@ -361,10 +361,6 @@ class PetriNet:
         """Places with more than one output transition (conflicts/choices)."""
         return [p for p in self._places if len(self._succ[p]) > 1]
 
-    def merge_places(self) -> List[str]:
-        """Places with more than one input transition."""
-        return [p for p in self._places if len(self._pred[p]) > 1]
-
     # ------------------------------------------------------------------
     # Semantics helpers (used by Marking-independent callers)
     # ------------------------------------------------------------------

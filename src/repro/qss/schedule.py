@@ -95,15 +95,6 @@ class ValidSchedule:
     def cycle_count(self) -> int:
         return len(self.cycles)
 
-    def cycles_containing(self, transition: str) -> List[FiniteCompleteCycle]:
-        return [cycle for cycle in self.cycles if cycle.contains(transition)]
-
-    def transitions_used(self) -> FrozenSet[str]:
-        used: set = set()
-        for cycle in self.cycles:
-            used.update(cycle.counts)
-        return frozenset(used)
-
     def verify(self, marking: Optional[Marking] = None) -> bool:
         """Re-execute every cycle and confirm it is a finite complete cycle
         containing every source transition of the net."""

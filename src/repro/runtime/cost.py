@@ -57,10 +57,6 @@ class CostModel:
         """A copy of the model with a different task-activation cost."""
         return replace(self, activation_cycles=activation_cycles)
 
-    def with_queue_cost(self, queue_op_cycles: int) -> "CostModel":
-        """A copy of the model with a different queue-operation cost."""
-        return replace(self, queue_op_cycles=queue_op_cycles)
-
 
 #: Cost model used by the Table I reproduction.
 DEFAULT_COST_MODEL = CostModel()

@@ -9,11 +9,14 @@ kernel:
   :class:`InjectBatchPacked` (pre-interned int64 id columns).
 - :mod:`~repro.service.shard` — the shard: one kernel behind one ordered
   bounded inbox, served by an asyncio actor loop (coalesced vectorized
-  injects, controls as barriers, typed failure).
+  injects, controls as barriers, typed failure).  It is the fleet's
+  only shard, so no message or record carries a shard id, and its
+  :class:`SnapshotReply` is the fleet's.
 - :mod:`~repro.service.supervisor` — the ingest boundary in front of
   the one shard actor: packing, snapshots, reload, drain-and-stop.
 - :mod:`~repro.service.ingest` — the socket server and its client.
-- :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry.
+- :mod:`~repro.service.telemetry` — versioned JSON-lines telemetry, one
+  record per sampling tick.
 
 ``repro-qss serve --listen/--duration/--telemetry`` is the CLI front
 end; ``tests/test_service_differential.py`` pins service results equal
@@ -29,7 +32,6 @@ from .messages import (
     InjectView,
     ProtocolError,
     Reload,
-    ShardStats,
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
@@ -51,7 +53,6 @@ __all__ = [
     "InjectView",
     "ProtocolError",
     "Reload",
-    "ShardStats",
     "Shutdown",
     "SnapshotReply",
     "SnapshotRequest",

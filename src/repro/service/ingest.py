@@ -96,7 +96,8 @@ class IngestServer:
         self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         #: Set when a client sends :class:`Shutdown`; the owner of the
         #: supervisor awaits this (or a duration timeout) and then calls
-        #: ``supervisor.stop()`` — the server never stops the fleet itself.
+        #: ``supervisor.stop(drain=shutdown_drain)``, the client's
+        #: choice — the server never stops the fleet itself.
         self.shutdown_requested = asyncio.Event()
         self.shutdown_drain = True
 

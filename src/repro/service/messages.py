@@ -6,10 +6,11 @@ The service speaks two wire forms, both tagged with :data:`WIRE_SCHEMA`:
   frozen dataclass messages serialized as one JSON object per line,
   each with a ``type`` discriminator.  The codec is total in both
   directions (``decode_message(encode_message(m)) == m``) and *strict*:
-  unknown schemas, unknown types, missing or extra fields, and inject
-  fields of the wrong type (an ``instance`` that is not an int64
-  integer, a ``source`` that is not a string, a ``time`` that is not a
-  finite number, ``choices`` that are not strings mapped to strings)
+  unknown schemas, unknown types, missing or extra fields, and fields
+  of the wrong type (an ``instance``, count or ``request_id`` that is
+  not an int64 integer, a ``drain``, ``reset_stats`` or ``ok`` that is
+  not a boolean, a ``time`` that is not a finite number, ``choices``
+  that are not strings mapped to strings, and so on for every field)
   all raise :class:`ProtocolError` rather than guessing, so protocol
   drift between endpoints fails loudly at the boundary.
 - **Inject frames** carry batches of injects as binary columns
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -75,7 +77,7 @@ from ..runtime.events import EventColumns, RawChoices
 #: Version tag carried by every wire message and frame header.  Bump on
 #: any incompatible change to the message set, a field layout or the
 #: frame layout.
-WIRE_SCHEMA = "repro-qss.service/3"
+WIRE_SCHEMA = "repro-qss.service/4"
 
 
 class ProtocolError(ValueError):
@@ -209,7 +211,7 @@ class InjectBatchPacked:
 
 @dataclass(frozen=True)
 class SnapshotRequest:
-    """Ask for aggregate + per-shard statistics (reply: :class:`SnapshotReply`)."""
+    """Ask for the fleet's statistics (reply: :class:`SnapshotReply`)."""
 
     request_id: int = 0
 
@@ -217,31 +219,22 @@ class SnapshotRequest:
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """One shard's live statistics, embedded in :class:`SnapshotReply`."""
-
-    shard: int
-    instances: int
-    events: int
-    cycles: int
-    queue_depth: int
-    budget_stops: int
-    throughput_eps: float
-    percentiles: Mapping[str, float] = field(default_factory=dict)
-
-    TYPE = "shard_stats"
-
-
-@dataclass(frozen=True)
 class SnapshotReply:
-    """Aggregate fleet statistics plus the shard's own (a 1-tuple)."""
+    """The fleet's live statistics, as its one shard reports them.
+
+    ``queue_depth`` counts the inbox items queued behind the request,
+    ``throughput_eps`` the events served per second since the shard
+    started, and ``percentiles`` the per-instance cycle percentiles.
+    """
 
     request_id: int
     instances: int
     events: int
     cycles: int
     budget_stops: int
-    shards: Tuple[ShardStats, ...] = ()
+    queue_depth: int
+    throughput_eps: float
+    percentiles: Mapping[str, float]
 
     TYPE = "snapshot_reply"
 
@@ -284,7 +277,6 @@ class Ack:
 Message = Union[
     InjectEvent,
     SnapshotRequest,
-    ShardStats,
     SnapshotReply,
     Shutdown,
     Reload,
@@ -296,7 +288,6 @@ MESSAGE_TYPES: Dict[str, Type[Any]] = {
     for cls in (
         InjectEvent,
         SnapshotRequest,
-        ShardStats,
         SnapshotReply,
         Shutdown,
         Reload,
@@ -305,29 +296,28 @@ MESSAGE_TYPES: Dict[str, Type[Any]] = {
 }
 
 
-def _to_payload(message: Message) -> Dict[str, Any]:
+def encode_message(message: Message) -> str:
+    """Serialize one message to its wire line (no trailing newline)."""
     payload: Dict[str, Any] = {}
     for spec in fields(message):
         value = getattr(message, spec.name)
-        if isinstance(value, tuple):
-            value = [_to_payload(item) if hasattr(item, "TYPE") else item for item in value]
-        elif isinstance(value, Mapping):
-            value = dict(value)
-        payload[spec.name] = value
-    return payload
-
-
-def encode_message(message: Message) -> str:
-    """Serialize one message to its wire line (no trailing newline)."""
-    payload = _to_payload(message)
+        payload[spec.name] = dict(value) if isinstance(value, Mapping) else value
     payload["schema"] = WIRE_SCHEMA
     payload["type"] = message.TYPE
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-#: The range of an inject's ``instance`` key: the kernels carry keys in
-#: int64 columns.
+#: The range of a wire integer: the kernels carry instance keys in int64
+#: columns, and counts and request ids stay in the same range.
 INSTANCE_MIN, INSTANCE_MAX = -(2**63), 2**63 - 1
+
+
+def _int64(value: Any) -> bool:
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and INSTANCE_MIN <= value <= INSTANCE_MAX
+    )
 
 
 def _finite_real(value: Any) -> bool:
@@ -339,30 +329,57 @@ def _finite_real(value: Any) -> bool:
         return False
 
 
-def _check_inject(event: InjectEvent) -> None:
-    """Refuse an inject whose fields do not have their wire types."""
-    instance = event.instance
-    if (
-        isinstance(instance, bool)
-        or not isinstance(instance, int)
-        or not INSTANCE_MIN <= instance <= INSTANCE_MAX
-    ):
-        name, expected = "instance", "an integer within int64"
-    elif not isinstance(event.source, str):
-        name, expected = "source", "a string"
-    elif not _finite_real(event.time):
-        name, expected = "time", "a finite number"
-    elif not isinstance(event.choices, dict) or not all(
-        isinstance(place, str) and isinstance(chosen, str)
-        for place, chosen in event.choices.items()
-    ):
-        name, expected = "choices", "an object mapping strings to strings"
-    else:
-        return
-    raise ProtocolError(
-        f"bad inject field {name!r}: expected {expected}, "
-        f"got {reprlib.repr(getattr(event, name))}"
+def _strings_to(valid: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """The check of a dict whose keys are strings and values ``valid``."""
+    return lambda value: isinstance(value, dict) and all(
+        isinstance(key, str) and valid(item) for key, item in value.items()
     )
+
+
+def _is(kind: type) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, kind)
+
+
+_INT64 = (_int64, "an integer within int64")
+_BOOL = (_is(bool), "a boolean")
+_STRING = (_is(str), "a string")
+_FINITE = (_finite_real, "a finite number")
+
+#: The wire type of every message field, by name: its check, and what a
+#: refusal says it expected.
+_WIRE_TYPES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "instance": _INT64,
+    "request_id": _INT64,
+    "instances": _INT64,
+    "events": _INT64,
+    "cycles": _INT64,
+    "budget_stops": _INT64,
+    "queue_depth": _INT64,
+    "drain": _BOOL,
+    "reset_stats": _BOOL,
+    "ok": _BOOL,
+    "source": _STRING,
+    "error": _STRING,
+    "time": _FINITE,
+    "throughput_eps": _FINITE,
+    "choices": (_strings_to(_is(str)), "an object mapping strings to strings"),
+    "percentiles": (
+        _strings_to(_finite_real),
+        "an object mapping strings to finite numbers",
+    ),
+}
+
+
+def _check_fields(message: Message) -> None:
+    """Refuse a message whose fields do not have their wire types."""
+    for spec in fields(message):
+        valid, expected = _WIRE_TYPES[spec.name]
+        value = getattr(message, spec.name)
+        if not valid(value):
+            raise ProtocolError(
+                f"bad {message.TYPE} field {spec.name!r}: expected {expected}, "
+                f"got {reprlib.repr(value)}"
+            )
 
 
 def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
@@ -372,19 +389,13 @@ def _from_payload(cls: Type[Any], payload: Mapping[str, Any]) -> Any:
         raise ProtocolError(
             f"unknown field(s) {sorted(extra)} for message type {cls.TYPE!r}"
         )
-    kwargs = dict(payload)
     try:
-        if cls is SnapshotReply:
-            kwargs["shards"] = tuple(
-                _from_payload(ShardStats, item) for item in kwargs.get("shards", ())
-            )
-        message = cls(**kwargs)
+        message = cls(**payload)
     except TypeError as error:
         raise ProtocolError(
             f"bad payload for message type {cls.TYPE!r}: {error}"
         ) from None
-    if cls is InjectEvent:
-        _check_inject(message)
+    _check_fields(message)
     return message
 
 
@@ -468,7 +479,7 @@ def _refuse(events: Sequence[InjectEvent]) -> NoReturn:
     JSON line would.
     """
     for event in events:
-        _check_inject(event)
+        _check_fields(event)
     raise ProtocolError("bad inject batch")
 
 

@@ -18,11 +18,14 @@ rounds (:meth:`~repro.runtime.fleet.FleetEngine.dispatch_rounds`) — the
 deeper the backlog, the cheaper each event — and every control is a
 **barrier**: the injects ahead of it are served before it is answered,
 none behind it are, and replies leave in inbox order.  A snapshot
-observes exactly the events enqueued before it.
+observes exactly the events enqueued before it, and its reply,
+:meth:`ShardCore.stats`, is the fleet's
+:class:`~repro.service.messages.SnapshotReply`: the shard is the only
+one, so nothing names it.
 
 If serving raises, the shard *fails*: it keeps the error as a
-:class:`ShardFailed` naming the shard, answers every pending and later
-request with it and drops later injects.  A shard that answered its
+:class:`ShardFailed`, answers every pending and later request with it
+and drops later injects.  A shard that answered its
 :class:`~repro.service.messages.Shutdown` does the same with a "shard
 stopped" :class:`ShardFailed` — for the controls queued behind the
 Shutdown and for every later request — so no request to a failed or
@@ -49,8 +52,8 @@ from .messages import (
     Ack,
     InjectBatchPacked,
     Reload,
-    ShardStats,
     Shutdown,
+    SnapshotReply,
     SnapshotRequest,
 )
 
@@ -68,23 +71,21 @@ InboxItem = Union[InjectBatchPacked, Tuple[Control, Any]]
 
 
 class ShardFailed(RuntimeError):
-    """A shard stopped serving: names the shard, carries the original error."""
+    """The shard stopped serving: carries the original error."""
 
-    def __init__(self, shard: int, error: BaseException) -> None:
-        super().__init__(shard, error)
-        self.shard = shard
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(error)
         self.error = error
         self.__cause__ = error
 
     def __str__(self) -> str:
-        return f"shard {self.shard} failed: {type(self.error).__name__}: {self.error}"
+        return f"shard failed: {type(self.error).__name__}: {self.error}"
 
 
 class ShardCore:
     """Shard state: an instance registry over one kernel."""
 
-    def __init__(self, shard_id: int, engine: FleetEngine) -> None:
-        self.shard_id = shard_id
+    def __init__(self, engine: FleetEngine) -> None:
         self.engine = engine
         self._rows: Dict[int, int] = {}  # instance key -> engine row
         self._keys: List[int] = []  # engine row -> instance key
@@ -178,7 +179,7 @@ class ShardCore:
         :class:`ShardFailed`.  ``Shutdown(drain=False)`` drops the
         injects queued since the previous barrier.  Behind a Shutdown,
         in this drain or a later one, injects are dropped and controls
-        are answered with a :class:`ShardFailed` naming the shard.
+        are answered with a "shard stopped" :class:`ShardFailed`.
         """
         start = 0  # first item of the current run of packed batches
         for position, item in enumerate(items):
@@ -192,7 +193,7 @@ class ShardCore:
             if isinstance(message, Shutdown):
                 self.stopped = True
                 self.failure = self.failure or ShardFailed(
-                    self.shard_id, RuntimeError("shard stopped")
+                    RuntimeError("shard stopped")
                 )
         self._serve_run(items[start:])
         return self.stopped
@@ -203,7 +204,7 @@ class ShardCore:
         try:
             self.serve_packed(InjectBatchPacked.concat(batches))
         except Exception as error:  # noqa: BLE001 - any serving error fails the shard
-            self.failure = ShardFailed(self.shard_id, error)
+            self.failure = ShardFailed(error)
 
     def _reply(self, message: Control, queue_depth: int) -> Any:
         if self.failure is not None:
@@ -218,16 +219,17 @@ class ShardCore:
     # ------------------------------------------------------------------
     # Introspection and results
     # ------------------------------------------------------------------
-    def stats(self, queue_depth: int = 0) -> ShardStats:
+    def stats(self, queue_depth: int = 0) -> SnapshotReply:
+        """The snapshot reply: ``queue_depth`` inbox items wait behind it."""
         result = self.engine.result()
         elapsed = time.monotonic() - self._started
-        return ShardStats(
-            shard=self.shard_id,
+        return SnapshotReply(
+            request_id=0,
             instances=self.engine.instances,
             events=result.stats.events_processed,
             cycles=result.stats.total_cycles,
-            queue_depth=queue_depth,
             budget_stops=result.stats.budget_stops,
+            queue_depth=queue_depth,
             throughput_eps=(
                 self.events_served / elapsed if elapsed > 0 else 0.0
             ),
@@ -243,13 +245,9 @@ class ShardActor:
     """The shard actor: a bounded asyncio inbox drained into one core."""
 
     def __init__(
-        self,
-        shard_id: int,
-        engine: FleetEngine,
-        inbox_limit: int = DEFAULT_INBOX_LIMIT,
+        self, engine: FleetEngine, inbox_limit: int = DEFAULT_INBOX_LIMIT
     ) -> None:
-        self.core = ShardCore(shard_id, engine)
-        self.shard_id = shard_id
+        self.core = ShardCore(engine)
         self.inbox: "asyncio.Queue[InboxItem]" = asyncio.Queue(
             maxsize=inbox_limit
         )

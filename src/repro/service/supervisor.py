@@ -9,7 +9,10 @@ supervisor's signature table, so an event is interned once, at
 strings.  Injects arrive as columns — a socket frame's, or those of
 in-process callers — or as single events, and leave :meth:`pack` as
 kernel ids that never cross the socket: a client knows names, not the
-net.
+net.  Anything else :meth:`FleetSupervisor.inject` refuses with a
+``TypeError`` before it is queued.  :meth:`FleetSupervisor.snapshot`
+returns the shard's own
+:class:`~repro.service.messages.SnapshotReply`.
 
 :meth:`FleetSupervisor.stop` with ``drain=True`` serves every queued
 event, then orders the shard's result by instance key: a
@@ -107,7 +110,6 @@ class FleetSupervisor:
             raise RuntimeError("supervisor is already running")
         self._started_at = time.perf_counter()
         self._shard = ShardActor(
-            0,
             FleetEngine(
                 self.compiled,
                 self.assignment,
@@ -173,27 +175,25 @@ class FleetSupervisor:
         Every form converges to :class:`InjectBatchPacked` here: strings
         are interned once, and the shard never interns again.  Columns
         are keyed by instance (:func:`~repro.service.messages.inject_columns`
-        packs a sequence of :class:`InjectEvent`).
+        packs a sequence of :class:`InjectEvent`).  Anything else raises
+        :class:`TypeError` before it is queued.
         """
         self._require_running()
         if isinstance(message, InjectEvent):
             message = inject_columns((message,))
         if isinstance(message, EventColumns):
             message = self.pack(message)
+        elif not isinstance(message, InjectBatchPacked):
+            raise TypeError(
+                f"cannot inject a {type(message).__name__}: expected "
+                "InjectEvent, EventColumns or InjectBatchPacked"
+            )
         await self._shard.put(message)
 
     async def snapshot(self) -> SnapshotReply:
         """The shard's statistics (observes prior injects)."""
         self._require_running()
-        stats = await self._shard.request(SnapshotRequest())
-        return SnapshotReply(
-            request_id=0,
-            instances=stats.instances,
-            events=stats.events,
-            cycles=stats.cycles,
-            budget_stops=stats.budget_stops,
-            shards=(stats,),
-        )
+        return await self._shard.request(SnapshotRequest())
 
     async def reload(self, reset_stats: bool = True) -> None:
         """Reset every instance to the initial marking."""

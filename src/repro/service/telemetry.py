@@ -1,12 +1,14 @@
 """Versioned JSON-lines telemetry for the running fleet service.
 
 ``repro-qss serve --telemetry FILE`` appends one JSON object per line
-while the service runs: a ``shard`` record per shard per sampling tick
-(throughput, queue depth, budget stops, cycle percentiles) plus one
-``aggregate`` record per tick.  Every record carries the
-:data:`TELEMETRY_SCHEMA` tag so downstream consumers can detect layout
-changes; :func:`validate_telemetry_record` is the normative definition
-of the layout and is pinned by ``tests/test_service_layer.py``.
+while the service runs, one record per sampling tick: the shard's
+instances, events (total and since the previous tick), throughput,
+queue depth, budget stops and cycle percentiles, as its
+:class:`~repro.service.messages.SnapshotReply` reports them.  Every
+record carries the :data:`TELEMETRY_SCHEMA` tag so downstream consumers
+can detect layout changes; :func:`validate_telemetry_record` is the
+normative definition of the layout and is pinned by
+``tests/test_service_layer.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import json
 from typing import IO, Any, Dict, Mapping, Optional
 
 #: Version tag carried by every telemetry record.
-TELEMETRY_SCHEMA = "repro-qss.telemetry/1"
+TELEMETRY_SCHEMA = "repro-qss.telemetry/2"
 
-_COMMON_FIELDS = {
+#: Records a :class:`TelemetryWriter` buffers before it writes them
+#: without waiting for :meth:`TelemetryWriter.flush`.
+BUFFER_LIMIT = 256
+
+_FIELDS = {
     "schema": str,
-    "kind": str,
     "elapsed_seconds": (int, float),
     "instances": int,
     "events": int,
@@ -29,8 +34,6 @@ _COMMON_FIELDS = {
     "budget_stops": int,
     "cycle_percentiles": Mapping,
 }
-
-_KINDS = ("shard", "aggregate")
 
 
 def validate_telemetry_record(record: Mapping[str, Any]) -> None:
@@ -43,10 +46,7 @@ def validate_telemetry_record(record: Mapping[str, Any]) -> None:
             f"unsupported telemetry schema {schema!r} "
             f"(expected {TELEMETRY_SCHEMA!r})"
         )
-    kind = record.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"telemetry kind must be one of {_KINDS}, got {kind!r}")
-    for name, types in _COMMON_FIELDS.items():
+    for name, types in _FIELDS.items():
         if name not in record:
             raise ValueError(f"telemetry record is missing field {name!r}")
         if not isinstance(record[name], types):  # type: ignore[arg-type]
@@ -56,10 +56,6 @@ def validate_telemetry_record(record: Mapping[str, Any]) -> None:
             )
         if isinstance(record[name], bool):
             raise ValueError(f"telemetry field {name!r} has wrong type bool")
-    if kind == "shard":
-        shard = record.get("shard")
-        if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
-            raise ValueError("shard telemetry needs a non-negative 'shard' id")
     for key, value in record["cycle_percentiles"].items():
         if not isinstance(key, str) or not isinstance(value, (int, float)):
             raise ValueError("cycle_percentiles must map strings to numbers")
@@ -69,20 +65,16 @@ class TelemetryWriter:
     """Append validated telemetry records to a JSON-lines file.
 
     Emits are **buffered**: each record is serialized into an in-memory
-    list and the file sees one ``write`` + ``flush`` per
-    :meth:`flush` call — the sampling loop emits all of a tick's
-    records (one per shard plus the aggregate) and flushes once, so
-    telemetry costs one syscall per interval instead of one per record.
-    ``buffer_limit`` bounds memory against callers that never flush;
-    :meth:`close` always flushes what remains.
+    list and the file sees one ``write`` + ``flush`` per :meth:`flush`
+    call, which the sampling loop makes once per tick.
+    :data:`BUFFER_LIMIT` bounds memory against callers that never
+    flush; :meth:`close` always flushes what remains.
     """
 
-    def __init__(self, path: str, buffer_limit: int = 256) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.buffer_limit = buffer_limit
         self._fh: Optional[IO[str]] = open(path, "a", encoding="utf-8")
         self._buffer: list = []
-        self.records_written = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
         record.setdefault("schema", TELEMETRY_SCHEMA)
@@ -90,14 +82,8 @@ class TelemetryWriter:
         if self._fh is None:
             raise ValueError("telemetry writer is closed")
         self._buffer.append(json.dumps(record, sort_keys=True))
-        self.records_written += 1
-        if len(self._buffer) >= self.buffer_limit:
+        if len(self._buffer) >= BUFFER_LIMIT:
             self.flush()
-
-    @property
-    def buffered(self) -> int:
-        """Records emitted but not yet written to the file."""
-        return len(self._buffer)
 
     def flush(self) -> None:
         """Write every buffered record in one call and flush the file."""

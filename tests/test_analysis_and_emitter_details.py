@@ -27,7 +27,9 @@ class TestComparisonTable:
         text = table.render()
         assert "demo" in text and "A" in text and "B" in text
         assert table.ratio("clock_cycles", "A", "B") == 1.5
-        assert table.row("A").as_row() == ("A", 2, 100, 1000)
+        assert table.row("A") == ImplementationMetrics(
+            "A", tasks=2, lines_of_code=100, clock_cycles=1000
+        )
 
     def test_zero_division_guard(self):
         table = ComparisonTable(title="demo")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -212,7 +213,6 @@ class TestServeService:
         """A bad event over the socket fails its shard; the run still ends."""
         import asyncio
         import os
-        import re
         import subprocess
         import sys
 
@@ -249,9 +249,52 @@ class TestServeService:
             _, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
-        assert not ack.ok and "shard 0 failed" in ack.error
+        assert not ack.ok and "shard failed" in ack.error
         assert proc.returncode == 1
-        assert "error: shard 0 failed: NotEnabledError" in err
+        assert "error: shard failed: NotEnabledError" in err
+
+    @pytest.mark.parametrize(
+        "how, drain",
+        [("client_without_drain", False), ("client", True), ("duration", True)],
+    )
+    def test_listen_stops_the_supervisor_as_the_client_asked(
+        self, monkeypatch, capsys, how, drain
+    ):
+        """A client's ``shutdown(drain=False)`` reaches
+        ``FleetSupervisor.stop``; the ``--duration`` expiry drains."""
+        import asyncio
+
+        from repro.service import FleetSupervisor, IngestServer, ServiceClient
+
+        stops, clients = [], []
+        stop, start = FleetSupervisor.stop, IngestServer.start
+
+        async def recording_stop(self, drain=True):
+            stops.append(drain)
+            return await stop(self, drain=drain)
+
+        async def start_with_a_client(self):
+            host, port = await start(self)
+
+            async def client():
+                client = await ServiceClient.connect(host, port)
+                await client.inject(0, "t_tick")
+                await client.snapshot()
+                if how != "duration":
+                    await client.shutdown(drain=how == "client")
+                await client.close()
+
+            clients.append(asyncio.ensure_future(client()))
+            return host, port
+
+        monkeypatch.setattr(FleetSupervisor, "stop", recording_stop)
+        monkeypatch.setattr(IngestServer, "start", start_with_a_client)
+        duration = "0.5" if how == "duration" else "30"
+        args = ["serve", "--instances", "0", "--listen", "127.0.0.1:0"]
+        assert main(args + ["--duration", duration]) == 0
+        assert stops == [drain]
+        assert clients[0].result() is None  # the client ran to its end
+        assert "served 1 events" in capsys.readouterr().out
 
     def test_service_telemetry_file(self, tmp_path, capsys):
         from repro.service import validate_telemetry_record
@@ -271,15 +314,17 @@ class TestServeService:
             )
             == 0
         )
-        capsys.readouterr()
-        lines = telemetry.read_text().splitlines()
-        assert lines  # at least the final sample
-        kinds = set()
-        for line in lines:
-            record = json.loads(line)
+        out = capsys.readouterr().out
+        served = int(re.search(r"served ([0-9]+) events", out).group(1))
+        records = [json.loads(line) for line in telemetry.read_text().splitlines()]
+        assert records  # at least the final sample
+        for record in records:
             validate_telemetry_record(record)
-            kinds.add(record["kind"])
-        assert kinds == {"shard", "aggregate"}
+            assert "kind" not in record and "shard" not in record
+        # one record per tick; the last one, taken after the final
+        # inject, sees every event, and the deltas add up to it
+        assert records[-1]["events"] == served > 0
+        assert sum(record["events_delta"] for record in records) == served
 
     def test_corpus_family_workload(self, capsys):
         assert (

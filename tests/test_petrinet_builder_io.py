@@ -53,7 +53,7 @@ class TestBuilder:
             .build()
         )
         assert net.choice_places() == ["p_c"]
-        assert net.merge_places() == ["p_m"]
+        assert set(net.preset("p_m")) == {"t_a", "t_b"}
 
     def test_place_declaration_idempotent(self):
         builder = NetBuilder("idem").place("p1", tokens=1)

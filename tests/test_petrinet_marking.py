@@ -58,21 +58,3 @@ class TestOperations:
         assert big.covers(small)
         assert not small.covers(big)
         assert big.covers(big)
-        assert big.strictly_covers(small)
-        assert not big.strictly_covers(big)
-
-    def test_restricted_to(self):
-        m = Marking({"a": 1, "b": 2, "c": 3})
-        assert m.restricted_to(["a", "c"]) == Marking({"a": 1, "c": 3})
-
-    def test_union_places(self):
-        a = Marking({"x": 1})
-        b = Marking({"y": 2})
-        assert set(a.union_places(b)) == {"x", "y"}
-
-    def test_vector_round_trip(self):
-        order = ["p1", "p2", "p3"]
-        m = Marking({"p1": 4, "p3": 1})
-        vector = m.as_vector(order)
-        assert vector == (4, 0, 1)
-        assert Marking.from_vector(order, vector) == m

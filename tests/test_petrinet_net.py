@@ -107,7 +107,7 @@ class TestQueries:
         net.add_transition("t4")
         net.add_arc("t4", "p1")
         assert net.choice_places() == ["p1"]
-        assert net.merge_places() == ["p1"]
+        assert [p for p in net.place_names if len(net.preset(p)) > 1] == ["p1"]
 
     def test_contains_and_len(self):
         net = small_net()

@@ -104,4 +104,4 @@ def test_task_partition_covers_every_scheduled_transition(net):
     covered = set()
     for task in partition.tasks:
         covered |= set(task.transitions)
-    assert covered == set(report.schedule.transitions_used())
+    assert covered == {t for cycle in report.schedule.cycles for t in cycle.counts}

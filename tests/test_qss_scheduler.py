@@ -130,11 +130,6 @@ class TestValidSchedules:
         assert report.reduction_count == 2
         assert "schedulable" in report.explain()
 
-    def test_cycles_containing_and_transitions_used(self, fig3a):
-        schedule = compute_valid_schedule(fig3a)
-        assert len(schedule.cycles_containing("t2")) == 1
-        assert schedule.transitions_used() == frozenset(fig3a.transition_names)
-
     def test_describe_lists_cycles(self, fig3a):
         text = compute_valid_schedule(fig3a).describe()
         assert "finite complete cycle" in text

@@ -24,10 +24,9 @@ class TestCostModel:
         assert model.transition_cycles > 0
         assert model.activation_cycles > model.test_cycles
 
-    def test_with_activation_and_queue(self):
+    def test_with_activation(self):
         model = CostModel()
         assert model.with_activation(999).activation_cycles == 999
-        assert model.with_queue_cost(7).queue_op_cycles == 7
         # original is unchanged (frozen dataclass semantics)
         assert model.activation_cycles != 999
 

@@ -326,7 +326,7 @@ class TestOneRoundLoop:
             dispatch_ids(rows, src_ids, sig_ids)
 
         engine.dispatch_ids = counted
-        core = ShardCore(0, engine)
+        core = ShardCore(engine)
         for chunk in chunks:
             calls.clear()
             core.serve_packed(packer.pack(inject_columns(chunk)))

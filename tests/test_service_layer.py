@@ -62,7 +62,6 @@ from repro.service import (
     ShardActor,
     ShardCore,
     ShardFailed,
-    ShardStats,
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
@@ -87,37 +86,43 @@ ATM = build_atm_server_net()
 ASSIGNMENT = ModuleAssignment.from_groups(MODULE_PARTITION)
 
 
+#: One wrong value per field of the controls and the replies:
+#: ``(message type, field, value)``.
+BAD_MESSAGE_FIELDS = [
+    ("snapshot", "request_id", [1]),
+    ("snapshot", "request_id", True),
+    ("snapshot", "request_id", 1.5),
+    ("snapshot_reply", "request_id", "3"),
+    ("snapshot_reply", "instances", 10.5),
+    ("snapshot_reply", "events", "400"),
+    ("snapshot_reply", "cycles", 2**64),
+    ("snapshot_reply", "budget_stops", False),
+    ("snapshot_reply", "queue_depth", None),
+    ("snapshot_reply", "throughput_eps", float("inf")),
+    ("snapshot_reply", "percentiles", {"p50": "fast"}),
+    ("shutdown", "drain", "no"),
+    ("shutdown", "request_id", -(2**63) - 1),
+    ("reload", "reset_stats", "false"),
+    ("reload", "request_id", {}),
+    ("ack", "request_id", 4.0),
+    ("ack", "ok", 1),
+    ("ack", "error", None),
+]
+
+
 class TestWireCodec:
     MESSAGES = [
         InjectEvent(instance=7, source="t_cell", time=1.5, choices={"p": "t"}),
         SnapshotRequest(request_id=3),
-        ShardStats(
-            shard=2,
-            instances=10,
-            events=400,
-            cycles=12345,
-            queue_depth=7,
-            budget_stops=1,
-            throughput_eps=123.5,
-            percentiles={"p50": 10.0, "p99": 20.0},
-        ),
         SnapshotReply(
             request_id=3,
             instances=10,
             events=400,
             cycles=12345,
             budget_stops=1,
-            shards=(
-                ShardStats(
-                    shard=0,
-                    instances=10,
-                    events=400,
-                    cycles=12345,
-                    queue_depth=0,
-                    budget_stops=1,
-                    throughput_eps=9.0,
-                ),
-            ),
+            queue_depth=7,
+            throughput_eps=123.5,
+            percentiles={"p50": 10.0, "p99": 20.0},
         ),
         Shutdown(drain=False, request_id=9),
         Reload(reset_stats=False, request_id=2),
@@ -160,6 +165,22 @@ class TestWireCodec:
         with pytest.raises(ProtocolError, match="bad payload"):
             decode_message(line)
 
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        BAD_MESSAGE_FIELDS,
+        ids=[f"{kind}.{name}={value!r}" for kind, name, value in BAD_MESSAGE_FIELDS],
+    )
+    def test_rejects_control_and_reply_fields_of_the_wrong_type(
+        self, kind, name, value
+    ):
+        (message,) = [m for m in self.MESSAGES if m.TYPE == kind]
+        payload = json.loads(encode_message(message))
+        payload[name] = value
+        with pytest.raises(
+            ProtocolError, match=f"^bad {kind} field {name!r}: expected "
+        ):
+            decode_message(json.dumps(payload))
+
     def test_batches_are_not_json_messages(self):
         """Batches cross the socket only as inject frames."""
         assert "inject_batch" not in MESSAGE_TYPES
@@ -173,10 +194,9 @@ class TestWireCodec:
 
 
 class TestTelemetrySchema:
-    def good_record(self, kind="shard"):
-        record = {
+    def good_record(self):
+        return {
             "schema": TELEMETRY_SCHEMA,
-            "kind": kind,
             "elapsed_seconds": 1.25,
             "instances": 10,
             "events": 500,
@@ -186,24 +206,14 @@ class TestTelemetrySchema:
             "budget_stops": 0,
             "cycle_percentiles": {"p50": 100.0, "p99": 200.0},
         }
-        if kind == "shard":
-            record["shard"] = 1
-        return record
 
-    @pytest.mark.parametrize("kind", ["shard", "aggregate"])
-    def test_valid_records_pass(self, kind):
-        validate_telemetry_record(self.good_record(kind))
+    def test_valid_records_pass(self):
+        validate_telemetry_record(self.good_record())
 
     def test_rejects_wrong_schema(self):
         record = self.good_record()
         record["schema"] = "repro-qss.telemetry/0"
         with pytest.raises(ValueError, match="unsupported telemetry schema"):
-            validate_telemetry_record(record)
-
-    def test_rejects_unknown_kind(self):
-        record = self.good_record()
-        record["kind"] = "galaxy"
-        with pytest.raises(ValueError, match="kind"):
             validate_telemetry_record(record)
 
     @pytest.mark.parametrize(
@@ -228,18 +238,11 @@ class TestTelemetrySchema:
         with pytest.raises(ValueError, match="bool"):
             validate_telemetry_record(record)
 
-    def test_shard_record_needs_shard_id(self):
-        record = self.good_record()
-        del record["shard"]
-        with pytest.raises(ValueError, match="shard"):
-            validate_telemetry_record(record)
-
     def test_writer_appends_valid_json_lines(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(str(path)) as writer:
-            writer.emit(self.good_record("shard"))
-            writer.emit(self.good_record("aggregate"))
-            assert writer.records_written == 2
+            writer.emit(self.good_record())
+            writer.emit(self.good_record())
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
@@ -249,21 +252,19 @@ class TestTelemetrySchema:
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(str(path)) as writer:
             with pytest.raises(ValueError):
-                writer.emit({"schema": TELEMETRY_SCHEMA, "kind": "nope"})
+                writer.emit(dict(self.good_record(), events="many"))
         assert path.read_text() == ""
 
     def test_writer_buffers_until_flush(self, tmp_path):
         """Emits buffer in memory; the file sees one write per flush."""
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(str(path)) as writer:
-            writer.emit(self.good_record("shard"))
-            writer.emit(self.good_record("aggregate"))
-            assert writer.buffered == 2
+            writer.emit(self.good_record())
+            writer.emit(self.good_record())
             assert path.read_text() == ""  # nothing written yet
             writer.flush()
-            assert writer.buffered == 0
             assert len(path.read_text().splitlines()) == 2
-            writer.emit(self.good_record("shard"))  # buffered again
+            writer.emit(self.good_record())  # buffered again
             assert len(path.read_text().splitlines()) == 2
         # close() flushed the remainder
         lines = path.read_text().splitlines()
@@ -272,12 +273,15 @@ class TestTelemetrySchema:
             validate_telemetry_record(json.loads(line))
 
     def test_writer_auto_flushes_at_buffer_limit(self, tmp_path):
+        from repro.service.telemetry import BUFFER_LIMIT
+
         path = tmp_path / "telemetry.jsonl"
-        with TelemetryWriter(str(path), buffer_limit=4) as writer:
-            for _ in range(4):
-                writer.emit(self.good_record("aggregate"))
-            assert writer.buffered == 0  # limit reached -> auto-flush
-            assert len(path.read_text().splitlines()) == 4
+        with TelemetryWriter(str(path)) as writer:
+            for _ in range(BUFFER_LIMIT - 1):
+                writer.emit(self.good_record())
+            assert path.read_text() == ""
+            writer.emit(self.good_record())  # limit reached -> auto-flush
+            assert len(path.read_text().splitlines()) == BUFFER_LIMIT
 
 
 class TestPackedBatch:
@@ -313,7 +317,7 @@ class TestShardBackpressure:
     def test_put_suspends_until_the_actor_drains(self):
         async def go():
             engine = FleetEngine(ATM, ASSIGNMENT)
-            actor = ShardActor(0, engine, inbox_limit=1)
+            actor = ShardActor(engine, inbox_limit=1)
             batch = packed_ticks(engine, [0])
             await actor.put(batch)
             blocked = asyncio.create_task(actor.put(batch))
@@ -338,7 +342,7 @@ class TestShardRegistry:
 
     def test_sparse_and_negative_keys_register_once(self):
         engine = FleetEngine(ATM, ASSIGNMENT)
-        core = ShardCore(0, engine)
+        core = ShardCore(engine)
         sparse = [-7, 1 << 24, 1 << 40, 3, -7]
         assert core.serve_packed(packed_ticks(engine, sparse)) == 5
         # key 3 comes back in an all-dense batch: the row the dict path
@@ -351,7 +355,7 @@ class TestShardRegistry:
 
     def test_dense_rows_grow_past_their_capacity(self):
         engine = FleetEngine(ATM, ASSIGNMENT)
-        core = ShardCore(0, engine)
+        core = ShardCore(engine)
         core.serve_packed(packed_ticks(engine, [5000, 1, 5000]))
         core.serve_packed(packed_ticks(engine, [70_000, 1, 5000]))
         keys, result = core.result()
@@ -398,13 +402,13 @@ class TestOrderedBarriers:
         ]
         controls = [p for p, item in enumerate(sequence) if item not in batches]
         replies = []
-        core = ShardCore(0, engine)
+        core = ShardCore(engine)
         assert not core.drain(
             items, lambda token, reply: replies.append((token, reply))
         )
         assert [token for token, _ in replies] == controls
         snapshot = replies[-1][1]
-        assert isinstance(snapshot, ShardStats)
+        assert isinstance(snapshot, SnapshotReply)
         assert snapshot.events == observed
         assert snapshot.queue_depth == len(sequence) - 1 - controls[-1]
         assert engine.events_total == final
@@ -416,7 +420,7 @@ class TestOrderedBarriers:
 
         async def go():
             _, engine, batches = barrier_case()
-            actor = ShardActor(0, engine)
+            actor = ShardActor(engine)
             futures = []
             for item in sequence:
                 if item in batches:
@@ -482,16 +486,14 @@ class TestFailedShard:
             )
             with pytest.raises(ShardFailed) as caught:
                 await asyncio.wait_for(supervisor.snapshot(), timeout=10)
-            assert caught.value.shard == 0
             assert isinstance(caught.value.error, NotEnabledError)
             assert "t_parse_header" in str(caught.value)
             # later injects are dropped, later requests fail the same way
             await supervisor.inject(InjectEvent(instance=0, source="t_tick"))
             with pytest.raises(ShardFailed):
                 await asyncio.wait_for(supervisor.reload(), timeout=10)
-            with pytest.raises(ShardFailed) as stopped:
+            with pytest.raises(ShardFailed):
                 await asyncio.wait_for(supervisor.stop(), timeout=10)
-            assert stopped.value.shard == 0
             with pytest.raises(RuntimeError, match="not running"):
                 await supervisor.stop()
 
@@ -526,7 +528,7 @@ class TestFailedShard:
         snapshot_ack, reload_ack = asyncio.run(go())
         assert isinstance(snapshot_ack, Ack) and not snapshot_ack.ok
         assert snapshot_ack.request_id == 7
-        assert "shard 0 failed: NotEnabledError" in snapshot_ack.error
+        assert "shard failed: NotEnabledError" in snapshot_ack.error
         assert isinstance(reload_ack, Ack) and not reload_ack.ok
 
     def test_not_enabled_error_names_the_instance_key(self):
@@ -548,7 +550,6 @@ class TestFailedShard:
 
         failure = asyncio.run(go())
         # the shard's kernel row of key 4000 is not the key
-        assert failure.shard == 0
         assert isinstance(failure.error, NotEnabledError)
         assert str(failure.error) == (
             "transition 't_parse_header' is not enabled in instance 4000"
@@ -557,12 +558,12 @@ class TestFailedShard:
 
 class TestStoppedShard:
     """A shard that answered its Shutdown fails every later request with
-    a ShardFailed naming it: controls queued behind the Shutdown,
+    a "shard stopped" ShardFailed: controls queued behind the Shutdown,
     requests after join() and requests racing stop().  None hangs."""
 
     def test_drain_fails_controls_behind_shutdown(self):
         _, engine, batches = barrier_case()
-        core = ShardCore(5, engine)
+        core = ShardCore(engine)
         replies = []
 
         def answer(token, reply):
@@ -580,13 +581,13 @@ class TestStoppedShard:
         _, result = replies[0][1]
         assert result.stats.events_processed == 6  # B, behind it, is dropped
         for _, reply in replies[1:]:
-            assert isinstance(reply, ShardFailed) and reply.shard == 5
-            assert str(reply) == "shard 5 failed: RuntimeError: shard stopped"
+            assert isinstance(reply, ShardFailed)
+            assert str(reply) == "shard failed: RuntimeError: shard stopped"
         assert engine.events_total == 6
 
     def test_actor_answers_a_snapshot_queued_behind_shutdown(self):
         async def go():
-            actor = ShardActor(3, FleetEngine(ATM, ASSIGNMENT))
+            actor = ShardActor(FleetEngine(ATM, ASSIGNMENT))
             loop = asyncio.get_running_loop()
             stop, snapshot = loop.create_future(), loop.create_future()
             actor.inbox.put_nowait((Shutdown(), stop))
@@ -598,7 +599,7 @@ class TestStoppedShard:
 
         (keys, _), failure = asyncio.run(go())
         assert keys == []
-        assert isinstance(failure, ShardFailed) and failure.shard == 3
+        assert str(failure) == "shard failed: RuntimeError: shard stopped"
 
     def test_request_after_stop_fails(self):
         async def go():
@@ -606,11 +607,10 @@ class TestStoppedShard:
             await supervisor.start()
             await asyncio.wait_for(supervisor.stop(), timeout=10)
             shard = supervisor._shard
-            with pytest.raises(ShardFailed) as caught:
+            with pytest.raises(ShardFailed, match="shard stopped"):
                 await asyncio.wait_for(
                     shard.request(SnapshotRequest()), timeout=10
                 )
-            assert caught.value.shard == shard.shard_id
             # injects to a stopped shard are dropped, not an error
             await asyncio.wait_for(
                 shard.put(packed_ticks(FleetEngine(ATM, ASSIGNMENT), [0])),
@@ -641,7 +641,7 @@ class TestStoppedShard:
 
         result, failure, unretrieved = asyncio.run(go())
         assert result.stats.events_processed == 1
-        assert isinstance(failure, ShardFailed) and failure.shard == 0
+        assert str(failure) == "shard failed: RuntimeError: shard stopped"
         assert unretrieved == []
 
     @pytest.mark.parametrize("stopped", ["shard_stopped", "supervisor_stopped"])
@@ -697,7 +697,7 @@ class TestStoppedShard:
             assert isinstance(ack, Ack) and not ack.ok
         assert replies[-1].request_id == 9
         if stopped == "shard_stopped":
-            assert replies[-1].error == "shard 0 failed: RuntimeError: shard stopped"
+            assert replies[-1].error == "shard failed: RuntimeError: shard stopped"
         else:
             assert [ack.error for ack in replies] == ["supervisor is not running"] * 2
 
@@ -708,7 +708,7 @@ class TestShutdownWithoutDrain:
 
     def test_drain_drops_the_injects_since_the_last_barrier(self):
         _, engine, batches = barrier_case()
-        core = ShardCore(0, engine)
+        core = ShardCore(engine)
         replies = []
         items = [
             batches["A"],
@@ -739,7 +739,7 @@ class TestShutdownWithoutDrain:
             return snapshot, result
 
         snapshot, result = asyncio.run(go())
-        assert len(snapshot.shards) == 1
+        assert snapshot.queue_depth == 0
         assert snapshot.events == result.stats.events_processed == 6
 
 
@@ -804,7 +804,10 @@ class TestSupervisorLifecycle:
         assert carried_on.cycles != reloaded.cycles
 
     def test_snapshot_reports_the_one_shard(self):
-        injects = events_to_injects(make_fleet_testbench(10, cells=2, seed=4))
+        """The supervisor's snapshot is the shard's own reply."""
+        streams = make_fleet_testbench(10, cells=2, seed=4)
+        injects = events_to_injects(streams)
+        expected = FleetSimulator(ATM, ASSIGNMENT).run(streams)
 
         async def go():
             supervisor = FleetSupervisor(ATM, ASSIGNMENT)
@@ -815,12 +818,38 @@ class TestSupervisorLifecycle:
             return snapshot
 
         snapshot = asyncio.run(go())
-        (shard,) = snapshot.shards
-        assert shard.shard == 0
-        for name in ("instances", "events", "cycles", "budget_stops"):
-            assert getattr(snapshot, name) == getattr(shard, name)
-        assert snapshot.instances == 10
-        assert snapshot.events == len(injects)
+        assert isinstance(snapshot, SnapshotReply) and snapshot.request_id == 0
+        assert (snapshot.instances, snapshot.events) == (10, len(injects))
+        assert snapshot.cycles == expected.stats.total_cycles
+        assert snapshot.budget_stops == 0 and snapshot.queue_depth == 0
+        assert snapshot.throughput_eps > 0
+        assert dict(snapshot.percentiles) == expected.percentiles()
+
+    def test_inject_of_another_type_raises_and_the_shard_keeps_serving(self):
+        """A wrong form is refused before it is queued.  Queued, it
+        killed the shard's loop, and every later inject was dropped
+        without notice."""
+        tick = InjectEvent(instance=0, source="t_tick")
+
+        async def go():
+            supervisor = FleetSupervisor(ATM, ASSIGNMENT)
+            await supervisor.start()
+            await supervisor.inject(tick)
+            for wrong in ([tick], "t_tick", None):
+                with pytest.raises(TypeError, match=type(wrong).__name__):
+                    await asyncio.wait_for(supervisor.inject(wrong), timeout=10)
+            await supervisor.inject(tick)
+            await supervisor.inject(inject_columns([tick]))
+            snapshot = await asyncio.wait_for(supervisor.snapshot(), timeout=10)
+            result = await asyncio.wait_for(supervisor.stop(), timeout=10)
+            return snapshot, result
+
+        snapshot, result = asyncio.run(asyncio.wait_for(go(), timeout=30))
+        assert snapshot.events == 3
+        expected = FleetSimulator(ATM, ASSIGNMENT).run([[Event(0.0, "t_tick")] * 3])
+        assert dataclasses.asdict(result.stats) == dataclasses.asdict(expected.stats)
+        assert result.instance_events.tolist() == [3]
+        assert np.array_equal(result.instance_cycles, expected.instance_cycles)
 
 
 class TestSupervisorRouting:
@@ -941,6 +970,17 @@ class TestIngestServer:
         (ack, snapshot), result = serve_bad_line(wire_line(inject_payload(**fields)))
         assert isinstance(ack, Ack) and not ack.ok
         assert f"bad inject field {next(iter(fields))!r}" in ack.error
+        assert isinstance(snapshot, SnapshotReply) and snapshot.request_id == 5
+        assert snapshot.events == 1
+        assert result.stats.events_processed == 1
+
+    def test_reload_with_a_string_flag_gets_error_ack_and_keeps_the_counters(self):
+        """``"false"`` is not a boolean: the reload is refused instead of
+        being served as a truthy ``reset_stats`` that wipes the counters."""
+        bad_reload = wire_line({"reset_stats": "false", "request_id": 8}, "reload")
+        (ack, snapshot), result = serve_bad_line(bad_reload)
+        assert isinstance(ack, Ack) and not ack.ok
+        assert ack.error.startswith("bad reload field 'reset_stats': expected a boolean")
         assert isinstance(snapshot, SnapshotReply) and snapshot.request_id == 5
         assert snapshot.events == 1
         assert result.stats.events_processed == 1
