@@ -13,20 +13,25 @@ families of the scalability study).
 Run ``python benchmarks/bench_qss_pipeline.py --smoke`` for a fast
 functional pass (equivalence only, no timing statistics: identical
 reports and cycles, and byte-identical emitted C from both engines) —
-the mode CI uses.
+the mode CI uses.  The smoke also counts the removal cascades
+(``QSSContext.reduce_masks`` calls) the compiled enumeration runs on each
+contract net, which must equal its distinct T-reductions, not its
+T-allocations.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 from repro.codegen import emit_c, synthesize
 from repro.petrinet.corpus import generate_corpus, run_corpus
 from repro.petrinet.generators import independent_choices_net, nested_choices_net
-from repro.qss import analyse
+from repro.qss import analyse, count_distinct_reductions
+from repro.qss.compiled_reduction import QSSContext
 
 #: The contract nets: both have >= 64 T-allocations.
 CONTRACT_NETS = [
@@ -34,8 +39,24 @@ CONTRACT_NETS = [
     ("nested_choices_10", lambda: nested_choices_net(10), 1024),
 ]
 
+#: Removal cascades the compiled enumeration runs per contract net: one
+#: per distinct T-reduction (the product walk ran one per allocation).
+CONTRACT_CASCADES = {"independent_choices_6x2": 64, "nested_choices_10": 11}
+
 #: Required end-to-end speedup of the mask pipeline over legacy.
 REQUIRED_SPEEDUP = 3.0
+
+
+def _count_cascades(net) -> int:
+    """How many times the compiled enumeration of ``net`` runs the cascade."""
+    with mock.patch.object(
+        QSSContext,
+        "reduce_masks",
+        autospec=True,
+        side_effect=QSSContext.reduce_masks,
+    ) as reduce_masks:
+        count_distinct_reductions(net)
+    return reduce_masks.call_count
 
 
 def _best_of(callable_, rounds: int = 3) -> float:
@@ -139,9 +160,13 @@ def _smoke() -> int:
             emit_c(synthesize(compiled.schedule)).source
             == emit_c(synthesize(legacy.schedule)).source
         )
+        cascades = _count_cascades(net)
+        assert cascades == CONTRACT_CASCADES[name] == compiled.reduction_count, (
+            f"{name}: {cascades} cascades for {compiled.reduction_count} reductions"
+        )
         print(
             f"smoke {name}: {allocations} allocations, "
-            f"{compiled.reduction_count} reductions, "
+            f"{compiled.reduction_count} reductions, {cascades} cascades, "
             f"schedulable={compiled.schedulable} — engines identical, "
             "C byte-identical"
         )

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Dict, Mapping, Optional
 
+from .messages import _finite_real
+
 #: Version tag carried by every telemetry record.
 TELEMETRY_SCHEMA = "repro-qss.telemetry/2"
 
@@ -56,9 +58,16 @@ def validate_telemetry_record(record: Mapping[str, Any]) -> None:
             )
         if isinstance(record[name], bool):
             raise ValueError(f"telemetry field {name!r} has wrong type bool")
+    # the wire codec's rule: strict JSON has no NaN or Infinity
+    for name in ("elapsed_seconds", "throughput_eps"):
+        if not _finite_real(record[name]):
+            raise ValueError(
+                f"telemetry field {name!r} must be a finite number, "
+                f"got {record[name]!r}"
+            )
     for key, value in record["cycle_percentiles"].items():
-        if not isinstance(key, str) or not isinstance(value, (int, float)):
-            raise ValueError("cycle_percentiles must map strings to numbers")
+        if not isinstance(key, str) or not _finite_real(value):
+            raise ValueError("cycle_percentiles must map strings to finite numbers")
 
 
 class TelemetryWriter:

@@ -238,6 +238,31 @@ class TestTelemetrySchema:
         with pytest.raises(ValueError, match="bool"):
             validate_telemetry_record(record)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("elapsed_seconds", float("nan")),
+            ("elapsed_seconds", float("inf")),
+            ("throughput_eps", float("inf")),
+            ("throughput_eps", float("-inf")),
+            ("throughput_eps", 10**400),
+            ("cycle_percentiles", {"p50": float("nan")}),
+            ("cycle_percentiles", {"p50": True}),
+            ("cycle_percentiles", {"p99": float("inf")}),
+        ],
+    )
+    def test_rejects_what_the_wire_codec_refuses(self, field, value, tmp_path):
+        """Reals must be finite, as on the wire: the writer must never
+        emit NaN or Infinity, which strict JSON readers refuse."""
+        record = dict(self.good_record(), **{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            validate_telemetry_record(record)
+        path = tmp_path / "telemetry.jsonl"
+        with TelemetryWriter(str(path)) as writer:
+            with pytest.raises(ValueError, match="finite"):
+                writer.emit(record)
+        assert path.read_text() == ""
+
     def test_writer_appends_valid_json_lines(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(str(path)) as writer:
