@@ -4,11 +4,12 @@ The legacy pipeline rebuilds a Python subnet per T-allocation and
 recompiles every T-reduction before the schedulability simulation; the
 compiled pipeline streams mask-based reductions over one compiled parent
 net (zero rebuilds, zero recompiles), computes T-invariants on int64
-incidence submatrices and runs the cycle search on masked marking
-tuples.  These benches verify the two produce identical reports and pin
-the end-to-end speedup contract: **>= 3x on nets with >= 64
-T-allocations** (the ``independent_choices`` / ``nested_choices``
-families of the scalability study).
+incidence submatrices and orders each cycle with one greedy walk over
+the parent's preset and delta tables.  These benches verify the two
+produce identical reports and pin the end-to-end speedup contract:
+**>= 3x on nets with >= 64 T-allocations** (the
+``independent_choices`` / ``nested_choices`` families of the
+scalability study).
 
 Run ``python benchmarks/bench_qss_pipeline.py --smoke`` for a fast
 functional pass (equivalence only, no timing statistics: identical

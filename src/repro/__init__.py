@@ -9,7 +9,7 @@ A from-scratch Python reproduction of
 Subpackages
 -----------
 ``repro.petrinet``
-    Petri net data model, structure theory, T-/S-invariants, reachability,
+    Petri net data model, structure theory, T-invariants, reachability,
     boundedness and liveness analysis.
 ``repro.sdf``
     Synchronous dataflow graphs, balance equations and fully static

@@ -8,8 +8,6 @@ by the per-figure benchmarks.
 """
 
 from .figures import (
-    analyse_figure,
-    gallery_nets,
     figure1a_free_choice,
     figure1b_not_free_choice,
     figure2_sdf_chain,
@@ -22,8 +20,6 @@ from .figures import (
 )
 
 __all__ = [
-    "analyse_figure",
-    "gallery_nets",
     "figure1a_free_choice",
     "figure1b_not_free_choice",
     "figure2_sdf_chain",

@@ -22,12 +22,9 @@ regenerated exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
-from ..petrinet import ENGINE_COMPILED, NetBuilder, PetriNet
-
-if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from ..qss.scheduler import SchedulabilityReport
+from ..petrinet import NetBuilder, PetriNet
 
 
 def figure1a_free_choice() -> PetriNet:
@@ -236,37 +233,3 @@ def paper_figures() -> Dict[str, Callable[[], PetriNet]]:
         "figure5": figure5_two_inputs,
         "figure7": figure7_unschedulable,
     }
-
-
-def gallery_nets() -> List[Tuple[str, PetriNet]]:
-    """All figure nets, instantiated, as ``(figure id, net)`` pairs.
-
-    The differential property tests and the scenario corpus both sweep
-    the whole gallery; this helper instantiates every constructor once,
-    in the stable key order of :func:`paper_figures`.
-    """
-    return [(figure, ctor()) for figure, ctor in paper_figures().items()]
-
-
-def analyse_figure(
-    figure: str, engine: str = ENGINE_COMPILED
-) -> "SchedulabilityReport":
-    """Run the QSS analysis on one of the paper's figure nets.
-
-    ``engine`` selects the execution core (``"compiled"`` or
-    ``"legacy"``); the CLI's ``gallery --analyse`` threads its
-    ``--engine`` flag through here, so every figure can exercise either
-    path.
-
-    Raises ``KeyError`` for an unknown figure id and
-    :class:`~repro.petrinet.exceptions.NotFreeChoiceError` for figures
-    outside the FCPN class (figure1b).
-    """
-    from ..qss.scheduler import analyse
-
-    figures = paper_figures()
-    if figure not in figures:
-        raise KeyError(
-            f"unknown figure {figure!r}; available: {', '.join(sorted(figures))}"
-        )
-    return analyse(figures[figure](), engine=engine)

@@ -8,9 +8,9 @@ library) needs from Petri net theory:
   net model with an initial :class:`~repro.petrinet.marking.Marking`.
 * :class:`~repro.petrinet.builder.NetBuilder` — fluent model construction.
 * :mod:`~repro.petrinet.structure` — net-class predicates (marked graph,
-  conflict-free, free-choice) and the equal conflict relation.
+  conflict-free, free-choice).
 * :mod:`~repro.petrinet.incidence` / :mod:`~repro.petrinet.invariants` —
-  state equation, T- and S-invariants, consistency.
+  incidence matrices and minimal T-invariants.
 * :mod:`~repro.petrinet.simulation` — token game, finite complete cycles.
 * :mod:`~repro.petrinet.reachability` — reachability, boundedness
   (Karp–Miller), deadlock and liveness.
@@ -71,22 +71,12 @@ from .exceptions import (
 )
 from .incidence import (
     IncidenceMatrices,
-    apply_state_equation,
     incidence_matrices,
-    is_firing_count_stationary,
-    marking_change,
 )
 from .invariants import (
     combine_invariants,
     fast_minimal_semiflows,
-    invariants_containing,
-    is_conservative,
-    is_consistent,
-    minimal_positive_t_invariant,
-    s_invariants,
-    scale_invariant,
     t_invariants,
-    uncovered_transitions,
 )
 from .frontier import FrontierExploration, explore_frontier
 from .marking import Marking
@@ -99,7 +89,6 @@ from .reachability import (
     coverability_analysis,
     find_deadlocks,
     is_bounded,
-    is_deadlock_free,
     is_k_bounded,
     is_live,
     is_reachable,
@@ -123,28 +112,18 @@ from .simulation import (
     find_firing_sequence,
     fire_sequence,
     is_finite_complete_cycle,
-    is_fireable,
     make_adversarial_policy,
     make_random_policy,
     policy_first_enabled,
     search_firing_order,
 )
 from .structure import (
-    choice_sets,
     classify,
-    clusters,
-    conflicting_transitions,
-    connected_components,
-    equal_conflict_sets,
-    in_equal_conflict,
     is_conflict_free,
-    is_connected,
     is_extended_free_choice,
     is_free_choice,
     is_marked_graph,
     is_ordinary,
-    is_strongly_connected,
-    preset_vector,
 )
 from .dot import net_to_dot
 
@@ -212,37 +191,17 @@ __all__ = [
     "is_extended_free_choice",
     "is_ordinary",
     "classify",
-    "in_equal_conflict",
-    "equal_conflict_sets",
-    "conflicting_transitions",
-    "choice_sets",
-    "clusters",
-    "preset_vector",
-    "is_connected",
-    "is_strongly_connected",
-    "connected_components",
     # incidence / invariants
     "IncidenceMatrices",
     "incidence_matrices",
-    "apply_state_equation",
-    "is_firing_count_stationary",
-    "marking_change",
     "t_invariants",
-    "s_invariants",
     "fast_minimal_semiflows",
-    "is_consistent",
-    "is_conservative",
-    "uncovered_transitions",
-    "invariants_containing",
     "combine_invariants",
-    "scale_invariant",
-    "minimal_positive_t_invariant",
     # simulation
     "Simulator",
     "CompiledSimulator",
     "SimulationTrace",
     "fire_sequence",
-    "is_fireable",
     "is_finite_complete_cycle",
     "find_firing_sequence",
     "find_finite_complete_cycle",
@@ -259,7 +218,6 @@ __all__ = [
     "is_bounded",
     "is_k_bounded",
     "is_safe",
-    "is_deadlock_free",
     "find_deadlocks",
     "is_live",
     "live_verdict",

@@ -5,9 +5,9 @@ dict-backed :class:`~repro.petrinet.marking.Marking` values make
 enabledness checks and firing cost string hashing and dict churn.
 :class:`CompiledNet` is the frozen, dense representation the fast paths
 run on instead — the frontier explorer and Karp–Miller construction of
-the state-space queries, the compiled token game of the simulators and
-of ``find_firing_sequence``, the QSS mask pipeline, the reactive and
-fleet runtimes:
+the state-space queries, the compiled token game of the simulators,
+the QSS mask pipeline's greedy cycle walk, the reactive and fleet
+runtimes:
 
 * places and transitions are mapped to dense integer ids (insertion
   order of the source net, so results are reproducible across engines);

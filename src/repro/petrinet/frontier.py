@@ -53,9 +53,9 @@ suites (:mod:`tests.test_frontier_differential`,
 :mod:`tests.test_properties_differential`) bit-for-bit equality checks
 rather than graph-isomorphism tests.
 
-The QSS cycle search is not offered here: its per-reduction state
-spaces are small and deep, where the memoized sequential DFS
-(:func:`repro.petrinet.simulation.search_firing_order`) wins.
+The QSS cycle search is not offered here: on a conflict-free
+T-reduction it is one greedy walk with no state space to explore
+(:meth:`repro.qss.compiled_reduction.CompiledReduction.find_finite_complete_cycle`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ fixed, documented row/column ordering so that vectors computed elsewhere
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -101,46 +101,3 @@ def incidence_matrices(net: PetriNet) -> IncidenceMatrices:
         post=post,
         incidence=post - pre,
     )
-
-
-def apply_state_equation(
-    net: PetriNet, marking: Marking, firing_counts: Mapping[str, int]
-) -> Marking:
-    """Return ``marking + f^T . D`` as a marking.
-
-    This is the marking the net would reach from ``marking`` after firing
-    each transition the given number of times *if* a fireable ordering
-    exists; negative intermediate results raise
-    :class:`~repro.petrinet.exceptions.InvalidMarkingError` through the
-    :class:`Marking` constructor, signalling that no such ordering can
-    exist for these counts.
-    """
-    matrices = incidence_matrices(net)
-    m0 = matrices.marking_vector(marking)
-    f = matrices.firing_vector(firing_counts)
-    result = m0 + f @ matrices.incidence
-    return matrices.marking_from_vector(result)
-
-
-def is_firing_count_stationary(
-    net: PetriNet, firing_counts: Mapping[str, int]
-) -> bool:
-    """True if the firing-count vector satisfies ``f^T . D = 0``.
-
-    A stationary (cyclic) firing count returns any marking it is fired
-    from to itself, which is the algebraic precondition for a finite
-    complete cycle.
-    """
-    matrices = incidence_matrices(net)
-    f = matrices.firing_vector(firing_counts)
-    return bool(np.all(f @ matrices.incidence == 0))
-
-
-def marking_change(
-    net: PetriNet, firing_counts: Mapping[str, int]
-) -> Dict[str, int]:
-    """Return the net token change per place induced by ``firing_counts``."""
-    matrices = incidence_matrices(net)
-    f = matrices.firing_vector(firing_counts)
-    delta = f @ matrices.incidence
-    return {p: int(delta[i]) for i, p in enumerate(matrices.places) if delta[i]}

@@ -1,4 +1,4 @@
-"""T-invariant and S-invariant computation.
+"""T-invariant computation.
 
 A **T-invariant** is a non-negative integer vector ``f`` indexed by
 transitions such that ``f^T . D = 0`` where ``D`` is the incidence
@@ -7,10 +7,6 @@ fireable order) returns the net to the marking it started from.  The
 existence of a positive T-invariant is the *consistency* condition of
 Definition 2.1 in the paper, and T-invariants are the algebraic skeleton
 of finite complete cycles.
-
-An **S-invariant** (place invariant) is the dual: a non-negative integer
-vector ``y`` over places with ``D . y = 0``; the weighted token count
-``m . y`` is then preserved by every firing.
 
 Minimal-support semiflows are computed with the classical
 Fourier–Motzkin / Farkas style elimination algorithm (Colom &
@@ -21,11 +17,11 @@ can produce spurious invariants.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .incidence import IncidenceMatrices, incidence_matrices
+from .incidence import incidence_matrices
 from .net import PetriNet
 
 
@@ -235,76 +231,6 @@ def t_invariants(net: PetriNet) -> List[Dict[str, int]]:
     return invariants
 
 
-def s_invariants(net: PetriNet) -> List[Dict[str, int]]:
-    """Return the minimal-support S-invariants (place invariants)."""
-    matrices = incidence_matrices(net)
-    if not matrices.places:
-        return []
-    solutions = _minimal_semiflows(matrices.incidence.T)
-    invariants = []
-    for vector in solutions:
-        invariants.append(
-            {p: int(vector[i]) for i, p in enumerate(matrices.places) if vector[i]}
-        )
-    invariants.sort(key=lambda inv: sorted(inv.items()))
-    return invariants
-
-
-def is_consistent(net: PetriNet) -> bool:
-    """Return True if the net admits a positive T-invariant.
-
-    Definition 2.1 of the paper: a net is consistent iff there exists
-    ``f > 0`` with ``f^T . D = 0``.  Equivalently, the union of the
-    supports of the minimal T-invariants covers every transition
-    (non-negative combinations of semiflows are semiflows).
-    """
-    names = set(net.transition_names)
-    if not names:
-        return True
-    covered: set = set()
-    for invariant in t_invariants(net):
-        covered.update(invariant)
-        if covered == names:
-            return True
-    return covered == names
-
-
-def is_conservative(net: PetriNet) -> bool:
-    """Return True if the net admits a positive S-invariant (every place is
-    covered by some place invariant)."""
-    names = set(net.place_names)
-    if not names:
-        return True
-    covered: set = set()
-    for invariant in s_invariants(net):
-        covered.update(invariant)
-        if covered == names:
-            return True
-    return covered == names
-
-
-def uncovered_transitions(net: PetriNet) -> List[str]:
-    """Transitions not covered by any minimal T-invariant.
-
-    A non-empty result explains *why* a net (typically a T-reduction) is
-    inconsistent and therefore not schedulable; it is used to produce
-    designer-facing diagnostics.
-    """
-    covered: set = set()
-    for invariant in t_invariants(net):
-        covered.update(invariant)
-    return [t for t in net.transition_names if t not in covered]
-
-
-def invariants_containing(
-    net: PetriNet, transition: str, invariants: Optional[List[Dict[str, int]]] = None
-) -> List[Dict[str, int]]:
-    """Return the minimal T-invariants whose support contains ``transition``."""
-    if invariants is None:
-        invariants = t_invariants(net)
-    return [inv for inv in invariants if transition in inv]
-
-
 def combine_invariants(invariants: Iterable[Dict[str, int]]) -> Dict[str, int]:
     """Sum a collection of T-invariants into a single firing-count vector."""
     total: Dict[str, int] = {}
@@ -312,37 +238,3 @@ def combine_invariants(invariants: Iterable[Dict[str, int]]) -> Dict[str, int]:
         for transition, count in invariant.items():
             total[transition] = total.get(transition, 0) + count
     return total
-
-
-def scale_invariant(invariant: Dict[str, int], factor: int) -> Dict[str, int]:
-    """Multiply every component of a T-invariant by ``factor``."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return {t: c * factor for t, c in invariant.items()}
-
-
-def minimal_positive_t_invariant(net: PetriNet) -> Optional[Dict[str, int]]:
-    """Return the component-wise smallest positive T-invariant, if any.
-
-    For consistent conflict-free nets (the T-reductions used by QSS and
-    the marked graphs obtained from SDF graphs) the minimal positive
-    invariant is the sum of the minimal-support invariants, each scaled
-    to the smallest common repetition (for a connected SDF graph the
-    T-invariant space is one dimensional and the result coincides with
-    the SDF repetition vector).  Returns ``None`` when the net is not
-    consistent.
-    """
-    if not is_consistent(net):
-        return None
-    invariants = t_invariants(net)
-    names = list(net.transition_names)
-    # Greedy cover: add minimal invariants until every transition is covered.
-    covered: set = set()
-    chosen: List[Dict[str, int]] = []
-    for invariant in invariants:
-        if not set(invariant) <= covered:
-            chosen.append(invariant)
-            covered.update(invariant)
-        if covered == set(names):
-            break
-    return combine_invariants(chosen)

@@ -767,39 +767,6 @@ def _deadlocks(
     return [m for m in deadlocks if not named.enabled_transitions(m)]
 
 
-def is_deadlock_free(
-    net: Union[PetriNet, CompiledNet],
-    marking: Optional[Marking] = None,
-    max_markings: int = 100_000,
-    engine: str = ENGINE_COMPILED,
-    memory_budget: Optional[object] = None,
-    spill_dir: Optional[object] = None,
-) -> bool:
-    """True if every reachable marking enables at least one transition.
-
-    A deadlock found within ``max_markings`` proves ``False``.  Raises
-    ``RuntimeError`` when the exploration hit the cap without finding
-    one: the markings beyond it are unknown, so deadlock-freedom is
-    refused rather than guessed.
-    """
-    graph = build_reachability_graph(
-        net,
-        max_markings=max_markings,
-        marking=marking,
-        engine=engine,
-        memory_budget=memory_budget,
-        spill_dir=spill_dir,
-    )
-    if _deadlocks(net, graph):
-        return False
-    if graph.complete:
-        return True
-    raise RuntimeError(
-        "deadlock-freedom undecided: the exploration hit max_markings "
-        "before finding a deadlock or finishing"
-    )
-
-
 def _strongly_connected_components(
     n: int, successors: List[List[int]]
 ) -> List[int]:

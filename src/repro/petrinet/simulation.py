@@ -13,28 +13,24 @@ Two kinds of simulation are needed by the paper's algorithms:
    under a pluggable choice policy; used by the runtime substrate, by the
    adversarial boundedness experiments and by tests.
 
-Both kinds run on the integer-indexed
-:class:`~repro.petrinet.compiled.CompiledNet` core by default (pass
-``engine="legacy"`` or use :class:`Simulator` for the original
-dict-based token game).  :class:`CompiledSimulator` is the free
-simulation on that core: compile once (or pass a ``CompiledNet``) and
-run over marking tuples.
+The constrained simulation here runs on the :class:`PetriNet` itself:
+it is the search of the legacy QSS oracle
+(:func:`repro.qss.schedulability.check_reduction`).  The mask pipeline
+orders a reduction's counts with its own greedy walk
+(:meth:`repro.qss.compiled_reduction.CompiledReduction.find_finite_complete_cycle`),
+which returns the same sequence.  :class:`CompiledSimulator` is the
+free simulation on the integer-indexed
+:class:`~repro.petrinet.compiled.CompiledNet` core: compile once (or
+pass a ``CompiledNet``) and run over marking tuples.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from .compiled import (
-    ENGINE_COMPILED,
-    ENGINE_LEGACY,
-    CompiledNet,
-    MarkingTuple,
-    compile_net,
-    validate_engine,
-)
+from .compiled import CompiledNet, MarkingTuple, compile_net
 from .exceptions import NotEnabledError
 from .marking import Marking
 from .net import PetriNet
@@ -114,17 +110,6 @@ def fire_sequence(
     return state
 
 
-def is_fireable(
-    net: NetLike, sequence: Sequence[str], marking: Optional[Marking] = None
-) -> bool:
-    """True if ``sequence`` can be fired from ``marking`` without blocking."""
-    try:
-        fire_sequence(net, sequence, marking)
-    except NotEnabledError:
-        return False
-    return True
-
-
 def is_finite_complete_cycle(
     net: NetLike, sequence: Sequence[str], marking: Optional[Marking] = None
 ) -> bool:
@@ -143,12 +128,12 @@ def is_finite_complete_cycle(
 
 
 def search_firing_order(start, remaining, is_enabled, fire) -> Optional[list]:
-    """Explicit-stack DFS over remaining-count states shared by every engine.
+    """Explicit-stack DFS over remaining-count states.
 
-    ``start`` is a hashable marking (a :class:`Marking` or a compiled
-    tuple), ``remaining`` a ``{transition: count}`` dict with positive
-    counts, and ``is_enabled(t, m)`` / ``fire(t, m)`` the token-game
-    primitives of the calling engine.  Candidates are tried in
+    ``start`` is a hashable marking (the legacy oracle passes a
+    :class:`Marking`), ``remaining`` a ``{transition: count}`` dict with
+    positive counts, and ``is_enabled(t, m)`` / ``fire(t, m)`` the
+    token-game primitives to run on.  Candidates are tried in
     ``remaining`` insertion order and failed ``(marking, counts)``
     states are memoized, exactly like the recursive search this
     replaces — but the stack is explicit, so a cycle with more firings
@@ -212,10 +197,9 @@ def search_firing_order(start, remaining, is_enabled, fire) -> Optional[list]:
 
 
 def find_firing_sequence(
-    net: NetLike,
+    net: PetriNet,
     firing_counts: Mapping[str, int],
     marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
 ) -> Optional[List[str]]:
     """Find an executable ordering of the given firing counts.
 
@@ -226,68 +210,24 @@ def find_firing_sequence(
     deadlock for these counts, so the counts do not correspond to a
     finite complete cycle).
 
-    The search is a depth-first search over remaining-count states with
-    memoization of failed states (:func:`search_firing_order`, an
-    explicit-stack DFS so long cycles cannot overflow the interpreter
-    recursion limit); for conflict-free nets (the only nets this is
-    applied to by the QSS algorithm) a greedy strategy succeeds without
-    backtracking in the common case, so the worst-case exponential
-    behaviour is not observed in practice.
-
-    By default the search runs on the net's compiled view (marking
-    tuples and integer transition ids); candidates are tried in the
-    order of ``firing_counts``, so both engines return the same
-    sequence.  Passing a :class:`CompiledNet` skips the compilation.
+    The search is :func:`search_firing_order`, a depth-first search
+    over remaining-count states with memoization of failed states (an
+    explicit stack, so long cycles cannot overflow the interpreter
+    recursion limit), trying candidates in ``firing_counts`` order.  It
+    can take exponential time when no ordering exists.  On a
+    conflict-free net it never backtracks where an ordering exists, and
+    the first-enabled greedy walk gives the same answer; the proof is in
+    :meth:`repro.qss.compiled_reduction.CompiledReduction.find_finite_complete_cycle`.
     """
-    validate_engine(engine)
-    if isinstance(net, CompiledNet):
-        if engine == ENGINE_LEGACY:
-            raise ValueError(
-                "engine='legacy' needs a PetriNet; pass net.decompile() to "
-                "run the dict-based search on a compiled net"
-            )
-        return _find_firing_sequence_compiled(net, firing_counts, marking)
-    if engine == ENGINE_COMPILED:
-        return _find_firing_sequence_compiled(net.compile(), firing_counts, marking)
-
     start = marking if marking is not None else net.initial_marking
     remaining = {t: int(c) for t, c in firing_counts.items() if c > 0}
     return search_firing_order(start, remaining, net.is_enabled, net.fire)
 
 
-def _find_firing_sequence_compiled(
-    compiled: CompiledNet,
-    firing_counts: Mapping[str, int],
-    marking: Optional[Marking],
-) -> Optional[List[str]]:
-    """Compiled-core DFS mirroring the legacy search exactly.
-
-    Candidate transitions are tried in ``firing_counts`` order (as in
-    the legacy engine), so both engines find the same sequence.
-    """
-    start = (
-        compiled.marking_to_tuple(marking)
-        if marking is not None
-        else compiled.initial
-    )
-    remaining: Dict[int, int] = {}
-    for name, count in firing_counts.items():
-        if count > 0:
-            remaining[compiled.transition_id(name)] = int(count)
-    sequence = search_firing_order(
-        start, remaining, compiled.is_enabled, compiled.fire_unchecked
-    )
-    if sequence is None:
-        return None
-    names = compiled.transitions
-    return [names[t] for t in sequence]
-
-
 def find_finite_complete_cycle(
-    net: NetLike,
+    net: PetriNet,
     firing_counts: Mapping[str, int],
     marking: Optional[Marking] = None,
-    engine: str = ENGINE_COMPILED,
 ) -> Optional[List[str]]:
     """Find a finite complete cycle realizing ``firing_counts``.
 
@@ -298,7 +238,7 @@ def find_finite_complete_cycle(
     """
     if marking is None:
         marking = net.initial_marking
-    sequence = find_firing_sequence(net, firing_counts, marking, engine=engine)
+    sequence = find_firing_sequence(net, firing_counts, marking)
     if sequence is None:
         return None
     if fire_sequence(net, sequence, marking) != marking:

@@ -10,16 +10,9 @@ algorithm (Sgroi et al. 1999, Section 2):
   outgoing arc of that place or the unique incoming arc of its target
   transition; equivalently, whenever one output transition of a place is
   enabled, all of them are.
-* **Equal Conflict Relation** — two transitions are in equal conflict if
-  they have identical, non-null preset weight vectors (Teruel 1994).
-
-It also provides connectivity helpers (underlying undirected
-connectivity, strong connectivity) and conflict *cluster* computation.
 """
 
 from __future__ import annotations
-
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .net import PetriNet
 
@@ -104,183 +97,3 @@ def classify(net: PetriNet) -> str:
     if is_extended_free_choice(net):
         return "extended-free-choice"
     return "general"
-
-
-# ----------------------------------------------------------------------
-# Equal conflict relation
-# ----------------------------------------------------------------------
-def preset_vector(net: PetriNet, transition: str) -> Tuple[Tuple[str, int], ...]:
-    """Return the preset weight vector ``Pre[P, t]`` as a sorted tuple."""
-    return tuple(sorted(net.preset(transition).items()))
-
-
-def in_equal_conflict(net: PetriNet, t1: str, t2: str) -> bool:
-    """Return True if ``t1`` and ``t2`` are in Equal Conflict Relation.
-
-    Two transitions are in equal conflict iff their preset weight vectors
-    are identical and non-null (``Pre[P, t] = Pre[P, t'] != 0``).  In a
-    free-choice net this coincides with "successors of the same choice
-    place".  Every transition with a non-empty preset is in equal
-    conflict with itself.
-    """
-    v1 = preset_vector(net, t1)
-    v2 = preset_vector(net, t2)
-    return bool(v1) and v1 == v2
-
-
-def equal_conflict_sets(net: PetriNet) -> List[FrozenSet[str]]:
-    """Partition the transitions into equal conflict sets.
-
-    Transitions with an empty preset (source transitions) each form a
-    singleton set.  The returned list is ordered by the first transition
-    of each set in net insertion order.
-    """
-    groups: Dict[Tuple[Tuple[str, int], ...], List[str]] = {}
-    order: List[Tuple[Tuple[str, int], ...]] = []
-    singletons: List[FrozenSet[str]] = []
-    for transition in net.transition_names:
-        vector = preset_vector(net, transition)
-        if not vector:
-            singletons.append(frozenset({transition}))
-            continue
-        if vector not in groups:
-            groups[vector] = []
-            order.append(vector)
-        groups[vector].append(transition)
-    result = [frozenset(groups[v]) for v in order]
-    return result + singletons
-
-
-def conflicting_transitions(net: PetriNet, transition: str) -> List[str]:
-    """Return all transitions (other than ``transition``) in equal conflict
-    with it."""
-    return [
-        other
-        for other in net.transition_names
-        if other != transition and in_equal_conflict(net, transition, other)
-    ]
-
-
-def choice_sets(net: PetriNet) -> Dict[str, List[str]]:
-    """Return ``{choice place: [output transitions]}`` for every choice."""
-    return {p: net.postset_names(p) for p in net.choice_places()}
-
-
-# ----------------------------------------------------------------------
-# Clusters (used by free-choice theory and by diagnostics)
-# ----------------------------------------------------------------------
-def clusters(net: PetriNet) -> List[FrozenSet[str]]:
-    """Compute the conflict clusters of the net.
-
-    The cluster of a node is the smallest set containing it that is
-    closed under (a) adding the postset transitions of any place in the
-    set and (b) adding the preset places of any transition in the set.
-    Clusters partition the nodes of the net and, in a free-choice net,
-    every cluster contains at most one choice place "shape".
-    """
-    parent: Dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for name in net.place_names + net.transition_names:
-        parent[name] = name
-    for place in net.place_names:
-        for transition in net.postset_names(place):
-            union(place, transition)
-    groups: Dict[str, Set[str]] = {}
-    for name in parent:
-        groups.setdefault(find(name), set()).add(name)
-    return [frozenset(group) for group in groups.values()]
-
-
-# ----------------------------------------------------------------------
-# Connectivity
-# ----------------------------------------------------------------------
-def is_connected(net: PetriNet) -> bool:
-    """Return True if the underlying undirected graph is connected.
-
-    The empty net is considered connected.
-    """
-    nodes = net.place_names + net.transition_names
-    if not nodes:
-        return True
-    seen: Set[str] = set()
-    stack = [nodes[0]]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(n for n in net.postset_names(node) if n not in seen)
-        stack.extend(n for n in net.preset_names(node) if n not in seen)
-    return len(seen) == len(nodes)
-
-
-def is_strongly_connected(net: PetriNet) -> bool:
-    """Return True if the net graph is strongly connected.
-
-    Nets modelling embedded reactive systems typically are *not*
-    strongly connected because source and sink transitions model the
-    environment (Sgroi et al., Section 3); the predicate is provided for
-    completeness and for checking the preconditions of Hack's original
-    MG-decomposition theorems.
-    """
-    nodes = net.place_names + net.transition_names
-    if not nodes:
-        return True
-
-    def reachable(start: str, forward: bool) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            neighbours = (
-                net.postset_names(node) if forward else net.preset_names(node)
-            )
-            stack.extend(n for n in neighbours if n not in seen)
-        return seen
-
-    start = nodes[0]
-    return len(reachable(start, True)) == len(nodes) and len(
-        reachable(start, False)
-    ) == len(nodes)
-
-
-def connected_components(net: PetriNet) -> List[Tuple[List[str], List[str]]]:
-    """Return the weakly connected components as ``(places, transitions)``
-    pairs, each in net insertion order."""
-    nodes = net.place_names + net.transition_names
-    seen: Set[str] = set()
-    components: List[Set[str]] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        component: Set[str] = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(net.postset_names(node))
-            stack.extend(net.preset_names(node))
-        seen |= component
-        components.append(component)
-    result = []
-    for component in components:
-        places = [p for p in net.place_names if p in component]
-        transitions = [t for t in net.transition_names if t in component]
-        result.append((places, transitions))
-    return result

@@ -12,7 +12,6 @@ from .allocation import (
     TAllocation,
     count_allocations,
     enumerate_allocations,
-    validate_allocation,
 )
 from .compiled_reduction import (
     CompiledReduction,
@@ -23,7 +22,6 @@ from .compiled_reduction import (
 from .reduction import (
     ReductionStep,
     TReduction,
-    assert_conflict_free,
     enumerate_reductions,
     reduce_net,
 )
@@ -41,19 +39,17 @@ from .scheduler import (
     compute_valid_schedule,
     is_schedulable,
 )
-from .tasks import TaskDefinition, TaskPartition, minimum_task_count, partition_tasks
+from .tasks import TaskDefinition, TaskPartition, partition_tasks
 
 __all__ = [
     "TAllocation",
     "enumerate_allocations",
     "count_allocations",
-    "validate_allocation",
     "TReduction",
     "ReductionStep",
     "reduce_net",
     "enumerate_reductions",
     "count_distinct_reductions",
-    "assert_conflict_free",
     "CompiledReduction",
     "QSSContext",
     "iter_compiled_reductions",
@@ -71,5 +67,4 @@ __all__ = [
     "TaskDefinition",
     "TaskPartition",
     "partition_tasks",
-    "minimum_task_count",
 ]

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from ..petrinet import PetriNet
-from ..petrinet.exceptions import NotFreeChoiceError, UnknownNodeError
+from ..petrinet.exceptions import NotFreeChoiceError
 from ..petrinet.structure import is_free_choice
 
 
@@ -76,24 +76,6 @@ class TAllocation:
     def __str__(self) -> str:
         inner = ", ".join(f"{p}->{t}" for p, t in self.choices)
         return f"TAllocation({inner})"
-
-
-def validate_allocation(net: PetriNet, allocation: TAllocation) -> None:
-    """Raise if ``allocation`` is not a valid T-allocation of ``net``."""
-    mapping = allocation.as_dict
-    choice_places = set(net.choice_places())
-    for place, transition in mapping.items():
-        if not net.has_place(place):
-            raise UnknownNodeError(f"unknown place {place!r}")
-        if transition not in net.postset_names(place):
-            raise ValueError(
-                f"transition {transition!r} is not a successor of place {place!r}"
-            )
-    missing = choice_places - set(mapping)
-    if missing:
-        raise ValueError(
-            f"allocation does not resolve choice places: {sorted(missing)}"
-        )
 
 
 def count_allocations(net: PetriNet) -> int:

@@ -20,10 +20,11 @@ ids.
   signatures are identical — without constructing any intermediate net.
   It also reports which choice places its sweep *read*: the only ones
   whose choice can change its result.
-* :class:`CompiledReduction` exposes the per-reduction enabledness /
-  successor functions as filtered views of the parent's scalar tables
-  (zero per-reduction ``exec`` compiles), T-invariants via an int64
-  submatrix of the parent incidence matrix
+* :class:`CompiledReduction` searches its finite complete cycle with
+  one greedy walk over the parent's scalar preset/delta tables (exact
+  on a conflict-free reduction; the proof is in
+  :meth:`CompiledReduction.find_finite_complete_cycle`), computes
+  T-invariants on an int64 submatrix of the parent incidence matrix
   (:func:`~repro.petrinet.invariants.fast_minimal_semiflows`, memoized
   per submatrix on the context), and builds a named
   :class:`~repro.petrinet.net.PetriNet` (a subnet of the parent) only
@@ -52,7 +53,6 @@ from ..petrinet import PetriNet, compile_net
 from ..petrinet.compiled import MarkingTuple
 from ..petrinet.exceptions import NotFreeChoiceError
 from ..petrinet.invariants import fast_minimal_semiflows
-from ..petrinet.simulation import search_firing_order
 from ..petrinet.structure import is_free_choice
 from .allocation import TAllocation
 
@@ -334,10 +334,10 @@ class CompiledReduction:
     Offers the same identity surface as
     :class:`~repro.qss.reduction.TReduction` — ``allocation``,
     ``transition_set`` / ``place_set``, ``signature()``,
-    ``source_places()`` and a lazily built ``net`` — plus the
-    id-level token-game primitives the schedulability check runs on:
-    per-reduction enabledness and successor functions that filter the
-    parent's scalar preset/delta tables through the masks, with no net
+    ``source_places()`` and a lazily built ``net`` — plus what the
+    schedulability check runs on: the initial marking restricted to the
+    masks, T-invariants off the parent incidence matrix, and a greedy
+    cycle walk over the parent's own preset/delta tables, with no net
     rebuild and no ``exec`` compilation anywhere.
     """
 
@@ -462,40 +462,6 @@ class CompiledReduction:
             for p, place in enumerate(compiled.places)
         )
 
-    @property
-    def masked_pre_lists(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per-transition ``(place_id, weight)`` presets filtered by the
-        place mask, indexed by parent transition id (dead transitions keep
-        their full rows but are never fired)."""
-        lists = self._cache.get("masked_pre_lists")
-        if lists is None:
-            p_mask = self.place_mask
-            lists = tuple(
-                tuple(pair for pair in pairs if p_mask[pair[0]])
-                for pairs in self.context.compiled.pre_lists
-            )
-            self._cache["masked_pre_lists"] = lists
-        return lists  # type: ignore[return-value]
-
-    @property
-    def masked_delta_lists(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per-transition combined token deltas restricted to the masks.
-
-        The parent's own delta table, filtered: a delta is per place, so
-        dropping the pairs of dead places keeps every other pair, and its
-        order, exactly as a delta built from the masked presets and
-        postsets would have them.
-        """
-        lists = self._cache.get("masked_delta_lists")
-        if lists is None:
-            p_mask = self.place_mask
-            lists = tuple(
-                tuple(pair for pair in pairs if p_mask[pair[0]])
-                for pairs in self.context.compiled.delta_lists
-            )
-            self._cache["masked_delta_lists"] = lists
-        return lists  # type: ignore[return-value]
-
     # ------------------------------------------------------------------
     # Invariants and cycles
     # ------------------------------------------------------------------
@@ -524,60 +490,84 @@ class CompiledReduction:
             self._cache["t_invariants"] = invariants
         return invariants  # type: ignore[return-value]
 
-    def find_firing_sequence(
+    def find_finite_complete_cycle(
         self, firing_counts: Mapping[str, int], start: MarkingTuple
     ) -> Optional[List[str]]:
-        """Executable ordering of ``firing_counts`` under masked semantics.
+        """A firing sequence realizing the counts and returning to ``start``.
 
-        The memoized DFS of the legacy engine
+        One greedy walk over the parent's :attr:`CompiledNet.pre_lists`
+        and :attr:`CompiledNet.delta_lists`: fire the first transition,
+        in ``firing_counts`` order, that is enabled and has count left,
+        until every count is spent; ``None`` when no such transition is
+        enabled, or when the walk ends off ``start``.  It returns exactly
+        what the legacy oracle's backtracking DFS
         (:func:`~repro.petrinet.simulation.search_firing_order`, same
-        candidate order), running on parent marking tuples filtered
-        through the masks, so it returns the legacy cycle exactly.
+        candidate order) returns on the rebuilt reduced net, because of
+        two facts.
+
+        *The walk is exact and follows the DFS.*  A T-reduction is
+        conflict-free: step 2 of :meth:`QSSContext.reduce_masks` removes
+        every excluded transition, so a choice place keeps at most its
+        allocated consumer, and every other place has at most one
+        consumer in the parent.  A conflict-free net is persistent:
+        firing one transition never disables another.  By Keller's
+        theorem for persistent systems (R. M. Keller, 1975; Landweber and
+        Robertson, JACM 25(3), 1978), if any ordering fires the counts X
+        from M, then a walk that fires enabled transitions with count
+        left cannot get stuck before X is spent; so the walk returns
+        ``None`` exactly when the DFS does.  When an ordering exists,
+        every child state of the DFS can again be ordered, so the DFS
+        never backtracks, and its first descent, "the first enabled
+        candidate in counts order" at every step, is this walk.
+
+        *The parent's tables are the reduction's.*  No live transition
+        has a removed place in its preset or postset.  Rules (b).i and
+        (d) remove a place only when all of its producers are dead,
+        (c).ii removes only source places, and transitions only die, so
+        no live transition produces into a removed place.  A live
+        consumer of a place removed by (b) reaches
+        ``consider_transition_removal`` with only source places left, or
+        none, and is removed; otherwise (b).ii would have kept the
+        place.  A place removed by (c).ii is an input of a join with at
+        least two inputs, and under the paper's free choice that join is
+        its only consumer.  A place removed by (d) has no live consumer.
+        The counts name live transitions only, so the removed places
+        keep the zeros that :attr:`initial` and :meth:`restrict_marking`
+        give them, and the parent rows of the fired transitions are the
+        masked rows.
         """
-        transition_index = self.context.compiled.transition_index
+        compiled = self.context.compiled
+        transition_index = compiled.transition_index
         remaining: Dict[int, int] = {}
         for name, count in firing_counts.items():
             if count > 0:
                 remaining[transition_index[name]] = int(count)
-        # bind the masked tables once; the property indirection would
-        # otherwise run on every firing attempt of the DFS
-        pre_lists = self.masked_pre_lists
-        delta_lists = self.masked_delta_lists
-
-        def is_enabled(t_id: int, marking) -> bool:
-            for p_id, weight in pre_lists[t_id]:
-                if marking[p_id] < weight:
-                    return False
-            return True
-
-        def fire(t_id: int, marking):
-            result = list(marking)
+        pre_lists = compiled.pre_lists
+        delta_lists = compiled.delta_lists
+        marking = list(start)
+        sequence: List[int] = []
+        while remaining:
+            # the first transition, in counts order, whose preset the
+            # marking covers
+            for t_id in remaining:
+                for p_id, weight in pre_lists[t_id]:
+                    if marking[p_id] < weight:
+                        break
+                else:
+                    break
+            else:
+                return None
             for p_id, delta in delta_lists[t_id]:
-                result[p_id] += delta
-            return tuple(result)
-
-        sequence = search_firing_order(start, remaining, is_enabled, fire)
-        if sequence is None:
+                marking[p_id] += delta
+            sequence.append(t_id)
+            if remaining[t_id] == 1:
+                del remaining[t_id]
+            else:
+                remaining[t_id] -= 1
+        if tuple(marking) != start:
             return None
-        names = self.context.compiled.transitions
+        names = compiled.transitions
         return [names[t] for t in sequence]
-
-    def find_finite_complete_cycle(
-        self, firing_counts: Mapping[str, int], start: MarkingTuple
-    ) -> Optional[List[str]]:
-        """A firing sequence realizing the counts and returning to ``start``."""
-        sequence = self.find_firing_sequence(firing_counts, start)
-        if sequence is None:
-            return None
-        transition_index = self.context.compiled.transition_index
-        delta_lists = self.masked_delta_lists
-        current = list(start)
-        for name in sequence:
-            for p_id, delta in delta_lists[transition_index[name]]:
-                current[p_id] += delta
-        if tuple(current) != start:
-            return None
-        return sequence
 
     # ------------------------------------------------------------------
     # Named view (reporting only)

@@ -22,10 +22,9 @@ pipeline's fast path is the mask stream of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..petrinet import PetriNet
-from ..petrinet.structure import is_conflict_free
 from .allocation import TAllocation, enumerate_allocations
 
 
@@ -245,17 +244,3 @@ def enumerate_reductions(net: PetriNet) -> List[TReduction]:
         seen.add(signature)
         reductions.append(reduction)
     return reductions
-
-
-def assert_conflict_free(reduction: TReduction) -> None:
-    """Sanity check: a T-reduction must be conflict-free by construction."""
-    if not is_conflict_free(reduction.net):
-        offending = [
-            p
-            for p in reduction.net.place_names
-            if len(reduction.net.postset(p)) > 1
-        ]
-        raise AssertionError(
-            f"T-reduction of {reduction.allocation} is not conflict-free; "
-            f"offending places: {offending}"
-        )

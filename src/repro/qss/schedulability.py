@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..petrinet import (
-    ENGINE_LEGACY,
     Marking,
     PetriNet,
     combine_invariants,
@@ -127,8 +126,8 @@ def covering_counts(
 
     Shared by the legacy per-net and the mask-based pipelines; the
     invariant selection (and therefore the resulting count-dict
-    insertion order, which fixes the DFS candidate order) is identical
-    in both.
+    insertion order, which fixes the candidate order of both the DFS
+    and the greedy walk) is identical in both.
     """
     needed_set = set(needed)
     chosen: List[Dict[str, int]] = []
@@ -215,8 +214,8 @@ def check_reduction(
     T-invariants and the legacy token game for the deadlock-freedom
     simulation of condition (3) — which is what makes it the
     independent check of :func:`check_compiled_reduction`, the fast
-    path ``analyse`` takes by default.  Both run the same memoized DFS
-    and find the same cycle.
+    path ``analyse`` takes by default.  Its memoized DFS and the fast
+    path's greedy walk find the same cycle.
     """
     reduced = reduction.net
     start = marking if marking is not None else reduced.initial_marking
@@ -226,9 +225,7 @@ def check_reduction(
         sources=net.source_transitions(),
         invariants=t_invariants(reduced),
         source_places=reduction.source_places(),
-        find_cycle=lambda scaled: find_finite_complete_cycle(
-            reduced, scaled, start, engine=ENGINE_LEGACY
-        ),
+        find_cycle=lambda scaled: find_finite_complete_cycle(reduced, scaled, start),
     )
 
 
@@ -240,11 +237,12 @@ def check_compiled_reduction(
     The mask pipeline's counterpart of :func:`check_reduction`: the
     T-invariants come from the parent incidence submatrix (memoized on
     the :class:`~repro.qss.compiled_reduction.QSSContext`), and the
-    deadlock-freedom simulation of condition (3) runs on parent marking
-    tuples filtered through the reduction masks — no per-reduction net
-    and no per-reduction compilation exist at any point.  Produces
-    verdicts (including cycles and diagnostics) identical to the legacy
-    check for the same reduction.
+    deadlock-freedom simulation of condition (3) is one greedy walk
+    over the parent's preset and delta tables on marking tuples
+    restricted to the reduction's places — no per-reduction net and no
+    per-reduction compilation exist at any point.  Produces verdicts
+    (including cycles and diagnostics) identical to the legacy check
+    for the same reduction.
     """
     start = (
         reduction.restrict_marking(marking)

@@ -212,8 +212,3 @@ def partition_tasks(
             )
         )
     return partition
-
-
-def minimum_task_count(net: PetriNet) -> int:
-    """The paper's lower bound: one task per independent-rate input."""
-    return len(net.source_transitions())

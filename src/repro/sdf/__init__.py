@@ -2,20 +2,17 @@
 
 Section 2 of the paper: the balance equations (:mod:`repro.sdf.balance`,
 on integer matrices) give the repetition vector, and the PASS
-simulation behind :func:`static_schedule` / :func:`simulate_schedule` /
-:func:`is_statically_schedulable` orders one iteration.  That
-simulation is one dict loop and takes no ``engine=`` switch (see
-:mod:`repro.sdf.schedule`).  The QSS pipeline does not call this
-package: it schedules each T-reduction with the firing-order search of
+simulation behind :func:`static_schedule` / :func:`simulate_schedule`
+orders one iteration.  That simulation is one dict loop and takes no
+``engine=`` switch (see :mod:`repro.sdf.schedule`).  The QSS pipeline does not call this
+package: it orders each T-reduction's covering T-invariant with the
+greedy walk of
+:meth:`repro.qss.compiled_reduction.CompiledReduction.find_finite_complete_cycle`,
+or, on the legacy oracle, with the firing-order search of
 :mod:`repro.petrinet.simulation`.
 """
 
-from .balance import (
-    InconsistentSDFError,
-    is_sample_rate_consistent,
-    iteration_token_change,
-    repetition_vector,
-)
+from .balance import InconsistentSDFError, repetition_vector
 from .convert import petri_to_sdf, sdf_to_petri
 from .graph import Actor, Edge, SDFError, SDFGraph
 from .schedule import (
@@ -23,7 +20,6 @@ from .schedule import (
     LoopedSchedule,
     StaticSchedule,
     compact_schedule,
-    is_statically_schedulable,
     simulate_schedule,
     static_schedule,
     total_buffer_requirement,
@@ -37,11 +33,8 @@ __all__ = [
     "InconsistentSDFError",
     "DeadlockError",
     "repetition_vector",
-    "is_sample_rate_consistent",
-    "iteration_token_change",
     "static_schedule",
     "simulate_schedule",
-    "is_statically_schedulable",
     "StaticSchedule",
     "LoopedSchedule",
     "compact_schedule",

@@ -92,23 +92,3 @@ def repetition_vector(graph: SDFGraph) -> Dict[str, int]:
             rates[actor] = Fraction(int(rates[actor] * scale) // divisor)
 
     return {a: int(r) for a, r in rates.items()}
-
-
-def is_sample_rate_consistent(graph: SDFGraph) -> bool:
-    """True if the balance equations have a positive solution."""
-    try:
-        repetition_vector(graph)
-    except InconsistentSDFError:
-        return False
-    return True
-
-
-def iteration_token_change(graph: SDFGraph) -> Dict[str, int]:
-    """Net token change per channel over one iteration of the repetition
-    vector.  Always zero for consistent graphs; exposed for tests."""
-    q = repetition_vector(graph)
-    change: Dict[str, int] = {}
-    for edge in graph.edges:
-        delta = edge.production * q[edge.source] - edge.consumption * q[edge.target]
-        change[edge.channel_name] = delta
-    return change

@@ -127,15 +127,6 @@ def static_schedule(graph: SDFGraph) -> StaticSchedule:
     )
 
 
-def is_statically_schedulable(graph: SDFGraph) -> bool:
-    """True if the graph admits a PASS (consistent and deadlock-free)."""
-    try:
-        static_schedule(graph)
-    except SDFError:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Looped (single appearance style) schedule compaction
 # ----------------------------------------------------------------------

@@ -118,10 +118,10 @@ def _compiled_reduction(net: PetriNet):
     return next(iter_compiled_reductions(net))
 
 
-#: Every entry point that takes an engine — the QSS pipeline's and the
-#: state-space searches' — driven with ``frontier``, as
-#: ``call(net, path)`` (``path`` holds the net as JSON), with the error
-#: it must raise.
+#: Every entry point of the QSS pipeline and of the state-space
+#: searches, driven with ``frontier``, as ``call(net, path)`` (``path``
+#: holds the net as JSON), with the error it must raise: ``TypeError``
+#: where it takes no engine.
 QSS_FRONTIER_CALLS = {
     "analyse": (
         lambda net, _: analyse(net, engine="frontier"),
@@ -157,24 +157,17 @@ QSS_FRONTIER_CALLS = {
     ),
     "find_firing_sequence": (
         lambda net, _: find_firing_sequence(net, {}, engine="frontier"),
-        ValueError,
-        "unknown engine",
+        TypeError,
+        "engine",
     ),
     "find_finite_complete_cycle": (
         lambda net, _: find_finite_complete_cycle(net, {}, engine="frontier"),
-        ValueError,
-        "unknown engine",
+        TypeError,
+        "engine",
     ),
     "check_compiled_reduction": (
         lambda net, _: check_compiled_reduction(
             _compiled_reduction(net), engine="frontier"
-        ),
-        TypeError,
-        "engine",
-    ),
-    "CompiledReduction.find_firing_sequence": (
-        lambda net, _: _compiled_reduction(net).find_firing_sequence(
-            {}, _compiled_reduction(net).initial, engine="frontier"
         ),
         TypeError,
         "engine",
@@ -512,8 +505,9 @@ class TestEdgeCases:
     def test_qss_entry_points_reject_frontier(self, entry_point, tmp_path):
         """Every entry point runs compiled or legacy only: ``frontier``
         is an unknown engine to all of them, and the Definition 3.5
-        checks, the reduction enumerators and the mask pipeline's cycle
-        searches take no engine at all."""
+        checks, the reduction enumerators and the cycle searches (the
+        oracle's DFS and the mask pipeline's greedy walk) take no engine
+        at all."""
         call, error, match = QSS_FRONTIER_CALLS[entry_point]
         net = _adversarial_arc_order_net()
         path = tmp_path / "net.json"

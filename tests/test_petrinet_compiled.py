@@ -22,7 +22,6 @@ from repro.petrinet import (
     Simulator,
     build_reachability_graph,
     compile_net,
-    find_finite_complete_cycle,
     find_firing_sequence,
     fire_sequence,
     incidence_matrices,
@@ -30,10 +29,6 @@ from repro.petrinet import (
 )
 from repro.petrinet.exceptions import NotEnabledError, UnknownNodeError
 from repro.petrinet.generators import (
-    independent_choices_net,
-    multirate_choice_net,
-    nested_choices_net,
-    pipeline_net,
     random_free_choice_net,
     random_marked_graph,
 )
@@ -239,45 +234,12 @@ class TestReachabilityEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Constrained simulation equivalence
+# Constrained simulation (the legacy oracle's search)
 # ----------------------------------------------------------------------
-class TestConstrainedSimulationEquivalence:
-    @pytest.mark.parametrize(
-        "counts",
-        [
-            {"t1": 4, "t2": 2, "t3": 1},
-            {"t1": 8, "t2": 4, "t3": 2},
-        ],
-    )
-    def test_fig2_sequences_identical(self, fig2, counts):
-        legacy = find_firing_sequence(fig2, counts, engine="legacy")
-        compiled = find_firing_sequence(fig2, counts, engine="compiled")
-        assert compiled == legacy
-
-    def test_impossible_counts_agree(self, fig2):
-        assert find_firing_sequence(fig2, {"t2": 1}, engine="legacy") is None
-        assert find_firing_sequence(fig2, {"t2": 1}, engine="compiled") is None
-
-    def test_empty_counts(self, fig2):
-        assert find_firing_sequence(fig2, {}, engine="compiled") == []
-
-    def test_cycles_identical_on_generated_families(self):
-        nets = [
-            pipeline_net(4, rates=[2, 1, 2, 1]),
-            multirate_choice_net(2, 3),
-            nested_choices_net(3),
-        ]
-        from repro.petrinet.invariants import t_invariants
-
-        for net in nets:
-            for invariant in t_invariants(net):
-                legacy = find_finite_complete_cycle(net, invariant, engine="legacy")
-                compiled = find_finite_complete_cycle(net, invariant, engine="compiled")
-                assert compiled == legacy
-
+class TestConstrainedSimulation:
     def test_unknown_transition_raises_unknown_node(self, fig2):
         with pytest.raises(UnknownNodeError):
-            find_firing_sequence(fig2, {"missing": 1}, engine="compiled")
+            find_firing_sequence(fig2, {"missing": 1})
 
 
 # ----------------------------------------------------------------------
@@ -348,18 +310,6 @@ class TestQssEquivalence:
         with pytest.raises(ValueError, match="unknown engine"):
             analyse(fig3a, engine="warp")
 
-    def test_analyse_figure_threads_engine(self):
-        from repro.gallery import analyse_figure
-        from repro.petrinet.exceptions import NotFreeChoiceError
-
-        legacy = analyse_figure("figure3a", engine="legacy")
-        compiled = analyse_figure("figure3a", engine="compiled")
-        assert compiled.schedulable == legacy.schedulable is True
-        with pytest.raises(KeyError):
-            analyse_figure("figure99")
-        with pytest.raises(NotFreeChoiceError):
-            analyse_figure("figure1b")
-
 
 # ----------------------------------------------------------------------
 # Engine misuse is surfaced, not silently papered over
@@ -371,13 +321,6 @@ class TestEngineContract:
             compiled.marking_to_tuple(Marking({"p1": 1, "ghost": 1}))
         # zero-count unknown entries in plain dicts are harmless
         assert compiled.marking_to_tuple({"p1": 1, "ghost": 0}) == (1, 0)
-
-    def test_legacy_engine_rejects_compiled_input(self, fig2):
-        compiled = fig2.compile()
-        with pytest.raises(ValueError, match="legacy"):
-            build_reachability_graph(compiled, engine="legacy")
-        with pytest.raises(ValueError, match="legacy"):
-            find_firing_sequence(compiled, {"t1": 1}, engine="legacy")
 
     def test_counters_setter_round_trips(self, fig4):
         from repro.codegen import ProgramExecutor, synthesize

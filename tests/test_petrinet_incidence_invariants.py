@@ -1,9 +1,8 @@
-"""Unit tests for incidence matrices, the state equation and invariants."""
+"""Unit tests for incidence matrices and T-invariants."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.gallery import (
     figure2_sdf_chain,
@@ -14,19 +13,9 @@ from repro.gallery import (
 from repro.petrinet import (
     Marking,
     NetBuilder,
-    apply_state_equation,
     combine_invariants,
     incidence_matrices,
-    invariants_containing,
-    is_conservative,
-    is_consistent,
-    is_firing_count_stationary,
-    marking_change,
-    minimal_positive_t_invariant,
-    s_invariants,
-    scale_invariant,
     t_invariants,
-    uncovered_transitions,
 )
 
 
@@ -52,19 +41,6 @@ class TestIncidence:
         marking = Marking({"p1": 3})
         assert matrices.marking_from_vector(matrices.marking_vector(marking)) == marking
 
-    def test_state_equation_application(self, fig2):
-        # firing t1 four times puts 4 tokens in p1
-        result = apply_state_equation(fig2, Marking(), {"t1": 4})
-        assert result == Marking({"p1": 4})
-
-    def test_stationary_firing_count(self, fig2):
-        assert is_firing_count_stationary(fig2, {"t1": 4, "t2": 2, "t3": 1})
-        assert not is_firing_count_stationary(fig2, {"t1": 1})
-
-    def test_marking_change(self, fig2):
-        assert marking_change(fig2, {"t1": 2}) == {"p1": 2}
-        assert marking_change(fig2, {"t1": 4, "t2": 2, "t3": 1}) == {}
-
 
 class TestTInvariants:
     def test_figure2_repetition_vector(self, fig2):
@@ -81,80 +57,16 @@ class TestTInvariants:
         assert t_invariants(fig3b) == [{"t1": 2, "t2": 1, "t3": 1, "t4": 1}]
 
     def test_invariants_are_stationary(self, fig5):
+        matrices = incidence_matrices(fig5)
         for invariant in t_invariants(fig5):
-            assert is_firing_count_stationary(fig5, invariant)
-
-    def test_consistency(self, fig3a, fig3b, fig5):
-        assert is_consistent(fig3a)
-        assert is_consistent(fig3b)
-        assert is_consistent(fig5)
+            change = matrices.firing_vector(invariant) @ matrices.incidence
+            assert not np.any(change)
 
     def test_inconsistent_net(self):
         # a transition that only produces can never be covered
         net = NetBuilder("inconsistent").source("t1").arc("t1", "p1").build()
-        assert not is_consistent(net)
-        assert uncovered_transitions(net) == ["t1"]
+        assert t_invariants(net) == []
 
-    def test_empty_net_is_consistent(self):
-        assert is_consistent(NetBuilder("empty").build())
-
-    def test_invariants_containing(self, fig3a):
-        containing_t2 = invariants_containing(fig3a, "t2")
-        assert len(containing_t2) == 1
-        assert "t4" in containing_t2[0]
-
-    def test_combine_and_scale(self):
+    def test_combine_invariants(self):
         combined = combine_invariants([{"a": 1, "b": 2}, {"b": 1, "c": 3}])
         assert combined == {"a": 1, "b": 3, "c": 3}
-        assert scale_invariant({"a": 2}, 3) == {"a": 6}
-        with pytest.raises(ValueError):
-            scale_invariant({"a": 1}, 0)
-
-    def test_minimal_positive_invariant(self, fig3a):
-        minimal = minimal_positive_t_invariant(fig3a)
-        assert minimal is not None
-        assert set(minimal) == set(fig3a.transition_names)
-        assert is_firing_count_stationary(fig3a, minimal)
-
-    def test_minimal_positive_invariant_none_when_inconsistent(self):
-        net = NetBuilder("inconsistent").source("t1").arc("t1", "p1").build()
-        assert minimal_positive_t_invariant(net) is None
-
-
-class TestSInvariants:
-    def test_ring_has_place_invariant(self):
-        net = (
-            NetBuilder("ring")
-            .transition("a")
-            .transition("b")
-            .place("p1", tokens=1)
-            .place("p2")
-            .arc("a", "p1")
-            .arc("p1", "b")
-            .arc("b", "p2")
-            .arc("p2", "a")
-            .build()
-        )
-        invariants = s_invariants(net)
-        assert {"p1": 1, "p2": 1} in invariants
-        assert is_conservative(net)
-
-    def test_chain_is_not_conservative(self, fig2):
-        assert not is_conservative(fig2)
-
-    def test_weighted_place_invariant(self):
-        # a -> p1 (1), p1 -> b (1); a -> p2 (2)?? use a 2:1 conservation
-        net = (
-            NetBuilder("weighted")
-            .transition("a")
-            .transition("b")
-            .place("p1", tokens=2)
-            .place("p2")
-            .arc("p1", "a", weight=2)
-            .arc("a", "p2")
-            .arc("p2", "b")
-            .arc("b", "p1", weight=2)
-            .build()
-        )
-        invariants = s_invariants(net)
-        assert {"p1": 1, "p2": 2} in invariants

@@ -8,16 +8,18 @@ simulation on the net families used throughout the benchmarks.
 
 from __future__ import annotations
 
+from typing import Mapping
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.petrinet import (
     Marking,
-    apply_state_equation,
+    PetriNet,
     fire_sequence,
     incidence_matrices,
     is_finite_complete_cycle,
-    is_firing_count_stationary,
     net_from_dict,
     net_to_dict,
     t_invariants,
@@ -30,6 +32,28 @@ from repro.petrinet.generators import (
 )
 from repro.petrinet.simulation import Simulator, make_random_policy
 from repro.qss import enumerate_reductions, is_schedulable
+
+
+# ----------------------------------------------------------------------
+# State-equation oracles
+# ----------------------------------------------------------------------
+def apply_state_equation(
+    net: PetriNet, marking: Marking, firing_counts: Mapping[str, int]
+) -> Marking:
+    """``marking + f^T . D`` as a marking (negative entries raise)."""
+    matrices = incidence_matrices(net)
+    m0 = matrices.marking_vector(marking)
+    f = matrices.firing_vector(firing_counts)
+    return matrices.marking_from_vector(m0 + f @ matrices.incidence)
+
+
+def is_firing_count_stationary(
+    net: PetriNet, firing_counts: Mapping[str, int]
+) -> bool:
+    """True if the firing-count vector satisfies ``f^T . D = 0``."""
+    matrices = incidence_matrices(net)
+    f = matrices.firing_vector(firing_counts)
+    return bool(np.all(f @ matrices.incidence == 0))
 
 
 # ----------------------------------------------------------------------

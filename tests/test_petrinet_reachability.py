@@ -13,7 +13,6 @@ from repro.petrinet import (
     coverability_analysis,
     find_deadlocks,
     is_bounded,
-    is_deadlock_free,
     is_k_bounded,
     is_live,
     is_reachable,
@@ -108,7 +107,7 @@ class TestBoundedness:
 class TestDeadlockAndLiveness:
     def test_ring_is_deadlock_free_and_live(self):
         net = bounded_cycle_net()
-        assert is_deadlock_free(net)
+        assert find_deadlocks(net) == []
         assert is_live(net)
 
     def test_terminating_net_deadlocks(self):
@@ -122,7 +121,6 @@ class TestDeadlockAndLiveness:
         )
         deadlocks = find_deadlocks(net)
         assert deadlocks == [Marking()]
-        assert not is_deadlock_free(net)
         assert not is_live(net)
 
     def test_deadlock_free_but_not_live(self):
@@ -133,7 +131,7 @@ class TestDeadlockAndLiveness:
         net.add_transition("t_dead")
         net.add_arc("p_never", "t_dead")
         net.add_arc("t_dead", "p_never")
-        assert is_deadlock_free(net)
+        assert find_deadlocks(net) == []
         assert not is_live(net)
 
     def test_liveness_requires_complete_graph(self, fig2):
@@ -146,8 +144,6 @@ class TestDeadlockAndLiveness:
         # were never expanded, which must not make them deadlocks
         net = pipeline_net(3, rates=[1, 1, 1])
         assert find_deadlocks(net, max_markings=50, engine=engine) == []
-        with pytest.raises(RuntimeError, match="deadlock-freedom undecided"):
-            is_deadlock_free(net, max_markings=50, engine=engine)
 
     @pytest.mark.parametrize("engine", ["compiled", "legacy"])
     def test_truncated_exploration_keeps_real_deadlocks(self, engine):
@@ -166,4 +162,3 @@ class TestDeadlockAndLiveness:
         deadlocks = find_deadlocks(net, max_markings=50, engine=engine)
         assert deadlocks[:3] == [Marking(), Marking({"q": 1}), Marking({"q": 2})]
         assert all(not net.enabled_transitions(m) for m in deadlocks)
-        assert not is_deadlock_free(net, max_markings=50, engine=engine)

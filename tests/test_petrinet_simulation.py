@@ -13,7 +13,6 @@ from repro.petrinet import (
     find_firing_sequence,
     fire_sequence,
     is_finite_complete_cycle,
-    is_fireable,
     make_adversarial_policy,
     make_random_policy,
     policy_first_enabled,
@@ -29,10 +28,6 @@ class TestSequences:
     def test_fire_sequence_blocks(self, fig2):
         with pytest.raises(NotEnabledError):
             fire_sequence(fig2, ["t2"])
-
-    def test_is_fireable(self, fig2):
-        assert is_fireable(fig2, ["t1", "t1", "t2"])
-        assert not is_fireable(fig2, ["t2"])
 
     def test_finite_complete_cycle_figure2(self, fig2):
         cycle = ["t1"] * 4 + ["t2"] * 2 + ["t3"]

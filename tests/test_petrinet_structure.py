@@ -13,21 +13,12 @@ from repro.gallery import (
 )
 from repro.petrinet import NetBuilder
 from repro.petrinet.structure import (
-    choice_sets,
     classify,
-    clusters,
-    conflicting_transitions,
-    connected_components,
-    equal_conflict_sets,
-    in_equal_conflict,
     is_conflict_free,
-    is_connected,
     is_extended_free_choice,
     is_free_choice,
     is_marked_graph,
     is_ordinary,
-    is_strongly_connected,
-    preset_vector,
 )
 
 
@@ -86,89 +77,3 @@ class TestClassPredicates:
         )
         assert classify(net) == "conflict-free"
 
-
-class TestEqualConflict:
-    def test_successors_of_same_choice_are_in_equal_conflict(self, fig3a):
-        assert in_equal_conflict(fig3a, "t2", "t3")
-        assert not in_equal_conflict(fig3a, "t2", "t4")
-
-    def test_source_transitions_not_in_equal_conflict(self, fig5):
-        assert not in_equal_conflict(fig5, "t1", "t8")
-
-    def test_preset_vector(self, fig4):
-        assert preset_vector(fig4, "t4") == (("p2", 2),)
-        assert preset_vector(fig4, "t1") == ()
-
-    def test_equal_conflict_sets_partition(self, fig5):
-        sets = equal_conflict_sets(fig5)
-        union = set()
-        for group in sets:
-            assert not (union & group)
-            union |= group
-        assert union == set(fig5.transition_names)
-        assert frozenset({"t2", "t3"}) in sets
-
-    def test_conflicting_transitions(self, fig3a):
-        assert conflicting_transitions(fig3a, "t2") == ["t3"]
-        assert conflicting_transitions(fig3a, "t4") == []
-
-    def test_choice_sets(self, fig3a):
-        assert choice_sets(fig3a) == {"p1": ["t2", "t3"]}
-
-
-class TestClustersAndConnectivity:
-    def test_clusters_partition_nodes(self, fig5):
-        parts = clusters(fig5)
-        union = set()
-        for part in parts:
-            assert not (union & part)
-            union |= part
-        assert union == set(fig5.place_names) | set(fig5.transition_names)
-
-    def test_cluster_groups_choice_with_successors(self, fig3a):
-        parts = clusters(fig3a)
-        containing_p1 = next(p for p in parts if "p1" in p)
-        assert {"t2", "t3"} <= containing_p1
-
-    def test_connectivity(self, fig5):
-        assert is_connected(fig5)
-        assert not is_strongly_connected(fig5)
-
-    def test_empty_net_is_connected(self):
-        assert is_connected(NetBuilder("empty").build())
-        assert is_strongly_connected(NetBuilder("empty").build())
-
-    def test_strongly_connected_ring(self):
-        net = (
-            NetBuilder("ring")
-            .transition("a")
-            .transition("b")
-            .place("p_ab", tokens=1)
-            .place("p_ba")
-            .arc("a", "p_ab")
-            .arc("p_ab", "b")
-            .arc("b", "p_ba")
-            .arc("p_ba", "a")
-            .build()
-        )
-        assert is_strongly_connected(net)
-
-    def test_connected_components(self):
-        net = (
-            NetBuilder("two_parts")
-            .source("a")
-            .arc("a", "p1")
-            .arc("p1", "b")
-            .source("c")
-            .arc("c", "p2")
-            .arc("p2", "d")
-            .build()
-        )
-        components = connected_components(net)
-        assert len(components) == 2
-        sizes = sorted(len(p) + len(t) for p, t in components)
-        assert sizes == [3, 3]
-
-    def test_disconnected_net_not_connected(self):
-        net = NetBuilder("d").place("p1").transition("t1").build()
-        assert not is_connected(net)

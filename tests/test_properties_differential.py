@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gallery import gallery_nets
+from repro.gallery import paper_figures
 from repro.petrinet import (
     build_reachability_graph,
     coverability_analysis,
@@ -29,6 +29,12 @@ from repro.petrinet.generators import (
     random_marked_graph,
     unbalanced_choice_net,
 )
+
+
+def gallery_nets():
+    """Every paper figure net, instantiated, as ``(figure id, net)`` pairs."""
+    return [(figure, build()) for figure, build in paper_figures().items()]
+
 
 SEEDS = range(25)
 

@@ -12,16 +12,14 @@ from repro.gallery import (
     figure7_unschedulable,
 )
 from repro.petrinet import NetBuilder, is_conflict_free
-from repro.petrinet.exceptions import NotFreeChoiceError, UnknownNodeError
+from repro.petrinet.exceptions import NotFreeChoiceError
 from repro.qss import (
     TAllocation,
-    assert_conflict_free,
     count_allocations,
     count_distinct_reductions,
     enumerate_allocations,
     enumerate_reductions,
     reduce_net,
-    validate_allocation,
 )
 from repro.qss.reduction import ReductionStep
 
@@ -52,16 +50,6 @@ class TestAllocations:
     def test_non_free_choice_rejected(self):
         with pytest.raises(NotFreeChoiceError):
             list(enumerate_allocations(figure1b_not_free_choice()))
-
-    def test_validate_allocation(self, fig3a):
-        good = TAllocation.from_mapping({"p1": "t2"})
-        validate_allocation(fig3a, good)
-        with pytest.raises(ValueError):
-            validate_allocation(fig3a, TAllocation.from_mapping({"p1": "t4"}))
-        with pytest.raises(ValueError):
-            validate_allocation(fig3a, TAllocation.from_mapping({}))
-        with pytest.raises(UnknownNodeError):
-            validate_allocation(fig3a, TAllocation.from_mapping({"p_zzz": "t2", "p1": "t2"}))
 
     def test_allocation_str(self):
         assert "p1->t2" in str(TAllocation.from_mapping({"p1": "t2"}))
@@ -95,7 +83,6 @@ class TestReductionAlgorithm:
         for net in (fig5, fig3a, fig7):
             for reduction in enumerate_reductions(net):
                 assert is_conflict_free(reduction.net)
-                assert_conflict_free(reduction)
 
     def test_figure7_keeps_source_place(self, fig7):
         """Condition (b).ii of the Reduction Algorithm: the starved place is

@@ -2,8 +2,9 @@
 
 Covers the PR's satellite guarantees:
 
-* ``find_firing_sequence`` survives cycles longer than the interpreter
-  recursion limit (explicit-stack DFS regression);
+* ``find_firing_sequence`` (the oracle's DFS) and the mask pipeline's
+  greedy walk survive cycles longer than the interpreter recursion limit
+  (explicit-stack DFS regression);
 * ``TAllocation.as_dict`` is memoized, not rebuilt per lookup;
 * ``analyse(fail_fast=True)`` stops at the first failing T-reduction and
   ``is_schedulable`` uses it by default;
@@ -52,12 +53,11 @@ from repro.qss import (
 class TestLongCycleRecursionRegression:
     """The DFS used to recurse once per firing; long cycles blew the stack."""
 
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
-    def test_sequence_longer_than_recursion_limit(self, engine):
+    def test_sequence_longer_than_recursion_limit(self):
         firings = sys.getrecursionlimit() + 500
         net = pipeline_net(1, rates=[firings])
         counts = {"t0": 1, "t1": firings}
-        sequence = find_firing_sequence(net, counts, engine=engine)
+        sequence = find_firing_sequence(net, counts)
         assert sequence is not None
         assert len(sequence) == firings + 1
         assert sequence[0] == "t0"
@@ -78,7 +78,7 @@ class TestLongCycleRecursionRegression:
         assert max(len(v.cycle) for v in report.verdicts) > rate
 
     def test_masked_search_longer_than_recursion_limit(self):
-        """The shared DFS also backs the mask pipeline's cycle search."""
+        """The mask pipeline's greedy walk is a loop, not a recursion."""
         firings = sys.getrecursionlimit() + 500
         net = pipeline_net(1, rates=[firings])
         reduction = next(iter_compiled_reductions(net))

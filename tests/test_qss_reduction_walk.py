@@ -1,4 +1,4 @@
-"""The reduction walk of ``iter_compiled_reductions`` against the product walk.
+"""The two walks of the mask pipeline against their brute-force oracles.
 
 ``iter_compiled_reductions`` runs the removal cascade only for
 allocations that no earlier cascade's cube covers, and skips the rest.
@@ -10,27 +10,39 @@ slice and seeded random strict free-choice nets with joins, merges,
 self-loops and arc weights 1–2.  It also pins the cascade count on the
 benchmark nets, and a self-loop net on which a choice at a removed
 choice place still decides the reduction.
+
+``CompiledReduction.find_finite_complete_cycle`` orders a reduction's
+covering counts with one greedy walk over the parent's tables.  On the
+same nets, the suite pins that walk's cycle equal to the legacy DFS's on
+the rebuilt reduced net at every scale the pipeline tries, and the
+premises of the walk's two proofs: every reduction is conflict-free, and
+no live transition touches a removed place.  On the random nets where
+the DFS ran for minutes, ``analyse`` must finish under a hard bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.apps import heating, router
 from repro.apps.atm import build_atm_server_net
 from repro.gallery import figures, paper_figures
-from repro.petrinet import PetriNet
+from repro.petrinet import PetriNet, find_finite_complete_cycle
 from repro.petrinet.corpus import generate_corpus
 from repro.petrinet.generators import (
     independent_choices_net,
     nested_choices_net,
     unschedulable_merge_net,
 )
-from repro.petrinet.structure import is_free_choice
-from repro.qss import analyse, iter_compiled_reductions
+from repro.petrinet.structure import is_conflict_free, is_free_choice
+from repro.qss import MAX_CYCLE_SCALE, analyse, covering_counts, iter_compiled_reductions
 from repro.qss.compiled_reduction import QSSContext
 
 #: The nets of the ``qss_synth`` benchmark, with their distinct
@@ -44,6 +56,19 @@ SYNTH_NETS = {
     "nested_choices_10": (lambda: nested_choices_net(10), 11, 1024),
     "figure7": (figures.figure7_unschedulable, 2, 2),
 }
+
+
+#: Walk-generator seeds on which the legacy DFS takes seconds or more:
+#: where no ordering exists, it visits every reachable search state.
+SLOW_DFS_SEEDS = frozenset({17, 38, 148, 152, 192, 313, 380})
+
+#: The corpus nets and walk-generator seeds the cycle-walk tests run on.
+CORPUS_SLICE = 100
+RANDOM_SEEDS = range(200)
+
+#: The seeds on which ``analyse`` ran the DFS for minutes, with their
+#: distinct T-reductions; none of the nets is schedulable.
+HANG_SEEDS = {152: 66, 192: 36, 380: 28}
 
 
 def growing_self_loop() -> PetriNet:
@@ -232,4 +257,146 @@ class TestFailFast:
         ] == [
             (v.reduction.allocation, v.reduction.signature(), v.schedulable)
             for v in legacy.verdicts
+        ]
+
+
+def assert_conflict_free(reduction) -> None:
+    """Sanity check: a T-reduction must be conflict-free by construction."""
+    net = reduction.net
+    if not is_conflict_free(net):
+        offending = [p for p in net.place_names if len(net.postset(p)) > 1]
+        raise AssertionError(
+            f"T-reduction of {reduction.allocation} is not conflict-free; "
+            f"offending places: {offending}"
+        )
+
+
+def searched_counts(reduction):
+    """The covering counts condition (3) orders for ``reduction``, or
+    ``None`` when condition (1) or (2) fails and nothing is searched."""
+    invariants = reduction.t_invariants()
+    covered = set().union(*invariants)
+    sources = reduction.context.source_transition_names
+    if not covered.issuperset([*reduction.transition_names, *sources]):
+        return None
+    return covering_counts(reduction.transition_names, invariants, sources)
+
+
+def compare_cycles(nets):
+    """Walk against DFS on every search the pipeline makes on ``nets``.
+
+    Returns the ``(net, allocation, scale)`` triples where the two
+    differ, and how many searches found a cycle and how many found none.
+    """
+    mismatches, found, none = [], 0, 0
+    for net in nets:
+        if not is_free_choice(net):
+            continue
+        for reduction in iter_compiled_reductions(net):
+            counts = searched_counts(reduction)
+            if counts is None:
+                continue
+            for scale in range(1, MAX_CYCLE_SCALE + 1):
+                scaled = {t: c * scale for t, c in counts.items()}
+                walk = reduction.find_finite_complete_cycle(scaled, reduction.initial)
+                dfs = find_finite_complete_cycle(reduction.net, scaled)
+                if walk != dfs:
+                    mismatches.append((net.name, str(reduction.allocation), scale))
+                if walk is None:
+                    none += 1
+                else:
+                    found += 1
+    return mismatches, found, none
+
+
+def removed_place_touches(nets):
+    """Every reduction of ``nets`` must be conflict-free; returns the
+    ``(net, live transition, removed places)`` where a live transition
+    has a removed place in its preset or postset."""
+    touches = []
+    for net in nets:
+        if not is_free_choice(net):
+            continue
+        for reduction in iter_compiled_reductions(net):
+            assert_conflict_free(reduction)
+            ctx = reduction.context
+            places = ctx.compiled.places
+            for t_id in reduction.transition_ids:
+                removed = [
+                    places[p]
+                    for p in ctx.t_pre_places[t_id] + ctx.t_post_places[t_id]
+                    if not reduction.place_mask[p]
+                ]
+                if removed:
+                    touches.append((net.name, ctx.compiled.transitions[t_id], removed))
+    return touches
+
+
+def random_nets(seeds):
+    return [random_free_choice_net(seed) for seed in seeds if seed not in SLOW_DFS_SEEDS]
+
+
+class TestCycleWalkEqualsDfs:
+    @pytest.mark.parametrize("name", sorted(SYNTH_NETS))
+    def test_synth_net(self, name):
+        mismatches, _, _ = compare_cycles([SYNTH_NETS[name][0]()])
+        assert mismatches == []
+
+    def test_gallery(self):
+        nets = [build() for build in paper_figures().values()]
+        assert compare_cycles(nets)[0] == []
+
+    def test_corpus_slice(self):
+        nets = [spec.build() for spec in generate_corpus(300, seed=0)[:CORPUS_SLICE]]
+        assert compare_cycles(nets)[0] == []
+
+    def test_random_free_choice_nets(self):
+        mismatches, found, none = compare_cycles(random_nets(RANDOM_SEEDS))
+        assert mismatches == []
+        # both outcomes are exercised: cycles found, and deadlocks
+        assert found and none
+
+
+class TestCycleWalkPremises:
+    @pytest.mark.parametrize("name", sorted(SYNTH_NETS))
+    def test_synth_net(self, name):
+        assert removed_place_touches([SYNTH_NETS[name][0]()]) == []
+
+    def test_gallery(self):
+        nets = [build() for build in paper_figures().values()]
+        assert removed_place_touches(nets) == []
+
+    def test_corpus_slice(self):
+        nets = [spec.build() for spec in generate_corpus(300, seed=0)[:CORPUS_SLICE]]
+        assert removed_place_touches(nets) == []
+
+    def test_random_free_choice_nets(self):
+        assert removed_place_touches(random_nets(RANDOM_SEEDS)) == []
+
+
+class TestNoHang:
+    def test_slow_dfs_seeds_finish_under_a_hard_bound(self):
+        """``analyse`` on the seeds where the DFS ran for minutes, in a
+        child process killed after 30 s, so a hang fails this test
+        instead of holding the suite."""
+        here = Path(__file__).resolve().parent
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "from test_qss_reduction_walk import random_free_choice_net\n"
+            "from repro.qss import analyse\n"
+            "reports = [analyse(random_free_choice_net(int(s))) for s in sys.argv[3:]]\n"
+            "print(json.dumps([[r.schedulable, r.reduction_count] for r in reports]))\n"
+        )
+        command = [
+            sys.executable, "-c", script, str(here.parent / "src"), str(here),
+            *map(str, HANG_SEEDS),
+        ]
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"analyse did not finish within 30 s on seeds {list(HANG_SEEDS)}")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [False, reductions] for reductions in HANG_SEEDS.values()
         ]

@@ -21,7 +21,6 @@ from repro.qss import (
     compute_valid_schedule,
     enumerate_reductions,
     is_schedulable,
-    minimum_task_count,
     partition_tasks,
     reduce_net,
 )
@@ -139,8 +138,7 @@ class TestValidSchedules:
 class TestTaskPartitioning:
     def test_one_task_per_source(self, fig5):
         partition = partition_tasks(compute_valid_schedule(fig5))
-        assert partition.task_count == 2
-        assert minimum_task_count(fig5) == 2
+        assert partition.task_count == len(fig5.source_transitions()) == 2
 
     def test_shared_transition_detected(self, fig5):
         partition = partition_tasks(compute_valid_schedule(fig5))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import synthesize
-from repro.gallery import gallery_nets
+from repro.gallery import paper_figures
 from repro.petrinet import NetBuilder
 from repro.petrinet.corpus import generate_corpus
 from repro.qss import compute_valid_schedule
@@ -37,6 +37,12 @@ from repro.apps.atm import (
     make_fleet_testbench,
     make_testbench,
 )
+
+
+def gallery_nets():
+    """Every paper figure net, instantiated, as ``(figure id, net)`` pairs."""
+    return [(figure, build()) for figure, build in paper_figures().items()]
+
 
 #: Per-event firing budget used when driving arbitrary generated nets:
 #: corpus families include nets that never quiesce (token rings), so the
