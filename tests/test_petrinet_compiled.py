@@ -22,17 +22,22 @@ from repro.petrinet import (
     Simulator,
     build_reachability_graph,
     compile_net,
+    find_finite_complete_cycle,
     find_firing_sequence,
     fire_sequence,
     incidence_matrices,
     make_random_policy,
+    t_invariants,
 )
 from repro.petrinet.exceptions import NotEnabledError, UnknownNodeError
 from repro.petrinet.generators import (
+    multirate_choice_net,
+    nested_choices_net,
+    pipeline_net,
     random_free_choice_net,
     random_marked_graph,
 )
-from repro.qss import analyse
+from repro.qss import analyse, iter_compiled_reductions
 
 GALLERY = sorted(paper_figures())
 #: gallery nets inside the FCPN class (figure1b is deliberately not
@@ -234,9 +239,59 @@ class TestReachabilityEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Constrained simulation (the legacy oracle's search)
+# Constrained simulation equivalence: the legacy oracle's DFS on the
+# PetriNet against the mask pipeline's greedy walk on its T-reduction
 # ----------------------------------------------------------------------
-class TestConstrainedSimulation:
+def only_reduction(net):
+    """The single T-reduction of a conflict-free ``net``."""
+    (reduction,) = iter_compiled_reductions(net)
+    return reduction
+
+
+class TestConstrainedSimulationEquivalence:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"t1": 4, "t2": 2, "t3": 1},
+            {"t1": 8, "t2": 4, "t3": 2},
+        ],
+    )
+    def test_fig2_sequences_identical(self, fig2, counts):
+        legacy = find_firing_sequence(fig2, counts)
+        reduction = only_reduction(fig2)
+        walk = reduction.find_finite_complete_cycle(counts, reduction.initial)
+        assert legacy is not None
+        assert walk == legacy
+
+    def test_impossible_counts_agree(self, fig2):
+        reduction = only_reduction(fig2)
+        assert find_firing_sequence(fig2, {"t2": 1}) is None
+        walk = reduction.find_finite_complete_cycle({"t2": 1}, reduction.initial)
+        assert walk is None
+
+    def test_empty_counts(self, fig2):
+        reduction = only_reduction(fig2)
+        assert find_firing_sequence(fig2, {}) == []
+        assert reduction.find_finite_complete_cycle({}, reduction.initial) == []
+
+    def test_cycles_identical_on_generated_families(self):
+        nets = [
+            pipeline_net(4, rates=[2, 1, 2, 1]),
+            multirate_choice_net(2, 3),
+            nested_choices_net(3),
+        ]
+        compared = 0
+        for net in nets:
+            for reduction in iter_compiled_reductions(net):
+                for invariant in t_invariants(reduction.net):
+                    legacy = find_finite_complete_cycle(reduction.net, invariant)
+                    walk = reduction.find_finite_complete_cycle(
+                        invariant, reduction.initial
+                    )
+                    assert walk == legacy, (net.name, str(reduction.allocation))
+                    compared += 1
+        assert compared
+
     def test_unknown_transition_raises_unknown_node(self, fig2):
         with pytest.raises(UnknownNodeError):
             find_firing_sequence(fig2, {"missing": 1})

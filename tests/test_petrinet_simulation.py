@@ -29,6 +29,12 @@ class TestSequences:
         with pytest.raises(NotEnabledError):
             fire_sequence(fig2, ["t2"])
 
+    def test_is_fireable(self, fig2):
+        # t2 takes two tokens from p1 (the weight-2 arc)
+        assert fire_sequence(fig2, ["t1", "t1", "t2"]) == Marking({"p2": 1})
+        with pytest.raises(NotEnabledError):
+            fire_sequence(fig2, ["t1", "t2"])
+
     def test_finite_complete_cycle_figure2(self, fig2):
         cycle = ["t1"] * 4 + ["t2"] * 2 + ["t3"]
         assert is_finite_complete_cycle(fig2, cycle)

@@ -51,6 +51,23 @@ class TestAllocations:
         with pytest.raises(NotFreeChoiceError):
             list(enumerate_allocations(figure1b_not_free_choice()))
 
+    def test_validate_allocation(self, fig3a, fig5, fig7):
+        # each allocation resolves every choice place, and only those, to
+        # one of its successors, and drops exactly the other successors
+        for net in (fig3a, fig5, fig7):
+            choice_places = net.choice_places()
+            for allocation in enumerate_allocations(net):
+                mapping = allocation.as_dict
+                assert sorted(mapping) == sorted(choice_places)
+                dropped = set()
+                for place, transition in mapping.items():
+                    successors = net.postset_names(place)
+                    assert transition in successors
+                    dropped |= set(successors) - {transition}
+                assert allocation.allocated_transitions(net) == frozenset(
+                    set(net.transition_names) - dropped
+                )
+
     def test_allocation_str(self):
         assert "p1->t2" in str(TAllocation.from_mapping({"p1": "t2"}))
 

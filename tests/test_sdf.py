@@ -107,6 +107,18 @@ class TestBalance:
         graph.add_edge("c", "d", production=3, consumption=1)
         assert repetition_vector(graph) == {"a": 2, "b": 1, "c": 1, "d": 3}
 
+    def test_iteration_token_change_is_zero(self):
+        # one iteration of the repetition vector balances every channel
+        graph = figure2_graph()
+        graph.add_actor("t4")
+        graph.add_edge("t3", "t4", production=3, consumption=2)
+        graph.add_edge("t1", "t4", production=3, consumption=8)
+        q = repetition_vector(graph)
+        assert q == {"t1": 8, "t2": 4, "t3": 2, "t4": 3}
+        for edge in graph.edges:
+            produced = edge.production * q[edge.source]
+            assert produced == edge.consumption * q[edge.target], edge.channel_name
+
 
 class TestScheduling:
     def test_pass_matches_paper_figure2(self):
