@@ -12,8 +12,9 @@ and per-instance cycle vectors, and pin the performance contract:
 development machine; the floor leaves headroom for noisy CI runners).
 
 Run ``python benchmarks/bench_runtime_fleet.py --smoke`` for a fast
-functional pass (equivalence and determinism on a small fleet, no
-timing statistics) — the mode CI uses.
+functional pass (equivalence and determinism on a small fleet, in time
+order and with every event list reversed, no timing statistics) — the
+mode CI uses.
 """
 
 from __future__ import annotations
@@ -109,7 +110,9 @@ def test_fleet_scaling_rows(benchmark):
 
 def _smoke() -> int:
     """Fast functional pass: engine equivalence, columns equal
-    materialised Event lists, and determinism."""
+    materialised Event lists, determinism, and equivalence on streams
+    out of time order (the generated streams are in order, so the
+    batched engine skips its time sort on them; reversed, it sorts)."""
     streams = make_fleet_testbench(64, cells=CONTRACT_CELLS)
     legacy = _fleet("legacy").run(streams)
     compiled = _fleet("compiled").run(streams)
@@ -125,6 +128,11 @@ def _smoke() -> int:
     again = _fleet("compiled").run(make_fleet_testbench(64, cells=CONTRACT_CELLS))
     _assert_results_identical(compiled, again)
     print("smoke determinism: identical results under the fixed fleet seed")
+    backwards = [list(stream)[::-1] for stream in streams]
+    _assert_results_identical(
+        _fleet("legacy").run(backwards), _fleet("compiled").run(backwards)
+    )
+    print("smoke order: engines identical on every event list reversed")
     return 0
 
 

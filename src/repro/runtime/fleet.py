@@ -25,9 +25,10 @@ the full Python event loop per instance; this module steps all of them
   streams as :class:`~repro.runtime.events.EventColumns` (the fleet
   generators, :func:`synthetic_streams` among them, emit them; other
   input is packed once), orders each instance by time with one stable
-  sort and hands the kernel the whole run (``run``), or loops the
-  string-keyed reactive simulator per instance (``engine="legacy"``,
-  the benchmark baseline).
+  sort — skipped when the columns already are in that order — and
+  hands the kernel the whole run (``run``), or loops the string-keyed
+  reactive simulator per instance (``engine="legacy"``, the benchmark
+  baseline).
 
 Events reach the kernel as ids without being interned one by one: the
 columns carry name tables of their distinct source names and raw
@@ -42,19 +43,28 @@ id order fires, exactly as the legacy simulator's insertion-order
 scan).  Marking states and signatures are interned to small integer
 ids, and each distinct ``(state, source, signature)`` key is simulated
 once — its firing counts, cycle charges, activations, queue crossings
-and end state become a *cascade* row.  Serving an event is then one
-table gather plus vectorized delta application, which is what lets a
-single core sustain hundreds of thousands of events per second
+and end state become a *cascade* row.  A dense int32 table
+``cascade_of[state, source ordinal, signature]`` holds each key's
+cascade row (``-1`` until computed; a transition takes the next source
+ordinal the first time an event names it), so a round finds its
+cascades with one gather, and serving an event is that gather plus
+vectorized delta application, which is what lets a single core sustain
+hundreds of thousands of events per second
 (``benchmarks/bench_serve.py`` holds the contract).
 
 One batched method, :meth:`FleetEngine._compute_cascade`, runs events
 to quiescence.  The memo calls it once per round on the round's unseen
 keys; the direct path calls it on every event of the round, from the
 instances' own markings.  That is the path of ``memo=False``, and of
-a kernel whose state or cascade population outgrew
-:data:`MEMO_STATE_LIMIT`: it frees its tables and serves directly for
-the rest of its life, so memory stays bounded.  The results stay
-*identical*: memoized, direct and legacy execution are pinned equal by
+a kernel whose memo outgrew its bound: more than
+:data:`MEMO_STATE_LIMIT` states or cascades, or a table of more than
+``128 * MEMO_STATE_LIMIT`` cells (32 MiB).  Such a kernel frees its
+tables and serves directly for the rest of its life, so memory stays
+bounded.  The cell bound is the trade-off of a dense table: a fleet
+with many states *and* many signatures (a shared
+:class:`SignatureTable` counts every signature it holds) leaves the
+memo sooner than a keyed index would.  The results stay *identical*:
+memoized, direct and legacy execution are pinned equal by
 `tests/test_runtime_compiled_differential.py` and
 `tests/test_service_differential.py`.
 """
@@ -95,6 +105,10 @@ from .reactive import (
 )
 from .rtos import ExecutionStats
 from .stochastic import TimingModel
+
+
+#: The latency-style summary points of a per-instance distribution.
+_SUMMARY_PERCENTILES = (50, 90, 95, 99)
 
 
 @dataclass
@@ -144,7 +158,7 @@ class FleetResult:
         return float(np.percentile(self.instance_cycles, q))
 
     def percentiles(
-        self, qs: Sequence[float] = (50, 90, 95, 99)
+        self, qs: Sequence[float] = _SUMMARY_PERCENTILES
     ) -> Dict[str, float]:
         """The standard latency-style summary of the cycle distribution."""
         return _percentiles(self.instance_cycles, qs)
@@ -164,7 +178,7 @@ class FleetResult:
                 + ", ".join(
                     f"{name}={value:.0f}"
                     for name, value in _percentiles(
-                        self.instance_ticks, (50, 90, 95, 99)
+                        self.instance_ticks, _SUMMARY_PERCENTILES
                     ).items()
                 )
             )
@@ -186,9 +200,10 @@ def _percentiles(values: np.ndarray, qs: Sequence[float]) -> Dict[str, float]:
 
 
 #: The memo's memory bound: once the interned state or cascade population
-#: exceeds it, the kernel frees its tables and serves on the direct path
-#: for good (results are identical, the net is just not
-#: memoization-friendly).
+#: exceeds it, or a growth would take the cascade table past
+#: ``128 * MEMO_STATE_LIMIT`` cells, the kernel frees its tables and
+#: serves on the direct path for good (results are identical, the net is
+#: just not memoization-friendly).
 MEMO_STATE_LIMIT = 65_536
 
 
@@ -201,6 +216,15 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
     )
     grown[: len(array)] = array
     return grown
+
+
+def _time_ordered(instance: np.ndarray, time: np.ndarray) -> bool:
+    """True when every step raises the instance, or keeps it and does
+    not lower the time: ``np.lexsort((time, instance))`` is then the
+    identity.  ``time`` must hold no NaN."""
+    same = instance[1:] == instance[:-1]
+    raised = instance[1:] > instance[:-1]
+    return bool(np.all(raised | (same & (time[1:] >= time[:-1]))))
 
 
 def instance_not_enabled(transition: str, instance: int) -> NotEnabledError:
@@ -451,8 +475,14 @@ class FleetEngine:
     def _init_memo(self) -> None:
         self._state_index: Dict[bytes, int] = {}
         self._state_mark = np.empty((8, len(self.cnet.places)), dtype=np.int64)
-        self._cascade_index: Dict[Tuple[int, int, int], int] = {}
+        # source ordinal per transition id (-1: never an event's source)
+        self._ordinal_of = np.full(len(self.cnet.transitions), -1, dtype=np.int64)
+        self._ordinals = 0
+        # cascade row per (state, source ordinal, signature), -1 until
+        # computed; the axes grow by doubling in _reserve
+        self._cascade_of = np.empty((0, 0, 0), dtype=np.int32)
         self._cascades: Optional[CascadeRows] = None
+        self._cascade_count = 0
 
     def _intern_state(self, marking: np.ndarray) -> int:
         key = marking.tobytes()
@@ -546,10 +576,7 @@ class FleetEngine:
         raises before anything changes."""
         if len(src_ids) == 0:
             return
-        if self._memo_active and (
-            len(self._state_index) > MEMO_STATE_LIMIT
-            or len(self._cascade_index) > MEMO_STATE_LIMIT
-        ):
+        if self._memo_active and not self._reserve(src_ids):
             # past the memory bound: serve directly for good
             live = self._state_of_row[: self._n]
             self._markings[: self._n] = self._state_mark[live]
@@ -581,22 +608,32 @@ class FleetEngine:
         ascending; a batch with one event per row is dispatched as
         given.  This is the paper's run to completion: an instance's
         next event starts only after its previous one quiesced.
+
+        Events are grouped by row with one stable argsort, which is
+        skipped when the rows never decrease: the stable sort of such
+        rows is the identity.
         """
         if len(rows) == 0:
             return
         # stable sort by row (rows are never negative): each row's events
-        # keep their order and form one contiguous run of ``order``,
-        # [starts[g], starts[g] + counts[g])
-        order = np.argsort(rows, kind="stable")
-        starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+        # keep their order and form one contiguous run of the sorted
+        # columns, [starts[g], starts[g] + counts[g])
+        descends = (rows[1:] < rows[:-1]).any()
+        order = np.argsort(rows, kind="stable") if descends else None
+        ranked = rows if order is None else rows[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
         counts = np.diff(starts, append=len(rows))
         rounds = int(counts.max())
         if rounds == 1:
             self.dispatch_ids(rows, src_ids, sig_ids)
             return
+        if order is not None:
+            src_ids, sig_ids = src_ids[order], sig_ids[order]
         for k in range(rounds):
-            selected = order[starts[counts > k] + k]
-            self.dispatch_ids(rows[selected], src_ids[selected], sig_ids[selected])
+            selected = starts[counts > k] + k
+            self.dispatch_ids(
+                ranked[selected], src_ids[selected], sig_ids[selected]
+            )
 
     def prepare_events(
         self, events: EventColumns
@@ -605,40 +642,72 @@ class FleetEngine:
         for row (:meth:`SignatureTable.gather`)."""
         return self.signatures.gather(events)
 
+    def _reserve(self, src_ids: np.ndarray) -> bool:
+        """Grow the cascade table to cover one round; ``False`` when the
+        memo is past its bound and must go.
+
+        The round's new sources take the next source ordinals.  Each
+        axis that is too short grows by doubling (at least to what it
+        needs): states as :meth:`_intern_state` interns them, sources as
+        events name them, signatures to ``signatures.count`` — all of a
+        shared table's signatures, not only those of this engine's
+        events.  The memo is past its bound when it holds more than
+        :data:`MEMO_STATE_LIMIT` states or cascades, or when a growth
+        would take the table past ``128 * MEMO_STATE_LIMIT`` int32
+        cells (32 MiB).
+        """
+        if max(len(self._state_index), self._cascade_count) > MEMO_STATE_LIMIT:
+            return False
+        fresh = src_ids[self._ordinal_of[src_ids] < 0]
+        if fresh.size:
+            fresh = np.unique(fresh)
+            self._ordinal_of[fresh] = np.arange(
+                self._ordinals, self._ordinals + len(fresh)
+            )
+            self._ordinals += len(fresh)
+        table = self._cascade_of
+        needed = (len(self._state_index), self._ordinals, self.signatures.count)
+        shape = tuple(
+            size if need <= size else max(need, 2 * size)
+            for need, size in zip(needed, table.shape)
+        )
+        if shape == table.shape:
+            return True
+        if shape[0] * shape[1] * shape[2] > 128 * MEMO_STATE_LIMIT:
+            return False
+        self._cascade_of = np.full(shape, -1, dtype=np.int32)
+        self._cascade_of[tuple(map(slice, table.shape))] = table
+        return True
+
     def _memo_cascades(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
     ) -> np.ndarray:
         """The memo's cascade id for every event of one round.
 
-        The round's unseen ``(state, source, signature)`` keys run
-        through one :meth:`_compute_cascade` call and are stored.
+        One gather from the cascade table (grown by :meth:`_reserve`)
+        finds every computed cascade.  Only the events whose cell still
+        reads ``-1`` are de-duplicated by cell, and the distinct keys
+        run through one :meth:`_compute_cascade` call and are stored.
         """
-        # pack (state, src, sig) into one sortable key; spans are
-        # per-round local, the cascade index itself is keyed by tuples
-        span_sig = self.signatures.count
-        span_src = len(self.cnet.transitions)
-        state_ids = self._state_of_row[rows]
-        packed = (state_ids * span_src + src_ids) * span_sig + sig_ids
-        unique_keys, inverse = np.unique(packed, return_inverse=True)
-        rest, sigs = np.divmod(unique_keys, span_sig)
-        states, srcs = np.divmod(rest, span_src)
-        keys = list(zip(states.tolist(), srcs.tolist(), sigs.tolist()))
-        lookup = self._cascade_index.get
-        ids = np.array([lookup(key, -1) for key in keys], dtype=np.int64)
+        _, span_src, span_sig = self._cascade_of.shape
+        states = self._state_of_row[rows]
+        cells = (states * span_src + self._ordinal_of[src_ids]) * span_sig + sig_ids
+        flat = self._cascade_of.reshape(-1)
+        ids = flat[cells]
         miss = np.flatnonzero(ids < 0)
         if miss.size:
+            # one event stands for each missing cell
+            _, first = np.unique(cells[miss], return_index=True)
+            first = miss[first]
             fresh = self._compute_cascade(
-                self._state_mark[states[miss]], srcs[miss], sigs[miss]
+                self._state_mark[states[first]], src_ids[first], sig_ids[first]
             )
-            ids[miss] = self._store_cascades(
-                [keys[k] for k in miss.tolist()], fresh
-            )
-        return ids[inverse]
+            flat[cells[first]] = self._store_cascades(fresh)
+            ids[miss] = flat[cells[miss]]
+        return ids
 
-    def _store_cascades(
-        self, keys: List[Tuple[int, int, int]], fresh: CascadeRows
-    ) -> np.ndarray:
-        """Append ``fresh`` to the memo under ``keys``; returns their ids.
+    def _store_cascades(self, fresh: CascadeRows) -> np.ndarray:
+        """Append ``fresh`` to the memo; returns the new rows' ids.
 
         The end markings are stored as interned state ids (bad and
         stopped rows end where they are, so they intern too).
@@ -647,8 +716,8 @@ class FleetEngine:
             [self._intern_state(marking) for marking in fresh.end],
             dtype=np.int64,
         )
-        start = len(self._cascade_index)
-        stop = start + len(keys)
+        start = self._cascade_count
+        stop = start + len(fresh.end)
         if self._cascades is None:
             self._cascades = fresh
         else:
@@ -656,7 +725,7 @@ class FleetEngine:
                 column = _grown(getattr(self._cascades, field.name), stop)
                 column[start:stop] = getattr(fresh, field.name)
                 setattr(self._cascades, field.name, column)
-        self._cascade_index.update(zip(keys, range(start, stop)))
+        self._cascade_count = stop
         return np.arange(start, stop)
 
     def _compute_cascade(
@@ -746,7 +815,9 @@ class FleetEngine:
         if self._timed:
             self._ticks[rows] += table.ticks[ids]
         self._events[rows] += 1
-        used, counts = np.unique(ids, return_counts=True)
+        counts = np.bincount(ids)
+        used = np.flatnonzero(counts)
+        counts = counts[used]
         self._fire_counts += table.fired[used].T @ counts
         self._activation_counts += table.act[used].T @ counts
         self._budget_stops += int(table.stopped[used] @ counts)
@@ -754,22 +825,38 @@ class FleetEngine:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
+    @property
+    def budget_stops(self) -> int:
+        """Events whose cascade spent the firing budget so far."""
+        return self._budget_stops
+
+    def cycle_totals(self) -> Tuple[int, int, int]:
+        """The fleet's activation, body and queue cycles so far; their
+        sum is its total cycles.
+
+        They are pure functions of the counts, so nothing accumulates
+        them separately: every activation after an event's first is one
+        queue round trip.
+        """
+        activations = int(self._activation_counts.sum())
+        return (
+            activations * self.cost.activation_cycles,
+            int(self._fire_counts @ self._fire_cycles),
+            (activations - self.events_total) * (2 * self.cost.queue_op_cycles),
+        )
+
+    def cycle_percentiles(self) -> Dict[str, float]:
+        """:meth:`FleetResult.percentiles` of the live instances, read
+        without building a :class:`FleetResult`."""
+        return _percentiles(self._cycles[: self._n], _SUMMARY_PERCENTILES)
+
     def aggregate_stats(self) -> ExecutionStats:
         """The aggregate :class:`ExecutionStats` accumulated so far."""
         stats = ExecutionStats()
-        stats.events_processed = int(self._events[: self._n].sum())
-        # the cycle totals are pure functions of the counts, so the
-        # aggregate needs no separate accumulators: every activation
-        # after an event's first is one queue round trip
-        activations = int(self._activation_counts.sum())
-        stats.activation_cycles = activations * self.cost.activation_cycles
-        stats.body_cycles = int(self._fire_counts @ self._fire_cycles)
-        stats.queue_cycles = (activations - stats.events_processed) * (
-            2 * self.cost.queue_op_cycles
-        )
-        stats.total_cycles = (
-            stats.activation_cycles + stats.body_cycles + stats.queue_cycles
-        )
+        stats.events_processed = self.events_total
+        parts = self.cycle_totals()
+        stats.activation_cycles, stats.body_cycles, stats.queue_cycles = parts
+        stats.total_cycles = sum(parts)
         stats.budget_stops = self._budget_stops
         if self._timed:
             stats.delay_ticks = int(self._fire_counts @ self._tick_vector)
@@ -940,19 +1027,27 @@ class FleetSimulator:
     # Compiled engine: drive the kernel round by round
     # ------------------------------------------------------------------
     def _run_batched(self, columns: EventColumns, count: int) -> FleetResult:
+        """Serve the columns on the kernel, each instance in time order.
+
+        One stable sort orders each instance's events by time (ties keep
+        their stream order).  It is skipped when the columns already are
+        in that order — every step raises the instance, or keeps it and
+        does not lower the time (NaN was refused before) — because the
+        sort of such columns is the identity.  Generated streams are
+        grouped by instance and time-ordered by construction.
+        """
         kernel = self.kernel
         kernel.reset(count)
         if not len(columns):
             return kernel.result(engine=self.engine)
         src_ids, sig_ids = kernel.prepare_events(columns)
-        # one stable sort orders each instance's events by time (ties
-        # keep their stream order); only the ordered columns stay alive
-        # while the kernel serves them in rounds
-        order = np.lexsort((columns.time, columns.instance))
-        rows = columns.instance[order]
-        src_ids = src_ids[order]
-        sig_ids = sig_ids[order]
-        del order
+        rows = columns.instance
+        if not _time_ordered(rows, columns.time):
+            # only the ordered columns stay alive while the kernel
+            # serves them in rounds
+            order = np.lexsort((columns.time, rows))
+            rows, src_ids, sig_ids = rows[order], src_ids[order], sig_ids[order]
+            del order
         kernel.dispatch_rounds(rows, src_ids, sig_ids)
         return kernel.result(engine=self.engine)
 

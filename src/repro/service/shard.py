@@ -220,20 +220,25 @@ class ShardCore:
     # Introspection and results
     # ------------------------------------------------------------------
     def stats(self, queue_depth: int = 0) -> SnapshotReply:
-        """The snapshot reply: ``queue_depth`` inbox items wait behind it."""
-        result = self.engine.result()
+        """The snapshot reply: ``queue_depth`` inbox items wait behind it.
+
+        It reads the engine's counters, so no :class:`FleetResult` (with
+        its per-transition and per-module dicts and per-instance copies)
+        is built per snapshot.
+        """
+        engine = self.engine
         elapsed = time.monotonic() - self._started
         return SnapshotReply(
             request_id=0,
-            instances=self.engine.instances,
-            events=result.stats.events_processed,
-            cycles=result.stats.total_cycles,
-            budget_stops=result.stats.budget_stops,
+            instances=engine.instances,
+            events=engine.events_total,
+            cycles=sum(engine.cycle_totals()),
+            budget_stops=engine.budget_stops,
             queue_depth=queue_depth,
             throughput_eps=(
                 self.events_served / elapsed if elapsed > 0 else 0.0
             ),
-            percentiles=result.percentiles(),
+            percentiles=engine.cycle_percentiles(),
         )
 
     def result(self) -> Tuple[List[int], FleetResult]:

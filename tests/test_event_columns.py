@@ -96,7 +96,7 @@ def assert_identical(expected, actual):
 
 
 def run_all_ways(net, assignment, streams, timing=None):
-    """The columns run and the three runs it must equal."""
+    """The columns run and the four runs it must equal."""
     options = dict(timing=timing)
     columns = FleetSimulator(net, assignment, **options).run(streams)
     lists = FleetSimulator(net, assignment, **options).run(
@@ -106,7 +106,12 @@ def run_all_ways(net, assignment, streams, timing=None):
     direct.kernel = FleetEngine(net, assignment, memo=False, **options)
     direct_result = direct.run(streams)
     legacy = FleetSimulator(net, assignment, engine="legacy", **options).run(streams)
-    return columns, (lists, direct_result, legacy)
+    # the service's order: every instance's events interleaved by time,
+    # grouped by the kernel's own round split
+    arrival = inject_columns(events_to_injects(streams))
+    kernel = FleetEngine(net, assignment, instances=len(streams), **options)
+    kernel.dispatch_rounds(arrival.instance, *kernel.prepare_events(arrival))
+    return columns, (lists, direct_result, legacy, kernel.result())
 
 
 def drain_net():
@@ -244,6 +249,39 @@ class TestHandBuiltStreams:
         ]
         listed = FleetSimulator(net, assignment).run(as_listed)
         assert asdict(listed.stats) != asdict(columns.stats)
+
+        # the time sort is skipped only for columns already in (instance,
+        # time) order: streams in time order but for one inversion, in
+        # instance 3's last two events, are still sorted; a fleet whose
+        # time falls at every instance boundary is in order
+        in_order = [
+            [Event(time=float(k), source=e.source) for k, e in enumerate(stream)]
+            for stream in lists
+        ]
+        inverted = [list(stream) for stream in in_order]
+        inverted[3][-2:] = [
+            Event(time=9.0, source="t_a"),
+            Event(time=8.0, source="t_b"),
+        ]
+        falling = [
+            [Event(time=100.0 - 10 * i + e.time, source=e.source) for e in stream]
+            for i, stream in enumerate(in_order)
+        ]
+        for built in (inverted, falling):
+            for form in (built, as_streams(built)):
+                columns, others = run_all_ways(net, assignment, form)
+                for other in others:
+                    assert_identical(columns, other)
+        # the inversion matters: serving those two events as listed
+        # gives instance 3 other cycles
+        as_listed = [list(stream) for stream in in_order]
+        as_listed[3][-2:] = [
+            Event(time=8.0, source="t_a"),
+            Event(time=9.0, source="t_b"),
+        ]
+        served = FleetSimulator(net, assignment).run(inverted)
+        listed = FleetSimulator(net, assignment).run(as_listed)
+        assert served.instance_cycles[3] != listed.instance_cycles[3]
 
     def test_ties_keep_the_input_order(self):
         net = drain_net()

@@ -38,6 +38,7 @@ from repro.runtime import (
     FleetEngine,
     FleetSimulator,
     ModuleAssignment,
+    SignatureTable,
     synthetic_streams,
 )
 from repro.service import (
@@ -409,6 +410,91 @@ class TestKernelPaths:
         actual = constrained.run(streams)
         assert_results_identical(expected, actual)
         assert not constrained.kernel._memo_active
+
+    def test_cell_bound_drops_the_memo_under_the_state_limit(self, monkeypatch):
+        import repro.runtime.fleet as fleet_mod
+
+        net, assignment, streams = atm_case()
+        expected = FleetSimulator(net, assignment).run(streams)
+        # 128 * 200 cells: the ATM table fits until a shared signature
+        # table holds far more signatures than the fleet's events use
+        monkeypatch.setattr(fleet_mod, "MEMO_STATE_LIMIT", 200)
+        simulator = FleetSimulator(net, assignment)
+        shared = SignatureTable(simulator.cnet)
+        kernel = simulator.kernel = FleetEngine(
+            simulator.cnet, assignment, signatures=shared
+        )
+        assert_results_identical(expected, simulator.run(streams))
+        assert kernel._memo_active
+        assert max(len(kernel._state_index), kernel._cascade_count) < 200
+        for k in range(20_000):
+            shared.intern((("p_elsewhere", f"t_{k}"),))
+        assert_results_identical(expected, simulator.run(streams))
+        assert not kernel._memo_active
+
+    def test_signatures_packed_between_batches_grow_the_table(self):
+        net, assignment, streams = atm_case()
+        expected = FleetSimulator(net, assignment).run(streams)
+        injects = events_to_injects(streams)
+        packer = FleetSupervisor(net, assignment)
+        engine = FleetEngine(
+            packer.compiled, assignment, signatures=packer.signatures
+        )
+        core = ShardCore(engine)
+        counts, widths = [], []
+        for lo in range(0, len(injects), 40):
+            # each batch carries name tables of its own events only, so
+            # pack interns signatures batch by batch
+            batch = inject_columns(list(injects[lo : lo + 40]))
+            core.serve_packed(packer.pack(batch))
+            counts.append(packer.signatures.count)
+            widths.append(engine._cascade_of.shape[2])
+        # the table's signature axis grew in the middle of the run to
+        # cover what pack interned
+        assert counts[0] < counts[-1] <= widths[-1]
+        assert widths[0] < widths[-1]
+        keys, result = core.result()
+        by_key = np.argsort(keys)
+        assert asdict(result.stats) == asdict(expected.stats)
+        assert np.array_equal(
+            result.instance_cycles[by_key], expected.instance_cycles
+        )
+        assert engine._memo_active
+
+    def test_not_enabled_after_both_sources_are_in_the_table(self):
+        net, assignment, generated = atm_case()
+        streams = [list(stream) for stream in generated]
+        streams[3][-1] = Event(time=streams[3][-1].time, source="t_parse_header")
+        errors = []
+        for memo in (True, False):
+            simulator = FleetSimulator(net, assignment)
+            simulator.kernel = FleetEngine(net, assignment, memo=memo)
+            simulator.run(generated)
+            # the memo's table already holds both ATM sources
+            assert simulator.kernel._ordinals == (2 if memo else 0)
+            with pytest.raises(NotEnabledError) as caught:
+                simulator.run(streams)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == (
+            "transition 't_parse_header' is not enabled in instance 3"
+        )
+
+    def test_warm_rerun_after_reset_computes_no_cascade(self):
+        net, assignment, streams = atm_case()
+        simulator = FleetSimulator(net, assignment)
+        first = simulator.run(streams)
+        kernel = simulator.kernel
+        compute = kernel._compute_cascade
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return compute(*args)
+
+        kernel._compute_cascade = counted
+        # run() starts with reset(), which keeps the memo
+        assert_results_identical(first, simulator.run(streams))
+        assert calls == []
 
     def test_warm_kernel_rerun_is_identical(self):
         net, assignment, streams = atm_case()

@@ -389,6 +389,89 @@ class TestShardRegistry:
         assert engine.instances == 3
 
 
+def reply_from_result(engine, queue_depth):
+    """The snapshot reply as built from a whole ``FleetResult``, with
+    the wall-clock throughput left out."""
+    result = engine.result()
+    return SnapshotReply(
+        request_id=0,
+        instances=engine.instances,
+        events=result.stats.events_processed,
+        cycles=result.stats.total_cycles,
+        budget_stops=result.stats.budget_stops,
+        queue_depth=queue_depth,
+        throughput_eps=0.0,
+        percentiles=result.percentiles(),
+    )
+
+
+#: Fleet -> (net, assignment, streams, engine options).
+SNAPSHOT_FLEETS = {
+    "atm": lambda: (ATM, ASSIGNMENT, make_fleet_testbench(12, cells=4, seed=5), {}),
+    "router": lambda: (
+        router.build_router_net(),
+        ModuleAssignment.from_groups(router.MODULE_PARTITION),
+        router.make_fleet_testbench(12, 6, seed=5),
+        {},
+    ),
+    "heating": lambda: (
+        heating.build_heating_net(),
+        ModuleAssignment.from_groups(heating.MODULE_PARTITION),
+        heating.make_fleet_testbench(12, 6, seed=5),
+        {},
+    ),
+    "atm_budget_stops": lambda: (
+        ATM,
+        ASSIGNMENT,
+        make_fleet_testbench(8, cells=4, seed=5),
+        dict(max_firings_per_event=8, on_budget="stop"),
+    ),
+}
+
+
+class TestSnapshotCounters:
+    """``ShardCore.stats`` reads the engine's counters instead of
+    building a ``FleetResult``; its reply is the one the result gives."""
+
+    @pytest.mark.parametrize("fleet", sorted(SNAPSHOT_FLEETS))
+    def test_counters_equal_the_result(self, fleet):
+        net, assignment, streams, options = SNAPSHOT_FLEETS[fleet]()
+        supervisor = FleetSupervisor(net, assignment)
+        engine = FleetEngine(
+            supervisor.compiled,
+            assignment,
+            signatures=supervisor.signatures,
+            **options,
+        )
+        core = ShardCore(engine)
+
+        def check(queue_depth):
+            reply = dataclasses.replace(core.stats(queue_depth), throughput_eps=0.0)
+            expected = reply_from_result(engine, queue_depth)
+            assert reply == expected
+            assert encode_message(reply) == encode_message(expected)
+
+        check(0)
+        injects = events_to_injects(streams)
+        half = len(injects) // 2
+        for lo in range(0, half, 17):
+            batch = inject_columns(injects[lo : min(lo + 17, half)])
+            core.serve_packed(supervisor.pack(batch))
+            check(lo % 3)
+        replies = []
+        core.drain(
+            [(Reload(reset_stats=False), "reload")],
+            lambda token, reply: replies.append(reply),
+        )
+        assert replies == [Ack()]
+        check(0)
+        core.serve_packed(supervisor.pack(inject_columns(injects[half:])))
+        check(1)
+        assert engine.events_total == len(injects)
+        if options:
+            assert engine.budget_stops > 0
+
+
 def barrier_case():
     """A supervisor plus its packed A (the first 6 injects) and B (the
     other 12) of a 4-instance ATM fleet, and a bare engine sharing the
