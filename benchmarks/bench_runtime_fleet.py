@@ -12,9 +12,11 @@ and per-instance cycle vectors, and pin the performance contract:
 development machine; the floor leaves headroom for noisy CI runners).
 
 Run ``python benchmarks/bench_runtime_fleet.py --smoke`` for a fast
-functional pass (equivalence and determinism on a small fleet, in time
-order and with every event list reversed, no timing statistics) — the
-mode CI uses.
+functional pass (equivalence and determinism on a small ATM fleet, in
+time order and with every event list reversed, and on a weighted merge
+fleet, whose cold cascades the memo, the direct path and the legacy
+engine must agree on, also under a firing budget; no timing
+statistics) — the mode CI uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 import pytest
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
-from repro.runtime import FleetSimulator, ModuleAssignment
+from repro.petrinet.generators import unbalanced_choice_net
+from repro.runtime import FleetEngine, FleetSimulator, ModuleAssignment, synthetic_streams
 
 #: The contract fleet: >= 1000 instances of the 49-transition ATM server.
 CONTRACT_INSTANCES = 1_000
@@ -108,6 +111,28 @@ def test_fleet_scaling_rows(benchmark):
     benchmark.extra_info["p95_cycles"] = result.percentile(95)
 
 
+def _merge_smoke(label: str = "", **options) -> int:
+    """The weighted merge fleet (Figure 3b generalized: thousands of
+    memo states) on the memo, the direct path and the legacy engine;
+    returns the budget stops of the identical results."""
+    net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
+    assignment = ModuleAssignment.single_task(net)
+    streams = synthetic_streams(net, 64, 20, seed=7)
+    compiled = FleetSimulator(net, assignment, **options).run(streams)
+    direct = FleetSimulator(net, assignment, **options)
+    direct.kernel = FleetEngine(net, assignment, memo=False, **options)
+    legacy = FleetSimulator(net, assignment, engine="legacy", **options)
+    for other in (direct.run(streams), legacy.run(streams)):
+        _assert_results_identical(other, compiled)
+    print(
+        f"smoke merge fleet 64x20{label}: memo, direct and legacy "
+        f"identical ({compiled.stats.events_processed} events, "
+        f"{compiled.stats.total_cycles} cycles, "
+        f"{compiled.stats.budget_stops} budget stops)"
+    )
+    return compiled.stats.budget_stops
+
+
 def _smoke() -> int:
     """Fast functional pass: engine equivalence, columns equal
     materialised Event lists, determinism, and equivalence on streams
@@ -133,6 +158,9 @@ def _smoke() -> int:
         _fleet("legacy").run(backwards), _fleet("compiled").run(backwards)
     )
     print("smoke order: engines identical on every event list reversed")
+    _merge_smoke()
+    budget = dict(max_firings_per_event=2, on_budget="stop")
+    assert _merge_smoke(", budget 2", **budget) > 0
     return 0
 
 

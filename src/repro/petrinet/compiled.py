@@ -13,7 +13,9 @@ runtimes:
   order of the source net, so results are reproducible across engines);
 * presets/postsets are plain Python tuples of ``(place_id, weight)``
   pairs for the scalar token-game loops, where numpy call overhead
-  would dominate;
+  would dominate; :meth:`CompiledNet.enabled_mask` checks them for a
+  whole matrix of markings at once (the frontier explorer's levels,
+  the fleet kernel's cascades);
 * ``pre``/``post``/``incidence`` are dense numpy matrices (rows are
   transitions, columns are places — the convention of
   :mod:`repro.petrinet.incidence`);
@@ -302,6 +304,48 @@ class CompiledNet:
     def enabled_transitions(self, marking: Sequence[int]) -> List[int]:
         """Ids of all enabled transitions, in id (= insertion) order."""
         return self._enabled_checker(marking)
+
+    @cached_property
+    def _preset_groups(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``(transition ids, preset place ids, weights)`` per preset width.
+
+        Transitions whose presets have ``w > 1`` places form one group
+        with ``(G,)`` ids and ``(G, w)`` place and weight tables; the
+        width-1 group keeps ``(G,)`` tables, whose check needs no
+        reduction.  Source transitions (empty presets) belong to none.
+        """
+        widths: Dict[int, List[int]] = {}
+        for t_id, pairs in enumerate(self.pre_lists):
+            if pairs:
+                widths.setdefault(len(pairs), []).append(t_id)
+        groups = []
+        for width, t_ids in sorted(widths.items()):
+            places = np.array(
+                [[p for p, _ in self.pre_lists[t]] for t in t_ids], dtype=np.int64
+            )
+            weights = np.array(
+                [[w for _, w in self.pre_lists[t]] for t in t_ids], dtype=np.int64
+            )
+            if width == 1:
+                places, weights = places[:, 0], weights[:, 0]
+            groups.append((np.array(t_ids, dtype=np.int64), places, weights))
+        return tuple(groups)
+
+    def enabled_mask(self, markings: np.ndarray) -> np.ndarray:
+        """Vectorized enabledness of every transition in every marking.
+
+        ``markings`` is an ``(N, P)`` int64 matrix; returns the boolean
+        ``(N, T)`` matrix whose entry ``[n, t]`` is true when transition
+        id ``t`` is enabled in ``markings[n]``.  All presets of one width
+        are checked with one gather ``markings[:, places]``, which costs
+        the arcs of the presets rather than the dense ``(N, T, P)``
+        comparison with :attr:`pre`.
+        """
+        out = np.ones((markings.shape[0], len(self.transitions)), dtype=bool)
+        for t_ids, places, weights in self._preset_groups:
+            covered = markings[:, places] >= weights
+            out[:, t_ids] = covered if places.ndim == 1 else covered.all(axis=2)
+        return out
 
     def fire(self, transition: int, marking: MarkingTuple) -> MarkingTuple:
         """Fire transition id ``transition``, returning the new marking.

@@ -8,8 +8,9 @@ search does not pop one marking at a time off a queue: each BFS level
 exploration is a whole-frontier numpy operation —
 
 * enabledness of all transitions over the whole frontier in one pass
-  (per-transition CSR column checks, cheaper than the dense
-  ``(N, T, P)`` broadcast for the sparse presets of real nets);
+  (:meth:`CompiledNet.enabled_mask`, which the fleet kernel's cascades
+  share: one gather checks every preset of one width, cheaper than the
+  dense ``(N, T, P)`` broadcast for the sparse presets of real nets);
 * all successors of the whole frontier materialized in one vectorized
   ``frontier[src] + incidence[transition]`` step over the enabled
   ``(src, transition)`` pairs (row-major, i.e. exactly the visit order
@@ -65,7 +66,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -149,52 +150,16 @@ class FrontierExploration:
 # Per-net tables (cached per CompiledNet instance)
 # ----------------------------------------------------------------------
 class _FrontierTables:
-    """Net-constant arrays shared by every exploration of one net.
+    """Net-constant hash arrays shared by every exploration of one net.
 
-    * ``enabled(frontier)`` — the batched enabledness function: one
-      boolean ``(N, T)`` matrix from per-transition CSR column checks.
     * ``mix1``/``mix2`` — the two independent hash weight vectors.
     * ``inc_h1``/``inc_h2`` — per-transition hash deltas
       ``incidence @ mix`` (the linearity shortcut).
     """
 
-    __slots__ = ("enabled", "mix1", "mix2", "inc_h1", "inc_h2")
+    __slots__ = ("mix1", "mix2", "inc_h1", "inc_h2")
 
     def __init__(self, compiled: CompiledNet) -> None:
-        n_transitions = len(compiled.pre_lists)
-        # transitions with exactly one preset place are checked for the
-        # whole frontier in ONE comparison (they dominate real nets);
-        # wider presets fall back to a per-transition column check
-        single_t: List[int] = []
-        single_p: List[int] = []
-        single_w: List[int] = []
-        multi: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for t, pairs in enumerate(compiled.pre_lists):
-            if len(pairs) == 1:
-                single_t.append(t)
-                single_p.append(pairs[0][0])
-                single_w.append(pairs[0][1])
-            elif pairs:
-                multi.append(
-                    (
-                        t,
-                        np.array([p for p, _ in pairs], dtype=np.int64),
-                        np.array([w for _, w in pairs], dtype=np.int64),
-                    )
-                )
-        single_t_arr = np.array(single_t, dtype=np.int64)
-        single_p_arr = np.array(single_p, dtype=np.int64)
-        single_w_arr = np.array(single_w, dtype=np.int64)
-
-        def enabled(frontier: np.ndarray) -> np.ndarray:
-            out = np.ones((frontier.shape[0], n_transitions), dtype=bool)
-            if single_t_arr.size:
-                out[:, single_t_arr] = frontier[:, single_p_arr] >= single_w_arr
-            for t, ids, weights in multi:
-                out[:, t] = (frontier[:, ids] >= weights).all(axis=1)
-            return out
-
-        self.enabled: Callable[[np.ndarray], np.ndarray] = enabled
         rng = np.random.Generator(np.random.PCG64(_MIX_SEED))
         n_places = len(compiled.places)
         # odd weights: an odd multiplier is invertible mod 2^64, which
@@ -362,7 +327,7 @@ def _explore_hashed(
     tables = _tables_for(compiled)
     mix1, inc_h1 = tables.mix1, tables.inc_h1
     mix2, inc_h2 = tables.mix2, tables.inc_h2
-    enabled_fn = tables.enabled
+    enabled_fn = compiled.enabled_mask
 
     start_vector = _marking_vector(compiled, start, "start")
     target_vector = (

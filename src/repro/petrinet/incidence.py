@@ -12,11 +12,10 @@ fixed, documented row/column ordering so that vectors computed elsewhere
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .marking import Marking
 from .net import PetriNet
 
 
@@ -56,27 +55,12 @@ class IncidenceMatrices:
     def place_index(self) -> Dict[str, int]:
         return {p: i for i, p in enumerate(self.places)}
 
-    def firing_vector(self, counts: Mapping[str, int]) -> np.ndarray:
-        """Convert a ``{transition: count}`` mapping to a row vector."""
-        vector = np.zeros(len(self.transitions), dtype=np.int64)
-        index = self.transition_index
-        for transition, count in counts.items():
-            vector[index[transition]] = count
-        return vector
-
     def counts_from_vector(self, vector: Sequence[int]) -> Dict[str, int]:
         """Convert a row vector back to a ``{transition: count}`` mapping,
         dropping zero entries."""
         return {
             t: int(vector[i]) for i, t in enumerate(self.transitions) if vector[i]
         }
-
-    def marking_vector(self, marking: Marking) -> np.ndarray:
-        """Convert a marking to a column vector aligned with ``places``."""
-        return np.array([marking[p] for p in self.places], dtype=np.int64)
-
-    def marking_from_vector(self, vector: Sequence[int]) -> Marking:
-        return Marking({p: int(vector[i]) for i, p in enumerate(self.places)})
 
 
 def incidence_matrices(net: PetriNet) -> IncidenceMatrices:

@@ -32,8 +32,9 @@ the full Python event loop per instance; this module steps all of them
 
 Events reach the kernel as ids without being interned one by one: the
 columns carry name tables of their distinct source names and raw
-choice tuples, :meth:`SignatureTable.gather` maps each table entry to a
-kernel id once, and each id column is one gather.
+choice tuples, :meth:`SignatureTable.gather` maps each source entry,
+and each choice entry that a row carries, to a kernel id once, and
+each id column is one gather.
 
 The kernel accelerates the event loop with **memoized cascades**: the
 run-to-quiescence processing of an event is fully deterministic given
@@ -53,12 +54,16 @@ hundreds of thousands of events per second
 (``benchmarks/bench_serve.py`` holds the contract).
 
 One batched method, :meth:`FleetEngine._compute_cascade`, runs events
-to quiescence.  The memo calls it once per round on the round's unseen
-keys; the direct path calls it on every event of the round, from the
-instances' own markings.  That is the path of ``memo=False``, and of
-a kernel whose memo outgrew its bound: more than
-:data:`MEMO_STATE_LIMIT` states or cascades, or a table of more than
-``128 * MEMO_STATE_LIMIT`` cells (32 MiB).  Such a kernel frees its
+to quiescence, on compact arrays of the rows still active, with the
+enabledness check of :meth:`CompiledNet.enabled_mask`.  The memo calls
+it once per round on the round's unseen keys and interns their end
+markings in one pass; it counts each cascade row's uses and folds them
+into the aggregate counts only when those are read.  The direct path
+calls it on every event of the round, from the instances' own
+markings, and adds the round's column sums.  That is the path of
+``memo=False``, and of a kernel whose memo outgrew its bound: more
+than :data:`MEMO_STATE_LIMIT` states or cascades, or a table of more
+than ``128 * MEMO_STATE_LIMIT`` cells (32 MiB).  Such a kernel frees its
 tables and serves directly for the rest of its life, so memory stays
 bounded.  The cell bound is the trade-off of a dense table: a fleet
 with many states *and* many signatures (a shared
@@ -337,12 +342,14 @@ class SignatureTable:
     def gather(self, columns: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
         """Kernel (source id, signature id) columns of packed events.
 
-        Each entry of the columns' name tables is looked up once — a
-        source name in the compiled transition index, a raw choice tuple
-        through :meth:`intern_raw` — and each id column is one gather
-        through those maps.  A source that no transition of the net
-        names raises :class:`NotEnabledError` naming it, before any
-        signature is interned.
+        Each source name of the columns' table is looked up once in the
+        compiled transition index, and each raw choice tuple that a row
+        carries once through :meth:`intern_raw`: a table entry no row
+        uses (a slice of a longer stream keeps the stream's table) is
+        not interned.  Each id column is one gather through those maps.
+        A source that no transition of the net names raises
+        :class:`NotEnabledError` naming it, before any signature is
+        interned.
         """
         lookup = self.cnet.transition_index.get
         source_map = np.array(
@@ -353,9 +360,14 @@ class SignatureTable:
         if unknown.size:
             name = columns.sources[int(columns.source[unknown[0]])]
             raise NotEnabledError(f"unknown source transition {name!r}")
-        signature_map = np.array(
-            [self.intern_raw(raw) for raw in columns.choices], dtype=np.int64
+        choices = columns.choices
+        used = np.flatnonzero(
+            np.bincount(columns.signature, minlength=len(choices))
         )
+        signature_map = np.zeros(len(choices), dtype=np.int64)
+        signature_map[used] = [
+            self.intern_raw(choices[entry]) for entry in used.tolist()
+        ]
         return src_ids, signature_map[columns.signature]
 
 
@@ -483,16 +495,38 @@ class FleetEngine:
         self._cascade_of = np.empty((0, 0, 0), dtype=np.int32)
         self._cascades: Optional[CascadeRows] = None
         self._cascade_count = 0
+        # events served per cascade row since the last _fold_uses
+        self._uses = np.zeros(8, dtype=np.int64)
+
+    def _intern_states(self, markings: np.ndarray) -> np.ndarray:
+        """State ids of the rows of ``markings``, interning new ones.
+
+        One bytes key per row from one view of the matrix, one dict
+        pass in which each new key takes the next id (so ids follow
+        first occurrence, as one-at-a-time interning numbers them), and
+        one growth of the state table.
+        """
+        markings = np.ascontiguousarray(markings)
+        width = markings.shape[1] * markings.itemsize
+        keys = (
+            markings.view(np.dtype((np.void, width))).ravel().tolist()
+            if width
+            else [b""] * len(markings)
+        )
+        index = self._state_index
+        known = len(index)
+        ids = np.array(
+            [index.setdefault(key, len(index)) for key in keys], dtype=np.int64
+        )
+        if len(index) > known:
+            new = np.flatnonzero(ids >= known)
+            self._state_mark = _grown(self._state_mark, len(index))
+            self._state_mark[ids[new]] = markings[new]
+        return ids
 
     def _intern_state(self, marking: np.ndarray) -> int:
-        key = marking.tobytes()
-        state_id = self._state_index.get(key)
-        if state_id is None:
-            state_id = len(self._state_index)
-            self._state_mark = _grown(self._state_mark, state_id + 1)
-            self._state_mark[state_id] = marking
-            self._state_index[key] = state_id
-        return state_id
+        """The state id of one marking (:meth:`_intern_states` of one row)."""
+        return int(self._intern_states(marking[np.newaxis])[0])
 
     # ------------------------------------------------------------------
     # Per-run state
@@ -516,6 +550,7 @@ class FleetEngine:
         self._fire_counts = np.zeros(len(self.cnet.transitions), dtype=np.int64)
         self._activation_counts = np.zeros(len(self._module_names), dtype=np.int64)
         self._budget_stops = 0
+        self._uses[:] = 0
         self._state_of_row = np.zeros(capacity, dtype=np.int64)
         if self._memo_active:
             self._state_of_row[:instances] = self._intern_state(self._initial)
@@ -537,6 +572,7 @@ class FleetEngine:
             self._fire_counts[:] = 0
             self._activation_counts[:] = 0
             self._budget_stops = 0
+            self._uses[:] = 0
 
     @property
     def instances(self) -> int:
@@ -580,6 +616,7 @@ class FleetEngine:
             # past the memory bound: serve directly for good
             live = self._state_of_row[: self._n]
             self._markings[: self._n] = self._state_mark[live]
+            self._fold_uses()
             self._memo_active = False
             self._init_memo()
         if self._memo_active:
@@ -709,13 +746,11 @@ class FleetEngine:
     def _store_cascades(self, fresh: CascadeRows) -> np.ndarray:
         """Append ``fresh`` to the memo; returns the new rows' ids.
 
-        The end markings are stored as interned state ids (bad and
-        stopped rows end where they are, so they intern too).
+        The end markings are stored as state ids, interned in one
+        :meth:`_intern_states` call (bad and stopped rows end where they
+        are, so they intern too).
         """
-        fresh.end = np.array(
-            [self._intern_state(marking) for marking in fresh.end],
-            dtype=np.int64,
-        )
+        fresh.end = self._intern_states(fresh.end)
         start = self._cascade_count
         stop = start + len(fresh.end)
         if self._cascades is None:
@@ -725,6 +760,8 @@ class FleetEngine:
                 column = _grown(getattr(self._cascades, field.name), stop)
                 column[start:stop] = getattr(fresh, field.name)
                 setattr(self._cascades, field.name, column)
+        self._uses = _grown(self._uses, stop)
+        self._uses[start:stop] = 0
         self._cascade_count = stop
         return np.arange(start, stop)
 
@@ -738,52 +775,70 @@ class FleetEngine:
         one batched firing per iteration, until no candidate is left or
         the firing budget is spent.  Nothing of the fleet changes here:
         the rows' deltas come back as :class:`CascadeRows`.
+
+        The loop runs on compact arrays of the rows still active: a row
+        that quiesced is written back to the end markings once and
+        leaves them, budget-stopped rows are written back at the stop.
+        Every firing is recorded as a flat ``(row, transition)`` key and
+        every activation as a ``(row, module)`` key, and ``fired`` and
+        ``act`` are one :func:`numpy.bincount` of each.
         """
         count = len(src_ids)
-        pre = self.cnet.pre
+        n_t, n_m = len(self.cnet.transitions), len(self._module_names)
         incidence = self.cnet.incidence
+        enabled_mask = self.cnet.enabled_mask
         module_of = self._module_of
-        marking = markings.copy()
-        fired = np.zeros((count, len(self.cnet.transitions)), dtype=np.int64)
-        act = np.zeros((count, len(self._module_names)), dtype=np.int64)
+        end = markings.copy()
         stopped = np.zeros(count, dtype=bool)
-        bad = ~np.all(marking >= pre[src_ids], axis=1)
+        bad = ~np.all(end >= self.cnet.pre[src_ids], axis=1)
 
         # dispatch: one activation per event, then fire the source
         active = np.flatnonzero(~bad)
-        current_module = module_of[src_ids]
-        act[active, current_module[active]] = 1
-        fired[active, src_ids[active]] = 1
-        marking[active] += incidence[src_ids[active]]
-        allowed = self.signatures.allowed[sig_ids] & self._nonsource
+        sources = src_ids[active]
+        marking = end[active] + incidence[sources]
+        module = module_of[sources]
+        allowed = self.signatures.allowed[sig_ids[active]] & self._nonsource
+        fired_keys = [active * n_t + sources]
+        act_keys = [active * n_m + module]
         firings = 1  # every active event has fired equally often
 
         # run to quiescence, one batched firing per iteration
         while active.size:
-            candidates = (
-                np.all(marking[active][:, np.newaxis, :] >= pre, axis=2)
-                & allowed[active]
-            )
+            candidates = enabled_mask(marking) & allowed
             has_candidate = candidates.any(axis=1)
-            active = active[has_candidate]
-            if not active.size:
-                break
+            if not has_candidate.all():
+                quiesced = ~has_candidate
+                end[active[quiesced]] = marking[quiesced]
+                active = active[has_candidate]
+                if not active.size:
+                    break
+                marking = marking[has_candidate]
+                module = module[has_candidate]
+                allowed = allowed[has_candidate]
+                candidates = candidates[has_candidate]
             # argmax of a boolean row = first True = lowest transition
             # id = the legacy "first candidate in insertion order"
-            chosen = candidates[has_candidate].argmax(axis=1)
-            marking[active] += incidence[chosen]
-            fired[active, chosen] += 1
+            chosen = candidates.argmax(axis=1)
+            marking += incidence[chosen]
+            fired_keys.append(active * n_t + chosen)
             modules = module_of[chosen]
-            crossed = modules != current_module[active]
-            act[active[crossed], modules[crossed]] += 1
-            current_module[active] = modules
+            crossed = modules != module
+            act_keys.append(active[crossed] * n_m + modules[crossed])
+            module = modules
             firings += 1
             if firings > self.max_firings_per_event:
                 if self.on_budget != "stop":
                     raise RuntimeError(QUIESCENCE_MESSAGE)
                 stopped[active] = True
+                end[active] = marking
                 break
 
+        fired = np.bincount(
+            np.concatenate(fired_keys), minlength=count * n_t
+        ).reshape(count, n_t)
+        act = np.bincount(
+            np.concatenate(act_keys), minlength=count * n_m
+        ).reshape(count, n_m)
         # every activation after an event's first crossed a task
         # boundary: one queue round trip each
         activations = act.sum(axis=1)
@@ -794,7 +849,7 @@ class FleetEngine:
             + fired @ self._fire_cycles
         )
         return CascadeRows(
-            end=marking,
+            end=end,
             cycles=cycles,
             ticks=fired @ self._tick_vector,
             act=act,
@@ -806,21 +861,41 @@ class FleetEngine:
     def _apply(
         self, rows: np.ndarray, table: CascadeRows, ids: np.ndarray
     ) -> None:
-        """Fold cascade row ``ids[j]`` into the accounting of ``rows[j]``."""
+        """Fold cascade row ``ids[j]`` into the accounting of ``rows[j]``.
+
+        The memo counts each row's uses, which :meth:`_fold_uses` folds
+        into the aggregate counts when they are read; the direct path's
+        rows serve one event each, so it adds their column sums.
+        """
         if self._memo_active:
             self._state_of_row[rows] = table.end[ids]
+            np.add.at(self._uses, ids, 1)
         else:
             self._markings[rows] = table.end[ids]
+            self._fire_counts += table.fired.sum(axis=0)
+            self._activation_counts += table.act.sum(axis=0)
+            self._budget_stops += int(table.stopped.sum())
         self._cycles[rows] += table.cycles[ids]
         if self._timed:
             self._ticks[rows] += table.ticks[ids]
         self._events[rows] += 1
-        counts = np.bincount(ids)
-        used = np.flatnonzero(counts)
-        counts = counts[used]
-        self._fire_counts += table.fired[used].T @ counts
-        self._activation_counts += table.act[used].T @ counts
-        self._budget_stops += int(table.stopped[used] @ counts)
+
+    def _fold_uses(self) -> None:
+        """Fold the memo's pending cascade uses into the aggregate
+        firing, activation and budget-stop counts.
+
+        One product per count over the whole table: gathering only the
+        used rows would copy most of the table at the end of a cold run.
+        """
+        count = self._cascade_count
+        uses = self._uses[:count]
+        if not uses.any():
+            return
+        table = self._cascades
+        self._fire_counts += uses @ table.fired[:count]
+        self._activation_counts += uses @ table.act[:count]
+        self._budget_stops += int(uses[table.stopped[:count]].sum())
+        uses[:] = 0
 
     # ------------------------------------------------------------------
     # Results
@@ -828,6 +903,7 @@ class FleetEngine:
     @property
     def budget_stops(self) -> int:
         """Events whose cascade spent the firing budget so far."""
+        self._fold_uses()
         return self._budget_stops
 
     def cycle_totals(self) -> Tuple[int, int, int]:
@@ -838,6 +914,7 @@ class FleetEngine:
         them separately: every activation after an event's first is one
         queue round trip.
         """
+        self._fold_uses()
         activations = int(self._activation_counts.sum())
         return (
             activations * self.cost.activation_cycles,
@@ -857,7 +934,7 @@ class FleetEngine:
         parts = self.cycle_totals()
         stats.activation_cycles, stats.body_cycles, stats.queue_cycles = parts
         stats.total_cycles = sum(parts)
-        stats.budget_stops = self._budget_stops
+        stats.budget_stops = self.budget_stops
         if self._timed:
             stats.delay_ticks = int(self._fire_counts @ self._tick_vector)
         stats.activations = {

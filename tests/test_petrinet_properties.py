@@ -37,14 +37,34 @@ from repro.qss import enumerate_reductions, is_schedulable
 # ----------------------------------------------------------------------
 # State-equation oracles
 # ----------------------------------------------------------------------
+def firing_vector(matrices, counts):
+    """A ``{transition: count}`` mapping as a row vector over the
+    matrices' transitions."""
+    vector = np.zeros(len(matrices.transitions), dtype=np.int64)
+    index = matrices.transition_index
+    for transition, count in counts.items():
+        vector[index[transition]] = count
+    return vector
+
+
+def marking_vector(matrices, marking):
+    """A marking as a column vector aligned with the matrices' places."""
+    return np.array([marking[p] for p in matrices.places], dtype=np.int64)
+
+
+def marking_from_vector(matrices, vector):
+    """A place-aligned vector back as a :class:`Marking`."""
+    return Marking({p: int(vector[i]) for i, p in enumerate(matrices.places)})
+
+
 def apply_state_equation(
     net: PetriNet, marking: Marking, firing_counts: Mapping[str, int]
 ) -> Marking:
     """``marking + f^T . D`` as a marking (negative entries raise)."""
     matrices = incidence_matrices(net)
-    m0 = matrices.marking_vector(marking)
-    f = matrices.firing_vector(firing_counts)
-    return matrices.marking_from_vector(m0 + f @ matrices.incidence)
+    m0 = marking_vector(matrices, marking)
+    f = firing_vector(matrices, firing_counts)
+    return marking_from_vector(matrices, m0 + f @ matrices.incidence)
 
 
 def is_firing_count_stationary(
@@ -52,7 +72,7 @@ def is_firing_count_stationary(
 ) -> bool:
     """True if the firing-count vector satisfies ``f^T . D = 0``."""
     matrices = incidence_matrices(net)
-    f = matrices.firing_vector(firing_counts)
+    f = firing_vector(matrices, firing_counts)
     return bool(np.all(f @ matrices.incidence == 0))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import functools
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -35,12 +35,17 @@ from repro.petrinet.exceptions import NotEnabledError
 from repro.petrinet.generators import unbalanced_choice_net
 from repro.runtime import (
     Event,
+    ExecutionStats,
     FleetEngine,
     FleetSimulator,
     ModuleAssignment,
+    ReactiveNetSimulator,
     SignatureTable,
+    TimingModel,
     synthetic_streams,
 )
+from repro.runtime.events import as_columns
+from repro.runtime.fleet import CascadeRows
 from repro.service import (
     FleetSupervisor,
     IngestServer,
@@ -108,6 +113,62 @@ def drain_case(instances=8, events=8, seed=23):
     )
     streams = synthetic_streams(net, instances, events, seed=seed)
     return net, ModuleAssignment.single_task(net), streams
+
+
+def dense_cascade(kernel, markings, src_ids, sig_ids):
+    """A reference copy of the kernel's dense cascade loop: every row
+    keeps its place in full-size arrays until the loop ends, enabledness
+    is the ``(K, T, P)`` broadcast against ``pre``, and firings and
+    activations are written in place."""
+    cnet, module_of, cost = kernel.cnet, kernel._module_of, kernel.cost
+    count = len(src_ids)
+    marking = markings.copy()
+    fired = np.zeros((count, len(cnet.transitions)), dtype=np.int64)
+    act = np.zeros((count, len(kernel._module_names)), dtype=np.int64)
+    stopped = np.zeros(count, dtype=bool)
+    bad = ~np.all(marking >= cnet.pre[src_ids], axis=1)
+    active = np.flatnonzero(~bad)
+    current = module_of[src_ids]
+    act[active, current[active]] = 1
+    fired[active, src_ids[active]] = 1
+    marking[active] += cnet.incidence[src_ids[active]]
+    allowed = kernel.signatures.allowed[sig_ids] & kernel._nonsource
+    firings = 1
+    while active.size:
+        candidates = (
+            np.all(marking[active][:, np.newaxis, :] >= cnet.pre, axis=2)
+            & allowed[active]
+        )
+        has_candidate = candidates.any(axis=1)
+        active = active[has_candidate]
+        if not active.size:
+            break
+        chosen = candidates[has_candidate].argmax(axis=1)
+        marking[active] += cnet.incidence[chosen]
+        fired[active, chosen] += 1
+        modules = module_of[chosen]
+        crossed = modules != current[active]
+        act[active[crossed], modules[crossed]] += 1
+        current[active] = modules
+        firings += 1
+        if firings > kernel.max_firings_per_event:
+            stopped[active] = True
+            break
+    activations = act.sum(axis=1)
+    cycles = (
+        activations * cost.activation_cycles
+        + np.maximum(activations - 1, 0) * (2 * cost.queue_op_cycles)
+        + fired @ kernel._fire_cycles
+    )
+    return dict(
+        end=marking,
+        cycles=cycles,
+        ticks=fired @ kernel._tick_vector,
+        act=act,
+        fired=fired,
+        stopped=stopped,
+        bad=bad,
+    )
 
 
 def memo_and_direct(net, assignment, streams, **options):
@@ -432,7 +493,8 @@ class TestKernelPaths:
         assert_results_identical(expected, simulator.run(streams))
         assert not kernel._memo_active
 
-    def test_signatures_packed_between_batches_grow_the_table(self):
+    @pytest.mark.parametrize("form", ["list", "view"])
+    def test_signatures_packed_between_batches_grow_the_table(self, form):
         net, assignment, streams = atm_case()
         expected = FleetSimulator(net, assignment).run(streams)
         injects = events_to_injects(streams)
@@ -442,11 +504,17 @@ class TestKernelPaths:
         )
         core = ShardCore(engine)
         counts, widths = [], []
+        carried = {()}
         for lo in range(0, len(injects), 40):
-            # each batch carries name tables of its own events only, so
-            # pack interns signatures batch by batch
-            batch = inject_columns(list(injects[lo : lo + 40]))
+            # a list batch carries name tables of its own events only; a
+            # view slice keeps the whole stream's tables, and pack
+            # interns only the entries its rows carry: either way the
+            # signatures grow batch by batch
+            chunk = injects[lo : lo + 40]
+            batch = inject_columns(list(chunk) if form == "list" else chunk)
             core.serve_packed(packer.pack(batch))
+            carried.update(tuple(sorted(i.choices.items())) for i in chunk)
+            assert packer.signatures.count == len(carried)
             counts.append(packer.signatures.count)
             widths.append(engine._cascade_of.shape[2])
         # the table's signature axis grew in the middle of the run to
@@ -478,6 +546,148 @@ class TestKernelPaths:
         assert errors[0] == errors[1] == (
             "transition 't_parse_header' is not enabled in instance 3"
         )
+
+    @pytest.mark.parametrize("tasks", ["single", "per_transition"])
+    def test_compact_cascade_equals_the_dense_loop(self, tasks):
+        net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
+        assignment = (
+            ModuleAssignment.single_task(net)
+            if tasks == "single"
+            else ModuleAssignment.one_task_per_transition(net)
+        )
+        kernel = FleetEngine(
+            net,
+            assignment,
+            max_firings_per_event=3,
+            on_budget="stop",
+            timing=TimingModel(transition_ticks={"t_e1": 5}, default_ticks=1),
+        )
+        cnet = kernel.cnet
+        rng = np.random.default_rng(3)
+        markings = rng.integers(0, 2, size=(96, len(cnet.places)))
+        # t_e1 is enabled only from 4 tokens on p_b1: half of its rows
+        # are bad, the others start their cascade with it
+        markings[::10, cnet.place_index["p_b1"]] = 4
+        src_ids = np.full(96, cnet.transition_index["t_in"])
+        src_ids[::5] = cnet.transition_index["t_e1"]
+        signatures = [0] + [
+            kernel.signatures.intern((("p_choice", branch),))
+            for branch in ("t_b0", "t_b1", "t_b2")
+        ]
+        sig_ids = np.array(signatures)[rng.integers(0, 4, size=96)]
+        rows = kernel._compute_cascade(markings, src_ids, sig_ids)
+        expected = dense_cascade(kernel, markings, src_ids, sig_ids)
+        for field in fields(CascadeRows):
+            actual = getattr(rows, field.name)
+            assert actual.dtype == expected[field.name].dtype, field.name
+            assert np.array_equal(actual, expected[field.name]), field.name
+        quiesced = ~rows.bad & ~rows.stopped
+        assert rows.bad.any() and rows.stopped.any()
+        assert len(set(rows.fired[quiesced].sum(axis=1).tolist())) > 1
+        assert (markings[rows.bad] == rows.end[rows.bad]).all()
+
+    @pytest.mark.parametrize("width", [7, 0])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(0, 127), max_size=24), min_size=1, max_size=4
+        )
+    )
+    def test_batched_interning_equals_one_at_a_time(self, width, batches):
+        if width:
+            net = unbalanced_choice_net(5, branches=3, max_weight=4, merge=True)
+        else:
+            net = NetBuilder("sources_only").source("t_a").build()
+        kernel = FleetEngine(net, ModuleAssignment.single_task(net))
+        index = dict(kernel._state_index)
+        marks = list(kernel._state_mark[: len(index)])
+        bits = np.arange(width)
+        for batch in batches:
+            # 7 binary places: 128 markings, so batches repeat rows
+            markings = (np.array(batch, dtype=np.int64)[:, np.newaxis] >> bits) & 1
+            markings = markings.reshape(len(batch), width)
+            expected = []
+            for row in markings:
+                key = row.tobytes()
+                if key not in index:
+                    index[key] = len(index)
+                    marks.append(row)
+                expected.append(index[key])
+            assert kernel._intern_states(markings).tolist() == expected
+        assert kernel._state_index == index
+        assert np.array_equal(
+            kernel._state_mark[: len(index)],
+            np.array(marks, dtype=np.int64).reshape(len(marks), width),
+        )
+
+    @pytest.mark.parametrize("memo", [True, False])
+    @pytest.mark.parametrize("timed", [False, True])
+    @pytest.mark.parametrize("limit", [None, 30])
+    def test_aggregates_read_between_rounds_equal_an_eager_recount(
+        self, monkeypatch, memo, timed, limit
+    ):
+        import repro.runtime.fleet as fleet_mod
+
+        if limit is not None:
+            # the memo is dropped after its first rounds, with uses of
+            # rounds no read has folded yet
+            monkeypatch.setattr(fleet_mod, "MEMO_STATE_LIMIT", limit)
+        net, assignment, streams = merge_case(instances=40, events=12)
+        options = dict(
+            max_firings_per_event=3,
+            on_budget="stop",
+            timing=TimingModel(default_ticks=1) if timed else None,
+        )
+        kernel = FleetEngine(
+            net, assignment, memo=memo, instances=len(streams), **options
+        )
+        columns = as_columns(streams)
+        src_ids, sig_ids = kernel.prepare_events(columns)
+        rows = columns.instance
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        counts = np.diff(starts, append=len(rows))
+        # the eager recount: one legacy simulator per instance, every
+        # event folded into one ExecutionStats as it is served
+        simulators = [
+            ReactiveNetSimulator(net, assignment, engine="legacy", **options)
+            for _ in streams
+        ]
+        events = [list(stream) for stream in streams]
+        expected = ExecutionStats()
+        stops = 0
+        memo_rounds = []
+        reads = (2, 5, 9, 11)
+        for k in range(int(counts.max())):
+            selected = starts[counts > k] + k
+            kernel.dispatch_ids(rows[selected], src_ids[selected], sig_ids[selected])
+            for instance in rows[selected].tolist():
+                simulators[instance].process_event(events[instance][k], expected)
+            memo_rounds.append(kernel._memo_active)
+            if k == 4:
+                kernel.reset_state(reset_stats=False)
+                for simulator in simulators:
+                    simulator.reset()
+            if k == 7:
+                stops += expected.budget_stops
+                kernel.reset_state()
+                for simulator in simulators:
+                    simulator.reset()
+                expected = ExecutionStats()
+            if k in reads:
+                assert kernel.budget_stops == expected.budget_stops
+                assert kernel.cycle_totals() == (
+                    expected.activation_cycles,
+                    expected.body_cycles,
+                    expected.queue_cycles,
+                )
+                assert asdict(kernel.aggregate_stats()) == asdict(expected)
+        assert stops + expected.budget_stops > 0
+        assert kernel._memo_active == (memo and limit is None)
+        if memo and limit is not None:
+            # the memo was dropped with the uses of a round that no read
+            # had folded
+            drop = memo_rounds.index(False)
+            assert drop > 0 and drop - 1 not in reads
 
     def test_warm_rerun_after_reset_computes_no_cascade(self):
         net, assignment, streams = atm_case()
