@@ -13,10 +13,13 @@ development machine; the floor leaves headroom for noisy CI runners).
 
 Run ``python benchmarks/bench_runtime_fleet.py --smoke`` for a fast
 functional pass (equivalence and determinism on a small ATM fleet, in
-time order and with every event list reversed, and on a weighted merge
+time order and with every event list reversed; on a weighted merge
 fleet, whose cold cascades the memo, the direct path and the legacy
-engine must agree on, also under a firing budget; no timing
-statistics) — the mode CI uses.
+engine must agree on, also under a firing budget; on an ATM fleet
+whose memo keeps one marking state, so its later events, several
+blocks of them, are served in one step; and on a drain fleet that
+leaves that state in its last block, so the step hands the batch back
+to the rounds; no timing statistics) — the mode CI uses.
 """
 
 from __future__ import annotations
@@ -29,8 +32,16 @@ import numpy as np
 import pytest
 
 from repro.apps.atm import MODULE_PARTITION, build_atm_server_net, make_fleet_testbench
+from repro.petrinet import NetBuilder
 from repro.petrinet.generators import unbalanced_choice_net
-from repro.runtime import FleetEngine, FleetSimulator, ModuleAssignment, synthetic_streams
+from repro.runtime import (
+    Event,
+    FleetEngine,
+    FleetSimulator,
+    ModuleAssignment,
+    synthetic_streams,
+)
+from repro.runtime.fleet import _ONE_STATE_BLOCK
 
 #: The contract fleet: >= 1000 instances of the 49-transition ATM server.
 CONTRACT_INSTANCES = 1_000
@@ -119,10 +130,8 @@ def _merge_smoke(label: str = "", **options) -> int:
     assignment = ModuleAssignment.single_task(net)
     streams = synthetic_streams(net, 64, 20, seed=7)
     compiled = FleetSimulator(net, assignment, **options).run(streams)
-    direct = FleetSimulator(net, assignment, **options)
-    direct.kernel = FleetEngine(net, assignment, memo=False, **options)
     legacy = FleetSimulator(net, assignment, engine="legacy", **options)
-    for other in (direct.run(streams), legacy.run(streams)):
+    for other in (_direct(net, assignment, streams, **options), legacy.run(streams)):
         _assert_results_identical(other, compiled)
     print(
         f"smoke merge fleet 64x20{label}: memo, direct and legacy "
@@ -161,7 +170,82 @@ def _smoke() -> int:
     _merge_smoke()
     budget = dict(max_firings_per_event=2, on_budget="stop")
     assert _merge_smoke(", budget 2", **budget) > 0
+    _one_state_smoke()
+    _drain_fallback_smoke()
     return 0
+
+
+def _direct(net, assignment, streams, **options):
+    """The cache bypass (``memo=False``) over the streams."""
+    simulator = FleetSimulator(net, assignment, **options)
+    simulator.kernel = FleetEngine(net, assignment, memo=False, **options)
+    return simulator.run(streams)
+
+
+def _one_state_smoke(instances: int = 200, prefix: int = 10) -> None:
+    """An ATM fleet whose memo keeps the one initial marking state, so
+    each run serves every event after an instance's first in one step
+    over blocks of whole instances: equal to the direct path, and to
+    legacy on a prefix of the instances (they are independent)."""
+    streams = make_fleet_testbench(instances, cells=50, seed=7)
+    simulator = _fleet("compiled")
+    compiled = simulator.run(streams)
+    events = compiled.stats.events_processed
+    assert len(simulator.kernel._state_index) == 1
+    assert events > 2 * _ONE_STATE_BLOCK
+    _assert_results_identical(
+        _direct(simulator.net, simulator.assignment, streams), compiled
+    )
+    legacy = _fleet("legacy").run(streams[:prefix])
+    assert np.array_equal(legacy.instance_cycles, compiled.instance_cycles[:prefix])
+    assert np.array_equal(legacy.instance_events, compiled.instance_events[:prefix])
+    print(
+        f"smoke one-state ATM fleet {instances}x50: {events} events in about "
+        f"{-(-events // _ONE_STATE_BLOCK)} blocks equal the direct path, "
+        f"and legacy on the first {prefix} instances"
+    )
+
+
+def _drain_fallback_smoke(events: int = 50) -> None:
+    """The drain net: ``t_b`` ends where it starts, ``t_a`` leaves a
+    token that a later ``t_b`` drains.  Every instance runs ``t_b``
+    events only, but the last one reaches ``t_a`` halfway, in the last
+    block of the one-state step, which hands the batch back to the
+    rounds; memo, direct path and legacy stay identical."""
+    net = (
+        NetBuilder("drain")
+        .source("t_a")
+        .source("t_b")
+        .arc("t_a", "p_acc")
+        .arc("t_b", "p_flag")
+        .arc("p_flag", "t_drain")
+        .arc("p_acc", "t_drain")
+        .arc("t_drain", "p_flag")
+        .arc("p_flag", "t_done")
+        .build()
+    )
+    assignment = ModuleAssignment.single_task(net)
+    instances = 2 * _ONE_STATE_BLOCK // events + 2
+    streams = []
+    for instance in range(instances):
+        sources = ["t_b"] * events
+        if instance == instances - 1:
+            sources[events // 2 :: 3] = ["t_a"] * len(sources[events // 2 :: 3])
+        streams.append(
+            [Event(time=float(k), source=name) for k, name in enumerate(sources)]
+        )
+    simulator = FleetSimulator(net, assignment)
+    compiled = simulator.run(streams)
+    assert len(simulator.kernel._state_index) > 1
+    legacy = FleetSimulator(net, assignment, engine="legacy").run(streams)
+    for other in (_direct(net, assignment, streams), legacy):
+        _assert_results_identical(other, compiled)
+    assert compiled.stats.firings["t_drain"] > 0
+    print(
+        f"smoke drain fallback {instances}x{events}: memo, direct and legacy "
+        f"identical ({compiled.stats.total_cycles} cycles, "
+        f"{compiled.stats.firings['t_drain']} drains)"
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,9 +14,10 @@ the full Python event loop per instance; this module steps all of them
   the per-instance accounting arrays.  It owns the one round split
   too: :meth:`FleetEngine.dispatch_rounds` takes events in per-instance
   order and serves round ``k`` — the ``k``-th event of every instance
-  that has one — as one :meth:`FleetEngine.dispatch_ids` call, so an
-  instance's next event starts only after its previous one ran to
-  completion.  The same kernel and split serve both a one-shot batch
+  that has one — as one :meth:`FleetEngine.dispatch_ids` call (or all
+  rounds after the first in one step, see below), so an instance's
+  next event starts only after its previous one ran to completion.
+  The same kernel and split serve both a one-shot batch
   run over complete streams and the always-on shard of
   :mod:`repro.service`, which feeds it incrementally from its inbox and
   registers instances as their first events arrive.
@@ -72,6 +73,24 @@ memo sooner than a keyed index would.  The results stay *identical*:
 memoized, direct and legacy execution are pinned equal by
 `tests/test_runtime_compiled_differential.py` and
 `tests/test_service_differential.py`.
+
+While the memo holds a single marking state, a batch's rounds after
+the first are served in one step.  The paper's finite complete cycles
+(Definition 3.5) return the net to the marking they started from, and
+so does every cascade of the generated ATM, router and heating fleets:
+their memo never leaves the initial marking.  One state means no stored
+cascade ever ended anywhere else, so every instance is in it, and by
+induction over an instance's events each of them starts there: the
+second because the first ended there, each next one because the
+cascade before it (stored, or computed and checked) ended there too.
+Each event's cascade is then its cell at that state, and an instance's
+cycles, ticks and events are sums over its events, which the step
+takes in blocks of a few thousand events with one gather and one
+segmented sum each.  When a computed cascade ends in another marking
+or is not enabled, the budget error is raised or the memo bound is
+hit, the step applies nothing and the rounds serve the batch as
+before; a fleet whose first round leaves several states (the weighted
+merge net) never tries it.
 """
 
 from __future__ import annotations
@@ -196,12 +215,30 @@ class FleetResult:
 
 
 def _percentiles(values: np.ndarray, qs: Sequence[float]) -> Dict[str, float]:
-    """``{"p<q>": percentile}`` of ``values`` for every ``q``, from one
-    :func:`numpy.percentile` call; zeros when ``values`` is empty."""
+    """``{"p<q>": percentile}`` of the integer ``values`` for every ``q``,
+    bit for bit :func:`numpy.percentile` (its ``"linear"`` method) from
+    one :func:`numpy.sort`; zeros when ``values`` is empty.
+
+    numpy's formula: the virtual index ``(n - 1) * (q / 100)`` lies
+    between the sorted values ``lo`` and ``hi``, ``t`` past ``lo``, and
+    the point is ``lo + (hi - lo) * t``, or ``hi - (hi - lo) * (1 - t)``
+    where ``t >= 0.5``; an index on the last value takes it.
+    """
     if len(values) == 0:
         return {f"p{q:g}": 0.0 for q in qs}
-    points = np.percentile(values, qs).tolist()
-    return {f"p{q:g}": point for q, point in zip(qs, points)}
+    fractions = np.true_divide(qs, 100)
+    if not all(0 <= fraction <= 1 for fraction in fractions.tolist()):
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    virtual = last * fractions
+    below = np.minimum(np.floor(virtual), last).astype(np.intp)
+    t = virtual - below
+    lo, hi = ordered[below], ordered[np.minimum(below + 1, last)]
+    spread = hi - lo
+    points = lo + spread * t
+    np.subtract(hi, spread * (1 - t), out=points, where=t >= 0.5)
+    return {f"p{q:g}": point for q, point in zip(qs, points.tolist())}
 
 
 #: The memo's memory bound: once the interned state or cascade population
@@ -221,6 +258,12 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
     )
     grown[: len(array)] = array
     return grown
+
+
+#: Events per block of the one-state step of
+#: :meth:`FleetEngine.dispatch_rounds`: a block's temporaries stay a few
+#: pages however long the batch is.
+_ONE_STATE_BLOCK = 4096
 
 
 def _time_ordered(instance: np.ndarray, time: np.ndarray) -> bool:
@@ -620,7 +663,7 @@ class FleetEngine:
             self._memo_active = False
             self._init_memo()
         if self._memo_active:
-            ids = self._memo_cascades(rows, src_ids, sig_ids)
+            ids = self._memo_cascades(self._state_of_row[rows], src_ids, sig_ids)
             table = self._cascades
         else:
             table = self._compute_cascade(self._markings[rows], src_ids, sig_ids)
@@ -636,15 +679,37 @@ class FleetEngine:
     def dispatch_rounds(
         self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
     ) -> None:
-        """Serve events listed in per-row order, one round per call.
+        """Serve events listed in per-row order, round by round.
 
         Event ``j`` goes to instance ``rows[j]``, and each row's events
         are served in the order they are listed (events of different
-        rows may interleave).  Round ``k`` is one :meth:`dispatch_ids`
-        call with the ``k``-th event of every row that has one, rows
-        ascending; a batch with one event per row is dispatched as
-        given.  This is the paper's run to completion: an instance's
-        next event starts only after its previous one quiesced.
+        rows may interleave).  Round ``k`` holds the ``k``-th event of
+        every row that has one, rows ascending; a batch with one event
+        per row is dispatched as given.  This is the paper's run to
+        completion: an instance's next event starts only after its
+        previous one quiesced.
+
+        Round 0 is one :meth:`dispatch_ids` call.  If the memo then
+        still holds exactly one marking state, every instance is in it
+        (no stored cascade ever ended anywhere else), and
+        :meth:`_serve_one_state` serves all later events in one step,
+        each with its cascade at that state.  That is exact by
+        induction over each instance's events: its second event starts
+        in the one state because round 0 ended there, and every cascade
+        the step uses ends there too (each stored one does while the
+        memo holds one state, and the step checks the ones it computes),
+        so each next event starts there as well.  An instance's cycles,
+        ticks and events are then sums over its events.  The paper's
+        finite complete cycles behave so (Definition 3.5): each returns
+        the net to the marking it started from, and the ATM, router
+        and heating fleets keep one state.  The step applies nothing,
+        and rounds 1 onwards are one :meth:`dispatch_ids` call each,
+        when a cascade it computes ends in another marking, a cascade
+        it uses is ``bad``, the budget error is raised or the memo
+        bound is hit; so an error is raised by the same round, with the
+        same earlier rounds applied, as without the step.  A fleet
+        whose first round leaves several states (the weighted merge
+        net) never tries it.
 
         Events are grouped by row with one stable argsort, which is
         skipped when the rows never decrease: the stable sort of such
@@ -666,11 +731,84 @@ class FleetEngine:
             return
         if order is not None:
             src_ids, sig_ids = src_ids[order], sig_ids[order]
-        for k in range(rounds):
+        self.dispatch_ids(ranked[starts], src_ids[starts], sig_ids[starts])
+        if (
+            self._memo_active
+            and len(self._state_index) == 1
+            and self._serve_one_state(ranked, src_ids, sig_ids, starts, counts)
+        ):
+            return
+        for k in range(1, rounds):
             selected = starts[counts > k] + k
             self.dispatch_ids(
                 ranked[selected], src_ids[selected], sig_ids[selected]
             )
+
+    def _serve_one_state(
+        self,
+        ranked: np.ndarray,
+        src_ids: np.ndarray,
+        sig_ids: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+    ) -> bool:
+        """Serve every event after each row's first at the memo's one
+        state; ``False`` when nothing was applied.
+
+        The columns are grouped by row, row ``g``'s ``counts[g]`` events
+        from ``starts[g]`` on, and each row's first event has been
+        served from state 0 back to state 0.  The events go in
+        blocks of whole rows, about :data:`_ONE_STATE_BLOCK` each, so
+        the temporaries stay small.  A block finds the cascades of all
+        its events at state 0 with one gather (:meth:`_memo_cascades`
+        computes and stores the missing cells), sums each row's cycles
+        (and ticks) with one :func:`numpy.add.reduceat` and counts the
+        cascades' uses.  A row's first event is in its own segment too,
+        so its share is taken off at the end, where the sums, event
+        counts and uses are added once.
+
+        Nothing is applied, and only fresh cascades stay in the memo
+        (each is correct for its key), when :meth:`_reserve` finds the
+        memo past its bound, the computation raises the budget error, a
+        fresh cascade ends in another marking, or a used one is ``bad``.
+        """
+        count, groups = len(ranked), len(starts)
+        bounds = np.append(starts, count)
+        cuts = np.searchsorted(starts, np.arange(0, count, _ONE_STATE_BLOCK))
+        cuts = np.unique(np.append(cuts, groups)).tolist()
+        cycles = np.empty(groups, dtype=np.int64)
+        ticks = np.empty(groups, dtype=np.int64)
+        firsts = np.empty(groups, dtype=np.intp)
+        uses = np.zeros(0, dtype=np.int64)
+        for g0, g1 in zip(cuts, cuts[1:]):
+            lo, hi = int(bounds[g0]), int(bounds[g1])
+            if not self._reserve(src_ids[lo:hi]):
+                return False
+            try:
+                ids = self._memo_cascades(0, src_ids[lo:hi], sig_ids[lo:hi])
+            except RuntimeError:
+                return False
+            if len(self._state_index) > 1:
+                return False
+            table = self._cascades
+            edges = starts[g0:g1] - lo
+            firsts[g0:g1] = ids[edges]
+            cycles[g0:g1] = np.add.reduceat(table.cycles[ids], edges)
+            if self._timed:
+                ticks[g0:g1] = np.add.reduceat(table.ticks[ids], edges)
+            used = np.bincount(ids, minlength=len(uses))
+            used[: len(uses)] += uses
+            uses = used
+        uses -= np.bincount(firsts, minlength=len(uses))
+        if uses[table.bad[: len(uses)]].any():
+            return False
+        rows = ranked[starts]
+        self._cycles[rows] += cycles - table.cycles[firsts]
+        if self._timed:
+            self._ticks[rows] += ticks - table.ticks[firsts]
+        self._events[rows] += counts - 1
+        self._uses[: len(uses)] += uses
+        return True
 
     def prepare_events(
         self, events: EventColumns
@@ -717,9 +855,13 @@ class FleetEngine:
         return True
 
     def _memo_cascades(
-        self, rows: np.ndarray, src_ids: np.ndarray, sig_ids: np.ndarray
+        self,
+        states: Union[int, np.ndarray],
+        src_ids: np.ndarray,
+        sig_ids: np.ndarray,
     ) -> np.ndarray:
-        """The memo's cascade id for every event of one round.
+        """The memo's cascade id (``intp``) for every event, event ``j``
+        starting in state ``states[j]`` (or all in state ``states``).
 
         One gather from the cascade table (grown by :meth:`_reserve`)
         finds every computed cascade.  Only the events whose cell still
@@ -727,17 +869,17 @@ class FleetEngine:
         run through one :meth:`_compute_cascade` call and are stored.
         """
         _, span_src, span_sig = self._cascade_of.shape
-        states = self._state_of_row[rows]
         cells = (states * span_src + self._ordinal_of[src_ids]) * span_sig + sig_ids
         flat = self._cascade_of.reshape(-1)
-        ids = flat[cells]
+        ids = flat[cells].astype(np.intp)
         miss = np.flatnonzero(ids < 0)
         if miss.size:
             # one event stands for each missing cell
             _, first = np.unique(cells[miss], return_index=True)
             first = miss[first]
+            origins = np.broadcast_to(states, cells.shape)[first]
             fresh = self._compute_cascade(
-                self._state_mark[states[first]], src_ids[first], sig_ids[first]
+                self._state_mark[origins], src_ids[first], sig_ids[first]
             )
             flat[cells[first]] = self._store_cascades(fresh)
             ids[miss] = flat[cells[miss]]

@@ -44,6 +44,7 @@ from repro.runtime import (
     TimingModel,
     synthetic_streams,
 )
+from repro.runtime import fleet as fleet_module
 from repro.runtime.events import as_columns
 from repro.runtime.fleet import CascadeRows
 from repro.service import (
@@ -334,6 +335,21 @@ def round_fleet(name):
     return net, assignment, events_to_injects(streams), expected
 
 
+def counted_dispatch(kernel):
+    """Wrap ``kernel.dispatch_ids``, checking that a call's rows are
+    unique; returns the list its calls' sizes go to."""
+    dispatch_ids = kernel.dispatch_ids
+    calls = []
+
+    def counted(rows, src_ids, sig_ids):
+        assert len(set(rows.tolist())) == len(rows)
+        calls.append(len(rows))
+        dispatch_ids(rows, src_ids, sig_ids)
+
+    kernel.dispatch_ids = counted
+    return calls
+
+
 @st.composite
 def interleaved_chunks(draw):
     """A fleet's name and its injects, interleaved in any order that
@@ -354,7 +370,8 @@ def interleaved_chunks(draw):
 class TestOneRoundLoop:
     """`FleetEngine.dispatch_rounds` is the one round split: the service
     serves any per-instance-ordered interleaving, in any chunking, as
-    the one-shot run does, one kernel call per round of each batch."""
+    the one-shot run does, one kernel call per round of each batch (one
+    call in all while the memo keeps a single state)."""
 
     @settings(max_examples=25, deadline=None)
     @given(case=interleaved_chunks())
@@ -373,28 +390,204 @@ class TestOneRoundLoop:
 
         assert_results_identical(expected, asyncio.run(go()))
 
-        # the same chunks straight into one shard core: each batch is
-        # one dispatch_ids call per round, rows unique within a call
+        # the same chunks straight into one shard core, rows unique
+        # within a dispatch_ids call: a batch is one call per round, or
+        # one call for its first round when the memo still holds a
+        # single state afterwards (the one-state step served the rest)
         packer = FleetSupervisor(net, assignment)
         engine = FleetEngine(
             packer.compiled, assignment, signatures=packer.signatures
         )
-        dispatch_ids = engine.dispatch_ids
-        calls = []
-
-        def counted(rows, src_ids, sig_ids):
-            assert len(set(rows.tolist())) == len(rows)
-            calls.append(len(rows))
-            dispatch_ids(rows, src_ids, sig_ids)
-
-        engine.dispatch_ids = counted
+        calls = counted_dispatch(engine)
         core = ShardCore(engine)
         for chunk in chunks:
             calls.clear()
             core.serve_packed(packer.pack(inject_columns(chunk)))
             rounds = max(Counter(inject.instance for inject in chunk).values())
-            assert len(calls) == rounds
-            assert sum(calls) == len(chunk)
+            one_state = len(engine._state_index) == 1
+            assert len(calls) == (1 if one_state else rounds)
+            first_round = len({inject.instance for inject in chunk})
+            assert sum(calls) == (first_round if one_state else len(chunk))
+        keys, result = core.result()
+        by_key = np.argsort(keys)
+        assert asdict(result.stats) == asdict(expected.stats)
+        assert np.array_equal(
+            result.instance_cycles[by_key], expected.instance_cycles
+        )
+        assert np.array_equal(
+            result.instance_events[by_key], expected.instance_events
+        )
+
+
+def drain_fallback_case(reach):
+    """The drain net with streams that start with ``t_b`` events, which
+    end where they start, and reach ``t_a``, which leaves a token, later:
+    in every instance (``"all"``) or in the last one only (``"last"``).
+    The fleet spans more than two blocks of the one-state step."""
+    net, assignment, _ = drain_case()
+    events = 50
+    instances = 2 * fleet_module._ONE_STATE_BLOCK // events + 2
+    streams = []
+    for instance in range(instances):
+        sources = ["t_b"] * events
+        if reach == "all" or instance == instances - 1:
+            sources[events // 2 :: 3] = ["t_a"] * len(sources[events // 2 :: 3])
+        streams.append(
+            [Event(time=float(k), source=name) for k, name in enumerate(sources)]
+        )
+    return net, assignment, streams
+
+
+def primed_spin_case(instances=4):
+    """``t_x`` spins past any budget at the initial marking, but settles
+    once ``t_a`` has put a token on ``p_primed`` (``t_settle`` has the
+    lower id, so it wins the conflict on ``p_x``); ``t_b`` ends where it
+    starts.  Every instance runs ``[t_b, t_a, t_x]``."""
+    net = (
+        NetBuilder("primed_spin")
+        .source("t_a")
+        .source("t_b")
+        .source("t_x")
+        .transition("t_settle")
+        .transition("t_spin")
+        .arc("t_a", "p_primed")
+        .arc("t_b", "p_b")
+        .arc("p_b", "t_b_done")
+        .arc("t_x", "p_x")
+        .arc("p_x", "t_settle")
+        .arc("p_primed", "t_settle")
+        .arc("t_settle", "p_primed")
+        .arc("p_x", "t_spin")
+        .arc("t_spin", "p_x")
+        .build()
+    )
+    stream = [
+        Event(time=float(k), source=name)
+        for k, name in enumerate(("t_b", "t_a", "t_x"))
+    ]
+    streams = [list(stream) for _ in range(instances)]
+    return net, ModuleAssignment.single_task(net), streams
+
+
+def dispatched_until_error(net, assignment, streams, error_type, **options):
+    """A kernel of the fleet after ``dispatch_rounds`` over every event
+    raised ``error_type``, and the error's type and message."""
+    kernel = FleetEngine(net, assignment, instances=len(streams), **options)
+    columns = as_columns(streams)
+    src_ids, sig_ids = kernel.prepare_events(columns)
+    with pytest.raises(error_type) as caught:
+        kernel.dispatch_rounds(columns.instance, src_ids, sig_ids)
+    return kernel, (type(caught.value), str(caught.value))
+
+
+class TestOneStateStep:
+    """While the memo holds one marking state, `dispatch_rounds` serves
+    a batch's rounds after the first in one step; whenever the step
+    cannot, the rounds serve the batch, with the same results and the
+    same errors as the cache bypass and the legacy engine."""
+
+    @pytest.mark.parametrize("case", ["not_enabled", "budget"])
+    def test_errors_match_the_bypass_after_the_rounds_before_them(self, case):
+        if case == "not_enabled":
+            # an ATM batch, which keeps one state: instance 3's third
+            # event names a transition that is not a source
+            net, assignment, generated = atm_case()
+            streams = [list(stream) for stream in generated]
+            streams[3][2] = Event(time=streams[3][2].time, source="t_parse_header")
+            error_type, options, failing = NotEnabledError, {}, 2
+        else:
+            # the merge fleet, whose first round leaves several states:
+            # a cascade of round 8 spends the budget
+            net, assignment, streams = merge_case(instances=40, events=12)
+            error_type, failing = RuntimeError, 8
+            options = dict(max_firings_per_event=4, on_budget="error")
+        outcomes = [
+            dispatched_until_error(
+                net, assignment, streams, error_type, memo=memo, **options
+            )
+            for memo in (True, False)
+        ]
+        (memoized, error), (direct, direct_error) = outcomes
+        assert error == direct_error
+        if case == "not_enabled":
+            assert error[1] == (
+                "transition 't_parse_header' is not enabled in instance 3"
+            )
+            # the step computed the bad cascade and kept it in the memo
+            assert memoized._cascades.bad[: memoized._cascade_count].any()
+        else:
+            assert "did not quiesce" in error[1]
+        lengths = np.array([len(stream) for stream in streams])
+        for kernel in (memoized, direct):
+            # every round before the failing one applied, none after it
+            assert kernel.instance_events().tolist() == np.minimum(
+                lengths, failing
+            ).tolist()
+        assert np.array_equal(memoized.instance_cycles(), direct.instance_cycles())
+        assert asdict(memoized.aggregate_stats()) == asdict(direct.aggregate_stats())
+        assert memoized.budget_stops == direct.budget_stops
+
+    @pytest.mark.parametrize("reach", ["all", "last"])
+    def test_drain_fleet_hands_the_batch_back_to_the_rounds(self, reach):
+        net, assignment, streams = drain_fallback_case(reach)
+        events = len(streams[0])
+        assert len(streams) * events > 2 * fleet_module._ONE_STATE_BLOCK
+        simulator = FleetSimulator(net, assignment)
+        calls = counted_dispatch(simulator.kernel)
+        memoized = simulator.run(streams)
+        direct_sim = FleetSimulator(net, assignment)
+        direct_sim.kernel = FleetEngine(net, assignment, memo=False)
+        legacy = FleetSimulator(net, assignment, engine="legacy").run(streams)
+        assert_results_identical(legacy, memoized)
+        assert_results_identical(direct_sim.run(streams), memoized)
+        # the step found t_a's cascade ending elsewhere, in the first
+        # block or the last, kept it, and every round was a call
+        assert len(calls) == events
+        assert len(simulator.kernel._state_index) > 1
+        assert memoized.stats.firings["t_drain"] > 0
+
+    def test_budget_error_of_a_speculative_cascade_falls_back(self):
+        net, assignment, streams = primed_spin_case()
+        options = dict(max_firings_per_event=50, on_budget="error")
+        # t_x from the initial marking does not quiesce
+        with pytest.raises(RuntimeError, match="did not quiesce"):
+            FleetSimulator(net, assignment, **options).run([[streams[0][2]]])
+        memoized, direct = memo_and_direct(net, assignment, streams, **options)
+        legacy = FleetSimulator(net, assignment, engine="legacy", **options).run(
+            streams
+        )
+        assert_results_identical(legacy, memoized)
+        assert_results_identical(direct, memoized)
+        assert memoized.stats.firings["t_settle"] == len(streams)
+        assert "t_spin" not in memoized.stats.firings
+
+    def test_atm_service_in_1024_event_chunks_equals_one_shot(self):
+        net, assignment, streams = atm_case(instances=200, cells=50, seed=7)
+        expected = FleetSimulator(net, assignment).run(streams)
+        direct_sim = FleetSimulator(net, assignment)
+        direct_sim.kernel = FleetEngine(net, assignment, memo=False)
+        assert_results_identical(expected, direct_sim.run(streams))
+        # instances are independent: a prefix of the fleet is the legacy
+        # run over the same prefix of the streams
+        prefix = 8
+        legacy = FleetSimulator(net, assignment, engine="legacy").run(
+            streams[:prefix]
+        )
+        assert np.array_equal(
+            legacy.instance_cycles, expected.instance_cycles[:prefix]
+        )
+        packer = FleetSupervisor(net, assignment)
+        engine = FleetEngine(
+            packer.compiled, assignment, signatures=packer.signatures
+        )
+        calls = counted_dispatch(engine)
+        core = ShardCore(engine)
+        injects = events_to_injects(streams)
+        for lo in range(0, len(injects), 1024):
+            core.serve_packed(packer.pack(inject_columns(injects[lo : lo + 1024])))
+        # one dispatch_ids call per batch: the step served the rest
+        assert len(calls) == -(-len(injects) // 1024)
+        assert len(engine._state_index) == 1
         keys, result = core.result()
         by_key = np.argsort(keys)
         assert asdict(result.stats) == asdict(expected.stats)

@@ -1994,6 +1994,34 @@ def test_fuzzed_frames_never_crash_hang_or_leak_a_handler(flips, cut):
     assert 1 <= snapshot.events <= 1 + len(FUZZ_STREAM) // FRAME_ROW_BYTES
 
 
+def app_fleet_cycles(app):
+    """Per-instance cycles of a small fleet of one of the applications."""
+    builders = {
+        "atm": (atm, atm.build_atm_server_net),
+        "router": (router, router.build_router_net),
+        "heating": (heating, heating.build_heating_net),
+    }
+    module, build = builders[app]
+    assignment = ModuleAssignment.from_groups(module.MODULE_PARTITION)
+    streams = module.make_fleet_testbench(53, 7, seed=11)
+    return FleetSimulator(build(), assignment).run(streams).instance_cycles
+
+
+#: Cycle vectors of the percentile pin; the app fleets run when it does.
+PERCENTILE_CASES = {
+    "atm": lambda: app_fleet_cycles("atm"),
+    "router": lambda: app_fleet_cycles("router"),
+    "heating": lambda: app_fleet_cycles("heating"),
+    "empty": lambda: np.zeros(0, dtype=np.int64),
+    "one": lambda: np.array([1234], dtype=np.int64),
+    "ties": lambda: np.array([7, 3, 7, 7, 3, 9, 9, 3, 7], dtype=np.int64),
+    "large_int64": lambda: np.array(
+        [2**63 - 1, 2**62 + 3, 2**53 + 1, 2**62, 2**63 - 2**11, 2**53],
+        dtype=np.int64,
+    ),
+}
+
+
 class TestFleetResultEdgeCases:
     """Satellite pin: percentile semantics at the edges."""
 
@@ -2033,6 +2061,33 @@ class TestFleetResultEdgeCases:
     def test_custom_quantile_labels(self):
         spread = self.result([10, 20, 30, 40])
         assert set(spread.percentiles((50, 99.9))) == {"p50", "p99.9"}
+
+    @pytest.mark.parametrize("case", sorted(PERCENTILE_CASES))
+    def test_percentiles_are_numpys_bit_for_bit(self, case):
+        """One sort plus numpy's interpolation gives the very floats of
+        ``np.percentile``, through the result and the engine."""
+        values = PERCENTILE_CASES[case]()
+
+        def bits(points):
+            return {name: float(point).hex() for name, point in points.items()}
+
+        def expected(qs):
+            if not len(values):
+                return {f"p{q:g}": (0.0).hex() for q in qs}
+            return {
+                f"p{q:g}": float(point).hex()
+                for q, point in zip(qs, np.percentile(values, qs))
+            }
+
+        result = self.result(values)
+        for qs in ((50, 90, 95, 99), (0, 12.5, 33.3, 100), (99, 1, 50), (99.9,)):
+            assert bits(result.percentiles(qs)) == expected(qs)
+        engine = FleetEngine(ATM, ASSIGNMENT, instances=len(values))
+        engine._cycles[: len(values)] = values
+        assert bits(engine.cycle_percentiles()) == expected((50, 90, 95, 99))
+        if len(values):
+            with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+                result.percentiles((50, 100.5))
 
     @pytest.mark.parametrize(
         "app", [atm, router, heating], ids=lambda app: app.__name__.split(".")[-1]
